@@ -224,9 +224,10 @@ BENCHMARK(BM_SmallFilesRestageColdVsWarm)
     ->Arg(10'000)
     ->Arg(100'000);
 
-/// Bundle manifests vs the per-file path for the same directory of
-/// 64 KiB files. The per-file leg pays open+chunk+close round trips
-/// per file; the bundle leg pays ONE open and ONE close for the whole
+/// One bundle for the whole tree vs one transfer per file, for the
+/// same directory of 16 KiB files. The per-file leg calls deliver_file
+/// per file — each a bundle of one paying open+chunk+close round
+/// trips; the bundle leg pays ONE open and ONE close for the whole
 /// batch with chunks interleaved over the shared window — the
 /// kXferBundleOpen headline (≥10x at 1e4 files).
 void BM_SmallFilesBundleVsPerFile(benchmark::State& state) {
@@ -239,7 +240,7 @@ void BM_SmallFilesBundleVsPerFile(benchmark::State& state) {
   for (auto _ : state) {
     int seed = 1'000'000 + runs * 4 * files;
     std::string tag = std::to_string(runs) + "/";
-    // Per-file leg: fresh content, one transfer per file.
+    // Per-file leg: fresh content, one bundle of one per file.
     for (int i = 0; i < files; ++i) {
       double ms = env.deliver_ms(
           std::make_shared<const uspace::FileBlob>(

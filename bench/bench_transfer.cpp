@@ -12,11 +12,13 @@
 //   - the local Xspace->Uspace copy (the paper's fast case),
 //   - the legacy whole-blob NJS–NJS delivery (one message, one
 //     connection — the transfer-rate ceiling the paper concedes),
-//   - the chunked engine (src/xfer/) at 1/2/4/8 parallel streams.
+//   - the chunked engine (src/xfer/) at 1/2/4/8 parallel streams, the
+//     file travelling as a bundle of one.
 //
 // `virtual_ms` is the simulated elapsed time; `virtual_MBps` the
 // effective rate the user observes. The simulated network serialises
-// bandwidth per connection direction, so N rails ≈ N lanes.
+// bandwidth per directed host pair, so the rails share one link: more
+// streams keep it busy, they do not widen it.
 #include <benchmark/benchmark.h>
 
 #include <limits>

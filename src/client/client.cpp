@@ -359,16 +359,6 @@ void UnicoreClient::control(ajo::JobToken token,
                            });
 }
 
-void UnicoreClient::fetch_output_legacy(
-    ajo::JobToken token, const std::string& name,
-    std::function<void(Result<uspace::FileBlob>)> done) {
-  ++output_stats_.legacy;
-  ByteWriter payload;
-  payload.u64(token);
-  payload.str(name);
-  call<wire::FetchOutputCodec>(payload.take(), std::move(done));
-}
-
 void UnicoreClient::xfer_call(
     xfer::Op op, Bytes body,
     std::function<void(Result<Bytes>)> done) {
@@ -401,45 +391,21 @@ std::shared_ptr<xfer::ChunkTransport> UnicoreClient::transfer_transport() {
 void UnicoreClient::fetch_output(
     ajo::JobToken token, const std::string& name,
     std::function<void(Result<uspace::FileBlob>)> done) {
-  // Chunked retrieval needs a v2 channel on both ends; everything else
-  // (v1 server, chunking disabled) takes the legacy whole-blob request.
-  bool chunked = config_.transfer_streams > 0 && connected() &&
-                 channel_->feature_enabled(net::kFeatureChunkedXfer);
-  if (!chunked) {
-    fetch_output_legacy(token, name, std::move(done));
-    return;
-  }
-  ++output_stats_.chunked;
-  xfer::PullSpec spec;
-  spec.role = xfer::Role::kClientPull;
-  spec.token = token;
-  spec.name = name;
-  auto alive = alive_;
-  xfer_manager_.pull(
-      transfer_transport(), spec, config_.transfer_options,
-      [this, alive, token, name,
-       done = std::move(done)](Result<xfer::PullResult> result) mutable {
-        if (!result &&
-            result.error().code == ErrorCode::kFailedPrecondition &&
-            *alive) {
-          // Refused mid-flight (e.g. the Usite restarted into an old
-          // build): fall back to the whole-blob request.
-          fetch_output_legacy(token, name, std::move(done));
-          return;
-        }
-        if (!result)
-          done(result.error());
-        else
-          done(std::move(result.value().blob));
-      });
+  fetch_tree(token, {name},
+             [done = std::move(done)](Result<std::vector<uspace::FileBlob>> r) {
+               if (!r)
+                 done(r.error());
+               else
+                 done(std::move(r.value().front()));
+             });
 }
 
 void UnicoreClient::push_tree(
     ajo::JobToken token,
     std::vector<std::pair<std::string, uspace::FileBlob>> files,
-    std::function<void(Result<xfer::BundleStats>)> done) {
+    std::function<void(Result<xfer::TransferStats>)> done) {
   if (files.empty()) {
-    done(xfer::BundleStats{});
+    done(xfer::TransferStats{});
     return;
   }
   if (!connected()) {
@@ -455,18 +421,8 @@ void UnicoreClient::push_tree(
                           "channel feature"));
     return;
   }
-  if (!channel_->feature_enabled(net::kFeatureBundleXfer)) {
-    // Chunked but bundleless: one kClientPush transfer per file.
-    auto shared = std::make_shared<
-        std::vector<std::pair<std::string, uspace::FileBlob>>>(
-        std::move(files));
-    auto stats = std::make_shared<xfer::BundleStats>();
-    stats->started_at = engine_.now();
-    push_tree_singles(token, shared, 0, stats, std::move(done));
-    return;
-  }
-  ++output_stats_.bundled;
-  xfer::BundlePushSpec spec;
+  ++output_stats_.chunked;
+  xfer::PushSpec spec;
   spec.source = "client:" + config_.user.certificate.subject.common_name;
   spec.token = token;
   spec.role = xfer::Role::kClientPush;
@@ -475,45 +431,8 @@ void UnicoreClient::push_tree(
   for (auto& [name, blob] : files)
     bundle.push_back(
         {name, std::make_shared<const uspace::FileBlob>(std::move(blob))});
-  xfer_manager_.push_tree(transfer_transport(), spec, std::move(bundle),
-                          config_.transfer_options, std::move(done));
-}
-
-void UnicoreClient::push_tree_singles(
-    ajo::JobToken token,
-    std::shared_ptr<std::vector<std::pair<std::string, uspace::FileBlob>>>
-        files,
-    std::size_t next, std::shared_ptr<xfer::BundleStats> stats,
-    std::function<void(Result<xfer::BundleStats>)> done) {
-  if (next >= files->size()) {
-    stats->finished_at = engine_.now();
-    done(*stats);
-    return;
-  }
-  xfer::PushSpec spec;
-  spec.source = "client:" + config_.user.certificate.subject.common_name;
-  spec.token = token;
-  spec.name = (*files)[next].first;
-  spec.role = xfer::Role::kClientPush;
-  auto blob =
-      std::make_shared<const uspace::FileBlob>((*files)[next].second);
-  xfer_manager_.push(
-      transfer_transport(), spec, std::move(blob), config_.transfer_options,
-      [this, token, files, next, stats,
-       done = std::move(done)](Result<xfer::TransferStats> r) mutable {
-        if (!r) {
-          done(r.error());
-          return;
-        }
-        ++stats->files;
-        stats->bytes += r.value().bytes;
-        stats->chunks += r.value().chunks;
-        stats->deduped += r.value().duplicates + r.value().deduped;
-        stats->retransmits += r.value().retransmits;
-        stats->resumes += r.value().resumes;
-        stats->streams = std::max(stats->streams, r.value().streams);
-        push_tree_singles(token, files, next + 1, stats, std::move(done));
-      });
+  xfer_manager_.push(transfer_transport(), spec, std::move(bundle),
+                     config_.transfer_options, std::move(done));
 }
 
 void UnicoreClient::fetch_tree(
@@ -523,35 +442,29 @@ void UnicoreClient::fetch_tree(
     done(std::vector<uspace::FileBlob>{});
     return;
   }
-  bool bundled = config_.transfer_streams > 0 && connected() &&
-                 channel_->feature_enabled(net::kFeatureChunkedXfer) &&
-                 channel_->feature_enabled(net::kFeatureBundleXfer);
-  if (!bundled) {
-    auto shared = std::make_shared<std::vector<std::string>>(std::move(names));
-    auto blobs = std::make_shared<std::vector<uspace::FileBlob>>();
-    blobs->reserve(shared->size());
-    fetch_tree_sequential(token, shared, blobs, std::move(done));
+  // The engine needs a v2 channel on both ends; everything else (v1
+  // server, chunking disabled) takes the whole-blob request per file.
+  bool chunked = config_.transfer_streams > 0 && connected() &&
+                 channel_->feature_enabled(net::kFeatureChunkedXfer);
+  if (!chunked) {
+    fetch_outputs_legacy(token, std::move(names), {}, std::move(done));
     return;
   }
-  ++output_stats_.bundled;
-  xfer::BundlePullSpec spec;
+  ++output_stats_.chunked;
+  xfer::PullSpec spec;
   spec.role = xfer::Role::kClientPull;
   spec.token = token;
   spec.names = names;
   auto alive = alive_;
-  xfer_manager_.pull_tree(
+  xfer_manager_.pull(
       transfer_transport(), spec, config_.transfer_options,
       [this, alive, token, names = std::move(names),
-       done = std::move(done)](Result<xfer::BundlePullResult> result) mutable {
+       done = std::move(done)](Result<xfer::PullResult> result) mutable {
         if (!result && *alive &&
             result.error().code == ErrorCode::kFailedPrecondition) {
-          // Refused mid-flight (server restarted into a bundleless
-          // build): per-file retrieval.
-          auto shared =
-              std::make_shared<std::vector<std::string>>(std::move(names));
-          auto blobs = std::make_shared<std::vector<uspace::FileBlob>>();
-          blobs->reserve(shared->size());
-          fetch_tree_sequential(token, shared, blobs, std::move(done));
+          // Refused mid-flight (e.g. the Usite restarted into an old
+          // build): fall back to the whole-blob request.
+          fetch_outputs_legacy(token, std::move(names), {}, std::move(done));
           return;
         }
         if (!result)
@@ -561,24 +474,30 @@ void UnicoreClient::fetch_tree(
       });
 }
 
-void UnicoreClient::fetch_tree_sequential(
-    ajo::JobToken token, std::shared_ptr<std::vector<std::string>> names,
-    std::shared_ptr<std::vector<uspace::FileBlob>> blobs,
+void UnicoreClient::fetch_outputs_legacy(
+    ajo::JobToken token, std::vector<std::string> names,
+    std::vector<uspace::FileBlob> blobs,
     std::function<void(Result<std::vector<uspace::FileBlob>>)> done) {
-  if (blobs->size() >= names->size()) {
-    done(std::move(*blobs));
+  if (blobs.size() == names.size()) {
+    done(std::move(blobs));
     return;
   }
-  fetch_output(token, (*names)[blobs->size()],
-               [this, token, names, blobs,
-                done = std::move(done)](Result<uspace::FileBlob> r) mutable {
-                 if (!r) {
-                   done(r.error());
-                   return;
-                 }
-                 blobs->push_back(std::move(r).value());
-                 fetch_tree_sequential(token, names, blobs, std::move(done));
-               });
+  ++output_stats_.legacy;
+  ByteWriter payload;
+  payload.u64(token);
+  payload.str(names[blobs.size()]);
+  call<wire::FetchOutputCodec>(
+      payload.take(),
+      [this, token, names = std::move(names), blobs = std::move(blobs),
+       done = std::move(done)](Result<uspace::FileBlob> r) mutable {
+        if (!r) {
+          done(r.error());
+          return;
+        }
+        blobs.push_back(std::move(r).value());
+        fetch_outputs_legacy(token, std::move(names), std::move(blobs),
+                             std::move(done));
+      });
 }
 
 void UnicoreClient::fetch_metrics(
@@ -755,11 +674,11 @@ Future<uspace::FileBlob> UnicoreClient::fetch_output(ajo::JobToken token,
   return promise.future();
 }
 
-Future<xfer::BundleStats> UnicoreClient::push_tree(
+Future<xfer::TransferStats> UnicoreClient::push_tree(
     ajo::JobToken token,
     std::vector<std::pair<std::string, uspace::FileBlob>> files) {
-  Promise<xfer::BundleStats> promise;
-  push_tree(token, std::move(files), [promise](Result<xfer::BundleStats> r) {
+  Promise<xfer::TransferStats> promise;
+  push_tree(token, std::move(files), [promise](Result<xfer::TransferStats> r) {
     promise.set(std::move(r));
   });
   return promise.future();

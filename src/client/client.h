@@ -369,18 +369,15 @@ class UnicoreClient {
                     std::function<void(util::Result<uspace::FileBlob>)> done);
 
   // --- bundle staging (docs/DATA.md §3) ---------------------------------
-  /// Stages a whole file tree into job `token`'s Uspace. With the
-  /// negotiated kFeatureBundleXfer the tree moves as bundles (one
-  /// manifest round trip per xfer::kMaxBundleFiles slice); with only
-  /// kFeatureChunkedXfer it degrades to one chunked push per file; a v1
-  /// server fails kFailedPrecondition (stage files inside the AJO
-  /// instead).
+  /// Stages a whole file tree into job `token`'s Uspace as bundles (one
+  /// manifest round trip per xfer::kMaxBundleFiles slice). A v1 server
+  /// fails kFailedPrecondition (stage files inside the AJO instead).
   void push_tree(ajo::JobToken token,
                  std::vector<std::pair<std::string, uspace::FileBlob>> files,
-                 std::function<void(util::Result<xfer::BundleStats>)> done);
-  /// Fetches many outputs of job `token` in request order — bundled
-  /// when the server negotiated the feature, sequential fetch_output
-  /// otherwise.
+                 std::function<void(util::Result<xfer::TransferStats>)> done);
+  /// Fetches many outputs of job `token` in request order — as bundles
+  /// when the server negotiated the chunked engine, one whole-blob
+  /// request per file otherwise. fetch_output is the one-file case.
   void fetch_tree(
       ajo::JobToken token, std::vector<std::string> names,
       std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done);
@@ -436,7 +433,7 @@ class UnicoreClient {
                       ajo::ControlService::Command command);
   Future<uspace::FileBlob> fetch_output(ajo::JobToken token,
                                         const std::string& name);
-  Future<xfer::BundleStats> push_tree(
+  Future<xfer::TransferStats> push_tree(
       ajo::JobToken token,
       std::vector<std::pair<std::string, uspace::FileBlob>> files);
   Future<std::vector<uspace::FileBlob>> fetch_tree(
@@ -471,8 +468,9 @@ class UnicoreClient {
   // --- diagnostics ---------------------------------------------------------
   std::uint64_t requests_sent() const { return requests_sent_; }
   std::uint64_t requests_failed() const { return requests_failed_; }
-  /// Which wire path each fetch_output took: the chunked engine, or the
-  /// internal legacy whole-blob fallback (v1 server / chunking off).
+  /// Which wire path each fetch and push took: the chunked engine (one
+  /// count per call, any file count), or the whole-blob fallback (one
+  /// count per file; v1 server / chunking off).
   const server::TransferStats& output_stats() const { return output_stats_; }
   /// True when the current channel was established by session
   /// resumption (a reconnect that skipped the public-key handshake).
@@ -514,22 +512,11 @@ class UnicoreClient {
   void handle_message(util::Bytes&& wire);
   void fail_all_pending(const util::Error& error);
   std::shared_ptr<xfer::ChunkTransport> transfer_transport();
-  void fetch_output_legacy(
-      ajo::JobToken token, const std::string& name,
-      std::function<void(util::Result<uspace::FileBlob>)> done);
-  /// push_tree fallback for chunked-but-bundleless servers: one
-  /// kClientPush transfer per file, sequential.
-  void push_tree_singles(
-      ajo::JobToken token,
-      std::shared_ptr<std::vector<std::pair<std::string, uspace::FileBlob>>>
-          files,
-      std::size_t next, std::shared_ptr<xfer::BundleStats> stats,
-      std::function<void(util::Result<xfer::BundleStats>)> done);
-  /// fetch_tree fallback: sequential fetch_output (itself chunked or
-  /// legacy per file).
-  void fetch_tree_sequential(
-      ajo::JobToken token, std::shared_ptr<std::vector<std::string>> names,
-      std::shared_ptr<std::vector<uspace::FileBlob>> blobs,
+  /// fetch_tree's fallback: one whole-blob kFetchOutput per file, in
+  /// order, appending to `blobs`.
+  void fetch_outputs_legacy(
+      ajo::JobToken token, std::vector<std::string> names,
+      std::vector<uspace::FileBlob> blobs,
       std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done);
 
   sim::Engine& engine_;

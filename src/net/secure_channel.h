@@ -53,9 +53,9 @@ constexpr std::uint8_t kProtocolVersion = 2;
 /// Feature bits exchanged during the hello negotiation. The effective
 /// feature set of a channel is the AND of what both sides advertise.
 constexpr std::uint64_t kFeatureJournalInspect = 1ull << 0;
-/// Peer understands the chunked transfer protocol (kXferOpen /
-/// kXferChunk / kXferClose). Without it the sender falls back to the
-/// legacy whole-blob kDeliverFile / kFetchFile requests.
+/// Peer understands the chunked transfer protocol (kXferBundleOpen /
+/// kXferChunk / kXferBundleClose). Without it the sender falls back to
+/// the legacy whole-blob kDeliverFile / kFetchFile requests.
 constexpr std::uint64_t kFeatureChunkedXfer = 1ull << 1;
 /// Peer supports session resumption (ticket in the ServerFinished tail,
 /// ClientHelloResumed / ServerHelloResumed / HelloRetry messages).
@@ -72,15 +72,11 @@ constexpr std::uint64_t kFeatureBatchRecords = 1ull << 3;
 /// request kinds are refused and clients stay on per-request
 /// certificate authentication.
 constexpr std::uint64_t kFeaturePortal = 1ull << 4;
-/// Peer understands bundle transfers (kXferBundleOpen /
-/// kXferBundleClose): one open carries the manifests of many files,
-/// whose chunks interleave over the ordinary kXferChunk frames tagged
-/// with an in-bundle file index. Requires kFeatureChunkedXfer. Without
-/// it the sender falls back to one transfer per file.
-constexpr std::uint64_t kFeatureBundleXfer = 1ull << 5;
+// Bit 1 << 5 is retired (it gated bundle transfers, which every
+// chunked-transfer peer now speaks); never reuse it.
 constexpr std::uint64_t kDefaultFeatures =
     kFeatureJournalInspect | kFeatureChunkedXfer | kFeatureResumption |
-    kFeatureBatchRecords | kFeaturePortal | kFeatureBundleXfer;
+    kFeatureBatchRecords | kFeaturePortal;
 
 class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
  public:

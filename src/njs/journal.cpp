@@ -43,9 +43,6 @@ const char* journal_record_type_name(JournalRecordType type) {
     case JournalRecordType::kActionState: return "action-state";
     case JournalRecordType::kFinalized: return "finalized";
     case JournalRecordType::kDeleted: return "deleted";
-    case JournalRecordType::kXferManifest: return "xfer-manifest";
-    case JournalRecordType::kXferChunk: return "xfer-chunk";
-    case JournalRecordType::kXferDone: return "xfer-done";
     case JournalRecordType::kOwnerClaim: return "owner-claim";
     case JournalRecordType::kXferBundleManifest: return "xfer-bundle-manifest";
     case JournalRecordType::kXferBundleChunk: return "xfer-bundle-chunk";
@@ -172,10 +169,10 @@ std::vector<Journal::RecoveredJob> Journal::recover() const {
         case JournalRecordType::kDeleted:
           jobs.erase(record.token);
           break;
-        case JournalRecordType::kXferManifest:
-        case JournalRecordType::kXferChunk:
-        case JournalRecordType::kXferDone:
-          break;  // owned by the transfer engine (xfer::recover_transfers)
+        case JournalRecordType::kXferBundleManifest:
+        case JournalRecordType::kXferBundleChunk:
+        case JournalRecordType::kXferBundleDone:
+          break;  // owned by the transfer engine (xfer::recover_bundles)
         case JournalRecordType::kOwnerClaim:
           break;  // handoff bookkeeping (try_claim), not job state
       }

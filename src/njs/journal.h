@@ -42,21 +42,17 @@ enum class JournalRecordType : std::uint8_t {
   kActionState = 3,     // per-action state transition (inspection)
   kFinalized = 4,       // the job's terminal Outcome
   kDeleted = 5,         // the owner deleted the job (do not resurrect)
-  // Chunked-transfer records (owned by src/xfer/, opaque to job
-  // recovery): an inbound transfer manifest, one applied chunk, and the
-  // completed-transfer tombstone. See xfer/manifest.h for the codecs.
-  kXferManifest = 6,
-  kXferChunk = 7,
-  kXferDone = 8,
+  // 6–8 are retired (the single-file transfer records); never reuse
+  // them. Replay skips them like any other type it does not own.
   // Handoff claim (docs/SCALING.md): the named peer replica now owns
   // this journal's partition. Appended by Journal::try_claim; job
   // recovery skips it.
   kOwnerClaim = 9,
-  // Bundle-transfer records (docs/DATA.md §3): ONE manifest per bundle
-  // of up to kMaxBundleFiles files — the durable-write amortization
-  // that pairs with the wire-side RTT amortization — then one record
-  // per applied chunk tagged with its in-bundle file index, and the
-  // committed-bundle tombstone.
+  // Transfer records (owned by src/xfer/, opaque to job recovery;
+  // docs/DATA.md §3): ONE manifest per bundle of up to kMaxBundleFiles
+  // files — a single file is a bundle of one — then one record per
+  // applied chunk tagged with its in-bundle file index, and the
+  // committed-bundle tombstone. See xfer/manifest.h for the codecs.
   kXferBundleManifest = 10,
   kXferBundleChunk = 11,
   kXferBundleDone = 12,

@@ -78,22 +78,22 @@ class PeerLink {
                           std::function<void(util::Result<uspace::FileBlob>)>
                               done) = 0;
 
-  /// Delivers many files into one remote Uspace. The default walks
-  /// deliver_file sequentially; links that negotiated the bundle
-  /// feature override this with one manifest round trip for the whole
-  /// batch (src/xfer bundle mode). Calling with an empty vector
-  /// succeeds immediately.
-  virtual void deliver_files(
-      const RemoteJobHandle& target,
+  /// Named files of a batch delivery.
+  using Files =
       std::vector<std::pair<std::string,
-                            std::shared_ptr<const uspace::FileBlob>>>
-          files,
-      std::function<void(util::Status)> done) {
+                            std::shared_ptr<const uspace::FileBlob>>>;
+
+  /// Delivers many files into one remote Uspace. The default walks
+  /// deliver_file sequentially; links with the chunked transfer engine
+  /// override this with one manifest round trip for the whole batch.
+  /// Calling with an empty vector succeeds immediately.
+  virtual void deliver_files(const RemoteJobHandle& target, Files files,
+                             std::function<void(util::Status)> done) {
     deliver_files_sequential(target, std::move(files), 0, std::move(done));
   }
 
   /// Fetches many files from one remote Uspace, in request order. The
-  /// default walks fetch_file sequentially; bundle-capable links
+  /// default walks fetch_file sequentially; links with the transfer engine
   /// override.
   virtual void fetch_files(
       const RemoteJobHandle& source, std::vector<std::string> names,
@@ -109,12 +109,9 @@ class PeerLink {
                        std::function<void(util::Status)> done) = 0;
 
  private:
-  void deliver_files_sequential(
-      const RemoteJobHandle& target,
-      std::vector<std::pair<std::string,
-                            std::shared_ptr<const uspace::FileBlob>>>
-          files,
-      std::size_t next, std::function<void(util::Status)> done) {
+  void deliver_files_sequential(const RemoteJobHandle& target, Files files,
+                                std::size_t next,
+                                std::function<void(util::Status)> done) {
     if (next >= files.size()) {
       done(util::Status());
       return;

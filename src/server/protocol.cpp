@@ -28,9 +28,7 @@ const char* request_kind_name(RequestKind kind) {
     case RequestKind::kMonitorMetrics: return "monitor-metrics";
     case RequestKind::kMonitorTrace: return "monitor-trace";
     case RequestKind::kJournalInspect: return "journal-inspect";
-    case RequestKind::kXferOpen: return "xfer-open";
     case RequestKind::kXferChunk: return "xfer-chunk";
-    case RequestKind::kXferClose: return "xfer-close";
     case RequestKind::kSessionOpen: return "session-open";
     case RequestKind::kSessionRefresh: return "session-refresh";
     case RequestKind::kSessionClose: return "session-close";

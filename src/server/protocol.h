@@ -52,15 +52,9 @@ enum class RequestKind : std::uint8_t {
   kJournalInspect = 14,  // recovery diagnostics: NJS journal stats
                          // (requires the kFeatureJournalInspect channel
                          // feature — v1 peers get kUnimplemented)
-  // Chunked transfer engine (src/xfer/). All three require the
-  // kFeatureChunkedXfer channel feature — v1 peers get
-  // kFailedPrecondition and the sender falls back to kDeliverFile /
-  // kFetchFile. Bodies start with a xfer::Role byte that selects the
-  // authentication path (push / peer pull: server certificate; client
-  // pull: user certificate).
-  kXferOpen = 15,   // open or resume a transfer by durable key
-  kXferChunk = 16,  // one chunk (push) or one chunk request (pull)
-  kXferClose = 17,  // verify + commit (push) / release (pull)
+  // 15 and 17 are retired (the single-file transfer open and close);
+  // never reuse them.
+  kXferChunk = 16,  // one bundle chunk (push) or chunk request (pull)
   // Portal facade (docs/PORTAL.md). All six require the negotiated
   // kFeaturePortal channel feature — v1 peers get kFailedPrecondition.
   // kSessionOpen authenticates the channel's peer certificate (the one
@@ -72,13 +66,15 @@ enum class RequestKind : std::uint8_t {
   kStorageList = 21,     // caller's per-job working storages
   kStorageFiles = 22,    // job token -> names in that job's storage
   kStorageReap = 23,     // job token -> empty the storage, free quota
-  // Bundle transfers (docs/DATA.md §3): one open carries the manifests
-  // of up to xfer::kMaxBundleFiles files; their chunks interleave over
-  // ordinary kXferChunk frames tagged with an in-bundle file index; one
-  // close commits the lot. Requires kFeatureChunkedXfer AND
-  // kFeatureBundleXfer — peers without the bundle bit get
-  // kFailedPrecondition and the sender falls back to one transfer per
-  // file.
+  // The chunked transfer engine (src/xfer/, docs/DATA.md §3). One open
+  // carries up to xfer::kMaxBundleFiles files (a single file is a
+  // bundle of one); their chunks interleave over kXferChunk frames
+  // tagged with an in-bundle file index; one close commits the lot.
+  // All three kinds require the kFeatureChunkedXfer channel feature —
+  // v1 peers get kFailedPrecondition and the sender falls back to
+  // kDeliverFile / kFetchFile. Bodies start with a xfer::Role byte that
+  // selects the authentication path (push / peer pull: server
+  // certificate; client push / pull: user certificate).
   kXferBundleOpen = 24,   // open or resume a bundle by durable key
   kXferBundleClose = 25,  // commit (push) / release (pull) the bundle
 };
@@ -86,14 +82,13 @@ enum class RequestKind : std::uint8_t {
 const char* request_kind_name(RequestKind kind);
 
 /// File-movement counters shared by both ends of the fetch/deliver API:
-/// which wire path each transfer took. The chunked engine and the
-/// legacy whole-blob requests are an internal fallback pair — callers
-/// see one entry point and these stats.
+/// which wire path each call took. The chunked engine and the legacy
+/// whole-blob requests are an internal fallback pair — callers see one
+/// entry point and these stats.
 struct TransferStats {
-  std::uint64_t chunked = 0;  // through the chunked engine (src/xfer/)
-  std::uint64_t legacy = 0;   // whole-blob kDeliverFile / kFetchFile
-  std::uint64_t bundled = 0;  // batches moved as bundle manifests
-  std::uint64_t total() const { return chunked + legacy + bundled; }
+  std::uint64_t chunked = 0;  // engine transfers (src/xfer/), any file count
+  std::uint64_t legacy = 0;   // whole-blob kDeliverFile / kFetchFile(Output)
+  std::uint64_t total() const { return chunked + legacy; }
 };
 
 // --- envelope builders ---------------------------------------------------

@@ -23,10 +23,6 @@ enum PipeMessage : std::uint8_t {
   kPipeNotify = 3,
 };
 
-util::Error transport_error(const std::string& what) {
-  return util::make_error(ErrorCode::kUnavailable, what);
-}
-
 }  // namespace
 
 // ---- internal structures ---------------------------------------------------
@@ -552,10 +548,8 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
       gateway::AuthenticatedUser anonymous;
       return forward(pack_njs_request(kind, request_id, anonymous, {}));
     }
-    case RequestKind::kXferOpen:
-    case RequestKind::kXferChunk:
-    case RequestKind::kXferClose:
     case RequestKind::kXferBundleOpen:
+    case RequestKind::kXferChunk:
     case RequestKind::kXferBundleClose: {
       // Negotiated at the hello exchange like kJournalInspect: a v1
       // channel never agreed to the chunked protocol, so senders fall
@@ -569,17 +563,6 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
                                  std::to_string(
                                      session->channel->negotiated_version()) +
                                  ")"));
-      // Bundles are a further negotiation on top of chunked transfer:
-      // a chunked-but-bundleless peer gets the same error shape, and
-      // senders fall back to one open per file.
-      if ((kind == RequestKind::kXferBundleOpen ||
-           kind == RequestKind::kXferBundleClose) &&
-          !session->channel->feature_enabled(net::kFeatureBundleXfer))
-        return reply_error(
-            request_id,
-            util::make_error(ErrorCode::kFailedPrecondition,
-                             "bundle transfer requires the bundle channel "
-                             "feature"));
       // The leading Role byte picks the authentication path: pushes and
       // peer pulls are NJS–NJS (server certificate), client pulls and
       // client pushes are JMC traffic (user certificate + ownership
@@ -826,10 +809,8 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         out.u64(retries);
         return make_ok_reply(request_id, out.bytes());
       }
-      case RequestKind::kXferOpen:
-      case RequestKind::kXferChunk:
-      case RequestKind::kXferClose:
       case RequestKind::kXferBundleOpen:
+      case RequestKind::kXferChunk:
       case RequestKind::kXferBundleClose: {
         bool server_peer = packed.u8() != 0;
         auto role = static_cast<xfer::Role>(packed.u8());
@@ -839,15 +820,13 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         // which is strided by the service that minted it; an id from a
         // crashed replica's table answers kNotFound and the sender
         // re-opens by durable key (landing on the adopter).
-        bool is_open = kind == RequestKind::kXferOpen ||
-                       kind == RequestKind::kXferBundleOpen;
         std::size_t target = 0;
         {
           ByteReader peek = packed;  // routing must not consume the body
-          if (is_open) {
+          if (kind == RequestKind::kXferBundleOpen) {
             JobToken token;
             if (xfer::role_is_push(role)) {
-              peek.blob();  // transfer key (single-file or bundle)
+              peek.blob();  // bundle key
               token = peek.u64();
             } else {
               token = peek.u64();
@@ -870,20 +849,14 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         xfer::Service& service = *xfer_services_[target];
         Result<Bytes> reply = util::make_error(ErrorCode::kInternal, "");
         switch (kind) {
-          case RequestKind::kXferOpen:
+          case RequestKind::kXferBundleOpen:
             reply = service.open(user.dn, server_peer, role, packed);
             break;
           case RequestKind::kXferChunk:
             reply = service.chunk(user.dn, server_peer, role, packed);
             break;
-          case RequestKind::kXferClose:
-            reply = service.close(user.dn, server_peer, role, packed);
-            break;
-          case RequestKind::kXferBundleOpen:
-            reply = service.bundle_open(user.dn, server_peer, role, packed);
-            break;
           default:
-            reply = service.bundle_close(user.dn, server_peer, role, packed);
+            reply = service.close(user.dn, server_peer, role, packed);
             break;
         }
         if (!reply) return make_error_reply(request_id, reply.error());
@@ -1274,7 +1247,7 @@ void UsiteServer::consign(
       });
 }
 
-// ---- file movement: chunked engine with legacy fallback --------------------
+// ---- file movement: the transfer engine, whole blobs as the fallback -------
 
 void UsiteServer::with_peer_features(
     const std::string& usite,
@@ -1308,41 +1281,100 @@ std::shared_ptr<XferRails> UsiteServer::peer_rails(const std::string& usite) {
   return rails;
 }
 
-void UsiteServer::push_file_chunked(
-    const njs::RemoteJobHandle& target, const std::string& uspace_name,
-    std::shared_ptr<const uspace::FileBlob> blob,
-    std::function<void(Status)> done) {
-  ++transfer_stats_.chunked;
-  xfer::PushSpec spec;
-  spec.source = config_.name;
-  spec.token = target.token;
-  spec.name = uspace_name;
-  xfer_manager_.push(peer_rails(target.usite), spec, std::move(blob),
-                     transfer_options_,
-                     [done = std::move(done)](Result<xfer::TransferStats> r) {
-                       if (!r)
-                         done(r.error());
-                       else
-                         done(Status::ok_status());
-                     });
+void UsiteServer::push_files(const njs::RemoteJobHandle& target, Files files,
+                             std::function<void(Status)> done) {
+  with_peer_features(
+      target.usite,
+      [this, target, files = std::move(files),
+       done = std::move(done)](Result<std::uint64_t> features) mutable {
+        if (!features ||
+            (features.value() & net::kFeatureChunkedXfer) == 0) {
+          // v1 peer — or the feature probe itself failed, in which case
+          // the whole-blob path's own retry ladder takes over.
+          deliver_whole_blobs(target, std::move(files), 0, std::move(done));
+          return;
+        }
+        ++transfer_stats_.chunked;
+        xfer::PushSpec spec;
+        spec.source = config_.name;
+        spec.token = target.token;
+        std::vector<xfer::BundleFile> bundle;
+        bundle.reserve(files.size());
+        for (const auto& [name, blob] : files) bundle.push_back({name, blob});
+        xfer_manager_.push(
+            peer_rails(target.usite), spec, std::move(bundle),
+            transfer_options_,
+            [this, target, files = std::move(files),
+             done = std::move(done)](Result<xfer::TransferStats> r) mutable {
+              // The engine got refused mid-flight (e.g. the peer
+              // restarted into an old build): repeat as whole blobs.
+              if (!r && r.error().code == ErrorCode::kFailedPrecondition) {
+                deliver_whole_blobs(target, std::move(files), 0,
+                                    std::move(done));
+                return;
+              }
+              if (!r)
+                done(r.error());
+              else
+                done(Status::ok_status());
+            });
+      });
 }
 
-void UsiteServer::pull_file_chunked(
-    const njs::RemoteJobHandle& source, const std::string& uspace_name,
-    std::function<void(Result<uspace::FileBlob>)> done) {
-  ++transfer_stats_.chunked;
-  xfer::PullSpec spec;
-  spec.role = xfer::Role::kPeerPull;
-  spec.token = source.token;
-  spec.name = uspace_name;
-  spec.store = chunk_store_;  // open-reply manifest dedup on the pull path
-  xfer_manager_.pull(peer_rails(source.usite), spec, transfer_options_,
-                     [done = std::move(done)](Result<xfer::PullResult> r) {
-                       if (!r)
-                         done(r.error());
-                       else
-                         done(std::move(r.value().blob));
-                     });
+void UsiteServer::deliver_whole_blobs(const njs::RemoteJobHandle& target,
+                                      Files files, std::size_t next,
+                                      std::function<void(Status)> done) {
+  if (next == files.size()) {
+    done(Status::ok_status());
+    return;
+  }
+  ++transfer_stats_.legacy;
+  ByteWriter payload;
+  payload.u64(target.token);
+  payload.str(files[next].first);
+  files[next].second->encode(payload);
+  peer_call(target.usite, RequestKind::kDeliverFile, payload.take(), 1,
+            [this, target, files = std::move(files), next,
+             done = std::move(done)](Result<Bytes> reply) mutable {
+              if (!reply) {
+                done(reply.error());
+                return;
+              }
+              deliver_whole_blobs(target, std::move(files), next + 1,
+                                  std::move(done));
+            });
+}
+
+void UsiteServer::fetch_whole_blobs(
+    const njs::RemoteJobHandle& source, std::vector<std::string> names,
+    std::vector<uspace::FileBlob> blobs,
+    std::function<void(Result<std::vector<uspace::FileBlob>>)> done) {
+  if (blobs.size() == names.size()) {
+    done(std::move(blobs));
+    return;
+  }
+  ++transfer_stats_.legacy;
+  ByteWriter payload;
+  payload.u64(source.token);
+  payload.str(names[blobs.size()]);
+  peer_call(source.usite, RequestKind::kFetchFile, payload.take(), 1,
+            [this, source, names = std::move(names), blobs = std::move(blobs),
+             done = std::move(done)](Result<Bytes> reply) mutable {
+              if (!reply) {
+                done(reply.error());
+                return;
+              }
+              try {
+                ByteReader reader{reply.value()};
+                blobs.push_back(uspace::FileBlob::decode(reader));
+              } catch (const std::out_of_range&) {
+                done(util::make_error(ErrorCode::kInvalidArgument,
+                                      "malformed file reply"));
+                return;
+              }
+              fetch_whole_blobs(source, std::move(names), std::move(blobs),
+                                std::move(done));
+            });
 }
 
 void UsiteServer::deliver_file(const njs::RemoteJobHandle& target,
@@ -1354,117 +1386,29 @@ void UsiteServer::deliver_file(const njs::RemoteJobHandle& target,
                           "deliver_file: null blob"));
     return;
   }
-  auto done_ptr =
-      std::make_shared<std::function<void(Status)>>(std::move(done));
-  auto legacy = [this, target, uspace_name, done_ptr](
-                    std::shared_ptr<const uspace::FileBlob> blob) {
-    ++transfer_stats_.legacy;
-    ByteWriter payload;
-    payload.u64(target.token);
-    payload.str(uspace_name);
-    blob->encode(payload);
-    peer_call(target.usite, RequestKind::kDeliverFile, payload.take(), 1,
-              [done_ptr](Result<Bytes> reply) {
-                if (!reply)
-                  (*done_ptr)(reply.error());
-                else
-                  (*done_ptr)(Status::ok_status());
-              });
-  };
-  if (blob->size() < transfer_threshold_) {
-    legacy(std::move(blob));
-    return;
-  }
-  with_peer_features(
-      target.usite,
-      [this, target, uspace_name, blob = std::move(blob), done_ptr,
-       legacy](Result<std::uint64_t> features) mutable {
-        if (features &&
-            (features.value() & net::kFeatureChunkedXfer) != 0) {
-          push_file_chunked(
-              target, uspace_name, blob,
-              [done_ptr, legacy, blob](Status status) mutable {
-                // The chunked protocol got refused mid-flight (e.g. the
-                // peer restarted into an old build): repeat through the
-                // legacy whole-blob request once.
-                if (!status.ok() &&
-                    status.error().code == ErrorCode::kFailedPrecondition)
-                  legacy(std::move(blob));
-                else
-                  (*done_ptr)(status);
-              });
-          return;
-        }
-        // v1 peer — or the feature probe itself failed, in which case
-        // the legacy path's own retry ladder takes over.
-        legacy(std::move(blob));
-      });
+  bool small = blob->size() < transfer_threshold_;
+  Files files{{uspace_name, std::move(blob)}};
+  if (small)
+    deliver_whole_blobs(target, std::move(files), 0, std::move(done));
+  else
+    push_files(target, std::move(files), std::move(done));
 }
 
 void UsiteServer::fetch_file(
     const njs::RemoteJobHandle& source, const std::string& uspace_name,
     std::function<void(Result<uspace::FileBlob>)> done) {
-  auto legacy = [this, source, uspace_name](
-                    std::function<void(Result<uspace::FileBlob>)> done) {
-    ++transfer_stats_.legacy;
-    ByteWriter payload;
-    payload.u64(source.token);
-    payload.str(uspace_name);
-    peer_call(source.usite, RequestKind::kFetchFile, payload.take(), 1,
-              [done = std::move(done)](Result<Bytes> reply) {
-                if (!reply) {
-                  done(reply.error());
-                  return;
-                }
-                try {
-                  ByteReader reader{reply.value()};
-                  done(uspace::FileBlob::decode(reader));
-                } catch (const std::out_of_range&) {
-                  done(util::make_error(ErrorCode::kInvalidArgument,
-                                        "malformed file reply"));
-                }
-              });
-  };
-  // Pull size is unknown up front, so every fetch from a chunked peer
-  // goes through the engine; its inline-open fast path keeps small
-  // files at one round trip.
-  if (transfer_threshold_ == std::numeric_limits<std::uint64_t>::max()) {
-    legacy(std::move(done));
-    return;
-  }
-  with_peer_features(
-      source.usite,
-      [this, source, uspace_name, done = std::move(done),
-       legacy = std::move(legacy)](Result<std::uint64_t> features) mutable {
-        if (features &&
-            (features.value() & net::kFeatureChunkedXfer) != 0) {
-          pull_file_chunked(
-              source, uspace_name,
-              [done = std::move(done),
-               legacy](Result<uspace::FileBlob> result) mutable {
-                // Chunked pull refused mid-flight: whole-blob fallback.
-                if (!result && result.error().code ==
-                                   ErrorCode::kFailedPrecondition)
-                  legacy(std::move(done));
+  fetch_files(source, {uspace_name},
+              [done = std::move(done)](
+                  Result<std::vector<uspace::FileBlob>> blobs) {
+                if (!blobs)
+                  done(blobs.error());
                 else
-                  done(std::move(result));
+                  done(std::move(blobs.value().front()));
               });
-          return;
-        }
-        legacy(std::move(done));
-      });
 }
 
-void UsiteServer::deliver_files(
-    const njs::RemoteJobHandle& target,
-    std::vector<std::pair<std::string,
-                          std::shared_ptr<const uspace::FileBlob>>>
-        files,
-    std::function<void(Status)> done) {
-  if (files.empty()) {
-    done(Status::ok_status());
-    return;
-  }
+void UsiteServer::deliver_files(const njs::RemoteJobHandle& target,
+                                Files files, std::function<void(Status)> done) {
   for (const auto& [name, blob] : files) {
     if (blob == nullptr) {
       done(util::make_error(ErrorCode::kInvalidArgument,
@@ -1472,46 +1416,13 @@ void UsiteServer::deliver_files(
       return;
     }
   }
-  with_peer_features(
-      target.usite,
-      [this, target, files = std::move(files),
-       done = std::move(done)](Result<std::uint64_t> features) mutable {
-        constexpr std::uint64_t kBundleBits =
-            net::kFeatureChunkedXfer | net::kFeatureBundleXfer;
-        if (!features || (features.value() & kBundleBits) != kBundleBits) {
-          // v1 or bundleless peer: the PeerLink default walks the batch
-          // one deliver_file at a time (each still picking chunked vs
-          // legacy per file).
-          njs::PeerLink::deliver_files(target, std::move(files),
-                                       std::move(done));
-          return;
-        }
-        ++transfer_stats_.bundled;
-        xfer::BundlePushSpec spec;
-        spec.source = config_.name;
-        spec.token = target.token;
-        std::vector<xfer::BundleFile> bundle;
-        bundle.reserve(files.size());
-        for (const auto& [name, blob] : files)
-          bundle.push_back({name, blob});
-        xfer_manager_.push_tree(
-            peer_rails(target.usite), spec, std::move(bundle),
-            transfer_options_,
-            [this, target, files = std::move(files), done = std::move(done)](
-                Result<xfer::BundleStats> r) mutable {
-              // Bundle refused mid-flight (peer restarted into a
-              // bundleless build): repeat through per-file delivery.
-              if (!r && r.error().code == ErrorCode::kFailedPrecondition) {
-                njs::PeerLink::deliver_files(target, std::move(files),
-                                             std::move(done));
-                return;
-              }
-              if (!r)
-                done(r.error());
-              else
-                done(Status::ok_status());
-            });
-      });
+  if (files.empty()) {
+    done(Status::ok_status());
+    return;
+  }
+  // The batch rides the engine regardless of file size: one bundle
+  // open covers it, so small files pay no per-file round trips.
+  push_files(target, std::move(files), std::move(done));
 }
 
 void UsiteServer::fetch_files(
@@ -1522,34 +1433,36 @@ void UsiteServer::fetch_files(
     return;
   }
   if (transfer_threshold_ == std::numeric_limits<std::uint64_t>::max()) {
-    // The chunked engine is disabled outright: per-file legacy requests.
-    njs::PeerLink::fetch_files(source, std::move(names), std::move(done));
+    // The engine is disabled outright.
+    fetch_whole_blobs(source, std::move(names), {}, std::move(done));
     return;
   }
+  // Pull sizes are unknown up front, so every fetch from a chunked peer
+  // goes through the engine; its inline open keeps a lone small file
+  // at one round trip.
   with_peer_features(
       source.usite,
       [this, source, names = std::move(names),
        done = std::move(done)](Result<std::uint64_t> features) mutable {
-        constexpr std::uint64_t kBundleBits =
-            net::kFeatureChunkedXfer | net::kFeatureBundleXfer;
-        if (!features || (features.value() & kBundleBits) != kBundleBits) {
-          njs::PeerLink::fetch_files(source, std::move(names),
-                                     std::move(done));
+        if (!features ||
+            (features.value() & net::kFeatureChunkedXfer) == 0) {
+          fetch_whole_blobs(source, std::move(names), {}, std::move(done));
           return;
         }
-        ++transfer_stats_.bundled;
-        xfer::BundlePullSpec spec;
+        ++transfer_stats_.chunked;
+        xfer::PullSpec spec;
         spec.role = xfer::Role::kPeerPull;
         spec.token = source.token;
         spec.names = names;
-        spec.store = chunk_store_;
-        xfer_manager_.pull_tree(
+        spec.store = chunk_store_;  // open-reply manifest dedup
+        xfer_manager_.pull(
             peer_rails(source.usite), spec, transfer_options_,
             [this, source, names = std::move(names), done = std::move(done)](
-                Result<xfer::BundlePullResult> r) mutable {
+                Result<xfer::PullResult> r) mutable {
+              // Refused mid-flight: whole-blob fallback.
               if (!r && r.error().code == ErrorCode::kFailedPrecondition) {
-                njs::PeerLink::fetch_files(source, std::move(names),
-                                           std::move(done));
+                fetch_whole_blobs(source, std::move(names), {},
+                                  std::move(done));
                 return;
               }
               if (!r)

@@ -154,16 +154,11 @@ class UsiteServer : public njs::PeerLink {
                   std::function<void(util::Result<uspace::FileBlob>)> done)
       override;
   /// Batch staging: one bundle manifest round trip for the whole set
-  /// when the peer negotiated kFeatureBundleXfer; otherwise the
-  /// PeerLink default (one transfer per file) takes over. A mid-flight
-  /// kFailedPrecondition (peer restarted into a bundleless build) also
-  /// falls back per file.
-  void deliver_files(
-      const njs::RemoteJobHandle& target,
-      std::vector<std::pair<std::string,
-                            std::shared_ptr<const uspace::FileBlob>>>
-          files,
-      std::function<void(util::Status)> done) override;
+  /// when the peer negotiated kFeatureChunkedXfer; one whole-blob
+  /// request per file toward a v1 peer, or when the engine is refused
+  /// mid-flight (peer restarted into an old build).
+  void deliver_files(const njs::RemoteJobHandle& target, Files files,
+                     std::function<void(util::Status)> done) override;
   void fetch_files(const njs::RemoteJobHandle& source,
                    std::vector<std::string> names,
                    std::function<
@@ -218,11 +213,12 @@ class UsiteServer : public njs::PeerLink {
   const xfer::TransferOptions& transfer_options() const {
     return transfer_options_;
   }
-  /// Files of at least this many bytes move through the chunked engine
-  /// when the peer negotiated kFeatureChunkedXfer; smaller files — and
-  /// every file toward a v1 peer — use the legacy whole-blob requests.
-  /// UINT64_MAX disables the engine outright (pulls included), which is
-  /// how benches measure the legacy baseline.
+  /// Single files of at least this many bytes move through the chunked
+  /// engine when the peer negotiated kFeatureChunkedXfer; smaller ones
+  /// — and every file toward a v1 peer — use the legacy whole-blob
+  /// requests. Batches (deliver_files) ride the engine at any size.
+  /// UINT64_MAX disables single-file pushes and all pulls, which is how
+  /// benches measure the legacy baseline.
   void set_transfer_threshold(std::uint64_t bytes) {
     transfer_threshold_ = bytes;
   }
@@ -330,13 +326,19 @@ class UsiteServer : public njs::PeerLink {
   /// The rail bundle toward a peer's gateway (created lazily, reused
   /// across transfers to the same Usite).
   std::shared_ptr<XferRails> peer_rails(const std::string& usite);
-  void push_file_chunked(const njs::RemoteJobHandle& target,
-                         const std::string& uspace_name,
-                         std::shared_ptr<const uspace::FileBlob> blob,
-                         std::function<void(util::Status)> done);
-  void pull_file_chunked(
-      const njs::RemoteJobHandle& source, const std::string& uspace_name,
-      std::function<void(util::Result<uspace::FileBlob>)> done);
+  /// Pushes through the transfer engine when the peer negotiated it,
+  /// as whole blobs otherwise.
+  void push_files(const njs::RemoteJobHandle& target, Files files,
+                  std::function<void(util::Status)> done);
+  /// The paper's §5.6 path and the engine's fallback: one whole-blob
+  /// kDeliverFile / kFetchFile request per file, in order.
+  void deliver_whole_blobs(const njs::RemoteJobHandle& target, Files files,
+                           std::size_t next,
+                           std::function<void(util::Status)> done);
+  void fetch_whole_blobs(
+      const njs::RemoteJobHandle& source, std::vector<std::string> names,
+      std::vector<uspace::FileBlob> blobs,
+      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done);
 
   sim::Engine& engine_;
   net::Network& network_;

@@ -13,13 +13,11 @@ using util::Result;
 
 RequestKind xfer_request_kind(xfer::Op op) {
   switch (op) {
-    case xfer::Op::kOpen: return RequestKind::kXferOpen;
+    case xfer::Op::kOpen: return RequestKind::kXferBundleOpen;
     case xfer::Op::kChunk: return RequestKind::kXferChunk;
-    case xfer::Op::kClose: return RequestKind::kXferClose;
-    case xfer::Op::kBundleOpen: return RequestKind::kXferBundleOpen;
-    case xfer::Op::kBundleClose: return RequestKind::kXferBundleClose;
+    case xfer::Op::kClose: return RequestKind::kXferBundleClose;
   }
-  return RequestKind::kXferOpen;
+  return RequestKind::kXferChunk;
 }
 
 std::shared_ptr<XferRails> XferRails::create(sim::Engine& engine,

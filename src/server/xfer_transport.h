@@ -1,12 +1,12 @@
 // XferRails — the server-layer binding of xfer::ChunkTransport: N
 // parallel mutually-authenticated secure channels ("rails") to one peer
-// gateway, each carrying kXferOpen/kXferChunk/kXferClose envelopes.
+// gateway, each carrying kXferBundleOpen/kXferChunk/kXferBundleClose
+// envelopes.
 //
-// The simulated network serialises bandwidth per connection direction,
-// exactly like a real TCP stream under one congestion window — so N
-// rails approach N times the single-connection transfer rate. This is
-// the mechanism behind the chunked engine's speedup over the legacy
-// whole-blob kDeliverFile path (one message on one connection).
+// The simulated network serialises bandwidth per directed host pair,
+// so the rails share one link between the two gateways: they keep it
+// busy with a window of chunks each, rather than multiply its
+// capacity (DESIGN §6.1).
 //
 // The rails draw from a net::ChannelPool: slots connect lazily on
 // first use, reconnect after failure, and — when a SessionCache is

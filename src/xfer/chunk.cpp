@@ -32,7 +32,10 @@ std::vector<ChunkRange> ChunkBitmap::ranges() const {
 
 void ChunkBitmap::apply(const std::vector<ChunkRange>& ranges) {
   for (const ChunkRange& range : ranges) {
-    for (std::uint64_t i = 0; i < range.count; ++i) set(range.first + i);
+    // Clamped to the bitmap: a garbled range cannot spin past the end.
+    std::uint64_t first = std::min(range.first, total());
+    std::uint64_t end = first + std::min(range.count, total() - first);
+    for (std::uint64_t i = first; i < end; ++i) set(i);
   }
 }
 

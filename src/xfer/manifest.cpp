@@ -1,6 +1,7 @@
 #include "xfer/manifest.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -36,115 +37,6 @@ crypto::Digest read_digest(util::ByteReader& r) {
 
 }  // namespace
 
-void Manifest::encode(util::ByteWriter& w) const {
-  w.blob(key);
-  w.u64(token);
-  w.str(name);
-  w.u64(size);
-  w.raw(checksum);
-  w.boolean(synthetic);
-  w.u32(chunk_bytes);
-  encode_dn(w, principal);
-}
-
-Manifest Manifest::decode(util::ByteReader& r) {
-  Manifest manifest;
-  manifest.key = r.blob();
-  manifest.token = r.u64();
-  manifest.name = r.str();
-  manifest.size = r.u64();
-  manifest.checksum = read_digest(r);
-  manifest.synthetic = r.boolean();
-  manifest.chunk_bytes = r.u32();
-  manifest.principal = decode_dn(r);
-  return manifest;
-}
-
-void journal_manifest(njs::Journal& journal, const Manifest& manifest) {
-  util::ByteWriter w;
-  manifest.encode(w);
-  journal.append({njs::JournalRecordType::kXferManifest, manifest.token,
-                  w.take()});
-}
-
-void journal_chunk(njs::Journal& journal, const Manifest& manifest,
-                   const Chunk& chunk) {
-  util::ByteWriter w;
-  w.blob(manifest.key);
-  // The synthetic flag controls whether Chunk::encode pads or stores,
-  // so journaled real chunks keep their payload bytes (WAL semantics)
-  // while synthetic chunks stay metadata-only.
-  chunk.encode(w);
-  journal.append(
-      {njs::JournalRecordType::kXferChunk, manifest.token, w.take()});
-}
-
-void journal_done(njs::Journal& journal, const Manifest& manifest) {
-  util::ByteWriter w;
-  w.blob(manifest.key);
-  journal.append(
-      {njs::JournalRecordType::kXferDone, manifest.token, w.take()});
-}
-
-std::vector<RecoveredTransfer> recover_transfers(const njs::Journal& journal) {
-  // Keyed by transfer key; std::map over Bytes gives deterministic order.
-  std::map<util::Bytes, RecoveredTransfer> open;
-  std::map<util::Bytes, std::set<std::uint64_t>> seen;
-  journal.replay([&](const njs::JournalRecord& record) {
-    try {
-      util::ByteReader r{record.payload};
-      switch (record.type) {
-        case njs::JournalRecordType::kXferManifest: {
-          Manifest manifest = Manifest::decode(r);
-          util::Bytes key = manifest.key;
-          RecoveredTransfer& transfer = open[key];
-          transfer.manifest = std::move(manifest);
-          break;
-        }
-        case njs::JournalRecordType::kXferChunk: {
-          util::Bytes key = r.blob();
-          auto it = open.find(key);
-          if (it == open.end()) return;  // done or never opened
-          Chunk chunk = Chunk::decode(r);
-          if (!seen[key].insert(chunk.index).second) return;  // duplicate
-          it->second.chunks.push_back(std::move(chunk));
-          break;
-        }
-        case njs::JournalRecordType::kXferDone: {
-          util::Bytes key = r.blob();
-          open.erase(key);
-          seen.erase(key);
-          break;
-        }
-        default:
-          break;  // job records, owned by Journal::recover()
-      }
-    } catch (const std::out_of_range&) {
-      // Truncated record (crash mid-append): drop it; the sender will
-      // re-deliver the chunk because it never saw the ack.
-    }
-  });
-  std::vector<RecoveredTransfer> out;
-  out.reserve(open.size());
-  for (auto& [key, transfer] : open) out.push_back(std::move(transfer));
-  return out;
-}
-
-std::vector<util::Bytes> completed_transfer_keys(const njs::Journal& journal) {
-  std::vector<util::Bytes> keys;
-  journal.replay([&](const njs::JournalRecord& record) {
-    if (record.type != njs::JournalRecordType::kXferDone) return;
-    try {
-      util::ByteReader r{record.payload};
-      keys.push_back(r.blob());
-    } catch (const std::out_of_range&) {
-    }
-  });
-  return keys;
-}
-
-// ---- bundles ---------------------------------------------------------------
-
 void BundleFileMeta::encode(util::ByteWriter& w) const {
   w.str(name);
   w.u64(size);
@@ -177,6 +69,8 @@ BundleManifest BundleManifest::decode(util::ByteReader& r) {
   manifest.chunk_bytes = r.u32();
   manifest.principal = decode_dn(r);
   std::uint64_t n = r.varint();
+  if (n > r.remaining())  // every entry takes bytes: a torn count
+    throw std::out_of_range("bundle manifest: file count exceeds record");
   manifest.files.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
     manifest.files.push_back(BundleFileMeta::decode(r));
@@ -197,8 +91,9 @@ void journal_bundle_chunk(njs::Journal& journal,
   util::ByteWriter w;
   w.blob(manifest.key);
   w.u32(file_index);
-  // Real chunks keep their payload bytes (WAL semantics), synthetic
-  // chunks stay metadata-only — same contract as journal_chunk.
+  // The synthetic flag controls whether Chunk::encode pads or stores,
+  // so journaled real chunks keep their payload bytes (WAL semantics)
+  // while synthetic chunks stay metadata-only.
   chunk.encode(w);
   journal.append(
       {njs::JournalRecordType::kXferBundleChunk, manifest.token, w.take()});
@@ -246,7 +141,7 @@ std::vector<RecoveredBundle> recover_bundles(const njs::Journal& journal) {
           break;
         }
         default:
-          break;  // job or single-file records, owned elsewhere
+          break;  // job records, owned by Journal::recover()
       }
     } catch (const std::out_of_range&) {
       // Truncated record (crash mid-append): drop it; the sender will

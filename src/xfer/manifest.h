@@ -1,7 +1,7 @@
-// Durable transfer state: the manifest describing an inbound transfer,
+// Durable transfer state: the manifest describing an inbound bundle,
 // the per-chunk records that make chunk delivery idempotent across a
-// receiver crash, and the fold that reconstructs half-finished
-// transfers from the NJS journal on recovery.
+// receiver crash, and the fold that reconstructs half-finished bundles
+// from the NJS journal on recovery.
 //
 // The receiver journals a chunk BEFORE acknowledging it. A crash
 // between the append and the ack therefore re-delivers a chunk the
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -23,50 +22,6 @@
 #include "xfer/wire.h"
 
 namespace unicore::xfer {
-
-/// Everything the receiver must remember about an inbound transfer to
-/// survive a crash: the durable key, the target file identity, the
-/// negotiated geometry, and who opened it.
-struct Manifest {
-  util::Bytes key;  // 32-byte transfer key (see make_transfer_key)
-  ajo::JobToken token = 0;
-  std::string name;
-  std::uint64_t size = 0;
-  crypto::Digest checksum{};
-  bool synthetic = false;
-  std::uint32_t chunk_bytes = kDefaultChunkBytes;
-  crypto::DistinguishedName principal;  // who is allowed to resume it
-
-  void encode(util::ByteWriter& w) const;
-  static Manifest decode(util::ByteReader& r);
-};
-
-/// Journal appenders. Chunk records for real transfers carry the
-/// payload bytes (this is a write-ahead log — the bytes must survive
-/// the crash, not just the fact of their arrival); synthetic chunks
-/// journal geometry only.
-void journal_manifest(njs::Journal& journal, const Manifest& manifest);
-void journal_chunk(njs::Journal& journal, const Manifest& manifest,
-                   const Chunk& chunk);
-void journal_done(njs::Journal& journal, const Manifest& manifest);
-
-/// One half-finished transfer folded out of the journal.
-struct RecoveredTransfer {
-  Manifest manifest;
-  std::vector<Chunk> chunks;  // in journal order, no duplicates
-};
-
-/// Replays the journal's xfer records into the set of transfers that
-/// were open at crash time (kXferDone erases). Records that fail to
-/// decode are skipped, mirroring Journal::recover().
-std::vector<RecoveredTransfer> recover_transfers(const njs::Journal& journal);
-
-/// Keys of transfers that finished (kXferDone). After a receiver crash
-/// these make a re-opened completed transfer answer "all chunks
-/// present" instead of accepting the bytes a second time.
-std::vector<util::Bytes> completed_transfer_keys(const njs::Journal& journal);
-
-// ---- bundles ---------------------------------------------------------------
 
 /// Identity of one file inside a durable bundle manifest.
 struct BundleFileMeta {
@@ -93,8 +48,10 @@ struct BundleManifest {
   static BundleManifest decode(util::ByteReader& r);
 };
 
-/// Bundle journal appenders — same WAL-before-ack contract as the
-/// single-file trio; chunk records add the in-bundle file index.
+/// Journal appenders. Chunk records carry the in-bundle file index and,
+/// for real files, the payload bytes (this is a write-ahead log — the
+/// bytes must survive the crash, not just the fact of their arrival);
+/// synthetic chunks journal geometry only.
 void journal_bundle_manifest(njs::Journal& journal,
                              const BundleManifest& manifest);
 void journal_bundle_chunk(njs::Journal& journal,
@@ -111,10 +68,13 @@ struct RecoveredBundle {
 };
 
 /// Replays the journal's bundle records into the bundles that were
-/// open at crash time (kXferBundleDone erases).
+/// open at crash time (kXferBundleDone erases). Records that fail to
+/// decode are skipped, mirroring Journal::recover().
 std::vector<RecoveredBundle> recover_bundles(const njs::Journal& journal);
 
-/// Keys of bundles that committed (kXferBundleDone).
+/// Keys of bundles that committed (kXferBundleDone). After a receiver
+/// crash these make a re-opened committed bundle answer "every file
+/// complete" instead of accepting the bytes a second time.
 std::vector<util::Bytes> completed_bundle_keys(const njs::Journal& journal);
 
 }  // namespace unicore::xfer

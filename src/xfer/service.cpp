@@ -10,6 +10,35 @@ using util::ErrorCode;
 using util::make_error;
 using util::Result;
 
+namespace {
+
+/// The Role byte must match the authentication path the gateway took:
+/// NJS–NJS roles need a peer server certificate, JPA/JMC roles a user
+/// certificate. The service enforces it independently of the gateway.
+util::Status check_role(Role role, bool server_peer) {
+  switch (role) {
+    case Role::kPush:
+    case Role::kPeerPull:
+      if (!server_peer)
+        return make_error(ErrorCode::kPermissionDenied,
+                          role == Role::kPush
+                              ? "push requires a peer server certificate"
+                              : "peer pull requires a peer server certificate");
+      return util::Status();
+    case Role::kClientPush:
+    case Role::kClientPull:
+      if (server_peer)
+        return make_error(ErrorCode::kPermissionDenied,
+                          role == Role::kClientPush
+                              ? "client push requires a user certificate"
+                              : "client pull requires a user certificate");
+      return util::Status();
+  }
+  return make_error(ErrorCode::kInvalidArgument, "unknown transfer role");
+}
+
+}  // namespace
+
 std::uint32_t Service::clamp_chunk_bytes(std::uint32_t proposed) const {
   return std::clamp(proposed, limits_.min_chunk_bytes,
                     limits_.max_chunk_bytes);
@@ -18,9 +47,7 @@ std::uint32_t Service::clamp_chunk_bytes(std::uint32_t proposed) const {
 std::uint64_t Service::buffered_total() const {
   std::uint64_t total = 0;
   for (const auto& [key, incoming] : incoming_)
-    total += incoming->assembly.buffered_bytes();
-  for (const auto& [key, bundle] : bundles_)
-    for (const Assembly& assembly : bundle->assemblies)
+    for (const Assembly& assembly : incoming->assemblies)
       total += assembly.buffered_bytes();
   return total;
 }
@@ -35,37 +62,52 @@ std::uint32_t Service::credit_for_bytes(std::uint32_t chunk_bytes) const {
       chunks, 1, limits_.max_credit));  // never stall a sender completely
 }
 
-std::uint32_t Service::credit_for(const Assembly& assembly) const {
-  return credit_for_bytes(assembly.chunk_bytes());
-}
-
-void Service::count_open(const char* kind) {
-  njs_.metrics()
-      ->counter("unicore_xfer_opens_total",
-                {{"usite", njs_.usite()}, {"kind", kind}})
-      .increment();
-}
-
 void Service::update_gauges() {
   auto& m = *njs_.metrics();
   obs::Labels labels{{"usite", njs_.usite()}};
   m.gauge("unicore_xfer_open_inbound", labels)
-      .set(static_cast<double>(incoming_.size() + bundles_.size()));
+      .set(static_cast<double>(incoming_.size()));
   m.gauge("unicore_xfer_open_outbound", labels)
-      .set(static_cast<double>(outgoing_.size() + outgoing_bundles_.size()));
+      .set(static_cast<double>(outgoing_.size()));
   m.gauge("unicore_xfer_buffered_bytes", labels)
       .set(static_cast<double>(buffered_total()));
 }
 
+util::Status Service::deliver_file(Incoming& incoming, std::uint32_t index) {
+  auto blob = incoming.assemblies[index].finish();
+  if (!blob.ok())
+    return make_error(ErrorCode::kInternal,
+                      "whole-file verification failed: " +
+                          blob.error().message);
+  auto status = njs_.deliver_file(
+      incoming.manifest.token, incoming.manifest.files[index].name,
+      std::make_shared<const uspace::FileBlob>(std::move(blob).value()));
+  if (!status.ok()) return status.error();
+  incoming.delivered[index] = true;
+  // Free the drained buffers; delivered[] keeps re-deliveries duplicate.
+  incoming.assemblies[index] = Assembly();
+  ++files_delivered_;
+  return util::Status();
+}
+
 std::uint64_t Service::satisfy_open(Incoming& incoming,
-                                    const PushOpenRequest& request) {
-  // The sender's digest manifest is only meaningful at the granularity
-  // it was computed for; a clamped chunk size invalidates it.
-  if (store_ == nullptr || request.digests.empty() ||
-      incoming.assembly.chunk_bytes() != request.proposed_chunk_bytes)
+                                    const BundleOpenRequest& request) {
+  // The sender's digest manifests are only meaningful at the
+  // granularity they were computed for; a clamped chunk size
+  // invalidates them.
+  if (store_ == nullptr ||
+      incoming.manifest.chunk_bytes != request.proposed_chunk_bytes)
     return 0;
-  std::uint64_t satisfied =
-      incoming.assembly.satisfy_from_store(request.digests);
+  std::uint64_t satisfied = 0;
+  for (std::uint32_t i = 0; i < incoming.assemblies.size(); ++i) {
+    if (incoming.delivered[i] || request.files[i].digests.empty()) continue;
+    satisfied += incoming.assemblies[i].satisfy_from_store(
+        request.files[i].digests);
+    // Fully warm files deliver straight from the open — the whole-batch
+    // dedup that turns an unchanged tree into one RTT. A delivery
+    // failure leaves the file complete-but-undelivered; close retries.
+    if (incoming.assemblies[i].complete()) (void)deliver_file(incoming, i);
+  }
   if (satisfied > 0) {
     chunks_deduped_ += satisfied;
     njs_.metrics()
@@ -76,56 +118,49 @@ std::uint64_t Service::satisfy_open(Incoming& incoming,
   return satisfied;
 }
 
-PushOpenReply Service::resume_reply(const Incoming& incoming) const {
-  PushOpenReply reply;
+BundleOpenReply Service::resume_reply(const Incoming& incoming) const {
+  BundleOpenReply reply;
   reply.transfer_id = incoming.id;
-  reply.chunk_bytes = incoming.assembly.chunk_bytes();
-  reply.credit = credit_for(incoming.assembly);
-  reply.have = incoming.assembly.bitmap().ranges();
+  reply.chunk_bytes = incoming.manifest.chunk_bytes;
+  reply.credit = credit_for_bytes(incoming.manifest.chunk_bytes);
+  reply.files.resize(incoming.assemblies.size());
+  for (std::size_t i = 0; i < incoming.assemblies.size(); ++i) {
+    reply.files[i].complete =
+        incoming.delivered[i] || incoming.assemblies[i].complete();
+    if (!reply.files[i].complete)
+      reply.files[i].have = incoming.assemblies[i].bitmap().ranges();
+  }
   return reply;
 }
 
 Result<Bytes> Service::open(const crypto::DistinguishedName& principal,
                             bool server_peer, Role role, util::ByteReader& r) {
-  count_open("file");
-  switch (role) {
-    case Role::kPush:
-      if (!server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "push requires a peer server certificate");
-      return open_push(principal, role, r);
-    case Role::kClientPush:
-      if (server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "client push requires a user certificate");
-      return open_push(principal, role, r);
-    case Role::kPeerPull:
-      if (!server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "peer pull requires a peer server certificate");
-      return open_pull(principal, role, r);
-    case Role::kClientPull:
-      if (server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "client pull requires a user certificate");
-      return open_pull(principal, role, r);
-  }
-  return make_error(ErrorCode::kInvalidArgument, "unknown transfer role");
+  njs_.metrics()
+      ->counter("unicore_xfer_opens_total", {{"usite", njs_.usite()}})
+      .increment();
+  if (auto allowed = check_role(role, server_peer); !allowed.ok())
+    return allowed.error();
+  return role_is_push(role) ? open_push(principal, role, r)
+                            : open_pull(principal, role, r);
 }
 
 Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
                                  Role role, util::ByteReader& r) {
-  PushOpenRequest request = PushOpenRequest::decode(role, r);
+  BundleOpenRequest request = BundleOpenRequest::decode(r);
+  request.role = role;
+  if (request.files.empty() || request.files.size() > kMaxBundleFiles)
+    return make_error(ErrorCode::kInvalidArgument,
+                      "bundle file count out of range");
 
   if (completed_.count(request.key) != 0) {
-    // Already delivered (possibly before a crash): report every chunk
-    // present so the sender goes straight to close.
-    PushOpenReply reply;
+    // Already committed (possibly before a crash): report every file
+    // complete so the sender goes straight to close.
+    BundleOpenReply reply;
     reply.transfer_id = 0;
     reply.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
     reply.credit = 0;
-    reply.have = {
-        ChunkRange{0, chunk_count(request.size, reply.chunk_bytes)}};
+    reply.files.resize(request.files.size());
+    for (BundleFileState& file : reply.files) file.complete = true;
     return reply.encode();
   }
 
@@ -134,11 +169,18 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
     if (incoming.manifest.principal != principal)
       return make_error(ErrorCode::kPermissionDenied,
                         "transfer belongs to another principal");
-    if (incoming.manifest.size != request.size ||
-        incoming.manifest.checksum != request.checksum ||
-        incoming.manifest.synthetic != request.synthetic)
+    if (incoming.manifest.files.size() != request.files.size())
       return make_error(ErrorCode::kFailedPrecondition,
                         "open does not match the journaled manifest");
+    for (std::size_t i = 0; i < request.files.size(); ++i) {
+      const BundleFileMeta& meta = incoming.manifest.files[i];
+      const BundleFileEntry& entry = request.files[i];
+      if (meta.name != entry.name || meta.size != entry.size ||
+          meta.checksum != entry.checksum ||
+          meta.synthetic != entry.synthetic)
+        return make_error(ErrorCode::kFailedPrecondition,
+                          "open does not match the journaled manifest");
+    }
     // Chunks the store gained since the interruption (or that recovery
     // could not re-satisfy) are acked here instead of retransmitted.
     satisfy_open(incoming, request);
@@ -156,27 +198,46 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
   auto incoming = std::make_unique<Incoming>();
   incoming->manifest.key = request.key;
   incoming->manifest.token = request.token;
-  incoming->manifest.name = request.name;
-  incoming->manifest.size = request.size;
-  incoming->manifest.checksum = request.checksum;
-  incoming->manifest.synthetic = request.synthetic;
   incoming->manifest.chunk_bytes =
       clamp_chunk_bytes(request.proposed_chunk_bytes);
   incoming->manifest.principal = principal;
-  incoming->assembly =
-      Assembly(request.size, request.checksum, request.synthetic,
-               incoming->manifest.chunk_bytes);
-  if (store_ != nullptr) incoming->assembly.attach_store(store_);
+  incoming->manifest.files.reserve(request.files.size());
+  incoming->assemblies.reserve(request.files.size());
+  for (const BundleFileEntry& entry : request.files) {
+    BundleFileMeta meta;
+    meta.name = entry.name;
+    meta.size = entry.size;
+    meta.checksum = entry.checksum;
+    meta.synthetic = entry.synthetic;
+    incoming->manifest.files.push_back(std::move(meta));
+    Assembly assembly(entry.size, entry.checksum, entry.synthetic,
+                      incoming->manifest.chunk_bytes);
+    if (store_ != nullptr) assembly.attach_store(store_);
+    incoming->assemblies.push_back(std::move(assembly));
+  }
+  incoming->delivered.assign(request.files.size(), false);
   incoming->id = next_id_++;
   incoming->opened_at = engine_.now();
+  // ONE durable record covers the whole bundle — the journal-side
+  // amortization that pairs with the single open/close RTT.
   if (njs::Journal* journal = njs_.journal_for(incoming->manifest.token))
-    journal_manifest(*journal, incoming->manifest);
+    journal_bundle_manifest(*journal, incoming->manifest);
+  {
+    auto& m = *njs_.metrics();
+    obs::Labels labels{{"usite", njs_.usite()}};
+    m.counter("unicore_xfer_bundle_files_total", labels)
+        .add(static_cast<double>(request.files.size()));
+    // Against one open + one close RTT per file, a bundle spends two
+    // RTTs total: 2n - 2 saved.
+    m.counter("unicore_xfer_rtts_saved_total", labels)
+        .add(static_cast<double>(2 * request.files.size() - 2));
+  }
   // Dedup at open: chunks the store already holds are reported in the
-  // reply's `have` ranges — for an unchanged dataset the sender goes
-  // straight to close without pushing a byte of payload.
+  // reply — for an unchanged dataset the sender goes straight to close
+  // without pushing a byte of payload.
   satisfy_open(*incoming, request);
 
-  PushOpenReply reply = resume_reply(*incoming);
+  BundleOpenReply reply = resume_reply(*incoming);
   incoming_by_id_[incoming->id] = incoming.get();
   incoming_.emplace(request.key, std::move(incoming));
   update_gauges();
@@ -185,7 +246,10 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
 
 Result<Bytes> Service::open_pull(const crypto::DistinguishedName& principal,
                                  Role role, util::ByteReader& r) {
-  PullOpenRequest request = PullOpenRequest::decode(role, r);
+  BundlePullOpenRequest request = BundlePullOpenRequest::decode(role, r);
+  if (request.names.empty() || request.names.size() > kMaxBundleFiles)
+    return make_error(ErrorCode::kInvalidArgument,
+                      "bundle file count out of range");
   if (role == Role::kClientPull) {
     auto owner = njs_.owner(request.token);
     if (!owner.ok()) return owner.error();
@@ -193,31 +257,39 @@ Result<Bytes> Service::open_pull(const crypto::DistinguishedName& principal,
       return make_error(ErrorCode::kPermissionDenied,
                         "job belongs to another user");
   }
-  auto blob = njs_.fetch_file_shared(request.token, request.name);
-  if (!blob.ok()) return blob.error();
 
-  std::uint32_t inline_limit =
-      std::min(request.inline_limit, limits_.inline_limit);
-  PullOpenReply reply;
-  if (blob.value()->size() <= inline_limit) {
-    reply.inline_blob = true;
-    reply.blob = *blob.value();
+  Outgoing outgoing;
+  outgoing.blobs.reserve(request.names.size());
+  for (const std::string& name : request.names) {
+    auto blob = njs_.fetch_file_shared(request.token, name);
+    if (!blob.ok()) return blob.error();
+    outgoing.blobs.push_back(std::move(blob).value());
+  }
+  BundlePullOpenReply reply;
+  if (outgoing.blobs.size() == 1 &&
+      outgoing.blobs[0]->size() <=
+          std::min(request.inline_limit, limits_.inline_limit)) {
+    // A lone small file travels inside the reply: one round trip, no
+    // transfer id, nothing to close.
+    reply.inline_blob = *outgoing.blobs[0];
     return reply.encode();
   }
 
-  Outgoing outgoing;
   outgoing.id = next_id_++;
-  outgoing.blob = std::move(blob).value();
   outgoing.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
-  reply.inline_blob = false;
   reply.transfer_id = outgoing.id;
   reply.chunk_bytes = outgoing.chunk_bytes;
-  reply.size = outgoing.blob->size();
-  reply.checksum = outgoing.blob->checksum();
-  reply.synthetic = outgoing.blob->is_synthetic();
-  // The pull-path dedup manifest: a puller with a chunk store satisfies
-  // matching chunks locally and only requests the rest.
-  reply.digests = outgoing.blob->chunk_digests(outgoing.chunk_bytes);
+  reply.files.reserve(outgoing.blobs.size());
+  for (const auto& blob : outgoing.blobs) {
+    BundlePullFileInfo info;
+    info.size = blob->size();
+    info.checksum = blob->checksum();
+    info.synthetic = blob->is_synthetic();
+    // The reply's digests ARE the pull-path manifest negotiation: the
+    // puller's store satisfies matching chunks without a request.
+    info.digests = blob->chunk_digests(outgoing.chunk_bytes);
+    reply.files.push_back(std::move(info));
+  }
   auto [it, inserted] = outgoing_.emplace(outgoing.id, std::move(outgoing));
   touch_outgoing(it->second);
   update_gauges();
@@ -226,117 +298,96 @@ Result<Bytes> Service::open_pull(const crypto::DistinguishedName& principal,
 
 Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
                              bool server_peer, Role role, util::ByteReader& r) {
+  if (auto allowed = check_role(role, server_peer); !allowed.ok())
+    return allowed.error();
+  // Unknown ids (e.g. stale after a crash) bail before the body is
+  // decoded and answer kNotFound, which drives the sender's resume.
+  std::uint64_t transfer_id = r.u64();
   if (role_is_push(role)) {
-    if (role == Role::kPush && !server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "push requires a peer server certificate");
-    if (role == Role::kClientPush && server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "client push requires a user certificate");
-    // The transfer id tells bundle chunks from single-file ones: both
-    // tables draw ids from one counter, so a hit is unambiguous.
-    std::uint64_t transfer_id = r.u64();
-    if (auto bundle_it = bundles_by_id_.find(transfer_id);
-        bundle_it != bundles_by_id_.end())
-      return bundle_push_chunk(principal, *bundle_it->second, r);
-    // Unknown ids (e.g. stale after a crash) bail before the body is
-    // decoded: a stale BUNDLE chunk's body has a different layout, and
-    // mis-decoding it here would throw instead of driving a resume.
     auto it = incoming_by_id_.find(transfer_id);
     if (it == incoming_by_id_.end())
       return make_error(ErrorCode::kNotFound,
                         "no such transfer (receiver restarted?)");
-    PushChunkRequest request;
-    request.role = role;
-    request.transfer_id = transfer_id;
-    request.chunk = Chunk::decode(r);
-    Incoming& incoming = *it->second;
-    if (incoming.manifest.principal != principal)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "transfer belongs to another principal");
-
-    PushChunkReply reply;
-    if (incoming.assembly.bitmap().test(request.chunk.index)) {
-      // Idempotent re-delivery: journaled (and possibly acked) before a
-      // crash or a lost ack. Never applied twice.
-      ++duplicates_suppressed_;
-      njs_.metrics()
-          ->counter("unicore_xfer_duplicate_chunks_total",
-                    {{"usite", njs_.usite()}})
-          .increment();
-      reply.applied = false;
-      reply.credit = credit_for(incoming.assembly);
-      return reply.encode();
-    }
-    if (!incoming.assembly.synthetic() &&
-        buffered_total() + request.chunk.length > limits_.buffer_limit_bytes)
-      return make_error(ErrorCode::kResourceExhausted,
-                        "receive window full");  // retryable: backs off
-
-    util::Status accepted = incoming.assembly.accept(request.chunk);
-    if (!accepted.ok()) return accepted.error();
-    // Write-ahead: the chunk must be durable before the ack can leave —
-    // a crash after this append answers the retransmit as a duplicate.
-    if (njs::Journal* journal = njs_.journal_for(incoming.manifest.token))
-      journal_chunk(*journal, incoming.manifest, request.chunk);
-    ++chunks_applied_;
-    update_gauges();
-    reply.applied = true;
-    reply.credit = credit_for(incoming.assembly);
-    return reply.encode();
+    return push_chunk(principal, *it->second, r);
   }
 
   // Pull side: serve a chunk of an open outbound read.
-  std::uint64_t transfer_id = r.u64();
-  if (auto bundle_it = outgoing_bundles_.find(transfer_id);
-      bundle_it != outgoing_bundles_.end()) {
-    BundlePullChunkRequest request =
-        BundlePullChunkRequest::decode(role, transfer_id, r);
-    OutgoingBundle& outgoing = bundle_it->second;
-    if (request.file_index >= outgoing.blobs.size())
-      return make_error(ErrorCode::kInvalidArgument,
-                        "bundle file index out of range");
-    const uspace::FileBlob& blob = *outgoing.blobs[request.file_index];
-    if (request.index >= chunk_count(blob.size(), outgoing.chunk_bytes))
-      return make_error(ErrorCode::kInvalidArgument,
-                        "chunk index out of range");
-    touch_outgoing_bundle(outgoing);
-    Chunk chunk = make_chunk(blob, request.index, outgoing.chunk_bytes);
-    util::ByteWriter w;
-    chunk.encode(w);
-    return w.take();
-  }
-  PullChunkRequest request;
-  request.role = role;
-  request.transfer_id = transfer_id;
-  request.index = r.u64();
-  auto it = outgoing_.find(request.transfer_id);
+  auto it = outgoing_.find(transfer_id);
   if (it == outgoing_.end())
     return make_error(ErrorCode::kNotFound,
                       "no such transfer (source restarted?)");
+  BundlePullChunkRequest request =
+      BundlePullChunkRequest::decode(role, transfer_id, r);
   Outgoing& outgoing = it->second;
-  if (request.index >=
-      chunk_count(outgoing.blob->size(), outgoing.chunk_bytes))
+  if (request.file_index >= outgoing.blobs.size())
+    return make_error(ErrorCode::kInvalidArgument,
+                      "bundle file index out of range");
+  const uspace::FileBlob& blob = *outgoing.blobs[request.file_index];
+  if (request.index >= chunk_count(blob.size(), outgoing.chunk_bytes))
     return make_error(ErrorCode::kInvalidArgument, "chunk index out of range");
   touch_outgoing(outgoing);
-  Chunk chunk = make_chunk(*outgoing.blob, request.index, outgoing.chunk_bytes);
+  Chunk chunk = make_chunk(blob, request.index, outgoing.chunk_bytes);
   util::ByteWriter w;
   chunk.encode(w);
   return w.take();
 }
 
+Result<Bytes> Service::push_chunk(const crypto::DistinguishedName& principal,
+                                  Incoming& incoming, util::ByteReader& r) {
+  BundleChunkRequest request = BundleChunkRequest::decode(incoming.id, r);
+  if (incoming.manifest.principal != principal)
+    return make_error(ErrorCode::kPermissionDenied,
+                      "transfer belongs to another principal");
+  if (request.file_index >= incoming.assemblies.size())
+    return make_error(ErrorCode::kInvalidArgument,
+                      "bundle file index out of range");
+  Assembly& assembly = incoming.assemblies[request.file_index];
+
+  BundleChunkReply reply;
+  if (incoming.delivered[request.file_index] ||
+      assembly.bitmap().test(request.chunk.index)) {
+    // Idempotent re-delivery: journaled (and possibly acked) before a
+    // crash or a lost ack. Never applied twice.
+    ++duplicates_suppressed_;
+    njs_.metrics()
+        ->counter("unicore_xfer_duplicate_chunks_total",
+                  {{"usite", njs_.usite()}})
+        .increment();
+    reply.applied = false;
+    reply.credit = credit_for_bytes(incoming.manifest.chunk_bytes);
+    return reply.encode();
+  }
+  if (!assembly.synthetic() &&
+      buffered_total() + request.chunk.length > limits_.buffer_limit_bytes)
+    return make_error(ErrorCode::kResourceExhausted,
+                      "receive window full");  // retryable: backs off
+
+  util::Status accepted = assembly.accept(request.chunk);
+  if (!accepted.ok()) return accepted.error();
+  // Write-ahead: the chunk must be durable before the ack can leave —
+  // a crash after this append answers the retransmit as a duplicate.
+  if (njs::Journal* journal = njs_.journal_for(incoming.manifest.token))
+    journal_bundle_chunk(*journal, incoming.manifest, request.file_index,
+                         request.chunk);
+  ++chunks_applied_;
+  // Files deliver eagerly as their last chunk lands — the close only
+  // commits the bundle, it does not gate any file's visibility.
+  if (assembly.complete()) {
+    util::Status delivered = deliver_file(incoming, request.file_index);
+    if (!delivered.ok()) return delivered.error();
+  }
+  update_gauges();
+  reply.applied = true;
+  reply.credit = credit_for_bytes(incoming.manifest.chunk_bytes);
+  return reply.encode();
+}
+
 Result<Bytes> Service::close(const crypto::DistinguishedName& principal,
                              bool server_peer, Role role, util::ByteReader& r) {
-  if (role_is_push(role)) {
-    if (role == Role::kPush && !server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "push requires a peer server certificate");
-    if (role == Role::kClientPush && server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "client push requires a user certificate");
-    return close_push(principal, role, r);
-  }
-  CloseRequest request = CloseRequest::decode(role, r);
+  if (auto allowed = check_role(role, server_peer); !allowed.ok())
+    return allowed.error();
+  if (role_is_push(role)) return close_push(principal, role, r);
+  BundleCloseRequest request = BundleCloseRequest::decode(role, r);
   if (auto it = outgoing_.find(request.transfer_id); it != outgoing_.end()) {
     if (it->second.expiry != 0) engine_.cancel(it->second.expiry);
     outgoing_.erase(it);
@@ -347,7 +398,7 @@ Result<Bytes> Service::close(const crypto::DistinguishedName& principal,
 
 Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
                                   Role role, util::ByteReader& r) {
-  CloseRequest request = CloseRequest::decode(role, r);
+  BundleCloseRequest request = BundleCloseRequest::decode(role, r);
   if (completed_.count(request.key) != 0) return Bytes{};  // idempotent
 
   auto by_id = incoming_by_id_.find(request.transfer_id);
@@ -362,30 +413,32 @@ Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
   if (incoming->manifest.principal != principal)
     return make_error(ErrorCode::kPermissionDenied,
                       "transfer belongs to another principal");
-  if (!incoming->assembly.complete())
+
+  // Retry files whose delivery failed earlier (complete assemblies).
+  std::size_t delivered_count = 0;
+  for (std::uint32_t i = 0; i < incoming->assemblies.size(); ++i) {
+    if (!incoming->delivered[i] && incoming->assemblies[i].complete()) {
+      util::Status status = deliver_file(*incoming, i);
+      if (!status.ok()) return status.error();
+    }
+    if (incoming->delivered[i]) ++delivered_count;
+  }
+  if (delivered_count != incoming->delivered.size())
     return make_error(
         ErrorCode::kFailedPrecondition,
-        "transfer incomplete: " +
-            std::to_string(incoming->assembly.bitmap().count()) + "/" +
-            std::to_string(incoming->assembly.bitmap().total()) + " chunks");
-
-  auto blob = incoming->assembly.finish();
-  if (!blob.ok())
-    return make_error(ErrorCode::kInternal,
-                      "whole-file verification failed: " +
-                          blob.error().message);
-  auto status = njs_.deliver_file(
-      incoming->manifest.token, incoming->manifest.name,
-      std::make_shared<const uspace::FileBlob>(std::move(blob).value()));
-  if (!status.ok()) return status.error();
+        "transfer incomplete: " + std::to_string(delivered_count) + "/" +
+            std::to_string(incoming->delivered.size()) + " files");
 
   if (njs::Journal* journal = njs_.journal_for(incoming->manifest.token))
-    journal_done(*journal, incoming->manifest);
+    journal_bundle_done(*journal, incoming->manifest);
+  std::uint64_t bytes = 0;
+  for (const BundleFileMeta& file : incoming->manifest.files)
+    bytes += file.size;
   njs_.record_transfer_span(
-      incoming->manifest.token, "xfer-in", incoming->opened_at, engine_.now(),
-      {{"file", incoming->manifest.name},
-       {"bytes", std::to_string(incoming->manifest.size)},
-       {"chunks", std::to_string(incoming->assembly.bitmap().total())},
+      incoming->manifest.token, "xfer-in", incoming->opened_at,
+      engine_.now(),
+      {{"files", std::to_string(incoming->manifest.files.size())},
+       {"bytes", std::to_string(bytes)},
        {"from", incoming->manifest.principal.common_name}});
   ++transfers_completed_;
   util::Bytes key = incoming->manifest.key;  // copy: erase frees `incoming`
@@ -394,374 +447,6 @@ Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
   incoming_.erase(key);
   update_gauges();
   return Bytes{};
-}
-
-// ---- bundles ---------------------------------------------------------------
-
-util::Status Service::deliver_bundle_file(IncomingBundle& bundle,
-                                          std::uint32_t index) {
-  auto blob = bundle.assemblies[index].finish();
-  if (!blob.ok())
-    return make_error(ErrorCode::kInternal,
-                      "whole-file verification failed: " +
-                          blob.error().message);
-  auto status = njs_.deliver_file(
-      bundle.manifest.token, bundle.manifest.files[index].name,
-      std::make_shared<const uspace::FileBlob>(std::move(blob).value()));
-  if (!status.ok()) return status.error();
-  bundle.delivered[index] = true;
-  // Free the drained buffers; delivered[] keeps re-deliveries duplicate.
-  bundle.assemblies[index] = Assembly();
-  ++bundle_files_delivered_;
-  return util::Status();
-}
-
-std::uint64_t Service::satisfy_bundle_open(IncomingBundle& bundle,
-                                           const BundleOpenRequest& request) {
-  // Like satisfy_open: the manifests are only meaningful at the
-  // granularity they were computed for.
-  if (store_ == nullptr ||
-      bundle.manifest.chunk_bytes != request.proposed_chunk_bytes)
-    return 0;
-  std::uint64_t satisfied = 0;
-  for (std::uint32_t i = 0; i < bundle.assemblies.size(); ++i) {
-    if (bundle.delivered[i] || request.files[i].digests.empty()) continue;
-    satisfied += bundle.assemblies[i].satisfy_from_store(
-        request.files[i].digests);
-    // Fully warm files deliver straight from the open — the whole-batch
-    // dedup that turns an unchanged tree into one RTT. A delivery
-    // failure leaves the file complete-but-undelivered; close retries.
-    if (bundle.assemblies[i].complete())
-      (void)deliver_bundle_file(bundle, i);
-  }
-  if (satisfied > 0) {
-    chunks_deduped_ += satisfied;
-    njs_.metrics()
-        ->counter("unicore_xfer_dedup_chunks_total",
-                  {{"usite", njs_.usite()}})
-        .add(static_cast<double>(satisfied));
-  }
-  return satisfied;
-}
-
-BundleOpenReply Service::bundle_resume_reply(
-    const IncomingBundle& bundle) const {
-  BundleOpenReply reply;
-  reply.transfer_id = bundle.id;
-  reply.chunk_bytes = bundle.manifest.chunk_bytes;
-  reply.credit = credit_for_bytes(bundle.manifest.chunk_bytes);
-  reply.files.resize(bundle.assemblies.size());
-  for (std::size_t i = 0; i < bundle.assemblies.size(); ++i) {
-    reply.files[i].complete =
-        bundle.delivered[i] || bundle.assemblies[i].complete();
-    if (!reply.files[i].complete)
-      reply.files[i].have = bundle.assemblies[i].bitmap().ranges();
-  }
-  return reply;
-}
-
-Result<Bytes> Service::bundle_open(const crypto::DistinguishedName& principal,
-                                   bool server_peer, Role role,
-                                   util::ByteReader& r) {
-  count_open("bundle");
-  switch (role) {
-    case Role::kPush:
-      if (!server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "push requires a peer server certificate");
-      return bundle_open_push(principal, role, r);
-    case Role::kClientPush:
-      if (server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "client push requires a user certificate");
-      return bundle_open_push(principal, role, r);
-    case Role::kPeerPull:
-      if (!server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "peer pull requires a peer server certificate");
-      return bundle_open_pull(principal, role, r);
-    case Role::kClientPull:
-      if (server_peer)
-        return make_error(ErrorCode::kPermissionDenied,
-                          "client pull requires a user certificate");
-      return bundle_open_pull(principal, role, r);
-  }
-  return make_error(ErrorCode::kInvalidArgument, "unknown transfer role");
-}
-
-Result<Bytes> Service::bundle_open_push(
-    const crypto::DistinguishedName& principal, Role role,
-    util::ByteReader& r) {
-  BundleOpenRequest request = BundleOpenRequest::decode(r);
-  request.role = role;
-  if (request.files.empty() || request.files.size() > kMaxBundleFiles)
-    return make_error(ErrorCode::kInvalidArgument,
-                      "bundle file count out of range");
-
-  if (completed_bundles_.count(request.key) != 0) {
-    // Already committed (possibly before a crash): report every file
-    // complete so the sender goes straight to close.
-    BundleOpenReply reply;
-    reply.transfer_id = 0;
-    reply.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
-    reply.credit = 0;
-    reply.files.resize(request.files.size());
-    for (BundleFileState& file : reply.files) file.complete = true;
-    return reply.encode();
-  }
-
-  if (auto it = bundles_.find(request.key); it != bundles_.end()) {
-    IncomingBundle& bundle = *it->second;
-    if (bundle.manifest.principal != principal)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "bundle belongs to another principal");
-    if (bundle.manifest.files.size() != request.files.size())
-      return make_error(ErrorCode::kFailedPrecondition,
-                        "open does not match the journaled bundle manifest");
-    for (std::size_t i = 0; i < request.files.size(); ++i) {
-      const BundleFileMeta& meta = bundle.manifest.files[i];
-      const BundleFileEntry& entry = request.files[i];
-      if (meta.name != entry.name || meta.size != entry.size ||
-          meta.checksum != entry.checksum ||
-          meta.synthetic != entry.synthetic)
-        return make_error(ErrorCode::kFailedPrecondition,
-                          "open does not match the journaled bundle manifest");
-    }
-    // Chunks the store gained since the interruption are acked here.
-    satisfy_bundle_open(bundle, request);
-    return bundle_resume_reply(bundle).encode();
-  }
-
-  // New bundle: the target job must exist here (and, for a client
-  // staging its own job, belong to the caller).
-  auto owner = njs_.owner(request.token);
-  if (!owner.ok()) return owner.error();
-  if (role == Role::kClientPush && !(owner.value() == principal))
-    return make_error(ErrorCode::kPermissionDenied,
-                      "job belongs to another user");
-
-  auto bundle = std::make_unique<IncomingBundle>();
-  bundle->manifest.key = request.key;
-  bundle->manifest.token = request.token;
-  bundle->manifest.chunk_bytes =
-      clamp_chunk_bytes(request.proposed_chunk_bytes);
-  bundle->manifest.principal = principal;
-  bundle->manifest.files.reserve(request.files.size());
-  bundle->assemblies.reserve(request.files.size());
-  for (const BundleFileEntry& entry : request.files) {
-    BundleFileMeta meta;
-    meta.name = entry.name;
-    meta.size = entry.size;
-    meta.checksum = entry.checksum;
-    meta.synthetic = entry.synthetic;
-    bundle->manifest.files.push_back(std::move(meta));
-    Assembly assembly(entry.size, entry.checksum, entry.synthetic,
-                      bundle->manifest.chunk_bytes);
-    if (store_ != nullptr) assembly.attach_store(store_);
-    bundle->assemblies.push_back(std::move(assembly));
-  }
-  bundle->delivered.assign(request.files.size(), false);
-  bundle->id = next_id_++;
-  bundle->opened_at = engine_.now();
-  // ONE durable record covers the whole bundle — the journal-side
-  // amortization that pairs with the single open/close RTT.
-  if (njs::Journal* journal = njs_.journal_for(bundle->manifest.token))
-    journal_bundle_manifest(*journal, bundle->manifest);
-  {
-    auto& m = *njs_.metrics();
-    obs::Labels labels{{"usite", njs_.usite()}};
-    m.counter("unicore_xfer_bundle_files_total", labels)
-        .add(static_cast<double>(request.files.size()));
-    // Against the per-file baseline of one open + one close RTT per
-    // file, a bundle spends two RTTs total: 2n - 2 saved.
-    m.counter("unicore_xfer_rtts_saved_total", labels)
-        .add(static_cast<double>(2 * request.files.size() - 2));
-  }
-  satisfy_bundle_open(*bundle, request);
-
-  BundleOpenReply reply = bundle_resume_reply(*bundle);
-  bundles_by_id_[bundle->id] = bundle.get();
-  bundles_.emplace(request.key, std::move(bundle));
-  update_gauges();
-  return reply.encode();
-}
-
-Result<Bytes> Service::bundle_open_pull(
-    const crypto::DistinguishedName& principal, Role role,
-    util::ByteReader& r) {
-  BundlePullOpenRequest request = BundlePullOpenRequest::decode(role, r);
-  if (request.names.empty() || request.names.size() > kMaxBundleFiles)
-    return make_error(ErrorCode::kInvalidArgument,
-                      "bundle file count out of range");
-  if (role == Role::kClientPull) {
-    auto owner = njs_.owner(request.token);
-    if (!owner.ok()) return owner.error();
-    if (!(owner.value() == principal))
-      return make_error(ErrorCode::kPermissionDenied,
-                        "job belongs to another user");
-  }
-
-  OutgoingBundle outgoing;
-  outgoing.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
-  BundlePullOpenReply reply;
-  reply.chunk_bytes = outgoing.chunk_bytes;
-  reply.files.reserve(request.names.size());
-  outgoing.blobs.reserve(request.names.size());
-  for (const std::string& name : request.names) {
-    auto blob = njs_.fetch_file_shared(request.token, name);
-    if (!blob.ok()) return blob.error();
-    BundlePullFileInfo info;
-    info.size = blob.value()->size();
-    info.checksum = blob.value()->checksum();
-    info.synthetic = blob.value()->is_synthetic();
-    // The reply's digests ARE the pull-path manifest negotiation: the
-    // puller's store satisfies matching chunks without a request.
-    info.digests = blob.value()->chunk_digests(outgoing.chunk_bytes);
-    reply.files.push_back(std::move(info));
-    outgoing.blobs.push_back(std::move(blob).value());
-  }
-  outgoing.id = next_id_++;
-  reply.transfer_id = outgoing.id;
-  auto [it, inserted] =
-      outgoing_bundles_.emplace(outgoing.id, std::move(outgoing));
-  touch_outgoing_bundle(it->second);
-  update_gauges();
-  return reply.encode();
-}
-
-Result<Bytes> Service::bundle_push_chunk(
-    const crypto::DistinguishedName& principal, IncomingBundle& bundle,
-    util::ByteReader& r) {
-  BundleChunkRequest request = BundleChunkRequest::decode(bundle.id, r);
-  if (bundle.manifest.principal != principal)
-    return make_error(ErrorCode::kPermissionDenied,
-                      "bundle belongs to another principal");
-  if (request.file_index >= bundle.assemblies.size())
-    return make_error(ErrorCode::kInvalidArgument,
-                      "bundle file index out of range");
-  Assembly& assembly = bundle.assemblies[request.file_index];
-
-  PushChunkReply reply;
-  if (bundle.delivered[request.file_index] ||
-      assembly.bitmap().test(request.chunk.index)) {
-    // Idempotent re-delivery, exactly like the single-file path.
-    ++duplicates_suppressed_;
-    njs_.metrics()
-        ->counter("unicore_xfer_duplicate_chunks_total",
-                  {{"usite", njs_.usite()}})
-        .increment();
-    reply.applied = false;
-    reply.credit = credit_for_bytes(bundle.manifest.chunk_bytes);
-    return reply.encode();
-  }
-  if (!assembly.synthetic() &&
-      buffered_total() + request.chunk.length > limits_.buffer_limit_bytes)
-    return make_error(ErrorCode::kResourceExhausted,
-                      "receive window full");  // retryable: backs off
-
-  util::Status accepted = assembly.accept(request.chunk);
-  if (!accepted.ok()) return accepted.error();
-  // Write-ahead: durable before the ack can leave, like journal_chunk.
-  if (njs::Journal* journal = njs_.journal_for(bundle.manifest.token))
-    journal_bundle_chunk(*journal, bundle.manifest, request.file_index,
-                         request.chunk);
-  ++chunks_applied_;
-  // Files deliver eagerly as their last chunk lands — the close only
-  // commits the bundle, it does not gate any file's visibility.
-  if (assembly.complete()) {
-    util::Status delivered = deliver_bundle_file(bundle, request.file_index);
-    if (!delivered.ok()) return delivered.error();
-  }
-  update_gauges();
-  reply.applied = true;
-  reply.credit = credit_for_bytes(bundle.manifest.chunk_bytes);
-  return reply.encode();
-}
-
-Result<Bytes> Service::bundle_close(const crypto::DistinguishedName& principal,
-                                    bool server_peer, Role role,
-                                    util::ByteReader& r) {
-  if (role_is_push(role)) {
-    if (role == Role::kPush && !server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "push requires a peer server certificate");
-    if (role == Role::kClientPush && server_peer)
-      return make_error(ErrorCode::kPermissionDenied,
-                        "client push requires a user certificate");
-    return bundle_close_push(principal, role, r);
-  }
-  BundleCloseRequest request = BundleCloseRequest::decode(role, r);
-  if (auto it = outgoing_bundles_.find(request.transfer_id);
-      it != outgoing_bundles_.end()) {
-    if (it->second.expiry != 0) engine_.cancel(it->second.expiry);
-    outgoing_bundles_.erase(it);
-    update_gauges();
-  }
-  return Bytes{};  // idempotent: closing an unknown read is fine
-}
-
-Result<Bytes> Service::bundle_close_push(
-    const crypto::DistinguishedName& principal, Role role,
-    util::ByteReader& r) {
-  BundleCloseRequest request = BundleCloseRequest::decode(role, r);
-  if (completed_bundles_.count(request.key) != 0) return Bytes{};  // idempotent
-
-  auto by_id = bundles_by_id_.find(request.transfer_id);
-  IncomingBundle* bundle =
-      by_id != bundles_by_id_.end() ? by_id->second : nullptr;
-  if (bundle == nullptr) {
-    auto by_key = bundles_.find(request.key);
-    if (by_key != bundles_.end()) bundle = by_key->second.get();
-  }
-  if (bundle == nullptr)
-    return make_error(ErrorCode::kNotFound,
-                      "no such bundle (receiver restarted?)");
-  if (bundle->manifest.principal != principal)
-    return make_error(ErrorCode::kPermissionDenied,
-                      "bundle belongs to another principal");
-
-  // Retry files whose delivery failed earlier (complete assemblies).
-  std::size_t delivered_count = 0;
-  for (std::uint32_t i = 0; i < bundle->assemblies.size(); ++i) {
-    if (!bundle->delivered[i] && bundle->assemblies[i].complete()) {
-      util::Status status = deliver_bundle_file(*bundle, i);
-      if (!status.ok()) return status.error();
-    }
-    if (bundle->delivered[i]) ++delivered_count;
-  }
-  if (delivered_count != bundle->delivered.size())
-    return make_error(
-        ErrorCode::kFailedPrecondition,
-        "bundle incomplete: " + std::to_string(delivered_count) + "/" +
-            std::to_string(bundle->delivered.size()) + " files");
-
-  if (njs::Journal* journal = njs_.journal_for(bundle->manifest.token))
-    journal_bundle_done(*journal, bundle->manifest);
-  std::uint64_t bytes = 0;
-  for (const BundleFileMeta& file : bundle->manifest.files)
-    bytes += file.size;
-  njs_.record_transfer_span(
-      bundle->manifest.token, "xfer-bundle-in", bundle->opened_at,
-      engine_.now(),
-      {{"files", std::to_string(bundle->manifest.files.size())},
-       {"bytes", std::to_string(bytes)},
-       {"from", bundle->manifest.principal.common_name}});
-  ++bundles_completed_;
-  util::Bytes key = bundle->manifest.key;  // copy: erase frees `bundle`
-  completed_bundles_.insert(key);
-  bundles_by_id_.erase(bundle->id);
-  bundles_.erase(key);
-  update_gauges();
-  return Bytes{};
-}
-
-void Service::touch_outgoing_bundle(OutgoingBundle& outgoing) {
-  if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
-  std::uint64_t id = outgoing.id;
-  outgoing.expiry = engine_.after(limits_.read_idle_timeout, [this, id] {
-    outgoing_bundles_.erase(id);
-    update_gauges();
-  });
 }
 
 void Service::touch_outgoing(Outgoing& outgoing) {
@@ -782,12 +467,6 @@ void Service::on_njs_crash() {
   for (auto& [id, outgoing] : outgoing_)
     if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
   outgoing_.clear();
-  bundles_.clear();
-  bundles_by_id_.clear();
-  completed_bundles_.clear();
-  for (auto& [id, outgoing] : outgoing_bundles_)
-    if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
-  outgoing_bundles_.clear();
   update_gauges();
 }
 
@@ -800,67 +479,41 @@ void Service::on_njs_adopt(const njs::Journal& journal) {
 }
 
 void Service::fold_journal(const njs::Journal& journal) {
-  for (util::Bytes& key : completed_transfer_keys(journal))
+  for (util::Bytes& key : completed_bundle_keys(journal))
     completed_.insert(std::move(key));
-  for (RecoveredTransfer& recovered : recover_transfers(journal)) {
+  for (RecoveredBundle& recovered : recover_bundles(journal)) {
     // Already live here (adopt fold beside open transfers) — keep it.
     if (incoming_.count(recovered.manifest.key) != 0) continue;
     // The target job must have survived recovery too.
     if (!njs_.owner(recovered.manifest.token).ok()) continue;
     auto incoming = std::make_unique<Incoming>();
-    incoming->assembly = Assembly(
-        recovered.manifest.size, recovered.manifest.checksum,
-        recovered.manifest.synthetic, recovered.manifest.chunk_bytes);
-    if (store_ != nullptr) incoming->assembly.attach_store(store_);
+    incoming->assemblies.reserve(recovered.manifest.files.size());
+    for (const BundleFileMeta& meta : recovered.manifest.files) {
+      Assembly assembly(meta.size, meta.checksum, meta.synthetic,
+                        recovered.manifest.chunk_bytes);
+      if (store_ != nullptr) assembly.attach_store(store_);
+      incoming->assemblies.push_back(std::move(assembly));
+    }
+    incoming->delivered.assign(recovered.manifest.files.size(), false);
     incoming->manifest = std::move(recovered.manifest);
     incoming->id = next_id_++;  // fresh id: the old one is dead with the
                                 // process, senders re-open by key
     incoming->opened_at = engine_.now();
-    for (const Chunk& chunk : recovered.chunks) {
+    for (auto& [file_index, chunk] : recovered.chunks) {
+      if (file_index >= incoming->assemblies.size()) continue;
       // Already verified and journaled; re-journaling would double the
       // log, so fold straight into the assembly.
-      incoming->assembly.accept(chunk);
+      incoming->assemblies[file_index].accept(chunk);
     }
+    // Files whose last chunk landed before the crash re-deliver into
+    // the (durable) workspace — idempotent, same file content.
+    for (std::uint32_t i = 0; i < incoming->assemblies.size(); ++i)
+      if (incoming->assemblies[i].complete()) (void)deliver_file(*incoming, i);
     incoming_by_id_[incoming->id] = incoming.get();
     incoming_.emplace(incoming->manifest.key, std::move(incoming));
     ++transfers_recovered_;
     njs_.metrics()
         ->counter("unicore_xfer_recovered_transfers_total",
-                  {{"usite", njs_.usite()}})
-        .increment();
-  }
-  for (util::Bytes& key : completed_bundle_keys(journal))
-    completed_bundles_.insert(std::move(key));
-  for (RecoveredBundle& recovered : recover_bundles(journal)) {
-    if (bundles_.count(recovered.manifest.key) != 0) continue;
-    if (!njs_.owner(recovered.manifest.token).ok()) continue;
-    auto bundle = std::make_unique<IncomingBundle>();
-    bundle->assemblies.reserve(recovered.manifest.files.size());
-    for (const BundleFileMeta& meta : recovered.manifest.files) {
-      Assembly assembly(meta.size, meta.checksum, meta.synthetic,
-                        recovered.manifest.chunk_bytes);
-      if (store_ != nullptr) assembly.attach_store(store_);
-      bundle->assemblies.push_back(std::move(assembly));
-    }
-    bundle->delivered.assign(recovered.manifest.files.size(), false);
-    bundle->manifest = std::move(recovered.manifest);
-    bundle->id = next_id_++;  // fresh id, senders re-open by key
-    bundle->opened_at = engine_.now();
-    for (auto& [file_index, chunk] : recovered.chunks) {
-      if (file_index >= bundle->assemblies.size()) continue;
-      // Already verified and journaled; fold straight in.
-      bundle->assemblies[file_index].accept(chunk);
-    }
-    // Files whose last chunk landed before the crash re-deliver into
-    // the (durable) workspace — idempotent, same file content.
-    for (std::uint32_t i = 0; i < bundle->assemblies.size(); ++i)
-      if (bundle->assemblies[i].complete())
-        (void)deliver_bundle_file(*bundle, i);
-    bundles_by_id_[bundle->id] = bundle.get();
-    bundles_.emplace(bundle->manifest.key, std::move(bundle));
-    ++bundles_recovered_;
-    njs_.metrics()
-        ->counter("unicore_xfer_recovered_bundles_total",
                   {{"usite", njs_.usite()}})
         .increment();
   }

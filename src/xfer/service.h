@@ -1,7 +1,8 @@
 // Receiver/source side of the chunked transfer protocol, co-resident
-// with one NJS. Holds the open-transfer table: inbound pushes being
+// with one NJS. Holds the open-transfer table: inbound bundles being
 // reassembled (journaled chunk-by-chunk so a crash resumes instead of
 // restarting) and outbound reads being served chunk-wise to pullers.
+// A single file is a bundle of one.
 //
 // The server layer owns the envelopes and authentication; it hands this
 // service the authenticated principal, the already-parsed Role byte,
@@ -13,8 +14,8 @@
 //     between the two re-delivers a chunk the journal already holds;
 //     the resumed transfer answers it `applied = false` and never
 //     applies a byte twice;
-//   - a close after completion (or after a crash that followed
-//     completion) succeeds idempotently via the kXferDone tombstone.
+//   - a close after commit (or after a crash that followed the commit)
+//     succeeds idempotently via the kXferBundleDone tombstone.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "njs/njs.h"
 #include "sim/engine.h"
@@ -41,7 +43,7 @@ class Service : public njs::CrashParticipant {
     /// credit shrinks as this fills (backpressure).
     std::uint64_t buffer_limit_bytes = 64ull * 1024 * 1024;
     std::uint32_t max_credit = 64;
-    /// Hard cap on what a pull open may inline.
+    /// Hard cap on what a one-file pull open may inline.
     std::uint32_t inline_limit = 256 * 1024;
     /// Outbound reads with no chunk request for this long are dropped
     /// (pullers that died without closing).
@@ -62,9 +64,9 @@ class Service : public njs::CrashParticipant {
   }
 
   /// Attaches the site's content-addressed store: inbound assemblies
-  /// intern chunks into it, and push opens carrying a digest manifest
+  /// intern chunks into it, and push opens carrying digest manifests
   /// are satisfied from it (already-present chunks are acked in the
-  /// open reply's `have` ranges without moving a payload byte).
+  /// open reply without moving a payload byte).
   void set_chunk_store(std::shared_ptr<store::ChunkStore> chunk_store) {
     store_ = std::move(chunk_store);
   }
@@ -72,9 +74,10 @@ class Service : public njs::CrashParticipant {
     return store_;
   }
 
-  /// Request handlers. `principal` is the authenticated identity (user
-  /// DN or peer server DN); `server_peer` says which authentication
-  /// path the gateway used; `r` is positioned just after the Role byte.
+  /// Request handlers (kXferBundleOpen / kXferChunk / kXferBundleClose).
+  /// `principal` is the authenticated identity (user DN or peer server
+  /// DN); `server_peer` says which authentication path the gateway
+  /// used; `r` is positioned just after the Role byte.
   util::Result<util::Bytes> open(const crypto::DistinguishedName& principal,
                                  bool server_peer, Role role,
                                  util::ByteReader& r);
@@ -84,15 +87,6 @@ class Service : public njs::CrashParticipant {
   util::Result<util::Bytes> close(const crypto::DistinguishedName& principal,
                                   bool server_peer, Role role,
                                   util::ByteReader& r);
-  /// Bundle handlers (kXferBundleOpen / kXferBundleClose). Bundle
-  /// chunks ride the ordinary chunk() entry point: the transfer id
-  /// tells bundles from single files (one id counter covers both).
-  util::Result<util::Bytes> bundle_open(
-      const crypto::DistinguishedName& principal, bool server_peer, Role role,
-      util::ByteReader& r);
-  util::Result<util::Bytes> bundle_close(
-      const crypto::DistinguishedName& principal, bool server_peer, Role role,
-      util::ByteReader& r);
 
   // CrashParticipant: the table dies with the NJS process and is
   // rebuilt from the journal; an adopted journal's half-finished
@@ -104,45 +98,28 @@ class Service : public njs::CrashParticipant {
   // Introspection for tests and gauges.
   std::size_t inbound_open() const { return incoming_.size(); }
   std::size_t outbound_open() const { return outgoing_.size(); }
-  std::size_t bundles_open() const { return bundles_.size(); }
   std::uint64_t duplicates_suppressed() const {
     return duplicates_suppressed_;
   }
   std::uint64_t chunks_applied() const { return chunks_applied_; }
+  std::uint64_t chunks_deduped() const { return chunks_deduped_; }
   std::uint64_t transfers_completed() const { return transfers_completed_; }
   std::uint64_t transfers_recovered() const { return transfers_recovered_; }
-  std::uint64_t chunks_deduped() const { return chunks_deduped_; }
-  std::uint64_t bundles_completed() const { return bundles_completed_; }
-  std::uint64_t bundles_recovered() const { return bundles_recovered_; }
-  std::uint64_t bundle_files_delivered() const {
-    return bundle_files_delivered_;
-  }
+  std::uint64_t files_delivered() const { return files_delivered_; }
 
  private:
-  struct Incoming {
-    Manifest manifest;
-    Assembly assembly;
-    std::uint64_t id = 0;
-    sim::Time opened_at = 0;
-  };
-  struct Outgoing {
-    std::uint64_t id = 0;
-    std::shared_ptr<const uspace::FileBlob> blob;
-    std::uint32_t chunk_bytes = kDefaultChunkBytes;
-    sim::EventId expiry = 0;
-  };
   /// One inbound bundle: per-file assemblies sharing one manifest, one
   /// journal, and one credit window. Files deliver eagerly as their
   /// last chunk lands (delivered[i] guards idempotency; the drained
   /// assembly slot is reset so it stops counting against the window).
-  struct IncomingBundle {
+  struct Incoming {
     BundleManifest manifest;
-    std::vector<Assembly> assemblies;   // aligned with manifest.files
+    std::vector<Assembly> assemblies;  // aligned with manifest.files
     std::vector<bool> delivered;
     std::uint64_t id = 0;
     sim::Time opened_at = 0;
   };
-  struct OutgoingBundle {
+  struct Outgoing {
     std::uint64_t id = 0;
     std::uint32_t chunk_bytes = kDefaultChunkBytes;
     std::vector<std::shared_ptr<const uspace::FileBlob>> blobs;
@@ -155,45 +132,28 @@ class Service : public njs::CrashParticipant {
   util::Result<util::Bytes> open_pull(
       const crypto::DistinguishedName& principal, Role role,
       util::ByteReader& r);
+  util::Result<util::Bytes> push_chunk(
+      const crypto::DistinguishedName& principal, Incoming& incoming,
+      util::ByteReader& r);
   util::Result<util::Bytes> close_push(
-      const crypto::DistinguishedName& principal, Role role,
-      util::ByteReader& r);
-  util::Result<util::Bytes> bundle_open_push(
-      const crypto::DistinguishedName& principal, Role role,
-      util::ByteReader& r);
-  util::Result<util::Bytes> bundle_open_pull(
-      const crypto::DistinguishedName& principal, Role role,
-      util::ByteReader& r);
-  util::Result<util::Bytes> bundle_push_chunk(
-      const crypto::DistinguishedName& principal, IncomingBundle& bundle,
-      util::ByteReader& r);
-  util::Result<util::Bytes> bundle_close_push(
       const crypto::DistinguishedName& principal, Role role,
       util::ByteReader& r);
 
   std::uint32_t clamp_chunk_bytes(std::uint32_t proposed) const;
-  std::uint32_t credit_for(const Assembly& assembly) const;
   std::uint32_t credit_for_bytes(std::uint32_t chunk_bytes) const;
   std::uint64_t buffered_total() const;
-  PushOpenReply resume_reply(const Incoming& incoming) const;
-  BundleOpenReply bundle_resume_reply(const IncomingBundle& bundle) const;
+  BundleOpenReply resume_reply(const Incoming& incoming) const;
   void touch_outgoing(Outgoing& outgoing);
-  void touch_outgoing_bundle(OutgoingBundle& outgoing);
-  void drop_incoming(Incoming& incoming);
   void update_gauges();
   void fold_journal(const njs::Journal& journal);
-  void count_open(const char* kind);
 
-  std::uint64_t satisfy_open(Incoming& incoming,
-                             const PushOpenRequest& request);
   /// Store-dedups every still-missing chunk of every undelivered file
   /// and eagerly delivers files that complete; returns chunks satisfied.
-  std::uint64_t satisfy_bundle_open(IncomingBundle& bundle,
-                                    const BundleOpenRequest& request);
+  std::uint64_t satisfy_open(Incoming& incoming,
+                             const BundleOpenRequest& request);
   /// Finishes assembly `index` and hands the file to the NJS; resets
   /// the assembly slot on success.
-  util::Status deliver_bundle_file(IncomingBundle& bundle,
-                                   std::uint32_t index);
+  util::Status deliver_file(Incoming& incoming, std::uint32_t index);
 
   sim::Engine& engine_;
   njs::Njs& njs_;
@@ -202,22 +162,16 @@ class Service : public njs::CrashParticipant {
 
   std::map<util::Bytes, std::unique_ptr<Incoming>> incoming_;  // by key
   std::map<std::uint64_t, Incoming*> incoming_by_id_;
-  std::set<util::Bytes> completed_;
+  std::set<util::Bytes> completed_;  // committed bundle keys
   std::map<std::uint64_t, Outgoing> outgoing_;
-  std::map<util::Bytes, std::unique_ptr<IncomingBundle>> bundles_;  // by key
-  std::map<std::uint64_t, IncomingBundle*> bundles_by_id_;
-  std::set<util::Bytes> completed_bundles_;
-  std::map<std::uint64_t, OutgoingBundle> outgoing_bundles_;
   std::uint64_t next_id_ = 1;
 
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t chunks_applied_ = 0;
+  std::uint64_t chunks_deduped_ = 0;
   std::uint64_t transfers_completed_ = 0;
   std::uint64_t transfers_recovered_ = 0;
-  std::uint64_t chunks_deduped_ = 0;
-  std::uint64_t bundles_completed_ = 0;
-  std::uint64_t bundles_recovered_ = 0;
-  std::uint64_t bundle_files_delivered_ = 0;
+  std::uint64_t files_delivered_ = 0;
 };
 
 }  // namespace unicore::xfer

@@ -1,7 +1,11 @@
 #include "xfer/transfer.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 namespace unicore::xfer {
@@ -11,10 +15,6 @@ using util::make_error;
 
 namespace {
 
-obs::Labels site_labels(const TransferManager& mgr, const char* direction) {
-  return {{"usite", mgr.site()}, {"direction", direction}};
-}
-
 /// Errors that mean the receiver no longer knows our ephemeral transfer
 /// id (it crashed, or evicted the transfer) — the cure is a re-open by
 /// durable key, not a retransmit of the same request.
@@ -22,321 +22,138 @@ bool needs_resume(ErrorCode code) {
   return code == ErrorCode::kNotFound || code == ErrorCode::kFailedPrecondition;
 }
 
-// ---- push ------------------------------------------------------------------
+/// Decodes a reply body; a truncated or garbled one yields nothing
+/// instead of throwing into the transport's callback.
+template <typename T>
+std::optional<T> decode_reply(const util::Bytes& body) {
+  try {
+    util::ByteReader r{body};
+    return T::decode(r);
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
+  }
+}
 
-class PushRun : public std::enable_shared_from_this<PushRun> {
+/// One (file index, chunk index) unit of work.
+using ChunkId = std::pair<std::uint32_t, std::uint64_t>;
+
+/// Result sink of one wire bundle (pushes report no blobs).
+using Finish = std::function<void(util::Result<PullResult>)>;
+
+/// One wire bundle in either direction: the open, the windowed credit
+/// loop over its missing chunks, the close, and the retry → resume →
+/// fail ladder around all three. A push sends chunks and reads acks; a
+/// pull requests chunks and assembles them.
+class Run : public std::enable_shared_from_this<Run> {
  public:
-  PushRun(TransferManager& mgr, std::shared_ptr<ChunkTransport> transport,
-          PushSpec spec, std::shared_ptr<const uspace::FileBlob> blob,
-          TransferOptions options,
-          std::function<void(util::Result<TransferStats>)> done)
-      : mgr_(mgr),
-        transport_(std::move(transport)),
-        spec_(std::move(spec)),
-        blob_(std::move(blob)),
-        options_(options),
-        done_cb_(std::move(done)) {
-    key_ = make_transfer_key(spec_.source, spec_.token, spec_.name,
-                             blob_->checksum(), blob_->size());
+  Run(TransferManager& mgr, std::shared_ptr<ChunkTransport> transport,
+      const PushSpec& spec, std::vector<BundleFile> files,
+      const TransferOptions& options, Finish done)
+      : Run(mgr, std::move(transport), spec.role, spec.token, options,
+            std::move(done)) {
+    source_ = spec.source;
+    files_ = std::move(files);
+  }
+
+  Run(TransferManager& mgr, std::shared_ptr<ChunkTransport> transport,
+      const PullSpec& spec, std::vector<std::string> names,
+      const TransferOptions& options, Finish done)
+      : Run(mgr, std::move(transport), spec.role, spec.token, options,
+            std::move(done)) {
+    names_ = std::move(names);
+    store_ = spec.store;
   }
 
   void start() {
     stats_.started_at = mgr_.engine().now();
     stats_.streams = transport_->streams();
+    stats_.bundles = 1;
+    stats_.files = push_ ? files_.size() : names_.size();
     if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "push"))
-          .add(1);
+      m->gauge("unicore_xfer_active_transfers", labels()).add(1);
+    if (push_) {
+      // The entries (including every per-chunk digest) are computed
+      // once and reused across resumes — and they define the durable
+      // key.
+      entries_.reserve(files_.size());
+      for (const BundleFile& file : files_) {
+        stats_.bytes += file.blob->size();
+        BundleFileEntry entry;
+        entry.name = file.name;
+        entry.size = file.blob->size();
+        entry.checksum = file.blob->checksum();
+        entry.synthetic = file.blob->is_synthetic();
+        entry.digests = file.blob->chunk_digests(options_.chunk_bytes);
+        entries_.push_back(std::move(entry));
+      }
+      key_ = make_bundle_key(source_, token_, entries_);
+    }
     send_open();
   }
 
  private:
+  Run(TransferManager& mgr, std::shared_ptr<ChunkTransport> transport,
+      Role role, ajo::JobToken token, const TransferOptions& options,
+      Finish done)
+      : mgr_(mgr),
+        transport_(std::move(transport)),
+        role_(role),
+        push_(role_is_push(role)),
+        token_(token),
+        options_(options),
+        done_cb_(std::move(done)) {}
+
+  obs::Labels labels() const {
+    return {{"usite", mgr_.site()}, {"direction", push_ ? "push" : "pull"}};
+  }
+
+  /// Pushes honour the receiver's credit; a pull has none (the puller's
+  /// own window is the limit), so its credit stays unbounded.
   std::uint32_t window_limit() const {
     auto window = static_cast<std::uint32_t>(transport_->streams()) *
                   options_.window_per_stream;
     return std::min(window, std::max<std::uint32_t>(credit_, 1));
   }
 
-  void send_open() {
-    PushOpenRequest request;
-    request.role = spec_.role;
-    request.key = key_;
-    request.token = spec_.token;
-    request.name = spec_.name;
-    request.size = blob_->size();
-    request.checksum = blob_->checksum();
-    request.synthetic = blob_->is_synthetic();
-    request.proposed_chunk_bytes = options_.chunk_bytes;
-    // Offer the per-chunk digests so a store-backed receiver can ack
-    // every chunk it already holds in the open reply. Computed once per
-    // run (re-opens after a resume reuse the cache).
-    if (!digests_computed_) {
-      digests_ = blob_->chunk_digests(options_.chunk_bytes);
-      digests_computed_ = true;
-    }
-    request.digests = digests_;
+  void call(std::size_t stream, Op op, util::Bytes body,
+            std::function<void(Run&, util::Result<util::Bytes>)> handle) {
     auto self = shared_from_this();
     std::uint64_t gen = generation_;
-    transport_->call(0, Op::kOpen, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_open_reply(gen, std::move(reply));
+    transport_->call(stream, op, std::move(body),
+                     [self, gen, handle = std::move(handle)](
+                         util::Result<util::Bytes> reply) {
+                       if (self->finished_ || gen != self->generation_)
+                         return;  // stale: from before a resume
+                       handle(*self, std::move(reply));
                      });
-  }
-
-  void on_open_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (util::is_retryable(reply.error().code))
-        resume("open failed: " + reply.error().to_string());
-      else
-        fail(reply.error());
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    PushOpenReply open = PushOpenReply::decode(r);
-    transfer_id_ = open.transfer_id;
-    chunk_bytes_ = open.chunk_bytes;
-    credit_ = open.credit;
-    acked_ = ChunkBitmap(chunk_count(blob_->size(), chunk_bytes_));
-    acked_.apply(open.have);  // the receiver's journal is the truth
-    queue_ = acked_.missing();
-    pos_ = 0;
-    inflight_ = 0;
-    if (acked_.complete())
-      send_close();
-    else
-      pump();
-  }
-
-  void pump() {
-    while (pos_ < queue_.size() && inflight_ < window_limit())
-      send_chunk(queue_[pos_++]);
-  }
-
-  void send_chunk(std::uint64_t index) {
-    PushChunkRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.chunk = make_chunk(*blob_, index, chunk_bytes_);
-    ++inflight_;
-    ++stats_.chunks;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "push");
-      m->counter("unicore_xfer_chunks_total", labels).increment();
-      m->counter("unicore_xfer_bytes_total", labels)
-          .add(static_cast<double>(request.chunk.length));
-      m->gauge("unicore_xfer_inflight_chunks", labels).add(1);
-    }
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    std::size_t stream = next_stream_++ % transport_->streams();
-    transport_->call(stream, Op::kChunk, request.encode(),
-                     [self, gen, index](util::Result<util::Bytes> reply) {
-                       self->on_chunk_reply(gen, index, std::move(reply));
-                     });
-  }
-
-  void on_chunk_reply(std::uint64_t gen, std::uint64_t index,
-                      util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    --inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "push"))
-          .add(-1);
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code))
-        resume("chunk rejected: " + reply.error().to_string());
-      else if (util::is_retryable(reply.error().code))
-        retry_chunk(index);
-      else
-        fail(reply.error());
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    PushChunkReply ack = PushChunkReply::decode(r);
-    credit_ = ack.credit;
-    if (!ack.applied) ++stats_.duplicates;
-    acked_.set(index);
-    if (acked_.complete() && inflight_ == 0)
-      send_close();  // wait for stragglers: a post-close ack would 404
-    else
-      pump();
-  }
-
-  void retry_chunk(std::uint64_t index) {
-    int attempt = ++chunk_attempts_[index];
-    if (attempt > options_.max_chunk_retries) {
-      resume("chunk retries exhausted");
-      return;
-    }
-    ++stats_.retransmits;
-    if (auto* m = mgr_.metrics())
-      m->counter("unicore_xfer_retransmits_total", site_labels(mgr_, "push"))
-          .increment();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, attempt, mgr_.rng()),
-        [self, gen, index] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_chunk(index);
-        });
-  }
-
-  void resume(const std::string& why) {
-    if (++resume_attempts_ > options_.max_resume_attempts) {
-      fail(make_error(ErrorCode::kUnavailable,
-                      "push abandoned after " +
-                          std::to_string(options_.max_resume_attempts) +
-                          " resumes; last cause: " + why));
-      return;
-    }
-    ++stats_.resumes;
-    if (auto* m = mgr_.metrics()) {
-      m->counter("unicore_xfer_resumes_total", site_labels(mgr_, "push"))
-          .increment();
-      // Abandoned in-flight chunks never decrement the gauge themselves
-      // (their acks will carry a stale generation), so settle it here.
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "push"))
-          .add(-static_cast<double>(inflight_));
-    }
-    ++generation_;
-    inflight_ = 0;
-    chunk_attempts_.clear();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, resume_attempts_, mgr_.rng()),
-        [self, gen] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_open();
-        });
-  }
-
-  void send_close() {
-    CloseRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.key = key_;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kClose, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_close_reply(gen, std::move(reply));
-                     });
-  }
-
-  void on_close_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code) ||
-          util::is_retryable(reply.error().code))
-        resume("close failed: " + reply.error().to_string());
-      else
-        fail(reply.error());
-      return;
-    }
-    stats_.bytes = blob_->size();
-    stats_.finished_at = mgr_.engine().now();
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "push");
-      m->gauge("unicore_xfer_active_transfers", labels).add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "push"},
-                  {"result", "ok"}})
-          .increment();
-      m->histogram("unicore_xfer_transfer_seconds", labels,
-                   obs::latency_buckets())
-          .observe(sim::to_seconds(stats_.finished_at - stats_.started_at));
-    }
-    done_cb_(stats_);
-  }
-
-  void fail(util::Error error) {
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "push"))
-          .add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "push"},
-                  {"result", "error"}})
-          .increment();
-    }
-    done_cb_(std::move(error));
-  }
-
-  TransferManager& mgr_;
-  std::shared_ptr<ChunkTransport> transport_;
-  PushSpec spec_;
-  std::shared_ptr<const uspace::FileBlob> blob_;
-  TransferOptions options_;
-  std::function<void(util::Result<TransferStats>)> done_cb_;
-
-  util::Bytes key_;
-  std::vector<crypto::Digest> digests_;  // at options_.chunk_bytes
-  bool digests_computed_ = false;
-  std::uint64_t transfer_id_ = 0;
-  std::uint32_t chunk_bytes_ = kDefaultChunkBytes;
-  std::uint32_t credit_ = 1;
-  ChunkBitmap acked_;
-  std::vector<std::uint64_t> queue_;
-  std::size_t pos_ = 0;
-  std::uint32_t inflight_ = 0;
-  std::size_t next_stream_ = 0;
-  std::map<std::uint64_t, int> chunk_attempts_;
-  int resume_attempts_ = 0;
-  std::uint64_t generation_ = 0;
-  bool finished_ = false;
-  TransferStats stats_;
-};
-
-// ---- pull ------------------------------------------------------------------
-
-class PullRun : public std::enable_shared_from_this<PullRun> {
- public:
-  PullRun(TransferManager& mgr, std::shared_ptr<ChunkTransport> transport,
-          PullSpec spec, TransferOptions options,
-          std::function<void(util::Result<PullResult>)> done)
-      : mgr_(mgr),
-        transport_(std::move(transport)),
-        spec_(std::move(spec)),
-        options_(options),
-        done_cb_(std::move(done)) {}
-
-  void start() {
-    stats_.started_at = mgr_.engine().now();
-    stats_.streams = transport_->streams();
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "pull"))
-          .add(1);
-    send_open();
-  }
-
- private:
-  std::uint32_t window_limit() const {
-    return static_cast<std::uint32_t>(transport_->streams()) *
-           options_.window_per_stream;
   }
 
   void send_open() {
-    PullOpenRequest request;
-    request.role = spec_.role;
-    request.token = spec_.token;
-    request.name = spec_.name;
-    request.proposed_chunk_bytes = options_.chunk_bytes;
-    request.inline_limit = options_.pull_inline_limit;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kOpen, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_open_reply(gen, std::move(reply));
-                     });
+    util::Bytes body;
+    if (push_) {
+      BundleOpenRequest request;
+      request.role = role_;
+      request.key = key_;
+      request.token = token_;
+      request.proposed_chunk_bytes = options_.chunk_bytes;
+      request.files = entries_;
+      body = request.encode();
+    } else {
+      BundlePullOpenRequest request;
+      request.role = role_;
+      request.token = token_;
+      request.proposed_chunk_bytes = options_.chunk_bytes;
+      request.inline_limit = options_.pull_inline_limit;
+      request.names = names_;
+      body = request.encode();
+    }
+    call(0, Op::kOpen, std::move(body),
+         [](Run& run, util::Result<util::Bytes> reply) {
+           run.on_open_reply(std::move(reply));
+         });
   }
 
-  void on_open_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
+  void on_open_reply(util::Result<util::Bytes> reply) {
     if (!reply.ok()) {
       if (util::is_retryable(reply.error().code))
         resume("open failed: " + reply.error().to_string());
@@ -344,328 +161,99 @@ class PullRun : public std::enable_shared_from_this<PullRun> {
         fail(reply.error());  // fallback decisions belong to the caller
       return;
     }
-    util::ByteReader r{reply.value()};
-    PullOpenReply open = PullOpenReply::decode(r);
-    if (open.inline_blob) {
-      stats_.inlined = true;
-      finish_with(std::move(open.blob));
-      return;
-    }
-    transfer_id_ = open.transfer_id;
-    if (!assembly_) {
-      assembly_.emplace(open.size, open.checksum, open.synthetic,
-                        open.chunk_bytes);
-      if (spec_.store != nullptr) assembly_->attach_store(spec_.store);
-    } else if (assembly_->size() != open.size ||
-               assembly_->checksum() != open.checksum ||
-               assembly_->chunk_bytes() != open.chunk_bytes) {
-      fail(make_error(ErrorCode::kFailedPrecondition,
-                      "file identity changed across a pull resume"));
-      return;
-    }
-    // The reply's digest manifest lets the local store satisfy warm
-    // chunks before anything is requested (re-checked on every resume:
-    // the store may have gained chunks since).
-    if (spec_.store != nullptr && !open.digests.empty())
-      stats_.deduped += assembly_->satisfy_from_store(open.digests);
-    queue_ = assembly_->bitmap().missing();
-    pos_ = 0;
-    inflight_ = 0;
-    if (assembly_->complete())
-      finish_assembled();
+    if (push_)
+      open_push(reply.value());
     else
-      pump();
+      open_pull(reply.value());
   }
 
-  void pump() {
-    while (pos_ < queue_.size() && inflight_ < window_limit())
-      send_chunk_request(queue_[pos_++]);
-  }
-
-  void send_chunk_request(std::uint64_t index) {
-    PullChunkRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.index = index;
-    ++inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(1);
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    std::size_t stream = next_stream_++ % transport_->streams();
-    transport_->call(stream, Op::kChunk, request.encode(),
-                     [self, gen, index](util::Result<util::Bytes> reply) {
-                       self->on_chunk_reply(gen, index, std::move(reply));
-                     });
-  }
-
-  void on_chunk_reply(std::uint64_t gen, std::uint64_t index,
-                      util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    --inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(-1);
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code))
-        resume("chunk fetch rejected: " + reply.error().to_string());
-      else if (util::is_retryable(reply.error().code))
-        retry_chunk(index);
-      else
-        fail(reply.error());
+  void open_push(const util::Bytes& body) {
+    auto open = decode_reply<BundleOpenReply>(body);
+    if (!open || open->files.size() != files_.size()) {
+      resume("malformed open reply");
       return;
     }
-    util::ByteReader r{reply.value()};
-    Chunk chunk = Chunk::decode(r);
-    util::Status accepted = assembly_->accept(chunk);
-    if (!accepted.ok()) {
-      // A corrupt chunk is indistinguishable from a transient transport
-      // fault at this layer: refetch it (bounded).
-      retry_chunk(index);
-      return;
-    }
-    ++stats_.chunks;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "pull");
-      m->counter("unicore_xfer_chunks_total", labels).increment();
-      m->counter("unicore_xfer_bytes_total", labels)
-          .add(static_cast<double>(chunk.length));
-    }
-    if (assembly_->complete() && inflight_ == 0)
-      finish_assembled();
-    else
-      pump();
-  }
-
-  void retry_chunk(std::uint64_t index) {
-    int attempt = ++chunk_attempts_[index];
-    if (attempt > options_.max_chunk_retries) {
-      resume("chunk retries exhausted");
-      return;
-    }
-    ++stats_.retransmits;
-    if (auto* m = mgr_.metrics())
-      m->counter("unicore_xfer_retransmits_total", site_labels(mgr_, "pull"))
-          .increment();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, attempt, mgr_.rng()),
-        [self, gen, index] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_chunk_request(index);
-        });
-  }
-
-  void resume(const std::string& why) {
-    if (++resume_attempts_ > options_.max_resume_attempts) {
-      fail(make_error(ErrorCode::kUnavailable,
-                      "pull abandoned after " +
-                          std::to_string(options_.max_resume_attempts) +
-                          " resumes; last cause: " + why));
-      return;
-    }
-    ++stats_.resumes;
-    if (auto* m = mgr_.metrics()) {
-      m->counter("unicore_xfer_resumes_total", site_labels(mgr_, "pull"))
-          .increment();
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(-static_cast<double>(inflight_));
-    }
-    ++generation_;
-    inflight_ = 0;
-    chunk_attempts_.clear();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, resume_attempts_, mgr_.rng()),
-        [self, gen] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_open();  // the local bitmap survives: only missing
-                              // chunks are re-requested
-        });
-  }
-
-  void finish_assembled() {
-    // Tell the source it can drop its outgoing handle. Best-effort: it
-    // also expires on idle, so the reply (or its loss) is irrelevant.
-    CloseRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    transport_->call(0, Op::kClose, request.encode(),
-                     [](util::Result<util::Bytes>) {});
-    util::Result<uspace::FileBlob> blob = assembly_->finish();
-    if (!blob.ok()) {
-      fail(blob.error());
-      return;
-    }
-    finish_with(std::move(blob).value());
-  }
-
-  void finish_with(uspace::FileBlob blob) {
-    stats_.bytes = blob.size();
-    stats_.finished_at = mgr_.engine().now();
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "pull");
-      m->gauge("unicore_xfer_active_transfers", labels).add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "pull"},
-                  {"result", "ok"}})
-          .increment();
-      m->histogram("unicore_xfer_transfer_seconds", labels,
-                   obs::latency_buckets())
-          .observe(sim::to_seconds(stats_.finished_at - stats_.started_at));
-    }
-    done_cb_(PullResult{std::move(blob), stats_});
-  }
-
-  void fail(util::Error error) {
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "pull"))
-          .add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "pull"},
-                  {"result", "error"}})
-          .increment();
-    }
-    done_cb_(std::move(error));
-  }
-
-  TransferManager& mgr_;
-  std::shared_ptr<ChunkTransport> transport_;
-  PullSpec spec_;
-  TransferOptions options_;
-  std::function<void(util::Result<PullResult>)> done_cb_;
-
-  std::uint64_t transfer_id_ = 0;
-  std::optional<Assembly> assembly_;
-  std::vector<std::uint64_t> queue_;
-  std::size_t pos_ = 0;
-  std::uint32_t inflight_ = 0;
-  std::size_t next_stream_ = 0;
-  std::map<std::uint64_t, int> chunk_attempts_;
-  int resume_attempts_ = 0;
-  std::uint64_t generation_ = 0;
-  bool finished_ = false;
-  TransferStats stats_;
-};
-
-// ---- bundle push -----------------------------------------------------------
-
-/// One (file index, chunk index) unit of bundle work.
-using BundleChunkId = std::pair<std::uint32_t, std::uint64_t>;
-
-class BundlePushRun : public std::enable_shared_from_this<BundlePushRun> {
- public:
-  BundlePushRun(TransferManager& mgr,
-                std::shared_ptr<ChunkTransport> transport, BundlePushSpec spec,
-                std::vector<BundleFile> files, TransferOptions options,
-                std::function<void(util::Result<BundleStats>)> done)
-      : mgr_(mgr),
-        transport_(std::move(transport)),
-        spec_(std::move(spec)),
-        files_(std::move(files)),
-        options_(options),
-        done_cb_(std::move(done)) {}
-
-  void start() {
-    stats_.started_at = mgr_.engine().now();
-    stats_.streams = transport_->streams();
-    stats_.files = files_.size();
-    stats_.bundles = 1;
-    for (const BundleFile& file : files_) stats_.bytes += file.blob->size();
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "push"))
-          .add(1);
-    // The entries (including every per-chunk digest) are computed once
-    // and reused across resumes — and they define the durable key.
-    entries_.reserve(files_.size());
-    for (const BundleFile& file : files_) {
-      BundleFileEntry entry;
-      entry.name = file.name;
-      entry.size = file.blob->size();
-      entry.checksum = file.blob->checksum();
-      entry.synthetic = file.blob->is_synthetic();
-      entry.digests = file.blob->chunk_digests(options_.chunk_bytes);
-      entries_.push_back(std::move(entry));
-    }
-    key_ = make_bundle_key(spec_.source, spec_.token, entries_);
-    send_open();
-  }
-
- private:
-  std::uint32_t window_limit() const {
-    auto window = static_cast<std::uint32_t>(transport_->streams()) *
-                  options_.window_per_stream;
-    return std::min(window, std::max<std::uint32_t>(credit_, 1));
-  }
-
-  void send_open() {
-    BundleOpenRequest request;
-    request.role = spec_.role;
-    request.key = key_;
-    request.token = spec_.token;
-    request.proposed_chunk_bytes = options_.chunk_bytes;
-    request.files = entries_;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kBundleOpen, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_open_reply(gen, std::move(reply));
-                     });
-  }
-
-  void on_open_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (util::is_retryable(reply.error().code))
-        resume("bundle open failed: " + reply.error().to_string());
-      else
-        fail(reply.error());  // incl. kFailedPrecondition from a v1 peer:
-                              // the per-file fallback belongs to the caller
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    BundleOpenReply open = BundleOpenReply::decode(r);
-    if (open.files.size() != files_.size()) {
-      fail(make_error(ErrorCode::kInternal,
-                      "bundle open reply file count mismatch"));
-      return;
-    }
-    transfer_id_ = open.transfer_id;
-    chunk_bytes_ = open.chunk_bytes;
-    credit_ = open.credit;
-    bool first_open = acked_.empty();
-    acked_.clear();
+    transfer_id_ = open->transfer_id;
+    chunk_bytes_ = open->chunk_bytes;
+    credit_ = open->credit;
     queue_.clear();
     for (std::uint32_t i = 0; i < files_.size(); ++i) {
       std::uint64_t total = chunk_count(files_[i].blob->size(), chunk_bytes_);
-      ChunkBitmap bitmap(total);
-      if (open.files[i].complete)
-        bitmap.apply({ChunkRange{0, total}});
+      ChunkBitmap acked(total);
+      // The receiver's journal is the truth.
+      if (open->files[i].complete)
+        acked.apply({ChunkRange{0, total}});
       else
-        bitmap.apply(open.files[i].have);  // receiver's journal is the truth
-      if (first_open) stats_.deduped += bitmap.count();
-      for (std::uint64_t index : bitmap.missing()) queue_.push_back({i, index});
-      acked_.push_back(std::move(bitmap));
+        acked.apply(open->files[i].have);
+      if (!opened_) stats_.deduped += acked.count();
+      for (std::uint64_t index : acked.missing()) queue_.push_back({i, index});
     }
-    pos_ = 0;
-    inflight_ = 0;
-    if (queue_.empty())
-      send_close();
-    else
-      pump();
+    opened_ = true;
+    run_window();
   }
 
-  bool all_acked() const {
-    for (const ChunkBitmap& bitmap : acked_)
-      if (!bitmap.complete()) return false;
-    return true;
+  void open_pull(const util::Bytes& body) {
+    auto open = decode_reply<BundlePullOpenReply>(body);
+    std::size_t files = !open               ? 0
+                        : open->inline_blob ? 1
+                                            : open->files.size();
+    if (!open || files != names_.size()) {
+      resume("malformed open reply");
+      return;
+    }
+    if (open->inline_blob) {
+      stats_.inlined = true;
+      stats_.bytes = open->inline_blob->size();
+      std::vector<uspace::FileBlob> blobs;
+      blobs.push_back(std::move(*open->inline_blob));
+      finish(std::move(blobs));
+      return;
+    }
+    transfer_id_ = open->transfer_id;
+    if (assemblies_.empty()) {
+      assemblies_.reserve(open->files.size());
+      for (const BundlePullFileInfo& info : open->files) {
+        Assembly assembly(info.size, info.checksum, info.synthetic,
+                          open->chunk_bytes);
+        if (store_ != nullptr) assembly.attach_store(store_);
+        assemblies_.push_back(std::move(assembly));
+        stats_.bytes += info.size;
+      }
+    } else {
+      for (std::size_t i = 0; i < open->files.size(); ++i) {
+        if (assemblies_[i].size() != open->files[i].size ||
+            assemblies_[i].checksum() != open->files[i].checksum ||
+            assemblies_[i].chunk_bytes() != open->chunk_bytes) {
+          fail(make_error(ErrorCode::kFailedPrecondition,
+                          "file identity changed across a pull resume"));
+          return;
+        }
+      }
+    }
+    queue_.clear();
+    for (std::uint32_t i = 0; i < assemblies_.size(); ++i) {
+      // The per-file manifests let the local store satisfy warm chunks
+      // before anything crosses the wire (re-checked on every resume:
+      // the store may have gained chunks since).
+      if (store_ != nullptr && !open->files[i].digests.empty() &&
+          !assemblies_[i].complete())
+        stats_.deduped +=
+            assemblies_[i].satisfy_from_store(open->files[i].digests);
+      for (std::uint64_t index : assemblies_[i].bitmap().missing())
+        queue_.push_back({i, index});
+    }
+    run_window();
+  }
+
+  /// Starts the credit loop over the open's missing chunks.
+  void run_window() {
+    pos_ = 0;
+    inflight_ = 0;
+    landed_ = 0;
+    if (queue_.empty())
+      complete();
+    else
+      pump();
   }
 
   void pump() {
@@ -673,67 +261,95 @@ class BundlePushRun : public std::enable_shared_from_this<BundlePushRun> {
       send_chunk(queue_[pos_++]);
   }
 
-  void send_chunk(BundleChunkId id) {
-    BundleChunkRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.file_index = id.first;
-    request.chunk = make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
+  void send_chunk(ChunkId id) {
+    util::Bytes body;
     ++inflight_;
-    ++stats_.chunks;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "push");
-      m->counter("unicore_xfer_chunks_total", labels).increment();
-      m->counter("unicore_xfer_bytes_total", labels)
-          .add(static_cast<double>(request.chunk.length));
-      m->gauge("unicore_xfer_inflight_chunks", labels).add(1);
+    auto* m = mgr_.metrics();
+    if (push_) {
+      BundleChunkRequest request;
+      request.role = role_;
+      request.transfer_id = transfer_id_;
+      request.file_index = id.first;
+      request.chunk =
+          make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
+      ++stats_.chunks;
+      if (m != nullptr) {
+        m->counter("unicore_xfer_chunks_total", labels()).increment();
+        m->counter("unicore_xfer_bytes_total", labels())
+            .add(static_cast<double>(request.chunk.length));
+      }
+      body = request.encode();
+    } else {
+      BundlePullChunkRequest request;
+      request.role = role_;
+      request.transfer_id = transfer_id_;
+      request.file_index = id.first;
+      request.index = id.second;
+      body = request.encode();
     }
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
+    if (m != nullptr) m->gauge("unicore_xfer_inflight_chunks", labels()).add(1);
     std::size_t stream = next_stream_++ % transport_->streams();
-    transport_->call(stream, Op::kChunk, request.encode(),
-                     [self, gen, id](util::Result<util::Bytes> reply) {
-                       self->on_chunk_reply(gen, id, std::move(reply));
-                     });
+    call(stream, Op::kChunk, std::move(body),
+         [id](Run& run, util::Result<util::Bytes> reply) {
+           run.on_chunk_reply(id, std::move(reply));
+         });
   }
 
-  void on_chunk_reply(std::uint64_t gen, BundleChunkId id,
-                      util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
+  void on_chunk_reply(ChunkId id, util::Result<util::Bytes> reply) {
     --inflight_;
     if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "push"))
-          .add(-1);
+      m->gauge("unicore_xfer_inflight_chunks", labels()).add(-1);
     if (!reply.ok()) {
       if (needs_resume(reply.error().code))
-        resume("bundle chunk rejected: " + reply.error().to_string());
+        resume("chunk rejected: " + reply.error().to_string());
       else if (util::is_retryable(reply.error().code))
         retry_chunk(id);
       else
         fail(reply.error());
       return;
     }
-    util::ByteReader r{reply.value()};
-    PushChunkReply ack = PushChunkReply::decode(r);
-    credit_ = ack.credit;
-    if (!ack.applied) ++stats_.duplicates;
-    acked_[id.first].set(id.second);
-    if (all_acked() && inflight_ == 0)
-      send_close();  // wait for stragglers: a post-close ack would 404
+    // A malformed ack, or a corrupt or malformed chunk, is
+    // indistinguishable from a transient transport fault at this
+    // layer: resend it (bounded).
+    if (push_) {
+      auto ack = decode_reply<BundleChunkReply>(reply.value());
+      if (!ack) {
+        retry_chunk(id);
+        return;
+      }
+      credit_ = ack->credit;
+      if (!ack->applied) ++stats_.duplicates;
+    } else {
+      auto chunk = decode_reply<Chunk>(reply.value());
+      if (!chunk || !assemblies_[id.first].accept(*chunk).ok()) {
+        retry_chunk(id);
+        return;
+      }
+      ++stats_.chunks;
+      if (auto* m = mgr_.metrics()) {
+        m->counter("unicore_xfer_chunks_total", labels()).increment();
+        m->counter("unicore_xfer_bytes_total", labels())
+            .add(static_cast<double>(chunk->length));
+      }
+    }
+    // Every queued chunk is in flight at most once per generation, so
+    // the last one landing means none is outstanding: a push's close
+    // never races a straggling ack (which would 404 after the close).
+    if (++landed_ == queue_.size())
+      complete();
     else
       pump();
   }
 
-  void retry_chunk(BundleChunkId id) {
+  void retry_chunk(ChunkId id) {
     int attempt = ++chunk_attempts_[id];
     if (attempt > options_.max_chunk_retries) {
-      resume("bundle chunk retries exhausted");
+      resume("chunk retries exhausted");
       return;
     }
     ++stats_.retransmits;
     if (auto* m = mgr_.metrics())
-      m->counter("unicore_xfer_retransmits_total", site_labels(mgr_, "push"))
-          .increment();
+      m->counter("unicore_xfer_retransmits_total", labels()).increment();
     auto self = shared_from_this();
     std::uint64_t gen = generation_;
     mgr_.engine().after(
@@ -747,16 +363,18 @@ class BundlePushRun : public std::enable_shared_from_this<BundlePushRun> {
   void resume(const std::string& why) {
     if (++resume_attempts_ > options_.max_resume_attempts) {
       fail(make_error(ErrorCode::kUnavailable,
-                      "bundle push abandoned after " +
+                      std::string(push_ ? "push" : "pull") +
+                          " abandoned after " +
                           std::to_string(options_.max_resume_attempts) +
                           " resumes; last cause: " + why));
       return;
     }
     ++stats_.resumes;
     if (auto* m = mgr_.metrics()) {
-      m->counter("unicore_xfer_resumes_total", site_labels(mgr_, "push"))
-          .increment();
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "push"))
+      m->counter("unicore_xfer_resumes_total", labels()).increment();
+      // Abandoned in-flight chunks never decrement the gauge themselves
+      // (their replies carry a stale generation), so settle it here.
+      m->gauge("unicore_xfer_inflight_chunks", labels())
           .add(-static_cast<double>(inflight_));
     }
     ++generation_;
@@ -768,558 +386,231 @@ class BundlePushRun : public std::enable_shared_from_this<BundlePushRun> {
         util::backoff_delay_us(options_.backoff, resume_attempts_, mgr_.rng()),
         [self, gen] {
           if (self->finished_ || gen != self->generation_) return;
-          self->send_open();  // re-open by durable key: the reply's
-                              // per-file have ranges restore the bitmaps
+          // Re-open by durable key: a push learns from the reply which
+          // chunks the receiver journaled; a pull's local assemblies
+          // survive, so only missing chunks are re-requested.
+          self->send_open();
         });
   }
 
-  void send_close() {
+  /// Every chunk is in place: a push commits with a close; a pull
+  /// releases the source's read and verifies its assemblies.
+  void complete() {
     BundleCloseRequest request;
-    request.role = spec_.role;
+    request.role = role_;
     request.transfer_id = transfer_id_;
-    request.key = key_;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kBundleClose, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_close_reply(gen, std::move(reply));
-                     });
-  }
-
-  void on_close_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code) ||
-          util::is_retryable(reply.error().code))
-        resume("bundle close failed: " + reply.error().to_string());
-      else
-        fail(reply.error());
+    if (push_) {
+      request.key = key_;
+      call(0, Op::kClose, request.encode(),
+           [](Run& run, util::Result<util::Bytes> reply) {
+             run.on_close_reply(std::move(reply));
+           });
       return;
     }
-    stats_.finished_at = mgr_.engine().now();
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "push");
-      m->gauge("unicore_xfer_active_transfers", labels).add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "push"},
-                  {"result", "ok"}})
-          .increment();
-      m->histogram("unicore_xfer_transfer_seconds", labels,
-                   obs::latency_buckets())
-          .observe(sim::to_seconds(stats_.finished_at - stats_.started_at));
-    }
-    done_cb_(stats_);
-  }
-
-  void fail(util::Error error) {
-    finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "push"))
-          .add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "push"},
-                  {"result", "error"}})
-          .increment();
-    }
-    done_cb_(std::move(error));
-  }
-
-  TransferManager& mgr_;
-  std::shared_ptr<ChunkTransport> transport_;
-  BundlePushSpec spec_;
-  std::vector<BundleFile> files_;
-  TransferOptions options_;
-  std::function<void(util::Result<BundleStats>)> done_cb_;
-
-  util::Bytes key_;
-  std::vector<BundleFileEntry> entries_;  // cached across resumes
-  std::uint64_t transfer_id_ = 0;
-  std::uint32_t chunk_bytes_ = kDefaultChunkBytes;
-  std::uint32_t credit_ = 1;
-  std::vector<ChunkBitmap> acked_;  // aligned with files_
-  std::vector<BundleChunkId> queue_;
-  std::size_t pos_ = 0;
-  std::uint32_t inflight_ = 0;
-  std::size_t next_stream_ = 0;
-  std::map<BundleChunkId, int> chunk_attempts_;
-  int resume_attempts_ = 0;
-  std::uint64_t generation_ = 0;
-  bool finished_ = false;
-  BundleStats stats_;
-};
-
-// ---- bundle pull -----------------------------------------------------------
-
-class BundlePullRun : public std::enable_shared_from_this<BundlePullRun> {
- public:
-  BundlePullRun(TransferManager& mgr,
-                std::shared_ptr<ChunkTransport> transport, BundlePullSpec spec,
-                TransferOptions options,
-                std::function<void(util::Result<BundlePullResult>)> done)
-      : mgr_(mgr),
-        transport_(std::move(transport)),
-        spec_(std::move(spec)),
-        options_(options),
-        done_cb_(std::move(done)) {}
-
-  void start() {
-    stats_.started_at = mgr_.engine().now();
-    stats_.streams = transport_->streams();
-    stats_.files = spec_.names.size();
-    stats_.bundles = 1;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "pull"))
-          .add(1);
-    send_open();
-  }
-
- private:
-  std::uint32_t window_limit() const {
-    return static_cast<std::uint32_t>(transport_->streams()) *
-           options_.window_per_stream;
-  }
-
-  void send_open() {
-    BundlePullOpenRequest request;
-    request.role = spec_.role;
-    request.token = spec_.token;
-    request.proposed_chunk_bytes = options_.chunk_bytes;
-    request.names = spec_.names;
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    transport_->call(0, Op::kBundleOpen, request.encode(),
-                     [self, gen](util::Result<util::Bytes> reply) {
-                       self->on_open_reply(gen, std::move(reply));
-                     });
-  }
-
-  void on_open_reply(std::uint64_t gen, util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    if (!reply.ok()) {
-      if (util::is_retryable(reply.error().code))
-        resume("bundle open failed: " + reply.error().to_string());
-      else
-        fail(reply.error());
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    BundlePullOpenReply open = BundlePullOpenReply::decode(r);
-    if (open.files.size() != spec_.names.size()) {
-      fail(make_error(ErrorCode::kInternal,
-                      "bundle open reply file count mismatch"));
-      return;
-    }
-    transfer_id_ = open.transfer_id;
-    if (assemblies_.empty()) {
-      assemblies_.reserve(open.files.size());
-      for (const BundlePullFileInfo& info : open.files) {
-        Assembly assembly(info.size, info.checksum, info.synthetic,
-                          open.chunk_bytes);
-        if (spec_.store != nullptr) assembly.attach_store(spec_.store);
-        assemblies_.push_back(std::move(assembly));
-        stats_.bytes += info.size;
-      }
-    } else {
-      for (std::size_t i = 0; i < open.files.size(); ++i) {
-        if (assemblies_[i].size() != open.files[i].size ||
-            assemblies_[i].checksum() != open.files[i].checksum ||
-            assemblies_[i].chunk_bytes() != open.chunk_bytes) {
-          fail(make_error(ErrorCode::kFailedPrecondition,
-                          "file identity changed across a pull resume"));
-          return;
-        }
-      }
-    }
-    queue_.clear();
-    for (std::uint32_t i = 0; i < assemblies_.size(); ++i) {
-      // The per-file manifests let the local store satisfy warm chunks
-      // before anything crosses the wire — the pull-path dedup the
-      // single-file path only gained via PullOpenReply::digests.
-      if (spec_.store != nullptr && !open.files[i].digests.empty() &&
-          !assemblies_[i].complete())
-        stats_.deduped += assemblies_[i].satisfy_from_store(
-            open.files[i].digests);
-      for (std::uint64_t index : assemblies_[i].bitmap().missing())
-        queue_.push_back({i, index});
-    }
-    pos_ = 0;
-    inflight_ = 0;
-    if (queue_.empty())
-      finish_assembled();
-    else
-      pump();
-  }
-
-  bool all_complete() const {
-    for (const Assembly& assembly : assemblies_)
-      if (!assembly.complete()) return false;
-    return true;
-  }
-
-  void pump() {
-    while (pos_ < queue_.size() && inflight_ < window_limit())
-      send_chunk_request(queue_[pos_++]);
-  }
-
-  void send_chunk_request(BundleChunkId id) {
-    BundlePullChunkRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    request.file_index = id.first;
-    request.index = id.second;
-    ++inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(1);
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    std::size_t stream = next_stream_++ % transport_->streams();
-    transport_->call(stream, Op::kChunk, request.encode(),
-                     [self, gen, id](util::Result<util::Bytes> reply) {
-                       self->on_chunk_reply(gen, id, std::move(reply));
-                     });
-  }
-
-  void on_chunk_reply(std::uint64_t gen, BundleChunkId id,
-                      util::Result<util::Bytes> reply) {
-    if (finished_ || gen != generation_) return;
-    --inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(-1);
-    if (!reply.ok()) {
-      if (needs_resume(reply.error().code))
-        resume("bundle chunk fetch rejected: " + reply.error().to_string());
-      else if (util::is_retryable(reply.error().code))
-        retry_chunk(id);
-      else
-        fail(reply.error());
-      return;
-    }
-    util::ByteReader r{reply.value()};
-    Chunk chunk = Chunk::decode(r);
-    util::Status accepted = assemblies_[id.first].accept(chunk);
-    if (!accepted.ok()) {
-      retry_chunk(id);  // corrupt ≈ transient at this layer (bounded)
-      return;
-    }
-    ++stats_.chunks;
-    if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "pull");
-      m->counter("unicore_xfer_chunks_total", labels).increment();
-      m->counter("unicore_xfer_bytes_total", labels)
-          .add(static_cast<double>(chunk.length));
-    }
-    if (all_complete() && inflight_ == 0)
-      finish_assembled();
-    else
-      pump();
-  }
-
-  void retry_chunk(BundleChunkId id) {
-    int attempt = ++chunk_attempts_[id];
-    if (attempt > options_.max_chunk_retries) {
-      resume("bundle chunk retries exhausted");
-      return;
-    }
-    ++stats_.retransmits;
-    if (auto* m = mgr_.metrics())
-      m->counter("unicore_xfer_retransmits_total", site_labels(mgr_, "pull"))
-          .increment();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, attempt, mgr_.rng()),
-        [self, gen, id] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_chunk_request(id);
-        });
-  }
-
-  void resume(const std::string& why) {
-    if (++resume_attempts_ > options_.max_resume_attempts) {
-      fail(make_error(ErrorCode::kUnavailable,
-                      "bundle pull abandoned after " +
-                          std::to_string(options_.max_resume_attempts) +
-                          " resumes; last cause: " + why));
-      return;
-    }
-    ++stats_.resumes;
-    if (auto* m = mgr_.metrics()) {
-      m->counter("unicore_xfer_resumes_total", site_labels(mgr_, "pull"))
-          .increment();
-      m->gauge("unicore_xfer_inflight_chunks", site_labels(mgr_, "pull"))
-          .add(-static_cast<double>(inflight_));
-    }
-    ++generation_;
-    inflight_ = 0;
-    chunk_attempts_.clear();
-    auto self = shared_from_this();
-    std::uint64_t gen = generation_;
-    mgr_.engine().after(
-        util::backoff_delay_us(options_.backoff, resume_attempts_, mgr_.rng()),
-        [self, gen] {
-          if (self->finished_ || gen != self->generation_) return;
-          self->send_open();  // local bitmaps survive: only missing
-                              // chunks are re-requested
-        });
-  }
-
-  void finish_assembled() {
-    // Best-effort release of the source's outgoing handle (also expires
-    // on idle).
-    BundleCloseRequest request;
-    request.role = spec_.role;
-    request.transfer_id = transfer_id_;
-    transport_->call(0, Op::kBundleClose, request.encode(),
+    // Best-effort: the source's read also expires on idle, so the
+    // reply (or its loss) is irrelevant.
+    transport_->call(0, Op::kClose, request.encode(),
                      [](util::Result<util::Bytes>) {});
-    BundlePullResult result;
-    result.blobs.reserve(assemblies_.size());
+    std::vector<uspace::FileBlob> blobs;
+    blobs.reserve(assemblies_.size());
     for (Assembly& assembly : assemblies_) {
       util::Result<uspace::FileBlob> blob = assembly.finish();
       if (!blob.ok()) {
         fail(blob.error());
         return;
       }
-      result.blobs.push_back(std::move(blob).value());
+      blobs.push_back(std::move(blob).value());
     }
+    finish(std::move(blobs));
+  }
+
+  void on_close_reply(util::Result<util::Bytes> reply) {
+    if (!reply.ok()) {
+      if (needs_resume(reply.error().code) ||
+          util::is_retryable(reply.error().code))
+        resume("close failed: " + reply.error().to_string());
+      else
+        fail(reply.error());
+      return;
+    }
+    finish({});
+  }
+
+  void finish(std::vector<uspace::FileBlob> blobs) {
     stats_.finished_at = mgr_.engine().now();
     finished_ = true;
     if (auto* m = mgr_.metrics()) {
-      auto labels = site_labels(mgr_, "pull");
-      m->gauge("unicore_xfer_active_transfers", labels).add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "pull"},
-                  {"result", "ok"}})
-          .increment();
-      m->histogram("unicore_xfer_transfer_seconds", labels,
+      m->gauge("unicore_xfer_active_transfers", labels()).add(-1);
+      count_result(*m, "ok");
+      m->histogram("unicore_xfer_transfer_seconds", labels(),
                    obs::latency_buckets())
           .observe(sim::to_seconds(stats_.finished_at - stats_.started_at));
     }
-    result.stats = stats_;
-    done_cb_(std::move(result));
+    done_cb_(PullResult{std::move(blobs), stats_});
   }
 
   void fail(util::Error error) {
     finished_ = true;
     if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", site_labels(mgr_, "pull"))
-          .add(-1);
-      m->counter("unicore_xfer_transfers_total",
-                 {{"usite", mgr_.site()},
-                  {"direction", "pull"},
-                  {"result", "error"}})
-          .increment();
+      m->gauge("unicore_xfer_active_transfers", labels()).add(-1);
+      count_result(*m, "error");
     }
     done_cb_(std::move(error));
   }
 
+  void count_result(obs::MetricsRegistry& m, const char* result) const {
+    obs::Labels labels = this->labels();
+    labels.emplace_back("result", result);
+    m.counter("unicore_xfer_transfers_total", labels).increment();
+  }
+
   TransferManager& mgr_;
   std::shared_ptr<ChunkTransport> transport_;
-  BundlePullSpec spec_;
+  Role role_;
+  bool push_;
+  ajo::JobToken token_;
   TransferOptions options_;
-  std::function<void(util::Result<BundlePullResult>)> done_cb_;
+  Finish done_cb_;
+
+  // Push: the files, their open-time entries (cached across resumes),
+  // and the durable key they define.
+  std::string source_;
+  std::vector<BundleFile> files_;
+  std::vector<BundleFileEntry> entries_;
+  util::Bytes key_;
+  std::uint32_t chunk_bytes_ = kDefaultChunkBytes;
+  bool opened_ = false;
+  // Pull: the names and their assemblies (which survive resumes).
+  std::vector<std::string> names_;
+  std::shared_ptr<store::ChunkStore> store_;
+  std::vector<Assembly> assemblies_;
 
   std::uint64_t transfer_id_ = 0;
-  std::vector<Assembly> assemblies_;  // survive resumes
-  std::vector<BundleChunkId> queue_;
-  std::size_t pos_ = 0;
+  std::uint32_t credit_ = std::numeric_limits<std::uint32_t>::max();
+  std::vector<ChunkId> queue_;  // the open's missing chunks
+  std::size_t pos_ = 0;         // next queue_ entry to send
+  std::size_t landed_ = 0;      // queue_ entries acked / accepted
   std::uint32_t inflight_ = 0;
   std::size_t next_stream_ = 0;
-  std::map<BundleChunkId, int> chunk_attempts_;
+  std::map<ChunkId, int> chunk_attempts_;
   int resume_attempts_ = 0;
   std::uint64_t generation_ = 0;
   bool finished_ = false;
-  BundleStats stats_;
+  TransferStats stats_;
 };
 
-void merge_bundle_stats(BundleStats& into, const BundleStats& slice) {
-  into.files += slice.files;
-  into.bytes += slice.bytes;
-  into.chunks += slice.chunks;
-  into.deduped += slice.deduped;
-  into.duplicates += slice.duplicates;
-  into.retransmits += slice.retransmits;
-  into.resumes += slice.resumes;
-  into.bundles += slice.bundles;
-  into.streams = std::max(into.streams, slice.streams);
-  into.finished_at = slice.finished_at;
+void merge(PullResult& total, PullResult slice) {
+  TransferStats& into = total.stats;
+  const TransferStats& stats = slice.stats;
+  if (into.bundles == 0) into.started_at = stats.started_at;
+  into.files += stats.files;
+  into.bytes += stats.bytes;
+  into.chunks += stats.chunks;
+  into.deduped += stats.deduped;
+  into.duplicates += stats.duplicates;
+  into.retransmits += stats.retransmits;
+  into.resumes += stats.resumes;
+  into.bundles += stats.bundles;
+  into.streams = std::max(into.streams, stats.streams);
+  into.inlined = into.inlined || stats.inlined;
+  into.finished_at = stats.finished_at;
+  for (uspace::FileBlob& blob : slice.blobs)
+    total.blobs.push_back(std::move(blob));
 }
+
+/// Runs `count` files as sequential wire bundles of at most
+/// kMaxBundleFiles — each reuses the transport's streams at full window
+/// instead of competing — and aggregates their results.
+/// `start(first, n, finish)` launches the bundle over [first, first + n).
+class Slices : public std::enable_shared_from_this<Slices> {
+ public:
+  using Start = std::function<void(std::size_t, std::size_t, Finish)>;
+
+  Slices(std::size_t count, Start start, Finish done)
+      : count_(count), start_(std::move(start)), done_(std::move(done)) {}
+
+  void advance() {
+    std::size_t first = next_;
+    std::size_t n = std::min<std::size_t>(count_ - first, kMaxBundleFiles);
+    next_ += n;
+    start_(first, n, [self = shared_from_this()](
+                         util::Result<PullResult> slice) {
+      if (!slice.ok()) {
+        self->done_(slice.error());
+        return;
+      }
+      merge(self->total_, std::move(slice).value());
+      if (self->next_ < self->count_)
+        self->advance();
+      else
+        self->done_(std::move(self->total_));
+    });
+  }
+
+ private:
+  std::size_t count_;
+  Start start_;
+  Finish done_;
+  std::size_t next_ = 0;
+  PullResult total_;
+};
 
 }  // namespace
 
 void TransferManager::push(
     std::shared_ptr<ChunkTransport> transport, const PushSpec& spec,
-    std::shared_ptr<const uspace::FileBlob> blob,
-    const TransferOptions& options,
+    std::vector<BundleFile> files, const TransferOptions& options,
     std::function<void(util::Result<TransferStats>)> done) {
-  auto run = std::make_shared<PushRun>(*this, std::move(transport), spec,
-                                       std::move(blob), options,
-                                       std::move(done));
-  run->start();
-}
-
-void TransferManager::pull(std::shared_ptr<ChunkTransport> transport,
-                           const PullSpec& spec, const TransferOptions& options,
-                           std::function<void(util::Result<PullResult>)> done) {
-  auto run = std::make_shared<PullRun>(*this, std::move(transport), spec,
-                                       options, std::move(done));
-  run->start();
-}
-
-void TransferManager::push_bundle(
-    std::shared_ptr<ChunkTransport> transport, const BundlePushSpec& spec,
-    std::vector<BundleFile> files, const TransferOptions& options,
-    std::function<void(util::Result<BundleStats>)> done) {
   if (files.empty()) {
-    done(make_error(ErrorCode::kInvalidArgument, "bundle push with no files"));
-    return;
-  }
-  if (files.size() > kMaxBundleFiles) {
-    done(make_error(ErrorCode::kInvalidArgument,
-                    "bundle exceeds " + std::to_string(kMaxBundleFiles) +
-                        " files; use push_tree"));
-    return;
-  }
-  auto run = std::make_shared<BundlePushRun>(*this, std::move(transport), spec,
-                                             std::move(files), options,
-                                             std::move(done));
-  run->start();
-}
-
-void TransferManager::push_tree(
-    std::shared_ptr<ChunkTransport> transport, const BundlePushSpec& spec,
-    std::vector<BundleFile> files, const TransferOptions& options,
-    std::function<void(util::Result<BundleStats>)> done) {
-  if (files.empty()) {
-    BundleStats stats;
+    TransferStats stats;
     stats.started_at = engine_.now();
     stats.finished_at = stats.started_at;
     done(stats);
     return;
   }
-  // Shared driver state: slices run sequentially so each reuses the
-  // transport's streams at full window instead of competing.
-  struct Tree {
-    TransferManager* mgr;
-    std::shared_ptr<ChunkTransport> transport;
-    BundlePushSpec spec;
-    std::vector<BundleFile> files;
-    TransferOptions options;
-    std::function<void(util::Result<BundleStats>)> done;
-    std::size_t next = 0;
-    BundleStats total;
-    void advance(std::shared_ptr<Tree> self) {
-      std::size_t count =
-          std::min<std::size_t>(files.size() - next, kMaxBundleFiles);
-      std::vector<BundleFile> slice(
-          std::make_move_iterator(files.begin() + next),
-          std::make_move_iterator(files.begin() + next + count));
-      next += count;
-      mgr->push_bundle(transport, spec, std::move(slice), options,
-                       [self](util::Result<BundleStats> result) {
-                         if (!result.ok()) {
-                           self->done(result.error());
-                           return;
-                         }
-                         if (self->total.files == 0)
-                           self->total.started_at =
-                               result.value().started_at;
-                         merge_bundle_stats(self->total, result.value());
-                         if (self->next < self->files.size())
-                           self->advance(self);
-                         else
-                           self->done(self->total);
-                       });
-    }
-  };
-  auto tree = std::make_shared<Tree>();
-  tree->mgr = this;
-  tree->transport = std::move(transport);
-  tree->spec = spec;
-  tree->files = std::move(files);
-  tree->options = options;
-  tree->done = std::move(done);
-  tree->advance(tree);
+  auto all = std::make_shared<std::vector<BundleFile>>(std::move(files));
+  auto slices = std::make_shared<Slices>(
+      all->size(),
+      [this, transport = std::move(transport), spec, all, options](
+          std::size_t first, std::size_t n, Finish finish) {
+        std::vector<BundleFile> slice(
+            std::make_move_iterator(all->begin() + first),
+            std::make_move_iterator(all->begin() + first + n));
+        std::make_shared<Run>(*this, transport, spec, std::move(slice),
+                              options, std::move(finish))
+            ->start();
+      },
+      [done = std::move(done)](util::Result<PullResult> result) {
+        if (!result.ok())
+          done(result.error());
+        else
+          done(result.value().stats);
+      });
+  slices->advance();
 }
 
-void TransferManager::pull_bundle(
-    std::shared_ptr<ChunkTransport> transport, const BundlePullSpec& spec,
-    const TransferOptions& options,
-    std::function<void(util::Result<BundlePullResult>)> done) {
+void TransferManager::pull(std::shared_ptr<ChunkTransport> transport,
+                           const PullSpec& spec, const TransferOptions& options,
+                           std::function<void(util::Result<PullResult>)> done) {
   if (spec.names.empty()) {
-    done(make_error(ErrorCode::kInvalidArgument, "bundle pull with no files"));
-    return;
-  }
-  if (spec.names.size() > kMaxBundleFiles) {
-    done(make_error(ErrorCode::kInvalidArgument,
-                    "bundle exceeds " + std::to_string(kMaxBundleFiles) +
-                        " files; use pull_tree"));
-    return;
-  }
-  auto run = std::make_shared<BundlePullRun>(*this, std::move(transport), spec,
-                                             options, std::move(done));
-  run->start();
-}
-
-void TransferManager::pull_tree(
-    std::shared_ptr<ChunkTransport> transport, const BundlePullSpec& spec,
-    const TransferOptions& options,
-    std::function<void(util::Result<BundlePullResult>)> done) {
-  if (spec.names.empty()) {
-    BundlePullResult result;
+    PullResult result;
     result.stats.started_at = engine_.now();
     result.stats.finished_at = result.stats.started_at;
     done(std::move(result));
     return;
   }
-  struct Tree {
-    TransferManager* mgr;
-    std::shared_ptr<ChunkTransport> transport;
-    BundlePullSpec spec;  // names consumed slice by slice
-    std::vector<std::string> names;
-    TransferOptions options;
-    std::function<void(util::Result<BundlePullResult>)> done;
-    std::size_t next = 0;
-    BundlePullResult total;
-    void advance(std::shared_ptr<Tree> self) {
-      std::size_t count =
-          std::min<std::size_t>(names.size() - next, kMaxBundleFiles);
-      BundlePullSpec slice = spec;
-      slice.names.assign(names.begin() + next, names.begin() + next + count);
-      next += count;
-      mgr->pull_bundle(transport, slice, options,
-                       [self](util::Result<BundlePullResult> result) {
-                         if (!result.ok()) {
-                           self->done(result.error());
-                           return;
-                         }
-                         BundlePullResult& got = result.value();
-                         if (self->total.stats.files == 0)
-                           self->total.stats.started_at =
-                               got.stats.started_at;
-                         merge_bundle_stats(self->total.stats, got.stats);
-                         for (auto& blob : got.blobs)
-                           self->total.blobs.push_back(std::move(blob));
-                         if (self->next < self->names.size())
-                           self->advance(self);
-                         else
-                           self->done(std::move(self->total));
-                       });
-    }
-  };
-  auto tree = std::make_shared<Tree>();
-  tree->mgr = this;
-  tree->transport = std::move(transport);
-  tree->spec = spec;
-  tree->names = spec.names;
-  tree->options = options;
-  tree->done = std::move(done);
-  tree->advance(tree);
+  auto slices = std::make_shared<Slices>(
+      spec.names.size(),
+      [this, transport = std::move(transport), spec, options](
+          std::size_t first, std::size_t n, Finish finish) {
+        std::vector<std::string> names(spec.names.begin() + first,
+                                       spec.names.begin() + first + n);
+        std::make_shared<Run>(*this, transport, spec, std::move(names),
+                              options, std::move(finish))
+            ->start();
+      },
+      std::move(done));
+  slices->advance();
 }
 
 }  // namespace unicore::xfer

@@ -1,14 +1,15 @@
 // The sender/receiver-driver half of the chunked transfer engine: a
-// TransferManager that pushes a FileBlob to a remote Uspace, or pulls
-// one out of it, as independently acknowledged chunks striped over
-// parallel streams.
+// TransferManager that pushes files into a remote Uspace, or pulls
+// them out of it, as independently acknowledged chunks striped over
+// parallel streams. Every transfer is a bundle: one open covers up to
+// kMaxBundleFiles files (a single file is a bundle of one), larger
+// trees run as sequential bundles.
 //
 // The engine sits below the server layer, so it talks through an
 // abstract ChunkTransport: stream s, operation op, opaque body. The
-// server binds streams to parallel secure channels (one connection per
-// stream ≈ one bandwidth lane in the simulated network — this is where
-// the paper's single-message transfer rate ceiling (§5.6) is broken);
-// tests bind them to an in-process loopback.
+// server binds streams to parallel secure channels, which share the
+// link between the two gateways but keep a window of chunks in flight
+// on each; tests bind them to an in-process loopback.
 //
 // Failure handling has two tiers. A failed chunk is retransmitted on
 // its own (bounded retries with backoff); a failure that outlives
@@ -16,12 +17,13 @@
 // transfer id — triggers a *resume*: re-open by durable key, learn
 // which chunks the receiver already journaled, and send only the rest.
 // Acknowledgements from before a resume carry a stale generation and
-// are ignored.
+// are ignored. A reply body that does not decode counts as a failed
+// chunk (or, for an open, a failed open): it never throws into the
+// transport's callback.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,91 +58,56 @@ struct TransferOptions {
   int max_resume_attempts = 5;          // open/resume ladder
   int max_chunk_retries = 3;            // per-chunk retransmits before resume
   util::BackoffPolicy backoff;          // between resumes / retransmits
-  /// Pull only: ask the source to inline files at or below this size in
-  /// the open reply (single round trip, no chunk traffic).
+  /// Pull only: ask the source to inline a lone file at or below this
+  /// size in the open reply (single round trip, no chunk traffic).
   std::uint32_t pull_inline_limit = 256 * 1024;
 };
 
-/// What one finished transfer did, for benches and metrics.
+/// What one transfer (one or more wire bundles) did, for benches and
+/// metrics.
 struct TransferStats {
-  std::uint64_t bytes = 0;           // file size
-  std::uint64_t chunks = 0;          // chunks moved this run (not resumed-over)
-  std::uint64_t retransmits = 0;     // chunk-level retries
-  std::uint64_t duplicates = 0;      // chunks the receiver already had
-  std::uint64_t deduped = 0;         // pull: chunks satisfied from the local
-                                     // store via the open reply's manifest
-  std::uint64_t resumes = 0;         // re-opens after failure
-  std::uint64_t streams = 0;         // lanes actually used
-  bool inlined = false;              // pull satisfied in the open reply
+  std::uint64_t files = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t chunks = 0;       // chunks moved this run (not resumed-over)
+  std::uint64_t deduped = 0;      // chunks the open round trip settled
+  std::uint64_t duplicates = 0;   // chunks the receiver already had
+  std::uint64_t retransmits = 0;  // chunk-level retries
+  std::uint64_t resumes = 0;      // re-opens after failure
+  std::uint64_t bundles = 0;      // wire bundles (large trees slice)
+  std::uint64_t streams = 0;      // lanes available
+  bool inlined = false;           // pull answered inside the open reply
   sim::Time started_at = 0;
   sim::Time finished_at = 0;
 };
 
-/// Identity of a push: where the file goes and where it comes from
-/// (the source label keys the durable transfer key, so the same file
-/// re-pushed from the same site resumes instead of restarting).
-struct PushSpec {
-  std::string source;  // sending Usite name (or "client")
-  ajo::JobToken token = 0;
+/// One file of a push.
+struct BundleFile {
   std::string name;
+  std::shared_ptr<const uspace::FileBlob> blob;
+};
+
+/// Where a push goes and where it comes from. The source label and the
+/// files key the durable bundle key, so the same files re-pushed from
+/// the same site resume (or hit the commit tombstone) instead of
+/// restarting.
+struct PushSpec {
+  std::string source;  // sending Usite name (or "client:<cn>")
+  ajo::JobToken token = 0;
   Role role = Role::kPush;  // kPush (NJS–NJS) or kClientPush (staging)
 };
 
 struct PullSpec {
   Role role = Role::kPeerPull;  // kPeerPull or kClientPull
   ajo::JobToken token = 0;
-  std::string name;
+  std::vector<std::string> names;
   /// Optional local chunk store: chunks the open reply's digest
-  /// manifest says we already hold are satisfied without a request
-  /// (the pull-path mirror of the push-open dedup).
+  /// manifests say we already hold are satisfied without a request.
   std::shared_ptr<store::ChunkStore> store;
 };
 
 struct PullResult {
-  uspace::FileBlob blob;
-  TransferStats stats;
-};
-
-// ---- bundles ---------------------------------------------------------------
-
-/// One file of a bundle push.
-struct BundleFile {
-  std::string name;
-  std::shared_ptr<const uspace::FileBlob> blob;
-};
-
-struct BundlePushSpec {
-  std::string source;  // sending Usite name (or "client")
-  ajo::JobToken token = 0;
-  Role role = Role::kPush;  // kPush or kClientPush
-};
-
-struct BundlePullSpec {
-  Role role = Role::kPeerPull;  // kPeerPull or kClientPull
-  ajo::JobToken token = 0;
-  std::vector<std::string> names;
-  /// Optional local chunk store, as in PullSpec.
-  std::shared_ptr<store::ChunkStore> store;
-};
-
-/// What a bundle transfer (one or more wire bundles) did.
-struct BundleStats {
-  std::uint64_t files = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t chunks = 0;       // chunks moved this run
-  std::uint64_t deduped = 0;      // chunks the open round trip settled
-  std::uint64_t duplicates = 0;   // chunks the receiver already had
-  std::uint64_t retransmits = 0;
-  std::uint64_t resumes = 0;
-  std::uint64_t bundles = 0;      // wire bundles (tree calls may slice)
-  std::uint64_t streams = 0;
-  sim::Time started_at = 0;
-  sim::Time finished_at = 0;
-};
-
-struct BundlePullResult {
   std::vector<uspace::FileBlob> blobs;  // aligned with spec.names
-  BundleStats stats;
+  TransferStats stats;
 };
 
 /// Drives pushes and pulls. One manager per endpoint (Usite server or
@@ -162,45 +129,23 @@ class TransferManager {
   sim::Engine& engine() const { return engine_; }
   util::Rng& rng() const { return rng_; }
 
-  /// Streams `blob` into job `spec.token`'s Uspace on the peer behind
-  /// `transport`. The callback fires exactly once.
+  /// Streams `files` into job `spec.token`'s Uspace on the peer behind
+  /// `transport`: per bundle of up to kMaxBundleFiles files, one open
+  /// whose reply dedups the whole batch, interleaved chunks sharing one
+  /// credit window, and one close. The stats aggregate every bundle;
+  /// the callback fires exactly once.
   void push(std::shared_ptr<ChunkTransport> transport, const PushSpec& spec,
-            std::shared_ptr<const uspace::FileBlob> blob,
-            const TransferOptions& options,
+            std::vector<BundleFile> files, const TransferOptions& options,
             std::function<void(util::Result<TransferStats>)> done);
 
-  /// Fetches `spec.name` from job `spec.token`'s Uspace on the peer.
+  /// Fetches `spec.names` from job `spec.token`'s Uspace on the peer,
+  /// per bundle of up to kMaxBundleFiles names. The open reply's
+  /// per-file digest manifests let `spec.store` satisfy warm chunks
+  /// locally; a lone small file comes back inside the open reply. The
+  /// callback fires exactly once.
   void pull(std::shared_ptr<ChunkTransport> transport, const PullSpec& spec,
             const TransferOptions& options,
             std::function<void(util::Result<PullResult>)> done);
-
-  /// Streams up to kMaxBundleFiles files in ONE bundle: one open whose
-  /// reply dedups the whole batch, interleaved chunks sharing one
-  /// credit window, one close. Fails with kInvalidArgument above the
-  /// cap — use push_tree for arbitrary counts.
-  void push_bundle(std::shared_ptr<ChunkTransport> transport,
-                   const BundlePushSpec& spec, std::vector<BundleFile> files,
-                   const TransferOptions& options,
-                   std::function<void(util::Result<BundleStats>)> done);
-
-  /// Pushes any number of files, slicing them into sequential bundles
-  /// of kMaxBundleFiles; the returned stats aggregate all slices.
-  void push_tree(std::shared_ptr<ChunkTransport> transport,
-                 const BundlePushSpec& spec, std::vector<BundleFile> files,
-                 const TransferOptions& options,
-                 std::function<void(util::Result<BundleStats>)> done);
-
-  /// Fetches up to kMaxBundleFiles files in one bundle; the open
-  /// reply's per-file digest manifests let `spec.store` satisfy warm
-  /// chunks locally before anything is requested.
-  void pull_bundle(std::shared_ptr<ChunkTransport> transport,
-                   const BundlePullSpec& spec, const TransferOptions& options,
-                   std::function<void(util::Result<BundlePullResult>)> done);
-
-  /// Fetches any number of files, slicing into sequential bundles.
-  void pull_tree(std::shared_ptr<ChunkTransport> transport,
-                 const BundlePullSpec& spec, const TransferOptions& options,
-                 std::function<void(util::Result<BundlePullResult>)> done);
 
  private:
   sim::Engine& engine_;

@@ -1,6 +1,7 @@
 #include "xfer/wire.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "crypto/chunk_digest.h"
 
@@ -17,6 +18,29 @@ crypto::Digest read_digest(ByteReader& r) {
   crypto::Digest digest;
   std::copy(raw.begin(), raw.end(), digest.begin());
   return digest;
+}
+
+/// Reads an element count. Every element takes at least one byte, so a
+/// count beyond the remaining input is malformed — rejected before it
+/// can size an allocation.
+std::uint64_t read_count(ByteReader& r) {
+  std::uint64_t n = r.varint();
+  if (n > r.remaining())
+    throw std::out_of_range("xfer: element count exceeds input");
+  return n;
+}
+
+void write_digests(ByteWriter& w, const std::vector<crypto::Digest>& digests) {
+  w.varint(digests.size());
+  for (const crypto::Digest& digest : digests) w.raw(digest);
+}
+
+std::vector<crypto::Digest> read_digests(ByteReader& r) {
+  std::uint64_t n = read_count(r);
+  std::vector<crypto::Digest> digests;
+  digests.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) digests.push_back(read_digest(r));
+  return digests;
 }
 
 }  // namespace
@@ -82,19 +106,6 @@ Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
   return chunk;
 }
 
-Bytes make_transfer_key(const std::string& source_usite, ajo::JobToken token,
-                        const std::string& name,
-                        const crypto::Digest& checksum, std::uint64_t size) {
-  ByteWriter w;
-  w.str("unicore-xfer-key");
-  w.str(source_usite);
-  w.u64(token);
-  w.str(name);
-  w.raw(checksum);
-  w.u64(size);
-  return crypto::digest_bytes(crypto::sha256(w.bytes()));
-}
-
 void encode_ranges(ByteWriter& w, const std::vector<ChunkRange>& ranges) {
   w.varint(ranges.size());
   for (const ChunkRange& range : ranges) {
@@ -104,7 +115,7 @@ void encode_ranges(ByteWriter& w, const std::vector<ChunkRange>& ranges) {
 }
 
 std::vector<ChunkRange> decode_ranges(ByteReader& r) {
-  std::uint64_t n = r.varint();
+  std::uint64_t n = read_count(r);
   std::vector<ChunkRange> ranges;
   ranges.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -116,186 +127,14 @@ std::vector<ChunkRange> decode_ranges(ByteReader& r) {
   return ranges;
 }
 
-// ---- kXferOpen -------------------------------------------------------------
-
-Bytes PushOpenRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.blob(key);
-  w.u64(token);
-  w.str(name);
-  w.u64(size);
-  w.raw(checksum);
-  w.boolean(synthetic);
-  w.u32(proposed_chunk_bytes);
-  w.varint(digests.size());
-  for (const crypto::Digest& digest : digests) w.raw(digest);
-  return w.take();
-}
-
-PushOpenRequest PushOpenRequest::decode(Role role, ByteReader& r) {
-  PushOpenRequest request;
-  request.role = role;
-  request.key = r.blob();
-  request.token = r.u64();
-  request.name = r.str();
-  request.size = r.u64();
-  request.checksum = read_digest(r);
-  request.synthetic = r.boolean();
-  request.proposed_chunk_bytes = r.u32();
-  std::uint64_t n = r.varint();
-  request.digests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) request.digests.push_back(read_digest(r));
-  return request;
-}
-
-Bytes PushOpenReply::encode() const {
-  ByteWriter w;
-  w.u64(transfer_id);
-  w.u32(chunk_bytes);
-  w.u32(credit);
-  encode_ranges(w, have);
-  return w.take();
-}
-
-PushOpenReply PushOpenReply::decode(ByteReader& r) {
-  PushOpenReply reply;
-  reply.transfer_id = r.u64();
-  reply.chunk_bytes = r.u32();
-  reply.credit = r.u32();
-  reply.have = decode_ranges(r);
-  return reply;
-}
-
-Bytes PullOpenRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(token);
-  w.str(name);
-  w.u32(proposed_chunk_bytes);
-  w.u32(inline_limit);
-  return w.take();
-}
-
-PullOpenRequest PullOpenRequest::decode(Role role, ByteReader& r) {
-  PullOpenRequest request;
-  request.role = role;
-  request.token = r.u64();
-  request.name = r.str();
-  request.proposed_chunk_bytes = r.u32();
-  request.inline_limit = r.u32();
-  return request;
-}
-
-Bytes PullOpenReply::encode() const {
-  ByteWriter w;
-  w.boolean(inline_blob);
-  if (inline_blob) {
-    blob.encode(w);
-    return w.take();
-  }
-  w.u64(transfer_id);
-  w.u32(chunk_bytes);
-  w.u64(size);
-  w.raw(checksum);
-  w.boolean(synthetic);
-  w.varint(digests.size());
-  for (const crypto::Digest& digest : digests) w.raw(digest);
-  return w.take();
-}
-
-PullOpenReply PullOpenReply::decode(ByteReader& r) {
-  PullOpenReply reply;
-  reply.inline_blob = r.boolean();
-  if (reply.inline_blob) {
-    reply.blob = uspace::FileBlob::decode(r);
-    return reply;
-  }
-  reply.transfer_id = r.u64();
-  reply.chunk_bytes = r.u32();
-  reply.size = r.u64();
-  reply.checksum = read_digest(r);
-  reply.synthetic = r.boolean();
-  std::uint64_t n = r.varint();
-  reply.digests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) reply.digests.push_back(read_digest(r));
-  return reply;
-}
-
-// ---- kXferChunk ------------------------------------------------------------
-
-Bytes PushChunkRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(transfer_id);
-  chunk.encode(w);
-  return w.take();
-}
-
-PushChunkRequest PushChunkRequest::decode(ByteReader& r) {
-  PushChunkRequest request;
-  request.transfer_id = r.u64();
-  request.chunk = Chunk::decode(r);
-  return request;
-}
-
-Bytes PushChunkReply::encode() const {
-  ByteWriter w;
-  w.boolean(applied);
-  w.u32(credit);
-  return w.take();
-}
-
-PushChunkReply PushChunkReply::decode(ByteReader& r) {
-  PushChunkReply reply;
-  reply.applied = r.boolean();
-  reply.credit = r.u32();
-  return reply;
-}
-
-Bytes PullChunkRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(transfer_id);
-  w.u64(index);
-  return w.take();
-}
-
-PullChunkRequest PullChunkRequest::decode(Role role, ByteReader& r) {
-  PullChunkRequest request;
-  request.role = role;
-  request.transfer_id = r.u64();
-  request.index = r.u64();
-  return request;
-}
-
-// ---- kXferClose ------------------------------------------------------------
-
-Bytes CloseRequest::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(transfer_id);
-  if (role_is_push(role)) w.blob(key);
-  return w.take();
-}
-
-CloseRequest CloseRequest::decode(Role role, ByteReader& r) {
-  CloseRequest request;
-  request.role = role;
-  request.transfer_id = r.u64();
-  if (role_is_push(role)) request.key = r.blob();
-  return request;
-}
-
-// ---- kXferBundleOpen -------------------------------------------------------
+// ---- kXferBundleOpen (push) ------------------------------------------------
 
 void BundleFileEntry::encode(ByteWriter& w) const {
   w.str(name);
   w.u64(size);
   w.raw(checksum);
   w.boolean(synthetic);
-  w.varint(digests.size());
-  for (const crypto::Digest& digest : digests) w.raw(digest);
+  write_digests(w, digests);
 }
 
 BundleFileEntry BundleFileEntry::decode(ByteReader& r) {
@@ -304,9 +143,7 @@ BundleFileEntry BundleFileEntry::decode(ByteReader& r) {
   entry.size = r.u64();
   entry.checksum = read_digest(r);
   entry.synthetic = r.boolean();
-  std::uint64_t n = r.varint();
-  entry.digests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) entry.digests.push_back(read_digest(r));
+  entry.digests = read_digests(r);
   return entry;
 }
 
@@ -326,7 +163,7 @@ BundleOpenRequest BundleOpenRequest::decode(ByteReader& r) {
   request.key = r.blob();
   request.token = r.u64();
   request.proposed_chunk_bytes = r.u32();
-  std::uint64_t n = r.varint();
+  std::uint64_t n = read_count(r);
   request.files.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
     request.files.push_back(BundleFileEntry::decode(r));
@@ -360,12 +197,14 @@ BundleOpenReply BundleOpenReply::decode(ByteReader& r) {
   reply.transfer_id = r.u64();
   reply.chunk_bytes = r.u32();
   reply.credit = r.u32();
-  std::uint64_t n = r.varint();
+  std::uint64_t n = read_count(r);
   reply.files.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)
     reply.files.push_back(BundleFileState::decode(r));
   return reply;
 }
+
+// ---- kXferChunk ------------------------------------------------------------
 
 Bytes BundleChunkRequest::encode() const {
   ByteWriter w;
@@ -385,63 +224,17 @@ BundleChunkRequest BundleChunkRequest::decode(std::uint64_t transfer_id,
   return request;
 }
 
-Bytes BundlePullOpenRequest::encode() const {
+Bytes BundleChunkReply::encode() const {
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(role));
-  w.u64(token);
-  w.u32(proposed_chunk_bytes);
-  w.varint(names.size());
-  for (const std::string& name : names) w.str(name);
+  w.boolean(applied);
+  w.u32(credit);
   return w.take();
 }
 
-BundlePullOpenRequest BundlePullOpenRequest::decode(Role role, ByteReader& r) {
-  BundlePullOpenRequest request;
-  request.role = role;
-  request.token = r.u64();
-  request.proposed_chunk_bytes = r.u32();
-  std::uint64_t n = r.varint();
-  request.names.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) request.names.push_back(r.str());
-  return request;
-}
-
-void BundlePullFileInfo::encode(ByteWriter& w) const {
-  w.u64(size);
-  w.raw(checksum);
-  w.boolean(synthetic);
-  w.varint(digests.size());
-  for (const crypto::Digest& digest : digests) w.raw(digest);
-}
-
-BundlePullFileInfo BundlePullFileInfo::decode(ByteReader& r) {
-  BundlePullFileInfo info;
-  info.size = r.u64();
-  info.checksum = read_digest(r);
-  info.synthetic = r.boolean();
-  std::uint64_t n = r.varint();
-  info.digests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) info.digests.push_back(read_digest(r));
-  return info;
-}
-
-Bytes BundlePullOpenReply::encode() const {
-  ByteWriter w;
-  w.u64(transfer_id);
-  w.u32(chunk_bytes);
-  w.varint(files.size());
-  for (const BundlePullFileInfo& file : files) file.encode(w);
-  return w.take();
-}
-
-BundlePullOpenReply BundlePullOpenReply::decode(ByteReader& r) {
-  BundlePullOpenReply reply;
-  reply.transfer_id = r.u64();
-  reply.chunk_bytes = r.u32();
-  std::uint64_t n = r.varint();
-  reply.files.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    reply.files.push_back(BundlePullFileInfo::decode(r));
+BundleChunkReply BundleChunkReply::decode(ByteReader& r) {
+  BundleChunkReply reply;
+  reply.applied = r.boolean();
+  reply.credit = r.u32();
   return reply;
 }
 
@@ -463,6 +256,76 @@ BundlePullChunkRequest BundlePullChunkRequest::decode(Role role,
   request.file_index = r.u32();
   request.index = r.u64();
   return request;
+}
+
+// ---- kXferBundleOpen (pull) ------------------------------------------------
+
+Bytes BundlePullOpenRequest::encode() const {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(role));
+  w.u64(token);
+  w.u32(proposed_chunk_bytes);
+  w.u32(inline_limit);
+  w.varint(names.size());
+  for (const std::string& name : names) w.str(name);
+  return w.take();
+}
+
+BundlePullOpenRequest BundlePullOpenRequest::decode(Role role, ByteReader& r) {
+  BundlePullOpenRequest request;
+  request.role = role;
+  request.token = r.u64();
+  request.proposed_chunk_bytes = r.u32();
+  request.inline_limit = r.u32();
+  std::uint64_t n = read_count(r);
+  request.names.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) request.names.push_back(r.str());
+  return request;
+}
+
+void BundlePullFileInfo::encode(ByteWriter& w) const {
+  w.u64(size);
+  w.raw(checksum);
+  w.boolean(synthetic);
+  write_digests(w, digests);
+}
+
+BundlePullFileInfo BundlePullFileInfo::decode(ByteReader& r) {
+  BundlePullFileInfo info;
+  info.size = r.u64();
+  info.checksum = read_digest(r);
+  info.synthetic = r.boolean();
+  info.digests = read_digests(r);
+  return info;
+}
+
+Bytes BundlePullOpenReply::encode() const {
+  ByteWriter w;
+  w.boolean(inline_blob.has_value());
+  if (inline_blob) {
+    inline_blob->encode(w);
+    return w.take();
+  }
+  w.u64(transfer_id);
+  w.u32(chunk_bytes);
+  w.varint(files.size());
+  for (const BundlePullFileInfo& file : files) file.encode(w);
+  return w.take();
+}
+
+BundlePullOpenReply BundlePullOpenReply::decode(ByteReader& r) {
+  BundlePullOpenReply reply;
+  if (r.boolean()) {
+    reply.inline_blob = uspace::FileBlob::decode(r);
+    return reply;
+  }
+  reply.transfer_id = r.u64();
+  reply.chunk_bytes = r.u32();
+  std::uint64_t n = read_count(r);
+  reply.files.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i)
+    reply.files.push_back(BundlePullFileInfo::decode(r));
+  return reply;
 }
 
 // ---- kXferBundleClose ------------------------------------------------------

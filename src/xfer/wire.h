@@ -1,21 +1,24 @@
-// Wire framing of the chunked transfer protocol (kXferOpen /
-// kXferChunk / kXferClose).
+// Wire framing of the chunked transfer protocol (kXferBundleOpen /
+// kXferChunk / kXferBundleClose).
 //
 // The paper concedes that Uspace-to-Uspace transfer through one
 // NJS–NJS message "has disadvantages with respect to transfer rates
 // especially for huge data sets" (§5.6). This module defines the
-// request bodies of the replacement data plane: a transfer is opened
-// with a durable identity key, its payload moves as independently
-// acknowledged chunks striped over parallel secure channels, and a
-// close verifies the whole-file digest before the blob becomes visible
-// in the target Uspace.
+// request bodies of the replacement data plane. A transfer moves a
+// bundle of one or more files: one open carries every file's identity
+// under a durable key, the payload moves as independently acknowledged
+// chunks striped over parallel secure channels, and each file's
+// whole-file digest is verified before it becomes visible in the
+// target Uspace. A single file is a bundle of one.
 //
 // Every body starts with a Role byte so the gateway can pick the right
 // authentication path (server certificate for NJS–NJS push/pull, user
-// certificate for client output pulls) without parsing the rest.
+// certificate for client staging and output pulls) without parsing the
+// rest.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,20 +32,16 @@ namespace unicore::xfer {
 /// The request kinds of the transfer protocol, abstracted from the
 /// server layer's RequestKind so this library stays below it.
 enum class Op : std::uint8_t {
-  kOpen = 1,
-  kChunk = 2,
-  kClose = 3,
-  // Bundle transfers: one open/close pair covers many files whose
-  // chunks interleave over ordinary kChunk frames (docs/DATA.md §3).
-  kBundleOpen = 4,
-  kBundleClose = 5,
+  kOpen = 1,   // kXferBundleOpen
+  kChunk = 2,  // kXferChunk
+  kClose = 3,  // kXferBundleClose
 };
 
 /// Who is driving the transfer (first byte of every body).
 enum class Role : std::uint8_t {
-  kPush = 1,        // peer NJS streams a file into a job's Uspace
-  kPeerPull = 2,    // peer NJS reads a dependency file chunk-wise
-  kClientPull = 3,  // JMC client fetches a job output chunk-wise
+  kPush = 1,        // peer NJS streams files into a job's Uspace
+  kPeerPull = 2,    // peer NJS reads dependency files chunk-wise
+  kClientPull = 3,  // JMC client fetches job outputs chunk-wise
   kClientPush = 4,  // JPA client stages files into its own job's Uspace
 };
 
@@ -57,8 +56,8 @@ constexpr bool role_is_push(Role role) {
 }
 
 /// Most files one bundle open may carry. Larger trees slice into
-/// several bundles (TransferManager::push_tree / pull_tree), keeping
-/// open-reply bodies and per-bundle journal records bounded.
+/// several bundles (TransferManager::push / pull), keeping open-reply
+/// bodies and per-bundle journal records bounded.
 constexpr std::uint32_t kMaxBundleFiles = 4096;
 
 /// Chunk-size negotiation bounds. The receiver clamps the sender's
@@ -102,16 +101,6 @@ crypto::Digest synthetic_chunk_digest(const crypto::Digest& file_checksum,
 Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
                  std::uint32_t chunk_bytes);
 
-/// The durable identity of one transfer: SHA-256 over (source site,
-/// target token, Uspace name, file checksum, file size). Stable across
-/// retries, reconnects, and sender or receiver crashes — it is what
-/// lets a resumed transfer find its half-finished manifest instead of
-/// starting over.
-util::Bytes make_transfer_key(const std::string& source_usite,
-                              ajo::JobToken token, const std::string& name,
-                              const crypto::Digest& checksum,
-                              std::uint64_t size);
-
 /// A run of already-applied chunks `[first, first + count)`, the
 /// resume state returned by a push open.
 struct ChunkRange {
@@ -124,118 +113,14 @@ struct ChunkRange {
 void encode_ranges(util::ByteWriter& w, const std::vector<ChunkRange>& ranges);
 std::vector<ChunkRange> decode_ranges(util::ByteReader& r);
 
-// ---- kXferOpen -------------------------------------------------------------
-
-struct PushOpenRequest {
-  Role role = Role::kPush;  // kPush or kClientPush
-  util::Bytes key;          // 32-byte transfer key
-  ajo::JobToken token = 0;
-  std::string name;
-  std::uint64_t size = 0;
-  crypto::Digest checksum{};
-  bool synthetic = false;
-  std::uint32_t proposed_chunk_bytes = kDefaultChunkBytes;
-  /// Per-chunk digests at proposed_chunk_bytes granularity (may be
-  /// empty). A receiver with a chunk store matches them against chunks
-  /// it already holds and reports the hits in PushOpenReply::have, so
-  /// the sender never transmits a byte the receiver can dedup. Only
-  /// meaningful when the receiver accepts the proposed chunk size.
-  std::vector<crypto::Digest> digests;
-
-  util::Bytes encode() const;  // includes the role byte
-  static PushOpenRequest decode(Role role, util::ByteReader& r);
-};
-
-struct PushOpenReply {
-  std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
-  std::uint32_t credit = 0;  // how many chunks the receiver will buffer
-  std::vector<ChunkRange> have;  // chunks already journaled (resume)
-
-  util::Bytes encode() const;
-  static PushOpenReply decode(util::ByteReader& r);
-};
-
-struct PullOpenRequest {
-  Role role = Role::kPeerPull;  // kPeerPull or kClientPull
-  ajo::JobToken token = 0;
-  std::string name;
-  std::uint32_t proposed_chunk_bytes = kDefaultChunkBytes;
-  /// Files at or below this size come back inline in the open reply —
-  /// one round trip, no rails (the stdout/stderr fast path).
-  std::uint32_t inline_limit = 0;
-
-  util::Bytes encode() const;
-  static PullOpenRequest decode(Role role, util::ByteReader& r);
-};
-
-struct PullOpenReply {
-  bool inline_blob = false;
-  uspace::FileBlob blob;  // set when inline_blob
-  std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
-  std::uint64_t size = 0;
-  crypto::Digest checksum{};
-  bool synthetic = false;
-  /// Per-chunk digests at chunk_bytes granularity (may be empty). A
-  /// puller with a chunk store satisfies matching chunks locally and
-  /// only requests the rest — the pull-path mirror of the push-open
-  /// dedup manifest.
-  std::vector<crypto::Digest> digests;
-
-  util::Bytes encode() const;
-  static PullOpenReply decode(util::ByteReader& r);
-};
-
-// ---- kXferChunk ------------------------------------------------------------
-
-struct PushChunkRequest {
-  Role role = Role::kPush;  // kPush or kClientPush
-  std::uint64_t transfer_id = 0;
-  Chunk chunk;
-
-  util::Bytes encode() const;
-  static PushChunkRequest decode(util::ByteReader& r);  // after the role byte
-};
-
-struct PushChunkReply {
-  bool applied = false;  // false: duplicate, journaled earlier
-  std::uint32_t credit = 0;
-
-  util::Bytes encode() const;
-  static PushChunkReply decode(util::ByteReader& r);
-};
-
-struct PullChunkRequest {
-  Role role = Role::kPeerPull;
-  std::uint64_t transfer_id = 0;
-  std::uint64_t index = 0;
-
-  util::Bytes encode() const;
-  static PullChunkRequest decode(Role role, util::ByteReader& r);
-};
-// A pull chunk reply is a bare Chunk::encode body.
-
-// ---- kXferClose ------------------------------------------------------------
-
-struct CloseRequest {
-  Role role = Role::kPush;
-  std::uint64_t transfer_id = 0;
-  util::Bytes key;  // push only: identifies the transfer across crashes
-
-  util::Bytes encode() const;
-  static CloseRequest decode(Role role, util::ByteReader& r);
-};
-// Close replies carry no payload; errors travel in the envelope.
-
-// ---- kXferBundleOpen -------------------------------------------------------
+// ---- kXferBundleOpen (push) ------------------------------------------------
 //
-// One bundle open carries the manifests of up to kMaxBundleFiles files.
-// The reply's per-file have-ranges let the receiver's chunk store dedup
-// the whole batch in a single round trip, and all files share one
-// windowed credit loop, one durable journal manifest, and one close —
-// which is what amortizes the per-file open/close RTTs away for
-// small-file trees (docs/DATA.md §3).
+// One open carries the manifests of up to kMaxBundleFiles files. The
+// reply's per-file have-ranges let the receiver's chunk store dedup the
+// whole batch in a single round trip, and all files share one windowed
+// credit loop, one durable journal manifest, and one close — which is
+// what amortizes open/close round trips away for small-file trees
+// (docs/DATA.md §3).
 
 /// The manifest of one file inside a bundle open.
 struct BundleFileEntry {
@@ -244,7 +129,10 @@ struct BundleFileEntry {
   crypto::Digest checksum{};
   bool synthetic = false;
   /// Per-chunk digests at the bundle's proposed_chunk_bytes (may be
-  /// empty). Same dedup contract as PushOpenRequest::digests.
+  /// empty). A receiver with a chunk store matches them against chunks
+  /// it already holds and reports the hits in the open reply, so the
+  /// sender never transmits a byte the receiver can dedup. Only
+  /// meaningful when the receiver accepts the proposed chunk size.
   std::vector<crypto::Digest> digests;
 
   void encode(util::ByteWriter& w) const;
@@ -283,9 +171,9 @@ struct BundleOpenReply {
   static BundleOpenReply decode(util::ByteReader& r);
 };
 
-/// A bundle chunk rides the ordinary kXferChunk frame; the receiver
-/// tells bundles from single-file transfers by the transfer_id (both
-/// draw ids from one counter). file_index selects the bundle entry.
+// ---- kXferChunk ------------------------------------------------------------
+
+/// One pushed chunk; file_index selects the bundle entry.
 struct BundleChunkRequest {
   Role role = Role::kPush;  // kPush or kClientPush
   std::uint64_t transfer_id = 0;
@@ -293,19 +181,46 @@ struct BundleChunkRequest {
   Chunk chunk;
 
   util::Bytes encode() const;
+  /// Decodes the rest of the body once the service has read the role
+  /// byte and the transfer id (it routes on the id first).
   static BundleChunkRequest decode(std::uint64_t transfer_id,
                                    util::ByteReader& r);
 };
-// Bundle chunk replies reuse PushChunkReply.
 
-/// Pull-side bundle open: name the files, get back each one's identity
-/// AND its chunk digests — the manifest negotiation the single-file
-/// pull path lacks, letting the puller's chunk store satisfy warm
-/// chunks locally before requesting anything.
+struct BundleChunkReply {
+  bool applied = false;  // false: duplicate, journaled earlier
+  std::uint32_t credit = 0;
+
+  util::Bytes encode() const;
+  static BundleChunkReply decode(util::ByteReader& r);
+};
+
+/// One pulled chunk request. The reply is a bare Chunk::encode body.
+struct BundlePullChunkRequest {
+  Role role = Role::kPeerPull;
+  std::uint64_t transfer_id = 0;
+  std::uint32_t file_index = 0;
+  std::uint64_t index = 0;
+
+  util::Bytes encode() const;
+  static BundlePullChunkRequest decode(Role role, std::uint64_t transfer_id,
+                                       util::ByteReader& r);
+};
+
+// ---- kXferBundleOpen (pull) ------------------------------------------------
+
+/// Pull-side open: name the files, get back each one's identity AND its
+/// chunk digests, letting the puller's chunk store satisfy warm chunks
+/// locally before requesting anything. A one-file open asking for it
+/// gets a small file back inline instead — one round trip, no chunk
+/// traffic, nothing to close (the stdout/stderr fast path).
 struct BundlePullOpenRequest {
   Role role = Role::kPeerPull;  // kPeerPull or kClientPull
   ajo::JobToken token = 0;
   std::uint32_t proposed_chunk_bytes = kDefaultChunkBytes;
+  /// A lone file at or below this size comes back inline. Opens of
+  /// several files never inline.
+  std::uint32_t inline_limit = 0;
   std::vector<std::string> names;
 
   util::Bytes encode() const;
@@ -324,6 +239,9 @@ struct BundlePullFileInfo {
 };
 
 struct BundlePullOpenReply {
+  /// The lone requested file, when the source answered inline; the
+  /// fields below are then unset.
+  std::optional<uspace::FileBlob> inline_blob;
   std::uint64_t transfer_id = 0;
   std::uint32_t chunk_bytes = 0;
   std::vector<BundlePullFileInfo> files;  // aligned with request names
@@ -331,18 +249,6 @@ struct BundlePullOpenReply {
   util::Bytes encode() const;
   static BundlePullOpenReply decode(util::ByteReader& r);
 };
-
-struct BundlePullChunkRequest {
-  Role role = Role::kPeerPull;
-  std::uint64_t transfer_id = 0;
-  std::uint32_t file_index = 0;
-  std::uint64_t index = 0;
-
-  util::Bytes encode() const;
-  static BundlePullChunkRequest decode(Role role, std::uint64_t transfer_id,
-                                       util::ByteReader& r);
-};
-// A bundle pull chunk reply is a bare Chunk::encode body.
 
 // ---- kXferBundleClose ------------------------------------------------------
 
@@ -354,12 +260,13 @@ struct BundleCloseRequest {
   util::Bytes encode() const;
   static BundleCloseRequest decode(Role role, util::ByteReader& r);
 };
-// Bundle close replies carry no payload; errors travel in the envelope.
+// Close replies carry no payload; errors travel in the envelope.
 
 /// The durable identity of one bundle: SHA-256 over (source site,
 /// target token, each file's name/checksum/size). Stable across
-/// retries and crashes, like make_transfer_key, and distinct from any
-/// single-file key by domain separation.
+/// retries, reconnects, and sender or receiver crashes — it is what
+/// lets a resumed transfer find its half-finished manifest instead of
+/// starting over.
 util::Bytes make_bundle_key(const std::string& source_usite,
                             ajo::JobToken token,
                             const std::vector<BundleFileEntry>& files);

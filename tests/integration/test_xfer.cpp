@@ -1,7 +1,8 @@
 // The chunked transfer engine end-to-end across two Usites and down to
 // the client: partition mid-kXferChunk, ack-loss bursts, a receiver
 // NJS crash between journal append and acknowledgement, the v1-peer
-// whole-blob fallback, and chunked client output fetches. The core
+// whole-blob fallback, chunked client output fetches, and trees moved
+// as bundles (a single file is a bundle of one). The core
 // invariant throughout: a disturbed transfer resumes from the last
 // acked chunk, the delivered file's checksum matches the source, and
 // no chunk is ever applied twice.
@@ -378,11 +379,10 @@ TEST(XferIntegration, BundleDeliveryMovesTreeInOneManifestRoundTrip) {
   // One bundle covered all 40 files — not 40 transfers, and none of
   // them took the legacy path despite sitting under the 4 MiB
   // threshold (the bundle carries the batch regardless of size).
-  EXPECT_EQ(sites.fz->transfer_stats().bundled, 1u);
-  EXPECT_EQ(sites.fz->transfer_stats().chunked, 0u);
+  EXPECT_EQ(sites.fz->transfer_stats().chunked, 1u);
   EXPECT_EQ(sites.fz->transfer_stats().legacy, 0u);
-  EXPECT_EQ(sites.ruka->xfer_service().bundles_completed(), 1u);
-  EXPECT_EQ(sites.ruka->xfer_service().bundle_files_delivered(), 40u);
+  EXPECT_EQ(sites.ruka->xfer_service().transfers_completed(), 1u);
+  EXPECT_EQ(sites.ruka->xfer_service().files_delivered(), 40u);
   for (const auto& [name, blob] : files)
     EXPECT_EQ(sites.delivered_checksum(name), blob->checksum());
 }
@@ -406,24 +406,8 @@ TEST(XferIntegration, PartitionMidBundleResumesFromLastAckedChunk) {
   // exactly once even though the outage forced retransmits and a
   // resume — the same invariant the single-file path keeps.
   EXPECT_EQ(sites.ruka->xfer_service().chunks_applied(), 16u);
-  EXPECT_EQ(sites.ruka->xfer_service().bundle_files_delivered(), 16u);
-  EXPECT_EQ(sites.ruka->xfer_service().bundles_open(), 0u);
-  for (const auto& [name, blob] : files)
-    EXPECT_EQ(sites.delivered_checksum(name), blob->checksum());
-}
-
-TEST(XferIntegration, BundlelessPeerFallsBackToPerFileTransfers) {
-  XferSites sites;
-  // RUKA speaks chunked transfers but not bundles (a pre-bundle
-  // deployment): FZJ must degrade to one transfer per file.
-  sites.ruka->set_advertised_features(net::kFeatureJournalInspect |
-                                      net::kFeatureChunkedXfer);
-  auto files = make_tree(6, 128 << 10, "v1/f");
-  ASSERT_TRUE(deliver_tree(sites, files).ok());
-  EXPECT_EQ(sites.fz->transfer_stats().bundled, 0u);
-  EXPECT_EQ(sites.ruka->xfer_service().bundles_completed(), 0u);
-  // Each file still arrived (chunked or legacy per the threshold).
-  EXPECT_EQ(sites.fz->transfer_stats().total(), 6u);
+  EXPECT_EQ(sites.ruka->xfer_service().files_delivered(), 16u);
+  EXPECT_EQ(sites.ruka->xfer_service().inbound_open(), 0u);
   for (const auto& [name, blob] : files)
     EXPECT_EQ(sites.delivered_checksum(name), blob->checksum());
 }
@@ -454,8 +438,8 @@ TEST(XferIntegration, ClientPushTreeStagesInputsAsOneBundle) {
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 25u);
   EXPECT_EQ(stats.value().bundles, 1u);
-  EXPECT_EQ(client->output_stats().bundled, 1u);
-  EXPECT_EQ(sites.fz->xfer_service().bundle_files_delivered(), 25u);
+  EXPECT_EQ(client->output_stats().chunked, 1u);
+  EXPECT_EQ(sites.fz->xfer_service().files_delivered(), 25u);
   for (const auto& [name, blob] : inputs) {
     auto staged = sites.fz->njs().fetch_file_shared(token.value(), name);
     ASSERT_TRUE(staged.ok()) << staged.error().to_string();
@@ -494,18 +478,22 @@ TEST(XferIntegration, ClientFetchTreeFetchesOutputsAsOneBundle) {
     EXPECT_EQ(blobs.value()[i].checksum(), direct.value()->checksum());
   }
   // One bundled fetch, not three sequential pulls.
-  EXPECT_EQ(client->output_stats().bundled, 1u);
+  EXPECT_EQ(client->output_stats().chunked, 1u);
+  // The fetch resolves as the last chunk lands; its close (best-effort,
+  // no one waits for the reply) then releases the source's read.
+  sites.grid.engine().run();
   EXPECT_EQ(sites.fz->xfer_service().outbound_open(), 0u);
 
-  // A streams=0 client sees the same content through the sequential
-  // fallback path.
+  // A streams=0 client sees the same content through one whole-blob
+  // request per file.
   auto legacy_client = sites.make_client(/*transfer_streams=*/0);
   client::SyncClient legacy_sync(sites.grid.engine(), *legacy_client);
   ASSERT_TRUE(legacy_sync.connect(sites.fz->address()).ok());
   auto legacy = legacy_sync.wait(
       legacy_client->fetch_tree(token.value(), names));
   ASSERT_TRUE(legacy.ok()) << legacy.error().to_string();
-  EXPECT_EQ(legacy_client->output_stats().bundled, 0u);
+  EXPECT_EQ(legacy_client->output_stats().chunked, 0u);
+  EXPECT_EQ(legacy_client->output_stats().legacy, 3u);
   ASSERT_EQ(legacy.value().size(), 3u);
   EXPECT_EQ(legacy.value()[0].checksum(), blobs.value()[0].checksum());
 }

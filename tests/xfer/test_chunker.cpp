@@ -36,6 +36,11 @@ TEST(ChunkBitmap, RangesRoundTripThroughApply) {
   EXPECT_EQ(copy.count(), 6u);
   EXPECT_EQ(copy.ranges(), ranges);
   EXPECT_EQ(copy.missing(), (std::vector<std::uint64_t>{3, 4, 6, 7}));
+
+  // Ranges from a peer are clamped to the bitmap: a garbled count ends
+  // at the last chunk instead of spinning through 2^62 indices.
+  copy.apply({ChunkRange{6, 1ull << 62}, ChunkRange{1ull << 62, 3}});
+  EXPECT_EQ(copy.missing(), (std::vector<std::uint64_t>{3, 4}));
 }
 
 TEST(ChunkBitmap, CompleteWhenEveryChunkPresent) {

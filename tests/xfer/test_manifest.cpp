@@ -1,6 +1,6 @@
-// Durable transfer state: manifests and chunks journaled through the
-// NJS write-ahead journal, and the fold that rebuilds half-finished
-// transfers after a receiver crash.
+// Durable transfer state: bundle manifests and chunks journaled through
+// the NJS write-ahead journal, and the fold that rebuilds half-finished
+// transfers after a receiver crash. A single file is a bundle of one.
 #include "xfer/manifest.h"
 
 #include <gtest/gtest.h>
@@ -24,128 +24,147 @@ struct ManifestFixture : public ::testing::Test {
   uspace::FileBlob blob = uspace::FileBlob::from_string(
       std::string(3 * kMinChunkBytes / 2, 'm'));
 
-  Manifest make_manifest(ajo::JobToken token = 42,
-                         const std::string& name = "in.dat") {
-    Manifest manifest;
-    manifest.key = make_transfer_key("FZ-Juelich", token, name,
-                                     blob.checksum(), blob.size());
+  /// The manifest of a one-file bundle carrying `blob` as `name`.
+  BundleManifest make_manifest(ajo::JobToken token = 42,
+                               const std::string& name = "in.dat") {
+    BundleManifest manifest;
     manifest.token = token;
-    manifest.name = name;
-    manifest.size = blob.size();
-    manifest.checksum = blob.checksum();
-    manifest.synthetic = false;
     manifest.chunk_bytes = kMinChunkBytes;
     manifest.principal = dn("peer-njs");
+    manifest.files.push_back({name, blob.size(), blob.checksum(), false});
+    BundleFileEntry entry;
+    entry.name = name;
+    entry.size = blob.size();
+    entry.checksum = blob.checksum();
+    manifest.key = make_bundle_key("FZ-Juelich", token, {entry});
     return manifest;
   }
 };
 
 TEST_F(ManifestFixture, CodecRoundTrip) {
-  Manifest manifest = make_manifest();
+  BundleManifest manifest = make_manifest();
+  manifest.files.push_back({"second.dat", 7, blob.checksum(), true});
   util::ByteWriter w;
   manifest.encode(w);
   util::ByteReader r{w.bytes()};
-  Manifest decoded = Manifest::decode(r);
+  BundleManifest decoded = BundleManifest::decode(r);
+  EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.key, manifest.key);
   EXPECT_EQ(decoded.token, manifest.token);
-  EXPECT_EQ(decoded.name, manifest.name);
-  EXPECT_EQ(decoded.size, manifest.size);
-  EXPECT_EQ(decoded.checksum, manifest.checksum);
   EXPECT_EQ(decoded.chunk_bytes, manifest.chunk_bytes);
   EXPECT_EQ(decoded.principal.common_name, "peer-njs");
+  ASSERT_EQ(decoded.files.size(), 2u);
+  EXPECT_EQ(decoded.files[0].name, "in.dat");
+  EXPECT_EQ(decoded.files[0].size, blob.size());
+  EXPECT_EQ(decoded.files[0].checksum, blob.checksum());
+  EXPECT_FALSE(decoded.files[0].synthetic);
+  EXPECT_EQ(decoded.files[1].size, 7u);
+  EXPECT_TRUE(decoded.files[1].synthetic);
 }
 
 TEST_F(ManifestFixture, RecoverRebuildsOpenTransferWithoutDuplicates) {
-  Manifest manifest = make_manifest();
-  journal_manifest(journal, manifest);
+  BundleManifest manifest = make_manifest();
+  journal_bundle_manifest(journal, manifest);
   Chunk first = make_chunk(blob, 0, kMinChunkBytes);
   Chunk second = make_chunk(blob, 1, kMinChunkBytes);
-  journal_chunk(journal, manifest, first);
-  journal_chunk(journal, manifest, second);
+  journal_bundle_chunk(journal, manifest, 0, first);
+  journal_bundle_chunk(journal, manifest, 0, second);
   // A crash between append and ack makes the sender re-deliver; the
   // journal may then hold the same chunk twice. Recovery dedups.
-  journal_chunk(journal, manifest, first);
+  journal_bundle_chunk(journal, manifest, 0, first);
 
-  auto recovered = recover_transfers(journal);
+  auto recovered = recover_bundles(journal);
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered[0].manifest.key, manifest.key);
-  EXPECT_EQ(recovered[0].manifest.name, "in.dat");
+  ASSERT_EQ(recovered[0].manifest.files.size(), 1u);
+  EXPECT_EQ(recovered[0].manifest.files[0].name, "in.dat");
   ASSERT_EQ(recovered[0].chunks.size(), 2u);
-  EXPECT_EQ(recovered[0].chunks[0].index, 0u);
-  EXPECT_EQ(recovered[0].chunks[1].index, 1u);
+  EXPECT_EQ(recovered[0].chunks[0].first, 0u);  // file index
+  EXPECT_EQ(recovered[0].chunks[0].second.index, 0u);
+  EXPECT_EQ(recovered[0].chunks[1].second.index, 1u);
   // The WAL carries the payload — the bytes must survive the crash.
-  EXPECT_EQ(recovered[0].chunks[0].data, first.data);
+  EXPECT_EQ(recovered[0].chunks[0].second.data, first.data);
 }
 
 TEST_F(ManifestFixture, DoneTombstoneErasesTransferAndRecordsKey) {
-  Manifest manifest = make_manifest();
-  journal_manifest(journal, manifest);
-  journal_chunk(journal, manifest, make_chunk(blob, 0, kMinChunkBytes));
-  journal_done(journal, manifest);
+  BundleManifest manifest = make_manifest();
+  journal_bundle_manifest(journal, manifest);
+  journal_bundle_chunk(journal, manifest, 0,
+                       make_chunk(blob, 0, kMinChunkBytes));
+  journal_bundle_done(journal, manifest);
 
-  EXPECT_TRUE(recover_transfers(journal).empty());
-  auto completed = completed_transfer_keys(journal);
+  EXPECT_TRUE(recover_bundles(journal).empty());
+  auto completed = completed_bundle_keys(journal);
   ASSERT_EQ(completed.size(), 1u);
   EXPECT_EQ(completed[0], manifest.key);
 }
 
 TEST_F(ManifestFixture, IndependentTransfersRecoverSeparately) {
-  Manifest a = make_manifest(1, "a.dat");
-  Manifest b = make_manifest(2, "b.dat");
-  journal_manifest(journal, a);
-  journal_manifest(journal, b);
-  journal_chunk(journal, a, make_chunk(blob, 0, kMinChunkBytes));
-  journal_done(journal, b);
+  BundleManifest a = make_manifest(1, "a.dat");
+  BundleManifest b = make_manifest(2, "b.dat");
+  journal_bundle_manifest(journal, a);
+  journal_bundle_manifest(journal, b);
+  journal_bundle_chunk(journal, a, 0, make_chunk(blob, 0, kMinChunkBytes));
+  journal_bundle_done(journal, b);
 
-  auto recovered = recover_transfers(journal);
+  auto recovered = recover_bundles(journal);
   ASSERT_EQ(recovered.size(), 1u);
-  EXPECT_EQ(recovered[0].manifest.name, "a.dat");
-  auto completed = completed_transfer_keys(journal);
+  EXPECT_EQ(recovered[0].manifest.files[0].name, "a.dat");
+  auto completed = completed_bundle_keys(journal);
   ASSERT_EQ(completed.size(), 1u);
   EXPECT_EQ(completed[0], b.key);
 }
 
 TEST_F(ManifestFixture, SyntheticChunksJournalGeometryOnly) {
   uspace::FileBlob synth = uspace::FileBlob::synthetic(4 << 20, 5);
-  Manifest manifest;
-  manifest.key = make_transfer_key("LRZ", 7, "huge.bin", synth.checksum(),
-                                   synth.size());
+  BundleManifest manifest;
   manifest.token = 7;
-  manifest.name = "huge.bin";
-  manifest.size = synth.size();
-  manifest.checksum = synth.checksum();
-  manifest.synthetic = true;
   manifest.chunk_bytes = 1 << 20;
   manifest.principal = dn("peer-njs");
+  manifest.files.push_back({"huge.bin", synth.size(), synth.checksum(), true});
+  manifest.key = util::Bytes(32, 0x11);
 
-  journal_manifest(journal, manifest);
+  journal_bundle_manifest(journal, manifest);
   Chunk chunk = make_chunk(synth, 2, 1 << 20);
-  journal_chunk(journal, manifest, chunk);
+  journal_bundle_chunk(journal, manifest, 0, chunk);
 
-  auto recovered = recover_transfers(journal);
+  auto recovered = recover_bundles(journal);
   ASSERT_EQ(recovered.size(), 1u);
   ASSERT_EQ(recovered[0].chunks.size(), 1u);
-  EXPECT_TRUE(recovered[0].chunks[0].synthetic);
-  EXPECT_TRUE(recovered[0].chunks[0].data.empty());
-  EXPECT_EQ(recovered[0].chunks[0].digest, chunk.digest);
+  const Chunk& back = recovered[0].chunks[0].second;
+  EXPECT_TRUE(back.synthetic);
+  EXPECT_TRUE(back.data.empty());
+  EXPECT_EQ(back.digest, chunk.digest);
 }
 
 TEST_F(ManifestFixture, CorruptRecordsAreSkippedNotFatal) {
-  Manifest manifest = make_manifest();
-  journal_manifest(journal, manifest);
-  journal_chunk(journal, manifest, make_chunk(blob, 0, kMinChunkBytes));
+  BundleManifest manifest = make_manifest();
+  journal_bundle_manifest(journal, manifest);
+  journal_bundle_chunk(journal, manifest, 0,
+                       make_chunk(blob, 0, kMinChunkBytes));
   // A truncated append (torn write) must not poison recovery.
   njs::JournalRecord torn;
-  torn.type = njs::JournalRecordType::kXferChunk;
+  torn.type = njs::JournalRecordType::kXferBundleChunk;
   torn.token = manifest.token;
   torn.payload = util::Bytes{1, 2, 3};
   journal.append(std::move(torn));
   njs::JournalRecord torn_manifest;
-  torn_manifest.type = njs::JournalRecordType::kXferManifest;
+  torn_manifest.type = njs::JournalRecordType::kXferBundleManifest;
   torn_manifest.payload = util::Bytes{9};
   journal.append(std::move(torn_manifest));
+  // A garbled file count must not size an allocation either.
+  util::ByteWriter garbled;
+  garbled.blob(util::Bytes(32, 0x22));  // key
+  garbled.u64(manifest.token);
+  garbled.u32(kMinChunkBytes);
+  for (int i = 0; i < 5; ++i) garbled.str("");  // principal
+  garbled.varint(1ull << 40);                   // files
+  njs::JournalRecord huge;
+  huge.type = njs::JournalRecordType::kXferBundleManifest;
+  huge.payload = garbled.take();
+  journal.append(std::move(huge));
 
-  auto recovered = recover_transfers(journal);
+  auto recovered = recover_bundles(journal);
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered[0].chunks.size(), 1u);
 }
@@ -153,9 +172,10 @@ TEST_F(ManifestFixture, CorruptRecordsAreSkippedNotFatal) {
 TEST_F(ManifestFixture, JobRecoveryIgnoresTransferRecords) {
   // The job-recovery fold must skip record types owned by the transfer
   // engine (and vice versa).
-  Manifest manifest = make_manifest();
-  journal_manifest(journal, manifest);
-  journal_chunk(journal, manifest, make_chunk(blob, 0, kMinChunkBytes));
+  BundleManifest manifest = make_manifest();
+  journal_bundle_manifest(journal, manifest);
+  journal_bundle_chunk(journal, manifest, 0,
+                       make_chunk(blob, 0, kMinChunkBytes));
   EXPECT_TRUE(journal.recover().empty());
 }
 

@@ -1,13 +1,17 @@
 // TransferManager against a real xfer::Service over a loopback
 // transport: windowed parallel pushes and pulls, lost-ack idempotent
-// re-delivery, receiver crash/recovery resume, and the completed-
-// transfer tombstone. No network — faults are injected at the
-// transport seam; the service journals through a real NJS journal.
+// re-delivery, receiver crash/recovery resume, the commit tombstone,
+// store dedup, and malformed replies. No network — faults are injected
+// at the transport seam; the service journals through a real NJS
+// journal. A single file is a bundle of one, so each behaviour runs
+// over one file and over a bundle of several, with the exact counts of
+// both.
 #include "xfer/transfer.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "ajo/tasks.h"
 #include "batch/target_system.h"
@@ -33,7 +37,8 @@ crypto::DistinguishedName dn(const std::string& cn) {
 /// real Service. Faults are injected per call: `fail_next_calls` fails
 /// without reaching the service; `drop_next_acks` lets the service
 /// apply the chunk but loses the acknowledgement (the WAL-idempotency
-/// scenario).
+/// scenario); `garble` answers every successful `*garble` call with the
+/// one-byte body {0x01}, which decodes as no reply does.
 class Loopback : public ChunkTransport {
  public:
   Loopback(sim::Engine& engine, Service& service, std::size_t streams)
@@ -67,12 +72,6 @@ class Loopback : public ChunkTransport {
         case Op::kClose:
           reply = service_.close(principal, server_peer, role, r);
           break;
-        case Op::kBundleOpen:
-          reply = service_.bundle_open(principal, server_peer, role, r);
-          break;
-        case Op::kBundleClose:
-          reply = service_.bundle_close(principal, server_peer, role, r);
-          break;
       }
       if (op == Op::kChunk && drop_next_acks > 0) {
         --drop_next_acks;
@@ -80,6 +79,7 @@ class Loopback : public ChunkTransport {
                               "injected ack loss"));
         return;
       }
+      if (garble == op && reply.ok()) reply = util::Bytes{0x01};
       done(std::move(reply));
     });
   }
@@ -88,6 +88,7 @@ class Loopback : public ChunkTransport {
   crypto::DistinguishedName client_dn = dn("Jane");
   int fail_next_calls = 0;
   int drop_next_acks = 0;
+  std::optional<Op> garble;
 
  private:
   sim::Engine& engine_;
@@ -144,14 +145,35 @@ struct TransferFixture : public ::testing::Test {
     return options;
   }
 
-  util::Result<TransferStats> push_blob(
-      std::shared_ptr<Loopback> transport, const uspace::FileBlob& blob,
-      const std::string& name, const TransferOptions& options) {
+  util::Result<TransferStats> push_files(std::shared_ptr<Loopback> transport,
+                                         std::vector<BundleFile> files,
+                                         const TransferOptions& options) {
     util::Result<TransferStats> out =
         util::make_error(util::ErrorCode::kInternal, "never finished");
-    manager.push(transport, PushSpec{"FZ-Juelich", token, name},
-                 std::make_shared<const uspace::FileBlob>(blob), options,
-                 [&](util::Result<TransferStats> result) {
+    manager.push(transport, PushSpec{"FZ-Juelich", token}, std::move(files),
+                 options, [&](util::Result<TransferStats> result) {
+                   out = std::move(result);
+                 });
+    engine.run();
+    return out;
+  }
+
+  util::Result<TransferStats> push_blob(std::shared_ptr<Loopback> transport,
+                                        const uspace::FileBlob& blob,
+                                        const std::string& name,
+                                        const TransferOptions& options) {
+    return push_files(
+        std::move(transport),
+        {{name, std::make_shared<const uspace::FileBlob>(blob)}}, options);
+  }
+
+  util::Result<PullResult> pull_names(std::shared_ptr<Loopback> transport,
+                                      PullSpec spec,
+                                      const TransferOptions& options) {
+    util::Result<PullResult> out =
+        util::make_error(util::ErrorCode::kInternal, "never finished");
+    manager.pull(transport, spec, options,
+                 [&](util::Result<PullResult> result) {
                    out = std::move(result);
                  });
     engine.run();
@@ -164,29 +186,35 @@ struct TransferFixture : public ::testing::Test {
     return blob.ok() ? blob.value()->checksum() : crypto::Digest{};
   }
 
-  /// `count` synthetic files, "<stem>NNN", each `bytes` long.
+  void expect_delivered(const std::vector<BundleFile>& files) {
+    for (const BundleFile& file : files)
+      EXPECT_EQ(delivered_checksum(file.name), file.blob->checksum())
+          << file.name;
+  }
+
+  /// `count` synthetic files, "<stem>NNN", each `bytes` long, with
+  /// content seeds from `seed` up.
   static std::vector<BundleFile> make_files(std::size_t count,
                                             std::uint64_t bytes,
-                                            const std::string& stem = "f") {
+                                            const std::string& stem = "f",
+                                            std::uint64_t seed = 100) {
     std::vector<BundleFile> files;
     for (std::size_t i = 0; i < count; ++i)
       files.push_back({stem + std::to_string(i),
                        std::make_shared<const uspace::FileBlob>(
-                           uspace::FileBlob::synthetic(bytes, 100 + i))});
+                           uspace::FileBlob::synthetic(bytes, seed + i))});
     return files;
   }
 
-  util::Result<BundleStats> push_bundle_files(
-      std::shared_ptr<Loopback> transport, std::vector<BundleFile> files,
-      const TransferOptions& options) {
-    util::Result<BundleStats> out =
-        util::make_error(util::ErrorCode::kInternal, "never finished");
-    manager.push_bundle(
-        transport, BundlePushSpec{"FZ-Juelich", token}, std::move(files),
-        options,
-        [&](util::Result<BundleStats> result) { out = std::move(result); });
-    engine.run();
-    return out;
+  /// The service counters, for per-case deltas inside one test.
+  struct Counts {
+    std::uint64_t applied, duplicates, deduped, completed, recovered,
+        delivered;
+  };
+  Counts counts() const {
+    return {service.chunks_applied(),      service.duplicates_suppressed(),
+            service.chunks_deduped(),      service.transfers_completed(),
+            service.transfers_recovered(), service.files_delivered()};
   }
 };
 
@@ -219,17 +247,24 @@ TEST_F(TransferFixture, PushPreservesRealContent) {
 }
 
 TEST_F(TransferFixture, LostAckRedeliversWithoutApplyingTwice) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  transport->drop_next_acks = 3;  // applied, but the sender never hears
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(1 << 20, 8);
-  auto stats = push_blob(transport, blob, "lossy.bin", small_chunks());
-  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_GE(stats.value().retransmits, 3u);
-  EXPECT_GE(stats.value().duplicates, 3u);  // receiver said applied=false
-  EXPECT_EQ(service.duplicates_suppressed(), stats.value().duplicates);
-  // Exactly one application per chunk, re-delivery notwithstanding.
-  EXPECT_EQ(service.chunks_applied(), 16u);
-  EXPECT_EQ(delivered_checksum("lossy.bin"), blob.checksum());
+  // One file of 16 chunks, then 8 files of 2 chunks each.
+  for (const auto& files : {make_files(1, 1 << 20, "lossy.bin", 8),
+                            make_files(8, 128 << 10, "lossy/f")}) {
+    SCOPED_TRACE(files.size());
+    Counts before = counts();
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    transport->drop_next_acks = 3;  // applied, but the sender never hears
+    auto stats = push_files(transport, files, small_chunks());
+    ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+    EXPECT_GE(stats.value().retransmits, 3u);
+    EXPECT_GE(stats.value().duplicates, 3u);  // receiver said applied=false
+    EXPECT_EQ(counts().duplicates - before.duplicates,
+              stats.value().duplicates);
+    // Exactly one application per chunk, re-delivery notwithstanding.
+    EXPECT_EQ(counts().applied - before.applied, 16u);
+    EXPECT_EQ(counts().delivered - before.delivered, files.size());
+    expect_delivered(files);
+  }
 }
 
 TEST_F(TransferFixture, TransientOpenFailureRetriesViaResumeLadder) {
@@ -243,41 +278,135 @@ TEST_F(TransferFixture, TransientOpenFailureRetriesViaResumeLadder) {
 }
 
 TEST_F(TransferFixture, ReceiverCrashMidTransferResumesFromJournal) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 << 20, 13);
-
-  // Crash the NJS shortly after the transfer starts moving chunks, then
-  // recover it from the journal. The sender's transfer id goes stale;
-  // it must re-open by key and send only what the journal is missing.
-  engine.after(sim::msec(4), [this] {
-    njs.crash();
-    ASSERT_TRUE(njs.recover().ok());
-  });
-
-  auto stats = push_blob(transport, blob, "crashy.bin", small_chunks());
-  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_GE(stats.value().resumes, 1u);
-  EXPECT_EQ(service.transfers_recovered(), 1u);
-  // Chunks journaled before the crash were folded back, not re-applied:
-  // every one of the 64 chunks was applied exactly once overall.
-  EXPECT_EQ(service.chunks_applied(), 64u);
-  EXPECT_EQ(delivered_checksum("crashy.bin"), blob.checksum());
+  // 64 chunks either way: one 4 MiB file, or 8 files of 512 KiB whose
+  // chunks interleave.
+  for (const auto& files : {make_files(1, 4 << 20, "crashy.bin", 13),
+                            make_files(8, 512 << 10, "crashy/f")}) {
+    SCOPED_TRACE(files.size());
+    Counts before = counts();
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    // Crash the NJS shortly after chunks start moving, then recover it
+    // from the journal. The sender's transfer id goes stale; it must
+    // re-open by key, and the reply's per-file have-ranges restore
+    // what the journal already holds.
+    engine.after(sim::msec(4), [this] {
+      njs.crash();
+      ASSERT_TRUE(njs.recover().ok());
+    });
+    auto stats = push_files(transport, files, small_chunks());
+    ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+    EXPECT_GE(stats.value().resumes, 1u);
+    EXPECT_EQ(counts().recovered - before.recovered, 1u);
+    // Chunks journaled before the crash were folded back, not
+    // re-applied: every one of the 64 chunks was applied exactly once.
+    EXPECT_EQ(counts().applied - before.applied, 64u);
+    // Files finished before the crash are re-delivered from the journal
+    // (the workspace write is redone for durability), so delivery can
+    // exceed the file count — but never miss a file.
+    EXPECT_GE(counts().delivered - before.delivered, files.size());
+    expect_delivered(files);
+  }
 }
 
 TEST_F(TransferFixture, CompletedTransferTombstoneMakesRepushCheap) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(1 << 20, 30);
-  auto first = push_blob(transport, blob, "twice.bin", small_chunks());
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.value().chunks, 16u);
+  for (const auto& files : {make_files(1, 1 << 20, "twice.bin", 30),
+                            make_files(6, 128 << 10, "twice/f")}) {
+    SCOPED_TRACE(files.size());
+    Counts before = counts();
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    auto first = push_files(transport, files, small_chunks());
+    ASSERT_TRUE(first.ok()) << first.error().to_string();
+    std::uint64_t chunks = files.size() == 1 ? 16u : 12u;
+    EXPECT_EQ(first.value().chunks, chunks);
 
-  // Same file, same destination: the durable key matches the kXferDone
-  // tombstone, so the re-push moves zero chunks.
-  auto second = push_blob(transport, blob, "twice.bin", small_chunks());
-  ASSERT_TRUE(second.ok()) << second.error().to_string();
-  EXPECT_EQ(second.value().chunks, 0u);
-  EXPECT_EQ(service.chunks_applied(), 16u);
-  EXPECT_EQ(delivered_checksum("twice.bin"), blob.checksum());
+    // Same files, same destination: the durable bundle key matches the
+    // kXferBundleDone tombstone, so the re-push moves zero chunks in a
+    // single open round trip.
+    auto second = push_files(transport, files, small_chunks());
+    ASSERT_TRUE(second.ok()) << second.error().to_string();
+    EXPECT_EQ(second.value().chunks, 0u);
+    EXPECT_EQ(counts().applied - before.applied, chunks);
+    expect_delivered(files);
+  }
+}
+
+TEST_F(TransferFixture, MalformedOpenReplyFailsOnceAfterTheResumeLadder) {
+  ASSERT_TRUE(njs.deliver_file(token, "out.bin",
+                               std::make_shared<const uspace::FileBlob>(
+                                   uspace::FileBlob::synthetic(1 << 20, 4)))
+                  .ok());
+  TransferOptions options = small_chunks();
+  options.max_resume_attempts = 2;
+  for (bool push : {true, false}) {
+    SCOPED_TRACE(push ? "push" : "pull");
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    transport->garble = Op::kOpen;
+    int callbacks = 0;
+    std::optional<util::Error> error;
+    auto record = [&](util::Status status) {
+      ++callbacks;
+      if (!status.ok()) error = status.error();
+    };
+    if (push)
+      manager.push(transport, PushSpec{"FZ-Juelich", token},
+                   make_files(2, 128 << 10, "garbled/f"), options,
+                   [&](util::Result<TransferStats> r) {
+                     record(r.ok() ? util::Status() : util::Status(r.error()));
+                   });
+    else
+      manager.pull(transport, PullSpec{Role::kPeerPull, token, {"out.bin"}},
+                   options, [&](util::Result<PullResult> r) {
+                     record(r.ok() ? util::Status() : util::Status(r.error()));
+                   });
+    engine.run();  // must not throw out of the transport callback
+    EXPECT_EQ(callbacks, 1);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, util::ErrorCode::kUnavailable);
+    EXPECT_NE(error->message.find("malformed open reply"), std::string::npos)
+        << error->message;
+  }
+}
+
+TEST_F(TransferFixture, MalformedChunkReplyFailsOnceAfterTheResumeLadder) {
+  ASSERT_TRUE(njs.deliver_file(token, "out.bin",
+                               std::make_shared<const uspace::FileBlob>(
+                                   uspace::FileBlob::synthetic(1 << 20, 4)))
+                  .ok());
+  TransferOptions options = small_chunks();
+  options.max_resume_attempts = 2;
+  options.max_chunk_retries = 1;
+  // The pushed chunks land even though their acks are garbled; 32 of
+  // them outlast three windows of 8, so the push cannot finish by
+  // resuming either.
+  for (bool push : {true, false}) {
+    SCOPED_TRACE(push ? "push" : "pull");
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    transport->garble = Op::kChunk;
+    int callbacks = 0;
+    std::optional<util::Error> error;
+    auto record = [&](util::Status status) {
+      ++callbacks;
+      if (!status.ok()) error = status.error();
+    };
+    if (push)
+      manager.push(transport, PushSpec{"FZ-Juelich", token},
+                   make_files(2, 1 << 20, "garbled/f"), options,
+                   [&](util::Result<TransferStats> r) {
+                     record(r.ok() ? util::Status() : util::Status(r.error()));
+                   });
+    else
+      manager.pull(transport, PullSpec{Role::kPeerPull, token, {"out.bin"}},
+                   options, [&](util::Result<PullResult> r) {
+                     record(r.ok() ? util::Status() : util::Status(r.error()));
+                   });
+    engine.run();  // must not throw out of the transport callback
+    EXPECT_EQ(callbacks, 1);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->code, util::ErrorCode::kUnavailable);
+    EXPECT_NE(error->message.find("chunk retries exhausted"),
+              std::string::npos)
+        << error->message;
+  }
 }
 
 // ---- content-addressed store integration ----------------------------------
@@ -309,27 +438,39 @@ struct StoreTransferFixture : public TransferFixture {
 };
 
 TEST_F(StoreTransferFixture, RepushToNewNameMovesZeroPayloadBytes) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(1 << 20, 30);
-  auto first = push_blob(transport, blob, "cold.bin", small_chunks());
-  ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_EQ(first.value().chunks, 16u);
-  EXPECT_EQ(service.chunks_applied(), 16u);
+  // 16 chunks either way: one 1 MiB file, or 8 files of 128 KiB.
+  for (const auto& files : {make_files(1, 1 << 20, "cold.bin", 30),
+                            make_files(8, 128 << 10, "cold/f")}) {
+    SCOPED_TRACE(files.size());
+    Counts before = counts();
+    store::StoreStats store_before = chunk_store->stats();
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    auto first = push_files(transport, files, small_chunks());
+    ASSERT_TRUE(first.ok()) << first.error().to_string();
+    EXPECT_EQ(first.value().chunks, 16u);
+    EXPECT_EQ(counts().applied - before.applied, 16u);
 
-  // Different target name, so the durable key differs and the completed-
-  // transfer tombstone does NOT apply. The sender's digest manifest in
-  // the open finds every chunk already present: zero payload moves.
-  auto second = push_blob(transport, blob, "warm.bin", small_chunks());
-  ASSERT_TRUE(second.ok()) << second.error().to_string();
-  EXPECT_EQ(second.value().chunks, 0u);  // zero payload chunks moved
-  EXPECT_EQ(service.chunks_applied(), 16u);  // nothing re-applied
-  EXPECT_EQ(service.chunks_deduped(), 16u);
-  EXPECT_EQ(delivered_checksum("warm.bin"), blob.checksum());
-  EXPECT_EQ(delivered_checksum("cold.bin"), blob.checksum());
-  // One physical copy, pinned by both files.
-  EXPECT_EQ(chunk_store->stats().chunks, 16u);
-  EXPECT_EQ(chunk_store->stats().dedup_hits, 16u);
-  EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage());
+    // Same payloads under new names: the bundle key differs, so the
+    // tombstone does NOT apply — but the open's per-file digest
+    // manifests find every chunk in the store. The whole batch settles
+    // in the one open round trip; zero payload moves.
+    std::vector<BundleFile> renamed;
+    for (const BundleFile& file : files)
+      renamed.push_back({"warm/" + file.name, file.blob});
+    auto second = push_files(transport, renamed, small_chunks());
+    ASSERT_TRUE(second.ok()) << second.error().to_string();
+    EXPECT_EQ(second.value().chunks, 0u);  // zero payload chunks moved
+    EXPECT_EQ(second.value().deduped, 16u);
+    EXPECT_EQ(counts().applied - before.applied, 16u);  // nothing re-applied
+    EXPECT_EQ(counts().deduped - before.deduped, 16u);
+    EXPECT_EQ(counts().delivered - before.delivered, 2 * files.size());
+    expect_delivered(files);
+    expect_delivered(renamed);
+    // One physical copy, pinned by both names.
+    EXPECT_EQ(chunk_store->stats().chunks - store_before.chunks, 16u);
+    EXPECT_EQ(chunk_store->stats().dedup_hits - store_before.dedup_hits, 16u);
+    EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage());
+  }
 }
 
 TEST_F(StoreTransferFixture, CrashResumeLeavesNoOrphanedRefcounts) {
@@ -424,23 +565,27 @@ TEST_F(TransferFixture, BackpressureShrinksCreditButCompletes) {
 }
 
 TEST_F(TransferFixture, PullChunkedMatchesSourceChecksum) {
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(3 << 20, 17);
-  ASSERT_TRUE(njs.deliver_file(
-                      token, "out.bin",
-                      std::make_shared<const uspace::FileBlob>(blob))
-                  .ok());
-  auto transport = std::make_shared<Loopback>(engine, service, 4);
-  util::Result<PullResult> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.pull(transport, PullSpec{Role::kPeerPull, token, "out.bin"},
-               small_chunks(),
-               [&](util::Result<PullResult> result) { out = std::move(result); });
-  engine.run();
-  ASSERT_TRUE(out.ok()) << out.error().to_string();
-  EXPECT_EQ(out.value().blob.checksum(), blob.checksum());
-  EXPECT_FALSE(out.value().stats.inlined);
-  EXPECT_EQ(out.value().stats.chunks, 48u);
-  EXPECT_EQ(service.outbound_open(), 0u);  // close released the read
+  // 48 chunks of one 3 MiB file, then 20 chunks of 10 files of 128 KiB.
+  for (const auto& files : {make_files(1, 3 << 20, "out.bin", 17),
+                            make_files(10, 128 << 10, "out/f")}) {
+    SCOPED_TRACE(files.size());
+    PullSpec spec{Role::kPeerPull, token, {}};
+    for (const BundleFile& file : files) {
+      ASSERT_TRUE(njs.deliver_file(token, file.name, file.blob).ok());
+      spec.names.push_back(file.name);
+    }
+    auto transport = std::make_shared<Loopback>(engine, service, 4);
+    auto out = pull_names(transport, spec, small_chunks());
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    ASSERT_EQ(out.value().blobs.size(), files.size());
+    for (std::size_t i = 0; i < files.size(); ++i)
+      EXPECT_EQ(out.value().blobs[i].checksum(), files[i].blob->checksum());
+    EXPECT_FALSE(out.value().stats.inlined);
+    EXPECT_EQ(out.value().stats.files, files.size());
+    EXPECT_EQ(out.value().stats.chunks, files.size() == 1 ? 48u : 20u);
+    EXPECT_EQ(out.value().stats.bundles, 1u);
+    EXPECT_EQ(service.outbound_open(), 0u);  // close released the read
+  }
 }
 
 TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
@@ -449,16 +594,27 @@ TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
                                    uspace::FileBlob::from_string("n")))
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  util::Result<PullResult> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.pull(transport, PullSpec{Role::kPeerPull, token, "note.txt"},
-               small_chunks(),
-               [&](util::Result<PullResult> result) { out = std::move(result); });
-  engine.run();
+  auto out = pull_names(transport, PullSpec{Role::kPeerPull, token,
+                                            {"note.txt"}},
+                        small_chunks());
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out.value().stats.inlined);
   EXPECT_EQ(out.value().stats.chunks, 0u);
-  EXPECT_EQ(out.value().blob.size(), 1u);
+  ASSERT_EQ(out.value().blobs.size(), 1u);
+  EXPECT_EQ(out.value().blobs[0].size(), 1u);
+  EXPECT_EQ(service.outbound_open(), 0u);  // nothing to close
+
+  // Two small files never inline: they take the manifest path.
+  ASSERT_TRUE(njs.deliver_file(token, "note2.txt",
+                               std::make_shared<const uspace::FileBlob>(
+                                   uspace::FileBlob::from_string("m")))
+                  .ok());
+  auto both = pull_names(transport, PullSpec{Role::kPeerPull, token,
+                                             {"note.txt", "note2.txt"}},
+                         small_chunks());
+  ASSERT_TRUE(both.ok()) << both.error().to_string();
+  EXPECT_FALSE(both.value().stats.inlined);
+  EXPECT_EQ(both.value().stats.chunks, 2u);
 }
 
 TEST_F(TransferFixture, ClientPullEnforcesJobOwnership) {
@@ -468,28 +624,23 @@ TEST_F(TransferFixture, ClientPullEnforcesJobOwnership) {
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 1);
   transport->client_dn = dn("Mallory");  // not the job owner
-  util::Result<PullResult> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
   TransferOptions options = small_chunks();
   options.max_resume_attempts = 1;  // permission errors must not retry long
-  manager.pull(transport, PullSpec{Role::kClientPull, token, "secret.txt"},
-               options,
-               [&](util::Result<PullResult> result) { out = std::move(result); });
-  engine.run();
+  auto out = pull_names(transport,
+                        PullSpec{Role::kClientPull, token, {"secret.txt"}},
+                        options);
   ASSERT_FALSE(out.ok());
 }
 
-// ---- bundle transfers ------------------------------------------------------
+// ---- bundles of many files -------------------------------------------------
 
 TEST_F(TransferFixture, BundlePushDeliversEveryFileInOneOpen) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   njs.set_metrics(registry);
   auto transport = std::make_shared<Loopback>(engine, service, 4);
   std::vector<BundleFile> files = make_files(12, 128 << 10);  // 2 chunks each
-  std::vector<crypto::Digest> checksums;
-  for (const auto& f : files) checksums.push_back(f.blob->checksum());
 
-  auto stats = push_bundle_files(transport, files, small_chunks());
+  auto stats = push_files(transport, files, small_chunks());
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 12u);
   EXPECT_EQ(stats.value().bytes, 12u * (128 << 10));
@@ -497,18 +648,17 @@ TEST_F(TransferFixture, BundlePushDeliversEveryFileInOneOpen) {
   EXPECT_EQ(stats.value().bundles, 1u);
   EXPECT_EQ(stats.value().resumes, 0u);
   EXPECT_EQ(service.chunks_applied(), 24u);
-  EXPECT_EQ(service.bundles_completed(), 1u);
-  EXPECT_EQ(service.bundle_files_delivered(), 12u);
-  EXPECT_EQ(service.bundles_open(), 0u);  // close drained the table
-  for (std::size_t i = 0; i < files.size(); ++i)
-    EXPECT_EQ(delivered_checksum(files[i].name), checksums[i]);
+  EXPECT_EQ(service.transfers_completed(), 1u);
+  EXPECT_EQ(service.files_delivered(), 12u);
+  EXPECT_EQ(service.inbound_open(), 0u);  // close drained the table
+  expect_delivered(files);
 
-  // The observability satellite: one bundle open, twelve files, and
-  // 2n-2 round trips saved against the per-file baseline.
+  // One bundle open, twelve files, and 2n-2 round trips saved against
+  // one open and one close per file.
   auto snapshot = registry->snapshot();
   obs::Labels labels{{"usite", "LRZ"}};
-  const obs::MetricPoint* opens = snapshot.find(
-      "unicore_xfer_opens_total", {{"usite", "LRZ"}, {"kind", "bundle"}});
+  const obs::MetricPoint* opens =
+      snapshot.find("unicore_xfer_opens_total", labels);
   ASSERT_NE(opens, nullptr);
   EXPECT_EQ(opens->value, 1.0);
   const obs::MetricPoint* bundle_files =
@@ -530,176 +680,57 @@ TEST_F(TransferFixture, BundleMixesFileSizesAcrossOneCreditWindow) {
                                    uspace::FileBlob::from_string("hello"))});
   files.push_back({"mid.bin", std::make_shared<const uspace::FileBlob>(
                                   uspace::FileBlob::synthetic(192 << 10, 9))});
-  auto stats = push_bundle_files(transport, files, small_chunks());
+  auto stats = push_files(transport, files, small_chunks());
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 3u);
   EXPECT_EQ(stats.value().chunks, 16u + 1u + 3u);
-  EXPECT_EQ(service.bundle_files_delivered(), 3u);
+  EXPECT_EQ(service.files_delivered(), 3u);
   auto note = njs.fetch_file_shared(token, "note.txt");
   ASSERT_TRUE(note.ok());
   ASSERT_NE(note.value()->bytes(), nullptr);
   EXPECT_EQ(*note.value()->bytes(), *uspace::FileBlob::from_string("hello")
                                          .bytes());  // content, not identity
-  EXPECT_EQ(delivered_checksum("big.bin"),
-            uspace::FileBlob::synthetic(1 << 20, 7).checksum());
-}
-
-TEST_F(TransferFixture, BundleLostAckRedeliversWithoutApplyingTwice) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  transport->drop_next_acks = 3;  // applied, but the sender never hears
-  auto stats =
-      push_bundle_files(transport, make_files(8, 128 << 10), small_chunks());
-  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_GE(stats.value().retransmits, 3u);
-  EXPECT_GE(stats.value().duplicates, 3u);
-  EXPECT_EQ(service.duplicates_suppressed(), stats.value().duplicates);
-  EXPECT_EQ(service.chunks_applied(), 16u);  // exactly once per chunk
-  EXPECT_EQ(service.bundle_files_delivered(), 8u);
-}
-
-TEST_F(TransferFixture, ReceiverCrashMidBundleResumesFromJournal) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  std::vector<BundleFile> files = make_files(8, 512 << 10);  // 64 chunks total
-  std::vector<crypto::Digest> checksums;
-  for (const auto& f : files) checksums.push_back(f.blob->checksum());
-
-  // Crash the NJS while bundle chunks are interleaving, then recover
-  // from the journal: the resume re-opens by bundle key and the reply's
-  // per-file have-ranges restore every bitmap.
-  engine.after(sim::msec(4), [this] {
-    njs.crash();
-    ASSERT_TRUE(njs.recover().ok());
-  });
-
-  auto stats = push_bundle_files(transport, files, small_chunks());
-  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_GE(stats.value().resumes, 1u);
-  EXPECT_EQ(service.bundles_recovered(), 1u);
-  // Chunks journaled before the crash were folded back, not re-applied:
-  // each of the 64 chunks across the 8 files was applied exactly once.
-  EXPECT_EQ(service.chunks_applied(), 64u);
-  // Files finished before the crash are re-delivered from the journal
-  // (the workspace write must be redone for durability), so delivery
-  // can exceed the file count — but never miss a file.
-  EXPECT_GE(service.bundle_files_delivered(), 8u);
-  for (std::size_t i = 0; i < files.size(); ++i)
-    EXPECT_EQ(delivered_checksum(files[i].name), checksums[i]);
-}
-
-TEST_F(TransferFixture, CompletedBundleTombstoneMakesRepushCheap) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  std::vector<BundleFile> files = make_files(6, 128 << 10);
-  auto first = push_bundle_files(transport, files, small_chunks());
-  ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_EQ(first.value().chunks, 12u);
-
-  // Same files, same destination: the durable bundle key matches the
-  // kXferBundleDone tombstone, so the re-push moves zero chunks in a
-  // single open round trip.
-  auto second = push_bundle_files(transport, files, small_chunks());
-  ASSERT_TRUE(second.ok()) << second.error().to_string();
-  EXPECT_EQ(second.value().chunks, 0u);
-  EXPECT_EQ(service.chunks_applied(), 12u);
+  expect_delivered(files);
 }
 
 TEST_F(TransferFixture, PushTreeSlicesAboveTheBundleCapAndAggregates) {
   auto transport = std::make_shared<Loopback>(engine, service, 4);
-  // push_bundle refuses above-cap batches outright...
-  std::vector<BundleFile> big = make_files(kMaxBundleFiles + 1, 1);
-  util::Result<BundleStats> refused =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.push_bundle(transport, BundlePushSpec{"FZ-Juelich", token},
-                      std::move(big), small_chunks(),
-                      [&](util::Result<BundleStats> r) { refused = std::move(r); });
-  engine.run();
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.error().code, util::ErrorCode::kInvalidArgument);
-
-  // ...while push_tree slices them into sequential wire bundles. Use a
-  // small batch with a forced slice boundary via repeated pushes being
-  // overkill here: 40 files through push_tree lands in one bundle.
-  util::Result<BundleStats> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.push_tree(transport, BundlePushSpec{"FZ-Juelich", token},
-                    make_files(40, 64 << 10, "t"), small_chunks(),
-                    [&](util::Result<BundleStats> r) { out = std::move(r); });
-  engine.run();
-  ASSERT_TRUE(out.ok()) << out.error().to_string();
-  EXPECT_EQ(out.value().files, 40u);
-  EXPECT_EQ(out.value().bundles, 1u);
-  EXPECT_EQ(service.bundle_files_delivered(), 40u);
+  // One file past the cap: two sequential wire bundles, one result.
+  auto stats =
+      push_files(transport, make_files(kMaxBundleFiles + 1, 1, "t"),
+                 small_chunks());
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  EXPECT_EQ(stats.value().files, kMaxBundleFiles + 1);
+  EXPECT_EQ(stats.value().chunks, kMaxBundleFiles + 1);
+  EXPECT_EQ(stats.value().bundles, 2u);
+  EXPECT_EQ(service.transfers_completed(), 2u);
+  EXPECT_EQ(service.files_delivered(), kMaxBundleFiles + 1);
 }
 
-TEST_F(TransferFixture, PullBundleFetchesEveryFileInOneOpen) {
-  std::vector<BundleFile> files = make_files(10, 128 << 10, "out");
-  for (const auto& f : files)
-    ASSERT_TRUE(njs.deliver_file(token, f.name, f.blob).ok());
-  auto transport = std::make_shared<Loopback>(engine, service, 4);
-  BundlePullSpec spec;
-  spec.role = Role::kPeerPull;
-  spec.token = token;
-  for (const auto& f : files) spec.names.push_back(f.name);
-  util::Result<BundlePullResult> out =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.pull_bundle(transport, spec, small_chunks(),
-                      [&](util::Result<BundlePullResult> result) {
-                        out = std::move(result);
-                      });
-  engine.run();
-  ASSERT_TRUE(out.ok()) << out.error().to_string();
-  ASSERT_EQ(out.value().blobs.size(), files.size());
-  for (std::size_t i = 0; i < files.size(); ++i)
-    EXPECT_EQ(out.value().blobs[i].checksum(), files[i].blob->checksum());
-  EXPECT_EQ(out.value().stats.files, 10u);
-  EXPECT_EQ(out.value().stats.chunks, 20u);
-  EXPECT_EQ(out.value().stats.bundles, 1u);
-  EXPECT_EQ(service.outbound_open(), 0u);  // close released the reads
-}
-
-TEST_F(TransferFixture, BundlePushRequiresServerPeerCertificate) {
-  // A client-authenticated caller must not open a peer-role bundle; the
-  // service enforces it independently of the gateway.
-  BundleOpenRequest request;
-  request.role = Role::kPush;
-  request.token = token;
-  BundleFileEntry entry;
-  entry.name = "x.bin";
-  entry.size = 1;
-  entry.checksum = uspace::FileBlob::from_string("x").checksum();
-  request.files.push_back(entry);
-  request.key = make_bundle_key("evil", token, request.files);
-  util::Bytes wire = request.encode();
-  util::ByteReader r{wire};
-  Role role = static_cast<Role>(r.u8());
-  auto reply = service.bundle_open(dn("Jane"), /*server_peer=*/false, role, r);
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.error().code, util::ErrorCode::kPermissionDenied);
-}
-
-TEST_F(StoreTransferFixture, BundleRepushToNewNamesDedupsWholeBatchInOneRtt) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  std::vector<BundleFile> files = make_files(8, 128 << 10);
-  auto first = push_bundle_files(transport, files, small_chunks());
-  ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_EQ(first.value().chunks, 16u);
-  EXPECT_EQ(service.chunks_applied(), 16u);
-
-  // Same payloads under new names: the bundle key differs, so the
-  // tombstone does NOT apply — but the open's per-file digest manifests
-  // find every chunk in the store. The whole batch settles in the one
-  // open round trip; zero payload moves.
-  std::vector<BundleFile> renamed;
-  for (std::size_t i = 0; i < files.size(); ++i)
-    renamed.push_back({"warm" + std::to_string(i), files[i].blob});
-  auto second = push_bundle_files(transport, renamed, small_chunks());
-  ASSERT_TRUE(second.ok()) << second.error().to_string();
-  EXPECT_EQ(second.value().chunks, 0u);
-  EXPECT_EQ(second.value().deduped, 16u);
-  EXPECT_EQ(service.chunks_applied(), 16u);  // nothing re-applied
-  EXPECT_EQ(service.chunks_deduped(), 16u);
-  EXPECT_EQ(service.bundle_files_delivered(), 16u);
-  for (std::size_t i = 0; i < renamed.size(); ++i)
-    EXPECT_EQ(delivered_checksum(renamed[i].name), files[i].blob->checksum());
+TEST_F(TransferFixture, PushRequiresServerPeerCertificate) {
+  // A client-authenticated caller must not open a peer-role push, of
+  // one file or of many; the service enforces it independently of the
+  // gateway.
+  for (std::size_t count : {1, 3}) {
+    SCOPED_TRACE(count);
+    BundleOpenRequest request;
+    request.role = Role::kPush;
+    request.token = token;
+    for (std::size_t i = 0; i < count; ++i) {
+      BundleFileEntry entry;
+      entry.name = "x" + std::to_string(i) + ".bin";
+      entry.size = 1;
+      entry.checksum = uspace::FileBlob::from_string("x").checksum();
+      request.files.push_back(entry);
+    }
+    request.key = make_bundle_key("evil", token, request.files);
+    util::Bytes wire = request.encode();
+    util::ByteReader r{wire};
+    Role role = static_cast<Role>(r.u8());
+    auto reply = service.open(dn("Jane"), /*server_peer=*/false, role, r);
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.error().code, util::ErrorCode::kPermissionDenied);
+  }
 }
 
 TEST_F(StoreTransferFixture, PullBundleSatisfiesWarmChunksFromLocalStore) {
@@ -707,33 +738,20 @@ TEST_F(StoreTransferFixture, PullBundleSatisfiesWarmChunksFromLocalStore) {
   for (const auto& f : files)
     ASSERT_TRUE(njs.deliver_file(token, f.name, f.blob).ok());
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  auto local = std::make_shared<store::ChunkStore>();
-  BundlePullSpec spec;
+  PullSpec spec;
   spec.role = Role::kPeerPull;
   spec.token = token;
-  spec.store = local;
+  spec.store = std::make_shared<store::ChunkStore>();
   for (const auto& f : files) spec.names.push_back(f.name);
 
-  util::Result<BundlePullResult> cold =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.pull_bundle(transport, spec, small_chunks(),
-                      [&](util::Result<BundlePullResult> result) {
-                        cold = std::move(result);
-                      });
-  engine.run();
+  auto cold = pull_names(transport, spec, small_chunks());
   ASSERT_TRUE(cold.ok()) << cold.error().to_string();
   EXPECT_EQ(cold.value().stats.chunks, 12u);
 
   // The cold pull interned every chunk into the local store (the
   // result blobs pin them). A second pull of the same files settles
   // entirely from the open reply's manifests: zero chunk requests.
-  util::Result<BundlePullResult> warm =
-      util::make_error(util::ErrorCode::kInternal, "never finished");
-  manager.pull_bundle(transport, spec, small_chunks(),
-                      [&](util::Result<BundlePullResult> result) {
-                        warm = std::move(result);
-                      });
-  engine.run();
+  auto warm = pull_names(transport, spec, small_chunks());
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
   EXPECT_EQ(warm.value().stats.chunks, 0u);
   EXPECT_EQ(warm.value().stats.deduped, 12u);
@@ -741,75 +759,41 @@ TEST_F(StoreTransferFixture, PullBundleSatisfiesWarmChunksFromLocalStore) {
     EXPECT_EQ(warm.value().blobs[i].checksum(), files[i].blob->checksum());
 }
 
-// The satellite regression: a clamped chunk size invalidates the
-// sender's digest manifest (it was computed at the proposed
-// granularity), so satisfy_open must not apply have-range dedup.
+// A clamped chunk size invalidates the sender's digest manifests (they
+// were computed at the proposed granularity), so the open must not
+// apply have-range dedup.
 TEST_F(StoreTransferFixture, SatisfyOpenIgnoresManifestAfterChunkSizeClamp) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(1 << 20, 42);
-  TransferOptions wide = small_chunks();
-  wide.chunk_bytes = 2 * kMinChunkBytes;  // 128 KiB: 8 chunks
-  auto first = push_blob(transport, blob, "cold.bin", wide);
-  ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_EQ(first.value().chunks, 8u);
+  // 8 chunks at 128 KiB either way, 16 once clamped to 64 KiB.
+  for (const auto& files : {make_files(1, 1 << 20, "cold.bin", 42),
+                            make_files(4, 256 << 10, "cold/f")}) {
+    SCOPED_TRACE(files.size());
+    service.set_limits(Service::Limits{});
+    Counts before = counts();
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    TransferOptions wide = small_chunks();
+    wide.chunk_bytes = 2 * kMinChunkBytes;  // 128 KiB
+    auto first = push_files(transport, files, wide);
+    ASSERT_TRUE(first.ok()) << first.error().to_string();
+    EXPECT_EQ(first.value().chunks, 8u);
 
-  // Now the receiver clamps every proposal down to 64 KiB. The re-push
-  // proposes 128 KiB again — its digests are 128 KiB-granularity, and
-  // every one of them IS in the store. Applying them to the 64 KiB
-  // assembly would mark the wrong chunks present; the service must
-  // ignore the manifest and take the full 16-chunk transfer instead.
-  Service::Limits limits;
-  limits.max_chunk_bytes = kMinChunkBytes;
-  service.set_limits(limits);
-  auto second = push_blob(transport, blob, "clamped.bin", wide);
-  ASSERT_TRUE(second.ok()) << second.error().to_string();
-  EXPECT_EQ(second.value().chunks, 16u);  // no dedup: every chunk moved
-  EXPECT_EQ(second.value().deduped, 0u);
-  EXPECT_EQ(service.chunks_deduped(), 0u);
-  EXPECT_EQ(delivered_checksum("clamped.bin"), blob.checksum());
-}
-
-TEST_F(StoreTransferFixture, SatisfyBundleOpenIgnoresManifestAfterClamp) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  std::vector<BundleFile> files = make_files(4, 256 << 10);
-  TransferOptions wide = small_chunks();
-  wide.chunk_bytes = 2 * kMinChunkBytes;  // 2 chunks per file
-  auto first = push_bundle_files(transport, files, wide);
-  ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_EQ(first.value().chunks, 8u);
-
-  Service::Limits limits;
-  limits.max_chunk_bytes = kMinChunkBytes;
-  service.set_limits(limits);
-  std::vector<BundleFile> renamed;
-  for (std::size_t i = 0; i < files.size(); ++i)
-    renamed.push_back({"clamped" + std::to_string(i), files[i].blob});
-  auto second = push_bundle_files(transport, renamed, wide);
-  ASSERT_TRUE(second.ok()) << second.error().to_string();
-  EXPECT_EQ(second.value().chunks, 16u);  // 4 files x 4 chunks at 64 KiB
-  EXPECT_EQ(second.value().deduped, 0u);
-  EXPECT_EQ(service.chunks_deduped(), 0u);
-  for (std::size_t i = 0; i < renamed.size(); ++i)
-    EXPECT_EQ(delivered_checksum(renamed[i].name), files[i].blob->checksum());
-}
-
-TEST_F(TransferFixture, PushRequiresServerPeerCertificate) {
-  // A client-authenticated caller must not be able to open a push; the
-  // service enforces it independently of the gateway.
-  uspace::FileBlob blob = uspace::FileBlob::from_string("x");
-  PushOpenRequest request;
-  request.key = make_transfer_key("evil", token, "x.bin", blob.checksum(),
-                                  blob.size());
-  request.token = token;
-  request.name = "x.bin";
-  request.size = blob.size();
-  request.checksum = blob.checksum();
-  util::Bytes wire = request.encode();
-  util::ByteReader r{wire};
-  Role role = static_cast<Role>(r.u8());
-  auto reply = service.open(dn("Jane"), /*server_peer=*/false, role, r);
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.error().code, util::ErrorCode::kPermissionDenied);
+    // Now the receiver clamps every proposal down to 64 KiB. The re-push
+    // proposes 128 KiB again — its digests are 128 KiB-granularity, and
+    // every one of them IS in the store. Applying them to 64 KiB
+    // assemblies would mark the wrong chunks present; the service must
+    // ignore the manifests and take the full transfer instead.
+    Service::Limits limits;
+    limits.max_chunk_bytes = kMinChunkBytes;
+    service.set_limits(limits);
+    std::vector<BundleFile> renamed;
+    for (const BundleFile& file : files)
+      renamed.push_back({"clamped/" + file.name, file.blob});
+    auto second = push_files(transport, renamed, wide);
+    ASSERT_TRUE(second.ok()) << second.error().to_string();
+    EXPECT_EQ(second.value().chunks, 16u);  // no dedup: every chunk moved
+    EXPECT_EQ(second.value().deduped, 0u);
+    EXPECT_EQ(counts().deduped - before.deduped, 0u);
+    expect_delivered(renamed);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Wire framing of the chunked transfer protocol: chunk math, digests,
-// the durable transfer key, and request/reply codec round-trips.
+// the durable bundle key, and request/reply codec round-trips (a single
+// file is a bundle of one).
 #include "xfer/wire.h"
 
 #include <gtest/gtest.h>
@@ -64,18 +65,28 @@ TEST(MakeChunk, SyntheticBlobCarriesNoPayload) {
 }
 
 TEST(TransferKey, StableAndSensitiveToEveryField) {
+  // A single file is a bundle of one: its durable key covers the
+  // source site, the target token, and the file's name, checksum and
+  // size.
   uspace::FileBlob blob = uspace::FileBlob::from_string("data");
   auto key = [&](const std::string& site, ajo::JobToken token,
-                 const std::string& name, std::uint64_t size) {
-    return make_transfer_key(site, token, name, blob.checksum(), size);
+                 const std::string& name, const uspace::FileBlob& content,
+                 std::uint64_t size) {
+    BundleFileEntry entry;
+    entry.name = name;
+    entry.size = size;
+    entry.checksum = content.checksum();
+    return make_bundle_key(site, token, {entry});
   };
-  util::Bytes base = key("FZ-Juelich", 7, "out.bin", 4);
+  util::Bytes base = key("FZ-Juelich", 7, "out.bin", blob, 4);
   EXPECT_EQ(base.size(), 32u);
-  EXPECT_EQ(base, key("FZ-Juelich", 7, "out.bin", 4));  // deterministic
-  EXPECT_NE(base, key("LRZ", 7, "out.bin", 4));
-  EXPECT_NE(base, key("FZ-Juelich", 8, "out.bin", 4));
-  EXPECT_NE(base, key("FZ-Juelich", 7, "other.bin", 4));
-  EXPECT_NE(base, key("FZ-Juelich", 7, "out.bin", 5));
+  EXPECT_EQ(base, key("FZ-Juelich", 7, "out.bin", blob, 4));  // deterministic
+  EXPECT_NE(base, key("LRZ", 7, "out.bin", blob, 4));
+  EXPECT_NE(base, key("FZ-Juelich", 8, "out.bin", blob, 4));
+  EXPECT_NE(base, key("FZ-Juelich", 7, "other.bin", blob, 4));
+  EXPECT_NE(base, key("FZ-Juelich", 7, "out.bin",
+                      uspace::FileBlob::from_string("atad"), 4));
+  EXPECT_NE(base, key("FZ-Juelich", 7, "out.bin", blob, 5));
 }
 
 TEST(Ranges, CodecRoundTrip) {
@@ -120,138 +131,140 @@ TEST(ChunkCodec, RoundTripRealAndSynthetic) {
 }
 
 TEST(OpenCodec, PushRequestLeadsWithRoleByte) {
+  // A one-file push open: the role byte leads, so the gateway picks
+  // the authentication path without parsing the rest.
   uspace::FileBlob blob = uspace::FileBlob::from_string("f");
-  PushOpenRequest req;
-  req.key = make_transfer_key("FZ-Juelich", 3, "f.bin", blob.checksum(),
-                              blob.size());
+  BundleOpenRequest req;
   req.token = 3;
-  req.name = "f.bin";
-  req.size = blob.size();
-  req.checksum = blob.checksum();
-  req.synthetic = false;
   req.proposed_chunk_bytes = 512 * 1024;
+  BundleFileEntry entry;
+  entry.name = "f.bin";
+  entry.size = blob.size();
+  entry.checksum = blob.checksum();
+  req.files.push_back(entry);
+  req.key = make_bundle_key("FZ-Juelich", 3, req.files);
 
   util::Bytes wire = req.encode();
   util::ByteReader r{wire};
   EXPECT_EQ(static_cast<Role>(r.u8()), Role::kPush);
-  PushOpenRequest decoded = PushOpenRequest::decode(Role::kPush, r);
+  BundleOpenRequest decoded = BundleOpenRequest::decode(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.key, req.key);
   EXPECT_EQ(decoded.token, req.token);
-  EXPECT_EQ(decoded.name, req.name);
-  EXPECT_EQ(decoded.size, req.size);
-  EXPECT_EQ(decoded.checksum, req.checksum);
   EXPECT_EQ(decoded.proposed_chunk_bytes, req.proposed_chunk_bytes);
+  ASSERT_EQ(decoded.files.size(), 1u);
+  EXPECT_EQ(decoded.files[0].name, "f.bin");
+  EXPECT_EQ(decoded.files[0].size, blob.size());
+  EXPECT_EQ(decoded.files[0].checksum, blob.checksum());
 }
 
 TEST(OpenCodec, PushReplyRoundTripsResumeState) {
-  PushOpenReply reply;
-  reply.transfer_id = 77;
+  // The commit-tombstone reply: no transfer id, every file complete.
+  BundleOpenReply reply;
   reply.chunk_bytes = kMinChunkBytes;
-  reply.credit = 12;
-  reply.have = {{0, 3}, {5, 2}};
+  reply.files.resize(1);
+  reply.files[0].complete = true;
   util::Bytes wire = reply.encode();
   util::ByteReader r{wire};
-  PushOpenReply decoded = PushOpenReply::decode(r);
-  EXPECT_EQ(decoded.transfer_id, 77u);
+  BundleOpenReply decoded = BundleOpenReply::decode(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(decoded.transfer_id, 0u);
   EXPECT_EQ(decoded.chunk_bytes, kMinChunkBytes);
-  EXPECT_EQ(decoded.credit, 12u);
-  EXPECT_EQ(decoded.have, reply.have);
+  EXPECT_EQ(decoded.credit, 0u);
+  ASSERT_EQ(decoded.files.size(), 1u);
+  EXPECT_TRUE(decoded.files[0].complete);
 }
 
 TEST(OpenCodec, PullRequestAndInlineReply) {
-  PullOpenRequest req;
+  // A one-file pull open asks for inlining; the reply carries the blob
+  // itself, with no transfer to open or close.
+  BundlePullOpenRequest req;
   req.role = Role::kClientPull;
   req.token = 9;
-  req.name = "stdout";
   req.proposed_chunk_bytes = kDefaultChunkBytes;
   req.inline_limit = 4096;
+  req.names = {"stdout"};
   util::Bytes wire = req.encode();
   util::ByteReader r{wire};
   Role role = static_cast<Role>(r.u8());
   EXPECT_EQ(role, Role::kClientPull);
-  PullOpenRequest decoded = PullOpenRequest::decode(role, r);
+  BundlePullOpenRequest decoded = BundlePullOpenRequest::decode(role, r);
+  EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.token, 9u);
-  EXPECT_EQ(decoded.name, "stdout");
+  EXPECT_EQ(decoded.names, req.names);
   EXPECT_EQ(decoded.inline_limit, 4096u);
 
-  PullOpenReply inline_reply;
-  inline_reply.inline_blob = true;
-  inline_reply.blob = uspace::FileBlob::from_string("tiny output");
+  BundlePullOpenReply inline_reply;
+  inline_reply.inline_blob = uspace::FileBlob::from_string("tiny output");
   util::Bytes inline_wire = inline_reply.encode();
   util::ByteReader ir{inline_wire};
-  PullOpenReply idec = PullOpenReply::decode(ir);
-  ASSERT_TRUE(idec.inline_blob);
-  EXPECT_EQ(idec.blob.checksum(), inline_reply.blob.checksum());
-
-  PullOpenReply chunked;
-  chunked.transfer_id = 5;
-  chunked.chunk_bytes = kDefaultChunkBytes;
-  chunked.size = 80 << 20;
-  chunked.synthetic = true;
-  chunked.checksum = uspace::FileBlob::synthetic(80 << 20, 1).checksum();
-  util::Bytes chunked_wire = chunked.encode();
-  util::ByteReader cr{chunked_wire};
-  PullOpenReply cdec = PullOpenReply::decode(cr);
-  EXPECT_FALSE(cdec.inline_blob);
-  EXPECT_EQ(cdec.transfer_id, 5u);
-  EXPECT_EQ(cdec.size, 80ull << 20);
-  EXPECT_TRUE(cdec.synthetic);
-  EXPECT_EQ(cdec.checksum, chunked.checksum);
+  BundlePullOpenReply idec = BundlePullOpenReply::decode(ir);
+  EXPECT_TRUE(ir.done());
+  ASSERT_TRUE(idec.inline_blob.has_value());
+  EXPECT_EQ(idec.inline_blob->checksum(), inline_reply.inline_blob->checksum());
+  EXPECT_TRUE(idec.files.empty());
 }
 
 TEST(ChunkOpCodec, PushAndPullRoundTrip) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("abc");
-  PushChunkRequest req;
+  BundleChunkRequest req;
   req.transfer_id = 11;
   req.chunk = make_chunk(blob, 0, kMinChunkBytes);
   util::Bytes req_wire = req.encode();
   util::ByteReader r{req_wire};
   EXPECT_EQ(static_cast<Role>(r.u8()), Role::kPush);
-  PushChunkRequest decoded = PushChunkRequest::decode(r);
+  std::uint64_t id = r.u64();
+  BundleChunkRequest decoded = BundleChunkRequest::decode(id, r);
   EXPECT_EQ(decoded.transfer_id, 11u);
+  EXPECT_EQ(decoded.file_index, 0u);
   EXPECT_EQ(decoded.chunk.digest, req.chunk.digest);
 
-  PushChunkReply reply{/*applied=*/false, /*credit=*/3};
+  BundleChunkReply reply{/*applied=*/false, /*credit=*/3};
   util::Bytes reply_wire = reply.encode();
   util::ByteReader rr{reply_wire};
-  PushChunkReply rdec = PushChunkReply::decode(rr);
+  BundleChunkReply rdec = BundleChunkReply::decode(rr);
   EXPECT_FALSE(rdec.applied);
   EXPECT_EQ(rdec.credit, 3u);
 
-  PullChunkRequest pull;
+  BundlePullChunkRequest pull;
   pull.role = Role::kPeerPull;
   pull.transfer_id = 6;
+  pull.file_index = 2;
   pull.index = 41;
   util::Bytes pull_wire = pull.encode();
   util::ByteReader pr{pull_wire};
   Role role = static_cast<Role>(pr.u8());
   EXPECT_EQ(role, Role::kPeerPull);
-  PullChunkRequest pdec = PullChunkRequest::decode(role, pr);
+  std::uint64_t pull_id = pr.u64();
+  BundlePullChunkRequest pdec =
+      BundlePullChunkRequest::decode(role, pull_id, pr);
+  EXPECT_TRUE(pr.done());
   EXPECT_EQ(pdec.transfer_id, 6u);
+  EXPECT_EQ(pdec.file_index, 2u);
   EXPECT_EQ(pdec.index, 41u);
 }
 
 TEST(CloseCodec, PushCarriesKeyPullDoesNot) {
-  CloseRequest close;
-  close.role = Role::kPush;
+  // The client roles follow the peer roles' rule.
+  BundleCloseRequest close;
+  close.role = Role::kClientPush;
   close.transfer_id = 2;
   close.key = util::Bytes(32, 7);
   util::Bytes close_wire = close.encode();
   util::ByteReader r{close_wire};
   Role role = static_cast<Role>(r.u8());
-  EXPECT_EQ(role, Role::kPush);
-  CloseRequest decoded = CloseRequest::decode(role, r);
+  EXPECT_EQ(role, Role::kClientPush);
+  BundleCloseRequest decoded = BundleCloseRequest::decode(role, r);
   EXPECT_EQ(decoded.transfer_id, 2u);
   EXPECT_EQ(decoded.key, close.key);
 
-  CloseRequest pull_close;
+  BundleCloseRequest pull_close;
   pull_close.role = Role::kClientPull;
   pull_close.transfer_id = 9;
   util::Bytes pull_close_wire = pull_close.encode();
   util::ByteReader pr{pull_close_wire};
   Role prole = static_cast<Role>(pr.u8());
-  CloseRequest pdec = CloseRequest::decode(prole, pr);
+  BundleCloseRequest pdec = BundleCloseRequest::decode(prole, pr);
   EXPECT_EQ(pdec.transfer_id, 9u);
   EXPECT_TRUE(pdec.key.empty());
 }
@@ -344,7 +357,7 @@ TEST(BundleCodec, ChunkRequestCarriesFileIndexAfterTransferId) {
   util::Bytes wire = request.encode();
   util::ByteReader r{wire};
   EXPECT_EQ(static_cast<Role>(r.u8()), Role::kPush);
-  // The service reads the id itself to tell bundles from single files.
+  // The service reads the id itself to route the chunk first.
   std::uint64_t id = r.u64();
   EXPECT_EQ(id, 7u);
   BundleChunkRequest decoded = BundleChunkRequest::decode(id, r);
@@ -411,14 +424,27 @@ TEST(BundleCodec, CloseRequestKeyTravelsOnPushRolesOnly) {
 
 TEST(Codec, TruncatedBodyThrowsInsteadOfMisparsing) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("abcdef");
-  PushChunkRequest req;
+  BundleChunkRequest req;
   req.transfer_id = 1;
   req.chunk = make_chunk(blob, 0, kMinChunkBytes);
   util::Bytes wire = req.encode();
   wire.resize(wire.size() / 2);
   util::ByteReader r{wire};
   r.u8();  // role
-  EXPECT_THROW(PushChunkRequest::decode(r), std::out_of_range);
+  std::uint64_t id = r.u64();
+  EXPECT_THROW(BundleChunkRequest::decode(id, r), std::out_of_range);
+}
+
+TEST(Codec, CountBeyondTheBodyIsRejectedBeforeAllocating) {
+  // A garbled element count must not size an allocation: it fails as
+  // truncation does.
+  util::ByteWriter w;
+  w.u64(1);       // transfer id
+  w.u32(0);       // chunk bytes
+  w.u32(0);       // credit
+  w.varint(1ull << 40);  // files
+  util::ByteReader r{w.bytes()};
+  EXPECT_THROW(BundleOpenReply::decode(r), std::out_of_range);
 }
 
 }  // namespace
