@@ -73,7 +73,7 @@ constexpr std::uint64_t kFeatureBatchRecords = 1ull << 3;
 /// certificate authentication.
 constexpr std::uint64_t kFeaturePortal = 1ull << 4;
 // Bit 1 << 5 is retired (it gated bundle transfers, which every
-// chunked-transfer peer now speaks); never reuse it.
+// kFeatureChunkedXfer peer speaks); never reuse it.
 constexpr std::uint64_t kDefaultFeatures =
     kFeatureJournalInspect | kFeatureChunkedXfer | kFeatureResumption |
     kFeatureBatchRecords | kFeaturePortal;

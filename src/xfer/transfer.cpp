@@ -321,7 +321,8 @@ class Run : public std::enable_shared_from_this<Run> {
       if (!ack->applied) ++stats_.duplicates;
     } else {
       auto chunk = decode_reply<Chunk>(reply.value());
-      if (!chunk || !assemblies_[id.first].accept(*chunk).ok()) {
+      if (!chunk || chunk->index != id.second ||
+          !assemblies_[id.first].accept(*chunk).ok()) {
         retry_chunk(id);
         return;
       }

@@ -38,7 +38,9 @@ crypto::DistinguishedName dn(const std::string& cn) {
 /// without reaching the service; `drop_next_acks` lets the service
 /// apply the chunk but loses the acknowledgement (the WAL-idempotency
 /// scenario); `garble` answers every successful `*garble` call with the
-/// one-byte body {0x01}, which decodes as no reply does.
+/// one-byte body {0x01}, which decodes as no reply does;
+/// `misindex_pulled_chunks` relabels that many pulled chunks with the
+/// next index.
 class Loopback : public ChunkTransport {
  public:
   Loopback(sim::Engine& engine, Service& service, std::size_t streams)
@@ -80,6 +82,17 @@ class Loopback : public ChunkTransport {
         return;
       }
       if (garble == op && reply.ok()) reply = util::Bytes{0x01};
+      if (misindex_pulled_chunks > 0 && op == Op::kChunk && reply.ok() &&
+          !role_is_push(role)) {
+        // A well-formed chunk, but not the one that was asked for.
+        --misindex_pulled_chunks;
+        util::ByteReader cr{reply.value()};
+        Chunk chunk = Chunk::decode(cr);
+        ++chunk.index;
+        util::ByteWriter w;
+        chunk.encode(w);
+        reply = w.take();
+      }
       done(std::move(reply));
     });
   }
@@ -89,6 +102,7 @@ class Loopback : public ChunkTransport {
   int fail_next_calls = 0;
   int drop_next_acks = 0;
   std::optional<Op> garble;
+  int misindex_pulled_chunks = 0;
 
  private:
   sim::Engine& engine_;
@@ -407,6 +421,29 @@ TEST_F(TransferFixture, MalformedChunkReplyFailsOnceAfterTheResumeLadder) {
               std::string::npos)
         << error->message;
   }
+}
+
+TEST_F(TransferFixture, PullRejectsAChunkForAnotherIndex) {
+  // Real, varied content: chunk 0 relabelled as chunk 1 still matches
+  // its own digest and length, so only its index shows that the source
+  // answered another request. Assembled as chunk 1 it would corrupt the
+  // file; refetched, the pull completes intact.
+  util::Bytes content(5 * kMinChunkBytes);
+  for (std::size_t i = 0; i < content.size(); ++i)
+    content[i] = static_cast<std::uint8_t>(i % 251);
+  uspace::FileBlob blob = uspace::FileBlob::from_bytes(content);
+  ASSERT_TRUE(njs.deliver_file(token, "varied.bin",
+                               std::make_shared<const uspace::FileBlob>(blob))
+                  .ok());
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  transport->misindex_pulled_chunks = 1;
+  auto out = pull_names(transport,
+                        PullSpec{Role::kPeerPull, token, {"varied.bin"}},
+                        small_chunks());
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_EQ(out.value().blobs[0].checksum(), blob.checksum());
+  EXPECT_EQ(out.value().stats.retransmits, 1u);
+  EXPECT_EQ(out.value().stats.chunks, 5u);
 }
 
 // ---- content-addressed store integration ----------------------------------
