@@ -3,9 +3,9 @@
 // re-delivery, receiver crash/recovery resume, the commit tombstone,
 // store dedup, and malformed replies. No network — faults are injected
 // at the transport seam; the service journals through a real NJS
-// journal. A single file is a bundle of one, so each behaviour runs
-// over one file and over a bundle of several, with the exact counts of
-// both.
+// journal. A single file is a bundle of one, so each behaviour is one
+// scenario, run by one test over a single file and by one over a bundle
+// of several, with the exact counts of both.
 #include "xfer/transfer.h"
 
 #include <gtest/gtest.h>
@@ -220,16 +220,15 @@ struct TransferFixture : public ::testing::Test {
     return files;
   }
 
-  /// The service counters, for per-case deltas inside one test.
-  struct Counts {
-    std::uint64_t applied, duplicates, deduped, completed, recovered,
-        delivered;
-  };
-  Counts counts() const {
-    return {service.chunks_applied(),      service.duplicates_suppressed(),
-            service.chunks_deduped(),      service.transfers_completed(),
-            service.transfers_recovered(), service.files_delivered()};
-  }
+  // Scenarios shared by a single-file test and a bundle test; each is
+  // defined above its pair of tests.
+  void expect_lost_acks_apply_once(const std::vector<BundleFile>& files);
+  void expect_crash_resumes_from_journal(const std::vector<BundleFile>& files);
+  void expect_tombstone_makes_repush_cheap(const std::vector<BundleFile>& files,
+                                           std::uint64_t chunks);
+  void expect_pull_matches_source(const std::vector<BundleFile>& files,
+                                  std::uint64_t chunks);
+  void expect_client_cannot_open_peer_push(std::size_t file_count);
 };
 
 TEST_F(TransferFixture, PushStripesChunksOverParallelStreams) {
@@ -260,25 +259,28 @@ TEST_F(TransferFixture, PushPreservesRealContent) {
   EXPECT_EQ(*fetched.value()->bytes(), *blob.bytes());
 }
 
+/// `files` hold 16 chunks at 64 KiB.
+void TransferFixture::expect_lost_acks_apply_once(
+    const std::vector<BundleFile>& files) {
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  transport->drop_next_acks = 3;  // applied, but the sender never hears
+  auto stats = push_files(transport, files, small_chunks());
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  EXPECT_GE(stats.value().retransmits, 3u);
+  EXPECT_GE(stats.value().duplicates, 3u);  // receiver said applied=false
+  EXPECT_EQ(service.duplicates_suppressed(), stats.value().duplicates);
+  // Exactly one application per chunk, re-delivery notwithstanding.
+  EXPECT_EQ(service.chunks_applied(), 16u);
+  EXPECT_EQ(service.files_delivered(), files.size());
+  expect_delivered(files);
+}
+
 TEST_F(TransferFixture, LostAckRedeliversWithoutApplyingTwice) {
-  // One file of 16 chunks, then 8 files of 2 chunks each.
-  for (const auto& files : {make_files(1, 1 << 20, "lossy.bin", 8),
-                            make_files(8, 128 << 10, "lossy/f")}) {
-    SCOPED_TRACE(files.size());
-    Counts before = counts();
-    auto transport = std::make_shared<Loopback>(engine, service, 2);
-    transport->drop_next_acks = 3;  // applied, but the sender never hears
-    auto stats = push_files(transport, files, small_chunks());
-    ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-    EXPECT_GE(stats.value().retransmits, 3u);
-    EXPECT_GE(stats.value().duplicates, 3u);  // receiver said applied=false
-    EXPECT_EQ(counts().duplicates - before.duplicates,
-              stats.value().duplicates);
-    // Exactly one application per chunk, re-delivery notwithstanding.
-    EXPECT_EQ(counts().applied - before.applied, 16u);
-    EXPECT_EQ(counts().delivered - before.delivered, files.size());
-    expect_delivered(files);
-  }
+  expect_lost_acks_apply_once(make_files(1, 1 << 20, "lossy.bin", 8));
+}
+
+TEST_F(TransferFixture, BundleLostAckRedeliversWithoutApplyingTwice) {
+  expect_lost_acks_apply_once(make_files(8, 128 << 10, "lossy/f"));
 }
 
 TEST_F(TransferFixture, TransientOpenFailureRetriesViaResumeLadder) {
@@ -291,57 +293,65 @@ TEST_F(TransferFixture, TransientOpenFailureRetriesViaResumeLadder) {
   EXPECT_EQ(delivered_checksum("retry.bin"), blob.checksum());
 }
 
+/// `files` hold 64 chunks at 64 KiB.
+void TransferFixture::expect_crash_resumes_from_journal(
+    const std::vector<BundleFile>& files) {
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  // Crash the NJS shortly after chunks start moving, then recover it
+  // from the journal. The sender's transfer id goes stale; it must
+  // re-open by key, and the reply's per-file have-ranges restore what
+  // the journal already holds.
+  engine.after(sim::msec(4), [this] {
+    njs.crash();
+    ASSERT_TRUE(njs.recover().ok());
+  });
+  auto stats = push_files(transport, files, small_chunks());
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  EXPECT_GE(stats.value().resumes, 1u);
+  EXPECT_EQ(service.transfers_recovered(), 1u);
+  // Chunks journaled before the crash were folded back, not re-applied:
+  // every one of the 64 chunks was applied exactly once.
+  EXPECT_EQ(service.chunks_applied(), 64u);
+  // Files finished before the crash are re-delivered from the journal
+  // (the workspace write is redone for durability), so delivery can
+  // exceed the file count — but never miss a file.
+  EXPECT_GE(service.files_delivered(), files.size());
+  expect_delivered(files);
+}
+
 TEST_F(TransferFixture, ReceiverCrashMidTransferResumesFromJournal) {
-  // 64 chunks either way: one 4 MiB file, or 8 files of 512 KiB whose
-  // chunks interleave.
-  for (const auto& files : {make_files(1, 4 << 20, "crashy.bin", 13),
-                            make_files(8, 512 << 10, "crashy/f")}) {
-    SCOPED_TRACE(files.size());
-    Counts before = counts();
-    auto transport = std::make_shared<Loopback>(engine, service, 2);
-    // Crash the NJS shortly after chunks start moving, then recover it
-    // from the journal. The sender's transfer id goes stale; it must
-    // re-open by key, and the reply's per-file have-ranges restore
-    // what the journal already holds.
-    engine.after(sim::msec(4), [this] {
-      njs.crash();
-      ASSERT_TRUE(njs.recover().ok());
-    });
-    auto stats = push_files(transport, files, small_chunks());
-    ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-    EXPECT_GE(stats.value().resumes, 1u);
-    EXPECT_EQ(counts().recovered - before.recovered, 1u);
-    // Chunks journaled before the crash were folded back, not
-    // re-applied: every one of the 64 chunks was applied exactly once.
-    EXPECT_EQ(counts().applied - before.applied, 64u);
-    // Files finished before the crash are re-delivered from the journal
-    // (the workspace write is redone for durability), so delivery can
-    // exceed the file count — but never miss a file.
-    EXPECT_GE(counts().delivered - before.delivered, files.size());
-    expect_delivered(files);
-  }
+  expect_crash_resumes_from_journal(make_files(1, 4 << 20, "crashy.bin", 13));
+}
+
+TEST_F(TransferFixture, ReceiverCrashMidBundleResumesFromJournal) {
+  // 8 files of 512 KiB whose chunks interleave.
+  expect_crash_resumes_from_journal(make_files(8, 512 << 10, "crashy/f"));
+}
+
+void TransferFixture::expect_tombstone_makes_repush_cheap(
+    const std::vector<BundleFile>& files, std::uint64_t chunks) {
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  auto first = push_files(transport, files, small_chunks());
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  EXPECT_EQ(first.value().chunks, chunks);
+
+  // Same files, same destination: the durable bundle key matches the
+  // kXferBundleDone tombstone, so the re-push moves zero chunks in a
+  // single open round trip.
+  auto second = push_files(transport, files, small_chunks());
+  ASSERT_TRUE(second.ok()) << second.error().to_string();
+  EXPECT_EQ(second.value().chunks, 0u);
+  EXPECT_EQ(service.chunks_applied(), chunks);
+  expect_delivered(files);
 }
 
 TEST_F(TransferFixture, CompletedTransferTombstoneMakesRepushCheap) {
-  for (const auto& files : {make_files(1, 1 << 20, "twice.bin", 30),
-                            make_files(6, 128 << 10, "twice/f")}) {
-    SCOPED_TRACE(files.size());
-    Counts before = counts();
-    auto transport = std::make_shared<Loopback>(engine, service, 2);
-    auto first = push_files(transport, files, small_chunks());
-    ASSERT_TRUE(first.ok()) << first.error().to_string();
-    std::uint64_t chunks = files.size() == 1 ? 16u : 12u;
-    EXPECT_EQ(first.value().chunks, chunks);
+  expect_tombstone_makes_repush_cheap(make_files(1, 1 << 20, "twice.bin", 30),
+                                      16);
+}
 
-    // Same files, same destination: the durable bundle key matches the
-    // kXferBundleDone tombstone, so the re-push moves zero chunks in a
-    // single open round trip.
-    auto second = push_files(transport, files, small_chunks());
-    ASSERT_TRUE(second.ok()) << second.error().to_string();
-    EXPECT_EQ(second.value().chunks, 0u);
-    EXPECT_EQ(counts().applied - before.applied, chunks);
-    expect_delivered(files);
-  }
+TEST_F(TransferFixture, CompletedBundleTombstoneMakesRepushCheap) {
+  expect_tombstone_makes_repush_cheap(make_files(6, 128 << 10, "twice/f"), 12);
 }
 
 TEST_F(TransferFixture, MalformedOpenReplyFailsOnceAfterTheResumeLadder) {
@@ -472,42 +482,50 @@ struct StoreTransferFixture : public TransferFixture {
     }
     return refs;
   }
+
+  void expect_repush_to_new_names_moves_nothing(
+      const std::vector<BundleFile>& files);
+  void expect_clamp_ignores_manifests(const std::vector<BundleFile>& files);
 };
 
-TEST_F(StoreTransferFixture, RepushToNewNameMovesZeroPayloadBytes) {
-  // 16 chunks either way: one 1 MiB file, or 8 files of 128 KiB.
-  for (const auto& files : {make_files(1, 1 << 20, "cold.bin", 30),
-                            make_files(8, 128 << 10, "cold/f")}) {
-    SCOPED_TRACE(files.size());
-    Counts before = counts();
-    store::StoreStats store_before = chunk_store->stats();
-    auto transport = std::make_shared<Loopback>(engine, service, 2);
-    auto first = push_files(transport, files, small_chunks());
-    ASSERT_TRUE(first.ok()) << first.error().to_string();
-    EXPECT_EQ(first.value().chunks, 16u);
-    EXPECT_EQ(counts().applied - before.applied, 16u);
+/// `files` hold 16 chunks at 64 KiB.
+void StoreTransferFixture::expect_repush_to_new_names_moves_nothing(
+    const std::vector<BundleFile>& files) {
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  auto first = push_files(transport, files, small_chunks());
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  EXPECT_EQ(first.value().chunks, 16u);
+  EXPECT_EQ(service.chunks_applied(), 16u);
 
-    // Same payloads under new names: the bundle key differs, so the
-    // tombstone does NOT apply — but the open's per-file digest
-    // manifests find every chunk in the store. The whole batch settles
-    // in the one open round trip; zero payload moves.
-    std::vector<BundleFile> renamed;
-    for (const BundleFile& file : files)
-      renamed.push_back({"warm/" + file.name, file.blob});
-    auto second = push_files(transport, renamed, small_chunks());
-    ASSERT_TRUE(second.ok()) << second.error().to_string();
-    EXPECT_EQ(second.value().chunks, 0u);  // zero payload chunks moved
-    EXPECT_EQ(second.value().deduped, 16u);
-    EXPECT_EQ(counts().applied - before.applied, 16u);  // nothing re-applied
-    EXPECT_EQ(counts().deduped - before.deduped, 16u);
-    EXPECT_EQ(counts().delivered - before.delivered, 2 * files.size());
-    expect_delivered(files);
-    expect_delivered(renamed);
-    // One physical copy, pinned by both names.
-    EXPECT_EQ(chunk_store->stats().chunks - store_before.chunks, 16u);
-    EXPECT_EQ(chunk_store->stats().dedup_hits - store_before.dedup_hits, 16u);
-    EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage());
-  }
+  // Same payloads under new names: the bundle key differs, so the
+  // tombstone does NOT apply — but the open's per-file digest manifests
+  // find every chunk in the store. The whole batch settles in the one
+  // open round trip; zero payload moves.
+  std::vector<BundleFile> renamed;
+  for (const BundleFile& file : files)
+    renamed.push_back({"warm/" + file.name, file.blob});
+  auto second = push_files(transport, renamed, small_chunks());
+  ASSERT_TRUE(second.ok()) << second.error().to_string();
+  EXPECT_EQ(second.value().chunks, 0u);  // zero payload chunks moved
+  EXPECT_EQ(second.value().deduped, 16u);
+  EXPECT_EQ(service.chunks_applied(), 16u);  // nothing re-applied
+  EXPECT_EQ(service.chunks_deduped(), 16u);
+  EXPECT_EQ(service.files_delivered(), 2 * files.size());
+  expect_delivered(files);
+  expect_delivered(renamed);
+  // One physical copy, pinned by both names.
+  EXPECT_EQ(chunk_store->stats().chunks, 16u);
+  EXPECT_EQ(chunk_store->stats().dedup_hits, 16u);
+  EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage());
+}
+
+TEST_F(StoreTransferFixture, RepushToNewNameMovesZeroPayloadBytes) {
+  expect_repush_to_new_names_moves_nothing(
+      make_files(1, 1 << 20, "cold.bin", 30));
+}
+
+TEST_F(StoreTransferFixture, BundleRepushToNewNamesDedupsWholeBatchInOneRtt) {
+  expect_repush_to_new_names_moves_nothing(make_files(8, 128 << 10, "cold/f"));
 }
 
 TEST_F(StoreTransferFixture, CrashResumeLeavesNoOrphanedRefcounts) {
@@ -601,28 +619,32 @@ TEST_F(TransferFixture, BackpressureShrinksCreditButCompletes) {
   EXPECT_EQ(service.inbound_open(), 0u);
 }
 
-TEST_F(TransferFixture, PullChunkedMatchesSourceChecksum) {
-  // 48 chunks of one 3 MiB file, then 20 chunks of 10 files of 128 KiB.
-  for (const auto& files : {make_files(1, 3 << 20, "out.bin", 17),
-                            make_files(10, 128 << 10, "out/f")}) {
-    SCOPED_TRACE(files.size());
-    PullSpec spec{Role::kPeerPull, token, {}};
-    for (const BundleFile& file : files) {
-      ASSERT_TRUE(njs.deliver_file(token, file.name, file.blob).ok());
-      spec.names.push_back(file.name);
-    }
-    auto transport = std::make_shared<Loopback>(engine, service, 4);
-    auto out = pull_names(transport, spec, small_chunks());
-    ASSERT_TRUE(out.ok()) << out.error().to_string();
-    ASSERT_EQ(out.value().blobs.size(), files.size());
-    for (std::size_t i = 0; i < files.size(); ++i)
-      EXPECT_EQ(out.value().blobs[i].checksum(), files[i].blob->checksum());
-    EXPECT_FALSE(out.value().stats.inlined);
-    EXPECT_EQ(out.value().stats.files, files.size());
-    EXPECT_EQ(out.value().stats.chunks, files.size() == 1 ? 48u : 20u);
-    EXPECT_EQ(out.value().stats.bundles, 1u);
-    EXPECT_EQ(service.outbound_open(), 0u);  // close released the read
+void TransferFixture::expect_pull_matches_source(
+    const std::vector<BundleFile>& files, std::uint64_t chunks) {
+  PullSpec spec{Role::kPeerPull, token, {}};
+  for (const BundleFile& file : files) {
+    ASSERT_TRUE(njs.deliver_file(token, file.name, file.blob).ok());
+    spec.names.push_back(file.name);
   }
+  auto transport = std::make_shared<Loopback>(engine, service, 4);
+  auto out = pull_names(transport, spec, small_chunks());
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  ASSERT_EQ(out.value().blobs.size(), files.size());
+  for (std::size_t i = 0; i < files.size(); ++i)
+    EXPECT_EQ(out.value().blobs[i].checksum(), files[i].blob->checksum());
+  EXPECT_FALSE(out.value().stats.inlined);
+  EXPECT_EQ(out.value().stats.files, files.size());
+  EXPECT_EQ(out.value().stats.chunks, chunks);
+  EXPECT_EQ(out.value().stats.bundles, 1u);  // every file in one open
+  EXPECT_EQ(service.outbound_open(), 0u);  // close released the read
+}
+
+TEST_F(TransferFixture, PullChunkedMatchesSourceChecksum) {
+  expect_pull_matches_source(make_files(1, 3 << 20, "out.bin", 17), 48);
+}
+
+TEST_F(TransferFixture, PullBundleFetchesEveryFileInOneOpen) {
+  expect_pull_matches_source(make_files(10, 128 << 10, "out/f"), 20);
 }
 
 TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
@@ -744,30 +766,35 @@ TEST_F(TransferFixture, PushTreeSlicesAboveTheBundleCapAndAggregates) {
   EXPECT_EQ(service.files_delivered(), kMaxBundleFiles + 1);
 }
 
-TEST_F(TransferFixture, PushRequiresServerPeerCertificate) {
-  // A client-authenticated caller must not open a peer-role push, of
-  // one file or of many; the service enforces it independently of the
-  // gateway.
-  for (std::size_t count : {1, 3}) {
-    SCOPED_TRACE(count);
-    BundleOpenRequest request;
-    request.role = Role::kPush;
-    request.token = token;
-    for (std::size_t i = 0; i < count; ++i) {
-      BundleFileEntry entry;
-      entry.name = "x" + std::to_string(i) + ".bin";
-      entry.size = 1;
-      entry.checksum = uspace::FileBlob::from_string("x").checksum();
-      request.files.push_back(entry);
-    }
-    request.key = make_bundle_key("evil", token, request.files);
-    util::Bytes wire = request.encode();
-    util::ByteReader r{wire};
-    Role role = static_cast<Role>(r.u8());
-    auto reply = service.open(dn("Jane"), /*server_peer=*/false, role, r);
-    ASSERT_FALSE(reply.ok());
-    EXPECT_EQ(reply.error().code, util::ErrorCode::kPermissionDenied);
+// A client-authenticated caller must not open a peer-role push; the
+// service enforces it independently of the gateway.
+void TransferFixture::expect_client_cannot_open_peer_push(
+    std::size_t file_count) {
+  BundleOpenRequest request;
+  request.role = Role::kPush;
+  request.token = token;
+  for (std::size_t i = 0; i < file_count; ++i) {
+    BundleFileEntry entry;
+    entry.name = "x" + std::to_string(i) + ".bin";
+    entry.size = 1;
+    entry.checksum = uspace::FileBlob::from_string("x").checksum();
+    request.files.push_back(entry);
   }
+  request.key = make_bundle_key("evil", token, request.files);
+  util::Bytes wire = request.encode();
+  util::ByteReader r{wire};
+  Role role = static_cast<Role>(r.u8());
+  auto reply = service.open(dn("Jane"), /*server_peer=*/false, role, r);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, util::ErrorCode::kPermissionDenied);
+}
+
+TEST_F(TransferFixture, PushRequiresServerPeerCertificate) {
+  expect_client_cannot_open_peer_push(1);
+}
+
+TEST_F(TransferFixture, BundlePushRequiresServerPeerCertificate) {
+  expect_client_cannot_open_peer_push(3);
 }
 
 TEST_F(StoreTransferFixture, PullBundleSatisfiesWarmChunksFromLocalStore) {
@@ -798,39 +825,42 @@ TEST_F(StoreTransferFixture, PullBundleSatisfiesWarmChunksFromLocalStore) {
 
 // A clamped chunk size invalidates the sender's digest manifests (they
 // were computed at the proposed granularity), so the open must not
-// apply have-range dedup.
-TEST_F(StoreTransferFixture, SatisfyOpenIgnoresManifestAfterChunkSizeClamp) {
-  // 8 chunks at 128 KiB either way, 16 once clamped to 64 KiB.
-  for (const auto& files : {make_files(1, 1 << 20, "cold.bin", 42),
-                            make_files(4, 256 << 10, "cold/f")}) {
-    SCOPED_TRACE(files.size());
-    service.set_limits(Service::Limits{});
-    Counts before = counts();
-    auto transport = std::make_shared<Loopback>(engine, service, 2);
-    TransferOptions wide = small_chunks();
-    wide.chunk_bytes = 2 * kMinChunkBytes;  // 128 KiB
-    auto first = push_files(transport, files, wide);
-    ASSERT_TRUE(first.ok()) << first.error().to_string();
-    EXPECT_EQ(first.value().chunks, 8u);
+// apply have-range dedup. `files` hold 8 chunks at 128 KiB, 16 once
+// clamped to 64 KiB.
+void StoreTransferFixture::expect_clamp_ignores_manifests(
+    const std::vector<BundleFile>& files) {
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  TransferOptions wide = small_chunks();
+  wide.chunk_bytes = 2 * kMinChunkBytes;  // 128 KiB
+  auto first = push_files(transport, files, wide);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+  EXPECT_EQ(first.value().chunks, 8u);
 
-    // Now the receiver clamps every proposal down to 64 KiB. The re-push
-    // proposes 128 KiB again — its digests are 128 KiB-granularity, and
-    // every one of them IS in the store. Applying them to 64 KiB
-    // assemblies would mark the wrong chunks present; the service must
-    // ignore the manifests and take the full transfer instead.
-    Service::Limits limits;
-    limits.max_chunk_bytes = kMinChunkBytes;
-    service.set_limits(limits);
-    std::vector<BundleFile> renamed;
-    for (const BundleFile& file : files)
-      renamed.push_back({"clamped/" + file.name, file.blob});
-    auto second = push_files(transport, renamed, wide);
-    ASSERT_TRUE(second.ok()) << second.error().to_string();
-    EXPECT_EQ(second.value().chunks, 16u);  // no dedup: every chunk moved
-    EXPECT_EQ(second.value().deduped, 0u);
-    EXPECT_EQ(counts().deduped - before.deduped, 0u);
-    expect_delivered(renamed);
-  }
+  // Now the receiver clamps every proposal down to 64 KiB. The re-push
+  // proposes 128 KiB again — its digests are 128 KiB-granularity, and
+  // every one of them IS in the store. Applying them to 64 KiB
+  // assemblies would mark the wrong chunks present; the service must
+  // ignore the manifests and take the full transfer instead.
+  Service::Limits limits;
+  limits.max_chunk_bytes = kMinChunkBytes;
+  service.set_limits(limits);
+  std::vector<BundleFile> renamed;
+  for (const BundleFile& file : files)
+    renamed.push_back({"clamped/" + file.name, file.blob});
+  auto second = push_files(transport, renamed, wide);
+  ASSERT_TRUE(second.ok()) << second.error().to_string();
+  EXPECT_EQ(second.value().chunks, 16u);  // no dedup: every chunk moved
+  EXPECT_EQ(second.value().deduped, 0u);
+  EXPECT_EQ(service.chunks_deduped(), 0u);
+  expect_delivered(renamed);
+}
+
+TEST_F(StoreTransferFixture, SatisfyOpenIgnoresManifestAfterChunkSizeClamp) {
+  expect_clamp_ignores_manifests(make_files(1, 1 << 20, "cold.bin", 42));
+}
+
+TEST_F(StoreTransferFixture, SatisfyBundleOpenIgnoresManifestAfterClamp) {
+  expect_clamp_ignores_manifests(make_files(4, 256 << 10, "cold/f"));
 }
 
 }  // namespace
