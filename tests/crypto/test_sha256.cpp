@@ -88,5 +88,39 @@ TEST(Sha256, HardwareAndPortableBackendsAgree) {
   EXPECT_TRUE(sha256_hardware_accelerated());
 }
 
+// Every way of feeding a 200-byte message through update() — split at
+// each offset from 0 to 130, so the first part ends at, before and after
+// the 55/56/64/119/120 edges and the second runs over several full
+// blocks — gives the one-shot digest, on both backends. The chained
+// digest of every prefix of 0..130 bytes pins the padding of each length
+// to the value recorded with the original byte-at-a-time padding.
+void expect_splits_and_prefixes() {
+  std::string message(200, '\0');
+  for (std::size_t i = 0; i < message.size(); ++i)
+    message[i] = static_cast<char>(i * 37 + 11);
+  std::string_view view(message);
+  Digest one_shot = sha256(view);
+  EXPECT_EQ(hex(one_shot), "5e48d64839a8bff5e2471507af6a49f9990817df437857f4a2007df41266e1b5");
+  for (std::size_t split = 0; split <= 130; ++split) {
+    Sha256 ctx;
+    ctx.update(view.substr(0, split));
+    ctx.update(view.substr(split));
+    EXPECT_EQ(ctx.finish(), one_shot) << "split=" << split;
+  }
+  Sha256 chain;
+  for (std::size_t n = 0; n <= 130; ++n) {
+    Digest prefix = sha256(view.substr(0, n));
+    chain.update(util::ByteView(prefix.data(), prefix.size()));
+  }
+  EXPECT_EQ(hex(chain.finish()), "cec4c6d09a19510a15db5bcadc0491d8921c4ac138b9237e9b623d4c0998fb45");
+}
+
+TEST(Sha256, SplitsAndPrefixesMatchOnBothBackends) {
+  expect_splits_and_prefixes();
+  set_sha256_acceleration(false);
+  expect_splits_and_prefixes();
+  set_sha256_acceleration(true);
+}
+
 }  // namespace
 }  // namespace unicore::crypto
