@@ -60,30 +60,13 @@ void ctr_crypt_inplace(const SymmetricKey& key, std::uint64_t nonce,
                        std::uint8_t* data, std::size_t size) {
   if (key.material.size() != 32)
     return ctr_crypt_generic(key, nonce, data, size);
-  // One pre-padded compression block: key(32) || nonce(8) || counter(8)
-  // || 0x80 || zeros || 384 as the 64-bit bit length. Identical bytes to
-  // what Sha256 would feed its compression for the 48-byte message, so
-  // the keystream matches the generic path exactly.
-  std::uint8_t block[64];
-  std::memcpy(block, key.material.data(), 32);
+  // key(32) || nonce(8): the backend appends each counter, so the
+  // keystream matches the generic path byte for byte.
+  std::uint8_t prefix[40];
+  std::memcpy(prefix, key.material.data(), 32);
   for (int i = 0; i < 8; ++i)
-    block[32 + i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
-  std::memset(block + 40, 0, 24);
-  block[48] = 0x80;
-  block[62] = 0x01;  // 48 * 8 = 384 = 0x0180 bits
-  block[63] = 0x80;
-
-  std::uint64_t counter = 0;
-  std::size_t pos = 0;
-  while (pos < size) {
-    for (int i = 0; i < 8; ++i)
-      block[40 + i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
-    ++counter;
-    Digest stream = sha256_single_block(block);
-    std::size_t take = std::min<std::size_t>(stream.size(), size - pos);
-    for (std::size_t i = 0; i < take; ++i) data[pos + i] ^= stream[i];
-    pos += take;
-  }
+    prefix[32 + i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
+  sha256_ctr_xor(prefix, data, size);
 }
 
 util::Bytes ctr_crypt(const SymmetricKey& key, std::uint64_t nonce,

@@ -25,8 +25,8 @@ util::Bytes ctr_crypt(const SymmetricKey& key, std::uint64_t nonce,
                       util::ByteView data);
 
 /// In-place variant — the record-layer hot path. For the standard
-/// 32-byte keys each keystream block is one pre-padded SHA-256
-/// compression with only the counter bytes patched per block: no
+/// 32-byte keys the keystream comes from sha256_ctr_xor: one pre-padded
+/// SHA-256 compression per block with only the counter patched, no
 /// allocation and no per-block input assembly.
 void ctr_crypt_inplace(const SymmetricKey& key, std::uint64_t nonce,
                        std::uint8_t* data, std::size_t size);

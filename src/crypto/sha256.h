@@ -29,8 +29,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;
@@ -41,21 +39,26 @@ class Sha256 {
 Digest sha256(util::ByteView data);
 Digest sha256(std::string_view s);
 
-/// Digest of a message that is exactly one pre-padded compression block:
-/// `block` must already carry the 0x80 terminator and the 64-bit length
-/// in its last 8 bytes. One compression call, no buffering — the CTR
-/// keystream kernel patches a counter into a fixed 64-byte template and
-/// calls this per block instead of re-running the incremental context.
-Digest sha256_single_block(const std::uint8_t block[64]);
+/// XORs `data` with the SHA-256 counter keystream over `prefix`: bytes
+/// 32i..32i+31 of the stream are sha256(prefix || counter i), the 40-byte
+/// prefix followed by i as 8 big-endian bytes. Each 48-byte message pads
+/// into one compression block, so the backend patches only the counter
+/// per block; the hardware path computes two counters per pass and XORs
+/// the digests into `data` straight from its registers. Keeps no mutable
+/// state, so concurrent calls are safe.
+void sha256_ctr_xor(const std::uint8_t prefix[40], std::uint8_t* data,
+                    std::size_t size);
 
-/// True when the process selected a hardware (SHA-NI) compression path at
-/// startup. Both paths produce bit-identical digests; this only reports
-/// which one is active (benchmarks record it in their context).
+/// True when the process selected the hardware (SHA-NI) backend at
+/// startup. Both backends produce bit-identical digests and keystreams;
+/// this only reports which one is active (benchmarks record it in their
+/// context).
 bool sha256_hardware_accelerated();
 
-/// Forces the portable compression path (false) or re-runs hardware
-/// detection (true). Exists so tests can cross-check both backends on the
-/// same machine; not thread-safe against concurrent hashing.
+/// Forces the portable backend (false) or re-runs hardware detection
+/// (true); the keystream follows the same choice. Exists so tests can
+/// cross-check both backends on the same machine; not thread-safe
+/// against concurrent hashing.
 void set_sha256_acceleration(bool enabled);
 
 /// Digest as a Bytes value (for wire formats).
