@@ -44,18 +44,23 @@ std::uint32_t Service::clamp_chunk_bytes(std::uint32_t proposed) const {
                     limits_.max_chunk_bytes);
 }
 
-std::uint64_t Service::buffered_total() const {
+std::uint64_t Service::buffered_in_assemblies() const {
   std::uint64_t total = 0;
   for (const auto& [key, incoming] : incoming_)
-    for (const Assembly& assembly : incoming->assemblies)
-      total += assembly.buffered_bytes();
+    total += buffered_in(*incoming);
+  return total;
+}
+
+std::uint64_t Service::buffered_in(const Incoming& incoming) {
+  std::uint64_t total = 0;
+  for (const Assembly& assembly : incoming.assemblies)
+    total += assembly.buffered_bytes();
   return total;
 }
 
 std::uint32_t Service::credit_for_bytes(std::uint32_t chunk_bytes) const {
-  std::uint64_t buffered = buffered_total();
-  std::uint64_t room = buffered < limits_.buffer_limit_bytes
-                           ? limits_.buffer_limit_bytes - buffered
+  std::uint64_t room = buffered_ < limits_.buffer_limit_bytes
+                           ? limits_.buffer_limit_bytes - buffered_
                            : 0;
   std::uint64_t chunks = room / std::max<std::uint32_t>(chunk_bytes, 1);
   return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
@@ -63,14 +68,25 @@ std::uint32_t Service::credit_for_bytes(std::uint32_t chunk_bytes) const {
 }
 
 void Service::update_gauges() {
-  auto& m = *njs_.metrics();
-  obs::Labels labels{{"usite", njs_.usite()}};
-  m.gauge("unicore_xfer_open_inbound", labels)
-      .set(static_cast<double>(incoming_.size()));
-  m.gauge("unicore_xfer_open_outbound", labels)
-      .set(static_cast<double>(outgoing_.size()));
-  m.gauge("unicore_xfer_buffered_bytes", labels)
-      .set(static_cast<double>(buffered_total()));
+  obs::MetricsRegistry& m = *njs_.metrics();
+  if (gauges_.registry != &m) {
+    // The NJS may have moved to another registry since the last update.
+    obs::Labels labels{{"usite", njs_.usite()}};
+    gauges_.registry = &m;
+    gauges_.open_inbound = &m.gauge("unicore_xfer_open_inbound", labels);
+    gauges_.open_outbound = &m.gauge("unicore_xfer_open_outbound", labels);
+    gauges_.buffered_bytes = &m.gauge("unicore_xfer_buffered_bytes", labels);
+  }
+  gauges_.open_inbound->set(static_cast<double>(incoming_.size()));
+  gauges_.open_outbound->set(static_cast<double>(outgoing_.size()));
+  gauges_.buffered_bytes->set(static_cast<double>(buffered_));
+}
+
+util::Status Service::accept_chunk(Assembly& assembly, const Chunk& chunk) {
+  std::uint64_t before = assembly.buffered_bytes();
+  util::Status accepted = assembly.accept(chunk);
+  buffered_ += assembly.buffered_bytes() - before;
+  return accepted;
 }
 
 util::Status Service::deliver_file(Incoming& incoming, std::uint32_t index) {
@@ -85,6 +101,7 @@ util::Status Service::deliver_file(Incoming& incoming, std::uint32_t index) {
   if (!status.ok()) return status.error();
   incoming.delivered[index] = true;
   // Free the drained buffers; delivered[] keeps re-deliveries duplicate.
+  buffered_ -= incoming.assemblies[index].buffered_bytes();
   incoming.assemblies[index] = Assembly();
   ++files_delivered_;
   return util::Status();
@@ -358,12 +375,13 @@ Result<Bytes> Service::push_chunk(const crypto::DistinguishedName& principal,
     return reply.encode();
   }
   if (!assembly.synthetic() &&
-      buffered_total() + request.chunk.length > limits_.buffer_limit_bytes)
+      buffered_ + request.chunk.length > limits_.buffer_limit_bytes)
     return make_error(ErrorCode::kResourceExhausted,
                       "receive window full");  // retryable: backs off
 
-  util::Status accepted = assembly.accept(request.chunk);
-  if (!accepted.ok()) return accepted.error();
+  if (util::Status accepted = accept_chunk(assembly, request.chunk);
+      !accepted.ok())
+    return accepted.error();
   // Write-ahead: the chunk must be durable before the ack can leave —
   // a crash after this append answers the retransmit as a duplicate.
   if (njs::Journal* journal = njs_.journal_for(incoming.manifest.token))
@@ -443,6 +461,7 @@ Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
   ++transfers_completed_;
   util::Bytes key = incoming->manifest.key;  // copy: erase frees `incoming`
   completed_.insert(key);
+  buffered_ -= buffered_in(*incoming);
   incoming_by_id_.erase(incoming->id);
   incoming_.erase(key);
   update_gauges();
@@ -463,6 +482,7 @@ void Service::on_njs_crash() {
   // is what on_njs_recover rebuilds from.
   incoming_.clear();
   incoming_by_id_.clear();
+  buffered_ = 0;
   completed_.clear();
   for (auto& [id, outgoing] : outgoing_)
     if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
@@ -503,7 +523,7 @@ void Service::fold_journal(const njs::Journal& journal) {
       if (file_index >= incoming->assemblies.size()) continue;
       // Already verified and journaled; re-journaling would double the
       // log, so fold straight into the assembly.
-      incoming->assemblies[file_index].accept(chunk);
+      (void)accept_chunk(incoming->assemblies[file_index], chunk);
     }
     // Files whose last chunk landed before the crash re-deliver into
     // the (durable) workspace — idempotent, same file content.

@@ -106,6 +106,10 @@ class Service : public njs::CrashParticipant {
   std::uint64_t transfers_completed() const { return transfers_completed_; }
   std::uint64_t transfers_recovered() const { return transfers_recovered_; }
   std::uint64_t files_delivered() const { return files_delivered_; }
+  /// Payload bytes buffered by every open inbound assembly, recounted by
+  /// walking them (the running total behind the receive window and the
+  /// unicore_xfer_buffered_bytes gauge must always equal it).
+  std::uint64_t buffered_in_assemblies() const;
 
  private:
   /// One inbound bundle: per-file assemblies sharing one manifest, one
@@ -141,11 +145,13 @@ class Service : public njs::CrashParticipant {
 
   std::uint32_t clamp_chunk_bytes(std::uint32_t proposed) const;
   std::uint32_t credit_for_bytes(std::uint32_t chunk_bytes) const;
-  std::uint64_t buffered_total() const;
+  static std::uint64_t buffered_in(const Incoming& incoming);
   BundleOpenReply resume_reply(const Incoming& incoming) const;
   void touch_outgoing(Outgoing& outgoing);
   void update_gauges();
   void fold_journal(const njs::Journal& journal);
+  /// Assembly::accept, keeping the buffered total in step.
+  util::Status accept_chunk(Assembly& assembly, const Chunk& chunk);
 
   /// Store-dedups every still-missing chunk of every undelivered file
   /// and eagerly delivers files that complete; returns chunks satisfied.
@@ -165,6 +171,18 @@ class Service : public njs::CrashParticipant {
   std::set<util::Bytes> completed_;  // committed bundle keys
   std::map<std::uint64_t, Outgoing> outgoing_;
   std::uint64_t next_id_ = 1;
+  /// Sum of buffered_bytes() over every inbound assembly: updated where
+  /// an assembly buffers or drains and where a transfer leaves the table,
+  /// so a chunk never walks the open transfers to find it.
+  std::uint64_t buffered_ = 0;
+
+  /// The unicore_xfer_* table gauges, looked up once per registry.
+  struct Gauges {
+    const obs::MetricsRegistry* registry = nullptr;
+    obs::Gauge* open_inbound = nullptr;
+    obs::Gauge* open_outbound = nullptr;
+    obs::Gauge* buffered_bytes = nullptr;
+  } gauges_;
 
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t chunks_applied_ = 0;

@@ -40,7 +40,8 @@ crypto::DistinguishedName dn(const std::string& cn) {
 /// scenario); `garble` answers every successful `*garble` call with the
 /// one-byte body {0x01}, which decodes as no reply does;
 /// `misindex_pulled_chunks` relabels that many pulled chunks with the
-/// next index.
+/// next index. `after_dispatch` runs once the service has handled a
+/// call, before its reply travels back.
 class Loopback : public ChunkTransport {
  public:
   Loopback(sim::Engine& engine, Service& service, std::size_t streams)
@@ -75,6 +76,7 @@ class Loopback : public ChunkTransport {
           reply = service_.close(principal, server_peer, role, r);
           break;
       }
+      if (after_dispatch) after_dispatch();
       if (op == Op::kChunk && drop_next_acks > 0) {
         --drop_next_acks;
         done(util::make_error(util::ErrorCode::kTimeout,
@@ -103,6 +105,7 @@ class Loopback : public ChunkTransport {
   int drop_next_acks = 0;
   std::optional<Op> garble;
   int misindex_pulled_chunks = 0;
+  std::function<void()> after_dispatch;
 
  private:
   sim::Engine& engine_;
@@ -218,6 +221,29 @@ struct TransferFixture : public ::testing::Test {
                        std::make_shared<const uspace::FileBlob>(
                            uspace::FileBlob::synthetic(bytes, seed + i))});
     return files;
+  }
+
+  /// Like make_files, with real pseudo-random content instead of
+  /// synthetic identities.
+  static std::vector<BundleFile> make_real_files(std::size_t count,
+                                                 std::size_t bytes,
+                                                 const std::string& stem,
+                                                 std::uint64_t seed = 100) {
+    std::vector<BundleFile> files;
+    for (std::size_t i = 0; i < count; ++i)
+      files.push_back({stem + std::to_string(i),
+                       std::make_shared<const uspace::FileBlob>(
+                           uspace::FileBlob::from_bytes(
+                               util::Rng(seed + i).bytes(bytes)))});
+    return files;
+  }
+
+  /// The receiver's unicore_xfer_buffered_bytes gauge right now.
+  double buffered_gauge(const obs::MetricsRegistry& registry) {
+    obs::MetricsSnapshot snapshot = registry.snapshot();
+    const obs::MetricPoint* point =
+        snapshot.find("unicore_xfer_buffered_bytes", {{"usite", "LRZ"}});
+    return point == nullptr ? -1 : point->value;
   }
 
   // Scenarios shared by a single-file test and a bundle test; each is
@@ -861,6 +887,126 @@ TEST_F(StoreTransferFixture, SatisfyOpenIgnoresManifestAfterChunkSizeClamp) {
 
 TEST_F(StoreTransferFixture, SatisfyBundleOpenIgnoresManifestAfterClamp) {
   expect_clamp_ignores_manifests(make_files(4, 256 << 10, "cold/f"));
+}
+
+// ---- the receive window's running total ------------------------------------
+
+TEST_F(TransferFixture, BufferedBytesGaugeTracksAssembliesDuringABundlePush) {
+  auto registry = std::make_shared<obs::MetricsRegistry>();
+  njs.set_metrics(registry);
+  auto transport = std::make_shared<Loopback>(engine, service, 4);
+  double peak = 0;
+  std::size_t checks = 0;
+  transport->after_dispatch = [&] {
+    if (checks++ == 0) {
+      // Lose the first chunk once: its retry lands after the rest of
+      // the window, so file 0 stays half-assembled while the later
+      // files buffer and drain beside it.
+      transport->fail_next_calls = 1;
+      return;
+    }
+    double gauge = buffered_gauge(*registry);
+    EXPECT_EQ(gauge, static_cast<double>(service.buffered_in_assemblies()));
+    peak = std::max(peak, gauge);
+  };
+  // Six real files of three 64 KiB chunks; each drains on delivery.
+  std::vector<BundleFile> files = make_real_files(6, 192 << 10, "buf/f");
+  auto stats = push_files(transport, files, small_chunks());
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  EXPECT_EQ(stats.value().chunks, 19u);  // one resent
+  EXPECT_EQ(stats.value().retransmits, 1u);
+  EXPECT_EQ(service.chunks_applied(), 18u);
+  EXPECT_EQ(checks, 1u + 18u + 1u);  // open, chunks, close
+  EXPECT_GE(peak, double(4 * kMinChunkBytes));  // two files half-assembled
+  expect_delivered(files);
+  EXPECT_EQ(buffered_gauge(*registry), 0.0);
+  EXPECT_EQ(service.buffered_in_assemblies(), 0u);
+}
+
+TEST_F(TransferFixture, BufferedBytesGaugeReadsZeroAfterAbandonAndRecovery) {
+  auto registry = std::make_shared<obs::MetricsRegistry>();
+  njs.set_metrics(registry);
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  std::vector<BundleFile> files = make_real_files(1, 1 << 20, "lost.bin");
+  TransferOptions options = small_chunks();
+  options.max_resume_attempts = 1;
+  options.max_chunk_retries = 0;
+  // The sender gives up mid-transfer, leaving a half-assembled file.
+  engine.after(sim::msec(3), [&transport] {
+    transport->fail_next_calls = 1'000'000;
+  });
+  ASSERT_FALSE(push_files(transport, files, options).ok());
+  ASSERT_EQ(service.inbound_open(), 1u);
+  EXPECT_GT(service.buffered_in_assemblies(), 0u);
+  EXPECT_EQ(buffered_gauge(*registry),
+            static_cast<double>(service.buffered_in_assemblies()));
+
+  // The process dies with the abandoned transfer: nothing is buffered.
+  njs.crash();
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(buffered_gauge(*registry), 0.0);
+
+  // Recovery folds the journaled chunks back in, and the resumed push
+  // drains them again.
+  ASSERT_TRUE(njs.recover().ok());
+  ASSERT_EQ(service.inbound_open(), 1u);
+  EXPECT_GT(service.buffered_in_assemblies(), 0u);
+  EXPECT_EQ(buffered_gauge(*registry),
+            static_cast<double>(service.buffered_in_assemblies()));
+  auto resumed = push_files(std::make_shared<Loopback>(engine, service, 2),
+                            files, small_chunks());
+  ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
+  EXPECT_LT(resumed.value().chunks, 16u);  // the journaled ones stay put
+  expect_delivered(files);
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(buffered_gauge(*registry), 0.0);
+  EXPECT_EQ(service.buffered_in_assemblies(), 0u);
+}
+
+TEST_F(TransferFixture, ReceiveWindowFullFiresAtTheBufferLimit) {
+  auto registry = std::make_shared<obs::MetricsRegistry>();
+  njs.set_metrics(registry);
+  Service::Limits limits;
+  limits.buffer_limit_bytes = 2 * kMinChunkBytes;
+  service.set_limits(limits);
+  uspace::FileBlob blob =
+      uspace::FileBlob::from_bytes(util::Rng(7).bytes(4 * kMinChunkBytes));
+
+  BundleOpenRequest open;
+  open.role = Role::kPush;
+  open.token = token;
+  open.proposed_chunk_bytes = kMinChunkBytes;
+  open.files.push_back({"window.bin", blob.size(), blob.checksum(), false,
+                        blob.chunk_digests(kMinChunkBytes)});
+  open.key = make_bundle_key("FZ-Juelich", token, open.files);
+  util::Bytes open_wire = open.encode();
+  util::ByteReader open_reader{open_wire};
+  open_reader.u8();  // the role byte
+  auto opened = service.open(dn("peer-njs"), /*server_peer=*/true, Role::kPush,
+                             open_reader);
+  ASSERT_TRUE(opened.ok()) << opened.error().to_string();
+  util::ByteReader reply_reader{opened.value()};
+  std::uint64_t transfer_id = BundleOpenReply::decode(reply_reader).transfer_id;
+
+  auto send = [&](std::uint64_t index) {
+    BundleChunkRequest request;
+    request.transfer_id = transfer_id;
+    request.chunk = make_chunk(blob, index, kMinChunkBytes);
+    util::Bytes wire = request.encode();
+    util::ByteReader r{wire};
+    r.u8();  // the role byte
+    return service.chunk(dn("peer-njs"), /*server_peer=*/true, Role::kPush, r);
+  };
+  // Filling the buffer exactly to the limit is allowed; one byte past
+  // it is not, and the rejected chunk leaves the total untouched.
+  ASSERT_TRUE(send(0).ok());
+  ASSERT_TRUE(send(1).ok());
+  EXPECT_EQ(buffered_gauge(*registry), double(2 * kMinChunkBytes));
+  auto full = send(2);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.error().code, util::ErrorCode::kResourceExhausted);
+  EXPECT_EQ(buffered_gauge(*registry), double(2 * kMinChunkBytes));
+  EXPECT_EQ(service.buffered_in_assemblies(), 2u * kMinChunkBytes);
 }
 
 }  // namespace
