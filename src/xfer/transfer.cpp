@@ -270,8 +270,14 @@ class Run : public std::enable_shared_from_this<Run> {
       request.role = role_;
       request.transfer_id = transfer_id_;
       request.file_index = id.first;
+      // The open manifest already holds this chunk's digest unless the
+      // receiver clamped the chunk size it was computed at.
+      const uspace::FileBlob& blob = *files_[id.first].blob;
+      const std::vector<crypto::Digest>& digests = entries_[id.first].digests;
       request.chunk =
-          make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
+          chunk_bytes_ == options_.chunk_bytes && id.second < digests.size()
+              ? make_chunk(blob, id.second, chunk_bytes_, digests[id.second])
+              : make_chunk(blob, id.second, chunk_bytes_);
       ++stats_.chunks;
       if (m != nullptr) {
         m->counter("unicore_xfer_chunks_total", labels()).increment();

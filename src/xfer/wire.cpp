@@ -83,26 +83,41 @@ crypto::Digest synthetic_chunk_digest(const crypto::Digest& file_checksum,
   return crypto::synthetic_chunk_digest(file_checksum, index, length);
 }
 
-Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
-                 std::uint32_t chunk_bytes) {
+namespace {
+
+/// Chunk `index` of `blob` without its digest.
+Chunk cut_chunk(const uspace::FileBlob& blob, std::uint64_t index,
+                std::uint32_t chunk_bytes) {
   Chunk chunk;
   chunk.index = index;
-  std::uint64_t offset = index * static_cast<std::uint64_t>(chunk_bytes);
-  std::uint64_t remaining = blob.size() > offset ? blob.size() - offset : 0;
-  chunk.length = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(remaining, chunk_bytes));
+  chunk.length = crypto::chunk_length(blob.size(), chunk_bytes, index);
   chunk.synthetic = blob.is_synthetic();
-  if (chunk.synthetic) {
-    chunk.digest =
-        synthetic_chunk_digest(blob.checksum(), index, chunk.length);
-  } else {
+  if (!chunk.synthetic) {
     // Inline and store-backed blobs alike: read_range walks stored
     // blobs one chunk at a time, so a multi-GiB file never has to be
     // resident to be sent.
     chunk.data.reserve(chunk.length);
-    (void)blob.read_range(offset, chunk.length, chunk.data);
-    chunk.digest = chunk_digest(chunk.data);
+    (void)blob.read_range(index * static_cast<std::uint64_t>(chunk_bytes),
+                          chunk.length, chunk.data);
   }
+  return chunk;
+}
+
+}  // namespace
+
+Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
+                 std::uint32_t chunk_bytes) {
+  Chunk chunk = cut_chunk(blob, index, chunk_bytes);
+  chunk.digest = chunk.synthetic ? synthetic_chunk_digest(blob.checksum(),
+                                                          index, chunk.length)
+                                 : chunk_digest(chunk.data);
+  return chunk;
+}
+
+Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
+                 std::uint32_t chunk_bytes, const crypto::Digest& digest) {
+  Chunk chunk = cut_chunk(blob, index, chunk_bytes);
+  chunk.digest = digest;
   return chunk;
 }
 

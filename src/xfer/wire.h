@@ -101,6 +101,13 @@ crypto::Digest synthetic_chunk_digest(const crypto::Digest& file_checksum,
 Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
                  std::uint32_t chunk_bytes);
 
+/// Same chunk, carrying a digest the caller already holds for it — the
+/// open manifest's entry, computed at this same `chunk_bytes` — so the
+/// payload is read but not hashed a second time. The receiver still
+/// checks the digest against the bytes.
+Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
+                 std::uint32_t chunk_bytes, const crypto::Digest& digest);
+
 /// A run of already-applied chunks `[first, first + count)`, the
 /// resume state returned by a push open.
 struct ChunkRange {

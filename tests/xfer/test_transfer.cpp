@@ -889,6 +889,13 @@ TEST_F(StoreTransferFixture, SatisfyBundleOpenIgnoresManifestAfterClamp) {
   expect_clamp_ignores_manifests(make_files(4, 256 << 10, "cold/f"));
 }
 
+// Real content: the sender's chunk digests come from the payload, and
+// the manifest's 128 KiB digests must not label the 64 KiB chunks a
+// clamped receiver asks for.
+TEST_F(StoreTransferFixture, SatisfyRealContentOpenIgnoresManifestAfterClamp) {
+  expect_clamp_ignores_manifests(make_real_files(4, 256 << 10, "real/f"));
+}
+
 // ---- the receive window's running total ------------------------------------
 
 TEST_F(TransferFixture, BufferedBytesGaugeTracksAssembliesDuringABundlePush) {
