@@ -4,6 +4,7 @@
 #   - bench_handshake  BM_SecureHandshake     full vs resumed handshake
 #   - bench_gateway    BM_AuthCache*          auth cache hit vs miss
 #   - bench_crypto     seal/open + ctr        record-layer kernels
+#                      sha256 + hmac          the hash kernels under them
 #
 # Usage: scripts/bench_security.sh [build-dir] [out-file]
 # Extra benchmark flags go through BENCH_FLAGS, e.g.
@@ -25,7 +26,7 @@ run() { # run <binary> <filter> <out.json>
 run bench_handshake 'BM_SecureHandshake' handshake.json
 run bench_gateway 'BM_AuthCache(Hit|Miss)|BM_CertificateToUidMapping/1000$' \
   gateway.json
-run bench_crypto 'BM_(Seal|Open|CtrCrypt)' crypto.json
+run bench_crypto 'BM_(Seal|Open|CtrCrypt|Sha256|HmacSha256)' crypto.json
 
 # Merge: one top-level object keyed by suite, each value the unmodified
 # google-benchmark JSON document. Plain bash + printf — no extra deps.
