@@ -160,7 +160,7 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
   free_nodes_ -= job.nodes_needed;
   running_.push_back(job.id);
   job.state = BatchJobState::kRunning;
-  job.backfilled = backfilled;
+  job.result.backfilled = backfilled;
   if (backfilled) ++stats_.backfilled_starts;
   job.result.started_at = engine_.now();
   double wait_seconds =

@@ -70,6 +70,8 @@ struct BatchResult {
   sim::Time submitted_at = -1;
   sim::Time started_at = -1;
   sim::Time finished_at = -1;
+  /// Started by EASY backfill, ahead of a job queued before it.
+  bool backfilled = false;
 };
 
 /// Aggregate statistics for benches (utilisation, wait times).
@@ -153,7 +155,6 @@ class BatchSubsystem {
     sim::Time limit_deadline = 0;     // start + requested wallclock
     std::optional<sim::EventId> finish_event;
     std::optional<sim::EventId> limit_event;
-    bool backfilled = false;
   };
 
   util::Status validate(const BatchRequest& request) const;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "batch/target_system.h"
+#include "obs/metrics.h"
 
 namespace unicore::batch {
 namespace {
@@ -146,6 +147,69 @@ TEST_F(SubsystemFixture, BackfillNeverDelaysQueueHead) {
   // Head started right when job1 freed its nodes (~100 s), not ~1000 s.
   EXPECT_EQ(head_started, sim::sec(100) + sim::usec(0));
   EXPECT_EQ(batch.stats().backfilled_starts, 0u);
+}
+
+TEST_F(SubsystemFixture, ShadowReleasesTiedDeadlinesNarrowestFirst) {
+  BatchSubsystem batch(engine, util::Rng(1), small_system(true));
+  auto submit = [&](std::int64_t procs, std::int64_t wallclock,
+                    double seconds) {
+    return batch.submit(script(procs, wallclock), "u", spec(seconds), nullptr)
+        .value();
+  };
+  // B, A and C take 7 of 8 nodes; B and A share the 1,000 s deadline.
+  // The head D needs 4 nodes, so its shadow is 1,000 s. Releasing the
+  // tied deadlines narrowest first (A's 1 node, then B's 3) leaves one
+  // node spare at the shadow, and E backfills onto it at once.
+  // Releasing B first would leave none, and E would wait for D.
+  submit(3, 1'000, 1'000);                   // B
+  submit(1, 1'000, 1'000);                   // A
+  submit(3, 2'000, 2'000);                   // C
+  BatchJobId d = submit(4, 1'000, 100);      // D, the queue head
+  BatchJobId e = submit(1, 5'000, 100);      // E
+  engine.run();
+  BatchResult head = batch.result(d).value();
+  BatchResult backfilled = batch.result(e).value();
+  EXPECT_EQ(backfilled.started_at, 0);
+  EXPECT_TRUE(backfilled.backfilled);
+  EXPECT_EQ(head.started_at, sim::sec(1'000));
+  EXPECT_FALSE(head.backfilled);
+  EXPECT_EQ(batch.stats().backfilled_starts, 1u);
+}
+
+TEST_F(SubsystemFixture, GaugesMatchAfterBackfillPass) {
+  obs::MetricsRegistry registry;
+  BatchSubsystem batch(engine, util::Rng(1), small_system(true));
+  batch.set_metrics(&registry, "U");
+  const obs::Labels labels = {{"usite", "U"}, {"vsite", "test"}};
+  auto expect_gauges_match = [&] {
+    EXPECT_EQ(registry.gauge("unicore_batch_queued_jobs", labels).value(),
+              static_cast<double>(batch.queued_jobs()));
+    EXPECT_EQ(registry.gauge("unicore_batch_running_jobs", labels).value(),
+              static_cast<double>(batch.running_jobs()));
+    EXPECT_EQ(registry.gauge("unicore_batch_free_nodes", labels).value(),
+              static_cast<double>(batch.free_nodes()));
+  };
+  // A holds 4 nodes until 1,000 s; the 8-node head waits for it. Four of
+  // six 1-node jobs backfill into the free half in one pass.
+  (void)batch.submit(script(4, 1'000), "u", spec(1'000), nullptr);
+  (void)batch.submit(script(8, 1'000), "u", spec(10), nullptr);
+  for (int i = 0; i < 6; ++i)
+    (void)batch.submit(script(1, 100), "u", spec(50), nullptr);
+  engine.run_until(sim::sec(1));
+  EXPECT_EQ(batch.queued_jobs(), 3u);
+  EXPECT_EQ(batch.running_jobs(), 5u);
+  EXPECT_EQ(batch.free_nodes(), 0);
+  EXPECT_EQ(batch.stats().backfilled_starts, 4u);
+  expect_gauges_match();
+  // At 50 s the four finish and the last two backfill.
+  engine.run_until(sim::sec(60));
+  EXPECT_EQ(batch.queued_jobs(), 1u);
+  EXPECT_EQ(batch.running_jobs(), 3u);
+  EXPECT_EQ(batch.free_nodes(), 2);
+  EXPECT_EQ(batch.stats().backfilled_starts, 6u);
+  expect_gauges_match();
+  engine.run();
+  expect_gauges_match();
 }
 
 TEST_F(SubsystemFixture, WallclockLimitKillsJob) {

@@ -14,6 +14,27 @@ TEST(Rsa, KeypairStructure) {
   EXPECT_NE(key.d, 0u);
 }
 
+TEST(Rsa, KeypairsAtFixedSeedsMatchRecorded) {
+  // The primes a seed yields must not depend on how primality is tested.
+  struct Recorded {
+    std::uint64_t seed;
+    std::uint64_t n;
+    std::uint64_t d;
+  };
+  constexpr Recorded kRecorded[] = {
+      {1, 10'991'657'933'896'763'759ULL, 4'589'403'352'607'696'225ULL},
+      {7, 14'965'786'145'270'482'981ULL, 3'399'768'436'384'215'809ULL},
+      {42, 8'193'070'091'120'381'869ULL, 6'810'410'593'089'868'589ULL},
+      {1999, 11'955'829'247'889'360'887ULL, 331'472'934'839'708'849ULL},
+  };
+  for (const Recorded& recorded : kRecorded) {
+    util::Rng rng(recorded.seed);
+    PrivateKey key = generate_keypair(rng);
+    EXPECT_EQ(key.pub.n, recorded.n) << "seed " << recorded.seed;
+    EXPECT_EQ(key.d, recorded.d) << "seed " << recorded.seed;
+  }
+}
+
 TEST(Rsa, SignVerifyRoundTrip) {
   util::Rng rng(2);
   PrivateKey key = generate_keypair(rng);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace unicore::crypto {
 namespace {
 
@@ -77,13 +79,28 @@ TEST(ModMath, IsPrimeLargeKnown) {
 }
 
 TEST(ModMath, IsPrimeAgainstSieve) {
-  // Cross-check the first 1000 integers against trial division.
-  for (std::uint64_t n = 0; n < 1000; ++n) {
-    bool expected = n >= 2;
-    for (std::uint64_t d = 2; d * d <= n && expected; ++d)
-      if (n % d == 0) expected = false;
-    EXPECT_EQ(is_prime(n), expected) << n;
-  }
+  // Cross-check every n < 2e6 against a sieve of Eratosthenes.
+  constexpr std::uint64_t kLimit = 2'000'000;
+  std::vector<bool> composite(kLimit, false);
+  composite[0] = composite[1] = true;
+  for (std::uint64_t p = 2; p * p < kLimit; ++p)
+    if (!composite[p])
+      for (std::uint64_t m = p * p; m < kLimit; m += p) composite[m] = true;
+  for (std::uint64_t n = 0; n < kLimit; ++n)
+    ASSERT_EQ(is_prime(n), !composite[n]) << n;
+}
+
+TEST(ModMath, IsPrimeRejectsStrongPseudoprimes) {
+  // 3,215,031,751 = 151 * 751 * 28351 is a strong pseudoprime to the
+  // bases 2, 3, 5 and 7; 4,759,123,141 = 48,781 * 97,561 is one to 2, 7
+  // and 61, the smallest such number.
+  EXPECT_FALSE(is_prime(3'215'031'751ULL));
+  EXPECT_FALSE(is_prime(4'759'123'141ULL));
+  EXPECT_EQ(48'781ULL * 97'561ULL, 4'759'123'141ULL);
+  // Primes on either side of that bound.
+  EXPECT_TRUE(is_prime(4'294'967'291ULL));  // largest 32-bit prime
+  EXPECT_TRUE(is_prime(4'759'123'129ULL));
+  EXPECT_TRUE(is_prime(4'759'123'151ULL));
 }
 
 class RandomPrimeBits : public ::testing::TestWithParam<int> {};
