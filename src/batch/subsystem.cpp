@@ -55,7 +55,19 @@ Status BatchSubsystem::validate(const BatchRequest& request) const {
         config_.vsite + ": memory " + std::to_string(request.memory_mb) +
             "MB outside queue limit " + std::to_string(queue->max_memory_mb) +
             "MB");
+  // A queue's limit may exceed the machine (the T3E's devel queue admits
+  // 64 processors on any node count); such a job could never start.
+  if (std::int64_t nodes = nodes_needed(request); nodes > config_.nodes)
+    return util::make_error(
+        ErrorCode::kResourceExhausted,
+        config_.vsite + ": " + std::to_string(nodes) +
+            " nodes needed, machine has " + std::to_string(config_.nodes));
   return Status::ok_status();
+}
+
+std::int64_t BatchSubsystem::nodes_needed(const BatchRequest& request) const {
+  return (request.processors + config_.processors_per_node - 1) /
+         config_.processors_per_node;
 }
 
 Result<BatchJobId> BatchSubsystem::submit(const std::string& script,
@@ -80,9 +92,7 @@ Result<BatchJobId> BatchSubsystem::submit(const std::string& script,
   job->script = script;
   job->spec = std::move(spec);
   job->on_complete = std::move(on_complete);
-  job->nodes_needed =
-      (job->request.processors + config_.processors_per_node - 1) /
-      config_.processors_per_node;
+  job->nodes_needed = nodes_needed(job->request);
   job->result.submitted_at = engine_.now();
 
   BatchJobId id = job->id;

@@ -158,6 +158,7 @@ class BatchSubsystem {
   };
 
   util::Status validate(const BatchRequest& request) const;
+  std::int64_t nodes_needed(const BatchRequest& request) const;
   void update_gauges();
   void count_outcome(BatchJobState state);
   void schedule_pass();

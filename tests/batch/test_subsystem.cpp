@@ -80,6 +80,43 @@ TEST_F(SubsystemFixture, QueueLimitsEnforced) {
   EXPECT_FALSE(batch.submit(bad, "u", spec(1), nullptr).ok());
 }
 
+TEST_F(SubsystemFixture, JobWiderThanMachineRejected) {
+  // The T3E's devel queue admits 64 processors whatever the node count.
+  SystemConfig config = make_cray_t3e("V", 8);
+  BatchSubsystem batch(engine, util::Rng(1), config);
+  auto devel = [&](std::int64_t procs) {
+    BatchRequest request;
+    request.queue = "devel";
+    request.processors = procs;
+    request.wallclock_seconds = 100;
+    request.memory_mb = 64;
+    return render_directives(config.architecture, request);
+  };
+  auto wide = batch.submit(devel(16), "u", spec(10), nullptr);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.error().code, util::ErrorCode::kResourceExhausted);
+  EXPECT_NE(wide.error().message.find("16 nodes needed, machine has 8"),
+            std::string::npos)
+      << wide.error().message;
+  // Queue limits are still reported first, with their own text.
+  auto over_queue = batch.submit(devel(65), "u", spec(10), nullptr);
+  ASSERT_FALSE(over_queue.ok());
+  EXPECT_NE(over_queue.error().message.find("outside queue limit 64"),
+            std::string::npos)
+      << over_queue.error().message;
+  // A job behind the rejected one is not blocked by it.
+  BatchResult result;
+  ASSERT_TRUE(batch
+                  .submit(devel(1), "u", spec(10),
+                          [&](BatchJobId, const BatchResult& r) { result = r; })
+                  .ok());
+  engine.run();
+  EXPECT_EQ(result.state, BatchJobState::kCompleted);
+  EXPECT_EQ(batch.queued_jobs(), 0u);
+  EXPECT_EQ(batch.free_nodes(), 8);
+  EXPECT_EQ(batch.stats().jobs_submitted, 1u);
+}
+
 TEST_F(SubsystemFixture, FcfsOrderWithoutBackfill) {
   BatchSubsystem batch(engine, util::Rng(1), small_system(false));
   std::vector<int> start_order;
