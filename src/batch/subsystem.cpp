@@ -28,7 +28,8 @@ BatchSubsystem::BatchSubsystem(sim::Engine& engine, util::Rng rng,
     : engine_(engine),
       rng_(std::move(rng)),
       config_(std::move(config)),
-      free_nodes_(config_.nodes) {}
+      free_nodes_(config_.nodes),
+      queued_by_nodes_(static_cast<std::size_t>(config_.nodes) + 1) {}
 
 Status BatchSubsystem::validate(const BatchRequest& request) const {
   const QueueConfig* queue = config_.find_queue(request.queue);
@@ -70,6 +71,14 @@ std::int64_t BatchSubsystem::nodes_needed(const BatchRequest& request) const {
          config_.processors_per_node;
 }
 
+BatchSubsystem::Job* BatchSubsystem::find_job(BatchJobId id) {
+  return id >= 1 && id <= jobs_.size() ? &jobs_[id - 1] : nullptr;
+}
+
+const BatchSubsystem::Job* BatchSubsystem::find_job(BatchJobId id) const {
+  return id >= 1 && id <= jobs_.size() ? &jobs_[id - 1] : nullptr;
+}
+
 Result<BatchJobId> BatchSubsystem::submit(const std::string& script,
                                           const std::string& owner,
                                           ExecutionSpec spec,
@@ -85,19 +94,20 @@ Result<BatchJobId> BatchSubsystem::submit(const std::string& script,
   if (auto status = validate(request.value()); !status.ok())
     return status.error();
 
-  auto job = std::make_unique<Job>();
-  job->id = next_id_++;
-  job->owner = owner;
-  job->request = std::move(request.value());
-  job->script = script;
-  job->spec = std::move(spec);
-  job->on_complete = std::move(on_complete);
-  job->nodes_needed = nodes_needed(job->request);
-  job->result.submitted_at = engine_.now();
+  Job& job = jobs_.emplace_back();
+  job.id = jobs_.size();
+  job.owner = owner;
+  job.request = std::move(request.value());
+  job.script = script;
+  job.spec = std::move(spec);
+  job.on_complete = std::move(on_complete);
+  job.nodes_needed = nodes_needed(job.request);
+  job.result.submitted_at = engine_.now();
 
-  BatchJobId id = job->id;
-  jobs_[id] = std::move(job);
-  queue_.push_back(id);
+  BatchJobId id = job.id;
+  queue_.push_back(
+      {id, job.nodes_needed, sim::sec(job.request.wallclock_seconds)});
+  ++queued_by_nodes_[job.nodes_needed];
   ++stats_.jobs_submitted;
   if (submitted_counter_) submitted_counter_->increment();
   update_gauges();
@@ -110,65 +120,81 @@ Result<BatchJobId> BatchSubsystem::submit(const std::string& script,
 void BatchSubsystem::compute_shadow(std::int64_t head_nodes,
                                     sim::Time& shadow_time,
                                     std::int64_t& extra_nodes) const {
-  // Walk running jobs in order of their wallclock deadlines, accumulating
-  // freed nodes until the head job fits; that instant is the shadow time.
-  std::vector<std::pair<sim::Time, std::int64_t>> releases;
-  releases.reserve(running_.size());
-  for (BatchJobId id : running_) {
-    const Job& job = *jobs_.at(id);
-    releases.emplace_back(job.limit_deadline, job.nodes_needed);
-  }
-  std::sort(releases.begin(), releases.end());
-
+  // Walk running jobs in release order, accumulating freed nodes until
+  // the head job fits; that instant is the shadow time.
   std::int64_t available = free_nodes_;
   shadow_time = engine_.now();
-  for (const auto& [at, nodes] : releases) {
+  for (const Release& release : running_) {
     if (available >= head_nodes) break;
-    available += nodes;
-    shadow_time = at;
+    available += release.nodes;
+    shadow_time = release.deadline;
   }
   // Nodes the head job will not need at its (estimated) start.
   extra_nodes = std::max<std::int64_t>(0, available - head_nodes);
 }
 
 void BatchSubsystem::schedule_pass() {
+  std::size_t started = 0;
   // FCFS: start from the front while jobs fit.
-  while (!queue_.empty()) {
-    Job& head = *jobs_.at(queue_.front());
-    if (head.nodes_needed > free_nodes_) break;
+  while (!queue_.empty() && queue_.front().nodes <= free_nodes_) {
+    Job& head = jobs_[queue_.front().id - 1];
     queue_.pop_front();
     start_job(head, /*backfilled=*/false);
+    ++started;
   }
-  if (queue_.empty() || !config_.use_backfill) return;
+  if (!queue_.empty() && config_.use_backfill) started += backfill_pass();
+  if (started != 0) update_gauges();
+}
+
+std::size_t BatchSubsystem::backfill_pass() {
+  // Nothing behind the head can start unless some queued job fits the
+  // free nodes now (the head itself does not).
+  bool any_fits = false;
+  for (std::int64_t nodes = 1; nodes <= free_nodes_ && !any_fits; ++nodes)
+    any_fits = queued_by_nodes_[nodes] != 0;
+  if (!any_fits) return 0;
 
   // EASY backfill: jobs behind the head may start now if they do not
-  // delay the head's estimated start.
+  // delay the head's estimated start. Only the head holds a reservation.
+  const std::int64_t head_nodes = queue_.front().nodes;
+  const sim::Time now = engine_.now();
   sim::Time shadow_time = 0;
   std::int64_t extra_nodes = 0;
-  Job& head = *jobs_.at(queue_.front());
-  compute_shadow(head.nodes_needed, shadow_time, extra_nodes);
+  compute_shadow(head_nodes, shadow_time, extra_nodes);
 
-  for (auto it = std::next(queue_.begin()); it != queue_.end();) {
-    Job& candidate = *jobs_.at(*it);
-    bool fits_now = candidate.nodes_needed <= free_nodes_;
-    bool ends_before_shadow =
-        engine_.now() + sim::sec(candidate.request.wallclock_seconds) <=
-        shadow_time;
-    bool within_spare = candidate.nodes_needed <= extra_nodes;
+  // Entries that stay slide down over started ones as the walk goes, and
+  // one erase closes the gap. The walk ends once no node is free.
+  std::size_t started = 0;
+  auto kept = std::next(queue_.begin());
+  auto it = kept;
+  for (; it != queue_.end() && free_nodes_ > 0; ++it) {
+    bool fits_now = it->nodes <= free_nodes_;
+    bool ends_before_shadow = now + it->wallclock <= shadow_time;
+    bool within_spare = it->nodes <= extra_nodes;
     if (fits_now && (ends_before_shadow || within_spare)) {
-      it = queue_.erase(it);
-      start_job(candidate, /*backfilled=*/true);
+      start_job(jobs_[it->id - 1], /*backfilled=*/true);
+      ++started;
       // Spare capacity shrinks as backfilled jobs take nodes.
-      compute_shadow(head.nodes_needed, shadow_time, extra_nodes);
+      compute_shadow(head_nodes, shadow_time, extra_nodes);
     } else {
-      ++it;
+      if (kept != it) *kept = *it;
+      ++kept;
     }
   }
+  queue_.erase(kept, it);
+  return started;
 }
 
 void BatchSubsystem::start_job(Job& job, bool backfilled) {
+  // The caller has taken the job off queue_ and updates the gauges once
+  // its pass is done.
+  --queued_by_nodes_[job.nodes_needed];
   free_nodes_ -= job.nodes_needed;
-  running_.push_back(job.id);
+  job.limit_deadline =
+      engine_.now() + sim::sec(job.request.wallclock_seconds);
+  Release release{job.limit_deadline, job.nodes_needed, job.id};
+  running_.insert(std::upper_bound(running_.begin(), running_.end(), release),
+                  release);
   job.state = BatchJobState::kRunning;
   job.result.backfilled = backfilled;
   if (backfilled) ++stats_.backfilled_starts;
@@ -177,9 +203,6 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
       sim::to_seconds(job.result.started_at - job.result.submitted_at);
   stats_.total_wait_seconds += wait_seconds;
   if (queue_wait_hist_) queue_wait_hist_->observe(wait_seconds);
-  update_gauges();
-  job.limit_deadline =
-      engine_.now() + sim::sec(job.request.wallclock_seconds);
 
   // Missing input files fail the job immediately (the script's first
   // command would have died the same way).
@@ -192,9 +215,8 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
     for (const std::string& file : missing) message += " " + file;
     BatchJobId id = job.id;
     engine_.after(sim::msec(100), [this, id, message] {
-      if (auto it = jobs_.find(id); it != jobs_.end() &&
-                                    it->second->state == BatchJobState::kRunning)
-        finish_job(*it->second, BatchJobState::kCompleted, 127, message);
+      if (Job& j = jobs_[id - 1]; j.state == BatchJobState::kRunning)
+        finish_job(j, BatchJobState::kCompleted, 127, message);
     });
     return;
   }
@@ -215,9 +237,8 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
           rng_.uniform() * static_cast<double>(actual_runtime));
       BatchJobId id = job.id;
       job.finish_event = engine_.after(failure_at, [this, id] {
-        if (auto it = jobs_.find(id);
-            it != jobs_.end() && it->second->state == BatchJobState::kRunning)
-          finish_job(*it->second, BatchJobState::kFailed, 139,
+        if (Job& j = jobs_[id - 1]; j.state == BatchJobState::kRunning)
+          finish_job(j, BatchJobState::kFailed, 139,
                      "node failure during execution");
       });
       return;
@@ -227,9 +248,7 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
   BatchJobId id = job.id;
   if (actual_runtime <= sim::sec(job.request.wallclock_seconds)) {
     job.finish_event = engine_.after(actual_runtime, [this, id] {
-      if (auto it = jobs_.find(id);
-          it != jobs_.end() && it->second->state == BatchJobState::kRunning) {
-        Job& j = *it->second;
+      if (Job& j = jobs_[id - 1]; j.state == BatchJobState::kRunning) {
         // Materialise output files; a full Uspace turns into a job error.
         std::string io_error;
         if (j.spec.workspace) {
@@ -254,10 +273,8 @@ void BatchSubsystem::start_job(Job& job, bool backfilled) {
     // The batch system kills the job at its requested wallclock limit.
     job.limit_event = engine_.after(
         sim::sec(job.request.wallclock_seconds), [this, id] {
-          if (auto it = jobs_.find(id);
-              it != jobs_.end() &&
-              it->second->state == BatchJobState::kRunning)
-            finish_job(*it->second, BatchJobState::kKilled, 137,
+          if (Job& j = jobs_[id - 1]; j.state == BatchJobState::kRunning)
+            finish_job(j, BatchJobState::kKilled, 137,
                        "job killed: wallclock limit exceeded");
         });
   }
@@ -272,7 +289,9 @@ void BatchSubsystem::finish_job(Job& job, BatchJobState state,
   job.limit_event.reset();
 
   free_nodes_ += job.nodes_needed;
-  std::erase(running_, job.id);
+  running_.erase(std::lower_bound(
+      running_.begin(), running_.end(),
+      Release{job.limit_deadline, job.nodes_needed, job.id}));
 
   job.state = state;
   job.result.state = state;
@@ -318,11 +337,11 @@ void BatchSubsystem::finish_job(Job& job, BatchJobState state,
 }
 
 Status BatchSubsystem::reattach(BatchJobId id, CompletionHandler on_complete) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
+  Job* found = find_job(id);
+  if (found == nullptr)
     return util::make_error(ErrorCode::kNotFound,
                             "no such batch job: " + std::to_string(id));
-  Job& job = *it->second;
+  Job& job = *found;
   if (job.state == BatchJobState::kQueued ||
       job.state == BatchJobState::kRunning) {
     job.on_complete = std::move(on_complete);
@@ -331,21 +350,23 @@ Status BatchSubsystem::reattach(BatchJobId id, CompletionHandler on_complete) {
   // Already terminal: deliver the stored result asynchronously so the
   // caller sees the same once-at-completion contract as submit().
   engine_.after(0, [this, id, handler = std::move(on_complete)] {
-    auto jt = jobs_.find(id);
-    if (jt != jobs_.end() && handler) handler(id, jt->second->result);
+    if (handler) handler(id, jobs_[id - 1].result);
   });
   return Status::ok_status();
 }
 
 Status BatchSubsystem::cancel(BatchJobId id) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
+  Job* found = find_job(id);
+  if (found == nullptr)
     return util::make_error(ErrorCode::kNotFound,
                             "no such batch job: " + std::to_string(id));
-  Job& job = *it->second;
+  Job& job = *found;
   switch (job.state) {
     case BatchJobState::kQueued: {
-      std::erase(queue_, id);
+      queue_.erase(std::find_if(
+          queue_.begin(), queue_.end(),
+          [id](const QueueEntry& entry) { return entry.id == id; }));
+      --queued_by_nodes_[job.nodes_needed];
       job.result.started_at = engine_.now();
       job.state = BatchJobState::kCancelled;
       job.result.state = BatchJobState::kCancelled;
@@ -371,36 +392,30 @@ Status BatchSubsystem::cancel(BatchJobId id) {
 }
 
 Result<BatchJobState> BatchSubsystem::state(BatchJobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
+  const Job* job = find_job(id);
+  if (job == nullptr)
     return util::make_error(ErrorCode::kNotFound,
                             "no such batch job: " + std::to_string(id));
-  return it->second->state;
+  return job->state;
 }
 
 Result<BatchResult> BatchSubsystem::result(BatchJobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
+  const Job* job = find_job(id);
+  if (job == nullptr)
     return util::make_error(ErrorCode::kNotFound,
                             "no such batch job: " + std::to_string(id));
-  return it->second->result;
+  return job->result;
 }
 
 double BatchSubsystem::backlog_node_seconds() const {
-  double backlog = 0;
-  for (BatchJobId id : queue_) {
-    const Job& job = *jobs_.at(id);
-    backlog += static_cast<double>(job.nodes_needed) *
-               static_cast<double>(job.request.wallclock_seconds);
-  }
-  for (BatchJobId id : running_) {
-    const Job& job = *jobs_.at(id);
-    sim::Time remaining = job.limit_deadline - engine_.now();
-    if (remaining > 0)
-      backlog += static_cast<double>(job.nodes_needed) *
-                 sim::to_seconds(remaining);
-  }
-  return backlog;
+  // Summed in node-microseconds, exactly, then converted once.
+  sim::Time backlog = 0;
+  for (const QueueEntry& entry : queue_)
+    backlog += entry.nodes * entry.wallclock;
+  for (const Release& release : running_)
+    backlog += release.nodes *
+               std::max<sim::Time>(0, release.deadline - engine_.now());
+  return sim::to_seconds(backlog);
 }
 
 double BatchSubsystem::utilization() const {

@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <compare>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -157,11 +157,34 @@ class BatchSubsystem {
     std::optional<sim::EventId> limit_event;
   };
 
+  /// A queued job with what the backfill walk reads, so the walk touches
+  /// no Job it does not start.
+  struct QueueEntry {
+    BatchJobId id = 0;
+    std::int64_t nodes = 0;
+    sim::Time wallclock = 0;  // requested limit
+  };
+
+  /// A running job's nodes coming back at its wallclock deadline. Kept in
+  /// this order, deadline then node count, which is the order the EASY
+  /// shadow releases them in; the id only makes entries unique.
+  struct Release {
+    sim::Time deadline = 0;
+    std::int64_t nodes = 0;
+    BatchJobId id = 0;
+    auto operator<=>(const Release&) const = default;
+  };
+
   util::Status validate(const BatchRequest& request) const;
   std::int64_t nodes_needed(const BatchRequest& request) const;
+  Job* find_job(BatchJobId id);
+  const Job* find_job(BatchJobId id) const;
   void update_gauges();
   void count_outcome(BatchJobState state);
   void schedule_pass();
+  /// Starts what EASY backfill allows behind the blocked queue head;
+  /// returns how many jobs it started.
+  std::size_t backfill_pass();
   void start_job(Job& job, bool backfilled);
   void finish_job(Job& job, BatchJobState state, std::int32_t exit_code,
                   std::string stderr_extra);
@@ -174,10 +197,13 @@ class BatchSubsystem {
   util::Rng rng_;
   SystemConfig config_;
   std::int64_t free_nodes_;
-  BatchJobId next_id_ = 1;
-  std::map<BatchJobId, std::unique_ptr<Job>> jobs_;
-  std::deque<BatchJobId> queue_;
-  std::vector<BatchJobId> running_;
+  /// Every job ever submitted: job `id` is jobs_[id - 1]. Ids are handed
+  /// out densely from 1 and never reused; a deque keeps references stable.
+  std::deque<Job> jobs_;
+  std::deque<QueueEntry> queue_;  // submission order
+  /// queued_by_nodes_[n]: queued jobs that need n nodes (1 <= n <= nodes).
+  std::vector<std::size_t> queued_by_nodes_;
+  std::vector<Release> running_;  // ascending
   bool offline_ = false;
   SubsystemStats stats_;
 
