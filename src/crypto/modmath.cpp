@@ -1,5 +1,6 @@
 #include "crypto/modmath.h"
 
+#include <span>
 #include <stdexcept>
 
 namespace unicore::crypto {
@@ -85,9 +86,18 @@ bool is_prime(std::uint64_t n) {
     d >>= 1;
     ++r;
   }
-  // This witness set is proven complete for all n < 3.3e24.
-  for (std::uint64_t a : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 19ULL,
-                          23ULL, 29ULL, 31ULL, 37ULL}) {
+  // Both witness sets are proven exact in their range: {2, 7, 61} for
+  // n < 4,759,123,141 (Jaeschke 1993), which covers every 32-bit key
+  // prime candidate; the primes up to 37 for n < 3.3e24. The bound is
+  // strict: 4,759,123,141 itself is a strong pseudoprime to 2, 7 and 61.
+  static constexpr std::uint64_t kBelowBound[] = {2, 7, 61};
+  static constexpr std::uint64_t kAbove[] = {2,  3,  5,  7,  11, 13,
+                                             17, 19, 23, 29, 31, 37};
+  std::span<const std::uint64_t> witnesses =
+      n < 4'759'123'141ULL ? std::span<const std::uint64_t>(kBelowBound)
+                           : std::span<const std::uint64_t>(kAbove);
+  for (std::uint64_t a : witnesses) {
+    if (a % n == 0) continue;  // n = 61: a multiple of n proves nothing
     if (witness_composite(a, d, r, n)) return false;
   }
   return true;
