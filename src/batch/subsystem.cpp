@@ -134,25 +134,23 @@ void BatchSubsystem::compute_shadow(std::int64_t head_nodes,
 }
 
 void BatchSubsystem::schedule_pass() {
-  std::size_t started = 0;
   // FCFS: start from the front while jobs fit.
   while (!queue_.empty() && queue_.front().nodes <= free_nodes_) {
     Job& head = jobs_[queue_.front().id - 1];
     queue_.pop_front();
     start_job(head, /*backfilled=*/false);
-    ++started;
   }
-  if (!queue_.empty() && config_.use_backfill) started += backfill_pass();
-  if (started != 0) update_gauges();
+  if (!queue_.empty() && config_.use_backfill) backfill_pass();
+  update_gauges();
 }
 
-std::size_t BatchSubsystem::backfill_pass() {
+void BatchSubsystem::backfill_pass() {
   // Nothing behind the head can start unless some queued job fits the
   // free nodes now (the head itself does not).
   bool any_fits = false;
   for (std::int64_t nodes = 1; nodes <= free_nodes_ && !any_fits; ++nodes)
     any_fits = queued_by_nodes_[nodes] != 0;
-  if (!any_fits) return 0;
+  if (!any_fits) return;
 
   // EASY backfill: jobs behind the head may start now if they do not
   // delay the head's estimated start. Only the head holds a reservation.
@@ -164,7 +162,6 @@ std::size_t BatchSubsystem::backfill_pass() {
 
   // Entries that stay slide down over started ones as the walk goes, and
   // one erase closes the gap. The walk ends once no node is free.
-  std::size_t started = 0;
   auto kept = std::next(queue_.begin());
   auto it = kept;
   for (; it != queue_.end() && free_nodes_ > 0; ++it) {
@@ -173,7 +170,6 @@ std::size_t BatchSubsystem::backfill_pass() {
     bool within_spare = it->nodes <= extra_nodes;
     if (fits_now && (ends_before_shadow || within_spare)) {
       start_job(jobs_[it->id - 1], /*backfilled=*/true);
-      ++started;
       // Spare capacity shrinks as backfilled jobs take nodes.
       compute_shadow(head_nodes, shadow_time, extra_nodes);
     } else {
@@ -182,12 +178,11 @@ std::size_t BatchSubsystem::backfill_pass() {
     }
   }
   queue_.erase(kept, it);
-  return started;
 }
 
 void BatchSubsystem::start_job(Job& job, bool backfilled) {
-  // The caller has taken the job off queue_ and updates the gauges once
-  // its pass is done.
+  // The caller has taken the job off queue_; the pass updates the gauges
+  // once its queue is compacted.
   --queued_by_nodes_[job.nodes_needed];
   free_nodes_ -= job.nodes_needed;
   job.limit_deadline =

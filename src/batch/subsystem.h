@@ -182,9 +182,8 @@ class BatchSubsystem {
   void update_gauges();
   void count_outcome(BatchJobState state);
   void schedule_pass();
-  /// Starts what EASY backfill allows behind the blocked queue head;
-  /// returns how many jobs it started.
-  std::size_t backfill_pass();
+  /// Starts what EASY backfill allows behind the blocked queue head.
+  void backfill_pass();
   void start_job(Job& job, bool backfilled);
   void finish_job(Job& job, BatchJobState state, std::int32_t exit_code,
                   std::string stderr_extra);
