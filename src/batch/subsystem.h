@@ -10,8 +10,8 @@
 // treated", §5.5).
 #pragma once
 
-#include <cstdint>
 #include <compare>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
