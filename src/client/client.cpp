@@ -102,8 +102,6 @@ void UnicoreClient::connect(net::Address usite,
   channel_config.credential = config_.user;
   channel_config.trust = config_.trust;
   channel_config.required_peer_usage = crypto::kUsageServerAuth;
-  channel_config.protocol_version = config_.protocol_version;
-  channel_config.features = config_.channel_features;
   // Reconnects resume from the cached session ticket — one round trip,
   // no public-key operations — until the ticket expires or the server
   // invalidates it.
@@ -379,7 +377,6 @@ std::shared_ptr<xfer::ChunkTransport> UnicoreClient::transfer_transport() {
     rails_config.required_peer_usage = crypto::kUsageServerAuth;
     rails_config.request_timeout = config_.request_timeout;
     rails_config.session_cache = &sessions_;
-    rails_config.features = config_.channel_features;
     rails = server::XferRails::create(engine_, network_, rng_,
                                       std::move(rails_config));
   }
@@ -412,13 +409,12 @@ void UnicoreClient::push_tree(
     done(util::make_error(ErrorCode::kUnavailable, "not connected"));
     return;
   }
-  if (config_.transfer_streams == 0 ||
-      !channel_->feature_enabled(net::kFeatureChunkedXfer)) {
-    // v1 server (or chunking disabled): there is no client staging
-    // path at all — files travel inside the AJO instead.
+  if (config_.transfer_streams == 0) {
+    // Chunking disabled: there is no client staging path at all — files
+    // travel inside the AJO instead.
     done(util::make_error(ErrorCode::kFailedPrecondition,
                           "client staging requires the chunked transfer "
-                          "channel feature"));
+                          "engine"));
     return;
   }
   ++output_stats_.chunked;
@@ -442,11 +438,9 @@ void UnicoreClient::fetch_tree(
     done(std::vector<uspace::FileBlob>{});
     return;
   }
-  // The engine needs a v2 channel on both ends; everything else (v1
-  // server, chunking disabled) takes the whole-blob request per file.
-  bool chunked = config_.transfer_streams > 0 && connected() &&
-                 channel_->feature_enabled(net::kFeatureChunkedXfer);
-  if (!chunked) {
+  // With chunking disabled (or no connection) each file takes the
+  // whole-blob request.
+  if (config_.transfer_streams == 0 || !connected()) {
     fetch_outputs_legacy(token, std::move(names), {}, std::move(done));
     return;
   }
@@ -454,24 +448,14 @@ void UnicoreClient::fetch_tree(
   xfer::PullSpec spec;
   spec.role = xfer::Role::kClientPull;
   spec.token = token;
-  spec.names = names;
-  auto alive = alive_;
-  xfer_manager_.pull(
-      transfer_transport(), spec, config_.transfer_options,
-      [this, alive, token, names = std::move(names),
-       done = std::move(done)](Result<xfer::PullResult> result) mutable {
-        if (!result && *alive &&
-            result.error().code == ErrorCode::kFailedPrecondition) {
-          // Refused mid-flight (e.g. the Usite restarted into an old
-          // build): fall back to the whole-blob request.
-          fetch_outputs_legacy(token, std::move(names), {}, std::move(done));
-          return;
-        }
-        if (!result)
-          done(result.error());
-        else
-          done(std::move(result.value().blobs));
-      });
+  spec.names = std::move(names);
+  xfer_manager_.pull(transfer_transport(), spec, config_.transfer_options,
+                     [done = std::move(done)](Result<xfer::PullResult> result) {
+                       if (!result)
+                         done(result.error());
+                       else
+                         done(std::move(result.value().blobs));
+                     });
 }
 
 void UnicoreClient::fetch_outputs_legacy(

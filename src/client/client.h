@@ -304,10 +304,6 @@ class UnicoreClient {
     sim::Time request_timeout = sim::sec(60);
     /// Backoff between submit_with_retry attempts.
     util::BackoffPolicy retry_backoff;
-    /// Channel protocol version and feature bits offered in the hello
-    /// (see PROTOCOL.md); lower them to emulate a legacy client.
-    std::uint8_t protocol_version = net::kProtocolVersion;
-    std::uint64_t channel_features = net::kDefaultFeatures;
     /// Streams for chunked output retrieval (stream 0 rides the main
     /// channel; the rest are extra rails). 0 disables the chunked
     /// engine and every fetch_output uses the whole-blob request.
@@ -370,14 +366,15 @@ class UnicoreClient {
 
   // --- bundle staging (docs/DATA.md §3) ---------------------------------
   /// Stages a whole file tree into job `token`'s Uspace as bundles (one
-  /// manifest round trip per xfer::kMaxBundleFiles slice). A v1 server
-  /// fails kFailedPrecondition (stage files inside the AJO instead).
+  /// manifest round trip per xfer::kMaxBundleFiles slice). With
+  /// transfer_streams = 0 it fails kFailedPrecondition (stage files
+  /// inside the AJO instead).
   void push_tree(ajo::JobToken token,
                  std::vector<std::pair<std::string, uspace::FileBlob>> files,
                  std::function<void(util::Result<xfer::TransferStats>)> done);
   /// Fetches many outputs of job `token` in request order — as bundles
-  /// when the server negotiated the chunked engine, one whole-blob
-  /// request per file otherwise. fetch_output is the one-file case.
+  /// through the chunked engine, or one whole-blob request per file when
+  /// transfer_streams = 0. fetch_output is the one-file case.
   void fetch_tree(
       ajo::JobToken token, std::vector<std::string> names,
       std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done);
@@ -455,9 +452,7 @@ class UnicoreClient {
   /// Fetches the recorded trace timeline of one of the caller's jobs.
   void fetch_trace(ajo::JobToken token,
                    std::function<void(util::Result<obs::TraceTimeline>)> done);
-  /// Fetches the NJS journal / recovery diagnostics. Requires the
-  /// kFeatureJournalInspect channel feature (negotiated in the hello
-  /// exchange); v1 servers reject the request.
+  /// Fetches the NJS journal / recovery diagnostics.
   void inspect_journal(std::function<void(util::Result<JournalInfo>)> done);
 
   /// Sends one chunked-transfer operation over the *main* channel
@@ -469,8 +464,8 @@ class UnicoreClient {
   std::uint64_t requests_sent() const { return requests_sent_; }
   std::uint64_t requests_failed() const { return requests_failed_; }
   /// Which wire path each fetch and push took: the chunked engine (one
-  /// count per call, any file count), or the whole-blob fallback (one
-  /// count per file; v1 server / chunking off).
+  /// count per call, any file count), or whole blobs (one count per
+  /// file; transfer_streams = 0).
   const server::TransferStats& output_stats() const { return output_stats_; }
   /// True when the current channel was established by session
   /// resumption (a reconnect that skipped the public-key handshake).
@@ -512,8 +507,8 @@ class UnicoreClient {
   void handle_message(util::Bytes&& wire);
   void fail_all_pending(const util::Error& error);
   std::shared_ptr<xfer::ChunkTransport> transfer_transport();
-  /// fetch_tree's fallback: one whole-blob kFetchOutput per file, in
-  /// order, appending to `blobs`.
+  /// fetch_tree with chunking off: one whole-blob kFetchOutput per file,
+  /// in order, appending to `blobs`.
   void fetch_outputs_legacy(
       ajo::JobToken token, std::vector<std::string> names,
       std::vector<uspace::FileBlob> blobs,

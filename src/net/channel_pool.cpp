@@ -41,13 +41,6 @@ void ChannelPool::shutdown() {
     slot.established = false;
     slot.backlog.clear();
   }
-  feature_waiters_.clear();
-}
-
-bool ChannelPool::any_established() const {
-  for (const auto& slot : slots_)
-    if (slot.established) return true;
-  return false;
 }
 
 void ChannelPool::send_on(std::size_t slot_index, Bytes wire) {
@@ -59,18 +52,6 @@ void ChannelPool::send_on(std::size_t slot_index, Bytes wire) {
     slot.channel->send(std::move(wire));
   else
     slot.backlog.push_back(std::move(wire));
-}
-
-void ChannelPool::with_features(FeatureHandler ready) {
-  for (const auto& slot : slots_) {
-    if (slot.established) {
-      ready(slot.channel->negotiated_features());
-      return;
-    }
-  }
-  feature_waiters_.push_back(std::move(ready));
-  ensure_slot(0);
-  // A synchronous connect failure has already flushed the waiters.
 }
 
 void ChannelPool::ensure_slot(std::size_t index) {
@@ -102,25 +83,11 @@ void ChannelPool::ensure_slot(std::size_t index) {
         Slot& slot = self->slots_[index];
         if (!slot.channel) return;
         if (slot.channel->resumed()) ++self->resumptions_;
-        if (self->config_.required_features != 0 &&
-            (slot.channel->negotiated_features() &
-             self->config_.required_features) !=
-                self->config_.required_features) {
-          self->fail_slot(index,
-                          util::make_error(ErrorCode::kFailedPrecondition,
-                                           "peer lacks required channel "
-                                           "features"));
-          return;
-        }
         slot.established = true;
         while (!slot.backlog.empty()) {
           slot.channel->send(std::move(slot.backlog.front()));
           slot.backlog.pop_front();
         }
-        auto waiters = std::move(self->feature_waiters_);
-        self->feature_waiters_.clear();
-        std::uint64_t features = slot.channel->negotiated_features();
-        for (auto& waiter : waiters) waiter(features);
       });
   slot.channel->set_receiver([weak, index](Bytes&& wire) {
     auto self = weak.lock();
@@ -141,13 +108,6 @@ void ChannelPool::fail_slot(std::size_t index, util::Error error) {
   slot.established = false;
   slot.backlog.clear();
   if (channel) channel->close();
-  // Feature waiters fail only when no slot can answer them any more —
-  // another established slot keeps them satisfied.
-  if (!any_established() && !feature_waiters_.empty()) {
-    auto waiters = std::move(feature_waiters_);
-    feature_waiters_.clear();
-    for (auto& waiter : waiters) waiter(error);
-  }
   if (on_slot_failure_) on_slot_failure_(index, error);
 }
 

@@ -38,10 +38,6 @@ class ChannelPool : public std::enable_shared_from_this<ChannelPool> {
     /// empty it defaults to SessionCache::key_for(remote) so all slots
     /// share one ticket lineage.
     SecureChannel::Config channel;
-    /// Feature bits every slot must negotiate; a slot whose handshake
-    /// settles without them fails with kFailedPrecondition (e.g. the
-    /// transfer rails require kFeatureChunkedXfer).
-    std::uint64_t required_features = 0;
   };
 
   /// (slot, decrypted message) for every application message.
@@ -49,7 +45,6 @@ class ChannelPool : public std::enable_shared_from_this<ChannelPool> {
   /// Fired once per slot failure, before the slot becomes reconnectable.
   using SlotFailureHandler =
       std::function<void(std::size_t, const util::Error&)>;
-  using FeatureHandler = std::function<void(util::Result<std::uint64_t>)>;
 
   static std::shared_ptr<ChannelPool> create(sim::Engine& engine,
                                              Network& network, util::Rng& rng,
@@ -70,10 +65,6 @@ class ChannelPool : public std::enable_shared_from_this<ChannelPool> {
   /// failure handler has already fired when this returns.
   void send_on(std::size_t slot, util::Bytes wire);
 
-  /// Calls `ready` with an established slot's negotiated feature set —
-  /// immediately when one is up, else after slot 0's handshake settles.
-  void with_features(FeatureHandler ready);
-
   void set_receiver(Receiver receiver) { on_message_ = std::move(receiver); }
   void set_slot_failure(SlotFailureHandler handler) {
     on_slot_failure_ = std::move(handler);
@@ -83,7 +74,7 @@ class ChannelPool : public std::enable_shared_from_this<ChannelPool> {
     return slots_[slot].established;
   }
   /// The slot's channel (nullptr when disconnected) — for diagnostics
-  /// such as resumed() or negotiated_features().
+  /// such as resumed().
   std::shared_ptr<SecureChannel> slot_channel(std::size_t slot) const {
     return slots_[slot].channel;
   }
@@ -109,7 +100,6 @@ class ChannelPool : public std::enable_shared_from_this<ChannelPool> {
 
   void ensure_slot(std::size_t index);
   void fail_slot(std::size_t index, util::Error error);
-  bool any_established() const;
 
   sim::Engine& engine_;
   Network& network_;
@@ -119,7 +109,6 @@ class ChannelPool : public std::enable_shared_from_this<ChannelPool> {
   std::size_t round_robin_ = 0;
   Receiver on_message_;
   SlotFailureHandler on_slot_failure_;
-  std::vector<FeatureHandler> feature_waiters_;
   std::uint64_t connects_ = 0;
   std::uint64_t resumptions_ = 0;
 };

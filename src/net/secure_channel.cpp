@@ -4,7 +4,6 @@
 
 #include "crypto/hmac.h"
 #include "util/log.h"
-#include "util/thread_pool.h"
 
 namespace unicore::net {
 
@@ -22,13 +21,13 @@ enum MessageType : std::uint8_t {
   kClientHello = 1,
   kServerHello = 2,
   kClientCert = 3,
-  kRecord = 4,
+  // 4 was kRecord, the single-record frame; retired, never reuse it.
   kAlert = 5,
   kServerFinished = 6,  // key confirmation after client-cert validation
   kClientHelloResumed = 7,
   kServerHelloResumed = 8,
   kHelloRetry = 9,  // resumption refused: restart with a full ClientHello
-  kRecordBatch = 10,  // coalesced records (kFeatureBatchRecords)
+  kRecordBatch = 10,  // coalesced records
 };
 
 // Batched record framing limits. A record within a batch carries at most
@@ -50,22 +49,16 @@ enum RecordFlags : std::uint8_t {
   kFinal = 3,
 };
 
-/// Record AAD: direction byte + big-endian sequence number, and for
-/// batched records the fragmentation flags (plus the announced total for
-/// first fragments) so a tampered flag or total fails the MAC, not the
-/// reassembly.
-std::size_t encode_record_aad(std::uint8_t* out, std::uint8_t direction,
-                              std::uint64_t seq) {
-  out[0] = direction;
-  for (int i = 0; i < 8; ++i)
-    out[1 + i] = static_cast<std::uint8_t>(seq >> (56 - 8 * i));
-  return 9;
-}
-
+/// Record AAD: direction byte + big-endian sequence number + the
+/// fragmentation flags (plus the announced total for first fragments),
+/// so a tampered flag or total fails the MAC, not the reassembly.
 std::size_t encode_batch_aad(std::uint8_t* out, std::uint8_t direction,
                              std::uint64_t seq, std::uint8_t flags,
                              std::uint64_t total) {
-  std::size_t n = encode_record_aad(out, direction, seq);
+  out[0] = direction;
+  for (int i = 0; i < 8; ++i)
+    out[1 + i] = static_cast<std::uint8_t>(seq >> (56 - 8 * i));
+  std::size_t n = 9;
   out[n++] = flags;
   if (flags == kFirst)
     for (int i = 0; i < 8; ++i)
@@ -85,6 +78,26 @@ Bytes resumption_binder_key(const Bytes& master_secret) {
   std::copy(master_secret.begin(), master_secret.end(), prk.begin());
   return crypto::hkdf_expand(prk, util::to_bytes(std::string(kBinderLabel)),
                              32);
+}
+
+/// Reads the version byte and feature word that follow every hello and
+/// reply, and reports whether they name the one protocol spoken here.
+/// A message that ends before them throws std::out_of_range like any
+/// other truncated message.
+bool read_protocol(ByteReader& reader) {
+  std::uint8_t version = reader.u8();
+  std::uint64_t features = reader.u64();
+  return version == kProtocolVersion && features == kChannelFeatures;
+}
+
+void write_protocol(ByteWriter& w) {
+  w.u8(kProtocolVersion);
+  w.u64(kChannelFeatures);
+}
+
+util::Error unsupported_protocol() {
+  return util::make_error(ErrorCode::kFailedPrecondition,
+                          "unsupported protocol version or feature word");
 }
 
 void write_chain(ByteWriter& w, const Certificate& leaf) {
@@ -180,8 +193,7 @@ void SecureChannel::start() {
 
   // Resume when we hold a fresh ticket for this destination; otherwise
   // (or on HelloRetry) do the full Diffie–Hellman handshake.
-  if (config_.session_cache != nullptr && config_.protocol_version >= 2 &&
-      (config_.features & kFeatureResumption) != 0) {
+  if (config_.session_cache != nullptr) {
     if (const SessionCache::Entry* cached = config_.session_cache->get(
             session_cache_key(), epoch_seconds(engine_.now()));
         cached != nullptr)
@@ -197,13 +209,7 @@ void SecureChannel::send_full_client_hello() {
   hello.u8(kClientHello);
   hello.blob(client_random_);
   hello.u64(dh_.public_value);
-  // v2 negotiation tail: version byte + advertised feature bits. A v1
-  // peer never reads past the DH value and the transcript still covers
-  // the full message, so the tail is backward compatible.
-  if (config_.protocol_version >= 2) {
-    hello.u8(config_.protocol_version);
-    hello.u64(config_.features);
-  }
+  write_protocol(hello);
   util::append(transcript_, hello.bytes());
   endpoint_->send(hello.take());
   state_ = State::kClientAwaitServerHello;
@@ -223,8 +229,7 @@ void SecureChannel::send_resumed_client_hello(
   hello.u8(kClientHelloResumed);
   hello.blob(client_random_);
   hello.blob(cached.ticket);
-  hello.u8(config_.protocol_version);
-  hello.u64(config_.features);
+  write_protocol(hello);
   // Binder: MAC over everything above, keyed from the master secret.
   crypto::Digest binder =
       crypto::hmac_sha256(resumption_binder_key(master_secret_),
@@ -288,12 +293,6 @@ void SecureChannel::handle_wire_message(Bytes&& wire) {
                                        "unexpected HelloRetry"),
                       true);
         return handle_hello_retry();
-      case kRecord:
-        if (state_ != State::kEstablished)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "record before establishment"),
-                      true);
-        return handle_record(reader);
       case kRecordBatch:
         if (state_ != State::kEstablished)
           return fail(util::make_error(ErrorCode::kFailedPrecondition,
@@ -301,9 +300,10 @@ void SecureChannel::handle_wire_message(Bytes&& wire) {
                       true);
         return handle_record_batch(reader, wire);
       case kAlert:
-        // A pre-resumption server alerts on ClientHelloResumed instead
-        // of sending HelloRetry; drop the cached session so the owner's
-        // reconnect retry performs a full handshake.
+        // An alert in answer to ClientHelloResumed (the server could not
+        // verify the binder, or refused the hello) drops the cached
+        // session, so the owner's reconnect retry performs a full
+        // handshake.
         if (state_ == State::kClientAwaitResumedReply &&
             config_.session_cache != nullptr)
           config_.session_cache->remove(session_cache_key());
@@ -332,20 +332,10 @@ util::Status SecureChannel::validate_peer(
 }
 
 void SecureChannel::handle_client_hello(ByteReader& reader) {
-  dh_ = crypto::dh_generate(rng_);
   client_random_ = reader.blob();
   peer_dh_public_ = reader.u64();
-  // Tolerant tail parse: a v1 client's hello ends at the DH value.
-  std::uint8_t client_version = 1;
-  std::uint64_t client_features = 0;
-  if (reader.remaining() >= 9) {
-    client_version = reader.u8();
-    client_features = reader.u64();
-  }
-  if (config_.protocol_version >= 2 && client_version >= 2) {
-    negotiated_version_ = std::min(config_.protocol_version, client_version);
-    negotiated_features_ = client_features & config_.features;
-  }
+  if (!read_protocol(reader)) return fail(unsupported_protocol(), true);
+  dh_ = crypto::dh_generate(rng_);
   server_random_ = rng_.bytes(32);
 
   // ServerHello core (everything the signature covers).
@@ -354,12 +344,8 @@ void SecureChannel::handle_client_hello(ByteReader& reader) {
   core.blob(server_random_);
   core.u64(dh_.public_value);
   write_chain(core, config_.credential.certificate);
-  // Echo the negotiation result inside the signed core — but only when
-  // the client offered v2, so a v1 client's parse is undisturbed.
-  if (negotiated_version_ >= 2) {
-    core.u8(negotiated_version_);
-    core.u64(negotiated_features_);
-  }
+  // Echo the version and feature word inside the signed core.
+  write_protocol(core);
 
   util::append(transcript_, core.bytes());
   crypto::Signature sig =
@@ -395,19 +381,7 @@ void SecureChannel::handle_server_hello(ByteReader& reader) {
   if (auto status = validate_peer(leaf, chain); !status.ok())
     return fail(status.error(), true);
 
-  // After the chain the message holds either just the 8-byte signature
-  // (v1 server, or we offered v1) or the 9-byte negotiation echo
-  // followed by the signature.
-  bool has_negotiation = reader.remaining() >= 17;
-  std::uint8_t server_version = 1;
-  std::uint64_t server_features = 0;
-  if (has_negotiation) {
-    server_version = reader.u8();
-    server_features = reader.u64();
-    negotiated_version_ = std::min(config_.protocol_version, server_version);
-    negotiated_features_ = server_features & config_.features;
-  }
-
+  if (!read_protocol(reader)) return fail(unsupported_protocol(), true);
   crypto::Signature sig{reader.u64()};
   // Reconstruct the signed ServerHello core by re-serialising the parsed
   // fields — the encoding is canonical, so this reproduces the exact
@@ -419,10 +393,7 @@ void SecureChannel::handle_server_hello(ByteReader& reader) {
   core.varint(n_certs);
   core.blob(leaf.der());
   for (const Certificate& c : chain) core.blob(c.der());
-  if (has_negotiation) {
-    core.u8(server_version);
-    core.u64(server_features);
-  }
+  write_protocol(core);
 
   util::append(transcript_, core.bytes());
   if (!crypto::verify_message(leaf.subject_key, transcript_, sig))
@@ -461,14 +432,12 @@ void SecureChannel::handle_server_finished(ByteReader& reader) {
     return fail(util::make_error(ErrorCode::kAuthenticationFailed,
                                  "ServerFinished verification failed"),
                 true);
-  // Ticket tail (only present when both sides negotiated resumption).
-  if ((negotiated_features_ & kFeatureResumption) != 0 &&
-      config_.session_cache != nullptr && reader.remaining() > 0) {
+  // Ticket tail (absent when the server mints no tickets).
+  if (config_.session_cache != nullptr && reader.remaining() > 0) {
     SessionCache::Entry entry;
     entry.ticket = reader.blob();
     entry.master_secret = master_secret_;
     entry.server_certificate = peer_certificate_;
-    entry.features = negotiated_features_;
     entry.expires_at = epoch_seconds(engine_.now()) +
                        static_cast<std::int64_t>(reader.u64());
     config_.session_cache->put(session_cache_key(), std::move(entry));
@@ -515,13 +484,11 @@ void SecureChannel::handle_client_cert(ByteReader& reader) {
   finished.u8(kServerFinished);
   crypto::Digest verify = crypto::hmac_sha256(send_mac_.material, transcript_);
   finished.raw(verify);
-  // Ticket tail: offer a resumable session to clients that negotiated
-  // the feature. Outside the transcript MAC — a corrupted ticket only
-  // costs the client a refused resumption later, never a weaker channel.
-  if (config_.ticket_manager != nullptr &&
-      (negotiated_features_ & kFeatureResumption) != 0) {
-    ResumptionState session{master_secret_, peer_certificate_,
-                            negotiated_features_};
+  // Ticket tail: offer a resumable session. Outside the transcript MAC
+  // — a corrupted ticket only costs the client a refused resumption
+  // later, never a weaker channel.
+  if (config_.ticket_manager != nullptr) {
+    ResumptionState session{master_secret_, peer_certificate_};
     finished.blob(config_.ticket_manager->issue(
         session, epoch_seconds(engine_.now())));
     finished.u64(static_cast<std::uint64_t>(config_.ticket_manager->ttl()));
@@ -534,9 +501,9 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
                                                 const Bytes& wire) {
   Bytes client_random = reader.blob();
   Bytes ticket = reader.blob();
-  std::uint8_t client_version = reader.u8();
-  std::uint64_t client_features = reader.u64();
+  bool supported = read_protocol(reader);
   Bytes binder = reader.raw(32);
+  if (!supported) return fail(unsupported_protocol(), true);
 
   auto decline = [this] {
     // Transcript stays empty and the state machine stays put: the
@@ -551,9 +518,7 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
     endpoint_->send(retry.take());
   };
 
-  if (config_.ticket_manager == nullptr || config_.protocol_version < 2 ||
-      (config_.features & kFeatureResumption) == 0 || client_version < 2)
-    return decline();
+  if (config_.ticket_manager == nullptr) return decline();
   auto session = config_.ticket_manager->redeem(
       ticket, epoch_seconds(engine_.now()));
   if (!session) return decline();
@@ -572,12 +537,6 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
   client_random_ = std::move(client_random);
   master_secret_ = std::move(session.value().master_secret);
   peer_certificate_ = std::move(session.value().peer_certificate);
-  negotiated_version_ = std::min(config_.protocol_version, client_version);
-  // The effective feature set can only shrink relative to the original
-  // handshake's — the AND with the ticket's set prevents a resumed
-  // channel from gaining features the full validation never granted.
-  negotiated_features_ =
-      client_features & config_.features & session.value().features;
   util::append(transcript_, wire);
 
   server_random_ = rng_.bytes(32);
@@ -586,14 +545,13 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
 
   // Rotate the ticket (fresh TTL, same master secret) so a busy client
   // can chain resumptions indefinitely between trust changes.
-  ResumptionState rotated{master_secret_, peer_certificate_,
-                          negotiated_features_};
+  ResumptionState rotated{master_secret_, peer_certificate_};
   std::int64_t now = epoch_seconds(engine_.now());
 
   ByteWriter core;
   core.u8(kServerHelloResumed);
   core.blob(server_random_);
-  core.u64(negotiated_features_);
+  core.u64(kChannelFeatures);
   core.blob(config_.ticket_manager->issue(rotated, now));
   core.u64(static_cast<std::uint64_t>(config_.ticket_manager->ttl()));
   util::append(transcript_, core.bytes());
@@ -615,20 +573,18 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
 
 void SecureChannel::handle_server_hello_resumed(ByteReader& reader) {
   server_random_ = reader.blob();
-  std::uint64_t server_features = reader.u64();
+  bool supported = reader.u64() == kChannelFeatures;
   Bytes new_ticket = reader.blob();
   std::uint64_t lifetime = reader.u64();
   Bytes verify = reader.raw(32);
-
-  negotiated_version_ = std::min(config_.protocol_version, kProtocolVersion);
-  negotiated_features_ = server_features & config_.features;
+  if (!supported) return fail(unsupported_protocol(), true);
 
   // Re-serialise the core (canonical encoding) into the transcript and
   // check the server's key confirmation before trusting anything.
   ByteWriter core;
   core.u8(kServerHelloResumed);
   core.blob(server_random_);
-  core.u64(server_features);
+  core.u64(kChannelFeatures);
   core.blob(new_ticket);
   core.u64(lifetime);
   util::append(transcript_, core.bytes());
@@ -646,7 +602,6 @@ void SecureChannel::handle_server_hello_resumed(ByteReader& reader) {
     entry.ticket = std::move(new_ticket);
     entry.master_secret = master_secret_;
     entry.server_certificate = peer_certificate_;
-    entry.features = negotiated_features_;
     entry.expires_at = epoch_seconds(engine_.now()) +
                        static_cast<std::int64_t>(lifetime);
     config_.session_cache->put(session_cache_key(), std::move(entry));
@@ -802,37 +757,18 @@ void SecureChannel::fail(Error error, bool send_alert) {
 
 void SecureChannel::send(Bytes plaintext) {
   if (state_ != State::kEstablished) return;
-  if (feature_enabled(kFeatureBatchRecords)) {
-    // Queue for the end-of-instant flush: every message sent within one
-    // simulation instant coalesces into as few kRecordBatch frames as
-    // the frame cap allows. Sequence numbers are assigned at flush time
-    // so queued records stay contiguous with records of other frames.
-    send_queue_.push_back(std::move(plaintext));
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      std::weak_ptr<SecureChannel> weak = shared_from_this();
-      engine_.after(0, [weak] {
-        if (auto self = weak.lock()) self->flush_send_queue();
-      });
-    }
-    return;
+  // Queue for the end-of-instant flush: every message sent within one
+  // simulation instant coalesces into as few kRecordBatch frames as the
+  // frame cap allows. Sequence numbers are assigned at flush time so
+  // queued records stay contiguous with records of other frames.
+  send_queue_.push_back(std::move(plaintext));
+  if (!flush_scheduled_) {
+    flush_scheduled_ = true;
+    std::weak_ptr<SecureChannel> weak = shared_from_this();
+    engine_.after(0, [weak] {
+      if (auto self = weak.lock()) self->flush_send_queue();
+    });
   }
-
-  std::uint64_t seq = send_seq_++;
-  std::uint8_t aad[9];
-  encode_record_aad(aad, is_client_ ? 0 : 1, seq);
-  // Encrypt in place — the caller's buffer becomes the ciphertext, so a
-  // large transfer chunk is never duplicated on the send path.
-  crypto::Digest tag = crypto::seal_inplace(
-      send_enc_, send_mac_, seq, plaintext, util::ByteView(aad, 9));
-
-  ByteWriter wire;
-  wire.reserve(1 + 8 + 10 + plaintext.size() + tag.size());
-  wire.u8(kRecord);
-  wire.u64(seq);
-  wire.blob(plaintext);
-  wire.raw(tag);
-  endpoint_->send(wire.take());
 }
 
 void SecureChannel::flush_send_queue() {
@@ -879,21 +815,14 @@ void SecureChannel::flush_send_queue() {
     }
   }
 
-  // Stage 2 — seal. Records are independent (own buffer slice, own
-  // sequence number), so a multi-record flush fans the crypto out over
-  // the record pool when one is configured.
+  // Stage 2 — seal each record in place under its own sequence number.
   const std::uint8_t direction = is_client_ ? 0 : 1;
-  auto seal_one = [this, direction, &records](std::size_t i) {
-    PendingRecord& r = records[i];
+  for (PendingRecord& r : records) {
     std::uint8_t aad[18];
     std::size_t n = encode_batch_aad(aad, direction, r.seq, r.flags, r.total);
     r.tag = crypto::seal_inplace(send_enc_, send_mac_, r.seq, r.data,
                                  util::ByteView(aad, n));
-  };
-  if (config_.record_pool != nullptr && records.size() > 1)
-    config_.record_pool->parallel_for(records.size(), seal_one);
-  else
-    for (std::size_t i = 0; i < records.size(); ++i) seal_one(i);
+  }
 
   // Stage 3 — frame assembly: greedy fill up to the frame payload cap.
   std::size_t i = 0;
@@ -925,40 +854,7 @@ void SecureChannel::flush_send_queue() {
   }
 }
 
-void SecureChannel::handle_record(ByteReader& reader) {
-  std::uint64_t nonce = reader.u64();
-  Bytes ciphertext = reader.blob();
-  Bytes tag_bytes = reader.raw(32);
-  crypto::Digest tag;
-  std::copy(tag_bytes.begin(), tag_bytes.end(), tag.begin());
-
-  // The expected sequence number doubles as replay protection: with a
-  // lossless record path (loss only affects the wire before decryption,
-  // dropping the whole record), any gap or repeat indicates tampering.
-  if (nonce != recv_seq_)
-    return fail(util::make_error(ErrorCode::kAuthenticationFailed,
-                                 "record out of sequence"),
-                true);
-  std::uint8_t aad[9];
-  aad[0] = is_client_ ? 1 : 0;
-  for (int i = 0; i < 8; ++i)
-    aad[1 + i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
-  // Verify-then-decrypt in place: the wire buffer becomes the plaintext
-  // handed to the application, with no intermediate copy.
-  if (auto status = crypto::open_inplace(recv_enc_, recv_mac_, nonce,
-                                         ciphertext, tag,
-                                         util::ByteView(aad, 9));
-      !status.ok())
-    return fail(status.error(), true);
-  ++recv_seq_;
-  if (on_message_) on_message_(std::move(ciphertext));
-}
-
 void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
-  if (!feature_enabled(kFeatureBatchRecords))
-    return fail(util::make_error(ErrorCode::kInvalidArgument,
-                                 "batch record without negotiated feature"),
-                true);
   std::uint64_t first_seq = reader.u64();
   std::uint64_t count = reader.varint();
   if (count == 0 || count > kMaxRecordsPerFrame)
@@ -993,35 +889,27 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
     records.push_back(r);
   }
 
-  // Stage 2 — verify + decrypt every record in place. Records carry
-  // independent tags and sequence numbers, so the open kernels fan out
-  // over the record pool; any single failure kills the channel exactly
-  // like a failed legacy record would.
+  // Stage 2 — verify + decrypt every record in place; any single failure
+  // kills the channel.
   const std::uint8_t direction = is_client_ ? 1 : 0;
-  std::vector<util::Status> statuses(records.size());
-  auto open_one = [this, direction, first_seq, &records, &statuses,
-                   &wire](std::size_t i) {
-    WireRecord& r = records[i];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const WireRecord& r = records[i];
     std::uint8_t aad[18];
     std::size_t n =
         encode_batch_aad(aad, direction, first_seq + i, r.flags, r.total);
-    statuses[i] = crypto::open_inplace(
-        recv_enc_, recv_mac_, first_seq + i,
-        crypto::MutableByteView(wire.data() + r.offset, r.size), r.tag,
-        util::ByteView(aad, n));
-  };
-  if (config_.record_pool != nullptr && records.size() > 1)
-    config_.record_pool->parallel_for(records.size(), open_one);
-  else
-    for (std::size_t i = 0; i < records.size(); ++i) open_one(i);
-  for (const util::Status& status : statuses)
-    if (!status.ok()) return fail(status.error(), true);
+    if (auto status = crypto::open_inplace(
+            recv_enc_, recv_mac_, first_seq + i,
+            crypto::MutableByteView(wire.data() + r.offset, r.size), r.tag,
+            util::ByteView(aad, n));
+        !status.ok())
+      return fail(status.error(), true);
+  }
   recv_seq_ += count;
   ++batch_frames_received_;
 
-  // Stage 3 — reassemble fragments and queue plaintexts in record order;
-  // the ring drain below re-imposes that order on the application even
-  // when the open stage ran out of order on the pool.
+  // Stage 3 — reassemble fragments into the frame's plaintexts, in record
+  // order. Nothing reaches the application unless the whole frame does.
+  std::vector<Bytes> plaintexts;
   for (const WireRecord& r : records) {
     auto begin = wire.begin() + static_cast<std::ptrdiff_t>(r.offset);
     auto end = begin + static_cast<std::ptrdiff_t>(r.size);
@@ -1032,7 +920,7 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
                           ErrorCode::kInvalidArgument,
                           "complete record inside a fragmented message"),
                       true);
-        dispatch_plaintext(Bytes(begin, end));
+        plaintexts.emplace_back(begin, end);
         break;
       case kFirst:
         if (reassembly_expected_ != 0)
@@ -1065,7 +953,7 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
                                          "fragmented message short of total"),
                         true);
           reassembly_expected_ = 0;
-          dispatch_plaintext(std::move(reassembly_));
+          plaintexts.push_back(std::move(reassembly_));
           reassembly_ = Bytes();
         }
         break;
@@ -1075,24 +963,11 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
                     true);
     }
   }
-  drain_dispatch_ring();
-}
 
-void SecureChannel::dispatch_plaintext(Bytes&& plaintext) {
-  // push() leaves the value untouched when the ring is full, so a failed
-  // push can drain in-line (we are the consumer too) and retry.
-  if (!dispatch_ring_.push(std::move(plaintext))) {
-    drain_dispatch_ring();
-    dispatch_ring_.push(std::move(plaintext));
-  }
-}
-
-void SecureChannel::drain_dispatch_ring() {
-  Bytes plaintext;
-  while (dispatch_ring_.pop(plaintext)) {
-    // A handler may close or fail the channel mid-drain; keep popping to
-    // empty the ring but stop delivering.
-    if (state_ != State::kEstablished) continue;
+  // Stage 4 — deliver in record order. A handler may close or fail the
+  // channel; delivery stops there.
+  for (Bytes& plaintext : plaintexts) {
+    if (state_ != State::kEstablished) break;
     if (on_message_) on_message_(std::move(plaintext));
   }
 }

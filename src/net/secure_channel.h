@@ -7,16 +7,16 @@
 // is encrypt-then-MAC with per-direction keys and sequence numbers.
 //
 // Handshake (3 messages, asynchronous):
-//   client -> ClientHello  { client_random, dh_public }
+//   client -> ClientHello  { client_random, dh_public, version, features }
 //   server -> ServerHello  { server_random, dh_public, cert chain,
-//                            signature over transcript }
+//                            version, features, signature over transcript }
 //   client -> ClientCert   { cert chain, signature over transcript }
 // Either side aborts with an Alert on validation failure; a lost
 // handshake message surfaces as a timeout (the link may drop packets).
 //
-// Session resumption (v2 feature, see docs/PROTOCOL.md): a client
-// holding a session ticket from a prior full handshake sends
-// ClientHelloResumed instead; the server answers ServerHelloResumed
+// Session resumption (see docs/PROTOCOL.md): a client holding a session
+// ticket from a prior full handshake sends ClientHelloResumed instead;
+// the server answers ServerHelloResumed
 // (accept, 1 round trip, zero public-key operations) or HelloRetry
 // (refuse — the client transparently restarts with a full ClientHello
 // on the same connection).
@@ -36,47 +36,24 @@
 #include "util/bytes.h"
 #include "util/result.h"
 #include "util/rng.h"
-#include "util/spsc_ring.h"
-
-namespace unicore::util {
-class ThreadPool;
-}
 
 namespace unicore::net {
 
-/// Current protocol version of the secure channel. Version 2 adds the
-/// version/feature negotiation fields to the hello exchange; version 1
-/// peers simply omit them and both sides fall back to the v1 feature
-/// set (see PROTOCOL.md "Version negotiation").
+/// The secure channel's one protocol version. Every hello and every
+/// reply carries it; a peer that sends another value, or omits the
+/// field, is refused with an alert (see PROTOCOL.md "Version
+/// negotiation").
 constexpr std::uint8_t kProtocolVersion = 2;
 
-/// Feature bits exchanged during the hello negotiation. The effective
-/// feature set of a channel is the AND of what both sides advertise.
-constexpr std::uint64_t kFeatureJournalInspect = 1ull << 0;
-/// Peer understands the chunked transfer protocol (kXferBundleOpen /
-/// kXferChunk / kXferBundleClose). Without it the sender falls back to
-/// the legacy whole-blob kDeliverFile / kFetchFile requests.
-constexpr std::uint64_t kFeatureChunkedXfer = 1ull << 1;
-/// Peer supports session resumption (ticket in the ServerFinished tail,
-/// ClientHelloResumed / ServerHelloResumed / HelloRetry messages).
-constexpr std::uint64_t kFeatureResumption = 1ull << 2;
-/// Peer understands kRecordBatch frames: multiple sealed records
-/// coalesced into one wire message, large payloads fragmented across
-/// records (see docs/PROTOCOL.md "Batched records"). Without it every
-/// application message travels as a single kRecord frame.
-constexpr std::uint64_t kFeatureBatchRecords = 1ull << 3;
-/// Peer speaks the portal facade: gateway-issued session tokens
-/// (kSessionOpen / kSessionRefresh / kSessionClose), token-authenticated
-/// requests (the kTokenRequest envelope), and managed job storages
-/// (kStorageList / kStorageFiles / kStorageReap). Without it the portal
-/// request kinds are refused and clients stay on per-request
-/// certificate authentication.
-constexpr std::uint64_t kFeaturePortal = 1ull << 4;
-// Bit 1 << 5 is retired (it gated bundle transfers, which every
-// kFeatureChunkedXfer peer speaks); never reuse it.
-constexpr std::uint64_t kDefaultFeatures =
-    kFeatureJournalInspect | kFeatureChunkedXfer | kFeatureResumption |
-    kFeatureBatchRecords | kFeaturePortal;
+/// The fixed feature word carried beside the version, in the signed
+/// ServerHello echo, in ServerHelloResumed and in session tickets. Its
+/// bits 0-4 once gated journal inspect, chunked transfer, resumption,
+/// batched records and the portal facade, and bit 5 gated bundle
+/// transfers; every peer now speaks all of them, so the bits are retired
+/// gates and a bit is never reused. The field stays so that a later
+/// version can negotiate again; a peer that sends another word is
+/// refused.
+constexpr std::uint64_t kChannelFeatures = 0x1F;
 
 class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
  public:
@@ -85,12 +62,6 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
     const crypto::TrustStore* trust = nullptr;  // to validate the peer
     std::uint8_t required_peer_usage = 0;    // e.g. kUsageServerAuth
     sim::Time handshake_timeout = sim::sec(30);
-    /// Highest protocol version we speak. Setting 1 emits v1 wire
-    /// messages (no negotiation tail) — used by tests to prove
-    /// backward compatibility.
-    std::uint8_t protocol_version = kProtocolVersion;
-    /// Features we advertise (only meaningful for version >= 2).
-    std::uint64_t features = kDefaultFeatures;
     /// Server side: mints and redeems session tickets. nullptr means
     /// this server never offers resumption (resumed hellos are answered
     /// with HelloRetry and clients fall back to full handshakes).
@@ -103,12 +74,6 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
     /// remote host when empty. Owners that multiplex several logical
     /// peers over one host should set it to SessionCache::key_for().
     std::string session_key;
-    /// Worker pool for the record pipeline: when set, the seal/open
-    /// kernels of a multi-record batch run as a parallel_for over the
-    /// records (independent buffers, order-independent results — the
-    /// deterministic dispatch order is re-imposed by the ring drain).
-    /// nullptr keeps all crypto on the calling thread.
-    util::ThreadPool* record_pool = nullptr;
   };
 
   /// Fired exactly once with the handshake result.
@@ -152,16 +117,6 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
     return peer_certificate_;
   }
 
-  /// Negotiated protocol version: min of both sides' offers; 1 when the
-  /// peer predates negotiation. Meaningful once established.
-  std::uint8_t negotiated_version() const { return negotiated_version_; }
-  /// Negotiated feature set: AND of both sides' advertised features
-  /// (empty for v1 peers).
-  std::uint64_t negotiated_features() const { return negotiated_features_; }
-  bool feature_enabled(std::uint64_t feature) const {
-    return (negotiated_features_ & feature) != 0;
-  }
-
   const std::string& remote_host() const { return endpoint_->remote_host(); }
 
   /// Sequence numbers (diagnostics / tests).
@@ -169,7 +124,7 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   std::uint64_t messages_received() const { return recv_seq_; }
 
   /// Batched-record diagnostics: wire frames carrying coalesced records
-  /// in each direction (0 when the feature was not negotiated).
+  /// in each direction.
   std::uint64_t batch_frames_sent() const { return batch_frames_sent_; }
   std::uint64_t batch_frames_received() const {
     return batch_frames_received_;
@@ -202,11 +157,8 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
                                    const util::Bytes& wire);
   void handle_server_hello_resumed(util::ByteReader& reader);
   void handle_hello_retry();
-  void handle_record(util::ByteReader& reader);
   void handle_record_batch(util::ByteReader& reader, util::Bytes& wire);
   void flush_send_queue();
-  void dispatch_plaintext(util::Bytes&& plaintext);
-  void drain_dispatch_ring();
   void fail(util::Error error, bool send_alert);
   void succeed();
   void derive_keys();
@@ -231,8 +183,6 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   std::uint64_t peer_dh_public_ = 0;
   util::Bytes transcript_;  // running concatenation of handshake bodies
   crypto::Certificate peer_certificate_;
-  std::uint8_t negotiated_version_ = 1;
-  std::uint64_t negotiated_features_ = 0;
   /// PRK of the handshake (full: extracted from the DH secret; resumed:
   /// carried over from the ticket). Source material for tickets and for
   /// resumed key schedules — never sent on the wire in the clear.
@@ -245,7 +195,7 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   std::uint64_t recv_seq_ = 0;
   std::optional<sim::EventId> timeout_event_;
 
-  // --- batched record pipeline (kFeatureBatchRecords) -------------------
+  // --- batched record pipeline ------------------------------------------
   /// Messages queued by send() awaiting the end-of-instant flush that
   /// coalesces them into kRecordBatch frames.
   std::vector<util::Bytes> send_queue_;
@@ -254,10 +204,6 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   /// records); sized once from the first fragment's announced total.
   util::Bytes reassembly_;
   std::size_t reassembly_expected_ = 0;
-  /// Decrypt -> dispatch hand-off: the open stage (possibly fanned out on
-  /// the record pool) pushes plaintexts, the drain calls the application
-  /// handler in record order.
-  util::SpscRing<util::Bytes> dispatch_ring_{256};
   std::uint64_t batch_frames_sent_ = 0;
   std::uint64_t batch_frames_received_ = 0;
 };

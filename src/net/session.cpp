@@ -1,5 +1,7 @@
 #include "net/session.h"
 
+#include "net/secure_channel.h"
+
 namespace unicore::net {
 
 using util::ByteReader;
@@ -16,7 +18,7 @@ Bytes SessionTicketManager::issue(const ResumptionState& state,
   ByteWriter plain;
   plain.blob(state.master_secret);
   plain.blob(state.peer_certificate.der());
-  plain.u64(state.features);
+  plain.u64(kChannelFeatures);
   plain.i64(now);
   plain.u64(epoch_);
   plain.u64(trust_ != nullptr ? trust_->generation() : 0);
@@ -57,7 +59,7 @@ Result<ResumptionState> SessionTicketManager::redeem(util::ByteView ticket,
     ResumptionState state;
     state.master_secret = plain.blob();
     Bytes cert_der = plain.blob();
-    state.features = plain.u64();
+    plain.u64();  // the fixed feature word
     std::int64_t issued_at = plain.i64();
     std::uint64_t epoch = plain.u64();
     std::uint64_t trust_generation = plain.u64();

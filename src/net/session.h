@@ -2,7 +2,7 @@
 //
 // After a full handshake the server seals a *session ticket* — an
 // encrypted, MAC'd capsule holding the channel's master secret, the
-// peer's validated certificate, and the negotiated feature set — and
+// peer's validated certificate, and the fixed feature word — and
 // hands it to the client. A later connection presents the ticket and
 // both sides derive fresh per-direction keys from the cached master
 // secret plus new randoms: one round trip, no Diffie–Hellman, no chain
@@ -29,7 +29,6 @@ namespace unicore::net {
 struct ResumptionState {
   util::Bytes master_secret;  // 32 bytes — the full handshake's PRK
   crypto::Certificate peer_certificate;
-  std::uint64_t features = 0;  // features negotiated by the full handshake
 };
 
 /// Server-side ticket mint. Tickets are opaque to clients: sealed under
@@ -87,7 +86,6 @@ class SessionCache {
     util::Bytes ticket;         // opaque server capsule
     util::Bytes master_secret;  // retained locally, never on the wire
     crypto::Certificate server_certificate;
-    std::uint64_t features = 0;
     std::int64_t expires_at = 0;  // epoch seconds (server lifetime hint)
   };
 

@@ -10,8 +10,7 @@
 //                                                    for forwarded jobs)
 //   kTokenRequest u8 | kind u8 | request_id u64 | token blob | payload
 //                 (portal facade: the bearer token selects the identity
-//                  instead of the channel's peer certificate; requires
-//                  the negotiated kFeaturePortal channel feature)
+//                  instead of the channel's peer certificate)
 #pragma once
 
 #include <cstdint>
@@ -50,16 +49,13 @@ enum class RequestKind : std::uint8_t {
   kMonitorMetrics = 12,  // MonitorService: Usite metrics snapshot
   kMonitorTrace = 13,    // MonitorService: token -> job trace timeline
   kJournalInspect = 14,  // recovery diagnostics: NJS journal stats
-                         // (requires the kFeatureJournalInspect channel
-                         // feature — v1 peers get kUnimplemented)
   // 15 and 17 are retired (the single-file transfer open and close);
   // never reuse them.
   kXferChunk = 16,  // one bundle chunk (push) or chunk request (pull)
-  // Portal facade (docs/PORTAL.md). All six require the negotiated
-  // kFeaturePortal channel feature — v1 peers get kFailedPrecondition.
-  // kSessionOpen authenticates the channel's peer certificate (the one
-  // full- or resumed-handshake contact) and mints a bearer token; the
-  // other five normally ride the kTokenRequest envelope.
+  // Portal facade (docs/PORTAL.md). kSessionOpen authenticates the
+  // channel's peer certificate (the one full- or resumed-handshake
+  // contact) and mints a bearer token; the other five normally ride the
+  // kTokenRequest envelope.
   kSessionOpen = 18,     // ttl request -> token + expiry + login
   kSessionRefresh = 19,  // envelope token -> extended expiry
   kSessionClose = 20,    // envelope token -> explicit logout
@@ -70,11 +66,9 @@ enum class RequestKind : std::uint8_t {
   // carries up to xfer::kMaxBundleFiles files (a single file is a
   // bundle of one); their chunks interleave over kXferChunk frames
   // tagged with an in-bundle file index; one close commits the lot.
-  // All three kinds require the kFeatureChunkedXfer channel feature —
-  // v1 peers get kFailedPrecondition and the sender falls back to
-  // kDeliverFile / kFetchFile. Bodies start with a xfer::Role byte that
-  // selects the authentication path (push / peer pull: server
-  // certificate; client push / pull: user certificate).
+  // Bodies start with a xfer::Role byte that selects the authentication
+  // path (push / peer pull: server certificate; client push / pull: user
+  // certificate).
   kXferBundleOpen = 24,   // open or resume a bundle by durable key
   kXferBundleClose = 25,  // commit (push) / release (pull) the bundle
 };

@@ -251,9 +251,7 @@ void UsiteServer::accept_session(std::shared_ptr<net::Endpoint> endpoint,
   channel_config.credential = credential_;
   channel_config.trust = &gateway_.trust_store();
   channel_config.required_peer_usage = 0;  // user or server; checked per-op
-  channel_config.features = advertised_features_;
   channel_config.ticket_manager = &ticket_manager_;
-  channel_config.record_pool = record_pool_;
 
   std::uint64_t id = session->id;
   session->channel = net::SecureChannel::as_server(
@@ -369,24 +367,6 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
         });
   };
 
-  // The portal facade — its six request kinds and the token envelope —
-  // is negotiated at the hello exchange like the other v2 features.
-  const bool portal_kind = kind == RequestKind::kSessionOpen ||
-                           kind == RequestKind::kSessionRefresh ||
-                           kind == RequestKind::kSessionClose ||
-                           kind == RequestKind::kStorageList ||
-                           kind == RequestKind::kStorageFiles ||
-                           kind == RequestKind::kStorageReap;
-  if ((portal_kind || token.has_value()) &&
-      !session->channel->feature_enabled(net::kFeaturePortal))
-    return reply_error(
-        request_id,
-        util::make_error(ErrorCode::kFailedPrecondition,
-                         "portal facade requires the v2 channel feature "
-                         "(peer negotiated v" +
-                             std::to_string(
-                                 session->channel->negotiated_version()) +
-                             ")"));
   // Resolves the caller: the envelope's bearer token when present (the
   // channel may then belong to a portal pooling many users), otherwise
   // the channel's peer certificate.
@@ -502,18 +482,6 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
                                       encode_forwarded(c)));
     }
     case RequestKind::kJournalInspect:
-      // Negotiated at the hello exchange: a v1 channel never agreed to
-      // this request kind, so it is refused before touching the NJS.
-      if (!session->channel->feature_enabled(net::kFeatureJournalInspect))
-        return reply_error(
-            request_id,
-            util::make_error(ErrorCode::kFailedPrecondition,
-                             "journal-inspect requires the v2 channel "
-                             "feature (peer negotiated v" +
-                                 std::to_string(
-                                     session->channel->negotiated_version()) +
-                                 ")"));
-      [[fallthrough]];
     case RequestKind::kQuery:
     case RequestKind::kList:
     case RequestKind::kControl:
@@ -551,18 +519,6 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
     case RequestKind::kXferBundleOpen:
     case RequestKind::kXferChunk:
     case RequestKind::kXferBundleClose: {
-      // Negotiated at the hello exchange like kJournalInspect: a v1
-      // channel never agreed to the chunked protocol, so senders fall
-      // back to kDeliverFile / kFetchFile on this error.
-      if (!session->channel->feature_enabled(net::kFeatureChunkedXfer))
-        return reply_error(
-            request_id,
-            util::make_error(ErrorCode::kFailedPrecondition,
-                             "chunked transfer requires the v2 channel "
-                             "feature (peer negotiated v" +
-                                 std::to_string(
-                                     session->channel->negotiated_version()) +
-                                 ")"));
       // The leading Role byte picks the authentication path: pushes and
       // peer pulls are NJS–NJS (server certificate), client pulls and
       // client pushes are JMC traffic (user certificate + ownership
@@ -1030,9 +986,7 @@ UsiteServer::PeerConnection& UsiteServer::peer_connection(
   pool_config.channel.credential = credential_;
   pool_config.channel.trust = &gateway_.trust_store();
   pool_config.channel.required_peer_usage = crypto::kUsageServerAuth;
-  pool_config.channel.features = advertised_features_;
   pool_config.channel.session_cache = &peer_sessions_;
-  pool_config.channel.record_pool = record_pool_;
   connection->pool =
       net::ChannelPool::create(engine_, network_, rng_,
                                std::move(pool_config));
@@ -1247,18 +1201,7 @@ void UsiteServer::consign(
       });
 }
 
-// ---- file movement: the transfer engine, whole blobs as the fallback -------
-
-void UsiteServer::with_peer_features(
-    const std::string& usite,
-    std::function<void(Result<std::uint64_t>)> ready) {
-  if (!peers_.count(usite)) {
-    ready(util::make_error(ErrorCode::kNotFound,
-                           "unknown peer usite: " + usite));
-    return;
-  }
-  peer_connection(usite).pool->with_features(std::move(ready));
-}
+// ---- file movement: the transfer engine and whole blobs --------------------
 
 std::shared_ptr<XferRails> UsiteServer::peer_rails(const std::string& usite) {
   auto it = peer_rails_.find(usite);
@@ -1274,8 +1217,6 @@ std::shared_ptr<XferRails> UsiteServer::peer_rails(const std::string& usite) {
   config.required_peer_usage = crypto::kUsageServerAuth;
   config.request_timeout = peer_request_timeout_;
   config.session_cache = &peer_sessions_;
-  config.features = advertised_features_;
-  config.record_pool = record_pool_;
   auto rails = XferRails::create(engine_, network_, rng_, std::move(config));
   peer_rails_[usite] = rails;
   return rails;
@@ -1283,42 +1224,26 @@ std::shared_ptr<XferRails> UsiteServer::peer_rails(const std::string& usite) {
 
 void UsiteServer::push_files(const njs::RemoteJobHandle& target, Files files,
                              std::function<void(Status)> done) {
-  with_peer_features(
-      target.usite,
-      [this, target, files = std::move(files),
-       done = std::move(done)](Result<std::uint64_t> features) mutable {
-        if (!features ||
-            (features.value() & net::kFeatureChunkedXfer) == 0) {
-          // v1 peer — or the feature probe itself failed, in which case
-          // the whole-blob path's own retry ladder takes over.
-          deliver_whole_blobs(target, std::move(files), 0, std::move(done));
-          return;
-        }
-        ++transfer_stats_.chunked;
-        xfer::PushSpec spec;
-        spec.source = config_.name;
-        spec.token = target.token;
-        std::vector<xfer::BundleFile> bundle;
-        bundle.reserve(files.size());
-        for (const auto& [name, blob] : files) bundle.push_back({name, blob});
-        xfer_manager_.push(
-            peer_rails(target.usite), spec, std::move(bundle),
-            transfer_options_,
-            [this, target, files = std::move(files),
-             done = std::move(done)](Result<xfer::TransferStats> r) mutable {
-              // The engine got refused mid-flight (e.g. the peer
-              // restarted into an old build): repeat as whole blobs.
-              if (!r && r.error().code == ErrorCode::kFailedPrecondition) {
-                deliver_whole_blobs(target, std::move(files), 0,
-                                    std::move(done));
-                return;
-              }
-              if (!r)
-                done(r.error());
-              else
-                done(Status::ok_status());
-            });
-      });
+  if (!peers_.count(target.usite)) {
+    done(util::make_error(ErrorCode::kNotFound,
+                          "unknown peer usite: " + target.usite));
+    return;
+  }
+  ++transfer_stats_.chunked;
+  xfer::PushSpec spec;
+  spec.source = config_.name;
+  spec.token = target.token;
+  std::vector<xfer::BundleFile> bundle;
+  bundle.reserve(files.size());
+  for (const auto& [name, blob] : files) bundle.push_back({name, blob});
+  xfer_manager_.push(peer_rails(target.usite), spec, std::move(bundle),
+                     transfer_options_,
+                     [done = std::move(done)](Result<xfer::TransferStats> r) {
+                       if (!r)
+                         done(r.error());
+                       else
+                         done(Status::ok_status());
+                     });
 }
 
 void UsiteServer::deliver_whole_blobs(const njs::RemoteJobHandle& target,
@@ -1437,40 +1362,26 @@ void UsiteServer::fetch_files(
     fetch_whole_blobs(source, std::move(names), {}, std::move(done));
     return;
   }
-  // Pull sizes are unknown up front, so every fetch from a chunked peer
-  // goes through the engine; its inline open keeps a lone small file
-  // at one round trip.
-  with_peer_features(
-      source.usite,
-      [this, source, names = std::move(names),
-       done = std::move(done)](Result<std::uint64_t> features) mutable {
-        if (!features ||
-            (features.value() & net::kFeatureChunkedXfer) == 0) {
-          fetch_whole_blobs(source, std::move(names), {}, std::move(done));
-          return;
-        }
-        ++transfer_stats_.chunked;
-        xfer::PullSpec spec;
-        spec.role = xfer::Role::kPeerPull;
-        spec.token = source.token;
-        spec.names = names;
-        spec.store = chunk_store_;  // open-reply manifest dedup
-        xfer_manager_.pull(
-            peer_rails(source.usite), spec, transfer_options_,
-            [this, source, names = std::move(names), done = std::move(done)](
-                Result<xfer::PullResult> r) mutable {
-              // Refused mid-flight: whole-blob fallback.
-              if (!r && r.error().code == ErrorCode::kFailedPrecondition) {
-                fetch_whole_blobs(source, std::move(names), {},
-                                  std::move(done));
-                return;
-              }
-              if (!r)
-                done(r.error());
-              else
-                done(std::move(r.value().blobs));
-            });
-      });
+  if (!peers_.count(source.usite)) {
+    done(util::make_error(ErrorCode::kNotFound,
+                          "unknown peer usite: " + source.usite));
+    return;
+  }
+  // Pull sizes are unknown up front, so every fetch goes through the
+  // engine; its inline open keeps a lone small file at one round trip.
+  ++transfer_stats_.chunked;
+  xfer::PullSpec spec;
+  spec.role = xfer::Role::kPeerPull;
+  spec.token = source.token;
+  spec.names = std::move(names);
+  spec.store = chunk_store_;  // open-reply manifest dedup
+  xfer_manager_.pull(peer_rails(source.usite), spec, transfer_options_,
+                     [done = std::move(done)](Result<xfer::PullResult> r) {
+                       if (!r)
+                         done(r.error());
+                       else
+                         done(std::move(r.value().blobs));
+                     });
 }
 
 void UsiteServer::control(const njs::RemoteJobHandle& target,

@@ -154,9 +154,7 @@ class UsiteServer : public njs::PeerLink {
                   std::function<void(util::Result<uspace::FileBlob>)> done)
       override;
   /// Batch staging: one bundle manifest round trip for the whole set
-  /// when the peer negotiated kFeatureChunkedXfer; one whole-blob
-  /// request per file toward a v1 peer, or when the engine is refused
-  /// mid-flight (peer restarted into an old build).
+  /// through the transfer engine.
   void deliver_files(const njs::RemoteJobHandle& target, Files files,
                      std::function<void(util::Status)> done) override;
   void fetch_files(const njs::RemoteJobHandle& source,
@@ -214,11 +212,10 @@ class UsiteServer : public njs::PeerLink {
     return transfer_options_;
   }
   /// Single files of at least this many bytes move through the chunked
-  /// engine when the peer negotiated kFeatureChunkedXfer; smaller ones
-  /// — and every file toward a v1 peer — use the legacy whole-blob
-  /// requests. Batches (deliver_files) ride the engine at any size.
-  /// UINT64_MAX disables single-file pushes and all pulls, which is how
-  /// benches measure the legacy baseline.
+  /// engine; smaller ones use the whole-blob requests. Batches
+  /// (deliver_files) ride the engine at any size. UINT64_MAX disables
+  /// single-file pushes and all pulls, which is how benches measure the
+  /// whole-blob baseline.
   void set_transfer_threshold(std::uint64_t bytes) {
     transfer_threshold_ = bytes;
   }
@@ -227,24 +224,6 @@ class UsiteServer : public njs::PeerLink {
   void set_transfer_streams(std::size_t streams) {
     transfer_streams_ = streams == 0 ? 1 : streams;
   }
-
-  /// Worker pool handed to every secure channel this server creates
-  /// (inbound sessions, peer pools, transfer rails): the seal/open
-  /// kernels of multi-record batch frames fan out over it, so request
-  /// handling never serializes behind one channel's crypto. nullptr
-  /// (the default) keeps all record crypto on the simulation thread.
-  void set_record_pool(util::ThreadPool* pool) { record_pool_ = pool; }
-  util::ThreadPool* record_pool() const { return record_pool_; }
-
-  /// Feature bits this server advertises in the secure-channel
-  /// handshake (both its listener and its outbound peer channels).
-  /// Clearing net::kFeatureChunkedXfer emulates a v1 deployment: every
-  /// transfer toward or from this site falls back to whole-blob
-  /// requests. Must be set before channels are established.
-  void set_advertised_features(std::uint64_t features) {
-    advertised_features_ = features;
-  }
-  std::uint64_t advertised_features() const { return advertised_features_; }
 
   xfer::Service& xfer_service() { return *xfer_services_[0]; }
   /// NJS replica `index`'s transfer receiver (0 == xfer_service()).
@@ -257,8 +236,8 @@ class UsiteServer : public njs::PeerLink {
   const std::shared_ptr<store::ChunkStore>& chunk_store() {
     return chunk_store_;
   }
-  /// Which path outbound transfers took: chunked engine, or the legacy
-  /// whole-blob fallback (v1 peer / sub-threshold size).
+  /// Which path outbound transfers took: chunked engine, or whole blobs
+  /// (sub-threshold size, or the engine disabled).
   const TransferStats& transfer_stats() const { return transfer_stats_; }
 
  private:
@@ -318,20 +297,15 @@ class UsiteServer : public njs::PeerLink {
                  std::function<void(util::Result<util::Bytes>)> on_reply);
 
   // Chunked transfer plumbing.
-  /// Calls `ready` with the peer channel's negotiated feature set once
-  /// its handshake settles (immediately when already established).
-  void with_peer_features(
-      const std::string& usite,
-      std::function<void(util::Result<std::uint64_t>)> ready);
   /// The rail bundle toward a peer's gateway (created lazily, reused
   /// across transfers to the same Usite).
   std::shared_ptr<XferRails> peer_rails(const std::string& usite);
-  /// Pushes through the transfer engine when the peer negotiated it,
-  /// as whole blobs otherwise.
+  /// Pushes `files` as one bundle through the transfer engine.
   void push_files(const njs::RemoteJobHandle& target, Files files,
                   std::function<void(util::Status)> done);
-  /// The paper's §5.6 path and the engine's fallback: one whole-blob
-  /// kDeliverFile / kFetchFile request per file, in order.
+  /// The paper's §5.6 path, for files under the transfer threshold and
+  /// for fetches with the engine disabled: one whole-blob kDeliverFile /
+  /// kFetchFile request per file, in order.
   void deliver_whole_blobs(const njs::RemoteJobHandle& target, Files files,
                            std::size_t next,
                            std::function<void(util::Status)> done);
@@ -369,8 +343,6 @@ class UsiteServer : public njs::PeerLink {
   std::size_t transfer_streams_ = 4;
   std::map<std::string, std::shared_ptr<XferRails>> peer_rails_;
   TransferStats transfer_stats_;
-  std::uint64_t advertised_features_ = net::kDefaultFeatures;
-  util::ThreadPool* record_pool_ = nullptr;
   std::map<std::string, crypto::SoftwareBundle> bundles_;
 
   std::map<std::uint64_t, std::shared_ptr<ClientSession>> sessions_;

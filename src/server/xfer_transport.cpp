@@ -50,10 +50,7 @@ XferRails::XferRails(sim::Engine& engine, net::Network& network,
   pool_config.channel.credential = config_.credential;
   pool_config.channel.trust = config_.trust;
   pool_config.channel.required_peer_usage = config_.required_peer_usage;
-  pool_config.channel.features = config_.features;
   pool_config.channel.session_cache = config_.session_cache;
-  pool_config.channel.record_pool = config_.record_pool;
-  pool_config.required_features = net::kFeatureChunkedXfer;
   pool_ = net::ChannelPool::create(engine, network, rng,
                                    std::move(pool_config));
 }

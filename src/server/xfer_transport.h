@@ -46,11 +46,6 @@ class XferRails : public xfer::ChunkTransport,
     /// Session-resumption cache shared with the owner's other channels
     /// toward the same peer; nullptr disables resumption on the rails.
     net::SessionCache* session_cache = nullptr;
-    /// Feature bits to advertise; rails always require chunked transfer
-    /// on top of these.
-    std::uint64_t features = net::kDefaultFeatures;
-    /// Worker pool for each rail channel's batched record crypto.
-    util::ThreadPool* record_pool = nullptr;
   };
 
   static std::shared_ptr<XferRails> create(sim::Engine& engine,

@@ -177,22 +177,6 @@ TEST_F(RecoveryFixture, JournalInspectNeedsTheV2Feature) {
   EXPECT_TRUE(info.value().has_journal);
   EXPECT_GE(info.value().records, 1u);
   EXPECT_EQ(info.value().recoveries, 0u);
-
-  // A legacy v1 client negotiates no features; the server refuses the
-  // request instead of sending bytes the client cannot interpret.
-  client::UnicoreClient::Config config;
-  config.host = "old-ws.example.de";
-  config.user = site.user;
-  config.trust = &site.client_trust;
-  config.protocol_version = 1;
-  config.channel_features = 0;
-  client::UnicoreClient legacy(site.grid.engine(), site.grid.network(),
-                               site.grid.rng(), config);
-  client::SyncClient legacy_sync(site.grid.engine(), legacy);
-  ASSERT_TRUE(legacy_sync.connect(site.address()).ok());
-  auto refused = legacy_sync.inspect_journal();
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.error().code, util::ErrorCode::kFailedPrecondition);
 }
 
 // ---- two Usites: the peer-link fault paths ------------------------------

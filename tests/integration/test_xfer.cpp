@@ -259,22 +259,6 @@ TEST(XferIntegration, PartitionResumeLandsInStoreWithExactRefcounts) {
   EXPECT_EQ(sites.ruka->chunk_store()->stats().total_refs, refs_before + 16);
 }
 
-TEST(XferIntegration, V1PeerFallsBackToWholeBlobDelivery) {
-  XferSites sites;
-  // RUKA never advertises the chunked-transfer feature bit (a v1
-  // deployment); FZJ must detect that and use the legacy request even
-  // though its own threshold asks for the engine.
-  sites.ruka->set_advertised_features(net::kFeatureJournalInspect);
-  sites.fz->set_transfer_threshold(0);
-  auto blob = std::make_shared<const uspace::FileBlob>(
-      uspace::FileBlob::synthetic(8 << 20, 16));
-  ASSERT_TRUE(sites.deliver(blob, "legacy.bin").ok());
-  EXPECT_EQ(sites.fz->transfer_stats().legacy, 1u);
-  EXPECT_EQ(sites.fz->transfer_stats().chunked, 0u);
-  EXPECT_EQ(sites.ruka->xfer_service().transfers_completed(), 0u);
-  EXPECT_EQ(sites.delivered_checksum("legacy.bin"), blob->checksum());
-}
-
 TEST(XferIntegration, ClientFetchesLargeOutputChunked) {
   XferSites sites;
 

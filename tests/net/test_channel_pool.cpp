@@ -55,8 +55,7 @@ struct PoolFixture : public ::testing::Test {
         });
   }
 
-  std::shared_ptr<ChannelPool> make_pool(std::size_t size,
-                                         std::uint64_t required = 0) {
+  std::shared_ptr<ChannelPool> make_pool(std::size_t size) {
     ChannelPool::Config config;
     config.local_host = "client";
     config.remote = {"server", 7700};
@@ -65,7 +64,6 @@ struct PoolFixture : public ::testing::Test {
     config.channel.trust = &trust;
     config.channel.required_peer_usage = crypto::kUsageServerAuth;
     config.channel.session_cache = &cache;
-    config.required_features = required;
     return ChannelPool::create(engine, network, rng, config);
   }
 };
@@ -151,40 +149,6 @@ TEST_F(PoolFixture, SlotFailureIsIsolatedAndReconnectable) {
   engine.run();
   EXPECT_EQ(received.back(), "again");
   EXPECT_TRUE(pool->slot_channel(0)->resumed());
-}
-
-TEST_F(PoolFixture, WithFeaturesReportsNegotiatedSet) {
-  auto pool = make_pool(1);
-  std::uint64_t features = 0;
-  pool->with_features([&](util::Result<std::uint64_t> result) {
-    ASSERT_TRUE(result.ok());
-    features = result.value();
-  });
-  engine.run();
-  EXPECT_EQ(features, kDefaultFeatures);
-}
-
-TEST_F(PoolFixture, RequiredFeaturesRejectPlainPeer) {
-  // A pool that demands chunked xfer from a client channel template
-  // that advertises no features: the handshake settles without the
-  // required bits and the slot must fail rather than carry traffic.
-  ChannelPool::Config config;
-  config.local_host = "client";
-  config.remote = {"server", 7700};
-  config.size = 1;
-  config.channel.credential = client_cred;
-  config.channel.trust = &trust;
-  config.channel.required_peer_usage = crypto::kUsageServerAuth;
-  config.channel.features = 0;
-  config.required_features = kFeatureChunkedXfer;
-  auto plain = ChannelPool::create(engine, network, rng, config);
-  util::Error error = util::make_error(util::ErrorCode::kInternal, "unset");
-  plain->set_slot_failure(
-      [&](std::size_t, const util::Error& e) { error = e; });
-  plain->send_on(0, util::to_bytes("x"));
-  engine.run();
-  EXPECT_EQ(error.code, util::ErrorCode::kFailedPrecondition);
-  EXPECT_FALSE(plain->slot_established(0));
 }
 
 TEST_F(PoolFixture, ShutdownFiresNoFailureHandlers) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
+#include "crypto/hmac.h"
+#include "crypto/keys.h"
 #include "crypto/modmath.h"
-#include "util/thread_pool.h"
 
 namespace unicore::net {
 namespace {
@@ -67,6 +71,46 @@ struct ChannelFixture : public ::testing::Test {
         engine, rng, std::move(endpoint.value()), client_cfg,
         [&](util::Status s) { client_status = s; });
     engine.run();
+  }
+
+  /// A full ClientHello from a raw endpoint; `tail` is its version byte
+  /// and feature word, or nothing at all.
+  static util::Bytes client_hello(
+      std::optional<std::pair<std::uint8_t, std::uint64_t>> tail) {
+    util::ByteWriter hello;
+    hello.u8(1);  // kClientHello
+    hello.blob(util::Rng(31).bytes(32));
+    hello.u64(12345);  // DH public value; never used, the hello is refused
+    if (tail) {
+      hello.u8(tail->first);
+      hello.u64(tail->second);
+    }
+    return hello.take();
+  }
+
+  /// Sends `hello` from a raw endpoint to a real server channel and
+  /// returns the type byte of every frame the server answers with.
+  std::vector<std::uint8_t> raw_hello_answers(util::Bytes hello) {
+    auto raw = network.connect("client", {"server", 443});
+    EXPECT_TRUE(raw.ok());
+    if (!raw.ok()) return {};
+    std::vector<std::uint8_t> answers;
+    raw.value()->set_receiver(
+        [&answers](util::Bytes&& wire) { answers.push_back(wire.at(0)); });
+    raw.value()->send(std::move(hello));
+    engine.run();
+    raw.value()->set_receiver(nullptr);
+    return answers;
+  }
+
+  void listen_server() {
+    (void)network.listen({"server", 443},
+                         [this](std::shared_ptr<Endpoint> endpoint) {
+                           server_channel = SecureChannel::as_server(
+                               engine, rng, std::move(endpoint),
+                               server_config(),
+                               [this](util::Status s) { server_status = s; });
+                         });
   }
 };
 
@@ -162,50 +206,93 @@ TEST_F(ChannelFixture, TamperedRecordTearsDownChannel) {
   SUCCEED();
 }
 
-TEST_F(ChannelFixture, V2PeersNegotiateVersionAndFeatures) {
-  establish(client_config(), server_config());
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-  EXPECT_EQ(client_channel->negotiated_version(), kProtocolVersion);
-  EXPECT_EQ(server_channel->negotiated_version(), kProtocolVersion);
-  EXPECT_EQ(client_channel->negotiated_features(), kDefaultFeatures);
-  EXPECT_EQ(server_channel->negotiated_features(), kDefaultFeatures);
-  EXPECT_TRUE(client_channel->feature_enabled(kFeatureJournalInspect));
-  EXPECT_TRUE(server_channel->feature_enabled(kFeatureJournalInspect));
+// --- one protocol: a hello or reply naming another is refused ----------
+
+TEST_F(ChannelFixture, ClientHelloWithoutTheTailIsRefused) {
+  listen_server();
+  // Control: the same raw hello with the tail gets a ServerHello.
+  EXPECT_EQ(raw_hello_answers(
+                client_hello({{kProtocolVersion, kChannelFeatures}})),
+            std::vector<std::uint8_t>{2});
+  // Without the tail the server answers with an alert, nothing else.
+  EXPECT_EQ(raw_hello_answers(client_hello(std::nullopt)),
+            std::vector<std::uint8_t>{5});
+  EXPECT_FALSE(server_status.ok());
+  EXPECT_FALSE(server_channel->established());
 }
 
-TEST_F(ChannelFixture, LegacyClientFallsBackToV1) {
-  SecureChannel::Config old_client = client_config();
-  old_client.protocol_version = 1;  // pre-negotiation hello: no tail
-  old_client.features = 0;
-  establish(old_client, server_config());
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-  ASSERT_TRUE(server_status.ok()) << server_status.to_string();
-  EXPECT_EQ(client_channel->negotiated_version(), 1);
-  EXPECT_EQ(server_channel->negotiated_version(), 1);
-  EXPECT_EQ(server_channel->negotiated_features(), 0u);
-  EXPECT_FALSE(server_channel->feature_enabled(kFeatureJournalInspect));
+TEST_F(ChannelFixture, ClientHelloWithVersionOneIsRefused) {
+  listen_server();
+  EXPECT_EQ(raw_hello_answers(client_hello({{1, kChannelFeatures}})),
+            std::vector<std::uint8_t>{5});
+  EXPECT_FALSE(server_status.ok());
+  EXPECT_FALSE(server_channel->established());
 }
 
-TEST_F(ChannelFixture, LegacyServerFallsBackToV1) {
-  SecureChannel::Config old_server = server_config();
-  old_server.protocol_version = 1;  // ignores the hello tail, no echo
-  old_server.features = 0;
-  establish(client_config(), old_server);
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-  ASSERT_TRUE(server_status.ok()) << server_status.to_string();
-  EXPECT_EQ(client_channel->negotiated_version(), 1);
-  EXPECT_FALSE(client_channel->feature_enabled(kFeatureJournalInspect));
+TEST_F(ChannelFixture, ClientHelloWithAnotherFeatureWordIsRefused) {
+  listen_server();
+  EXPECT_EQ(raw_hello_answers(client_hello(
+                {{kProtocolVersion, kChannelFeatures & ~std::uint64_t{1}}})),
+            std::vector<std::uint8_t>{5});
+  EXPECT_FALSE(server_status.ok());
+  EXPECT_FALSE(server_channel->established());
 }
 
-TEST_F(ChannelFixture, FeatureSetsIntersect) {
-  SecureChannel::Config plain_client = client_config();
-  plain_client.features = 0;  // v2, but offers nothing
-  establish(plain_client, server_config());
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-  EXPECT_EQ(client_channel->negotiated_version(), kProtocolVersion);
-  EXPECT_EQ(client_channel->negotiated_features(), 0u);
-  EXPECT_EQ(server_channel->negotiated_features(), 0u);
-  EXPECT_FALSE(server_channel->feature_enabled(kFeatureJournalInspect));
+TEST_F(ChannelFixture, ServerHelloWithoutTheEchoIsRefused) {
+  // A raw server answers a real client's hello with a genuine
+  // ServerHello: the fixture's certificate, signed with its key over
+  // the real transcript. Only the echo can differ.
+  bool echo = true;
+  std::vector<std::uint8_t> at_server;
+  std::vector<std::shared_ptr<Endpoint>> raw_servers;
+  util::Rng dh_rng(32);
+  (void)network.listen({"server", 443}, [&](std::shared_ptr<Endpoint> e) {
+    std::weak_ptr<Endpoint> weak = e;
+    e->set_receiver([&, weak](util::Bytes&& wire) {
+      at_server.push_back(wire.at(0));
+      auto raw = weak.lock();
+      if (!raw || wire[0] != 1) return;  // answer the ClientHello only
+      util::ByteWriter core;
+      core.u8(2);  // kServerHello
+      core.blob(util::Rng(33).bytes(32));
+      core.u64(crypto::dh_generate(dh_rng).public_value);
+      core.varint(1);
+      core.blob(server_cred.certificate.der());
+      if (echo) {
+        core.u8(kProtocolVersion);
+        core.u64(kChannelFeatures);
+      }
+      util::Bytes transcript = wire;
+      util::append(transcript, core.bytes());
+      util::ByteWriter message;
+      message.raw(core.bytes());
+      message.u64(crypto::sign_message(server_cred.key, transcript).value);
+      raw->send(message.take());
+    });
+    raw_servers.push_back(std::move(e));
+  });
+  auto connect_client = [&] {
+    at_server.clear();
+    auto endpoint = network.connect("client", {"server", 443});
+    ASSERT_TRUE(endpoint.ok());
+    client_channel = SecureChannel::as_client(
+        engine, rng, std::move(endpoint.value()), client_config(),
+        [&](util::Status s) { client_status = s; });
+    engine.run();
+  };
+
+  // Control: with the echo the client accepts and sends its ClientCert
+  // (then times out waiting for a ServerFinished that never comes).
+  connect_client();
+  EXPECT_EQ(at_server, (std::vector<std::uint8_t>{1, 3}));
+
+  echo = false;
+  connect_client();
+  // The hello, then an alert — never a ClientCert.
+  EXPECT_EQ(at_server, (std::vector<std::uint8_t>{1, 5}));
+  ASSERT_FALSE(client_status.ok());
+  EXPECT_NE(client_status.error().code, util::ErrorCode::kTimeout);
+  EXPECT_FALSE(client_channel->established());
 }
 
 TEST_F(ChannelFixture, LargePayloadRoundTrip) {
@@ -222,7 +309,6 @@ TEST_F(ChannelFixture, LargePayloadRoundTrip) {
 
 TEST_F(ChannelFixture, BatchedSendsCoalesceIntoOneFrame) {
   establish(client_config(), server_config());
-  ASSERT_TRUE(client_channel->feature_enabled(kFeatureBatchRecords));
   std::vector<std::string> received;
   server_channel->set_receiver(
       [&](util::Bytes&& m) { received.push_back(util::to_string(m)); });
@@ -289,44 +375,6 @@ TEST_F(ChannelFixture, MixedSmallAndFragmentedMessagesKeepOrder) {
   EXPECT_EQ(big_received, big);
 }
 
-TEST_F(ChannelFixture, V1PeerUsesLegacyRecordsOnly) {
-  SecureChannel::Config old_client = client_config();
-  old_client.protocol_version = 1;
-  establish(old_client, server_config());
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-  EXPECT_FALSE(client_channel->feature_enabled(kFeatureBatchRecords));
-  std::string at_server, at_client;
-  server_channel->set_receiver([&](util::Bytes&& m) {
-    at_server = util::to_string(m);
-    server_channel->send(util::to_bytes("pong"));
-  });
-  client_channel->set_receiver(
-      [&](util::Bytes&& m) { at_client = util::to_string(m); });
-  client_channel->send(util::to_bytes("ping"));
-  engine.run();
-  EXPECT_EQ(at_server, "ping");
-  EXPECT_EQ(at_client, "pong");
-  EXPECT_EQ(client_channel->batch_frames_sent(), 0u);
-  EXPECT_EQ(server_channel->batch_frames_sent(), 0u);
-  EXPECT_EQ(server_channel->batch_frames_received(), 0u);
-}
-
-TEST_F(ChannelFixture, BatchFeatureOffFallsBackToLegacyRecords) {
-  SecureChannel::Config plain_server = server_config();
-  plain_server.features = kDefaultFeatures & ~kFeatureBatchRecords;
-  establish(client_config(), plain_server);
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-  EXPECT_FALSE(client_channel->feature_enabled(kFeatureBatchRecords));
-  std::vector<std::string> received;
-  server_channel->set_receiver(
-      [&](util::Bytes&& m) { received.push_back(util::to_string(m)); });
-  client_channel->send(util::to_bytes("a"));
-  client_channel->send(util::to_bytes("b"));
-  engine.run();
-  EXPECT_EQ(received, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(client_channel->batch_frames_sent(), 0u);
-}
-
 TEST_F(ChannelFixture, SendThenCloseDeliversQueuedRecordsFirst) {
   establish(client_config(), server_config());
   std::vector<std::string> events;
@@ -384,33 +432,61 @@ TEST_F(ChannelFixture, TamperedBatchRecordTearsDownChannel) {
   EXPECT_TRUE(server_channel->failed());
 }
 
-TEST_F(ChannelFixture, RecordPoolProducesIdenticalPlaintext) {
-  util::ThreadPool pool(3);
-  SecureChannel::Config pc = client_config();
-  SecureChannel::Config ps = server_config();
-  pc.record_pool = &pool;
-  ps.record_pool = &pool;
-  establish(pc, ps);
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-
-  util::Bytes big = util::Rng(14).bytes(900 * 1024);
-  std::vector<std::string> small_received;
-  util::Bytes big_received;
-  server_channel->set_receiver([&](util::Bytes&& m) {
-    if (m.size() > 1000)
-      big_received = std::move(m);
-    else
-      small_received.push_back(util::to_string(m));
+TEST_F(ChannelFixture, RetiredSingleRecordFrameIsAnUnknownMessage) {
+  // The relay of TamperedBatchRecordTearsDownChannel, forwarding
+  // unchanged and keeping what the server sends back.
+  std::shared_ptr<Endpoint> relay_to_server;
+  std::shared_ptr<Endpoint> relay_from_client;
+  std::vector<util::Bytes> from_server;
+  (void)network.listen({"server", 443},
+                       [&](std::shared_ptr<Endpoint> endpoint) {
+                         server_channel = SecureChannel::as_server(
+                             engine, rng, std::move(endpoint),
+                             server_config(),
+                             [&](util::Status s) { server_status = s; });
+                       });
+  (void)network.listen({"relay", 443}, [&](std::shared_ptr<Endpoint> e) {
+    relay_from_client = std::move(e);
+    auto upstream = network.connect("relay", {"server", 443});
+    ASSERT_TRUE(upstream.ok());
+    relay_to_server = std::move(upstream.value());
+    relay_from_client->set_receiver(
+        [&](util::Bytes&& wire) { relay_to_server->send(std::move(wire)); });
+    relay_to_server->set_receiver([&](util::Bytes&& wire) {
+      from_server.push_back(wire);
+      relay_from_client->send(std::move(wire));
+    });
   });
-  for (int i = 0; i < 20; ++i)
-    client_channel->send(util::to_bytes("s" + std::to_string(i)));
-  client_channel->send(big);
+  auto endpoint = network.connect("client", {"relay", 443});
+  ASSERT_TRUE(endpoint.ok());
+  client_channel = SecureChannel::as_client(
+      engine, rng, std::move(endpoint.value()), client_config(),
+      [&](util::Status s) { client_status = s; });
   engine.run();
-  ASSERT_EQ(small_received.size(), 20u);
-  for (int i = 0; i < 20; ++i)
-    EXPECT_EQ(small_received[static_cast<std::size_t>(i)],
-              "s" + std::to_string(i));
-  EXPECT_EQ(big_received, big);
+  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
+  ASSERT_TRUE(server_status.ok()) << server_status.to_string();
+
+  // A well-formed type-4 frame at the server's next sequence number:
+  // sequence, ciphertext blob, 32-byte tag.
+  from_server.clear();
+  util::ByteWriter frame;
+  frame.u8(4);
+  frame.u64(server_channel->messages_received());
+  frame.blob(util::to_bytes("legacy record"));
+  frame.raw(util::Bytes(32, 0));
+  relay_to_server->send(frame.take());
+  engine.run();
+  EXPECT_TRUE(server_channel->failed());
+  ASSERT_EQ(from_server.size(), 1u);
+  util::ByteReader alert(from_server[0]);
+  EXPECT_EQ(alert.u8(), 5);  // kAlert
+  EXPECT_EQ(alert.str(), "unknown message type");
+
+  bool delivered = false;
+  server_channel->set_receiver([&](util::Bytes&&) { delivered = true; });
+  client_channel->send(util::to_bytes("after"));
+  engine.run();
+  EXPECT_FALSE(delivered);
 }
 
 // --- session resumption -----------------------------------------------
@@ -482,9 +558,6 @@ TEST_F(ResumptionFixture, ResumedHandshakeSkipsPublicKeyCrypto) {
   // The resumed channel still knows who the peer is...
   EXPECT_EQ(client_channel->peer_certificate().subject, dn("server"));
   EXPECT_EQ(server_channel->peer_certificate().subject, dn("client"));
-  // ...keeps the negotiated features...
-  EXPECT_EQ(client_channel->negotiated_features(), kDefaultFeatures);
-  EXPECT_EQ(server_channel->negotiated_features(), kDefaultFeatures);
   // ...and carries data both ways.
   std::string at_server, at_client;
   server_channel->set_receiver([&](util::Bytes&& m) {
@@ -576,23 +649,6 @@ TEST_F(ResumptionFixture, ServerWithoutTicketManagerSendsHelloRetry) {
   EXPECT_TRUE(client_channel->established());
 }
 
-TEST_F(ResumptionFixture, V1ClientNeverGetsTicket) {
-  SecureChannel::Config config = client_config();
-  config.session_cache = &cache;
-  config.protocol_version = 1;
-  config.features = 0;
-  auto endpoint = network.connect("client", {"server", 443});
-  ASSERT_TRUE(endpoint.ok());
-  client_channel = SecureChannel::as_client(
-      engine, rng, std::move(endpoint.value()), config,
-      [this](util::Status s) { client_status = s; });
-  engine.run();
-  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
-  EXPECT_EQ(client_channel->negotiated_version(), 1);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(tickets.issued(), 0u);
-}
-
 TEST_F(ResumptionFixture, PreResumptionServerAlertDropsCachedSession) {
   connect();  // warm the cache
   ASSERT_EQ(cache.size(), 1u);
@@ -621,6 +677,51 @@ TEST_F(ResumptionFixture, PreResumptionServerAlertDropsCachedSession) {
   connect();
   ASSERT_TRUE(client_status.ok()) << client_status.to_string();
   EXPECT_FALSE(client_channel->resumed());
+}
+
+TEST_F(ResumptionFixture, ResumedHelloWithAnotherFeatureWordIsRefused) {
+  connect();  // warm the cache: a ticket and its master secret
+  ASSERT_TRUE(client_status.ok()) << client_status.to_string();
+  const SessionCache::Entry entry = *cache.get("server", now());
+
+  // A ClientHelloResumed from a raw endpoint with the cached ticket and
+  // a genuine binder, so only the feature word can fail it.
+  auto resumed_hello = [&](std::uint64_t features) {
+    util::ByteWriter hello;
+    hello.u8(7);  // kClientHelloResumed
+    hello.blob(util::Rng(34).bytes(32));
+    hello.blob(entry.ticket);
+    hello.u8(kProtocolVersion);
+    hello.u64(features);
+    crypto::Digest prk{};
+    std::copy(entry.master_secret.begin(), entry.master_secret.end(),
+              prk.begin());
+    util::Bytes binder_key = crypto::hkdf_expand(
+        prk, util::to_bytes("unicore-resume-binder"), 32);
+    hello.raw(crypto::hmac_sha256(binder_key, hello.bytes()));
+    return hello.take();
+  };
+  auto answers = [&](util::Bytes hello) {
+    auto raw = network.connect("client", {"server", 443});
+    EXPECT_TRUE(raw.ok());
+    std::vector<std::uint8_t> types;
+    raw.value()->set_receiver(
+        [&types](util::Bytes&& wire) { types.push_back(wire.at(0)); });
+    raw.value()->send(std::move(hello));
+    engine.run();
+    raw.value()->set_receiver(nullptr);
+    return types;
+  };
+
+  // Control: the fixed word resumes (ServerHelloResumed).
+  EXPECT_EQ(answers(resumed_hello(kChannelFeatures)),
+            std::vector<std::uint8_t>{8});
+  EXPECT_TRUE(server_status.ok()) << server_status.to_string();
+  // Another word is refused with an alert, not resumed or retried.
+  EXPECT_EQ(answers(resumed_hello(kChannelFeatures | (1ull << 6))),
+            std::vector<std::uint8_t>{5});
+  EXPECT_FALSE(server_status.ok());
+  EXPECT_FALSE(server_channel->established());
 }
 
 TEST_F(ResumptionFixture, BinderTamperFailsHard) {

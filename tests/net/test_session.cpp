@@ -38,7 +38,6 @@ struct TicketFixture : public ::testing::Test {
     ResumptionState s;
     s.master_secret = rng.bytes(32);
     s.peer_certificate = peer.certificate;
-    s.features = kDefaultFeatures;
     return s;
   }
 };
@@ -50,7 +49,6 @@ TEST_F(TicketFixture, IssueRedeemRoundTrip) {
   ASSERT_TRUE(redeemed.ok());
   EXPECT_EQ(redeemed.value().master_secret, original.master_secret);
   EXPECT_EQ(redeemed.value().peer_certificate, original.peer_certificate);
-  EXPECT_EQ(redeemed.value().features, original.features);
   EXPECT_EQ(tickets.issued(), 1u);
   EXPECT_EQ(tickets.redeemed(), 1u);
 }
