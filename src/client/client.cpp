@@ -208,17 +208,20 @@ void UnicoreClient::handle_message(Bytes&& wire) {
     ByteReader reader{wire};
     auto type = static_cast<server::MessageType>(reader.u8());
     if (type != server::MessageType::kReply) return;  // JPA/JMC only poll
+    // Decode the whole reply before touching the pending table: a reply
+    // that cannot be decoded is dropped, and its request ends by its own
+    // timeout.
     std::uint64_t request_id = reader.u64();
     bool ok = reader.u8() != 0;
+    Result<Bytes> outcome =
+        ok ? Result<Bytes>(reader.raw(reader.remaining()))
+           : Result<Bytes>(server::decode_error(reader));
     auto it = pending_.find(request_id);
     if (it == pending_.end()) return;  // reply after timeout
     auto request = std::move(it->second);
     pending_.erase(it);
     if (request.timeout != 0) engine_.cancel(request.timeout);
-    if (ok)
-      request.handler(reader.raw(reader.remaining()));
-    else
-      request.handler(server::decode_error(reader));
+    request.handler(std::move(outcome));
   } catch (const std::out_of_range&) {
     UNICORE_WARN("client") << "malformed reply dropped";
   }

@@ -1055,18 +1055,20 @@ void UsiteServer::handle_peer_message(const std::string& usite,
     ByteReader reader{wire};
     auto type = static_cast<MessageType>(reader.u8());
     if (type == MessageType::kReply) {
+      // Decode the whole reply before touching the pending table: a reply
+      // that cannot be decoded is dropped, and its request ends by its
+      // own timeout.
       std::uint64_t request_id = reader.u64();
       bool ok = reader.u8() != 0;
+      Result<Bytes> outcome = ok ? Result<Bytes>(reader.raw(reader.remaining()))
+                                 : Result<Bytes>(decode_error(reader));
       auto handler_it = connection.pending.find(request_id);
       if (handler_it == connection.pending.end()) return;  // after timeout
       if (handler_it->second.timeout) engine_.cancel(*handler_it->second.timeout);
       auto handler = std::move(handler_it->second.handler);
       connection.pending.erase(handler_it);
       connection.last_reply_slot = slot;
-      if (ok)
-        handler(reader.raw(reader.remaining()));
-      else
-        handler(decode_error(reader));
+      handler(std::move(outcome));
     } else if (type == MessageType::kNotification) {
       std::uint64_t token = reader.u64();
       auto outcome = ajo::Outcome::decode(reader);

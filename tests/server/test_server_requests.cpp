@@ -3,6 +3,8 @@
 // including malformed and unauthorized traffic.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/test_env.h"
 
 namespace unicore::server {
@@ -139,6 +141,110 @@ TEST(ServerRequests, TruncatedPayloadGetsErrorNotCrash) {
   ASSERT_FALSE(raw.replies.empty());
   util::ByteReader r(raw.replies.back());
   EXPECT_EQ(static_cast<MessageType>(r.u8()), MessageType::kReply);
+}
+
+// ---- malformed replies from a raw server -----------------------------------
+
+/// A secure-channel server that answers every request with a truncated
+/// error reply: {kReply, request id, ok = 0} and no error body — 10 bytes
+/// that decode_error cannot read.
+struct MalformedErrorServer {
+  crypto::TrustStore trust;
+  crypto::Credential credential;
+  std::vector<std::shared_ptr<net::SecureChannel>> channels;
+  std::size_t replies = 0;
+
+  MalformedErrorServer(SingleSite& site, net::Address address)
+      : trust(site.grid.make_trust_store()) {
+    crypto::DistinguishedName subject;
+    subject.country = "DE";
+    subject.organization = "Test";
+    subject.common_name = address.host;
+    credential = site.grid.ca().issue_credential(
+        subject, site.grid.rng(), net::kSimulationEpoch, 365 * 86'400LL,
+        crypto::kUsageServerAuth | crypto::kUsageDigitalSignature);
+    (void)site.grid.network().listen(
+        address, [this, &site](std::shared_ptr<net::Endpoint> endpoint) {
+          net::SecureChannel::Config config;
+          config.credential = credential;
+          config.trust = &trust;
+          auto channel = net::SecureChannel::as_server(
+              site.grid.engine(), site.grid.rng(), std::move(endpoint),
+              config, [](util::Status) {});
+          channel->set_receiver(
+              [this, weak = std::weak_ptr(channel)](util::Bytes&& wire) {
+                auto self = weak.lock();
+                if (!self) return;
+                util::ByteReader request(wire);
+                (void)request.u8();  // kRequest
+                (void)request.u8();  // kind
+                util::ByteWriter reply;
+                reply.u8(static_cast<std::uint8_t>(MessageType::kReply));
+                reply.u64(request.u64());
+                reply.u8(0);  // not ok, and no error body follows
+                EXPECT_EQ(reply.bytes().size(), 10u);
+                ++replies;
+                self->send(reply.take());
+              });
+          channels.push_back(std::move(channel));
+        });
+  }
+};
+
+TEST(ServerRequests, MalformedErrorReplyEndsTheClientRequestByItsTimeout) {
+  SingleSite site(87);
+  MalformedErrorServer fake(site, {"fake.example.de", 4433});
+  client::UnicoreClient::Config config;
+  config.host = "ws.example.de";
+  config.user = site.user;
+  config.trust = &site.client_trust;
+  config.request_timeout = sim::sec(5);
+  client::UnicoreClient client(site.grid.engine(), site.grid.network(),
+                               site.grid.rng(), config);
+  util::Status connected = util::make_error(util::ErrorCode::kInternal, "");
+  client.connect({"fake.example.de", 4433},
+                 [&](util::Status s) { connected = s; });
+  site.grid.engine().run();
+  ASSERT_TRUE(connected.ok()) << connected.to_string();
+
+  int calls = 0;
+  std::optional<util::ErrorCode> code;
+  sim::Time fired_at = 0;
+  const sim::Time sent_at = site.grid.engine().now();
+  client.list([&](util::Result<std::vector<client::JobEntry>> reply) {
+    ++calls;
+    if (!reply.ok()) code = reply.error().code;
+    fired_at = site.grid.engine().now();
+  });
+  site.grid.engine().run();
+  EXPECT_EQ(fake.replies, 1u);
+  // The reply that cannot be decoded is dropped; the request ends by its
+  // own timeout, exactly once.
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, util::ErrorCode::kTimeout);
+  EXPECT_EQ(fired_at - sent_at, config.request_timeout);
+}
+
+TEST(ServerRequests, MalformedErrorReplyEndsThePeerRequestWithAnError) {
+  SingleSite site(88);
+  MalformedErrorServer fake(site, {"fake.example.de", 4433});
+  site.server->add_peer("Fake", {"fake.example.de", 4433});
+  site.server->set_peer_request_timeout(sim::sec(5));
+
+  int calls = 0;
+  util::Status result = util::Status::ok_status();
+  njs::RemoteJobHandle target;
+  target.usite = "Fake";
+  target.token = 7;
+  site.server->control(target, ajo::ControlService::Command::kHold,
+                       [&](util::Status s) {
+                         ++calls;
+                         result = s;
+                       });
+  site.grid.engine().run();
+  EXPECT_GE(fake.replies, 1u);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(result.ok());
 }
 
 }  // namespace
