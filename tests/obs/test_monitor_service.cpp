@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <regex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -326,6 +330,59 @@ TEST_F(MonitorTestbed, DistributedPipelineTraceShowsPeerHops) {
   EXPECT_LE(pre->end, main_span->end);
   EXPECT_LE(main_span->end, post->end);
   EXPECT_LT(pre->start, pre->end);
+}
+
+TEST_F(MonitorTestbed, EveryRegisteredSeriesIsInTheCatalogue) {
+  // Drive every layer: a distributed job (gateway, NJS, batch, peer
+  // consigns and chunked transfers into the store-backed peer sites), a
+  // portal session, and a reconnect that resumes from the session ticket.
+  ajo::JobToken token = 0;
+  client->submit(make_pipeline(), [&](util::Result<ajo::JobToken> result) {
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    token = result.value();
+  });
+  grid.engine().run();
+  ASSERT_NE(token, 0u);
+  bool done = false;
+  client->wait_for_completion(token, sim::sec(30),
+                              [&](util::Result<ajo::Outcome> outcome) {
+                                ASSERT_TRUE(outcome.ok());
+                                done = true;
+                              });
+  grid.engine().run();
+  ASSERT_TRUE(done);
+  bool session = false;
+  client->open_session(0, [&](util::Result<client::SessionGrant> grant) {
+    session = grant.ok();
+  });
+  grid.engine().run();
+  ASSERT_TRUE(session);
+  client->disconnect();
+  client->connect(grid.site("FZ-Juelich")->address(), [](util::Status) {});
+  grid.engine().run();
+  ASSERT_TRUE(client->session_resumed());
+
+  std::ifstream doc(UNICORE_OBSERVABILITY_DOC);
+  ASSERT_TRUE(doc) << "cannot read " << UNICORE_OBSERVABILITY_DOC;
+  const std::string text{std::istreambuf_iterator<char>(doc),
+                         std::istreambuf_iterator<char>()};
+  std::set<std::string> documented;
+  const std::regex series_name("unicore_[a-z0-9_]+");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), series_name);
+       it != std::sregex_iterator(); ++it)
+    documented.insert(it->str());
+
+  std::set<std::string> registered;
+  for (const obs::MetricPoint& point : grid.metrics()->snapshot().points)
+    registered.insert(point.name);
+  for (const std::string& name : registered)
+    EXPECT_TRUE(documented.count(name) != 0)
+        << name << " is registered but missing from docs/OBSERVABILITY.md";
+  // The run reached the layers whose series the catalogue used to miss.
+  for (const char* name :
+       {"unicore_channel_resumptions_total", "unicore_store_chunks",
+        "unicore_gateway_sessions_total", "unicore_xfer_open_inbound"})
+    EXPECT_TRUE(registered.count(name) != 0) << name << " never registered";
 }
 
 TEST_F(MonitorTestbed, SharedRegistryAggregatesAcrossSites) {
