@@ -43,16 +43,6 @@ void mutate(util::Rng& rng, util::Bytes& wire) {
   }
 }
 
-/// What each side sends once established: small records and one message
-/// above the 256 KiB fragment limit, all in one instant, so they travel
-/// as one kRecordBatch frame holding complete and fragment records.
-std::vector<util::Bytes> payload(util::Rng& rng, const std::string& tag) {
-  std::vector<util::Bytes> out;
-  out.push_back(util::to_bytes(tag + "-first"));
-  out.push_back(rng.bytes(256 * 1024 + 100));
-  out.push_back(util::to_bytes(tag + "-last"));
-  return out;
-}
 
 struct Side {
   std::shared_ptr<SecureChannel> channel;
@@ -85,6 +75,10 @@ class ChannelFuzz : public ::testing::TestWithParam<std::uint64_t> {
   std::size_t seen_to_server = 0;
   std::size_t seen_to_client = 0;
   util::Rng mutation_rng{GetParam() ^ 0x5eed};
+  /// Just above the 256 KiB fragment limit: the client's frame holds
+  /// complete and fragment records, the server's complete ones only.
+  const util::Bytes large = util::Rng(GetParam() + 2).bytes(256 * 1024 + 100);
+  bool relayed = false;  // only the mutated connection sends data
   std::shared_ptr<Endpoint> relay_from_client;
   std::shared_ptr<Endpoint> relay_to_server;
 
@@ -133,10 +127,18 @@ class ChannelFuzz : public ::testing::TestWithParam<std::uint64_t> {
     });
   }
 
+  /// Once established, each side sends its messages in one instant, so
+  /// they travel as one kRecordBatch frame.
   void established(Side& side, util::Status status) {
     if (!status.ok()) return;
     side.established = true;
-    side.sent = payload(rng, &side == &server ? "server" : "client");
+    if (!relayed) return;
+    const bool is_client = &side == &client;
+    side.sent.push_back(util::to_bytes(is_client ? "client-first" : "server"));
+    if (is_client) {
+      side.sent.push_back(large);
+      side.sent.push_back(util::to_bytes("client-last"));
+    }
     for (const util::Bytes& m : side.sent) side.channel->send(m);
   }
 
@@ -170,15 +172,17 @@ class ChannelFuzz : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(ChannelFuzz, MutatedMessageFailsOrDeliversExactly) {
   std::size_t clean = 0;
   std::size_t failed = 0;
-  for (int run = 0; run < 16; ++run) {
+  for (int run = 0; run < 12; ++run) {
     // Half the runs resume from a ticket warmed by a direct, clean
     // connection; the rest make a full handshake.
     cache.clear();
+    relayed = false;
     if (run % 2 == 1) {
       connect("server");
       engine.run();
       ASSERT_TRUE(client.established);
     }
+    relayed = true;
     mutate_to_server = rng.below(2) == 0;
     target = rng.below(3);  // a hello, the second flight, or a batch
     seen_to_server = seen_to_client = 0;
@@ -219,7 +223,7 @@ TEST_P(ChannelFuzz, MutatedTicketsAreRefused) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChannelFuzz, ::testing::Values(1, 2, 3, 4));
+INSTANTIATE_TEST_SUITE_P(Seeds, ChannelFuzz, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace unicore::net
