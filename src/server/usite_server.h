@@ -300,7 +300,7 @@ class UsiteServer : public njs::PeerLink {
   /// The rail bundle toward a peer's gateway (created lazily, reused
   /// across transfers to the same Usite).
   std::shared_ptr<XferRails> peer_rails(const std::string& usite);
-  /// Pushes `files` as one bundle through the transfer engine.
+  /// Pushes `files` through the transfer engine.
   void push_files(const njs::RemoteJobHandle& target, Files files,
                   std::function<void(util::Status)> done);
   /// The paper's §5.6 path, for files under the transfer threshold and

@@ -88,8 +88,9 @@ struct ChannelFixture : public ::testing::Test {
     return hello.take();
   }
 
-  /// Sends `hello` from a raw endpoint to a real server channel and
-  /// returns the type byte of every frame the server answers with.
+  /// Sends `hello` from a raw endpoint to the server listening on
+  /// ("server", 443) and returns the type byte of every frame it answers
+  /// with.
   std::vector<std::uint8_t> raw_hello_answers(util::Bytes hello) {
     auto raw = network.connect("client", {"server", 443});
     EXPECT_TRUE(raw.ok());
@@ -701,24 +702,13 @@ TEST_F(ResumptionFixture, ResumedHelloWithAnotherFeatureWordIsRefused) {
     hello.raw(crypto::hmac_sha256(binder_key, hello.bytes()));
     return hello.take();
   };
-  auto answers = [&](util::Bytes hello) {
-    auto raw = network.connect("client", {"server", 443});
-    EXPECT_TRUE(raw.ok());
-    std::vector<std::uint8_t> types;
-    raw.value()->set_receiver(
-        [&types](util::Bytes&& wire) { types.push_back(wire.at(0)); });
-    raw.value()->send(std::move(hello));
-    engine.run();
-    raw.value()->set_receiver(nullptr);
-    return types;
-  };
 
   // Control: the fixed word resumes (ServerHelloResumed).
-  EXPECT_EQ(answers(resumed_hello(kChannelFeatures)),
+  EXPECT_EQ(raw_hello_answers(resumed_hello(kChannelFeatures)),
             std::vector<std::uint8_t>{8});
   EXPECT_TRUE(server_status.ok()) << server_status.to_string();
   // Another word is refused with an alert, not resumed or retried.
-  EXPECT_EQ(answers(resumed_hello(kChannelFeatures | (1ull << 6))),
+  EXPECT_EQ(raw_hello_answers(resumed_hello(kChannelFeatures | (1ull << 6))),
             std::vector<std::uint8_t>{5});
   EXPECT_FALSE(server_status.ok());
   EXPECT_FALSE(server_channel->established());
