@@ -19,6 +19,11 @@
 // effective rate the user observes. The simulated network serialises
 // bandwidth per directed host pair, so the rails share one link: more
 // streams keep it busy, they do not widen it.
+//
+// Every row runs a fixed number of iterations, so its mean `virtual_ms`
+// is a function of the code alone, not of a wall-clock-chosen count:
+// CI compares it exactly against the committed BENCH_transfer.json
+// (scripts/bench_transfer.sh writes it).
 #include <benchmark/benchmark.h>
 
 #include <limits>
@@ -29,6 +34,9 @@
 namespace {
 
 using namespace unicore;
+
+/// Iterations per row; each one is a fresh transfer on the same grid.
+constexpr int kIterations = 3;
 
 struct TwoSites {
   grid::Grid grid{5};
@@ -110,7 +118,8 @@ BENCHMARK(BM_LocalImportXspaceToUspace)
     ->Arg(64 << 10)
     ->Arg(1 << 20)
     ->Arg(8 << 20)
-    ->Arg(64 << 20);
+    ->Arg(64 << 20)
+    ->Iterations(kIterations);
 
 /// Shared driver for the two remote-delivery series.
 void run_remote_delivery(benchmark::State& state, std::uint64_t bytes,
@@ -176,7 +185,8 @@ BENCHMARK(BM_RemoteUspaceToUspaceViaGateway)
     ->Arg(64 << 10)
     ->Arg(1 << 20)
     ->Arg(8 << 20)
-    ->Arg(64 << 20);
+    ->Arg(64 << 20)
+    ->Iterations(kIterations);
 
 void BM_RemoteChunkedDeliver(benchmark::State& state) {
   run_remote_delivery(state, static_cast<std::uint64_t>(state.range(0)),
@@ -186,7 +196,8 @@ void BM_RemoteChunkedDeliver(benchmark::State& state) {
                  " streams (FZJ->LRZ)");
 }
 BENCHMARK(BM_RemoteChunkedDeliver)
-    ->ArgsProduct({{64 << 10, 1 << 20, 8 << 20, 64 << 20}, {1, 2, 4, 8}});
+    ->ArgsProduct({{64 << 10, 1 << 20, 8 << 20, 64 << 20}, {1, 2, 4, 8}})
+    ->Iterations(kIterations);
 
 void BM_RemoteFetchFile(benchmark::State& state) {
   // The reverse direction: pulling a dependency file from a remote
@@ -238,7 +249,8 @@ void BM_RemoteFetchFile(benchmark::State& state) {
                          : "fetch legacy whole-blob");
 }
 BENCHMARK(BM_RemoteFetchFile)
-    ->ArgsProduct({{1 << 20, 8 << 20, 64 << 20}, {0, 4}});
+    ->ArgsProduct({{1 << 20, 8 << 20, 64 << 20}, {0, 4}})
+    ->Iterations(kIterations);
 
 }  // namespace
 

@@ -1,23 +1,35 @@
 #!/usr/bin/env python3
-"""Fails when the server record pipeline's coalescing drifts.
+"""Fails when a deterministic benchmark counter drifts.
 
-    python3 scripts/check_bench_server.py COMMITTED CURRENT
+    python3 scripts/check_bench_server.py COMMITTED CURRENT [COUNTER ...]
 
-Compares two BENCH_server.json files written by scripts/bench_server.sh.
-For every benchmark row present in both, batch_frames / iterations and
-received / iterations must be equal. Both ratios are integers fixed by the
-workload, not by timing: BM_ServerChannelThroughput/channels:N sends N
-frames carrying N messages per instant (one per channel), and
-BM_ServerSmallRecordBatching/records:N coalesces N records into one frame.
-They hold at any --benchmark_min_time, so a CI smoke run can be checked
-against the committed file. Wall-clock fields are not compared. Exits 0
+Compares two Google Benchmark JSON files, such as the BENCH_server.json
+written by scripts/bench_server.sh or the BENCH_transfer.json written by
+scripts/bench_transfer.sh. Each COUNTER is checked on every benchmark row
+present in both files, in one of two forms:
+
+  NAME/iterations  NAME divided by the row's iteration count must be equal.
+                   For totals that grow with the iteration count.
+  NAME             the value must be equal, and so must the iteration
+                   count. For means over a pinned iteration count.
+
+Without COUNTER arguments the record-pipeline counters are checked:
+batch_frames/iterations and received/iterations. Both are integers fixed
+by the workload, not by timing: BM_ServerChannelThroughput/channels:N
+sends N frames carrying N messages per instant (one per channel), and
+BM_ServerSmallRecordBatching/records:N coalesces N records into one
+frame. They hold at any --benchmark_min_time, so a CI smoke run can be
+checked against the committed file. bench_transfer pins every row's
+iterations, so its virtual_ms (simulated milliseconds per transfer) is
+compared as a plain value. Wall-clock fields are never compared. Exits 0
 when every shared row matches and at least one row is shared.
 """
 
 import json
 import sys
 
-COUNTERS = ("batch_frames", "received")
+DEFAULT_COUNTERS = ("batch_frames/iterations", "received/iterations")
+PER_ITERATION = "/iterations"
 
 
 def rows(path):
@@ -27,32 +39,48 @@ def rows(path):
             if b.get("run_type", "iteration") == "iteration"}
 
 
+def drift_of(name, counter, want, got):
+    """One line describing how `counter` moved on row `name`, or None."""
+    if counter.endswith(PER_ITERATION):
+        field = counter[:-len(PER_ITERATION)]
+        # Cross-multiplied, so the comparison of the two ratios is exact.
+        if (want[field] * got["iterations"] ==
+                got[field] * want["iterations"]):
+            return None
+        return (f"{name}: {counter} committed "
+                f"{want[field] / want['iterations']:g}, now "
+                f"{got[field] / got['iterations']:g}")
+    if want["iterations"] != got["iterations"]:
+        return (f"{name}: iterations committed {want['iterations']}, now "
+                f"{got['iterations']} (needed to compare {counter})")
+    if want[counter] == got[counter]:
+        return None
+    return f"{name}: {counter} committed {want[counter]!r}, now {got[counter]!r}"
+
+
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) < 3:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     committed, current = rows(sys.argv[1]), rows(sys.argv[2])
+    counters = sys.argv[3:] or DEFAULT_COUNTERS
     shared = sorted(set(committed) & set(current))
     if not shared:
         print("check_bench_server: no benchmark row in both files")
         return 1
     drift = []
     for name in shared:
-        want, got = committed[name], current[name]
-        for counter in COUNTERS:
-            # Cross-multiplied, so the comparison of the two ratios is exact.
-            if (want[counter] * got["iterations"] !=
-                    got[counter] * want["iterations"]):
-                drift.append(
-                    f"{name}: {counter}/iterations committed "
-                    f"{want[counter] / want['iterations']:g}, now "
-                    f"{got[counter] / got['iterations']:g}")
+        for counter in counters:
+            line = drift_of(name, counter, committed[name], current[name])
+            if line is not None:
+                drift.append(line)
     for line in drift:
         print("DRIFT", line)
     if drift:
         print("check_bench_server: FAILED")
         return 1
-    print(f"check_bench_server: ok ({len(shared)} rows)")
+    print(f"check_bench_server: ok ({len(shared)} rows, "
+          f"{' '.join(counters)})")
     return 0
 
 
