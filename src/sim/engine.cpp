@@ -12,25 +12,14 @@ EventId Engine::at(Time t, std::function<void()> fn) {
   return id;
 }
 
-bool Engine::cancel(EventId id) {
-  auto it = handlers_.find(id);
-  if (it == handlers_.end()) return false;
-  handlers_.erase(it);
-  cancelled_.insert(id);
-  return true;
-}
+bool Engine::cancel(EventId id) { return handlers_.erase(id) != 0; }
 
 bool Engine::step() {
   while (!heap_.empty()) {
     Entry top = heap_.top();
     heap_.pop();
-    auto cancelled = cancelled_.find(top.id);
-    if (cancelled != cancelled_.end()) {
-      cancelled_.erase(cancelled);
-      continue;
-    }
     auto it = handlers_.find(top.id);
-    if (it == handlers_.end()) continue;  // defensive; should not happen
+    if (it == handlers_.end()) continue;  // cancelled
     std::function<void()> fn = std::move(it->second);
     handlers_.erase(it);
     now_ = top.time;
@@ -51,10 +40,7 @@ std::size_t Engine::run_until(Time deadline) {
   std::size_t n = 0;
   for (;;) {
     // Skip cancelled entries to observe the true next event time.
-    while (!heap_.empty() && cancelled_.count(heap_.top().id)) {
-      cancelled_.erase(heap_.top().id);
-      heap_.pop();
-    }
+    while (!heap_.empty() && !handlers_.count(heap_.top().id)) heap_.pop();
     if (heap_.empty() || heap_.top().time > deadline) break;
     if (step()) ++n;
   }

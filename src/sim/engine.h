@@ -12,7 +12,6 @@
 #include <functional>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace unicore::sim {
@@ -52,8 +51,9 @@ class Engine {
     return at(now_ + (dt < 0 ? 0 : dt), std::move(fn));
   }
 
-  /// Cancels a pending event; returns false if it already fired or was
-  /// already cancelled.
+  /// Cancels a pending event; returns false if it already fired, is
+  /// firing now (a cancel from inside its own handler), or was already
+  /// cancelled.
   bool cancel(EventId id);
 
   /// Fires the next pending event; returns false when the queue is empty.
@@ -66,7 +66,7 @@ class Engine {
   /// (if the simulation had not already passed it). Returns events fired.
   std::size_t run_until(Time deadline);
 
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return handlers_.size(); }
   std::uint64_t events_fired() const { return fired_; }
 
  private:
@@ -84,8 +84,10 @@ class Engine {
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  /// Handlers of the events still to fire. cancel() erases the handler
+  /// and leaves the heap entry behind; an entry without a handler is a
+  /// cancelled event, skipped when it reaches the head.
   std::unordered_map<EventId, std::function<void()>> handlers_;
-  std::unordered_set<EventId> cancelled_;
 };
 
 }  // namespace unicore::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 namespace unicore::sim {
@@ -69,6 +70,29 @@ TEST(Engine, CancelPreventsExecution) {
   EXPECT_FALSE(engine.cancel(id));  // second cancel reports failure
   engine.run();
   EXPECT_FALSE(fired);
+}
+
+TEST(Engine, PendingDropsOnCancelAndSelfCancelReportsFalse) {
+  Engine engine;
+  EventId first = engine.at(sec(1), [] {});
+  engine.at(sec(2), [] {});
+  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_TRUE(engine.cancel(first));
+  EXPECT_EQ(engine.pending(), 1u);
+  EventId self = 0;
+  std::optional<bool> self_cancel;
+  std::size_t pending_inside = 0;
+  self = engine.at(sec(3), [&] {
+    self_cancel = engine.cancel(self);
+    pending_inside = engine.pending();
+  });
+  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_EQ(engine.run(), 2u);
+  ASSERT_TRUE(self_cancel.has_value());
+  EXPECT_FALSE(*self_cancel);  // the firing event is no longer pending
+  EXPECT_EQ(pending_inside, 0u);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.events_fired(), 2u);
 }
 
 TEST(Engine, CancelAfterFireReportsFalse) {
