@@ -108,22 +108,23 @@ int main() {
     return 1;
   }
 
-  // Poll like the JMC and narrate progress: each query goes through the
-  // promise surface, rescheduling itself until the root is terminal.
+  // Poll like the JMC and narrate progress: each query's callback
+  // reschedules the next one until the root is terminal.
   sim::Time last_print = 0;
   std::function<void()> poll = [&] {
-    client.query(token.value(), ajo::QueryService::Detail::kJobGroups)
-        .then([&](const util::Result<ajo::Outcome>& outcome) {
-          if (!outcome.ok()) return;
-          if (grid.engine().now() - last_print > sim::minutes(5)) {
-            last_print = grid.engine().now();
-            std::printf("t=%7.1f s  root=%s\n",
-                        sim::to_seconds(grid.engine().now()),
-                        ajo::action_status_name(outcome.value().status));
-          }
-          if (!ajo::is_terminal(outcome.value().status))
-            grid.engine().after(sim::minutes(1), poll);
-        });
+    client.query(token.value(), ajo::QueryService::Detail::kJobGroups,
+                 [&](util::Result<ajo::Outcome> outcome) {
+                   if (!outcome.ok()) return;
+                   if (grid.engine().now() - last_print > sim::minutes(5)) {
+                     last_print = grid.engine().now();
+                     std::printf(
+                         "t=%7.1f s  root=%s\n",
+                         sim::to_seconds(grid.engine().now()),
+                         ajo::action_status_name(outcome.value().status));
+                   }
+                   if (!ajo::is_terminal(outcome.value().status))
+                     grid.engine().after(sim::minutes(1), poll);
+                 });
   };
   poll();
   grid.engine().run();

@@ -1,12 +1,10 @@
 #include "client/client.h"
 
 #include "ajo/codec.h"
-#include "util/log.h"
 
 namespace unicore::client {
 
 using server::RequestKind;
-using util::ByteReader;
 using util::Bytes;
 using util::ByteWriter;
 using util::ErrorCode;
@@ -81,6 +79,8 @@ UnicoreClient::UnicoreClient(sim::Engine& engine, net::Network& network,
       network_(network),
       rng_(rng.fork()),
       config_(std::move(config)),
+      replies_(engine,
+               [] { return std::string("request timed out (message lost?)"); }),
       xfer_manager_(engine, rng_) {}
 
 UnicoreClient::~UnicoreClient() {
@@ -119,12 +119,13 @@ void UnicoreClient::connect(net::Address usite,
           return;
         }
         established_ = true;
+        // JPA/JMC only poll: a message that is not a reply is ignored.
         channel_->set_receiver(
-            [this](Bytes&& wire) { handle_message(std::move(wire)); });
+            [this](Bytes&& wire) { replies_.resolve(wire); });
         channel_->set_close_handler([this] {
           established_ = false;
-          fail_all_pending(util::make_error(ErrorCode::kUnavailable,
-                                            "connection to Usite lost"));
+          replies_.fail_all(util::make_error(ErrorCode::kUnavailable,
+                                             "connection to Usite lost"));
         });
         done(Status::ok_status());
       });
@@ -160,18 +161,8 @@ void UnicoreClient::disconnect() {
   channel_.reset();
   established_ = false;
   transport_.reset();  // drops the rails toward the old Usite
-  fail_all_pending(
+  replies_.fail_all(
       util::make_error(ErrorCode::kUnavailable, "client disconnected"));
-}
-
-void UnicoreClient::fail_all_pending(const util::Error& error) {
-  auto pending = std::move(pending_);
-  pending_.clear();
-  for (auto& [id, request] : pending) {
-    if (request.timeout != 0) engine_.cancel(request.timeout);
-    ++requests_failed_;
-    request.handler(error);
-  }
 }
 
 void UnicoreClient::send_request(
@@ -181,50 +172,14 @@ void UnicoreClient::send_request(
     on_reply(util::make_error(ErrorCode::kUnavailable, "not connected"));
     return;
   }
-  std::uint64_t request_id = next_request_id_++;
   ++requests_sent_;
-
-  PendingRequest pending;
-  pending.handler = std::move(on_reply);
-  pending.timeout = engine_.after(config_.request_timeout, [this, request_id] {
-    auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;
-    auto handler = std::move(it->second.handler);
-    pending_.erase(it);
-    ++requests_failed_;
-    handler(util::make_error(ErrorCode::kTimeout,
-                             "request timed out (message lost?)"));
-  });
-  pending_[request_id] = std::move(pending);
+  std::uint64_t request_id =
+      replies_.add(config_.request_timeout, 0, std::move(on_reply));
   if (!session_token_.empty() && token_eligible(kind))
     channel_->send(
         server::make_token_request(kind, request_id, session_token_, payload));
   else
     channel_->send(server::make_request(kind, request_id, payload));
-}
-
-void UnicoreClient::handle_message(Bytes&& wire) {
-  try {
-    ByteReader reader{wire};
-    auto type = static_cast<server::MessageType>(reader.u8());
-    if (type != server::MessageType::kReply) return;  // JPA/JMC only poll
-    // Decode the whole reply before touching the pending table: a reply
-    // that cannot be decoded is dropped, and its request ends by its own
-    // timeout.
-    std::uint64_t request_id = reader.u64();
-    bool ok = reader.u8() != 0;
-    Result<Bytes> outcome =
-        ok ? Result<Bytes>(reader.raw(reader.remaining()))
-           : Result<Bytes>(server::decode_error(reader));
-    auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;  // reply after timeout
-    auto request = std::move(it->second);
-    pending_.erase(it);
-    if (request.timeout != 0) engine_.cancel(request.timeout);
-    request.handler(std::move(outcome));
-  } catch (const std::out_of_range&) {
-    UNICORE_WARN("client") << "malformed reply dropped";
-  }
 }
 
 // ---- operations ------------------------------------------------------------
@@ -305,7 +260,7 @@ void UnicoreClient::submit_with_retry(
       // argument); the growing delay keeps a down Usite from being
       // hammered.
       sim::Time delay = util::backoff_delay_us(
-          config_.retry_backoff, total - remaining + 1, rng_);
+          util::BackoffPolicy{}, total - remaining + 1, rng_);
       engine_.after(delay, [this, attempt, remaining, done] {
         connect(usite_address_, [attempt, remaining, done](Status) {
           (*attempt)(remaining - 1);
@@ -597,144 +552,6 @@ void UnicoreClient::reap_storage(
   ByteWriter payload;
   payload.u64(token);
   call<wire::StorageReapCodec>(payload.take(), std::move(done));
-}
-
-// ---- the promise surface ---------------------------------------------------
-// Thin adapters: each starts the callback operation and settles a
-// promise from its completion.
-
-namespace {
-
-/// Converts a Status completion into a Future<Ack> settlement.
-std::function<void(Status)> settle_ack(const Promise<Ack>& promise) {
-  return [promise](Status status) {
-    if (status.ok())
-      promise.set(Ack{});
-    else
-      promise.set(status.error());
-  };
-}
-
-}  // namespace
-
-Future<Ack> UnicoreClient::connect(net::Address usite) {
-  Promise<Ack> promise;
-  connect(usite, settle_ack(promise));
-  return promise.future();
-}
-
-Future<ajo::JobToken> UnicoreClient::submit(const ajo::AbstractJobObject& job) {
-  Promise<ajo::JobToken> promise;
-  submit(job, [promise](Result<ajo::JobToken> r) { promise.set(std::move(r)); });
-  return promise.future();
-}
-
-Future<ajo::Outcome> UnicoreClient::query(ajo::JobToken token,
-                                          ajo::QueryService::Detail detail) {
-  Promise<ajo::Outcome> promise;
-  query(token, detail,
-        [promise](Result<ajo::Outcome> r) { promise.set(std::move(r)); });
-  return promise.future();
-}
-
-Future<std::vector<JobEntry>> UnicoreClient::list() {
-  Promise<std::vector<JobEntry>> promise;
-  list([promise](Result<std::vector<JobEntry>> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<Ack> UnicoreClient::control(ajo::JobToken token,
-                                   ajo::ControlService::Command command) {
-  Promise<Ack> promise;
-  control(token, command, settle_ack(promise));
-  return promise.future();
-}
-
-Future<uspace::FileBlob> UnicoreClient::fetch_output(ajo::JobToken token,
-                                                     const std::string& name) {
-  Promise<uspace::FileBlob> promise;
-  fetch_output(token, name, [promise](Result<uspace::FileBlob> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<xfer::TransferStats> UnicoreClient::push_tree(
-    ajo::JobToken token,
-    std::vector<std::pair<std::string, uspace::FileBlob>> files) {
-  Promise<xfer::TransferStats> promise;
-  push_tree(token, std::move(files), [promise](Result<xfer::TransferStats> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<std::vector<uspace::FileBlob>> UnicoreClient::fetch_tree(
-    ajo::JobToken token, std::vector<std::string> names) {
-  Promise<std::vector<uspace::FileBlob>> promise;
-  fetch_tree(token, std::move(names),
-             [promise](Result<std::vector<uspace::FileBlob>> r) {
-               promise.set(std::move(r));
-             });
-  return promise.future();
-}
-
-Future<ajo::Outcome> UnicoreClient::wait_for_completion(ajo::JobToken token,
-                                                        sim::Time interval) {
-  Promise<ajo::Outcome> promise;
-  wait_for_completion(token, interval, [promise](Result<ajo::Outcome> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<SessionGrant> UnicoreClient::open_session(
-    std::int64_t requested_ttl_seconds) {
-  Promise<SessionGrant> promise;
-  open_session(requested_ttl_seconds, [promise](Result<SessionGrant> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<SessionGrant> UnicoreClient::refresh_session() {
-  Promise<SessionGrant> promise;
-  refresh_session(
-      [promise](Result<SessionGrant> r) { promise.set(std::move(r)); });
-  return promise.future();
-}
-
-Future<Ack> UnicoreClient::close_session() {
-  Promise<Ack> promise;
-  close_session(settle_ack(promise));
-  return promise.future();
-}
-
-Future<std::vector<StorageEntry>> UnicoreClient::list_storages() {
-  Promise<std::vector<StorageEntry>> promise;
-  list_storages([promise](Result<std::vector<StorageEntry>> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<std::vector<std::string>> UnicoreClient::storage_files(
-    ajo::JobToken token) {
-  Promise<std::vector<std::string>> promise;
-  storage_files(token, [promise](Result<std::vector<std::string>> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
-}
-
-Future<std::uint64_t> UnicoreClient::reap_storage(ajo::JobToken token) {
-  Promise<std::uint64_t> promise;
-  reap_storage(token, [promise](Result<std::uint64_t> r) {
-    promise.set(std::move(r));
-  });
-  return promise.future();
 }
 
 }  // namespace unicore::client

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "ajo/job.h"
 #include "ajo/outcome.h"
 #include "ajo/services.h"
-#include "client/future.h"
 #include "crypto/bundle.h"
 #include "crypto/x509.h"
 #include "net/network.h"
@@ -31,6 +29,7 @@
 #include "obs/trace.h"
 #include "resources/resource_page.h"
 #include "server/protocol.h"
+#include "server/reply_table.h"
 #include "server/xfer_transport.h"
 #include "uspace/blob.h"
 #include "util/result.h"
@@ -85,8 +84,9 @@ struct StorageEntry {
 /// Per-request codec traits: each RequestKind the client speaks is one
 /// struct binding the kind, its reply type, and the reply decoder. The
 /// generic UnicoreClient::call<Codec>() template supplies everything
-/// else (request-id bookkeeping, timeout, error replies, malformed-reply
-/// handling), so adding a request kind is one codec + one thin wrapper.
+/// else (the reply table's ids, timeout and error replies, plus
+/// malformed-payload handling), so adding a request kind is one codec +
+/// one thin wrapper.
 namespace wire {
 
 struct ConsignCodec {
@@ -300,10 +300,9 @@ class UnicoreClient {
     const crypto::TrustStore* trust = nullptr;
     /// Per-request timeout; a lost message surfaces as kTimeout and the
     /// caller decides whether to retry (the asynchronous high-level
-    /// protocol of §5.3).
+    /// protocol of §5.3). submit_with_retry backs off between attempts
+    /// by the default util::BackoffPolicy.
     sim::Time request_timeout = sim::sec(60);
-    /// Backoff between submit_with_retry attempts.
-    util::BackoffPolicy retry_backoff;
     /// Streams for chunked output retrieval (stream 0 rides the main
     /// channel; the rest are extra rails). 0 disables the chunked
     /// engine and every fetch_output uses the whole-blob request.
@@ -418,32 +417,6 @@ class UnicoreClient {
   void reap_storage(ajo::JobToken token,
                     std::function<void(util::Result<std::uint64_t>)> done);
 
-  // --- the promise surface ----------------------------------------------
-  // Every operation above, returning a Future instead of taking a
-  // callback — the building blocks of WorkflowManager and the examples.
-  Future<Ack> connect(net::Address usite);
-  Future<ajo::JobToken> submit(const ajo::AbstractJobObject& job);
-  Future<ajo::Outcome> query(ajo::JobToken token,
-                             ajo::QueryService::Detail detail);
-  Future<std::vector<JobEntry>> list();
-  Future<Ack> control(ajo::JobToken token,
-                      ajo::ControlService::Command command);
-  Future<uspace::FileBlob> fetch_output(ajo::JobToken token,
-                                        const std::string& name);
-  Future<xfer::TransferStats> push_tree(
-      ajo::JobToken token,
-      std::vector<std::pair<std::string, uspace::FileBlob>> files);
-  Future<std::vector<uspace::FileBlob>> fetch_tree(
-      ajo::JobToken token, std::vector<std::string> names);
-  Future<ajo::Outcome> wait_for_completion(ajo::JobToken token,
-                                           sim::Time interval);
-  Future<SessionGrant> open_session(std::int64_t requested_ttl_seconds = 0);
-  Future<SessionGrant> refresh_session();
-  Future<Ack> close_session();
-  Future<std::vector<StorageEntry>> list_storages();
-  Future<std::vector<std::string>> storage_files(ajo::JobToken token);
-  Future<std::uint64_t> reap_storage(ajo::JobToken token);
-
   // --- MonitorService ----------------------------------------------------
   /// Fetches the Usite's current metrics snapshot (gateway, NJS, batch,
   /// and — with a grid-shared registry — network series).
@@ -462,7 +435,9 @@ class UnicoreClient {
 
   // --- diagnostics ---------------------------------------------------------
   std::uint64_t requests_sent() const { return requests_sent_; }
-  std::uint64_t requests_failed() const { return requests_failed_; }
+  /// Requests that timed out or died with the connection; error replies
+  /// do not count.
+  std::uint64_t requests_failed() const { return replies_.failed(); }
   /// Which wire path each fetch and push took: the chunked engine (one
   /// count per call, any file count), or whole blobs (one count per
   /// file; transfer_streams = 0).
@@ -479,8 +454,9 @@ class UnicoreClient {
   // --- the generic request path (internal) -------------------------------
   /// Sends one request of `Codec`'s kind and decodes the reply with its
   /// codec. All named operations above are thin wrappers around this;
-  /// callers outside the client use those (or the promise surface), not
-  /// this free-form payload overload.
+  /// callers outside the client use those, not this free-form payload
+  /// overload. The reply table calls `done` outside any try block, so
+  /// a malformed payload is caught here.
   template <typename Codec>
   void call(util::Bytes payload,
             std::function<void(util::Result<typename Codec::Reply>)> done) {
@@ -504,8 +480,6 @@ class UnicoreClient {
 
   void send_request(server::RequestKind kind, util::Bytes payload,
                     std::function<void(util::Result<util::Bytes>)> on_reply);
-  void handle_message(util::Bytes&& wire);
-  void fail_all_pending(const util::Error& error);
   std::shared_ptr<xfer::ChunkTransport> transfer_transport();
   /// fetch_tree with chunking off: one whole-blob kFetchOutput per file,
   /// in order, appending to `blobs`.
@@ -523,14 +497,9 @@ class UnicoreClient {
   net::SessionCache sessions_;
   bool established_ = false;
 
-  struct PendingRequest {
-    std::function<void(util::Result<util::Bytes>)> handler;
-    sim::EventId timeout = 0;
-  };
-  std::map<std::uint64_t, PendingRequest> pending_;
-  std::uint64_t next_request_id_ = 1;
+  /// Requests in flight on the main channel (one slot).
+  server::ReplyTable replies_;
   std::uint64_t requests_sent_ = 0;
-  std::uint64_t requests_failed_ = 0;
 
   xfer::TransferManager xfer_manager_;
   std::shared_ptr<xfer::ChunkTransport> transport_;

@@ -1,8 +1,9 @@
-// Promise/Future pair for the client surface: every asynchronous
-// operation of UnicoreClient has an overload returning Future<T>
-// instead of taking a completion callback, so portal-style code (the
-// WorkflowManager, the examples) composes steps with then() chains or
-// SyncClient::await() instead of hand-rolled callback pyramids.
+// Promise/Future pair behind WorkflowManager::one_run, the one client
+// call that returns a Future: one_run composes UnicoreClient's callback
+// operations (session, consign, poll, reap) and settles a promise when
+// the whole workflow is done. Portal-style callers attach a then()
+// continuation; drivers block on it with SyncClient::wait(). Every other
+// client operation takes a completion callback.
 //
 // Single-threaded by design — the simulation engine drives everything
 // on one thread, so the shared state needs no locking. A future settles

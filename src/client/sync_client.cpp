@@ -7,7 +7,16 @@ using util::Status;
 
 namespace {
 
-/// Collapses a Future<Ack> settlement back into a Status.
+/// Collapses a Status completion into the Result<Ack> await() pumps.
+std::function<void(Status)> as_ack(std::function<void(Result<Ack>)> done) {
+  return [done = std::move(done)](Status status) {
+    if (status.ok())
+      done(Ack{});
+    else
+      done(status.error());
+  };
+}
+
 Status to_status(const Result<Ack>& result) {
   return result.ok() ? Status::ok_status() : Status(result.error());
 }
@@ -15,7 +24,8 @@ Status to_status(const Result<Ack>& result) {
 }  // namespace
 
 Status SyncClient::connect(net::Address usite) {
-  return to_status(wait(client_.connect(usite)));
+  return to_status(await<Ack>(
+      [&](auto done) { client_.connect(usite, as_ack(std::move(done))); }));
 }
 
 Result<crypto::SoftwareBundle> SyncClient::fetch_bundle(
@@ -32,7 +42,8 @@ SyncClient::fetch_resource_pages() {
 }
 
 Result<ajo::JobToken> SyncClient::submit(const ajo::AbstractJobObject& job) {
-  return wait(client_.submit(job));
+  return await<ajo::JobToken>(
+      [&](auto done) { client_.submit(job, std::move(done)); });
 }
 
 Result<ajo::JobToken> SyncClient::submit_with_retry(
@@ -44,26 +55,34 @@ Result<ajo::JobToken> SyncClient::submit_with_retry(
 
 Result<ajo::Outcome> SyncClient::query(ajo::JobToken token,
                                        ajo::QueryService::Detail detail) {
-  return wait(client_.query(token, detail));
+  return await<ajo::Outcome>(
+      [&](auto done) { client_.query(token, detail, std::move(done)); });
 }
 
 Result<std::vector<JobEntry>> SyncClient::list() {
-  return wait(client_.list());
+  return await<std::vector<JobEntry>>(
+      [&](auto done) { client_.list(std::move(done)); });
 }
 
 Status SyncClient::control(ajo::JobToken token,
                            ajo::ControlService::Command command) {
-  return to_status(wait(client_.control(token, command)));
+  return to_status(await<Ack>([&](auto done) {
+    client_.control(token, command, as_ack(std::move(done)));
+  }));
 }
 
 Result<uspace::FileBlob> SyncClient::fetch_output(ajo::JobToken token,
                                                   const std::string& name) {
-  return wait(client_.fetch_output(token, name));
+  return await<uspace::FileBlob>([&](auto done) {
+    client_.fetch_output(token, name, std::move(done));
+  });
 }
 
 Result<ajo::Outcome> SyncClient::wait_for_completion(ajo::JobToken token,
                                                      sim::Time interval) {
-  return wait(client_.wait_for_completion(token, interval));
+  return await<ajo::Outcome>([&](auto done) {
+    client_.wait_for_completion(token, interval, std::move(done));
+  });
 }
 
 Result<obs::MetricsSnapshot> SyncClient::fetch_metrics() {
@@ -82,28 +101,35 @@ Result<JournalInfo> SyncClient::inspect_journal() {
 }
 
 Result<SessionGrant> SyncClient::open_session(std::int64_t requested_ttl) {
-  return wait(client_.open_session(requested_ttl));
+  return await<SessionGrant>([&](auto done) {
+    client_.open_session(requested_ttl, std::move(done));
+  });
 }
 
 Result<SessionGrant> SyncClient::refresh_session() {
-  return wait(client_.refresh_session());
+  return await<SessionGrant>(
+      [&](auto done) { client_.refresh_session(std::move(done)); });
 }
 
 Status SyncClient::close_session() {
-  return to_status(wait(client_.close_session()));
+  return to_status(await<Ack>(
+      [&](auto done) { client_.close_session(as_ack(std::move(done))); }));
 }
 
 Result<std::vector<StorageEntry>> SyncClient::list_storages() {
-  return wait(client_.list_storages());
+  return await<std::vector<StorageEntry>>(
+      [&](auto done) { client_.list_storages(std::move(done)); });
 }
 
 Result<std::vector<std::string>> SyncClient::storage_files(
     ajo::JobToken token) {
-  return wait(client_.storage_files(token));
+  return await<std::vector<std::string>>(
+      [&](auto done) { client_.storage_files(token, std::move(done)); });
 }
 
 Result<std::uint64_t> SyncClient::reap_storage(ajo::JobToken token) {
-  return wait(client_.reap_storage(token));
+  return await<std::uint64_t>(
+      [&](auto done) { client_.reap_storage(token, std::move(done)); });
 }
 
 Result<WorkflowRun> SyncClient::one_run(const std::vector<WorkflowStep>& steps,

@@ -1,8 +1,8 @@
 // Blocking facade over UnicoreClient for tests and examples: each call
-// starts the operation through the promise surface and steps the
-// simulation engine until the future settles, turning the asynchronous
-// protocol into plain return values. Only usable from code that owns
-// the engine loop — i.e. drivers, never from inside an event handler.
+// starts the callback operation and steps the simulation engine until
+// its completion fires, turning the asynchronous protocol into plain
+// return values. Only usable from code that owns the engine loop — i.e.
+// drivers, never from inside an event handler.
 #pragma once
 
 #include <optional>
@@ -21,17 +21,35 @@ class SyncClient {
   SyncClient(sim::Engine& engine, UnicoreClient& client)
       : engine_(engine), client_(client) {}
 
-  /// Pumps the engine until `future` settles, then returns its result —
-  /// the bridge from any Future-returning call (UnicoreClient promise
-  /// surface, WorkflowManager::one_run) to straight-line driver code.
-  template <typename T>
-  util::Result<T> wait(Future<T> future) {
-    while (!future.ready() && engine_.step()) {
+  /// Starts a callback operation and pumps the engine until its
+  /// completion fires, then returns the result — the bridge from any
+  /// UnicoreClient operation to straight-line driver code. `start`
+  /// receives the completion callback to pass on:
+  ///
+  ///   sync.await<xfer::TransferStats>([&](auto done) {
+  ///     client.push_tree(token, files, std::move(done));
+  ///   });
+  template <typename T, typename Start>
+  util::Result<T> await(Start&& start) {
+    std::optional<util::Result<T>> result;
+    start([&result](util::Result<T> r) { result = std::move(r); });
+    while (!result.has_value() && engine_.step()) {
     }
-    if (!future.ready())
+    if (!result.has_value())
       return util::make_error(util::ErrorCode::kInternal,
                               "event queue drained before the reply");
-    return future.result();
+    return std::move(*result);
+  }
+
+  /// Pumps the engine until `future` settles — for
+  /// WorkflowManager::one_run, the one call that returns a Future.
+  template <typename T>
+  util::Result<T> wait(Future<T> future) {
+    return await<T>([&future](auto done) {
+      future.then([done = std::move(done)](const util::Result<T>& r) {
+        done(r);
+      });
+    });
   }
 
   util::Status connect(net::Address usite);
@@ -76,21 +94,6 @@ class SyncClient {
   UnicoreClient& async() { return client_; }
 
  private:
-  /// Starts an async operation and pumps the engine until its callback
-  /// fires. `start` receives the completion callback to pass on. Used
-  /// for the few operations without a Future overload.
-  template <typename T, typename Start>
-  util::Result<T> await(Start&& start) {
-    std::optional<util::Result<T>> result;
-    start([&result](util::Result<T> r) { result = std::move(r); });
-    while (!result.has_value() && engine_.step()) {
-    }
-    if (!result.has_value())
-      return util::make_error(util::ErrorCode::kInternal,
-                              "event queue drained before the reply");
-    return std::move(*result);
-  }
-
   sim::Engine& engine_;
   UnicoreClient& client_;
 };

@@ -1034,7 +1034,7 @@ void Njs::stage_edge_files_async(JobRun& job, GroupRun& group,
   }
 
   // Case 3: predecessor ran at a remote Usite — fetch the files over the
-  // NJS–NJS link, one by one.
+  // NJS–NJS link.
   if (!predecessor.remote.has_value() || peer_link_ == nullptr) {
     done(util::make_error(ErrorCode::kUnavailable,
                           "remote sub-job handle unavailable"));
@@ -1044,9 +1044,8 @@ void Njs::stage_edge_files_async(JobRun& job, GroupRun& group,
   JobToken token = job.token;
   GroupRun* group_ptr = &group;
 
-  // One fetch_files call for the whole dependency set: a bundle-capable
-  // peer link answers it with one manifest round trip (docs/DATA.md §3);
-  // the PeerLink default degrades to sequential per-file fetches.
+  // One fetch_files call for the whole dependency set: the server's
+  // peer link answers it with one manifest round trip (docs/DATA.md §3).
   peer_link_->fetch_files(
       handle, files,
       [this, token, group_ptr, names = files, done, epoch = epoch_](

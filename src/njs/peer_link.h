@@ -71,87 +71,18 @@ class PeerLink {
                             std::shared_ptr<const uspace::FileBlob> blob,
                             std::function<void(util::Status)> done) = 0;
 
-  /// Fetches a file from the Uspace of a remote job (dependency files
-  /// produced by a remote predecessor).
-  virtual void fetch_file(const RemoteJobHandle& source,
-                          const std::string& uspace_name,
-                          std::function<void(util::Result<uspace::FileBlob>)>
-                              done) = 0;
-
-  /// Named files of a batch delivery.
-  using Files =
-      std::vector<std::pair<std::string,
-                            std::shared_ptr<const uspace::FileBlob>>>;
-
-  /// Delivers many files into one remote Uspace. The default walks
-  /// deliver_file sequentially; links with the chunked transfer engine
-  /// override this with one manifest round trip for the whole batch.
-  /// Calling with an empty vector succeeds immediately.
-  virtual void deliver_files(const RemoteJobHandle& target, Files files,
-                             std::function<void(util::Status)> done) {
-    deliver_files_sequential(target, std::move(files), 0, std::move(done));
-  }
-
-  /// Fetches many files from one remote Uspace, in request order. The
-  /// default walks fetch_file sequentially; links with the transfer engine
-  /// override.
+  /// Fetches many files from the Uspace of a remote job (the dependency
+  /// files a remote predecessor produced), in request order. An empty
+  /// `names` succeeds immediately.
   virtual void fetch_files(
       const RemoteJobHandle& source, std::vector<std::string> names,
-      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done) {
-    auto blobs = std::make_shared<std::vector<uspace::FileBlob>>();
-    blobs->reserve(names.size());
-    fetch_files_sequential(source, std::move(names), blobs, std::move(done));
-  }
+      std::function<void(util::Result<std::vector<uspace::FileBlob>>)>
+          done) = 0;
 
   /// Forwards a control command (abort/hold/release/delete).
   virtual void control(const RemoteJobHandle& target,
                        ajo::ControlService::Command command,
                        std::function<void(util::Status)> done) = 0;
-
- private:
-  void deliver_files_sequential(const RemoteJobHandle& target, Files files,
-                                std::size_t next,
-                                std::function<void(util::Status)> done) {
-    if (next >= files.size()) {
-      done(util::Status());
-      return;
-    }
-    auto name = files[next].first;
-    auto blob = files[next].second;
-    deliver_file(target, name, std::move(blob),
-                 [this, target, files = std::move(files), next,
-                  done = std::move(done)](util::Status status) mutable {
-                   if (!status.ok()) {
-                     done(std::move(status));
-                     return;
-                   }
-                   deliver_files_sequential(target, std::move(files), next + 1,
-                                            std::move(done));
-                 });
-  }
-
-  void fetch_files_sequential(
-      const RemoteJobHandle& source, std::vector<std::string> names,
-      std::shared_ptr<std::vector<uspace::FileBlob>> blobs,
-      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done) {
-    if (blobs->size() >= names.size()) {
-      done(std::move(*blobs));
-      return;
-    }
-    std::string name = names[blobs->size()];
-    fetch_file(source, name,
-               [this, source, names = std::move(names), blobs,
-                done = std::move(done)](
-                   util::Result<uspace::FileBlob> blob) mutable {
-                 if (!blob.ok()) {
-                   done(blob.error());
-                   return;
-                 }
-                 blobs->push_back(std::move(blob).value());
-                 fetch_files_sequential(source, std::move(names), blobs,
-                                        std::move(done));
-               });
-  }
 };
 
 }  // namespace unicore::njs

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "ajo/codec.h"
+#include "server/reply_table.h"
 #include "util/log.h"
 
 namespace unicore::server {
@@ -35,11 +36,6 @@ struct UsiteServer::ClientSession {
 };
 
 struct UsiteServer::PeerConnection {
-  struct PendingPeer {
-    std::function<void(Result<Bytes>)> handler;
-    std::optional<sim::EventId> timeout;
-    std::size_t slot = 0;  // pool slot the request went out on
-  };
   struct FinalHandler {
     std::function<void(ajo::Outcome)> handler;
     /// The peer's NJS notifies through the session that carried the
@@ -48,9 +44,12 @@ struct UsiteServer::PeerConnection {
     std::size_t slot = 0;
   };
 
-  std::string usite;
+  PeerConnection(sim::Engine& engine, ReplyTable::TimeoutText timeout_text)
+      : replies(engine, std::move(timeout_text)) {}
+
   std::shared_ptr<net::ChannelPool> pool;
-  std::map<std::uint64_t, PendingPeer> pending;
+  /// Requests in flight on any of the pool's slots.
+  ReplyTable replies;
   std::map<std::uint64_t, FinalHandler> finals;
   /// Slot of the most recently dispatched reply; valid only during the
   /// synchronous extent of that reply's handler.
@@ -976,13 +975,21 @@ UsiteServer::PeerConnection& UsiteServer::peer_connection(
   auto it = peer_connections_.find(usite);
   if (it != peer_connections_.end()) return *it->second;
 
-  auto connection = std::make_unique<PeerConnection>();
-  connection->usite = usite;
+  // A lost request or reply must not hang the caller forever: after its
+  // deadline a request fails kTimeout — retryable, and the peer may have
+  // acted, which is why consignments carry idempotency keys.
+  auto connection = std::make_unique<PeerConnection>(engine_, [this, usite] {
+    metrics_
+        ->counter("unicore_peer_request_timeouts_total",
+                  {{"usite", config_.name}})
+        .increment();
+    return "peer request to " + usite + " timed out";
+  });
 
   net::ChannelPool::Config pool_config;
   pool_config.local_host = config_.njs_side_host();
   pool_config.remote = peers_.at(usite);
-  pool_config.size = peer_pool_size_;
+  pool_config.size = kPeerPoolSize;
   pool_config.channel.credential = credential_;
   pool_config.channel.trust = &gateway_.trust_store();
   pool_config.channel.required_peer_usage = crypto::kUsageServerAuth;
@@ -1012,19 +1019,8 @@ void UsiteServer::fail_peer_slot(const std::string& usite, std::size_t slot,
   if (it == peer_connections_.end()) return;
   PeerConnection& connection = *it->second;
   // Only the failed slot's work dies — requests and outcome watchers on
-  // the pool's other slots are untouched. Collect before invoking:
-  // handlers may re-enter and register new work.
-  std::vector<std::function<void(Result<Bytes>)>> failed;
-  for (auto pit = connection.pending.begin();
-       pit != connection.pending.end();) {
-    if (pit->second.slot == slot) {
-      if (pit->second.timeout) engine_.cancel(*pit->second.timeout);
-      failed.push_back(std::move(pit->second.handler));
-      pit = connection.pending.erase(pit);
-    } else {
-      ++pit;
-    }
-  }
+  // the pool's other slots are untouched. Collect the watchers before
+  // failing the requests: handlers may re-enter and register new work.
   std::vector<std::function<void(ajo::Outcome)>> lost_finals;
   for (auto fit = connection.finals.begin();
        fit != connection.finals.end();) {
@@ -1035,7 +1031,7 @@ void UsiteServer::fail_peer_slot(const std::string& usite, std::size_t slot,
       ++fit;
     }
   }
-  for (auto& handler : failed) handler(error);
+  connection.replies.fail(slot, error);
   // Jobs already consigned remotely are reported unsuccessful: the
   // session that would have carried their outcome is gone.
   for (auto& handler : lost_finals) {
@@ -1051,34 +1047,20 @@ void UsiteServer::handle_peer_message(const std::string& usite,
   auto it = peer_connections_.find(usite);
   if (it == peer_connections_.end()) return;
   PeerConnection& connection = *it->second;
+  connection.last_reply_slot = slot;
+  if (connection.replies.resolve(wire)) return;
   try {
     ByteReader reader{wire};
     auto type = static_cast<MessageType>(reader.u8());
-    if (type == MessageType::kReply) {
-      // Decode the whole reply before touching the pending table: a reply
-      // that cannot be decoded is dropped, and its request ends by its
-      // own timeout.
-      std::uint64_t request_id = reader.u64();
-      bool ok = reader.u8() != 0;
-      Result<Bytes> outcome = ok ? Result<Bytes>(reader.raw(reader.remaining()))
-                                 : Result<Bytes>(decode_error(reader));
-      auto handler_it = connection.pending.find(request_id);
-      if (handler_it == connection.pending.end()) return;  // after timeout
-      if (handler_it->second.timeout) engine_.cancel(*handler_it->second.timeout);
-      auto handler = std::move(handler_it->second.handler);
-      connection.pending.erase(handler_it);
-      connection.last_reply_slot = slot;
-      handler(std::move(outcome));
-    } else if (type == MessageType::kNotification) {
-      std::uint64_t token = reader.u64();
-      auto outcome = ajo::Outcome::decode(reader);
-      if (!outcome) return;
-      auto final_it = connection.finals.find(token);
-      if (final_it == connection.finals.end()) return;
-      auto handler = std::move(final_it->second.handler);
-      connection.finals.erase(final_it);
-      handler(std::move(outcome.value()));
-    }
+    if (type != MessageType::kNotification) return;
+    std::uint64_t token = reader.u64();
+    auto outcome = ajo::Outcome::decode(reader);
+    if (!outcome) return;
+    auto final_it = connection.finals.find(token);
+    if (final_it == connection.finals.end()) return;
+    auto handler = std::move(final_it->second.handler);
+    connection.finals.erase(final_it);
+    handler(std::move(outcome.value()));
   } catch (const std::out_of_range&) {
     UNICORE_WARN("server/" + config_.name)
         << "malformed peer message from " << usite;
@@ -1094,31 +1076,10 @@ void UsiteServer::send_peer_request(
     return;
   }
   PeerConnection& connection = peer_connection(usite);
-  std::uint64_t request_id = next_request_id_++;
   std::size_t slot = connection.pool->next_slot();
-  PeerConnection::PendingPeer pending;
-  pending.handler = std::move(on_reply);
-  pending.slot = slot;
-  // A lost request or reply must not hang the caller forever: after the
-  // deadline the request fails kTimeout — retryable, and the peer may
-  // have acted, which is why consignments carry idempotency keys.
-  pending.timeout =
-      engine_.after(peer_request_timeout_, [this, usite, request_id] {
-        auto conn_it = peer_connections_.find(usite);
-        if (conn_it == peer_connections_.end()) return;
-        auto it = conn_it->second->pending.find(request_id);
-        if (it == conn_it->second->pending.end()) return;
-        auto handler = std::move(it->second.handler);
-        conn_it->second->pending.erase(it);
-        metrics_
-            ->counter("unicore_peer_request_timeouts_total",
-                      {{"usite", config_.name}})
-            .increment();
-        handler(util::make_error(ErrorCode::kTimeout,
-                                 "peer request to " + usite + " timed out"));
-      });
-  connection.pending[request_id] = std::move(pending);
-  // A synchronous connect failure fails the entry we just registered
+  std::uint64_t request_id = connection.replies.add(
+      peer_request_timeout_, slot, std::move(on_reply));
+  // A synchronous connect failure fails the request we just registered
   // through the pool's slot-failure callback.
   connection.pool->send_on(slot, make_request(kind, request_id, payload));
 }
@@ -1189,7 +1150,15 @@ void UsiteServer::consign(
           on_accepted(reply.error());
           return;
         }
+        // The reply table calls this outside any try block: check the
+        // token's length instead of letting the reader throw.
         ByteReader reader{reply.value()};
+        if (reader.remaining() < sizeof(ajo::JobToken)) {
+          on_accepted(util::make_error(ErrorCode::kInvalidArgument,
+                                       "malformed consign reply from " +
+                                           usite));
+          return;
+        }
         njs::RemoteJobHandle handle;
         handle.usite = usite;
         handle.token = reader.u64();

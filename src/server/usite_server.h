@@ -149,14 +149,6 @@ class UsiteServer : public njs::PeerLink {
                     const std::string& uspace_name,
                     std::shared_ptr<const uspace::FileBlob> blob,
                     std::function<void(util::Status)> done) override;
-  void fetch_file(const njs::RemoteJobHandle& source,
-                  const std::string& uspace_name,
-                  std::function<void(util::Result<uspace::FileBlob>)> done)
-      override;
-  /// Batch staging: one bundle manifest round trip for the whole set
-  /// through the transfer engine.
-  void deliver_files(const njs::RemoteJobHandle& target, Files files,
-                     std::function<void(util::Status)> done) override;
   void fetch_files(const njs::RemoteJobHandle& source,
                    std::vector<std::string> names,
                    std::function<
@@ -165,6 +157,20 @@ class UsiteServer : public njs::PeerLink {
   void control(const njs::RemoteJobHandle& target,
                ajo::ControlService::Command command,
                std::function<void(util::Status)> done) override;
+
+  // --- file movement outside the NJS's own calls ------------------------
+  /// Named files of a batch delivery.
+  using Files =
+      std::vector<std::pair<std::string,
+                            std::shared_ptr<const uspace::FileBlob>>>;
+  /// Batch staging: one bundle manifest round trip for the whole set
+  /// through the transfer engine. An empty `files` succeeds immediately.
+  void deliver_files(const njs::RemoteJobHandle& target, Files files,
+                     std::function<void(util::Status)> done);
+  /// fetch_files of one name.
+  void fetch_file(const njs::RemoteJobHandle& source,
+                  const std::string& uspace_name,
+                  std::function<void(util::Result<uspace::FileBlob>)> done);
 
   // Diagnostics.
   std::uint64_t requests_served() const { return requests_served_; }
@@ -179,12 +185,6 @@ class UsiteServer : public njs::PeerLink {
   /// Per-request deadline after which a peer request fails kTimeout.
   void set_peer_request_timeout(sim::Time timeout) {
     peer_request_timeout_ = timeout;
-  }
-
-  /// Warm secure channels kept per peer Usite for NJS–NJS requests
-  /// (defaults to 2). Must be set before the first peer request.
-  void set_peer_pool_size(std::size_t size) {
-    peer_pool_size_ = size == 0 ? 1 : size;
   }
 
   /// The listener's session-ticket mint — tests invalidate it to prove
@@ -350,14 +350,14 @@ class UsiteServer : public njs::PeerLink {
 
   std::map<std::string, net::Address> peers_;
   std::map<std::string, std::unique_ptr<PeerConnection>> peer_connections_;
-  std::size_t peer_pool_size_ = 2;
+  /// Warm secure channels kept per peer Usite for NJS–NJS requests.
+  static constexpr std::size_t kPeerPoolSize = 2;
   net::SessionTicketManager ticket_manager_;
   net::SessionCache peer_sessions_;
   std::map<std::string, util::CircuitBreaker> peer_breakers_;
   util::BackoffPolicy peer_backoff_;
   sim::Time peer_request_timeout_ = sim::sec(60);
   std::uint64_t peer_retries_ = 0;
-  std::uint64_t next_request_id_ = 1;
 
   // Split-mode pipe endpoints (gateway-side client, NJS-side server).
   std::shared_ptr<net::Endpoint> pipe_client_;

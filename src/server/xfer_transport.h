@@ -11,29 +11,27 @@
 // The rails draw from a net::ChannelPool: slots connect lazily on
 // first use, reconnect after failure, and — when a SessionCache is
 // wired — resume from the peer's session ticket instead of repeating
-// the full public-key handshake on every rail. Every in-flight request
-// carries its own timeout.
+// the full public-key handshake on every rail. One ReplyTable correlates
+// the replies of every rail; each in-flight request carries its own
+// timeout.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/channel_pool.h"
 #include "net/network.h"
 #include "net/secure_channel.h"
 #include "server/protocol.h"
+#include "server/reply_table.h"
 #include "util/result.h"
 #include "xfer/transfer.h"
 
 namespace unicore::server {
 
-class XferRails : public xfer::ChunkTransport,
-                  public std::enable_shared_from_this<XferRails> {
+class XferRails : public xfer::ChunkTransport {
  public:
   struct Config {
     std::string local_host;  // host the rails connect from
@@ -55,7 +53,7 @@ class XferRails : public xfer::ChunkTransport,
   ~XferRails() override;
 
   // xfer::ChunkTransport
-  std::size_t streams() const override { return rails_.size(); }
+  std::size_t streams() const override { return pool_->size(); }
   void call(std::size_t stream, xfer::Op op, util::Bytes body,
             std::function<void(util::Result<util::Bytes>)> done) override;
 
@@ -69,25 +67,12 @@ class XferRails : public xfer::ChunkTransport,
   std::uint64_t resumptions() const { return pool_->resumptions(); }
 
  private:
-  struct Pending {
-    std::function<void(util::Result<util::Bytes>)> handler;
-    std::optional<sim::EventId> timeout;
-  };
-  struct Rail {
-    std::map<std::uint64_t, Pending> pending;
-  };
-
   XferRails(sim::Engine& engine, net::Network& network, util::Rng& rng,
             Config config);
 
-  void fail_rail(std::size_t index, const util::Error& error);
-  void handle_rail_message(std::size_t index, util::Bytes&& wire);
-
-  sim::Engine& engine_;
   Config config_;
   std::shared_ptr<net::ChannelPool> pool_;
-  std::vector<Rail> rails_;
-  std::uint64_t next_request_id_ = 1;
+  ReplyTable replies_;
 };
 
 /// RequestKind carrying each transfer operation.

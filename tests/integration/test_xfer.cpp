@@ -418,7 +418,9 @@ TEST(XferIntegration, ClientPushTreeStagesInputsAsOneBundle) {
   for (std::size_t i = 0; i < 25; ++i)
     inputs.emplace_back("mesh/part" + std::to_string(i),
                         uspace::FileBlob::synthetic(96 << 10, 700 + i));
-  auto stats = sync.wait(client->push_tree(token.value(), inputs));
+  auto stats = sync.await<xfer::TransferStats>([&](auto done) {
+    client->push_tree(token.value(), inputs, std::move(done));
+  });
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 25u);
   EXPECT_EQ(stats.value().bundles, 1u);
@@ -453,7 +455,9 @@ TEST(XferIntegration, ClientFetchTreeFetchesOutputsAsOneBundle) {
   sites.grid.engine().run();
 
   std::vector<std::string> names{"out0", "out1", "out2"};
-  auto blobs = sync.wait(client->fetch_tree(token.value(), names));
+  auto blobs = sync.await<std::vector<uspace::FileBlob>>([&](auto done) {
+    client->fetch_tree(token.value(), names, std::move(done));
+  });
   ASSERT_TRUE(blobs.ok()) << blobs.error().to_string();
   ASSERT_EQ(blobs.value().size(), 3u);
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -473,8 +477,10 @@ TEST(XferIntegration, ClientFetchTreeFetchesOutputsAsOneBundle) {
   auto legacy_client = sites.make_client(/*transfer_streams=*/0);
   client::SyncClient legacy_sync(sites.grid.engine(), *legacy_client);
   ASSERT_TRUE(legacy_sync.connect(sites.fz->address()).ok());
-  auto legacy = legacy_sync.wait(
-      legacy_client->fetch_tree(token.value(), names));
+  auto legacy =
+      legacy_sync.await<std::vector<uspace::FileBlob>>([&](auto done) {
+        legacy_client->fetch_tree(token.value(), names, std::move(done));
+      });
   ASSERT_TRUE(legacy.ok()) << legacy.error().to_string();
   EXPECT_EQ(legacy_client->output_stats().chunked, 0u);
   EXPECT_EQ(legacy_client->output_stats().legacy, 3u);

@@ -55,14 +55,20 @@ struct FakePeerLink : public PeerLink {
     done(util::Status::ok_status());
   }
 
-  void fetch_file(const RemoteJobHandle&, const std::string& name,
-                  std::function<void(util::Result<uspace::FileBlob>)> done)
+  void fetch_files(
+      const RemoteJobHandle&, std::vector<std::string> names,
+      std::function<void(util::Result<std::vector<uspace::FileBlob>>)> done)
       override {
-    auto it = remote_files.find(name);
-    if (it == remote_files.end())
-      done(util::make_error(util::ErrorCode::kNotFound, "no " + name));
-    else
-      done(it->second);
+    std::vector<uspace::FileBlob> blobs;
+    for (const auto& name : names) {
+      auto it = remote_files.find(name);
+      if (it == remote_files.end()) {
+        done(util::make_error(util::ErrorCode::kNotFound, "no " + name));
+        return;
+      }
+      blobs.push_back(it->second);
+    }
+    done(std::move(blobs));
   }
 
   void control(const RemoteJobHandle&, ajo::ControlService::Command,

@@ -147,15 +147,19 @@ TEST(ServerRequests, TruncatedPayloadGetsErrorNotCrash) {
 
 /// A secure-channel server that answers every request with a truncated
 /// error reply: {kReply, request id, ok = 0} and no error body — 10 bytes
-/// that decode_error cannot read.
+/// that decode_error cannot read. With `ok` = 1 it sends the same 10 bytes
+/// as an ok reply with an empty payload; with no `ok` it answers nothing.
 struct MalformedErrorServer {
   crypto::TrustStore trust;
   crypto::Credential credential;
   std::vector<std::shared_ptr<net::SecureChannel>> channels;
+  std::optional<std::uint8_t> ok;
+  std::size_t requests = 0;
   std::size_t replies = 0;
 
-  MalformedErrorServer(SingleSite& site, net::Address address)
-      : trust(site.grid.make_trust_store()) {
+  MalformedErrorServer(SingleSite& site, net::Address address,
+                       std::optional<std::uint8_t> reply_ok = 0)
+      : trust(site.grid.make_trust_store()), ok(reply_ok) {
     crypto::DistinguishedName subject;
     subject.country = "DE";
     subject.organization = "Test";
@@ -175,13 +179,15 @@ struct MalformedErrorServer {
               [this, weak = std::weak_ptr(channel)](util::Bytes&& wire) {
                 auto self = weak.lock();
                 if (!self) return;
+                ++requests;
+                if (!ok) return;
                 util::ByteReader request(wire);
                 (void)request.u8();  // kRequest
                 (void)request.u8();  // kind
                 util::ByteWriter reply;
                 reply.u8(static_cast<std::uint8_t>(MessageType::kReply));
                 reply.u64(request.u64());
-                reply.u8(0);  // not ok, and no error body follows
+                reply.u8(*ok);  // and no error body or payload follows
                 EXPECT_EQ(reply.bytes().size(), 10u);
                 ++replies;
                 self->send(reply.take());
@@ -245,6 +251,94 @@ TEST(ServerRequests, MalformedErrorReplyEndsThePeerRequestWithAnError) {
   EXPECT_GE(fake.replies, 1u);
   EXPECT_EQ(calls, 1);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(ServerRequests, EmptyOkReplyToAForwardedConsignFailsItsAcceptance) {
+  // {kReply, id, ok = 1} with no job token: the consign must fail, not
+  // leave the sub-job waiting for an acceptance that never comes.
+  SingleSite site(89);
+  MalformedErrorServer fake(site, {"fake.example.de", 4433}, 1);
+  site.server->add_peer("Fake", {"fake.example.de", 4433});
+
+  njs::ForwardedConsignment consignment;
+  consignment.job.set_name("sub-job");
+  consignment.job.vsite = SingleSite::kVsite;
+  consignment.job.user = site.user.certificate.subject;
+  consignment.user_certificate = site.user.certificate;
+
+  int accepted_calls = 0;
+  std::optional<util::ErrorCode> code;
+  site.server->consign(
+      "Fake", consignment,
+      [&](util::Result<njs::RemoteJobHandle> handle) {
+        ++accepted_calls;
+        if (!handle.ok()) code = handle.error().code;
+      },
+      [](ajo::Outcome) {});
+  site.grid.engine().run();
+  EXPECT_EQ(fake.replies, 1u);
+  EXPECT_EQ(accepted_calls, 1);
+  EXPECT_EQ(code, util::ErrorCode::kInvalidArgument);
+}
+
+TEST(ServerRequests, MalformedErrorReplyEndsTheRailsCallByItsTimeout) {
+  SingleSite site(90);
+  MalformedErrorServer fake(site, {"fake.example.de", 4433});
+  XferRails::Config config;
+  config.local_host = "rails.example.de";
+  config.remote = {"fake.example.de", 4433};
+  config.streams = 2;
+  config.credential = site.user;
+  config.trust = &site.client_trust;
+  config.request_timeout = sim::sec(5);
+  auto rails = XferRails::create(site.grid.engine(), site.grid.network(),
+                                 site.grid.rng(), config);
+
+  int calls = 0;
+  std::optional<util::ErrorCode> code;
+  sim::Time fired_at = 0;
+  const sim::Time sent_at = site.grid.engine().now();
+  rails->call(1, xfer::Op::kChunk, {}, [&](util::Result<util::Bytes> reply) {
+    ++calls;
+    if (!reply.ok()) code = reply.error().code;
+    fired_at = site.grid.engine().now();
+  });
+  site.grid.engine().run();
+  EXPECT_EQ(fake.replies, 1u);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, util::ErrorCode::kTimeout);
+  EXPECT_EQ(fired_at - sent_at, config.request_timeout);
+}
+
+TEST(ServerRequests, PeerTimeoutCounterCountsEveryAttemptThatHitItsDeadline) {
+  SingleSite site(91);
+  MalformedErrorServer silent(site, {"silent.example.de", 4433},
+                              std::nullopt);
+  site.server->add_peer("Silent", {"silent.example.de", 4433});
+  site.server->set_peer_request_timeout(sim::sec(5));
+  obs::Counter& timeouts = site.server->metrics()->counter(
+      "unicore_peer_request_timeouts_total",
+      {{"usite", site.server->config().name}});
+  const double before = timeouts.value();
+
+  int calls = 0;
+  util::Status result = util::Status::ok_status();
+  njs::RemoteJobHandle target;
+  target.usite = "Silent";
+  target.token = 7;
+  site.server->control(target, ajo::ControlService::Command::kHold,
+                       [&](util::Status s) {
+                         ++calls;
+                         result = s;
+                       });
+  site.grid.engine().run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(silent.replies, 0u);
+  // Three attempts go unanswered and open the circuit breaker, which
+  // refuses the fourth before it is sent: three deadlines, three counts.
+  EXPECT_EQ(silent.requests, 3u);
+  EXPECT_EQ(timeouts.value() - before, static_cast<double>(silent.requests));
 }
 
 }  // namespace
