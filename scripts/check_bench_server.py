@@ -55,7 +55,8 @@ def drift_of(name, counter, want, got):
                 f"{got['iterations']} (needed to compare {counter})")
     if want[counter] == got[counter]:
         return None
-    return f"{name}: {counter} committed {want[counter]!r}, now {got[counter]!r}"
+    return (f"{name}: {counter} committed {want[counter]!r}, "
+            f"now {got[counter]!r}")
 
 
 def main():

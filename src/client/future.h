@@ -2,8 +2,8 @@
 // call that returns a Future: one_run composes UnicoreClient's callback
 // operations (session, consign, poll, reap) and settles a promise when
 // the whole workflow is done. Portal-style callers attach a then()
-// continuation; drivers block on it with SyncClient::wait(). Every other
-// client operation takes a completion callback.
+// continuation; straight-line code blocks on it with SyncClient::wait().
+// Every other client operation takes a completion callback.
 //
 // Single-threaded by design — the simulation engine drives everything
 // on one thread, so the shared state needs no locking. A future settles

@@ -1,8 +1,8 @@
 // Blocking facade over UnicoreClient for tests and examples: each call
 // starts the callback operation and steps the simulation engine until
 // its completion fires, turning the asynchronous protocol into plain
-// return values. Only usable from code that owns the engine loop — i.e.
-// drivers, never from inside an event handler.
+// return values. Only usable from code that owns the engine loop — tests,
+// examples and benches — never from inside an event handler.
 #pragma once
 
 #include <optional>
@@ -23,7 +23,7 @@ class SyncClient {
 
   /// Starts a callback operation and pumps the engine until its
   /// completion fires, then returns the result — the bridge from any
-  /// UnicoreClient operation to straight-line driver code. `start`
+  /// UnicoreClient operation to straight-line code. `start`
   /// receives the completion callback to pass on:
   ///
   ///   sync.await<xfer::TransferStats>([&](auto done) {

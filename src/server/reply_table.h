@@ -40,15 +40,15 @@ class ReplyTable {
   /// slot, and with it this request.
   std::uint64_t add(sim::Time timeout, std::size_t slot, Handler handler);
 
-  /// Takes one inbound message. A kReply is decoded whole, then resolves
-  /// its request; one that cannot be decoded, or whose request already
-  /// ended, is dropped, and its request ends by its own deadline.
-  /// Returns false, leaving the message to the owner, when it is not a
-  /// kReply.
+  /// Takes one inbound message. A kReply is decoded whole before its
+  /// request is touched, then resolves it. A reply that cannot be
+  /// decoded is dropped, and its request ends by its own deadline; so is
+  /// a reply whose request already ended. Returns false, leaving the
+  /// message to the owner, when it is not a kReply.
   bool resolve(util::ByteView wire);
 
-  /// Fails every request sent on `slot`, in id order; requests that the
-  /// handlers add meanwhile stay.
+  /// Fails every request sent on `slot`, in id order. Requests that the
+  /// handlers add meanwhile stay, here and in fail_all().
   void fail(std::size_t slot, const util::Error& error);
   /// Fails every request, in id order.
   void fail_all(const util::Error& error);

@@ -6,7 +6,6 @@ namespace unicore::server {
 
 using util::Bytes;
 using util::Error;
-using util::ErrorCode;
 using util::Result;
 
 RequestKind xfer_request_kind(xfer::Op op) {
@@ -49,14 +48,6 @@ XferRails::XferRails(sim::Engine& engine, net::Network& network,
   pool_config.channel.session_cache = config_.session_cache;
   pool_ = net::ChannelPool::create(engine, network, rng,
                                    std::move(pool_config));
-}
-
-XferRails::~XferRails() = default;
-
-void XferRails::shutdown() {
-  pool_->shutdown();  // fires no failure callbacks; fail requests below
-  replies_.fail_all(
-      util::make_error(ErrorCode::kUnavailable, "transfer rails shut down"));
 }
 
 void XferRails::call(std::size_t stream, xfer::Op op, Bytes body,

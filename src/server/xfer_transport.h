@@ -50,15 +50,10 @@ class XferRails : public xfer::ChunkTransport {
                                            net::Network& network,
                                            util::Rng& rng, Config config);
 
-  ~XferRails() override;
-
   // xfer::ChunkTransport
   std::size_t streams() const override { return pool_->size(); }
   void call(std::size_t stream, xfer::Op op, util::Bytes body,
             std::function<void(util::Result<util::Bytes>)> done) override;
-
-  /// Closes every rail; pending requests fail kUnavailable.
-  void shutdown();
 
   /// Handshakes started over the rails' lifetime (> streams() after a
   /// reconnect).
