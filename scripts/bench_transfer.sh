@@ -12,14 +12,13 @@
 #
 # Usage: scripts/bench_transfer.sh [build-dir] [out-file]
 # The build directory defaults to the plain preset's (`cmake --preset
-# plain`). Extra benchmark flags go through BENCH_FLAGS.
+# plain`).
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_transfer.json}"
-FLAGS="${BENCH_FLAGS:-}"
 
-"$BUILD_DIR/bench/bench_transfer" $FLAGS \
+"$BUILD_DIR/bench/bench_transfer" \
   --benchmark_out="$OUT" --benchmark_out_format=json
 
 echo "wrote $OUT"
