@@ -45,11 +45,12 @@ class SyncClient {
   /// WorkflowManager::one_run, the one call that returns a Future.
   template <typename T>
   util::Result<T> wait(Future<T> future) {
-    return await<T>([&future](auto done) {
-      future.then([done = std::move(done)](const util::Result<T>& r) {
-        done(r);
-      });
-    });
+    while (!future.ready() && engine_.step()) {
+    }
+    if (!future.ready())
+      return util::make_error(util::ErrorCode::kInternal,
+                              "event queue drained before the reply");
+    return future.result();
   }
 
   util::Status connect(net::Address usite);

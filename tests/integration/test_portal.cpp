@@ -367,6 +367,32 @@ TEST(Workflow, OneRunExecutesDagAndCollectsSteps) {
   EXPECT_GE(site.server->session_broker().opened(), 1u);
 }
 
+TEST(Workflow, SyncWaitAttachesNoContinuation) {
+  SingleSite site;
+  auto async_client = site.make_client();
+  client::SyncClient client(site.grid.engine(), *async_client);
+
+  // A continuation the caller attached before blocking still fires.
+  client::Promise<int> promise;
+  auto future = promise.future();
+  int seen = 0;
+  future.then([&seen](const util::Result<int>& r) { seen = r.value(); });
+  site.grid.engine().after(sim::sec(1), [promise] { promise.set(7); });
+  auto result = client.wait(future);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value(), 7);
+  EXPECT_EQ(seen, 7);
+
+  // The engine drains before this future settles: wait reports it, and
+  // the later settlement finds nothing of wait's left behind.
+  client::Promise<int> late;
+  auto unsettled = client.wait(late.future());
+  ASSERT_FALSE(unsettled.ok());
+  EXPECT_EQ(unsettled.error().code, util::ErrorCode::kInternal);
+  late.set(1);
+  EXPECT_EQ(seen, 7);
+}
+
 TEST(Workflow, OneRunWithoutSessionUsesSignedConsign) {
   SingleSite site;
   auto async_client = site.make_client();
