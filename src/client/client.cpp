@@ -124,8 +124,8 @@ void UnicoreClient::connect(net::Address usite,
             [this](Bytes&& wire) { replies_.resolve(wire); });
         channel_->set_close_handler([this] {
           established_ = false;
-          replies_.fail_all(util::make_error(ErrorCode::kUnavailable,
-                                             "connection to Usite lost"));
+          replies_.fail(0, util::make_error(ErrorCode::kUnavailable,
+                                            "connection to Usite lost"));
         });
         done(Status::ok_status());
       });
@@ -161,8 +161,8 @@ void UnicoreClient::disconnect() {
   channel_.reset();
   established_ = false;
   transport_.reset();  // drops the rails toward the old Usite
-  replies_.fail_all(
-      util::make_error(ErrorCode::kUnavailable, "client disconnected"));
+  replies_.fail(
+      0, util::make_error(ErrorCode::kUnavailable, "client disconnected"));
 }
 
 void UnicoreClient::send_request(

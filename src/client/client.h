@@ -497,7 +497,7 @@ class UnicoreClient {
   net::SessionCache sessions_;
   bool established_ = false;
 
-  /// Requests in flight on the main channel (one slot).
+  /// Requests in flight on the main channel, all on slot 0.
   server::ReplyTable replies_;
   std::uint64_t requests_sent_ = 0;
 

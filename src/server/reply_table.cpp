@@ -79,12 +79,4 @@ void ReplyTable::fail(std::size_t slot, const util::Error& error) {
   for (auto& handler : failed) handler(error);
 }
 
-void ReplyTable::fail_all(const util::Error& error) {
-  auto failed = std::move(requests_);
-  requests_.clear();
-  failed_ += failed.size();
-  for (auto& [id, request] : failed) engine_.cancel(request.deadline);
-  for (auto& [id, request] : failed) request.handler(error);
-}
-
 }  // namespace unicore::server

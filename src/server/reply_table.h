@@ -5,8 +5,9 @@
 //
 // The table numbers its requests (ids unique per table), arms one
 // deadline per request, decodes a whole kReply before resolving its
-// request, and fails the requests of one pool slot or all of them. Every
-// request ends exactly once: by its reply, its deadline or a failure.
+// request, and fails the requests of one pool slot (a single channel is
+// slot 0). Every request ends exactly once: by its reply, its deadline
+// or a failure.
 // Handlers run outside any try block, so none may throw.
 #pragma once
 
@@ -48,15 +49,11 @@ class ReplyTable {
   bool resolve(util::ByteView wire);
 
   /// Fails every request sent on `slot`, in id order. Requests that the
-  /// handlers add meanwhile stay, here and in fail_all().
+  /// handlers add meanwhile stay.
   void fail(std::size_t slot, const util::Error& error);
-  /// Fails every request, in id order.
-  void fail_all(const util::Error& error);
 
-  /// Requests still waiting for their reply.
-  std::size_t size() const { return requests_.size(); }
-  /// Requests that ended by their deadline or by fail()/fail_all(). A
-  /// reply, an error reply too, never counts.
+  /// Requests that ended by their deadline or by fail(). A reply, an
+  /// error reply too, never counts.
   std::uint64_t failed() const { return failed_; }
 
  private:

@@ -1,12 +1,13 @@
 // ReplyTable: request ids, one deadline per request, whole-reply
-// decoding before resolution, and slot-scoped or total failure — the
-// correlation the client, the peer links and the transfer rails share.
+// decoding before resolution, and slot-scoped failure — the correlation
+// the client, the peer links and the transfer rails share.
 #include "server/reply_table.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "server/protocol.h"
@@ -40,7 +41,7 @@ TEST_F(ReplyTableFixture, DeadlineFiresOnceExactlyTimeoutAfterAdd) {
   engine.run_until(sim::sec(1));
   Outcomes outcome;
   table.add(sim::sec(5), 0, outcome.handler(engine));
-  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(engine.pending(), 1u);
   engine.run();
   ASSERT_EQ(outcome.results.size(), 1u);
   ASSERT_FALSE(outcome.results[0].ok());
@@ -48,7 +49,7 @@ TEST_F(ReplyTableFixture, DeadlineFiresOnceExactlyTimeoutAfterAdd) {
   EXPECT_EQ(outcome.results[0].error().message, "test request timed out");
   EXPECT_EQ(outcome.times[0], sim::sec(6));
   EXPECT_EQ(timeouts, 1);
-  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(engine.pending(), 0u);
   EXPECT_EQ(table.failed(), 1u);
 }
 
@@ -57,7 +58,7 @@ TEST_F(ReplyTableFixture, IdsAreUniquePerTable) {
   std::uint64_t first = table.add(sim::sec(5), 0, outcome.handler(engine));
   std::uint64_t second = table.add(sim::sec(5), 1, outcome.handler(engine));
   EXPECT_NE(first, second);
-  table.fail_all(util::make_error(util::ErrorCode::kUnavailable, "done"));
+  table.fail(0, util::make_error(util::ErrorCode::kUnavailable, "done"));
   EXPECT_NE(table.add(sim::sec(5), 0, outcome.handler(engine)), first);
 }
 
@@ -113,7 +114,7 @@ TEST_F(ReplyTableFixture, UndecodableReplyIsDroppedAndEndsByItsDeadline) {
   EXPECT_FALSE(table.resolve(make_request(RequestKind::kList, id, {})));
 
   EXPECT_TRUE(outcome.results.empty());
-  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(engine.pending(), 1u);  // its deadline is still armed
   engine.run();
   ASSERT_EQ(outcome.results.size(), 1u);
   ASSERT_FALSE(outcome.results[0].ok());
@@ -122,8 +123,9 @@ TEST_F(ReplyTableFixture, UndecodableReplyIsDroppedAndEndsByItsDeadline) {
 }
 
 TEST_F(ReplyTableFixture, FailSlotFailsOnlyThatSlotInIdOrder) {
-  // (id, ok) of every completion, in the order the handlers ran.
-  std::vector<std::pair<std::uint64_t, bool>> ended;
+  // (id, error text; empty for a reply) of every completion, in the
+  // order the handlers ran.
+  std::vector<std::pair<std::uint64_t, std::string>> ended;
   std::vector<std::uint64_t> ids(4);
   Outcomes added;
   std::optional<std::uint64_t> added_id;
@@ -131,7 +133,8 @@ TEST_F(ReplyTableFixture, FailSlotFailsOnlyThatSlotInIdOrder) {
     std::size_t slot = i % 2;
     ids[i] = table.add(sim::sec(5), slot,
                        [&, i](util::Result<util::Bytes> result) {
-                         ended.emplace_back(ids[i], result.ok());
+                         ended.emplace_back(
+                             ids[i], result.ok() ? "" : result.error().message);
                          // A request added on the failing slot during the
                          // sweep is not part of it.
                          if (!added_id)
@@ -140,38 +143,18 @@ TEST_F(ReplyTableFixture, FailSlotFailsOnlyThatSlotInIdOrder) {
                        });
   }
   table.fail(0, util::make_error(util::ErrorCode::kUnavailable, "slot 0 lost"));
-  EXPECT_EQ(ended, (std::vector<std::pair<std::uint64_t, bool>>{
-                       {ids[0], false}, {ids[2], false}}));
+  EXPECT_EQ(ended, (std::vector<std::pair<std::uint64_t, std::string>>{
+                       {ids[0], "slot 0 lost"}, {ids[2], "slot 0 lost"}}));
   ASSERT_TRUE(added_id.has_value());
   EXPECT_TRUE(added.results.empty());
-  EXPECT_EQ(table.size(), 3u);  // slot 1's two plus the added one
+  // Deadlines left: slot 1's two plus the added request's.
+  EXPECT_EQ(engine.pending(), 3u);
   EXPECT_EQ(table.failed(), 2u);
 
   // Slot 1's requests still resolve by their replies.
   EXPECT_TRUE(table.resolve(make_ok_reply(ids[1], {})));
   ASSERT_EQ(ended.size(), 3u);
-  EXPECT_EQ(ended.back(), std::make_pair(ids[1], true));
-}
-
-TEST_F(ReplyTableFixture, FailAllFailsEveryRequest) {
-  Outcomes outcome;
-  for (std::size_t slot = 0; slot < 3; ++slot)
-    table.add(sim::sec(5), slot, outcome.handler(engine));
-  Outcomes added;
-  table.add(sim::sec(5), 0, [&](util::Result<util::Bytes>) {
-    table.add(sim::sec(5), 0, added.handler(engine));
-  });
-  table.fail_all(util::make_error(util::ErrorCode::kUnavailable, "closed"));
-  ASSERT_EQ(outcome.results.size(), 3u);
-  for (const auto& result : outcome.results) {
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().code, util::ErrorCode::kUnavailable);
-  }
-  EXPECT_EQ(table.failed(), 4u);
-  // Only the request its handler added during the sweep is left.
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_TRUE(added.results.empty());
-  EXPECT_EQ(engine.pending(), 1u);  // the failed requests' deadlines are gone
+  EXPECT_EQ(ended.back(), std::make_pair(ids[1], std::string()));
 }
 
 TEST(ReplyTable, DeadlinesOfADestroyedTableAreInert) {
