@@ -219,8 +219,9 @@ void BM_RemoteFetchFile(benchmark::State& state) {
   }
 
   bool warm = false;
-  juelich->fetch_file(handle, "big.out",
-                      [&](util::Result<uspace::FileBlob>) { warm = true; });
+  juelich->fetch_files(
+      handle, {"big.out"},
+      [&](util::Result<std::vector<uspace::FileBlob>>) { warm = true; });
   while (!warm && env.grid.engine().step()) {
   }
 
@@ -230,11 +231,12 @@ void BM_RemoteFetchFile(benchmark::State& state) {
     sim::Time start = env.grid.engine().now();
     bool done = false;
     bool replied = false;
-    juelich->fetch_file(handle, "big.out",
-                        [&](util::Result<uspace::FileBlob> result) {
-                          replied = true;
-                          done = result.ok();
-                        });
+    juelich->fetch_files(
+        handle, {"big.out"},
+        [&](util::Result<std::vector<uspace::FileBlob>> result) {
+          replied = true;
+          done = result.ok();
+        });
     while (!replied && env.grid.engine().step()) {
     }
     if (!done) state.SkipWithError("fetch failed");

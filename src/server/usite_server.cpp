@@ -1290,19 +1290,6 @@ void UsiteServer::deliver_file(const njs::RemoteJobHandle& target,
     push_files(target, std::move(files), std::move(done));
 }
 
-void UsiteServer::fetch_file(
-    const njs::RemoteJobHandle& source, const std::string& uspace_name,
-    std::function<void(Result<uspace::FileBlob>)> done) {
-  fetch_files(source, {uspace_name},
-              [done = std::move(done)](
-                  Result<std::vector<uspace::FileBlob>> blobs) {
-                if (!blobs)
-                  done(blobs.error());
-                else
-                  done(std::move(blobs.value().front()));
-              });
-}
-
 void UsiteServer::deliver_files(const njs::RemoteJobHandle& target,
                                 Files files, std::function<void(Status)> done) {
   for (const auto& [name, blob] : files) {

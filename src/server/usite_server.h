@@ -167,10 +167,6 @@ class UsiteServer : public njs::PeerLink {
   /// through the transfer engine. An empty `files` succeeds immediately.
   void deliver_files(const njs::RemoteJobHandle& target, Files files,
                      std::function<void(util::Status)> done);
-  /// fetch_files of one name.
-  void fetch_file(const njs::RemoteJobHandle& source,
-                  const std::string& uspace_name,
-                  std::function<void(util::Result<uspace::FileBlob>)> done);
 
   // Diagnostics.
   std::uint64_t requests_served() const { return requests_served_; }
