@@ -23,7 +23,9 @@
 //
 // `cold_virtual_ms` / `warm_virtual_ms` are simulated elapsed times;
 // `speedup` is their ratio; `warm_payload_chunks` counts chunk messages
-// the warm restage actually moved (the headline: 0).
+// the warm restage actually moved (the headline: 0). Every virtual-time
+// row runs one pinned iteration, so its counters are deterministic and
+// CI compares them exactly against the committed BENCH_store.json.
 #include <benchmark/benchmark.h>
 
 #include "common/test_env.h"
@@ -173,7 +175,8 @@ BENCHMARK(BM_DatasetRestageColdVsWarm)
     ->Arg(16 << 20)
     ->Arg(256 << 20)
     ->Arg(1 << 30)
-    ->Arg(4LL << 30);
+    ->Arg(4LL << 30)
+    ->Iterations(1);
 
 /// The same comparison for a directory of many small files.
 void BM_SmallFilesRestageColdVsWarm(benchmark::State& state) {
@@ -222,7 +225,8 @@ BENCHMARK(BM_SmallFilesRestageColdVsWarm)
     ->Arg(100)
     ->Arg(1'000)
     ->Arg(10'000)
-    ->Arg(100'000);
+    ->Arg(100'000)
+    ->Iterations(1);
 
 /// One bundle for the whole tree vs one transfer per file, for the
 /// same directory of 16 KiB files. The per-file leg calls deliver_file

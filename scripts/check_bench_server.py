@@ -21,8 +21,12 @@ BM_ServerSmallRecordBatching/records:N coalesces N records into one
 frame. They hold at any --benchmark_min_time, so a CI smoke run can be
 checked against the committed file. bench_transfer pins every row's
 iterations, so its virtual_ms (simulated milliseconds per transfer) is
-compared as a plain value. Wall-clock fields are never compared. Exits 0
-when every shared row matches and at least one row is shared.
+compared as a plain value. A COUNTER that a row has in neither file is
+skipped on that row, so one call can gate counters that only some rows
+report (BENCH_store.json's restage rows and its spill row); each COUNTER
+must still appear on at least one shared row, and a row that has it in
+one file but not the other drifts. Wall-clock fields are never compared.
+Exits 0 when every shared row matches and at least one row is shared.
 """
 
 import json
@@ -39,10 +43,21 @@ def rows(path):
             if b.get("run_type", "iteration") == "iteration"}
 
 
+def field_of(counter):
+    if counter.endswith(PER_ITERATION):
+        return counter[:-len(PER_ITERATION)]
+    return counter
+
+
 def drift_of(name, counter, want, got):
     """One line describing how `counter` moved on row `name`, or None."""
+    field = field_of(counter)
+    if field not in want and field not in got:
+        return None  # a counter of other rows (checked below that some row has it)
+    if field not in want or field not in got:
+        return (f"{name}: {field} committed {want.get(field)!r}, "
+                f"now {got.get(field)!r}")
     if counter.endswith(PER_ITERATION):
-        field = counter[:-len(PER_ITERATION)]
         # Cross-multiplied, so the comparison of the two ratios is exact.
         if (want[field] * got["iterations"] ==
                 got[field] * want["iterations"]):
@@ -75,6 +90,9 @@ def main():
             line = drift_of(name, counter, committed[name], current[name])
             if line is not None:
                 drift.append(line)
+    for counter in counters:
+        if not any(field_of(counter) in committed[name] for name in shared):
+            drift.append(f"{counter}: on no row in both files")
     for line in drift:
         print("DRIFT", line)
     if drift:
