@@ -1,5 +1,7 @@
 #include "crypto/chunk_digest.h"
 
+#include <algorithm>
+
 namespace unicore::crypto {
 
 Digest chunk_content_digest(util::ByteView payload) {
@@ -28,6 +30,39 @@ std::uint32_t chunk_length(std::uint64_t size, std::uint32_t chunk_bytes,
   std::uint64_t remaining = size > offset ? size - offset : 0;
   return static_cast<std::uint32_t>(
       remaining < chunk_bytes ? remaining : chunk_bytes);
+}
+
+Digest file_identity(std::uint64_t size, std::span<const Digest> digests) {
+  util::ByteWriter header;
+  header.str("unicore-file-identity");
+  header.u64(size);
+  Sha256 hasher;
+  hasher.update(header.bytes());
+  for (const Digest& digest : digests) hasher.update(digest);
+  return hasher.finish();
+}
+
+void FileHasher::update(util::ByteView bytes) {
+  size_ += bytes.size();
+  while (!bytes.empty()) {
+    std::size_t take =
+        std::min<std::size_t>(bytes.size(), kFileChunkBytes - chunk_fill_);
+    chunk_.update(bytes.first(take));
+    bytes = bytes.subspan(take);
+    chunk_fill_ += static_cast<std::uint32_t>(take);
+    if (chunk_fill_ == kFileChunkBytes) {
+      digests_.push_back(chunk_.finish());
+      chunk_ = Sha256();
+      chunk_fill_ = 0;
+    }
+  }
+}
+
+Digest FileHasher::finish() {
+  // A partial last chunk closes here, and so does the one empty chunk
+  // of an empty file.
+  if (chunk_fill_ > 0 || digests_.empty()) digests_.push_back(chunk_.finish());
+  return file_identity(size_, digests_);
 }
 
 }  // namespace unicore::crypto

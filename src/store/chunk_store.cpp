@@ -177,8 +177,15 @@ Result<util::Bytes> ChunkStore::read(const crypto::Digest& digest) {
                         "chunk spilled but the spill backend is gone");
     auto data = spill_->read(digest);
     if (!data.ok()) return data.error();
+    // The cold tier is outside the store: its bytes must still be the
+    // chunk filed under this digest before they count as it again. A
+    // chunk that fails stays spilled and the accounting stays as it was.
+    if (data.value().size() != rec.length ||
+        crypto::chunk_content_digest(data.value()) != digest)
+      return make_error(ErrorCode::kInternal,
+                        "spilled chunk failed its digest check");
     spill_->erase(digest);
-    rec.data = std::move(data).value();
+    rec.data = data.value();
     rec.spilled = false;
     rec.lru_seq = next_seq_++;
     lru_.emplace(rec.lru_seq, digest);
@@ -188,9 +195,11 @@ Result<util::Bytes> ChunkStore::read(const crypto::Digest& digest) {
     if (metrics_ != nullptr)
       metrics_->counter("unicore_store_faults_total", {{"site", site_}})
           .increment();
+    // The eviction below may spill this very chunk again (a budget
+    // smaller than one chunk), so the caller gets the verified copy.
     maybe_evict();
     refresh_gauges();
-    return rec.data;
+    return data;
   }
   touch(digest, rec);
   return rec.data;
@@ -296,7 +305,8 @@ Status PinnedBlob::read_range(std::uint64_t offset, std::uint64_t length,
 
 Result<std::shared_ptr<const PinnedBlob>> intern_bytes(
     std::shared_ptr<ChunkStore> chunk_store, util::ByteView content,
-    const crypto::Digest& checksum, std::uint32_t chunk_bytes) {
+    const crypto::Digest& checksum, std::uint32_t chunk_bytes,
+    std::span<const crypto::Digest> digests) {
   if (chunk_bytes == 0)
     return make_error(ErrorCode::kInvalidArgument, "chunk_bytes must be > 0");
   BlobManifest manifest;
@@ -304,11 +314,13 @@ Result<std::shared_ptr<const PinnedBlob>> intern_bytes(
   manifest.checksum = checksum;
   manifest.chunk_bytes = chunk_bytes;
   std::uint64_t count = crypto::chunk_count(manifest.size, chunk_bytes);
+  bool held = digests.size() == count;
   manifest.chunks.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint32_t length = manifest.length_of(i);
     util::ByteView piece(content.data() + i * chunk_bytes, length);
-    crypto::Digest digest = crypto::chunk_content_digest(piece);
+    crypto::Digest digest =
+        held ? digests[i] : crypto::chunk_content_digest(piece);
     util::Status added = chunk_store->add_chunk(digest, piece);
     if (!added.ok()) {
       // Unwind the refs taken so far; the store stays exact.

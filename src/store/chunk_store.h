@@ -16,7 +16,8 @@
 //   - deleting the last file referencing a chunk reclaims its physical
 //     bytes exactly (refcount-zero free);
 //   - a resident-bytes budget spills cold chunks to a pluggable
-//     SpillBackend (disk tier) and faults them back on read.
+//     SpillBackend (disk tier) and faults them back on read, checking
+//     each one against its digest and length first.
 //
 // Quota semantics: Volume/Uspace quotas keep charging *logical* bytes
 // (what the user sees); the store tracks *physical* bytes (what the
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,10 +39,11 @@
 
 namespace unicore::store {
 
-/// Chunk granularity for locally interned files. Matches the transfer
-/// wire's default chunk size so files staged over the rails and files
-/// written locally dedup against each other.
-constexpr std::uint32_t kDefaultStoreChunkBytes = 1024 * 1024;
+/// Chunk granularity for locally interned files: the granularity of a
+/// file's identity, which is also the transfer wire's default chunk
+/// size, so files staged over the rails and files written locally dedup
+/// against each other and share their digests.
+constexpr std::uint32_t kDefaultStoreChunkBytes = crypto::kFileChunkBytes;
 
 /// The cold tier: where evicted chunk payloads go. Implementations
 /// model a disk (or object store); the in-memory one backs tests and
@@ -162,7 +165,10 @@ class ChunkStore {
 
   /// Payload bytes of a real chunk, faulting it back from the spill
   /// tier when evicted. kNotFound for absent chunks,
-  /// kFailedPrecondition for synthetic ones (they have no bytes).
+  /// kFailedPrecondition for synthetic ones (they have no bytes),
+  /// kInternal when the spill tier is gone or returns bytes that do not
+  /// match the digest and length (the chunk then stays spilled). So
+  /// every byte read returns is the chunk filed under `digest`.
   util::Result<util::Bytes> read(const crypto::Digest& digest);
 
   /// Declared byte length of a chunk (real or synthetic).
@@ -230,10 +236,14 @@ class PinnedBlob {
 
 /// Chunks `content` at `chunk_bytes`, interns every chunk (dedup-aware)
 /// and returns the pinned manifest. `checksum` is the whole-file
-/// identity recorded in the manifest.
+/// identity recorded in the manifest. `digests`, when the caller holds
+/// them, are the chunk digests at `chunk_bytes` computed from these very
+/// bytes (FileBlob::held_digests) and key the chunks without a second
+/// hash; otherwise each chunk is hashed here.
 util::Result<std::shared_ptr<const PinnedBlob>> intern_bytes(
     std::shared_ptr<ChunkStore> chunk_store, util::ByteView content,
-    const crypto::Digest& checksum, std::uint32_t chunk_bytes);
+    const crypto::Digest& checksum, std::uint32_t chunk_bytes,
+    std::span<const crypto::Digest> digests = {});
 
 /// Interns a synthetic file of `size` identified bytes: every chunk is
 /// a zero-footprint synthetic record keyed by its synthetic digest.

@@ -1,14 +1,28 @@
 #include "uspace/blob.h"
 
+#include <stdexcept>
+
 #include "crypto/chunk_digest.h"
 
 namespace unicore::uspace {
 
 FileBlob FileBlob::from_bytes(util::Bytes content) {
+  crypto::FileHasher hasher;
+  hasher.update(content);
+  crypto::Digest identity = hasher.finish();
+  return from_verified(std::move(content), std::move(hasher.digests()),
+                       identity);
+}
+
+FileBlob FileBlob::from_verified(util::Bytes content,
+                                 std::vector<crypto::Digest> digests,
+                                 const crypto::Digest& identity) {
   FileBlob blob;
   blob.size_ = content.size();
-  blob.checksum_ = crypto::sha256(content);
+  blob.checksum_ = identity;
   blob.content_ = std::move(content);
+  blob.digests_ =
+      std::make_shared<const std::vector<crypto::Digest>>(std::move(digests));
   return blob;
 }
 
@@ -62,12 +76,24 @@ util::Status FileBlob::read_range(std::uint64_t offset, std::uint64_t length,
   return util::Status::ok_status();
 }
 
+std::span<const crypto::Digest> FileBlob::held_digests(
+    std::uint32_t chunk_bytes) const {
+  if (stored_ != nullptr) {
+    const store::BlobManifest& manifest = stored_->manifest();
+    if (manifest.chunk_bytes == chunk_bytes) return manifest.chunks;
+    return {};
+  }
+  if (digests_ != nullptr && chunk_bytes == crypto::kFileChunkBytes)
+    return *digests_;
+  return {};
+}
+
 std::vector<crypto::Digest> FileBlob::chunk_digests(
     std::uint32_t chunk_bytes) const {
   std::vector<crypto::Digest> digests;
   if (chunk_bytes == 0) return digests;
-  if (stored_ != nullptr && stored_->manifest().chunk_bytes == chunk_bytes)
-    return stored_->manifest().chunks;
+  std::span<const crypto::Digest> held = held_digests(chunk_bytes);
+  if (!held.empty()) return {held.begin(), held.end()};
   std::uint64_t count = crypto::chunk_count(size_, chunk_bytes);
   digests.reserve(count);
   for (std::uint64_t index = 0; index < count; ++index) {
@@ -97,12 +123,16 @@ void FileBlob::encode(util::ByteWriter& w) const {
     w.blob(*content_);
   } else if (stored_ != nullptr && !stored_->manifest().synthetic) {
     // Stored real content crosses the wire as real bytes, one chunk
-    // resident at a time.
+    // resident at a time. A chunk the store cannot produce still keeps
+    // the framing: its zeros fail the receiver's identity check.
     w.varint(size_);
     const store::BlobManifest& manifest = stored_->manifest();
     for (std::uint64_t i = 0; i < manifest.chunks.size(); ++i) {
       auto piece = stored_->chunk(i);
-      if (piece.ok()) w.raw(piece.value());
+      if (piece.ok())
+        w.raw(piece.value());
+      else
+        w.pad(manifest.length_of(i));
     }
   } else {
     // A synthetic blob still costs its logical size on the wire — the
@@ -114,15 +144,20 @@ void FileBlob::encode(util::ByteWriter& w) const {
 }
 
 FileBlob FileBlob::decode(util::ByteReader& r) {
-  FileBlob blob;
   bool synthetic = r.boolean();
-  blob.size_ = r.u64();
-  util::Bytes checksum = r.raw(32);
-  std::copy(checksum.begin(), checksum.end(), blob.checksum_.begin());
-  if (synthetic)
-    r.skip(static_cast<std::size_t>(blob.size_));
-  else
-    blob.content_ = r.blob();
+  std::uint64_t size = r.u64();
+  util::Bytes raw = r.raw(32);
+  crypto::Digest checksum;
+  std::copy(raw.begin(), raw.end(), checksum.begin());
+  if (synthetic) {
+    r.skip(static_cast<std::size_t>(size));
+    return from_identity(size, checksum);
+  }
+  // Real content must be the file it claims to be: the identity is
+  // recomputed from the bytes, never copied from the wire.
+  FileBlob blob = from_bytes(r.blob());
+  if (blob.size_ != size || blob.checksum_ != checksum)
+    throw std::out_of_range("FileBlob: content does not match its identity");
   return blob;
 }
 
@@ -134,7 +169,7 @@ std::shared_ptr<const FileBlob> intern_blob(
   util::Result<std::shared_ptr<const store::PinnedBlob>> pinned =
       blob->bytes() != nullptr
           ? store::intern_bytes(chunk_store, *blob->bytes(), blob->checksum(),
-                                chunk_bytes)
+                                chunk_bytes, blob->held_digests(chunk_bytes))
           : store::intern_synthetic(chunk_store, blob->size(),
                                     blob->checksum(), chunk_bytes);
   if (!pinned.ok()) return blob;

@@ -7,6 +7,12 @@
 // data-integrity invariants (import → transfer → export preserves
 // content) are tested against.
 //
+// A real file's identity is crypto::file_identity over its size and its
+// chunk digests at crypto::kFileChunkBytes. A blob computes both in the
+// one pass that reads its bytes and keeps the digests, so a transfer,
+// the chunk store and the receiver's final check reuse them instead of
+// hashing the content again.
+//
 // A third backing exists on sites with a content-addressed store
 // (store/chunk_store.h): a *stored* blob holds no bytes of its own,
 // only a pinned manifest of chunk digests. Its chunks are shared with
@@ -18,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,12 +33,18 @@
 #include "util/bytes.h"
 #include "util/result.h"
 
+namespace unicore::xfer {
+class Assembly;
+}
+
 namespace unicore::uspace {
 
 class FileBlob {
  public:
   FileBlob() = default;
 
+  /// Real content; hashes each byte once, into its chunk digests and
+  /// its identity.
   static FileBlob from_bytes(util::Bytes content);
   static FileBlob from_string(std::string_view content);
   /// A file of `size` bytes whose content is only identified, not stored.
@@ -70,10 +83,16 @@ class FileBlob {
   util::Status read_range(std::uint64_t offset, std::uint64_t length,
                           util::Bytes& out) const;
 
+  /// The chunk digests this blob already holds at `chunk_bytes`: inline
+  /// real content at crypto::kFileChunkBytes, a stored blob at its
+  /// manifest's granularity. Empty at any other granularity, and for
+  /// inline synthetic blobs.
+  std::span<const crypto::Digest> held_digests(std::uint32_t chunk_bytes) const;
+
   /// Per-chunk digests of this blob at `chunk_bytes` granularity —
   /// exactly what the transfer wire computes per chunk, so a receiver
-  /// can match incoming chunks against its store. Stored blobs return
-  /// their manifest when the granularity matches (no hashing).
+  /// can match incoming chunks against its store. Held digests are
+  /// copied, not recomputed.
   std::vector<crypto::Digest> chunk_digests(std::uint32_t chunk_bytes) const;
 
   /// Content identity: equal checksums <=> equal logical content.
@@ -84,14 +103,29 @@ class FileBlob {
   }
 
   /// Wire encoding (synthetic blobs stay synthetic across transfers;
-  /// stored blobs encode as real content, chunk by chunk).
+  /// stored blobs encode as real content, chunk by chunk). A stored
+  /// chunk that cannot be read encodes as zeros of its length, which
+  /// the decoder refuses.
   void encode(util::ByteWriter& w) const;
+  /// Throws std::out_of_range on truncated input, and on real content
+  /// whose size or identity differs from the one declared with it.
   static FileBlob decode(util::ByteReader& r);
 
  private:
+  // The transfer receiver verifies every chunk against its digest as it
+  // arrives and the identity over those digests at the end; it hands
+  // both over instead of having from_bytes hash the bytes again.
+  friend class xfer::Assembly;
+  static FileBlob from_verified(util::Bytes content,
+                                std::vector<crypto::Digest> digests,
+                                const crypto::Digest& identity);
+
   std::uint64_t size_ = 0;
   crypto::Digest checksum_{};
   std::optional<util::Bytes> content_;
+  // Inline real content: its chunk digests at crypto::kFileChunkBytes,
+  // immutable and shared between copies.
+  std::shared_ptr<const std::vector<crypto::Digest>> digests_;
   std::shared_ptr<const store::PinnedBlob> stored_;
 };
 

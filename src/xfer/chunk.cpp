@@ -67,10 +67,10 @@ Assembly::Assembly(Assembly&& other) noexcept
       buffers_(std::move(other.buffers_)),
       buffered_bytes_(other.buffered_bytes_),
       store_(std::move(other.store_)),
-      stored_(std::move(other.stored_)) {
+      digests_(std::move(other.digests_)) {
   // The moved-from assembly must not release the references we now own.
   other.store_.reset();
-  other.stored_.clear();
+  other.digests_.clear();
 }
 
 Assembly& Assembly::operator=(Assembly&& other) noexcept {
@@ -84,16 +84,16 @@ Assembly& Assembly::operator=(Assembly&& other) noexcept {
   buffers_ = std::move(other.buffers_);
   buffered_bytes_ = other.buffered_bytes_;
   store_ = std::move(other.store_);
-  stored_ = std::move(other.stored_);
+  digests_ = std::move(other.digests_);
   other.store_.reset();
-  other.stored_.clear();
+  other.digests_.clear();
   return *this;
 }
 
 void Assembly::release_refs() {
   if (store_ == nullptr) return;
-  for (const auto& [index, digest] : stored_) store_->release(digest);
-  stored_.clear();
+  for (const auto& [index, digest] : digests_) store_->release(digest);
+  digests_.clear();
 }
 
 void Assembly::attach_store(std::shared_ptr<store::ChunkStore> chunk_store) {
@@ -110,7 +110,7 @@ std::uint64_t Assembly::satisfy_from_store(
     if (!length.ok() || length.value() != expected_length(index)) continue;
     if (!store_->add_ref(digests[index])) continue;
     bitmap_.set(index);
-    stored_.emplace(index, digests[index]);
+    digests_.emplace(index, digests[index]);
     ++satisfied;
   }
   return satisfied;
@@ -150,9 +150,10 @@ util::Status Assembly::accept(const Chunk& chunk) {
         synthetic_ ? store_->add_synthetic_chunk(chunk.digest, chunk.length)
                    : store_->add_chunk(chunk.digest, chunk.data);
     if (!added.ok()) return added;
-    stored_.emplace(chunk.index, chunk.digest);
+    digests_.emplace(chunk.index, chunk.digest);
     return util::Status::ok_status();
   }
+  digests_.emplace(chunk.index, chunk.digest);
   if (!synthetic_) {
     buffered_bytes_ += chunk.data.size();
     buffers_.emplace(chunk.index, chunk.data);
@@ -165,34 +166,41 @@ util::Result<uspace::FileBlob> Assembly::finish() {
     return make_error(ErrorCode::kFailedPrecondition,
                       "transfer incomplete: " + std::to_string(bitmap_.count()) +
                           "/" + std::to_string(bitmap_.total()) + " chunks");
+  const auto mismatch = [] {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "reassembled file does not match its declared identity");
+  };
+  std::vector<crypto::Digest> digests;
+  digests.reserve(digests_.size());
+  for (const auto& [index, digest] : digests_) digests.push_back(digest);
+  // At the identity's granularity the verified digests are all it takes.
+  const bool native = chunk_bytes_ == crypto::kFileChunkBytes;
+  if (!synthetic_ && native &&
+      crypto::file_identity(size_, digests) != checksum_)
+    return mismatch();
   if (store_ != nullptr) {
+    if (!synthetic_ && !native) {
+      // Stream the chunks through the identity's hasher one at a time:
+      // the file is never materialised, even at verification.
+      crypto::FileHasher hasher;
+      for (const crypto::Digest& digest : digests) {
+        auto data = store_->read(digest);
+        if (!data.ok()) return data.error();
+        hasher.update(data.value());
+      }
+      if (hasher.finish() != checksum_) return mismatch();
+    }
     store::BlobManifest manifest;
     manifest.size = size_;
     manifest.checksum = checksum_;
     manifest.synthetic = synthetic_;
     manifest.chunk_bytes = chunk_bytes_;
-    manifest.chunks.reserve(stored_.size());
-    for (const auto& [index, digest] : stored_)
-      manifest.chunks.push_back(digest);
-    if (!synthetic_) {
-      // Stream the chunks through the hash one at a time — the file is
-      // never materialised, even at verification.
-      crypto::Sha256 hasher;
-      for (const crypto::Digest& digest : manifest.chunks) {
-        auto data = store_->read(digest);
-        if (!data.ok()) return data.error();
-        hasher.update(data.value());
-      }
-      if (hasher.finish() != checksum_)
-        return make_error(
-            ErrorCode::kInvalidArgument,
-            "reassembled file digest does not match the manifest");
-    }
+    manifest.chunks = std::move(digests);
     // Hand the accumulated references to the blob's pin; this assembly
     // no longer owns them.
     auto pinned = std::make_shared<const store::PinnedBlob>(
         store_, std::move(manifest));
-    stored_.clear();
+    digests_.clear();
     return uspace::FileBlob::from_pinned(std::move(pinned));
   }
   if (synthetic_) return uspace::FileBlob::from_identity(size_, checksum_);
@@ -200,10 +208,11 @@ util::Result<uspace::FileBlob> Assembly::finish() {
   content.reserve(size_);
   for (const auto& [index, data] : buffers_)
     content.insert(content.end(), data.begin(), data.end());
+  if (native)
+    return uspace::FileBlob::from_verified(std::move(content),
+                                           std::move(digests), checksum_);
   uspace::FileBlob blob = uspace::FileBlob::from_bytes(std::move(content));
-  if (blob.checksum() != checksum_)
-    return make_error(ErrorCode::kInvalidArgument,
-                      "reassembled file digest does not match the manifest");
+  if (blob.checksum() != checksum_) return mismatch();
   return blob;
 }
 

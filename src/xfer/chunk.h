@@ -44,7 +44,10 @@ class ChunkBitmap {
 /// Reassembles the chunks of one incoming transfer. Verifies each
 /// chunk digest on accept and the whole-file identity on finish;
 /// synthetic transfers buffer no payload bytes (their chunk digests
-/// already bind every piece to the declared file checksum).
+/// already bind every piece to the declared file checksum). At the
+/// identity granularity (crypto::kFileChunkBytes) the identity is
+/// checked over the chunk digests already verified, without reading a
+/// byte again.
 ///
 /// With a chunk store attached, accepted chunks go straight into the
 /// store (one reference each) instead of per-transfer buffers, and the
@@ -96,11 +99,14 @@ class Assembly {
   /// corrupt or misshapen chunks with kInvalidArgument.
   util::Status accept(const Chunk& chunk);
 
-  /// Folds the complete set back into a blob and verifies its checksum
-  /// against the identity declared at open. In store mode the content
-  /// is verified by streaming the chunks through the hash one at a time
-  /// (never materialising the file), and the chunk references move into
-  /// the returned blob's pin.
+  /// Folds the complete set back into a blob and verifies the identity
+  /// declared at open. Every chunk digest here was checked against its
+  /// bytes on accept, or is the key of the store's own chunk, so at
+  /// crypto::kFileChunkBytes the identity is checked over those digests
+  /// alone. At any other chunk size the content streams through
+  /// crypto::FileHasher, one chunk resident at a time in store mode. In
+  /// store mode the chunk references move into the returned blob's pin;
+  /// a failed finish keeps them until the assembly is destroyed.
   util::Result<uspace::FileBlob> finish();
 
  private:
@@ -111,11 +117,12 @@ class Assembly {
   bool synthetic_ = false;
   std::uint32_t chunk_bytes_ = 0;
   ChunkBitmap bitmap_;
-  std::map<std::uint64_t, util::Bytes> buffers_;  // real transfers only
+  std::map<std::uint64_t, util::Bytes> buffers_;  // real, without a store
   std::uint64_t buffered_bytes_ = 0;
-  // Store mode: one held store reference per present chunk.
   std::shared_ptr<store::ChunkStore> store_;
-  std::map<std::uint64_t, crypto::Digest> stored_;
+  // The digest of every present chunk; in store mode each holds one
+  // store reference.
+  std::map<std::uint64_t, crypto::Digest> digests_;
 };
 
 }  // namespace unicore::xfer

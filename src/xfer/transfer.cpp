@@ -72,9 +72,9 @@ class Run : public std::enable_shared_from_this<Run> {
     if (auto* m = mgr_.metrics())
       m->gauge("unicore_xfer_active_transfers", labels()).add(1);
     if (push_) {
-      // The entries (including every per-chunk digest) are computed
-      // once and reused across resumes — and they define the durable
-      // key.
+      // The entries (including every per-chunk digest, which a blob
+      // holds at the identity granularity) are built once and reused
+      // across resumes — and they define the durable key.
       entries_.reserve(files_.size());
       for (const BundleFile& file : files_) {
         stats_.bytes += file.blob->size();
@@ -270,14 +270,7 @@ class Run : public std::enable_shared_from_this<Run> {
       request.role = role_;
       request.transfer_id = transfer_id_;
       request.file_index = id.first;
-      // The open manifest already holds this chunk's digest unless the
-      // receiver clamped the chunk size it was computed at.
-      const uspace::FileBlob& blob = *files_[id.first].blob;
-      const std::vector<crypto::Digest>& digests = entries_[id.first].digests;
-      request.chunk =
-          chunk_bytes_ == options_.chunk_bytes && id.second < digests.size()
-              ? make_chunk(blob, id.second, chunk_bytes_, digests[id.second])
-              : make_chunk(blob, id.second, chunk_bytes_);
+      request.chunk = make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
       ++stats_.chunks;
       if (m != nullptr) {
         m->counter("unicore_xfer_chunks_total", labels()).increment();

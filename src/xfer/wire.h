@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ajo/services.h"
+#include "crypto/chunk_digest.h"
 #include "crypto/sha256.h"
 #include "uspace/blob.h"
 #include "util/bytes.h"
@@ -64,7 +65,10 @@ constexpr std::uint32_t kMaxBundleFiles = 4096;
 /// proposal into [kMinChunkBytes, kMaxChunkBytes].
 constexpr std::uint32_t kMinChunkBytes = 64 * 1024;
 constexpr std::uint32_t kMaxChunkBytes = 8 * 1024 * 1024;
-constexpr std::uint32_t kDefaultChunkBytes = 1024 * 1024;
+/// The default proposal is the granularity of a file's identity
+/// (crypto/chunk_digest.h), so a transfer at it sends the digests the
+/// file already holds and the receiver checks the identity over them.
+constexpr std::uint32_t kDefaultChunkBytes = crypto::kFileChunkBytes;
 
 /// Number of chunks a file of `size` bytes splits into (one empty
 /// chunk for an empty file, so open/close still round-trip).
@@ -97,16 +101,12 @@ crypto::Digest synthetic_chunk_digest(const crypto::Digest& file_checksum,
                                       std::uint32_t length);
 
 /// Cuts chunk `index` out of `blob` (which declared `chunk_bytes` at
-/// open). The digest is filled in.
+/// open). The digest is filled in: taken from the blob when it holds
+/// its digests at `chunk_bytes` (FileBlob::held_digests), hashed from
+/// the payload otherwise. The receiver checks it against the bytes
+/// either way.
 Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
                  std::uint32_t chunk_bytes);
-
-/// Same chunk, carrying a digest the caller already holds for it — the
-/// open manifest's entry, computed at this same `chunk_bytes` — so the
-/// payload is read but not hashed a second time. The receiver still
-/// checks the digest against the bytes.
-Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
-                 std::uint32_t chunk_bytes, const crypto::Digest& digest);
 
 /// A run of already-applied chunks `[first, first + count)`, the
 /// resume state returned by a push open.

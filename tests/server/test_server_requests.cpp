@@ -102,6 +102,59 @@ TEST(ServerRequests, PeerOperationsRejectedForUserCertificates) {
   EXPECT_EQ(error.code, util::ErrorCode::kPermissionDenied);
 }
 
+// A peer's whole-blob delivery whose content was damaged in flight is
+// refused before anything is written: the decoder recomputes the file's
+// identity instead of trusting the one declared beside the bytes.
+TEST(ServerRequests, DeliverFileWithDamagedContentWritesNothing) {
+  SingleSite site(87);
+  ajo::AbstractJobObject job;
+  job.set_name("receiver");
+  job.vsite = SingleSite::kVsite;
+  job.user = site.user.certificate.subject;
+  auto task = std::make_unique<ajo::ExecuteScriptTask>();
+  task->set_name("sleeper");
+  task->script = "sleep\n";
+  task->set_resource_request({1, 600, 64, 0, 8});
+  task->behavior.nominal_seconds = 1e6;
+  job.add(std::move(task));
+  gateway::AuthenticatedUser owner{site.user.certificate.subject,
+                                   SingleSite::kLogin, {"project-a"}};
+  auto token =
+      site.server->njs().consign(job, owner, site.user.certificate).value();
+
+  crypto::DistinguishedName subject;
+  subject.country = "DE";
+  subject.organization = "Test";
+  subject.common_name = "njs.peer.example.de";
+  crypto::Credential peer = site.grid.ca().issue_credential(
+      subject, site.grid.rng(), net::kSimulationEpoch, 365 * 86'400LL,
+      crypto::kUsageServerAuth | crypto::kUsageDigitalSignature);
+  RawClient raw(site, peer);
+  const uspace::FileBlob blob = uspace::FileBlob::from_string("peer payload");
+  auto deliver = [&](const std::string& name, bool damaged,
+                     std::uint64_t request_id) {
+    util::ByteWriter payload;
+    payload.u64(token);
+    payload.str(name);
+    blob.encode(payload);
+    util::Bytes body = payload.take();
+    if (damaged) body.back() ^= 0x01;  // the last content byte
+    raw.send(make_request(RequestKind::kDeliverFile, request_id, body));
+    return raw.last_reply_status();
+  };
+
+  auto [damaged_ok, error] = deliver("damaged.dat", true, 8);
+  EXPECT_FALSE(damaged_ok);
+  EXPECT_EQ(error.code, util::ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(site.server->njs().fetch_file(token, "damaged.dat").ok());
+
+  // The same delivery, undamaged, lands.
+  EXPECT_TRUE(deliver("intact.dat", false, 9).first);
+  auto intact = site.server->njs().fetch_file(token, "intact.dat");
+  ASSERT_TRUE(intact.ok()) << intact.error().to_string();
+  EXPECT_EQ(intact.value().checksum(), blob.checksum());
+}
+
 TEST(ServerRequests, ForwardConsignRejectedWithoutServerEndorsement) {
   SingleSite site(85);
   RawClient raw(site, site.user);

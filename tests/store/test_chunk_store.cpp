@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "uspace/filespace.h"
 #include "xfer/wire.h"
 
@@ -178,6 +180,103 @@ TEST(ChunkStore, ShrinkingBudgetEvictsImmediately) {
   store.set_resident_budget(100);
   EXPECT_EQ(store.stats().resident_bytes, 0u);
   EXPECT_EQ(store.stats().spilled_bytes, 512u);
+}
+
+TEST(ChunkStore, FaultBackUnderABudgetBelowOneChunkReturnsItsBytes) {
+  ChunkStore store(ChunkStore::Config{.resident_budget_bytes = 1});
+  store.set_spill_backend(std::make_shared<MemorySpillBackend>());
+  util::Bytes data = pattern_bytes(400, 3);
+  crypto::Digest digest = crypto::chunk_content_digest(data);
+  ASSERT_TRUE(store.add_chunk(digest, data).ok());
+  ASSERT_EQ(store.stats().spilled_bytes, 400u);
+  // The fault-back spills the chunk again at once; the read still
+  // returns its bytes.
+  auto read = store.read(digest);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), data);
+  EXPECT_EQ(store.stats().faults, 1u);
+  EXPECT_EQ(store.stats().resident_bytes, 0u);
+}
+
+/// A cold tier whose reads come back damaged: one byte flipped, or one
+/// byte short.
+class DamagingSpillBackend : public MemorySpillBackend {
+ public:
+  enum class Damage { kNone, kFlip, kTruncate };
+  Damage damage = Damage::kNone;
+
+  util::Result<util::Bytes> read(const crypto::Digest& digest) override {
+    auto data = MemorySpillBackend::read(digest);
+    if (!data.ok() || damage == Damage::kNone) return data;
+    util::Bytes bytes = std::move(data).value();
+    if (damage == Damage::kFlip)
+      bytes[bytes.size() / 2] ^= 0x01;
+    else
+      bytes.pop_back();
+    return bytes;
+  }
+};
+
+/// 1600 bytes interned at 400-byte chunks against a 1000-byte budget:
+/// chunks 0 and 1 are spilled.
+struct DamagedSpill {
+  std::shared_ptr<ChunkStore> store = std::make_shared<ChunkStore>(
+      ChunkStore::Config{.resident_budget_bytes = 1000});
+  std::shared_ptr<DamagingSpillBackend> spill =
+      std::make_shared<DamagingSpillBackend>();
+  util::Bytes content = pattern_bytes(1600, 6);
+  std::shared_ptr<const PinnedBlob> pinned;
+
+  DamagedSpill() {
+    store->set_spill_backend(spill);
+    pinned = intern_bytes(store, content, crypto::sha256(content), 400).value();
+  }
+};
+
+TEST(ChunkStore, FaultBackRefusesBytesThatAreNotTheChunk) {
+  DamagedSpill env;
+  ASSERT_EQ(env.spill->chunks(), 2u);
+  const crypto::Digest spilled = env.pinned->manifest().chunks[0];
+  const StoreStats before = env.store->stats();
+  for (auto damage : {DamagingSpillBackend::Damage::kFlip,
+                      DamagingSpillBackend::Damage::kTruncate}) {
+    env.spill->damage = damage;
+    auto read = env.store->read(spilled);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.error().code, util::ErrorCode::kInternal);
+    // The chunk stays spilled and the accounting stays exact.
+    EXPECT_EQ(env.store->stats().faults, before.faults);
+    EXPECT_EQ(env.store->stats().spilled_bytes, before.spilled_bytes);
+    EXPECT_EQ(env.store->stats().resident_bytes, before.resident_bytes);
+    EXPECT_EQ(env.spill->chunks(), 2u);
+    // A file read over that chunk fails instead of returning wrong bytes.
+    util::Bytes out;
+    EXPECT_FALSE(env.pinned->read_range(100, 50, out).ok());
+  }
+  // A clean tier faults the same chunks back intact.
+  env.spill->damage = DamagingSpillBackend::Damage::kNone;
+  util::Bytes out;
+  ASSERT_TRUE(env.pinned->read_range(0, 1600, out).ok());
+  EXPECT_EQ(out, env.content);
+  EXPECT_GT(env.store->stats().faults, before.faults);
+  env.pinned.reset();
+  EXPECT_EQ(env.store->stats().physical_bytes, 0u);
+  EXPECT_EQ(env.spill->chunks(), 0u);
+}
+
+// A stored blob whose chunk cannot be read still encodes a well-framed
+// blob, and the receiver's decoder refuses it.
+TEST(ChunkStore, UnreadableStoredChunkEncodesABlobTheDecoderRefuses) {
+  DamagedSpill env;
+  uspace::FileBlob blob = uspace::FileBlob::from_pinned(env.pinned);
+  util::ByteWriter clean;
+  blob.encode(clean);
+  env.spill->damage = DamagingSpillBackend::Damage::kFlip;
+  util::ByteWriter damaged;
+  blob.encode(damaged);
+  EXPECT_EQ(damaged.size(), clean.size());
+  util::ByteReader r(damaged.bytes());
+  EXPECT_THROW((void)uspace::FileBlob::decode(r), std::out_of_range);
 }
 
 // ---- interning and pins ----------------------------------------------------

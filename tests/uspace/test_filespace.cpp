@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "crypto/chunk_digest.h"
+
 namespace unicore::uspace {
 namespace {
 
@@ -49,6 +53,81 @@ TEST(FileBlob, WireRoundTripBothKinds) {
     EXPECT_EQ(back.is_synthetic(), original.is_synthetic());
     EXPECT_TRUE(r.done());
   }
+}
+
+/// A real blob of `size` bytes whose chunks all differ.
+FileBlob patterned(std::size_t size) {
+  util::Bytes content(size);
+  for (std::size_t i = 0; i < size; ++i)
+    content[i] = static_cast<std::uint8_t>(i % 251);
+  return FileBlob::from_bytes(std::move(content));
+}
+
+TEST(FileBlob, HoldsItsDigestsAtTheIdentityGranularityOnly) {
+  FileBlob blob = patterned(2 * crypto::kFileChunkBytes + 9);
+  std::span<const crypto::Digest> held =
+      blob.held_digests(crypto::kFileChunkBytes);
+  ASSERT_EQ(held.size(), 3u);
+  for (std::uint64_t i = 0; i < held.size(); ++i) {
+    std::uint32_t length =
+        crypto::chunk_length(blob.size(), crypto::kFileChunkBytes, i);
+    util::Bytes piece;
+    ASSERT_TRUE(
+        blob.read_range(i * crypto::kFileChunkBytes, length, piece).ok());
+    EXPECT_EQ(held[i], crypto::sha256(piece)) << "chunk " << i;
+  }
+  EXPECT_EQ(blob.checksum(), crypto::file_identity(blob.size(), held));
+  // At any other granularity the blob holds nothing and hashes anew.
+  EXPECT_TRUE(blob.held_digests(64 << 10).empty());
+  std::vector<crypto::Digest> at_64k = blob.chunk_digests(64 << 10);
+  ASSERT_EQ(at_64k.size(), 33u);
+  util::Bytes first;
+  ASSERT_TRUE(blob.read_range(0, 64 << 10, first).ok());
+  EXPECT_EQ(at_64k[0], crypto::sha256(first));
+  // Copies share the identity and the digests.
+  FileBlob copy = blob;
+  EXPECT_EQ(copy.held_digests(crypto::kFileChunkBytes).data(), held.data());
+  EXPECT_TRUE(FileBlob::synthetic(5, 1).held_digests(1 << 20).empty());
+}
+
+TEST(FileBlob, DecodedChecksumEqualsFromBytes) {
+  for (std::size_t size : {std::size_t{0}, std::size_t{5},
+                           std::size_t{crypto::kFileChunkBytes + 3}}) {
+    FileBlob original = patterned(size);
+    util::ByteWriter w;
+    original.encode(w);
+    util::ByteReader r(w.bytes());
+    FileBlob back = FileBlob::decode(r);
+    EXPECT_EQ(back.checksum(), original.checksum()) << "size=" << size;
+    EXPECT_EQ(back.chunk_digests(crypto::kFileChunkBytes),
+              original.chunk_digests(crypto::kFileChunkBytes));
+    EXPECT_EQ(back.held_digests(crypto::kFileChunkBytes).size(),
+              crypto::chunk_count(size, crypto::kFileChunkBytes));
+  }
+}
+
+// The decoder never copies a real blob's identity off the wire: content
+// that is not the file it claims to be is refused like a truncated blob.
+TEST(FileBlob, DecodeRefusesContentThatIsNotItsIdentity) {
+  FileBlob original = patterned(3000);
+  util::ByteWriter w;
+  original.encode(w);
+  const util::Bytes wire = w.bytes();
+
+  util::Bytes flipped = wire;
+  flipped.back() ^= 0x01;  // the last content byte
+  util::ByteReader flipped_reader(flipped);
+  EXPECT_THROW((void)FileBlob::decode(flipped_reader), std::out_of_range);
+
+  util::Bytes resized = wire;
+  resized[1 + 7] += 1;  // the low byte of the declared size
+  util::ByteReader resized_reader(resized);
+  EXPECT_THROW((void)FileBlob::decode(resized_reader), std::out_of_range);
+
+  util::Bytes renamed = wire;
+  renamed[1 + 8] ^= 0x80;  // the first byte of the declared identity
+  util::ByteReader renamed_reader(renamed);
+  EXPECT_THROW((void)FileBlob::decode(renamed_reader), std::out_of_range);
 }
 
 TEST(Volume, WriteReadRemove) {

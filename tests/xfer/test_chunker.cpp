@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace unicore::xfer {
 namespace {
 
@@ -148,6 +150,118 @@ TEST(AssemblySynthetic, ForgedSyntheticDigestRejected) {
   auto status = assembly.accept(forged);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, util::ErrorCode::kInvalidArgument);
+}
+
+// ---- the identity check at finish ------------------------------------------
+//
+// A file of three chunks at the identity granularity. In the forged cases
+// every chunk matches its digest, but the identity declared at open is
+// another file's of the same size: finish() must refuse it on every
+// path, and once the assembly is gone the store holds exactly the
+// references it held before the open.
+
+struct FinishIdentity : public ::testing::Test {
+  static constexpr std::uint32_t kNative = crypto::kFileChunkBytes;
+  static constexpr std::size_t kSize = 2 * kNative + 77;
+  uspace::FileBlob blob =
+      uspace::FileBlob::from_bytes(util::Rng(1).bytes(kSize));
+  uspace::FileBlob other =
+      uspace::FileBlob::from_bytes(util::Rng(2).bytes(kSize));
+  std::shared_ptr<store::ChunkStore> chunk_store =
+      std::make_shared<store::ChunkStore>();
+
+  /// Feeds `assembly` every chunk of `blob` it still misses.
+  void fill(Assembly& assembly, std::uint32_t chunk_bytes) {
+    for (std::uint64_t index : assembly.bitmap().missing()) {
+      auto status = assembly.accept(make_chunk(blob, index, chunk_bytes));
+      ASSERT_TRUE(status.ok()) << status.error().to_string();
+    }
+    ASSERT_TRUE(assembly.complete());
+  }
+
+  void expect_refused(Assembly& assembly, std::uint32_t chunk_bytes) {
+    fill(assembly, chunk_bytes);
+    auto finished = assembly.finish();
+    ASSERT_FALSE(finished.ok());
+    EXPECT_EQ(finished.error().code, util::ErrorCode::kInvalidArgument);
+  }
+};
+
+TEST_F(FinishIdentity, ForgedIdentityRefusedInStoreMode) {
+  {
+    Assembly assembly{kSize, other.checksum(), false, kNative};
+    assembly.attach_store(chunk_store);
+    expect_refused(assembly, kNative);
+  }
+  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
+  EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
+}
+
+TEST_F(FinishIdentity, ForgedIdentityRefusedInBufferMode) {
+  Assembly assembly{kSize, other.checksum(), false, kNative};
+  expect_refused(assembly, kNative);
+}
+
+TEST_F(FinishIdentity, ForgedIdentityRefusedWhenTheStoreHoldsEveryChunk) {
+  auto resident = store::intern_bytes(chunk_store, *blob.bytes(),
+                                      blob.checksum(), kNative);
+  ASSERT_TRUE(resident.ok());
+  const store::StoreStats before = chunk_store->stats();
+  {
+    Assembly assembly{kSize, other.checksum(), false, kNative};
+    assembly.attach_store(chunk_store);
+    EXPECT_EQ(assembly.satisfy_from_store(blob.chunk_digests(kNative)), 3u);
+    expect_refused(assembly, kNative);
+  }
+  EXPECT_EQ(chunk_store->stats().total_refs, before.total_refs);
+  EXPECT_EQ(chunk_store->stats().physical_bytes, before.physical_bytes);
+}
+
+TEST_F(FinishIdentity, ForgedIdentityRefusedAtAClampedChunkSize) {
+  {
+    Assembly stored{kSize, other.checksum(), false, kMinChunkBytes};
+    stored.attach_store(chunk_store);
+    expect_refused(stored, kMinChunkBytes);
+    Assembly buffered{kSize, other.checksum(), false, kMinChunkBytes};
+    expect_refused(buffered, kMinChunkBytes);
+  }
+  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
+  EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
+}
+
+// With every chunk spilled as it lands, the check at the identity
+// granularity faults none back: it reads digests only. At a clamped
+// size the chunks stream through the identity's hasher, every one of
+// them faulted back.
+TEST_F(FinishIdentity, StoreModeReadsNoChunkAtTheIdentityGranularity) {
+  chunk_store->set_spill_backend(std::make_shared<store::MemorySpillBackend>());
+  chunk_store->set_resident_budget(1);
+  for (std::uint32_t chunk_bytes : {kNative, kMinChunkBytes}) {
+    Assembly assembly{kSize, blob.checksum(), false, chunk_bytes};
+    assembly.attach_store(chunk_store);
+    fill(assembly, chunk_bytes);
+    EXPECT_EQ(chunk_store->stats().resident_bytes, 0u);
+    std::uint64_t faults = chunk_store->stats().faults;
+    auto finished = assembly.finish();
+    ASSERT_TRUE(finished.ok()) << finished.error().to_string();
+    EXPECT_EQ(finished.value().checksum(), blob.checksum());
+    EXPECT_EQ(chunk_store->stats().faults - faults,
+              chunk_bytes == kNative ? 0u : chunk_count(kSize, chunk_bytes));
+  }
+}
+
+// Buffer mode hands the digests it verified on accept to the blob.
+TEST_F(FinishIdentity, BufferModeBlobKeepsTheVerifiedDigests) {
+  Assembly assembly{kSize, blob.checksum(), false, kNative};
+  fill(assembly, kNative);
+  auto finished = assembly.finish();
+  ASSERT_TRUE(finished.ok()) << finished.error().to_string();
+  EXPECT_EQ(finished.value().checksum(), blob.checksum());
+  ASSERT_NE(finished.value().bytes(), nullptr);
+  EXPECT_EQ(*finished.value().bytes(), *blob.bytes());
+  EXPECT_EQ(finished.value().chunk_digests(kNative),
+            blob.chunk_digests(kNative));
+  EXPECT_EQ(finished.value().held_digests(kNative).size(), 3u);
 }
 
 }  // namespace

@@ -41,7 +41,8 @@ crypto::DistinguishedName dn(const std::string& cn) {
 /// one-byte body {0x01}, which decodes as no reply does;
 /// `misindex_pulled_chunks` relabels that many pulled chunks with the
 /// next index. `after_dispatch` runs once the service has handled a
-/// call, before its reply travels back.
+/// call, before its reply travels back; `rewrite` may then edit any
+/// successful reply body.
 class Loopback : public ChunkTransport {
  public:
   Loopback(sim::Engine& engine, Service& service, std::size_t streams)
@@ -77,6 +78,7 @@ class Loopback : public ChunkTransport {
           break;
       }
       if (after_dispatch) after_dispatch();
+      if (rewrite && reply.ok()) rewrite(op, reply.value());
       if (op == Op::kChunk && drop_next_acks > 0) {
         --drop_next_acks;
         done(util::make_error(util::ErrorCode::kTimeout,
@@ -106,6 +108,7 @@ class Loopback : public ChunkTransport {
   std::optional<Op> garble;
   int misindex_pulled_chunks = 0;
   std::function<void()> after_dispatch;
+  std::function<void(Op, util::Bytes&)> rewrite;
 
  private:
   sim::Engine& engine_;
@@ -255,6 +258,12 @@ struct TransferFixture : public ::testing::Test {
   void expect_pull_matches_source(const std::vector<BundleFile>& files,
                                   std::uint64_t chunks);
   void expect_client_cannot_open_peer_push(std::size_t file_count);
+  util::Result<util::Bytes> push_declaring(const uspace::FileBlob& blob,
+                                           const crypto::Digest& identity,
+                                           const std::string& name,
+                                           std::uint32_t chunk_bytes);
+  void expect_forged_push_refused(const std::string& name,
+                                  std::uint32_t chunk_bytes);
 };
 
 TEST_F(TransferFixture, PushStripesChunksOverParallelStreams) {
@@ -702,6 +711,31 @@ TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
   EXPECT_EQ(both.value().stats.chunks, 2u);
 }
 
+// An inline reply whose content was damaged in flight decodes as no
+// reply does: the puller re-opens, and with every reply damaged the pull
+// ends in an error without a blob.
+TEST_F(TransferFixture, PullRefusesADamagedInlineReply) {
+  ASSERT_TRUE(njs.deliver_file(token, "note.txt",
+                               std::make_shared<const uspace::FileBlob>(
+                                   uspace::FileBlob::from_string("a note")))
+                  .ok());
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  int damaged = 0;
+  transport->rewrite = [&damaged](Op op, util::Bytes& body) {
+    if (op != Op::kOpen) return;
+    body.back() ^= 0x01;  // the inline blob's last content byte
+    ++damaged;
+  };
+  TransferOptions options = small_chunks();
+  options.max_resume_attempts = 2;
+  auto out = pull_names(transport, PullSpec{Role::kPeerPull, token,
+                                            {"note.txt"}},
+                        options);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, util::ErrorCode::kUnavailable);
+  EXPECT_EQ(damaged, 3);  // the open and both re-opens
+}
+
 TEST_F(TransferFixture, ClientPullEnforcesJobOwnership) {
   ASSERT_TRUE(njs.deliver_file(token, "secret.txt",
                                std::make_shared<const uspace::FileBlob>(
@@ -1014,6 +1048,112 @@ TEST_F(TransferFixture, ReceiveWindowFullFiresAtTheBufferLimit) {
   EXPECT_EQ(full.error().code, util::ErrorCode::kResourceExhausted);
   EXPECT_EQ(buffered_gauge(*registry), double(2 * kMinChunkBytes));
   EXPECT_EQ(service.buffered_in_assemblies(), 2u * kMinChunkBytes);
+}
+
+// ---- a push that declares another file's identity --------------------------
+//
+// The FinishIdentity cases of test_chunker.cpp through the receiving
+// service: the open's digests and every chunk are the file's own, only
+// the identity declared at open is another file's of the same size.
+
+/// Three chunks at the identity granularity.
+constexpr std::size_t kForgedBytes = 2 * kDefaultChunkBytes + 77;
+
+uspace::FileBlob forged_content(std::uint64_t seed) {
+  return uspace::FileBlob::from_bytes(util::Rng(seed).bytes(kForgedBytes));
+}
+
+/// Pushes `blob` by hand at the proposed `chunk_bytes`, declaring
+/// `identity` for it at open, and returns the close's result.
+util::Result<util::Bytes> TransferFixture::push_declaring(
+    const uspace::FileBlob& blob, const crypto::Digest& identity,
+    const std::string& name, std::uint32_t chunk_bytes) {
+  auto call = [this](Op op, const util::Bytes& wire) {
+    util::ByteReader r{wire};
+    auto role = static_cast<Role>(r.u8());
+    const crypto::DistinguishedName peer = dn("peer-njs");
+    if (op == Op::kOpen) return service.open(peer, true, role, r);
+    if (op == Op::kChunk) return service.chunk(peer, true, role, r);
+    return service.close(peer, true, role, r);
+  };
+  BundleOpenRequest open;
+  open.token = token;
+  open.proposed_chunk_bytes = chunk_bytes;
+  open.files.push_back({name, blob.size(), identity, false,
+                        blob.chunk_digests(chunk_bytes)});
+  open.key = make_bundle_key("FZ-Juelich", token, open.files);
+  auto opened = call(Op::kOpen, open.encode());
+  if (!opened.ok()) return opened.error();
+  util::ByteReader reply_reader{opened.value()};
+  BundleOpenReply reply = BundleOpenReply::decode(reply_reader);
+  ChunkBitmap have(chunk_count(blob.size(), reply.chunk_bytes));
+  if (reply.files[0].complete)
+    have.apply({ChunkRange{0, have.total()}});
+  else
+    have.apply(reply.files[0].have);
+  for (std::uint64_t index : have.missing()) {
+    BundleChunkRequest request;
+    request.transfer_id = reply.transfer_id;
+    request.chunk = make_chunk(blob, index, reply.chunk_bytes);
+    (void)call(Op::kChunk, request.encode());
+  }
+  BundleCloseRequest close;
+  close.transfer_id = reply.transfer_id;
+  close.key = open.key;
+  return call(Op::kClose, close.encode());
+}
+
+/// The file named `name` is never delivered, and the push cannot commit.
+void TransferFixture::expect_forged_push_refused(const std::string& name,
+                                                 std::uint32_t chunk_bytes) {
+  std::uint64_t delivered = service.files_delivered();
+  auto closed = push_declaring(forged_content(21), forged_content(22).checksum(),
+                               name, chunk_bytes);
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.error().code, util::ErrorCode::kInternal);
+  EXPECT_EQ(service.files_delivered(), delivered);
+  EXPECT_FALSE(njs.fetch_file_shared(token, name).ok());
+}
+
+TEST_F(TransferFixture, ForgedIdentityPushIsNeverDeliveredFromBuffers) {
+  expect_forged_push_refused("native.bin", kDefaultChunkBytes);
+  expect_forged_push_refused("small.bin", kMinChunkBytes);
+}
+
+TEST_F(StoreTransferFixture, ForgedIdentityPushIsNeverDeliveredFromTheStore) {
+  expect_forged_push_refused("forged.bin", kDefaultChunkBytes);
+  // The dead transfer's references go with it.
+  njs.crash();
+  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
+  EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
+}
+
+TEST_F(StoreTransferFixture, ForgedIdentityOfStoredChunksIsNeverDelivered) {
+  uspace::FileBlob blob = forged_content(21);
+  ASSERT_TRUE(
+      push_declaring(blob, blob.checksum(), "genuine.bin", kDefaultChunkBytes)
+          .ok());
+  auto genuine = njs.fetch_file_shared(token, "genuine.bin");
+  ASSERT_TRUE(genuine.ok());
+  EXPECT_EQ(genuine.value()->checksum(), blob.checksum());
+  const std::uint64_t refs = chunk_store->stats().total_refs;
+  const std::uint64_t deduped = service.chunks_deduped();
+  // The open satisfies every chunk from the store; only the identity
+  // check stands between them and a delivery.
+  expect_forged_push_refused("forged.bin", kDefaultChunkBytes);
+  EXPECT_EQ(service.chunks_deduped() - deduped, 3u);
+  njs.crash();
+  EXPECT_EQ(chunk_store->stats().total_refs, refs);  // genuine.bin's own
+}
+
+TEST_F(StoreTransferFixture, ForgedIdentityPushIsRefusedAtAClampedChunkSize) {
+  Service::Limits limits;
+  limits.max_chunk_bytes = kMinChunkBytes;
+  service.set_limits(limits);
+  expect_forged_push_refused("clamped.bin", kDefaultChunkBytes);
+  njs.crash();
+  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
+  EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
 }
 
 }  // namespace

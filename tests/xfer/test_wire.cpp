@@ -7,6 +7,9 @@
 
 #include <stdexcept>
 
+#include "store/chunk_store.h"
+#include "util/rng.h"
+
 namespace unicore::xfer {
 namespace {
 
@@ -52,6 +55,31 @@ TEST(MakeChunk, SlicesRealBlobWithShortTail) {
   EXPECT_EQ(last.length, 2500u - 2048u);
   EXPECT_EQ(last.data.size(), last.length);
   EXPECT_EQ(static_cast<char>(last.data[0]), content[2048]);
+}
+
+// make_chunk takes the digest a blob holds only at the granularity it
+// was computed at; every chunk's digest is its payload's, whatever the
+// chunk size and wherever the content lives.
+TEST(MakeChunk, DigestIsThePayloadsAtEveryGranularity) {
+  auto inline_blob =
+      std::make_shared<const uspace::FileBlob>(uspace::FileBlob::from_bytes(
+          util::Rng(3).bytes(2 * kDefaultChunkBytes + 77)));
+  auto chunk_store = std::make_shared<store::ChunkStore>();
+  auto stored = uspace::intern_blob(chunk_store, inline_blob, kMinChunkBytes);
+  ASSERT_TRUE(stored->is_stored());
+  for (const auto& blob : {inline_blob, stored}) {
+    for (std::uint32_t chunk_bytes :
+         {kMinChunkBytes, kDefaultChunkBytes, 2 * kDefaultChunkBytes}) {
+      std::uint64_t total = chunk_count(blob->size(), chunk_bytes);
+      for (std::uint64_t index = 0; index < total; ++index) {
+        Chunk chunk = make_chunk(*blob, index, chunk_bytes);
+        ASSERT_EQ(chunk.data.size(), chunk.length);
+        EXPECT_EQ(chunk.digest, chunk_digest(chunk.data))
+            << (blob->is_stored() ? "stored" : "inline") << " blob, chunk "
+            << index << " at " << chunk_bytes;
+      }
+    }
+  }
 }
 
 TEST(MakeChunk, SyntheticBlobCarriesNoPayload) {
