@@ -1,10 +1,10 @@
-// A fixed-size worker pool for the genuinely parallel parts of the
-// middleware: bulk checksum of staged files, fan-out incarnation of large
-// job graphs, and benchmark ablations (serial vs parallel).
+// A fixed-size worker pool for data-parallel work whose results are
+// order-independent. Its one user is bench_incarnation's serial vs
+// parallel bulk-incarnation ablation.
 //
-// The distributed-system behaviour itself runs on the deterministic
-// discrete-event kernel (src/sim); the pool is only used for data-parallel
-// work whose results are order-independent.
+// The distributed-system behaviour itself, staged-file checksums
+// included, runs on the deterministic discrete-event kernel (src/sim);
+// nothing in the library submits work to a pool.
 #pragma once
 
 #include <condition_variable>

@@ -270,7 +270,8 @@ class Run : public std::enable_shared_from_this<Run> {
       request.role = role_;
       request.transfer_id = transfer_id_;
       request.file_index = id.first;
-      request.chunk = make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
+      request.chunk =
+          make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
       ++stats_.chunks;
       if (m != nullptr) {
         m->counter("unicore_xfer_chunks_total", labels()).increment();

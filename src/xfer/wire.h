@@ -8,8 +8,8 @@
 // bundle of one or more files: one open carries every file's identity
 // under a durable key, the payload moves as independently acknowledged
 // chunks striped over parallel secure channels, and each file's
-// whole-file digest is verified before it becomes visible in the
-// target Uspace. A single file is a bundle of one.
+// identity (crypto::file_identity) is verified before it becomes
+// visible in the target Uspace. A single file is a bundle of one.
 //
 // Every body starts with a Role byte so the gateway can pick the right
 // authentication path (server certificate for NJS–NJS push/pull, user

@@ -728,9 +728,10 @@ TEST_F(TransferFixture, PullRefusesADamagedInlineReply) {
   };
   TransferOptions options = small_chunks();
   options.max_resume_attempts = 2;
-  auto out = pull_names(transport, PullSpec{Role::kPeerPull, token,
-                                            {"note.txt"}},
-                        options);
+  PullSpec spec;
+  spec.token = token;
+  spec.names = {"note.txt"};
+  auto out = pull_names(transport, spec, options);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error().code, util::ErrorCode::kUnavailable);
   EXPECT_EQ(damaged, 3);  // the open and both re-opens
@@ -1107,8 +1108,8 @@ util::Result<util::Bytes> TransferFixture::push_declaring(
 void TransferFixture::expect_forged_push_refused(const std::string& name,
                                                  std::uint32_t chunk_bytes) {
   std::uint64_t delivered = service.files_delivered();
-  auto closed = push_declaring(forged_content(21), forged_content(22).checksum(),
-                               name, chunk_bytes);
+  const crypto::Digest another = forged_content(22).checksum();
+  auto closed = push_declaring(forged_content(21), another, name, chunk_bytes);
   ASSERT_FALSE(closed.ok());
   EXPECT_EQ(closed.error().code, util::ErrorCode::kInternal);
   EXPECT_EQ(service.files_delivered(), delivered);
