@@ -5,6 +5,13 @@
 #   - bench_gateway    BM_AuthCache*          auth cache hit vs miss
 #   - bench_crypto     seal/open + ctr        record-layer kernels
 #                      sha256 + hmac          the hash kernels under them
+#                      rsa + dh + x509        key generation, signatures,
+#                                             key agreement, certificate
+#                                             issue/validate and DER
+#
+# The handshake rows pin their iterations, so their virtual_ms,
+# powmod_ops and resumed counters are deterministic; CI compares them
+# exactly against the committed file with scripts/check_bench_server.py.
 #
 # Usage: scripts/bench_security.sh [build-dir] [out-file]
 # Extra benchmark flags go through BENCH_FLAGS, e.g.
@@ -26,7 +33,8 @@ run() { # run <binary> <filter> <out.json>
 run bench_handshake 'BM_SecureHandshake' handshake.json
 run bench_gateway 'BM_AuthCache(Hit|Miss)|BM_CertificateToUidMapping/1000$' \
   gateway.json
-run bench_crypto 'BM_(Seal|Open|CtrCrypt|Sha256|HmacSha256)' crypto.json
+run bench_crypto 'BM_(Seal|Open|CtrCrypt|Sha256|HmacSha256|RsaKeygen|RsaSign|RsaVerify|DhKeyAgreement|CertificateIssueAndValidate|CertificateDerRoundTrip)' \
+  crypto.json
 
 # Merge: one top-level object keyed by suite, each value the unmodified
 # google-benchmark JSON document. Plain bash + printf — no extra deps.

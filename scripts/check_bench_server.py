@@ -5,8 +5,11 @@
 
 Compares two Google Benchmark JSON files, such as the BENCH_server.json
 written by scripts/bench_server.sh or the BENCH_transfer.json written by
-scripts/bench_transfer.sh. Each COUNTER is checked on every benchmark row
-present in both files, in one of two forms:
+scripts/bench_transfer.sh. A file may also hold one such document per
+suite, keyed by suite name, as the BENCH_security.json written by
+scripts/bench_security.sh does; its rows are then named SUITE:ROW. The
+shape is read from each file. Each COUNTER is checked on every benchmark
+row present in both files, in one of two forms:
 
   NAME/iterations  NAME divided by the row's iteration count must be equal.
                    For totals that grow with the iteration count.
@@ -21,9 +24,11 @@ BM_ServerSmallRecordBatching/records:N coalesces N records into one
 frame. They hold at any --benchmark_min_time, so a CI smoke run can be
 checked against the committed file. bench_transfer pins every row's
 iterations, so its virtual_ms (simulated milliseconds per transfer) is
-compared as a plain value. A COUNTER that a row has in neither file is
-skipped on that row, so one call can gate counters that only some rows
-report (BENCH_store.json's restage rows and its spill row); each COUNTER
+compared as a plain value, as are BENCH_security.json's handshake
+counters (virtual_ms, powmod_ops and resumed). A COUNTER that a row has
+in neither file is skipped on that row, so one call can gate counters
+that only some rows report (BENCH_store.json's restage rows and its
+spill row, BENCH_security.json's handshake rows); each COUNTER
 must still appear on at least one shared row, and a row that has it in
 one file but not the other drifts. Wall-clock fields are never compared.
 Exits 0 when every shared row matches and at least one row is shared.
@@ -38,8 +43,13 @@ PER_ITERATION = "/iterations"
 
 def rows(path):
     with open(path) as f:
-        benchmarks = json.load(f)["benchmarks"]
-    return {b["name"]: b for b in benchmarks
+        document = json.load(f)
+    if "benchmarks" in document:
+        suites = {"": document}
+    else:
+        suites = {f"{suite}:": doc for suite, doc in document.items()}
+    return {prefix + b["name"]: b
+            for prefix, doc in suites.items() for b in doc["benchmarks"]
             if b.get("run_type", "iteration") == "iteration"}
 
 

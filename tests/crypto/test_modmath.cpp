@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "crypto/keys.h"
+
 namespace unicore::crypto {
 namespace {
 
@@ -24,6 +26,61 @@ TEST(ModMath, PowmodKnownValues) {
   // Fermat: a^(p-1) = 1 mod p.
   std::uint64_t p = 1'000'000'007ULL;
   EXPECT_EQ(powmod(123456789, p - 1, p), 1u);
+}
+
+// Square-and-multiply over 128-bit remainders: the definition every
+// powmod path, for odd and even moduli alike, must reproduce.
+std::uint64_t reference_powmod(std::uint64_t base, std::uint64_t exp,
+                               std::uint64_t m) {
+  if (m == 1) return 0;
+  const auto mul = [m](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint64_t>(static_cast<__uint128_t>(a) * b % m);
+  };
+  std::uint64_t result = 1;
+  base %= m;
+  for (; exp > 0; exp >>= 1) {
+    if (exp & 1) result = mul(result, base);
+    base = mul(base, base);
+  }
+  return result;
+}
+
+TEST(ModMath, PowmodMatchesTheReferenceLoop) {
+  util::Rng rng(2027);
+  std::vector<std::uint64_t> moduli = {
+      1, 3, 5, dh_prime(), 0xffffffffffffffc5ULL /* 2^64 - 59 */,
+      ~std::uint64_t{0}, (1ULL << 32) - 5, (1ULL << 32) - 1, (1ULL << 32) + 1,
+      // Even moduli.
+      2, 1000, 1ULL << 32, 1ULL << 63, ~std::uint64_t{0} - 1};
+  // RSA-sized moduli: products of two 32-bit primes above 2^63.
+  while (moduli.size() < 18) {
+    std::uint64_t p = random_prime(rng, 32), q = random_prime(rng, 32);
+    if (p != q && p * q >= 1ULL << 63) moduli.push_back(p * q);
+  }
+  for (int i = 0; i < 4; ++i) moduli.push_back(rng.next() & ~std::uint64_t{1});
+  for (std::uint64_t m : moduli) {
+    // Exponent 0, and bases at and beyond the modulus.
+    for (std::uint64_t base : {std::uint64_t{0}, std::uint64_t{1}, m - 1, m,
+                               m + 1, ~std::uint64_t{0}}) {
+      EXPECT_EQ(powmod(base, 0, m), reference_powmod(base, 0, m)) << m;
+      EXPECT_EQ(powmod(base, 65537, m), reference_powmod(base, 65537, m))
+          << base << "^65537 mod " << m;
+    }
+    for (int i = 0; i < 200; ++i) {
+      std::uint64_t base = rng.next();
+      std::uint64_t exp = i % 4 == 0 ? rng.below(64) : rng.next();
+      ASSERT_EQ(powmod(base, exp, m), reference_powmod(base, exp, m))
+          << base << "^" << exp << " mod " << m;
+    }
+  }
+}
+
+TEST(ModMath, PowmodCountsOneOperationPerExponentiation) {
+  reset_powmod_ops();
+  (void)powmod(5, 123, dh_prime());
+  (void)powmod(2, 10, 1000);
+  (void)powmod(7, 0, 1);
+  EXPECT_EQ(powmod_ops(), 3u);
 }
 
 TEST(ModMath, Gcd) {
