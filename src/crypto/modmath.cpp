@@ -11,7 +11,73 @@ std::uint64_t mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t m) {
 }
 
 namespace {
+
 std::uint64_t g_powmod_ops = 0;
+
+// The inverse of an odd number modulo 2^64 by Newton iteration: an odd
+// m is its own inverse modulo 8, and each step doubles the number of
+// correct low bits (3, 6, 12, 24, 48, 96).
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t odd) {
+  std::uint64_t inverse = odd;
+  for (int i = 0; i < 5; ++i) inverse *= 2 - odd * inverse;
+  return inverse;
+}
+
+// Arithmetic modulo an odd m in Montgomery form with R = 2^64: a stands
+// for a * R mod m, and a product costs three 64-bit multiplications
+// instead of a 128-by-64 division.
+class Montgomery {
+ public:
+  explicit Montgomery(std::uint64_t m)
+      : m_(m), inverse_(inverse_mod_2_64(m)), one_((0 - m) % m) {
+    // R^2 mod m, in 64-bit arithmetic while R mod m < 2^32.
+    r2_ = m < (1ULL << 32)
+              ? one_ * one_ % m
+              : static_cast<std::uint64_t>(static_cast<__uint128_t>(one_) *
+                                           one_ % m);
+  }
+
+  std::uint64_t one() const { return one_; }
+  std::uint64_t minus_one() const { return m_ - one_; }
+
+  /// Montgomery form of a < m.
+  std::uint64_t to(std::uint64_t a) const { return mul(a, r2_); }
+  std::uint64_t from(std::uint64_t a) const { return reduce(a); }
+
+  std::uint64_t mul(std::uint64_t a, std::uint64_t b) const {
+    return reduce(static_cast<__uint128_t>(a) * b);
+  }
+
+  /// base^exp for a base in Montgomery form, by square-and-multiply.
+  std::uint64_t pow(std::uint64_t base, std::uint64_t exp) const {
+    std::uint64_t result = one_;
+    for (; exp > 0; exp >>= 1) {
+      if (exp & 1) result = mul(result, base);
+      base = mul(base, base);
+    }
+    return result;
+  }
+
+ private:
+  // t * R^-1 mod m for t < m * R. With q = t * m^-1 mod R, t and q * m
+  // agree in their low words, so t - q * m is an exact multiple of R in
+  // (-m * R, m * R): the difference of the high words, plus m when it
+  // borrows. Subtracting keeps every step inside 128 bits for any odd m.
+  std::uint64_t reduce(__uint128_t t) const {
+    const std::uint64_t q = static_cast<std::uint64_t>(t) * inverse_;
+    const auto qm_high = static_cast<std::uint64_t>(
+        static_cast<__uint128_t>(q) * m_ >> 64);
+    const auto t_high = static_cast<std::uint64_t>(t >> 64);
+    const std::uint64_t difference = t_high - qm_high;
+    return t_high < qm_high ? difference + m_ : difference;
+  }
+
+  std::uint64_t m_;
+  std::uint64_t inverse_;  // m^-1 mod R
+  std::uint64_t one_;      // R mod m
+  std::uint64_t r2_;       // R^2 mod m
+};
+
 }  // namespace
 
 std::uint64_t powmod_ops() { return g_powmod_ops; }
@@ -21,8 +87,12 @@ void reset_powmod_ops() { g_powmod_ops = 0; }
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) {
   ++g_powmod_ops;
   if (m == 1) return 0;
-  std::uint64_t result = 1;
   base %= m;
+  if (m & 1) {
+    const Montgomery mont(m);
+    return mont.from(mont.pow(mont.to(base), exp));
+  }
+  std::uint64_t result = 1;
   while (exp > 0) {
     if (exp & 1) result = mulmod(result, base, m);
     base = mulmod(base, base, m);
@@ -41,44 +111,68 @@ std::uint64_t gcd(std::uint64_t a, std::uint64_t b) {
 }
 
 std::uint64_t modinv(std::uint64_t a, std::uint64_t m) {
-  // Extended Euclid over signed 128-bit to tolerate the intermediate
-  // negative coefficients.
-  __int128 t = 0, new_t = 1;
-  __int128 r = m, new_r = a % m;
+  // Extended Euclid over the magnitudes of a's coefficients. They
+  // alternate in sign, so each new magnitude is the sum
+  // |t[k-1]| + q * |t[k]|, bounded by m, and the sign is the parity of
+  // the step count.
+  std::uint64_t r = m, new_r = a % m;
+  std::uint64_t t = 0, new_t = 1;
+  bool negative = true;  // the sign of t after an even number of steps
   while (new_r != 0) {
-    __int128 q = r / new_r;
-    __int128 tmp = t - q * new_t;
-    t = new_t;
-    new_t = tmp;
-    tmp = r - q * new_r;
+    const std::uint64_t q = r / new_r;
+    const std::uint64_t next_r = r - q * new_r;
     r = new_r;
-    new_r = tmp;
+    new_r = next_r;
+    const std::uint64_t next_t = t + q * new_t;
+    t = new_t;
+    new_t = next_t;
+    negative = !negative;
   }
   if (r != 1) return 0;  // not invertible
-  if (t < 0) t += m;
-  return static_cast<std::uint64_t>(t);
+  return negative && t != 0 ? m - t : t;
 }
 
 namespace {
-// Witness check for Miller–Rabin.
-bool witness_composite(std::uint64_t a, std::uint64_t d, int r,
-                       std::uint64_t n) {
-  std::uint64_t x = powmod(a, d, n);
-  if (x == 1 || x == n - 1) return false;
+
+// Trial division by multiplication: for an odd prime p, p divides n
+// exactly when n * p^-1 mod 2^64 is at most (2^64 - 1) / p.
+struct SmallPrime {
+  std::uint64_t value;
+  std::uint64_t inverse;  // value^-1 mod 2^64
+  std::uint64_t limit;    // (2^64 - 1) / value
+};
+
+constexpr SmallPrime small_prime(std::uint64_t p) {
+  return {p, inverse_mod_2_64(p), ~std::uint64_t{0} / p};
+}
+
+constexpr SmallPrime kOddSmallPrimes[] = {
+    small_prime(3),  small_prime(5),  small_prime(7),  small_prime(11),
+    small_prime(13), small_prime(17), small_prime(19), small_prime(23),
+    small_prime(29), small_prime(31), small_prime(37)};
+
+// Miller–Rabin witness check for a base 0 < a < n; one modular
+// exponentiation, counted as such.
+bool witness_composite(const Montgomery& mont, std::uint64_t a,
+                       std::uint64_t d, int r) {
+  ++g_powmod_ops;
+  std::uint64_t x = mont.pow(mont.to(a), d);
+  if (x == mont.one() || x == mont.minus_one()) return false;
   for (int i = 1; i < r; ++i) {
-    x = mulmod(x, x, n);
-    if (x == n - 1) return false;
+    x = mont.mul(x, x);
+    if (x == mont.minus_one()) return false;
   }
   return true;
 }
+
 }  // namespace
 
 bool is_prime(std::uint64_t n) {
   if (n < 2) return false;
-  for (std::uint64_t p : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL, 19ULL,
-                          23ULL, 29ULL, 31ULL, 37ULL}) {
-    if (n == p) return true;
-    if (n % p == 0) return false;
+  if ((n & 1) == 0) return n == 2;
+  for (const SmallPrime& p : kOddSmallPrimes) {
+    if (n == p.value) return true;
+    if (n * p.inverse <= p.limit) return false;
   }
   std::uint64_t d = n - 1;
   int r = 0;
@@ -96,9 +190,11 @@ bool is_prime(std::uint64_t n) {
   std::span<const std::uint64_t> witnesses =
       n < 4'759'123'141ULL ? std::span<const std::uint64_t>(kBelowBound)
                            : std::span<const std::uint64_t>(kAbove);
+  const Montgomery mont(n);
   for (std::uint64_t a : witnesses) {
-    if (a % n == 0) continue;  // n = 61: a multiple of n proves nothing
-    if (witness_composite(a, d, r, n)) return false;
+    const std::uint64_t base = a % n;
+    if (base == 0) continue;  // n = 61: a multiple of n proves nothing
+    if (witness_composite(mont, base, d, r)) return false;
   }
   return true;
 }

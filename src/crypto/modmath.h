@@ -12,7 +12,8 @@ namespace unicore::crypto {
 /// (a * b) mod m without overflow.
 std::uint64_t mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t m);
 
-/// (base ^ exp) mod m by square-and-multiply.
+/// (base ^ exp) mod m by square-and-multiply: over Montgomery products
+/// for odd m, over mulmod for even m.
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m);
 
 /// Running count of powmod invocations — every public-key operation
