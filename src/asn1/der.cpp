@@ -1,6 +1,6 @@
 #include "asn1/der.h"
 
-#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 namespace unicore::asn1 {
@@ -142,181 +142,172 @@ const ValueList& Value::as_set() const {
   return std::get<Constructed>(data_).items;
 }
 
-// ---- encoding ---------------------------------------------------------
+// ---- Writer -----------------------------------------------------------
 
 namespace {
 
-void encode_length(Bytes& out, std::size_t len) {
+// Bytes needed for the big-endian form of `len` (> 0).
+std::size_t length_digits(std::size_t len) {
+  std::size_t digits = 0;
+  for (; len > 0; len >>= 8) ++digits;
+  return digits;
+}
+
+void put_big_endian(std::uint8_t* out, std::size_t len, std::size_t digits) {
+  for (std::size_t i = digits; i-- > 0; len >>= 8)
+    out[i] = static_cast<std::uint8_t>(len & 0xff);
+}
+
+}  // namespace
+
+void Writer::tlv(Tag tag, ByteView content) {
+  out_.push_back(static_cast<std::uint8_t>(tag));
+  const std::size_t len = content.size();
   if (len < 0x80) {
-    out.push_back(static_cast<std::uint8_t>(len));
+    out_.push_back(static_cast<std::uint8_t>(len));
+  } else {
+    // Long form: 0x80 | number-of-length-bytes, then the length.
+    const std::size_t digits = length_digits(len);
+    out_.push_back(static_cast<std::uint8_t>(0x80 | digits));
+    out_.resize(out_.size() + digits);
+    put_big_endian(out_.data() + out_.size() - digits, len, digits);
+  }
+  util::append(out_, content);
+}
+
+void Writer::twos_complement(Tag tag, std::int64_t v) {
+  std::uint8_t digits[8];
+  auto u = static_cast<std::uint64_t>(v);
+  for (int i = 7; i >= 0; --i, u >>= 8)
+    digits[i] = static_cast<std::uint8_t>(u & 0xff);
+  // Strip leading bytes that only repeat the sign bit of the next one.
+  std::size_t start = 0;
+  while (start < 7 && ((digits[start] == 0x00 && !(digits[start + 1] & 0x80)) ||
+                       (digits[start] == 0xff && (digits[start + 1] & 0x80))))
+    ++start;
+  tlv(tag, ByteView(digits + start, 8 - start));
+}
+
+void Writer::boolean(bool v) {
+  const std::uint8_t content = v ? 0xff : 0x00;
+  tlv(Tag::kBoolean, ByteView(&content, 1));
+}
+
+void Writer::integer(std::int64_t v) { twos_complement(Tag::kInteger, v); }
+
+void Writer::utc_time(std::int64_t seconds_since_epoch) {
+  twos_complement(Tag::kUtcTime, seconds_since_epoch);
+}
+
+void Writer::utf8(std::string_view v) {
+  tlv(Tag::kUtf8String,
+      ByteView(reinterpret_cast<const std::uint8_t*>(v.data()), v.size()));
+}
+
+void Writer::octet_string(ByteView v) { tlv(Tag::kOctetString, v); }
+
+void Writer::null() { tlv(Tag::kNull, {}); }
+
+void Writer::oid(const Oid& v) {
+  if (v.arcs.size() < 2)
+    throw std::runtime_error("asn1: OID needs at least two arcs");
+  const Mark mark = begin(Tag::kOid);
+  out_.push_back(static_cast<std::uint8_t>(v.arcs[0] * 40 + v.arcs[1]));
+  for (std::size_t i = 2; i < v.arcs.size(); ++i) {
+    // Base 128, most significant group first, continuation bit on all
+    // groups but the last.
+    std::uint8_t groups[5];
+    std::size_t n = 0;
+    std::uint32_t arc = v.arcs[i];
+    do {
+      groups[n++] = static_cast<std::uint8_t>(arc & 0x7f);
+      arc >>= 7;
+    } while (arc > 0);
+    while (n-- > 0)
+      out_.push_back(static_cast<std::uint8_t>(groups[n] | (n > 0 ? 0x80 : 0)));
+  }
+  end(mark);
+}
+
+Writer::Mark Writer::begin(Tag tag) {
+  out_.push_back(static_cast<std::uint8_t>(tag));
+  out_.push_back(0);  // the length, once end() knows it
+  return Mark{out_.size() - 1};
+}
+
+void Writer::end(Mark mark) {
+  const std::size_t content_at = mark.length_at + 1;
+  const std::size_t len = out_.size() - content_at;
+  if (len < 0x80) {
+    out_[mark.length_at] = static_cast<std::uint8_t>(len);
     return;
   }
-  // Long form: 0x80 | number-of-length-bytes, then big-endian length.
-  Bytes digits;
-  while (len > 0) {
-    digits.push_back(static_cast<std::uint8_t>(len & 0xff));
-    len >>= 8;
-  }
-  out.push_back(static_cast<std::uint8_t>(0x80 | digits.size()));
-  out.insert(out.end(), digits.rbegin(), digits.rend());
+  const std::size_t digits = length_digits(len);
+  out_[mark.length_at] = static_cast<std::uint8_t>(0x80 | digits);
+  out_.insert(out_.begin() + static_cast<std::ptrdiff_t>(content_at), digits,
+              std::uint8_t{0});
+  put_big_endian(out_.data() + content_at, len, digits);
 }
 
-void encode_tlv(Bytes& out, Tag tag, ByteView content) {
-  out.push_back(static_cast<std::uint8_t>(tag));
-  encode_length(out, content.size());
-  util::append(out, content);
-}
+namespace {
 
-Bytes encode_integer_content(std::int64_t v) {
-  // Minimal two's-complement big-endian representation.
-  Bytes digits;
-  bool negative = v < 0;
-  auto u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    digits.push_back(static_cast<std::uint8_t>(u & 0xff));
-    u >>= 8;
-  }
-  std::reverse(digits.begin(), digits.end());
-  // Strip redundant leading bytes while preserving the sign bit.
-  std::size_t start = 0;
-  while (start + 1 < digits.size()) {
-    std::uint8_t first = digits[start];
-    std::uint8_t second = digits[start + 1];
-    if (!negative && first == 0x00 && (second & 0x80) == 0)
-      ++start;
-    else if (negative && first == 0xff && (second & 0x80) != 0)
-      ++start;
-    else
-      break;
-  }
-  return Bytes(digits.begin() + static_cast<std::ptrdiff_t>(start),
-               digits.end());
-}
-
-Bytes encode_oid_content(const Oid& oid) {
-  if (oid.arcs.size() < 2)
-    throw std::runtime_error("asn1: OID needs at least two arcs");
-  Bytes out;
-  out.push_back(static_cast<std::uint8_t>(oid.arcs[0] * 40 + oid.arcs[1]));
-  for (std::size_t i = 2; i < oid.arcs.size(); ++i) {
-    std::uint32_t arc = oid.arcs[i];
-    Bytes groups;
-    groups.push_back(static_cast<std::uint8_t>(arc & 0x7f));
-    arc >>= 7;
-    while (arc > 0) {
-      groups.push_back(static_cast<std::uint8_t>(0x80 | (arc & 0x7f)));
-      arc >>= 7;
-    }
-    out.insert(out.end(), groups.rbegin(), groups.rend());
-  }
-  return out;
-}
-
-void encode_value(Bytes& out, const Value& value);
-
-void encode_constructed(Bytes& out, Tag tag, const ValueList& items) {
-  Bytes content;
-  for (const Value& item : items) encode_value(content, item);
-  encode_tlv(out, tag, content);
-}
-
-void encode_value(Bytes& out, const Value& value) {
+void write_value(Writer& out, const Value& value) {
   if (value.is_boolean()) {
-    Bytes content{value.as_boolean() ? std::uint8_t{0xff} : std::uint8_t{0x00}};
-    encode_tlv(out, Tag::kBoolean, content);
+    out.boolean(value.as_boolean());
   } else if (value.is_integer()) {
-    encode_tlv(out, Tag::kInteger, encode_integer_content(value.as_integer()));
+    out.integer(value.as_integer());
   } else if (value.is_octet_string()) {
-    encode_tlv(out, Tag::kOctetString, value.as_octet_string());
+    out.octet_string(value.as_octet_string());
   } else if (value.is_null()) {
-    encode_tlv(out, Tag::kNull, {});
+    out.null();
   } else if (value.is_oid()) {
-    encode_tlv(out, Tag::kOid, encode_oid_content(value.as_oid()));
+    out.oid(value.as_oid());
   } else if (value.is_utf8()) {
-    encode_tlv(out, Tag::kUtf8String, util::to_bytes(value.as_utf8()));
+    out.utf8(value.as_utf8());
   } else if (value.is_utc_time()) {
-    // Stored as a minimal INTEGER content inside the UTCTime TLV; the
-    // textual YYMMDDhhmmssZ form is irrelevant to this reproduction.
-    encode_tlv(out, Tag::kUtcTime, encode_integer_content(value.as_utc_time()));
-  } else if (value.is_sequence()) {
-    encode_constructed(out, Tag::kSequence, value.as_sequence());
+    out.utc_time(value.as_utc_time());
   } else {
-    encode_constructed(out, Tag::kSet, value.as_set());
+    const Writer::Mark mark = out.begin(value.tag());
+    for (const Value& item :
+         value.is_sequence() ? value.as_sequence() : value.as_set())
+      write_value(out, item);
+    out.end(mark);
   }
 }
 
 }  // namespace
 
 Bytes encode(const Value& value) {
-  Bytes out;
-  encode_value(out, value);
-  return out;
+  Writer out;
+  write_value(out, value);
+  return out.take();
 }
 
-// ---- decoding ---------------------------------------------------------
+// ---- Reader -----------------------------------------------------------
 
 namespace {
 
-struct Decoder {
-  ByteView data;
-  std::size_t pos = 0;
+Error invalid(const std::string& message) {
+  return util::make_error(ErrorCode::kInvalidArgument, "asn1: " + message);
+}
 
-  Error truncated() const {
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "asn1: truncated DER input");
-  }
+Result<bool> boolean_content(ByteView content) {
+  if (content.size() != 1 || (content[0] != 0x00 && content[0] != 0xff))
+    return invalid("non-DER BOOLEAN");
+  return content[0] == 0xff;
+}
 
-  Result<std::uint8_t> byte() {
-    if (pos >= data.size()) return truncated();
-    return data[pos++];
-  }
-
-  Result<std::size_t> length() {
-    auto first = byte();
-    if (!first) return first.error();
-    if ((*&first.value() & 0x80) == 0) return std::size_t{first.value()};
-    std::size_t count = first.value() & 0x7f;
-    if (count == 0 || count > sizeof(std::size_t))
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "asn1: unsupported length encoding");
-    std::size_t len = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      auto b = byte();
-      if (!b) return b.error();
-      len = len << 8 | b.value();
-    }
-    if (len < 0x80)
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "asn1: non-minimal length (not DER)");
-    return len;
-  }
-
-  Result<ByteView> content(std::size_t len) {
-    if (data.size() - pos < len) return truncated();
-    ByteView view = data.subspan(pos, len);
-    pos += len;
-    return view;
-  }
-
-  Result<Value> value();
-};
-
-Result<std::int64_t> decode_integer_content(ByteView content) {
-  if (content.empty())
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "asn1: empty INTEGER");
-  if (content.size() > 8)
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "asn1: INTEGER exceeds 64 bits");
+Result<std::int64_t> integer_content(ByteView content) {
+  if (content.empty()) return invalid("empty INTEGER");
+  if (content.size() > 8) return invalid("INTEGER exceeds 64 bits");
   // Sign-extend from the first content byte.
   std::uint64_t v = (content[0] & 0x80) ? ~std::uint64_t{0} : 0;
   for (std::uint8_t byte : content) v = v << 8 | byte;
   return static_cast<std::int64_t>(v);
 }
 
-Result<Oid> decode_oid_content(ByteView content) {
-  if (content.empty())
-    return util::make_error(ErrorCode::kInvalidArgument, "asn1: empty OID");
+Result<Oid> oid_content(ByteView content) {
+  if (content.empty()) return invalid("empty OID");
   Oid oid;
   oid.arcs.push_back(content[0] / 40);
   oid.arcs.push_back(content[0] % 40);
@@ -331,87 +322,150 @@ Result<Oid> decode_oid_content(ByteView content) {
       in_arc = false;
     }
   }
-  if (in_arc)
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "asn1: truncated OID arc");
+  if (in_arc) return invalid("truncated OID arc");
   return oid;
 }
 
-Result<Value> Decoder::value() {
-  auto tag_byte = byte();
-  if (!tag_byte) return tag_byte.error();
-  auto len = length();
-  if (!len) return len.error();
-  auto body = content(len.value());
-  if (!body) return body.error();
-  ByteView c = body.value();
+// The value of `result`, or T{} after failing `reader` with its error.
+template <typename T>
+T take(Reader& reader, Result<T> result) {
+  if (!result) {
+    reader.fail(result.error());
+    return T{};
+  }
+  return std::move(result).value();
+}
 
-  switch (static_cast<Tag>(tag_byte.value())) {
-    case Tag::kBoolean:
-      if (c.size() != 1 || (c[0] != 0x00 && c[0] != 0xff))
-        return util::make_error(ErrorCode::kInvalidArgument,
-                                "asn1: non-DER BOOLEAN");
-      return Value::boolean(c[0] == 0xff);
-    case Tag::kInteger: {
-      auto v = decode_integer_content(c);
-      if (!v) return v.error();
-      return Value::integer(v.value());
+}  // namespace
+
+void Reader::fail(Error error) {
+  if (status_.ok()) status_ = std::move(error);
+}
+
+Reader::Element Reader::next() {
+  if (!ok()) return {};
+  const auto truncated = [this] {
+    fail(invalid("truncated DER input"));
+    return Element{};
+  };
+  if (pos_ >= data_.size()) return truncated();
+  Element element;
+  element.tag = data_[pos_++];
+  if (pos_ >= data_.size()) return truncated();
+  std::size_t len = data_[pos_++];
+  if (len & 0x80) {
+    const std::size_t count = len & 0x7f;
+    if (count == 0 || count > sizeof(std::size_t)) {
+      fail(invalid("unsupported length encoding"));
+      return {};
     }
+    if (data_.size() - pos_ < count) return truncated();
+    len = 0;
+    for (std::size_t i = 0; i < count; ++i) len = len << 8 | data_[pos_++];
+    if (len < 0x80) {
+      fail(invalid("non-minimal length (not DER)"));
+      return {};
+    }
+  }
+  if (data_.size() - pos_ < len) return truncated();
+  element.content = data_.subspan(pos_, len);
+  pos_ += len;
+  return element;
+}
+
+ByteView Reader::expect(Tag tag) {
+  const Element element = next();
+  if (!ok()) return {};
+  if (element.tag != static_cast<std::uint8_t>(tag)) {
+    fail(invalid("expected tag " +
+                 std::to_string(static_cast<unsigned>(tag)) + ", found " +
+                 std::to_string(element.tag)));
+    return {};
+  }
+  return element.content;
+}
+
+void Reader::leave(const Reader& inner) {
+  const util::Status done = inner.finish();
+  if (!done.ok()) fail(done.error());
+}
+
+bool Reader::boolean() {
+  const ByteView content = expect(Tag::kBoolean);
+  return ok() && take(*this, boolean_content(content));
+}
+
+std::int64_t Reader::integer() {
+  const ByteView content = expect(Tag::kInteger);
+  return ok() ? take(*this, integer_content(content)) : 0;
+}
+
+std::int64_t Reader::utc_time() {
+  const ByteView content = expect(Tag::kUtcTime);
+  return ok() ? take(*this, integer_content(content)) : 0;
+}
+
+std::string Reader::utf8() { return util::to_string(expect(Tag::kUtf8String)); }
+
+util::Status Reader::finish() const {
+  if (!ok()) return status_;
+  if (!at_end()) return invalid("trailing bytes after DER value");
+  return util::Status::ok_status();
+}
+
+namespace {
+
+Value read_value(Reader& reader) {
+  const Reader::Element element = reader.next();
+  if (!reader.ok()) return {};
+  const ByteView c = element.content;
+  switch (static_cast<Tag>(element.tag)) {
+    case Tag::kBoolean:
+      return Value::boolean(take(reader, boolean_content(c)));
+    case Tag::kInteger:
+      return Value::integer(take(reader, integer_content(c)));
     case Tag::kOctetString:
       return Value::octet_string(Bytes(c.begin(), c.end()));
     case Tag::kNull:
-      if (!c.empty())
-        return util::make_error(ErrorCode::kInvalidArgument,
-                                "asn1: NULL with content");
+      if (!c.empty()) reader.fail(invalid("NULL with content"));
       return Value::null();
-    case Tag::kOid: {
-      auto v = decode_oid_content(c);
-      if (!v) return v.error();
-      return Value::oid(std::move(v.value()));
-    }
+    case Tag::kOid:
+      return Value::oid(take(reader, oid_content(c)));
     case Tag::kUtf8String:
       return Value::utf8(util::to_string(c));
-    case Tag::kUtcTime: {
-      auto v = decode_integer_content(c);
-      if (!v) return v.error();
-      return Value::utc_time(v.value());
-    }
+    case Tag::kUtcTime:
+      return Value::utc_time(take(reader, integer_content(c)));
     case Tag::kSequence:
     case Tag::kSet: {
-      Decoder inner{c};
+      Reader inner(c);
       ValueList items;
-      while (inner.pos < inner.data.size()) {
-        auto item = inner.value();
-        if (!item) return item.error();
-        items.push_back(std::move(item.value()));
-      }
-      return static_cast<Tag>(tag_byte.value()) == Tag::kSequence
+      while (inner.ok() && !inner.at_end()) items.push_back(read_value(inner));
+      reader.leave(inner);
+      return static_cast<Tag>(element.tag) == Tag::kSequence
                  ? Value::sequence(std::move(items))
                  : Value::set(std::move(items));
     }
   }
-  return util::make_error(ErrorCode::kInvalidArgument,
-                          "asn1: unsupported tag " +
-                              std::to_string(tag_byte.value()));
+  reader.fail(invalid("unsupported tag " + std::to_string(element.tag)));
+  return {};
 }
 
 }  // namespace
 
 Result<Value> decode_prefix(ByteView der, std::size_t& consumed) {
-  Decoder d{der};
-  auto v = d.value();
-  if (v) consumed = d.pos;
-  return v;
+  Reader reader(der);
+  Value value = read_value(reader);
+  if (!reader.ok()) return reader.finish().error();
+  consumed = reader.position();
+  return value;
 }
 
 Result<Value> decode(ByteView der) {
-  std::size_t consumed = 0;
-  auto v = decode_prefix(der, consumed);
-  if (!v) return v;
-  if (consumed != der.size())
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "asn1: trailing bytes after DER value");
-  return v;
+  Reader reader(der);
+  Value value = read_value(reader);
+  util::Status done = reader.finish();
+  if (!done.ok()) return done.error();
+  return value;
 }
 
 }  // namespace unicore::asn1

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -102,6 +103,94 @@ class Value {
   std::variant<bool, std::int64_t, util::Bytes, Null, Oid, std::string,
                UtcTime, Constructed>
       data_;
+};
+
+/// Streams canonical DER into a byte string. A primitive value is
+/// written whole; a constructed one is opened with begin() and closed
+/// with end(), which back-patches its length. Every DER encoder here,
+/// encode() of a Value tree included, writes through this class, so each
+/// encoding rule exists once.
+class Writer {
+ public:
+  /// An open value: where its length byte sits.
+  struct Mark {
+    std::size_t length_at = 0;
+  };
+
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
+  void boolean(bool v);
+  /// Minimal two's complement, big-endian.
+  void integer(std::int64_t v);
+  /// Seconds since the epoch as INTEGER content inside the UTCTime tag;
+  /// the textual YYMMDDhhmmssZ form is irrelevant to this reproduction.
+  void utc_time(std::int64_t seconds_since_epoch);
+  void utf8(std::string_view v);
+  void octet_string(util::ByteView v);
+  void null();
+  void oid(const Oid& v);
+
+  /// Opens a value of `tag` whose content is everything written until
+  /// end(mark).
+  Mark begin(Tag tag);
+  /// Writes the minimal length of the value `mark` opened: in place below
+  /// 128 bytes of content, else moving the content up to make room for
+  /// the long form.
+  void end(Mark mark);
+
+  util::Bytes take() { return std::move(out_); }
+
+ private:
+  void tlv(Tag tag, util::ByteView content);
+  void twos_complement(Tag tag, std::int64_t v);
+
+  util::Bytes out_;
+};
+
+/// Reads DER values in order from a byte string without copying it.
+/// Every read checks the DER rules: a definite length in minimal form,
+/// no truncation, a canonical BOOLEAN, an INTEGER of one to eight bytes.
+/// The first failure sticks: later reads return empty values, and
+/// finish() reports it. decode() of a Value tree reads through this
+/// class too, so each decoding rule exists once.
+class Reader {
+ public:
+  struct Element {
+    std::uint8_t tag = 0;
+    util::ByteView content;
+  };
+
+  explicit Reader(util::ByteView der) : data_(der) {}
+
+  /// The next value's tag and content.
+  Element next();
+  /// The next value's content; fails unless its tag is `tag`.
+  util::ByteView expect(Tag tag);
+  /// A reader over the content of the next value, which must carry `tag`;
+  /// hand it back to leave() once its contents are read.
+  Reader enter(Tag tag) { return Reader(expect(tag)); }
+  /// Fails this reader when `inner` failed or left content unread.
+  void leave(const Reader& inner);
+
+  bool boolean();
+  std::int64_t integer();
+  std::int64_t utc_time();
+  std::string utf8();
+
+  /// Records a failure; only the first one is kept.
+  void fail(util::Error error);
+
+  bool ok() const { return status_.ok(); }
+  bool at_end() const { return pos_ == data_.size(); }
+  /// Bytes consumed so far.
+  std::size_t position() const { return pos_; }
+  /// The first failure, or an error when input remains unread.
+  util::Status finish() const;
+
+ private:
+  util::ByteView data_;
+  std::size_t pos_ = 0;
+  util::Status status_;
 };
 
 /// Encodes a value to canonical DER.

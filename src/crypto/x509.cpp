@@ -57,81 +57,105 @@ Result<DistinguishedName> DistinguishedName::from_asn1(const Value& v) {
 
 // ---- Certificate -------------------------------------------------------
 
+// The certificate's DER is written and read field by field, with no
+// asn1::Value tree in between: the same bytes as asn1::encode of
+// SEQUENCE { tbs, INTEGER signature } where tbs is
+//   SEQUENCE { INTEGER version, INTEGER serial, issuer, subject,
+//              UTCTime not_before, UTCTime not_after,
+//              SEQUENCE { INTEGER n, INTEGER e },
+//              INTEGER key_usage, BOOLEAN is_ca }
+// and each DN is DistinguishedName::to_asn1's SEQUENCE of five
+// UTF8Strings. Unsigned fields travel as their int64 bit patterns.
+
 namespace {
 
-Value public_key_to_asn1(const PublicKey& key) {
-  return Value::sequence({Value::integer(static_cast<std::int64_t>(key.n)),
-                          Value::integer(static_cast<std::int64_t>(key.e))});
+using asn1::Tag;
+
+constexpr std::size_t kCertificateCapacity = 256;
+
+void write_dn(asn1::Writer& out, const DistinguishedName& dn) {
+  const asn1::Writer::Mark mark = out.begin(Tag::kSequence);
+  out.utf8(dn.country);
+  out.utf8(dn.organization);
+  out.utf8(dn.organizational_unit);
+  out.utf8(dn.common_name);
+  out.utf8(dn.email);
+  out.end(mark);
 }
 
-Result<PublicKey> public_key_from_asn1(const Value& v) {
-  if (!v.is_sequence() || v.as_sequence().size() != 2 ||
-      !v.as_sequence()[0].is_integer() || !v.as_sequence()[1].is_integer())
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "x509: malformed public key");
-  PublicKey key;
-  key.n = static_cast<std::uint64_t>(v.as_sequence()[0].as_integer());
-  key.e = static_cast<std::uint64_t>(v.as_sequence()[1].as_integer());
-  return key;
+void write_tbs(asn1::Writer& out, const Certificate& cert) {
+  const asn1::Writer::Mark tbs = out.begin(Tag::kSequence);
+  out.integer(cert.version);
+  out.integer(static_cast<std::int64_t>(cert.serial));
+  write_dn(out, cert.issuer);
+  write_dn(out, cert.subject);
+  out.utc_time(cert.not_before);
+  out.utc_time(cert.not_after);
+  const asn1::Writer::Mark key = out.begin(Tag::kSequence);
+  out.integer(static_cast<std::int64_t>(cert.subject_key.n));
+  out.integer(static_cast<std::int64_t>(cert.subject_key.e));
+  out.end(key);
+  out.integer(cert.key_usage);
+  out.boolean(cert.is_ca);
+  out.end(tbs);
 }
 
-Value tbs_to_asn1(const Certificate& cert) {
-  return Value::sequence(
-      {Value::integer(cert.version),
-       Value::integer(static_cast<std::int64_t>(cert.serial)),
-       cert.issuer.to_asn1(), cert.subject.to_asn1(),
-       Value::utc_time(cert.not_before), Value::utc_time(cert.not_after),
-       public_key_to_asn1(cert.subject_key),
-       Value::integer(cert.key_usage), Value::boolean(cert.is_ca)});
+DistinguishedName read_dn(asn1::Reader& in) {
+  asn1::Reader fields = in.enter(Tag::kSequence);
+  DistinguishedName dn;
+  dn.country = fields.utf8();
+  dn.organization = fields.utf8();
+  dn.organizational_unit = fields.utf8();
+  dn.common_name = fields.utf8();
+  dn.email = fields.utf8();
+  in.leave(fields);
+  return dn;
 }
 
 }  // namespace
 
-Bytes Certificate::tbs_der() const { return asn1::encode(tbs_to_asn1(*this)); }
+Bytes Certificate::tbs_der() const {
+  asn1::Writer out;
+  out.reserve(kCertificateCapacity);
+  write_tbs(out, *this);
+  return out.take();
+}
 
 Bytes Certificate::der() const {
-  Value full = Value::sequence(
-      {tbs_to_asn1(*this),
-       Value::integer(static_cast<std::int64_t>(signature.value))});
-  return asn1::encode(full);
+  asn1::Writer out;
+  out.reserve(kCertificateCapacity);
+  const asn1::Writer::Mark full = out.begin(Tag::kSequence);
+  write_tbs(out, *this);
+  out.integer(static_cast<std::int64_t>(signature.value));
+  out.end(full);
+  return out.take();
 }
 
 Result<Certificate> Certificate::from_der(ByteView der) {
-  auto decoded = asn1::decode(der);
-  if (!decoded) return decoded.error();
-  const Value& full = decoded.value();
-  if (!full.is_sequence() || full.as_sequence().size() != 2)
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "x509: malformed certificate envelope");
-  const Value& tbs = full.as_sequence()[0];
-  const Value& sig = full.as_sequence()[1];
-  if (!tbs.is_sequence() || tbs.as_sequence().size() != 9 || !sig.is_integer())
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "x509: malformed tbs certificate");
-  const auto& f = tbs.as_sequence();
-
+  asn1::Reader in(der);
+  asn1::Reader full = in.enter(Tag::kSequence);
+  asn1::Reader tbs = full.enter(Tag::kSequence);
   Certificate cert;
-  try {
-    cert.version = static_cast<std::int32_t>(f[0].as_integer());
-    cert.serial = static_cast<std::uint64_t>(f[1].as_integer());
-    auto issuer = DistinguishedName::from_asn1(f[2]);
-    if (!issuer) return issuer.error();
-    cert.issuer = std::move(issuer.value());
-    auto subject = DistinguishedName::from_asn1(f[3]);
-    if (!subject) return subject.error();
-    cert.subject = std::move(subject.value());
-    cert.not_before = f[4].as_utc_time();
-    cert.not_after = f[5].as_utc_time();
-    auto key = public_key_from_asn1(f[6]);
-    if (!key) return key.error();
-    cert.subject_key = key.value();
-    cert.key_usage = static_cast<std::uint8_t>(f[7].as_integer());
-    cert.is_ca = f[8].as_boolean();
-  } catch (const std::runtime_error& e) {
+  cert.version = static_cast<std::int32_t>(tbs.integer());
+  cert.serial = static_cast<std::uint64_t>(tbs.integer());
+  cert.issuer = read_dn(tbs);
+  cert.subject = read_dn(tbs);
+  cert.not_before = tbs.utc_time();
+  cert.not_after = tbs.utc_time();
+  asn1::Reader key = tbs.enter(Tag::kSequence);
+  cert.subject_key.n = static_cast<std::uint64_t>(key.integer());
+  cert.subject_key.e = static_cast<std::uint64_t>(key.integer());
+  tbs.leave(key);
+  cert.key_usage = static_cast<std::uint8_t>(tbs.integer());
+  cert.is_ca = tbs.boolean();
+  full.leave(tbs);
+  cert.signature.value = static_cast<std::uint64_t>(full.integer());
+  in.leave(full);
+  util::Status done = in.finish();
+  if (!done.ok())
     return util::make_error(ErrorCode::kInvalidArgument,
-                            std::string("x509: ") + e.what());
-  }
-  cert.signature.value = static_cast<std::uint64_t>(sig.as_integer());
+                            "x509: malformed certificate: " +
+                                done.error().message);
   return cert;
 }
 
