@@ -20,27 +20,28 @@ std::size_t dn_shard_of(const std::string& dn, std::size_t shard_count) {
 
 void UserDatabase::add_mapping(const crypto::DistinguishedName& dn,
                                UserEntry entry) {
-  Shard& shard = shard_for(dn.to_string());
-  shard.entries[dn.to_string()] = std::move(entry);
+  std::string key = dn.to_string();
+  Shard& shard = shard_for(key);
+  shard.entries.insert_or_assign(std::move(key), std::move(entry));
   ++shard.generation;
 }
 
 Status UserDatabase::remove_mapping(const crypto::DistinguishedName& dn) {
-  Shard& shard = shard_for(dn.to_string());
-  if (shard.entries.erase(dn.to_string()) == 0)
-    return util::make_error(ErrorCode::kNotFound,
-                            "no mapping for " + dn.to_string());
+  const std::string key = dn.to_string();
+  Shard& shard = shard_for(key);
+  if (shard.entries.erase(key) == 0)
+    return util::make_error(ErrorCode::kNotFound, "no mapping for " + key);
   ++shard.generation;
   return Status::ok_status();
 }
 
 Status UserDatabase::set_suspended(const crypto::DistinguishedName& dn,
                                    bool suspended) {
-  Shard& shard = shard_for(dn.to_string());
-  auto it = shard.entries.find(dn.to_string());
+  const std::string key = dn.to_string();
+  Shard& shard = shard_for(key);
+  auto it = shard.entries.find(key);
   if (it == shard.entries.end())
-    return util::make_error(ErrorCode::kNotFound,
-                            "no mapping for " + dn.to_string());
+    return util::make_error(ErrorCode::kNotFound, "no mapping for " + key);
   it->second.suspended = suspended;
   ++shard.generation;
   return Status::ok_status();
@@ -48,11 +49,12 @@ Status UserDatabase::set_suspended(const crypto::DistinguishedName& dn,
 
 Result<UserEntry> UserDatabase::lookup(
     const crypto::DistinguishedName& dn) const {
-  const Shard& shard = shard_for(dn.to_string());
-  auto it = shard.entries.find(dn.to_string());
+  const std::string key = dn.to_string();
+  const Shard& shard = shard_for(key);
+  auto it = shard.entries.find(key);
   if (it == shard.entries.end())
     return util::make_error(ErrorCode::kPermissionDenied,
-                            "no local mapping for " + dn.to_string());
+                            "no local mapping for " + key);
   return it->second;
 }
 
