@@ -67,7 +67,8 @@ Assembly::Assembly(Assembly&& other) noexcept
       buffers_(std::move(other.buffers_)),
       buffered_bytes_(other.buffered_bytes_),
       store_(std::move(other.store_)),
-      digests_(std::move(other.digests_)) {
+      digests_(std::move(other.digests_)),
+      finished_(std::move(other.finished_)) {
   // The moved-from assembly must not release the references we now own.
   other.store_.reset();
   other.digests_.clear();
@@ -85,6 +86,7 @@ Assembly& Assembly::operator=(Assembly&& other) noexcept {
   buffered_bytes_ = other.buffered_bytes_;
   store_ = std::move(other.store_);
   digests_ = std::move(other.digests_);
+  finished_ = std::move(other.finished_);
   other.store_.reset();
   other.digests_.clear();
   return *this;
@@ -166,6 +168,7 @@ util::Result<uspace::FileBlob> Assembly::finish() {
     return make_error(ErrorCode::kFailedPrecondition,
                       "transfer incomplete: " + std::to_string(bitmap_.count()) +
                           "/" + std::to_string(bitmap_.total()) + " chunks");
+  if (finished_ != nullptr) return uspace::FileBlob::from_pinned(finished_);
   const auto mismatch = [] {
     return make_error(ErrorCode::kInvalidArgument,
                       "reassembled file does not match its declared identity");
@@ -196,12 +199,12 @@ util::Result<uspace::FileBlob> Assembly::finish() {
     manifest.synthetic = synthetic_;
     manifest.chunk_bytes = chunk_bytes_;
     manifest.chunks = std::move(digests);
-    // Hand the accumulated references to the blob's pin; this assembly
-    // no longer owns them.
-    auto pinned = std::make_shared<const store::PinnedBlob>(
+    // Hand the accumulated references to the pin, which this assembly
+    // keeps until it is destroyed, so a retried delivery finds them.
+    finished_ = std::make_shared<const store::PinnedBlob>(
         store_, std::move(manifest));
     digests_.clear();
-    return uspace::FileBlob::from_pinned(std::move(pinned));
+    return uspace::FileBlob::from_pinned(finished_);
   }
   if (synthetic_) return uspace::FileBlob::from_identity(size_, checksum_);
   util::Bytes content;

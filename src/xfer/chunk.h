@@ -105,8 +105,11 @@ class Assembly {
   /// crypto::kFileChunkBytes the identity is checked over those digests
   /// alone. At any other chunk size the content streams through
   /// crypto::FileHasher, one chunk resident at a time in store mode. In
-  /// store mode the chunk references move into the returned blob's pin;
-  /// a failed finish keeps them until the assembly is destroyed.
+  /// store mode the chunk references move into one pin, which the
+  /// assembly shares with every blob it returns: a finish after a failed
+  /// delivery returns the same blob, and the references go back once,
+  /// when the last holder drops the pin. A failed finish keeps them until
+  /// the assembly is destroyed.
   util::Result<uspace::FileBlob> finish();
 
  private:
@@ -121,8 +124,9 @@ class Assembly {
   std::uint64_t buffered_bytes_ = 0;
   std::shared_ptr<store::ChunkStore> store_;
   // The digest of every present chunk; in store mode each holds one
-  // store reference.
+  // store reference until finish() moves them all into finished_.
   std::map<std::uint64_t, crypto::Digest> digests_;
+  std::shared_ptr<const store::PinnedBlob> finished_;
 };
 
 }  // namespace unicore::xfer

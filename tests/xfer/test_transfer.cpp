@@ -133,12 +133,14 @@ struct TransferFixture : public ::testing::Test {
   Service service{engine, njs};
   TransferManager manager{engine, rng};
   ajo::JobToken token = 0;
+  std::uint64_t uspace_quota_bytes = 0;  // the receiver job's; 0 = unlimited
 
   void SetUp() override {
     njs.set_journal(std::make_shared<njs::Journal>(store));
     njs.add_crash_participant(&service);
     njs::Njs::VsiteConfig config;
     config.system = batch::make_cray_t3e("T3E", 32);
+    config.uspace_quota_bytes = uspace_quota_bytes;
     njs.add_vsite(std::move(config));
 
     // One finished job whose Uspace receives pushes and serves pulls.
@@ -1153,6 +1155,61 @@ TEST_F(StoreTransferFixture, ForgedIdentityPushIsRefusedAtAClampedChunkSize) {
   service.set_limits(limits);
   expect_forged_push_refused("clamped.bin", kDefaultChunkBytes);
   njs.crash();
+  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
+  EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
+}
+
+// A store-mode file whose delivery fails once, on a full Uspace, is
+// delivered by the close's retry once the space is free: the assembly
+// keeps the references its finish() moved into the blob's pin.
+struct FullUspaceStoreTransferFixture : public StoreTransferFixture {
+  static constexpr std::uint64_t kQuota = 4 << 20;
+  FullUspaceStoreTransferFixture() { uspace_quota_bytes = kQuota; }
+};
+
+TEST_F(FullUspaceStoreTransferFixture, FailedDeliveryIsRetriedAtClose) {
+  const auto filler = [](std::uint64_t bytes) {
+    return std::make_shared<const uspace::FileBlob>(
+        uspace::FileBlob::synthetic(bytes, 1));
+  };
+  ASSERT_TRUE(njs.deliver_file(token, "filler", filler(kQuota - (512 << 10)))
+                  .ok());
+  auto transport = std::make_shared<Loopback>(engine, service, 1);
+  uspace::FileBlob blob =
+      uspace::FileBlob::from_bytes(util::Rng(31).bytes(1 << 20));
+  int calls = 0;
+  transport->after_dispatch = [&] {
+    // The open, then the file's one chunk: it was applied, but writing
+    // the file hit the quota, so it answered kResourceExhausted (which
+    // the sender retries). Free the space before that retry and the
+    // close.
+    if (++calls != 2) return;
+    EXPECT_EQ(service.chunks_applied(), 1u);
+    EXPECT_FALSE(njs.fetch_file_shared(token, "late.bin").ok());
+    // The undelivered file still holds its chunk's reference.
+    EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage() + 1);
+    EXPECT_TRUE(njs.deliver_file(token, "filler", filler(1)).ok());
+  };
+  TransferOptions options;  // one 1 MiB chunk, at the identity's size
+  auto stats = push_blob(transport, blob, "late.bin", options);
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  EXPECT_EQ(service.chunks_applied(), 1u);
+  EXPECT_EQ(service.duplicates_suppressed(), 1u);  // the retried chunk
+  EXPECT_EQ(service.files_delivered(), 1u);
+  EXPECT_EQ(delivered_checksum("late.bin"), blob.checksum());
+  {
+    auto delivered = njs.fetch_file_shared(token, "late.bin");
+    ASSERT_TRUE(delivered.ok());
+    util::Bytes content;
+    ASSERT_TRUE(delivered.value()->read_range(0, blob.size(), content).ok());
+    EXPECT_EQ(content, *blob.bytes());
+  }
+  // The stored files' pins hold every reference: late.bin's one chunk
+  // and the filler's.
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(chunk_store->stats().total_refs, 2u);
+  EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage());
+  ASSERT_TRUE(njs.reap_storage(token).ok());
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
   EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
 }
