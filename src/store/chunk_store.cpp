@@ -62,11 +62,24 @@ Status ChunkStore::add_chunk(const crypto::Digest& digest,
       return make_error(ErrorCode::kInvalidArgument,
                         "digest collision: stored chunk has a different "
                         "shape (store and wire digests out of sync?)");
+    if (rec.spilled) {
+      if (crypto::chunk_content_digest(data) != digest)
+        return make_error(ErrorCode::kInvalidArgument,
+                          "chunk bytes do not match their digest");
+      if (spill_ != nullptr) spill_->erase(digest);
+      rec.data.assign(data.begin(), data.end());
+      rec.spilled = false;
+      rec.lru_seq = next_seq_++;
+      lru_.emplace(rec.lru_seq, digest);
+      stats_.spilled_bytes -= rec.length;
+      stats_.resident_bytes += rec.length;
+    }
     ++rec.refs;
     ++stats_.total_refs;
     stats_.logical_bytes += rec.length;
     count_dedup(rec);
     touch(digest, rec);
+    maybe_evict();
     refresh_gauges();
     return Status::ok_status();
   }

@@ -144,7 +144,11 @@ class ChunkStore {
   /// `data` when the chunk is new. `digest` must be
   /// crypto::chunk_content_digest(data) — callers on the wire path have
   /// already verified it; local writers compute it from the data.
-  /// A present digest is a dedup hit: the payload is not written.
+  /// A present digest is a dedup hit: the payload is not written,
+  /// except over a spilled copy. Fault-back refuses a cold-tier copy
+  /// that fails its digest, so bytes checked against `digest` here
+  /// become the resident copy instead, repairing the chunk; bytes that
+  /// fail the check are refused and change nothing.
   util::Status add_chunk(const crypto::Digest& digest, util::ByteView data);
 
   /// Synthetic twin of add_chunk: the chunk is identified (digest,

@@ -264,6 +264,62 @@ TEST(ChunkStore, FaultBackRefusesBytesThatAreNotTheChunk) {
   EXPECT_EQ(env.spill->chunks(), 0u);
 }
 
+// A damaged spilled chunk is repaired when its own bytes arrive again;
+// bytes that are not the chunk change nothing.
+TEST(ChunkStore, ReAddingASpilledChunkRepairsADamagedCopy) {
+  DamagedSpill env;
+  env.spill->damage = DamagingSpillBackend::Damage::kFlip;
+  const crypto::Digest spilled = env.pinned->manifest().chunks[0];
+  const util::Bytes good(env.content.begin(), env.content.begin() + 400);
+  ASSERT_FALSE(env.store->read(spilled).ok());
+
+  const StoreStats before = env.store->stats();
+  const auto expect_unchanged = [&] {
+    const StoreStats now = env.store->stats();
+    EXPECT_EQ(now.total_refs, before.total_refs);
+    EXPECT_EQ(now.logical_bytes, before.logical_bytes);
+    EXPECT_EQ(now.physical_bytes, before.physical_bytes);
+    EXPECT_EQ(now.resident_bytes, before.resident_bytes);
+    EXPECT_EQ(now.spilled_bytes, before.spilled_bytes);
+    EXPECT_EQ(now.dedup_hits, before.dedup_hits);
+    EXPECT_EQ(env.store->refcount(spilled), 1u);
+    EXPECT_EQ(env.spill->chunks(), 2u);
+  };
+  util::Bytes wrong = good;
+  wrong[7] ^= 0x01;
+  EXPECT_FALSE(env.store->add_chunk(spilled, wrong).ok());
+  expect_unchanged();
+  EXPECT_FALSE(env.store->read(spilled).ok());
+
+  ASSERT_TRUE(env.store->add_chunk(spilled, good).ok());
+  EXPECT_EQ(env.store->refcount(spilled), 2u);
+  auto read = env.store->read(spilled);
+  ASSERT_TRUE(read.ok()) << read.error().to_string();
+  EXPECT_EQ(read.value(), good);
+  util::Bytes out;
+  ASSERT_TRUE(env.pinned->read_range(0, 400, out).ok());
+  EXPECT_EQ(out, good);
+  // A dedup hit, not a fault: the repaired chunk is resident, and the
+  // budget spilled the coldest resident chunk in its place.
+  const StoreStats after = env.store->stats();
+  EXPECT_EQ(after.total_refs, before.total_refs + 1);
+  EXPECT_EQ(after.logical_bytes, before.logical_bytes + 400);
+  EXPECT_EQ(after.physical_bytes, before.physical_bytes);
+  EXPECT_EQ(after.dedup_hits, before.dedup_hits + 1);
+  EXPECT_EQ(after.faults, before.faults);
+  EXPECT_EQ(after.resident_bytes + after.spilled_bytes, after.physical_bytes);
+  EXPECT_LE(after.resident_bytes, 1000u);
+  EXPECT_EQ(env.spill->chunks(), after.spilled_bytes / 400);
+
+  env.store->release(spilled);
+  env.pinned.reset();
+  EXPECT_EQ(env.store->stats().total_refs, 0u);
+  EXPECT_EQ(env.store->stats().physical_bytes, 0u);
+  EXPECT_EQ(env.store->stats().resident_bytes, 0u);
+  EXPECT_EQ(env.store->stats().spilled_bytes, 0u);
+  EXPECT_EQ(env.spill->chunks(), 0u);
+}
+
 // A stored blob whose chunk cannot be read still encodes a well-framed
 // blob, and the receiver's decoder refuses it.
 TEST(ChunkStore, UnreadableStoredChunkEncodesABlobTheDecoderRefuses) {
