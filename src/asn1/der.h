@@ -117,8 +117,6 @@ class Writer {
     std::size_t length_at = 0;
   };
 
-  void reserve(std::size_t bytes) { out_.reserve(bytes); }
-
   void boolean(bool v);
   /// Minimal two's complement, big-endian.
   void integer(std::int64_t v);

@@ -71,8 +71,6 @@ namespace {
 
 using asn1::Tag;
 
-constexpr std::size_t kCertificateCapacity = 256;
-
 void write_dn(asn1::Writer& out, const DistinguishedName& dn) {
   const asn1::Writer::Mark mark = out.begin(Tag::kSequence);
   out.utf8(dn.country);
@@ -116,14 +114,12 @@ DistinguishedName read_dn(asn1::Reader& in) {
 
 Bytes Certificate::tbs_der() const {
   asn1::Writer out;
-  out.reserve(kCertificateCapacity);
   write_tbs(out, *this);
   return out.take();
 }
 
 Bytes Certificate::der() const {
   asn1::Writer out;
-  out.reserve(kCertificateCapacity);
   const asn1::Writer::Mark full = out.begin(Tag::kSequence);
   write_tbs(out, *this);
   out.integer(static_cast<std::int64_t>(signature.value));
