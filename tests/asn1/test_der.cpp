@@ -162,5 +162,92 @@ TEST(Der, TypeMismatchAccessorsThrow) {
   EXPECT_THROW(v.as_oid(), std::runtime_error);
 }
 
+// ---- the streaming Writer and Reader -------------------------------------
+
+// The DER length octets of `len`, from the definition.
+Bytes length_octets(std::size_t len) {
+  if (len < 0x80) return {static_cast<std::uint8_t>(len)};
+  Bytes digits;
+  for (; len > 0; len >>= 8)
+    digits.insert(digits.begin(), static_cast<std::uint8_t>(len & 0xff));
+  digits.insert(digits.begin(), static_cast<std::uint8_t>(0x80 | digits.size()));
+  return digits;
+}
+
+TEST(Der, WriterBackPatchesEveryLengthForm) {
+  // Two nested constructed values around a primitive of each size: the
+  // inner and outer lengths cross the short/long boundary and the one-
+  // to three-byte long forms at different sizes.
+  for (std::size_t n : {0u, 1u, 123u, 124u, 125u, 126u, 127u, 128u, 250u,
+                        255u, 256u, 65'531u, 65'535u, 65'536u, 70'000u}) {
+    const Bytes payload(n, 0x5a);
+    Writer out;
+    const Writer::Mark outer = out.begin(Tag::kSequence);
+    const Writer::Mark inner = out.begin(Tag::kSet);
+    out.octet_string(payload);
+    out.end(inner);
+    out.end(outer);
+    Bytes primitive{0x04};
+    util::append(primitive, length_octets(n));
+    util::append(primitive, payload);
+    Bytes set{0x31};
+    util::append(set, length_octets(primitive.size()));
+    util::append(set, primitive);
+    Bytes expected{0x30};
+    util::append(expected, length_octets(set.size()));
+    util::append(expected, set);
+    ASSERT_EQ(out.take(), expected) << n;
+    auto decoded = decode(expected);
+    ASSERT_TRUE(decoded.ok()) << n;
+    EXPECT_EQ(decoded.value().as_sequence()[0].as_set()[0].as_octet_string(),
+              payload);
+  }
+}
+
+TEST(Der, ReaderKeepsTheFirstFailure) {
+  // SEQUENCE { INTEGER 5, BOOLEAN TRUE }
+  const Bytes der{0x30, 0x06, 0x02, 0x01, 0x05, 0x01, 0x01, 0xff};
+  {
+    Reader in(der);
+    Reader fields = in.enter(Tag::kSequence);
+    EXPECT_EQ(fields.integer(), 5);
+    EXPECT_TRUE(fields.boolean());
+    in.leave(fields);
+    EXPECT_TRUE(in.finish().ok());
+  }
+  {
+    Reader in(der);
+    Reader fields = in.enter(Tag::kSequence);
+    EXPECT_FALSE(fields.boolean());  // the INTEGER is not a BOOLEAN
+    EXPECT_FALSE(fields.ok());
+    EXPECT_EQ(fields.integer(), 0);  // later reads return empty values
+    const std::string first = fields.finish().error().message;
+    EXPECT_NE(first.find("expected tag 1, found 2"), std::string::npos)
+        << first;
+    in.leave(fields);
+    EXPECT_EQ(in.finish().error().message, first);
+  }
+  {
+    // Content left unread inside a value fails the reader it came from.
+    Reader in(der);
+    Reader fields = in.enter(Tag::kSequence);
+    EXPECT_EQ(fields.integer(), 5);
+    in.leave(fields);
+    EXPECT_FALSE(in.ok());
+  }
+  {
+    // So do bytes after the last value.
+    Bytes longer = der;
+    longer.push_back(0x00);
+    Reader in(longer);
+    Reader fields = in.enter(Tag::kSequence);
+    EXPECT_EQ(fields.integer(), 5);
+    EXPECT_TRUE(fields.boolean());
+    in.leave(fields);
+    EXPECT_TRUE(in.ok());
+    EXPECT_FALSE(in.finish().ok());
+  }
+}
+
 }  // namespace
 }  // namespace unicore::asn1
