@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "crypto/keys.h"
@@ -52,10 +53,14 @@ TEST(ModMath, PowmodMatchesTheReferenceLoop) {
       ~std::uint64_t{0}, (1ULL << 32) - 5, (1ULL << 32) - 1, (1ULL << 32) + 1,
       // Even moduli.
       2, 1000, 1ULL << 32, 1ULL << 63, ~std::uint64_t{0} - 1};
-  // RSA-sized moduli: products of two 32-bit primes above 2^63.
-  while (moduli.size() < 18) {
-    std::uint64_t p = random_prime(rng, 32), q = random_prime(rng, 32);
-    if (p != q && p * q >= 1ULL << 63) moduli.push_back(p * q);
+  // RSA-sized moduli: products of two 32-bit primes above 2^63, the
+  // largest 32-bit primes and those just above sqrt(2^63).
+  for (auto [p, q] : {std::pair{4'294'967'291ULL, 4'294'967'279ULL},
+                      std::pair{4'294'967'231ULL, 4'294'967'197ULL},
+                      std::pair{4'294'967'189ULL, 3'037'000'507ULL},
+                      std::pair{3'037'000'537ULL, 3'037'000'573ULL}}) {
+    ASSERT_GE(p * q, 1ULL << 63);
+    moduli.push_back(p * q);
   }
   for (int i = 0; i < 4; ++i) moduli.push_back(rng.next() & ~std::uint64_t{1});
   for (std::uint64_t m : moduli) {
