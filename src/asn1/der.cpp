@@ -391,18 +391,15 @@ void Reader::leave(const Reader& inner) {
 }
 
 bool Reader::boolean() {
-  const ByteView content = expect(Tag::kBoolean);
-  return ok() && take(*this, boolean_content(content));
+  return take(*this, boolean_content(expect(Tag::kBoolean)));
 }
 
 std::int64_t Reader::integer() {
-  const ByteView content = expect(Tag::kInteger);
-  return ok() ? take(*this, integer_content(content)) : 0;
+  return take(*this, integer_content(expect(Tag::kInteger)));
 }
 
 std::int64_t Reader::utc_time() {
-  const ByteView content = expect(Tag::kUtcTime);
-  return ok() ? take(*this, integer_content(content)) : 0;
+  return take(*this, integer_content(expect(Tag::kUtcTime)));
 }
 
 std::string Reader::utf8() { return util::to_string(expect(Tag::kUtf8String)); }

@@ -146,8 +146,9 @@ class Writer {
 };
 
 /// Reads DER values in order from a byte string without copying it.
-/// Every read checks the DER rules: a definite length in minimal form,
-/// no truncation, a canonical BOOLEAN, an INTEGER of one to eight bytes.
+/// Every read checks a definite length (the long form only from 128
+/// up), no truncation, a canonical BOOLEAN and an INTEGER of one to
+/// eight bytes.
 /// The first failure sticks: later reads return empty values, and
 /// finish() reports it. decode() of a Value tree reads through this
 /// class too, so each decoding rule exists once.

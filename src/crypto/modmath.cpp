@@ -111,13 +111,12 @@ std::uint64_t gcd(std::uint64_t a, std::uint64_t b) {
 }
 
 std::uint64_t modinv(std::uint64_t a, std::uint64_t m) {
-  // Extended Euclid over the magnitudes of a's coefficients. They
-  // alternate in sign, so each new magnitude is the sum
-  // |t[k-1]| + q * |t[k]|, bounded by m, and the sign is the parity of
-  // the step count.
+  // Extended Euclid over the magnitudes of a's coefficients: they
+  // alternate in sign, so each new magnitude is |t[k-1]| + q * |t[k]|,
+  // bounded by m, and t[k] is negative exactly when k is even.
   std::uint64_t r = m, new_r = a % m;
   std::uint64_t t = 0, new_t = 1;
-  bool negative = true;  // the sign of t after an even number of steps
+  bool negative = true;  // k = 0
   while (new_r != 0) {
     const std::uint64_t q = r / new_r;
     const std::uint64_t next_r = r - q * new_r;
