@@ -60,7 +60,7 @@ void BM_SessionOpenClose(benchmark::State& state) {
   for (auto _ : state) {
     sim::Time start = site.grid.engine().now();
     bool ok = false;
-    client->open_session(0, [&ok](util::Result<client::SessionGrant> r) {
+    client->open_session(0, [&ok](util::Result<gateway::SessionGrant> r) {
       ok = r.ok();
     });
     site.grid.engine().run();
@@ -189,7 +189,7 @@ void BM_ConcurrentTokenSessions(benchmark::State& state) {
   for (auto _ : state) {
     std::size_t opened = 0;
     for (auto& c : clients)
-      c->open_session(0, [&opened](util::Result<client::SessionGrant> r) {
+      c->open_session(0, [&opened](util::Result<gateway::SessionGrant> r) {
         opened += r.ok();
       });
     site.grid.engine().run();
@@ -203,7 +203,7 @@ void BM_ConcurrentTokenSessions(benchmark::State& state) {
       pooled->set_session_token(c->session_token());
       pooled->list_storages(
           [&multiplexed_ok](
-              util::Result<std::vector<client::StorageEntry>> r) {
+              util::Result<std::vector<njs::StorageInfo>> r) {
             multiplexed_ok += r.ok();
           });
     }

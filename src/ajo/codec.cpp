@@ -46,19 +46,6 @@ const char* control_command_name(ControlService::Command c) {
 
 namespace {
 
-void write_string_list(ByteWriter& w, const std::vector<std::string>& list) {
-  w.varint(list.size());
-  for (const auto& s : list) w.str(s);
-}
-
-std::vector<std::string> read_string_list(ByteReader& r) {
-  std::uint64_t n = r.varint();
-  std::vector<std::string> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(r.str());
-  return out;
-}
-
 void write_resources(ByteWriter& w, const resources::ResourceSet& rs) {
   w.i64(rs.processors);
   w.i64(rs.wallclock_seconds);
@@ -95,7 +82,7 @@ TaskBehavior read_behavior(ByteReader& r) {
   b.exit_code = static_cast<std::int32_t>(r.u32());
   b.stdout_text = r.str();
   b.stderr_text = r.str();
-  std::uint64_t n = r.varint();
+  std::uint64_t n = r.count();
   b.output_files.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string name = r.str();
@@ -116,7 +103,7 @@ void write_environment(ByteWriter& w,
 
 std::map<std::string, std::string> read_environment(ByteReader& r) {
   std::map<std::string, std::string> env;
-  std::uint64_t n = r.varint();
+  std::uint64_t n = r.count();
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string key = r.str();
     env[key] = r.str();
@@ -124,27 +111,9 @@ std::map<std::string, std::string> read_environment(ByteReader& r) {
   return env;
 }
 
-void write_dn(ByteWriter& w, const crypto::DistinguishedName& dn) {
-  w.str(dn.country);
-  w.str(dn.organization);
-  w.str(dn.organizational_unit);
-  w.str(dn.common_name);
-  w.str(dn.email);
-}
-
-crypto::DistinguishedName read_dn(ByteReader& r) {
-  crypto::DistinguishedName dn;
-  dn.country = r.str();
-  dn.organization = r.str();
-  dn.organizational_unit = r.str();
-  dn.common_name = r.str();
-  dn.email = r.str();
-  return dn;
-}
-
 void read_execute_fields(ByteReader& r, ExecuteTask& task) {
   task.set_resource_request(read_resources(r));
-  task.arguments = read_string_list(r);
+  task.arguments = r.strings();
   task.environment = read_environment(r);
   task.behavior = read_behavior(r);
 }
@@ -155,7 +124,7 @@ void read_execute_fields(ByteReader& r, ExecuteTask& task) {
 
 void ExecuteTask::encode_execute_fields(ByteWriter& w) const {
   write_resources(w, resource_request());
-  write_string_list(w, arguments);
+  w.strings(arguments);
   write_environment(w, environment);
   write_behavior(w, behavior);
 }
@@ -165,14 +134,14 @@ void CompileTask::encode_body(ByteWriter& w) const {
   w.str(source_file);
   w.str(object_file);
   w.str(language);
-  write_string_list(w, compiler_flags);
+  w.strings(compiler_flags);
 }
 
 void LinkTask::encode_body(ByteWriter& w) const {
   encode_execute_fields(w);
-  write_string_list(w, object_files);
+  w.strings(object_files);
   w.str(executable);
-  write_string_list(w, libraries);
+  w.strings(libraries);
 }
 
 void UserTask::encode_body(ByteWriter& w) const {
@@ -224,7 +193,7 @@ void QueryService::encode_body(ByteWriter& w) const {
 void AbstractJobObject::encode_body(ByteWriter& w) const {
   w.str(usite);
   w.str(vsite);
-  write_dn(w, user);
+  user.encode(w);
   w.str(account_group);
   w.str(site_security_info);
   w.varint(children_.size());
@@ -233,7 +202,7 @@ void AbstractJobObject::encode_body(ByteWriter& w) const {
   for (const Dependency& dep : dependencies_) {
     w.varint(dep.predecessor);
     w.varint(dep.successor);
-    write_string_list(w, dep.files);
+    w.strings(dep.files);
   }
 }
 
@@ -254,7 +223,11 @@ Bytes encode_action(const AbstractAction& action) {
 
 namespace {
 
-Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r) {
+Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r,
+                                                           std::size_t depth) {
+  if (depth > util::kMaxNesting)
+    return util::make_error(ErrorCode::kInvalidArgument,
+                            "ajo: job groups nested too deeply");
   auto type = static_cast<ActionType>(r.u8());
   ActionId id = r.varint();
   std::string name = r.str();
@@ -267,16 +240,16 @@ Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r) {
       task->source_file = r.str();
       task->object_file = r.str();
       task->language = r.str();
-      task->compiler_flags = read_string_list(r);
+      task->compiler_flags = r.strings();
       action = std::move(task);
       break;
     }
     case ActionType::kLinkTask: {
       auto task = std::make_unique<LinkTask>();
       read_execute_fields(r, *task);
-      task->object_files = read_string_list(r);
+      task->object_files = r.strings();
       task->executable = r.str();
-      task->libraries = read_string_list(r);
+      task->libraries = r.strings();
       action = std::move(task);
       break;
     }
@@ -346,23 +319,23 @@ Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r) {
       auto job = std::make_unique<AbstractJobObject>();
       job->usite = r.str();
       job->vsite = r.str();
-      job->user = read_dn(r);
+      job->user = crypto::DistinguishedName::decode(r);
       job->account_group = r.str();
       job->site_security_info = r.str();
-      std::uint64_t n_children = r.varint();
+      std::uint64_t n_children = r.count();
       for (std::uint64_t i = 0; i < n_children; ++i) {
-        auto child = decode_action_impl(r);
+        auto child = decode_action_impl(r, depth + 1);
         if (!child) return child.error();
         // Bypass add(): ids come from the wire, not the counter.
         ActionId child_id = child.value()->id();
         job->add(std::move(child.value()));
         job->children().back()->set_id(child_id);
       }
-      std::uint64_t n_deps = r.varint();
+      std::uint64_t n_deps = r.count();
       for (std::uint64_t i = 0; i < n_deps; ++i) {
         ActionId predecessor = r.varint();
         ActionId successor = r.varint();
-        job->add_dependency(predecessor, successor, read_string_list(r));
+        job->add_dependency(predecessor, successor, r.strings());
       }
       action = std::move(job);
       break;
@@ -381,7 +354,7 @@ Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r) {
 
 Result<std::unique_ptr<AbstractAction>> decode_action(ByteReader& r) {
   try {
-    return decode_action_impl(r);
+    return decode_action_impl(r, 0);
   } catch (const std::out_of_range& e) {
     return util::make_error(ErrorCode::kInvalidArgument,
                             std::string("ajo: truncated encoding: ") +

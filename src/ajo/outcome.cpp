@@ -79,8 +79,7 @@ void Outcome::encode(ByteWriter& w) const {
     w.str(exec->stderr_text);
   } else if (const auto* file = std::get_if<FileOutcome>(&detail)) {
     w.u8(kFile);
-    w.varint(file->files.size());
-    for (const auto& f : file->files) w.str(f);
+    w.strings(file->files);
     w.u64(file->bytes_moved);
   } else if (const auto* service = std::get_if<ServiceOutcome>(&detail)) {
     w.u8(kService);
@@ -93,57 +92,68 @@ void Outcome::encode(ByteWriter& w) const {
   for (const Outcome& child : children) child.encode(w);
 }
 
+namespace {
+
+// Throws std::out_of_range on truncated input; Outcome::decode turns
+// that into an error.
+Result<Outcome> decode_tree(ByteReader& r, std::size_t depth) {
+  if (depth > util::kMaxNesting)
+    return util::make_error(util::ErrorCode::kInvalidArgument,
+                            "outcome: nested too deeply");
+  Outcome out;
+  out.action = r.varint();
+  out.type = static_cast<ActionType>(r.u8());
+  out.name = r.str();
+  out.status = static_cast<ActionStatus>(r.u8());
+  out.message = r.str();
+  out.submitted_at = r.i64();
+  out.started_at = r.i64();
+  out.finished_at = r.i64();
+
+  switch (r.u8()) {
+    case kNone:
+      break;
+    case kExecute: {
+      ExecuteOutcome exec;
+      exec.exit_code = static_cast<std::int32_t>(r.u32());
+      exec.stdout_text = r.str();
+      exec.stderr_text = r.str();
+      out.detail = std::move(exec);
+      break;
+    }
+    case kFile: {
+      FileOutcome file;
+      file.files = r.strings();
+      file.bytes_moved = r.u64();
+      out.detail = std::move(file);
+      break;
+    }
+    case kService: {
+      ServiceOutcome service;
+      service.reply = r.str();
+      out.detail = std::move(service);
+      break;
+    }
+    default:
+      return util::make_error(util::ErrorCode::kInvalidArgument,
+                              "outcome: unknown detail tag");
+  }
+
+  std::uint64_t n_children = r.count();
+  out.children.reserve(n_children);
+  for (std::uint64_t i = 0; i < n_children; ++i) {
+    auto child = decode_tree(r, depth + 1);
+    if (!child) return child.error();
+    out.children.push_back(std::move(child.value()));
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<Outcome> Outcome::decode(ByteReader& r) {
   try {
-    Outcome out;
-    out.action = r.varint();
-    out.type = static_cast<ActionType>(r.u8());
-    out.name = r.str();
-    out.status = static_cast<ActionStatus>(r.u8());
-    out.message = r.str();
-    out.submitted_at = r.i64();
-    out.started_at = r.i64();
-    out.finished_at = r.i64();
-
-    switch (r.u8()) {
-      case kNone:
-        break;
-      case kExecute: {
-        ExecuteOutcome exec;
-        exec.exit_code = static_cast<std::int32_t>(r.u32());
-        exec.stdout_text = r.str();
-        exec.stderr_text = r.str();
-        out.detail = std::move(exec);
-        break;
-      }
-      case kFile: {
-        FileOutcome file;
-        std::uint64_t n = r.varint();
-        file.files.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) file.files.push_back(r.str());
-        file.bytes_moved = r.u64();
-        out.detail = std::move(file);
-        break;
-      }
-      case kService: {
-        ServiceOutcome service;
-        service.reply = r.str();
-        out.detail = std::move(service);
-        break;
-      }
-      default:
-        return util::make_error(util::ErrorCode::kInvalidArgument,
-                                "outcome: unknown detail tag");
-    }
-
-    std::uint64_t n_children = r.varint();
-    out.children.reserve(n_children);
-    for (std::uint64_t i = 0; i < n_children; ++i) {
-      auto child = decode(r);
-      if (!child) return child.error();
-      out.children.push_back(std::move(child.value()));
-    }
-    return out;
+    return decode_tree(r, 0);
   } catch (const std::out_of_range&) {
     return util::make_error(util::ErrorCode::kInvalidArgument,
                             "outcome: truncated encoding");

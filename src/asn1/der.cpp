@@ -158,6 +158,12 @@ void put_big_endian(std::uint8_t* out, std::size_t len, std::size_t digits) {
     out[i] = static_cast<std::uint8_t>(len & 0xff);
 }
 
+// True when `lead` only repeats the sign bit of `next`: a two's
+// complement byte that DER leaves out.
+bool redundant_sign_byte(std::uint8_t lead, std::uint8_t next) {
+  return (lead == 0x00 && !(next & 0x80)) || (lead == 0xff && (next & 0x80));
+}
+
 }  // namespace
 
 void Writer::tlv(Tag tag, ByteView content) {
@@ -180,10 +186,8 @@ void Writer::twos_complement(Tag tag, std::int64_t v) {
   auto u = static_cast<std::uint64_t>(v);
   for (int i = 7; i >= 0; --i, u >>= 8)
     digits[i] = static_cast<std::uint8_t>(u & 0xff);
-  // Strip leading bytes that only repeat the sign bit of the next one.
   std::size_t start = 0;
-  while (start < 7 && ((digits[start] == 0x00 && !(digits[start + 1] & 0x80)) ||
-                       (digits[start] == 0xff && (digits[start + 1] & 0x80))))
+  while (start < 7 && redundant_sign_byte(digits[start], digits[start + 1]))
     ++start;
   tlv(tag, ByteView(digits + start, 8 - start));
 }
@@ -300,6 +304,8 @@ Result<bool> boolean_content(ByteView content) {
 Result<std::int64_t> integer_content(ByteView content) {
   if (content.empty()) return invalid("empty INTEGER");
   if (content.size() > 8) return invalid("INTEGER exceeds 64 bits");
+  if (content.size() > 1 && redundant_sign_byte(content[0], content[1]))
+    return invalid("non-minimal INTEGER (not DER)");
   // Sign-extend from the first content byte.
   std::uint64_t v = (content[0] & 0x80) ? ~std::uint64_t{0} : 0;
   for (std::uint8_t byte : content) v = v << 8 | byte;
@@ -362,7 +368,7 @@ Reader::Element Reader::next() {
     if (data_.size() - pos_ < count) return truncated();
     len = 0;
     for (std::size_t i = 0; i < count; ++i) len = len << 8 | data_[pos_++];
-    if (len < 0x80) {
+    if (len < 0x80 || length_digits(len) != count) {
       fail(invalid("non-minimal length (not DER)"));
       return {};
     }
@@ -412,7 +418,11 @@ util::Status Reader::finish() const {
 
 namespace {
 
-Value read_value(Reader& reader) {
+Value read_value(Reader& reader, std::size_t depth) {
+  if (depth > util::kMaxNesting) {
+    reader.fail(invalid("values nested too deeply"));
+    return {};
+  }
   const Reader::Element element = reader.next();
   if (!reader.ok()) return {};
   const ByteView c = element.content;
@@ -436,7 +446,8 @@ Value read_value(Reader& reader) {
     case Tag::kSet: {
       Reader inner(c);
       ValueList items;
-      while (inner.ok() && !inner.at_end()) items.push_back(read_value(inner));
+      while (inner.ok() && !inner.at_end())
+        items.push_back(read_value(inner, depth + 1));
       reader.leave(inner);
       return static_cast<Tag>(element.tag) == Tag::kSequence
                  ? Value::sequence(std::move(items))
@@ -451,7 +462,7 @@ Value read_value(Reader& reader) {
 
 Result<Value> decode_prefix(ByteView der, std::size_t& consumed) {
   Reader reader(der);
-  Value value = read_value(reader);
+  Value value = read_value(reader, 0);
   if (!reader.ok()) return reader.finish().error();
   consumed = reader.position();
   return value;
@@ -459,7 +470,7 @@ Result<Value> decode_prefix(ByteView der, std::size_t& consumed) {
 
 Result<Value> decode(ByteView der) {
   Reader reader(der);
-  Value value = read_value(reader);
+  Value value = read_value(reader, 0);
   util::Status done = reader.finish();
   if (!done.ok()) return done.error();
   return value;

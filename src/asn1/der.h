@@ -146,9 +146,9 @@ class Writer {
 };
 
 /// Reads DER values in order from a byte string without copying it.
-/// Every read checks a definite length (the long form only from 128
-/// up), no truncation, a canonical BOOLEAN and an INTEGER of one to
-/// eight bytes.
+/// Every read checks a definite length in its minimal form (the long
+/// form only from 128 up, with no leading zero byte), no truncation, a
+/// canonical BOOLEAN and a minimal INTEGER of one to eight bytes.
 /// The first failure sticks: later reads return empty values, and
 /// finish() reports it. decode() of a Value tree reads through this
 /// class too, so each decoding rule exists once.
@@ -195,7 +195,8 @@ class Reader {
 /// Encodes a value to canonical DER.
 util::Bytes encode(const Value& value);
 
-/// Decodes exactly one DER value occupying the whole input.
+/// Decodes exactly one DER value occupying the whole input. Constructed
+/// values nested deeper than util::kMaxNesting are refused.
 util::Result<Value> decode(util::ByteView der);
 
 /// Decodes one DER value from the front of `der`, reporting its size.

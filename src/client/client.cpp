@@ -296,7 +296,7 @@ void UnicoreClient::query(ajo::JobToken token,
 }
 
 void UnicoreClient::list(
-    std::function<void(Result<std::vector<JobEntry>>)> done) {
+    std::function<void(Result<std::vector<njs::JobSummary>>)> done) {
   call<wire::ListCodec>({}, std::move(done));
 }
 
@@ -484,7 +484,7 @@ void UnicoreClient::wait_for_completion(
 
 void UnicoreClient::open_session(
     std::int64_t requested_ttl_seconds,
-    std::function<void(Result<SessionGrant>)> done) {
+    std::function<void(Result<gateway::SessionGrant>)> done) {
   ByteWriter payload;
   payload.i64(requested_ttl_seconds);
   // Deliberately sent plain even when a token is already adopted: the
@@ -494,7 +494,7 @@ void UnicoreClient::open_session(
   call<wire::SessionOpenCodec>(
       payload.take(),
       [this, previous = std::move(previous),
-       done = std::move(done)](Result<SessionGrant> grant) mutable {
+       done = std::move(done)](Result<gateway::SessionGrant> grant) mutable {
         if (grant)
           session_token_ = grant.value().token;
         else
@@ -504,7 +504,7 @@ void UnicoreClient::open_session(
 }
 
 void UnicoreClient::refresh_session(
-    std::function<void(Result<SessionGrant>)> done) {
+    std::function<void(Result<gateway::SessionGrant>)> done) {
   if (!has_session()) {
     done(util::make_error(ErrorCode::kFailedPrecondition,
                           "no session to refresh"));
@@ -535,7 +535,7 @@ void UnicoreClient::close_session(std::function<void(Status)> done) {
 // ---- managed job storages --------------------------------------------------
 
 void UnicoreClient::list_storages(
-    std::function<void(Result<std::vector<StorageEntry>>)> done) {
+    std::function<void(Result<std::vector<njs::StorageInfo>>)> done) {
   call<wire::StorageListCodec>({}, std::move(done));
 }
 

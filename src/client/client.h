@@ -23,8 +23,10 @@
 #include "ajo/services.h"
 #include "crypto/bundle.h"
 #include "crypto/x509.h"
+#include "gateway/session_broker.h"
 #include "net/network.h"
 #include "net/secure_channel.h"
+#include "njs/njs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "resources/resource_page.h"
@@ -38,14 +40,6 @@
 
 namespace unicore::client {
 
-/// One row of the JMC job list.
-struct JobEntry {
-  ajo::JobToken token = 0;
-  std::string name;
-  ajo::ActionStatus status = ajo::ActionStatus::kPending;
-  sim::Time consigned_at = 0;
-};
-
 /// Reply of kJournalInspect: recovery diagnostics of the Usite's NJS.
 struct JournalInfo {
   bool has_journal = false;
@@ -58,35 +52,14 @@ struct JournalInfo {
 /// Reply type of request kinds whose success carries no payload.
 struct Ack {};
 
-/// A gateway-issued portal session (docs/PORTAL.md): the bearer token
-/// maps back to the certificate identity it was minted for, so requests
-/// carrying it skip the per-request certificate work and may share a
-/// pooled channel with other users' sessions.
-struct SessionGrant {
-  util::Bytes token;
-  std::int64_t expires_at = 0;  // epoch seconds; refresh extends it
-  std::string login;            // the UUDB login the identity maps to
-};
-
-/// One row of the managed-job-storage listing: the named uspace working
-/// storage a submission created (docs/PORTAL.md).
-struct StorageEntry {
-  ajo::JobToken token = 0;
-  std::string name;
-  std::uint64_t used_bytes = 0;
-  std::uint64_t quota_bytes = 0;
-  std::size_t files = 0;
-  bool terminal = false;  // job finished — storage is reapable
-  bool reaped = false;
-  sim::Time consigned_at = 0;
-};
-
 /// Per-request codec traits: each RequestKind the client speaks is one
 /// struct binding the kind, its reply type, and the reply decoder. The
 /// generic UnicoreClient::call<Codec>() template supplies everything
 /// else (the reply table's ids, timeout and error replies, plus
 /// malformed-payload handling), so adding a request kind is one codec +
-/// one thin wrapper.
+/// one thin wrapper. Replies reuse the server's types and their codecs:
+/// njs::JobSummary and njs::StorageInfo rows, gateway::SessionGrant,
+/// ajo::Outcome, uspace::FileBlob and the obs snapshots.
 namespace wire {
 
 struct ConsignCodec {
@@ -106,22 +79,11 @@ struct QueryCodec {
 };
 
 struct ListCodec {
-  using Reply = std::vector<JobEntry>;
+  using Reply = std::vector<njs::JobSummary>;
   static constexpr server::RequestKind kKind = server::RequestKind::kList;
   static constexpr const char* kName = "list";
   static Reply decode(util::ByteReader& r) {
-    std::uint64_t count = r.varint();
-    Reply entries;
-    entries.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      JobEntry entry;
-      entry.token = r.u64();
-      entry.name = r.str();
-      entry.status = static_cast<ajo::ActionStatus>(r.u8());
-      entry.consigned_at = r.i64();
-      entries.push_back(std::move(entry));
-    }
-    return entries;
+    return r.list<njs::JobSummary>();
   }
 };
 
@@ -148,7 +110,7 @@ struct ResourcePagesCodec {
       server::RequestKind::kResourcePages;
   static constexpr const char* kName = "resource page";
   static util::Result<Reply> decode(util::ByteReader& r) {
-    std::uint64_t count = r.varint();
+    std::uint64_t count = r.count();
     Reply pages;
     pages.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -206,33 +168,20 @@ struct JournalInspectCodec {
   }
 };
 
-/// Session-open and -refresh share one reply shape: the grant.
-inline SessionGrant decode_session_grant(util::ByteReader& r) {
-  SessionGrant grant;
-  grant.token = r.blob();
-  grant.expires_at = r.i64();
-  grant.login = r.str();
-  return grant;
-}
-
 struct SessionOpenCodec {
-  using Reply = SessionGrant;
+  using Reply = gateway::SessionGrant;
   static constexpr server::RequestKind kKind =
       server::RequestKind::kSessionOpen;
   static constexpr const char* kName = "session-open";
-  static Reply decode(util::ByteReader& r) {
-    return decode_session_grant(r);
-  }
+  static Reply decode(util::ByteReader& r) { return Reply::decode(r); }
 };
 
 struct SessionRefreshCodec {
-  using Reply = SessionGrant;
+  using Reply = gateway::SessionGrant;
   static constexpr server::RequestKind kKind =
       server::RequestKind::kSessionRefresh;
   static constexpr const char* kName = "session-refresh";
-  static Reply decode(util::ByteReader& r) {
-    return decode_session_grant(r);
-  }
+  static Reply decode(util::ByteReader& r) { return Reply::decode(r); }
 };
 
 struct SessionCloseCodec {
@@ -244,27 +193,12 @@ struct SessionCloseCodec {
 };
 
 struct StorageListCodec {
-  using Reply = std::vector<StorageEntry>;
+  using Reply = std::vector<njs::StorageInfo>;
   static constexpr server::RequestKind kKind =
       server::RequestKind::kStorageList;
   static constexpr const char* kName = "storage-list";
   static Reply decode(util::ByteReader& r) {
-    std::uint64_t count = r.varint();
-    Reply storages;
-    storages.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      StorageEntry entry;
-      entry.token = r.u64();
-      entry.name = r.str();
-      entry.used_bytes = r.u64();
-      entry.quota_bytes = r.u64();
-      entry.files = r.varint();
-      entry.terminal = r.u8() != 0;
-      entry.reaped = r.u8() != 0;
-      entry.consigned_at = r.i64();
-      storages.push_back(std::move(entry));
-    }
-    return storages;
+    return r.list<njs::StorageInfo>();
   }
 };
 
@@ -273,13 +207,7 @@ struct StorageFilesCodec {
   static constexpr server::RequestKind kKind =
       server::RequestKind::kStorageFiles;
   static constexpr const char* kName = "storage-files";
-  static Reply decode(util::ByteReader& r) {
-    std::uint64_t count = r.varint();
-    Reply names;
-    names.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) names.push_back(r.str());
-    return names;
-  }
+  static Reply decode(util::ByteReader& r) { return r.strings(); }
 };
 
 struct StorageReapCodec {
@@ -357,7 +285,8 @@ class UnicoreClient {
   // --- JMC --------------------------------------------------------------
   void query(ajo::JobToken token, ajo::QueryService::Detail detail,
              std::function<void(util::Result<ajo::Outcome>)> done);
-  void list(std::function<void(util::Result<std::vector<JobEntry>>)> done);
+  void list(
+      std::function<void(util::Result<std::vector<njs::JobSummary>>)> done);
   void control(ajo::JobToken token, ajo::ControlService::Command command,
                std::function<void(util::Status)> done);
   void fetch_output(ajo::JobToken token, const std::string& name,
@@ -389,10 +318,12 @@ class UnicoreClient {
   /// broker default; larger requests are clamped. On success the grant's
   /// token is adopted: every subsequent eligible request rides the
   /// kTokenRequest envelope and submit() consigns unsigned AJOs.
-  void open_session(std::int64_t requested_ttl_seconds,
-                    std::function<void(util::Result<SessionGrant>)> done);
+  void open_session(
+      std::int64_t requested_ttl_seconds,
+      std::function<void(util::Result<gateway::SessionGrant>)> done);
   /// Extends the adopted session's expiry by one TTL.
-  void refresh_session(std::function<void(util::Result<SessionGrant>)> done);
+  void refresh_session(
+      std::function<void(util::Result<gateway::SessionGrant>)> done);
   /// Explicit logout: invalidates the token server-side and drops it.
   void close_session(std::function<void(util::Status)> done);
 
@@ -408,7 +339,7 @@ class UnicoreClient {
   // --- managed job storages (docs/PORTAL.md) ----------------------------
   /// Lists the caller's per-job working storages at the Usite.
   void list_storages(
-      std::function<void(util::Result<std::vector<StorageEntry>>)> done);
+      std::function<void(util::Result<std::vector<njs::StorageInfo>>)> done);
   /// Names of the files in one job's storage (sub-job files prefixed).
   void storage_files(
       ajo::JobToken token,

@@ -59,8 +59,8 @@ Result<ajo::Outcome> SyncClient::query(ajo::JobToken token,
       [&](auto done) { client_.query(token, detail, std::move(done)); });
 }
 
-Result<std::vector<JobEntry>> SyncClient::list() {
-  return await<std::vector<JobEntry>>(
+Result<std::vector<njs::JobSummary>> SyncClient::list() {
+  return await<std::vector<njs::JobSummary>>(
       [&](auto done) { client_.list(std::move(done)); });
 }
 
@@ -100,14 +100,15 @@ Result<JournalInfo> SyncClient::inspect_journal() {
       [&](auto done) { client_.inspect_journal(std::move(done)); });
 }
 
-Result<SessionGrant> SyncClient::open_session(std::int64_t requested_ttl) {
-  return await<SessionGrant>([&](auto done) {
+Result<gateway::SessionGrant> SyncClient::open_session(
+    std::int64_t requested_ttl) {
+  return await<gateway::SessionGrant>([&](auto done) {
     client_.open_session(requested_ttl, std::move(done));
   });
 }
 
-Result<SessionGrant> SyncClient::refresh_session() {
-  return await<SessionGrant>(
+Result<gateway::SessionGrant> SyncClient::refresh_session() {
+  return await<gateway::SessionGrant>(
       [&](auto done) { client_.refresh_session(std::move(done)); });
 }
 
@@ -116,8 +117,8 @@ Status SyncClient::close_session() {
       [&](auto done) { client_.close_session(as_ack(std::move(done))); }));
 }
 
-Result<std::vector<StorageEntry>> SyncClient::list_storages() {
-  return await<std::vector<StorageEntry>>(
+Result<std::vector<njs::StorageInfo>> SyncClient::list_storages() {
+  return await<std::vector<njs::StorageInfo>>(
       [&](auto done) { client_.list_storages(std::move(done)); });
 }
 

@@ -62,7 +62,7 @@ class SyncClient {
       const ajo::AbstractJobObject& job, int attempts);
   util::Result<ajo::Outcome> query(ajo::JobToken token,
                                    ajo::QueryService::Detail detail);
-  util::Result<std::vector<JobEntry>> list();
+  util::Result<std::vector<njs::JobSummary>> list();
   util::Status control(ajo::JobToken token,
                        ajo::ControlService::Command command);
   util::Result<uspace::FileBlob> fetch_output(ajo::JobToken token,
@@ -75,10 +75,11 @@ class SyncClient {
   util::Result<JournalInfo> inspect_journal();
 
   // --- portal sessions & managed storages (docs/PORTAL.md) -------------
-  util::Result<SessionGrant> open_session(std::int64_t requested_ttl = 0);
-  util::Result<SessionGrant> refresh_session();
+  util::Result<gateway::SessionGrant> open_session(
+      std::int64_t requested_ttl = 0);
+  util::Result<gateway::SessionGrant> refresh_session();
   util::Status close_session();
-  util::Result<std::vector<StorageEntry>> list_storages();
+  util::Result<std::vector<njs::StorageInfo>> list_storages();
   util::Result<std::vector<std::string>> storage_files(ajo::JobToken token);
   util::Result<std::uint64_t> reap_storage(ajo::JobToken token);
 

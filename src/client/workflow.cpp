@@ -130,7 +130,7 @@ Future<WorkflowRun> WorkflowManager::one_run(
   if (options_.use_session && !client_.has_session()) {
     client_.open_session(
         options_.session_ttl,
-        [promise, submit_and_wait](Result<SessionGrant> grant) {
+        [promise, submit_and_wait](Result<gateway::SessionGrant> grant) {
           if (!grant) {
             promise.set(grant.error());
             return;

@@ -311,6 +311,7 @@ void sha256_ctr_xor(const std::uint8_t prefix[40], std::uint8_t* data,
 Sha256::Sha256() : state_(kInitialState) {}
 
 Sha256& Sha256::update(util::ByteView data) {
+  if (data.empty()) return *this;  // an empty span may carry a null pointer
   total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
   std::size_t offset = 0;
   if (buffered_ > 0) {

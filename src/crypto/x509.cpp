@@ -55,6 +55,24 @@ Result<DistinguishedName> DistinguishedName::from_asn1(const Value& v) {
   return dn;
 }
 
+void DistinguishedName::encode(util::ByteWriter& w) const {
+  w.str(country);
+  w.str(organization);
+  w.str(organizational_unit);
+  w.str(common_name);
+  w.str(email);
+}
+
+DistinguishedName DistinguishedName::decode(util::ByteReader& r) {
+  DistinguishedName dn;
+  dn.country = r.str();
+  dn.organization = r.str();
+  dn.organizational_unit = r.str();
+  dn.common_name = r.str();
+  dn.email = r.str();
+  return dn;
+}
+
 // ---- Certificate -------------------------------------------------------
 
 // The certificate's DER is written and read field by field, with no

@@ -36,6 +36,11 @@ struct DistinguishedName {
 
   asn1::Value to_asn1() const;
   static util::Result<DistinguishedName> from_asn1(const asn1::Value& v);
+
+  /// The five attributes as length-prefixed strings, in field order:
+  /// the form AJOs, user records and bundle manifests carry.
+  void encode(util::ByteWriter& w) const;
+  static DistinguishedName decode(util::ByteReader& r);
 };
 
 /// Key-usage bits carried in the certificate extension.

@@ -4,6 +4,20 @@
 
 namespace unicore::gateway {
 
+void AuthenticatedUser::encode(util::ByteWriter& w) const {
+  dn.encode(w);
+  w.str(login);
+  w.strings(account_groups);
+}
+
+AuthenticatedUser AuthenticatedUser::decode(util::ByteReader& r) {
+  AuthenticatedUser user;
+  user.dn = crypto::DistinguishedName::decode(r);
+  user.login = r.str();
+  user.account_groups = r.strings();
+  return user;
+}
+
 ShardedAuthCache::ShardedAuthCache(std::size_t shard_count) {
   if (shard_count == 0) shard_count = 1;
   shards_.reserve(shard_count);

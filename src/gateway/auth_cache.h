@@ -27,10 +27,15 @@
 namespace unicore::gateway {
 
 /// Result of a successful authentication: who the certificate is locally.
+/// The gateway hands it to the NJS with every request, and the NJS
+/// journals it with every consignment, in one encoding.
 struct AuthenticatedUser {
   crypto::DistinguishedName dn;
   std::string login;
   std::vector<std::string> account_groups;
+
+  void encode(util::ByteWriter& w) const;
+  static AuthenticatedUser decode(util::ByteReader& r);
 };
 
 class ShardedAuthCache {

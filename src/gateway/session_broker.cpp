@@ -16,6 +16,20 @@ namespace {
 constexpr std::size_t kTokenBytes = 16;
 }  // namespace
 
+void SessionGrant::encode(util::ByteWriter& w) const {
+  w.blob(token);
+  w.i64(expires_at);
+  w.str(login);
+}
+
+SessionGrant SessionGrant::decode(util::ByteReader& r) {
+  SessionGrant grant;
+  grant.token = r.blob();
+  grant.expires_at = r.i64();
+  grant.login = r.str();
+  return grant;
+}
+
 SessionBroker::SessionBroker(Gateway& gateway, util::Rng& rng)
     : gateway_(gateway), rng_(rng.fork()) {}
 

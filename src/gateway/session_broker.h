@@ -38,8 +38,11 @@ namespace unicore::gateway {
 /// What kSessionOpen / kSessionRefresh return to the client.
 struct SessionGrant {
   util::Bytes token;             // opaque bearer capsule
-  std::int64_t expires_at = 0;   // epoch seconds
+  std::int64_t expires_at = 0;   // epoch seconds; refresh extends it
   std::string login;             // the mapped local identity
+
+  void encode(util::ByteWriter& w) const;
+  static SessionGrant decode(util::ByteReader& r);
 };
 
 /// The identity a validated token resolves to.

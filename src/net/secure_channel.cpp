@@ -362,7 +362,7 @@ void SecureChannel::handle_client_hello(ByteReader& reader) {
 void SecureChannel::handle_server_hello(ByteReader& reader) {
   server_random_ = reader.blob();
   peer_dh_public_ = reader.u64();
-  std::uint64_t n_certs = reader.varint();
+  std::uint64_t n_certs = reader.count();
   if (n_certs == 0 || n_certs > 8)
     return fail(util::make_error(ErrorCode::kInvalidArgument,
                                  "bad certificate chain length"),
@@ -423,7 +423,7 @@ void SecureChannel::handle_server_hello(ByteReader& reader) {
 }
 
 void SecureChannel::handle_server_finished(ByteReader& reader) {
-  Bytes verify = reader.raw(32);
+  crypto::Digest verify = reader.fixed<32>();
   // The server MACs the full handshake transcript with its write key —
   // which is our receive key.
   crypto::Digest expected =
@@ -446,7 +446,7 @@ void SecureChannel::handle_server_finished(ByteReader& reader) {
 }
 
 void SecureChannel::handle_client_cert(ByteReader& reader) {
-  std::uint64_t n_certs = reader.varint();
+  std::uint64_t n_certs = reader.count();
   if (n_certs == 0 || n_certs > 8)
     return fail(util::make_error(ErrorCode::kInvalidArgument,
                                  "bad certificate chain length"),
@@ -502,7 +502,7 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
   Bytes client_random = reader.blob();
   Bytes ticket = reader.blob();
   bool supported = read_protocol(reader);
-  Bytes binder = reader.raw(32);
+  crypto::Digest binder = reader.fixed<32>();
   if (!supported) return fail(unsupported_protocol(), true);
 
   auto decline = [this] {
@@ -576,7 +576,7 @@ void SecureChannel::handle_server_hello_resumed(ByteReader& reader) {
   bool supported = reader.u64() == kChannelFeatures;
   Bytes new_ticket = reader.blob();
   std::uint64_t lifetime = reader.u64();
-  Bytes verify = reader.raw(32);
+  crypto::Digest verify = reader.fixed<32>();
   if (!supported) return fail(unsupported_protocol(), true);
 
   // Re-serialise the core (canonical encoding) into the transcript and
@@ -856,7 +856,7 @@ void SecureChannel::flush_send_queue() {
 
 void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
   std::uint64_t first_seq = reader.u64();
-  std::uint64_t count = reader.varint();
+  std::uint64_t count = reader.count();
   if (count == 0 || count > kMaxRecordsPerFrame)
     return fail(util::make_error(ErrorCode::kInvalidArgument,
                                  "bad batch record count"),
@@ -884,8 +884,7 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
     if (r.flags == kFirst) r.total = reader.varint();
     r.offset = reader.position();
     reader.skip(r.size);
-    Bytes tag_bytes = reader.raw(32);
-    std::copy(tag_bytes.begin(), tag_bytes.end(), r.tag.begin());
+    r.tag = reader.fixed<32>();
     records.push_back(r);
   }
 

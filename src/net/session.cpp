@@ -47,11 +47,9 @@ Result<ResumptionState> SessionTicketManager::redeem(util::ByteView ticket,
     ByteReader reader{ticket};
     std::uint64_t ticket_id = reader.u64();
     Bytes sealed = reader.blob();
-    Bytes tag_bytes = reader.raw(32);
+    crypto::Digest tag = reader.fixed<32>();
     if (reader.remaining() != 0)
       return refuse(ErrorCode::kInvalidArgument, "malformed");
-    crypto::Digest tag;
-    std::copy(tag_bytes.begin(), tag_bytes.end(), tag.begin());
     if (auto status = crypto::open_inplace(stek_enc_, stek_mac_, ticket_id,
                                            sealed, tag, {});
         !status.ok())

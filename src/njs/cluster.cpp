@@ -87,7 +87,7 @@ Njs* NjsCluster::replica_for_token(ajo::JobToken token) {
 util::Result<ajo::JobToken> NjsCluster::consign(
     const ajo::AbstractJobObject& job, const gateway::AuthenticatedUser& user,
     const crypto::Certificate& user_certificate, Njs::FinalHandler on_final,
-    std::vector<std::pair<std::string, uspace::FileBlob>> staged_files,
+    uspace::StagedFiles staged_files,
     util::Bytes idempotency_key) {
   std::optional<std::size_t> target;
   if (!idempotency_key.empty()) {

@@ -87,7 +87,7 @@ class NjsCluster {
       const ajo::AbstractJobObject& job, const gateway::AuthenticatedUser& user,
       const crypto::Certificate& user_certificate,
       Njs::FinalHandler on_final = nullptr,
-      std::vector<std::pair<std::string, uspace::FileBlob>> staged_files = {},
+      uspace::StagedFiles staged_files = {},
       util::Bytes idempotency_key = {});
 
   /// Job summaries for `user` merged across every alive replica,

@@ -5,36 +5,6 @@
 #include "ajo/codec.h"
 
 namespace unicore::njs {
-namespace {
-
-// AuthenticatedUser codec, local to the journal (the NJS cannot use the
-// server-layer codec without a dependency cycle).
-void encode_user(util::ByteWriter& w, const gateway::AuthenticatedUser& user) {
-  w.str(user.dn.country);
-  w.str(user.dn.organization);
-  w.str(user.dn.organizational_unit);
-  w.str(user.dn.common_name);
-  w.str(user.dn.email);
-  w.str(user.login);
-  w.varint(user.account_groups.size());
-  for (const auto& group : user.account_groups) w.str(group);
-}
-
-gateway::AuthenticatedUser decode_user(util::ByteReader& r) {
-  gateway::AuthenticatedUser user;
-  user.dn.country = r.str();
-  user.dn.organization = r.str();
-  user.dn.organizational_unit = r.str();
-  user.dn.common_name = r.str();
-  user.dn.email = r.str();
-  user.login = r.str();
-  std::uint64_t n = r.varint();
-  user.account_groups.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) user.account_groups.push_back(r.str());
-  return user;
-}
-
-}  // namespace
 
 const char* journal_record_type_name(JournalRecordType type) {
   switch (type) {
@@ -76,18 +46,14 @@ void Journal::record_consigned(
     const gateway::AuthenticatedUser& user,
     const crypto::Certificate& user_certificate,
     const util::Bytes& idempotency_key,
-    const std::vector<std::pair<std::string, uspace::FileBlob>>& staged_files,
+    const uspace::StagedFiles& staged_files,
     sim::Time consigned_at) {
   util::ByteWriter w;
   w.blob(ajo::encode_action(job));
   w.blob(user_certificate.der());
-  encode_user(w, user);
+  user.encode(w);
   w.blob(idempotency_key);
-  w.varint(staged_files.size());
-  for (const auto& [name, blob] : staged_files) {
-    w.str(name);
-    blob.encode(w);
-  }
+  uspace::encode_staged(w, staged_files);
   w.i64(consigned_at);
   store_->append({JournalRecordType::kConsigned, token, w.take()});
 }
@@ -138,14 +104,9 @@ std::vector<Journal::RecoveredJob> Journal::recover() const {
           auto cert = crypto::Certificate::from_der(r.blob());
           if (!cert) return;
           recovered.user_certificate = std::move(cert.value());
-          recovered.user = decode_user(r);
+          recovered.user = gateway::AuthenticatedUser::decode(r);
           recovered.idempotency_key = r.blob();
-          std::uint64_t n = r.varint();
-          for (std::uint64_t i = 0; i < n; ++i) {
-            std::string name = r.str();
-            recovered.staged_files.emplace_back(std::move(name),
-                                                uspace::FileBlob::decode(r));
-          }
+          recovered.staged_files = uspace::decode_staged(r);
           recovered.consigned_at = r.i64();
           jobs[record.token] = std::move(recovered);
           break;

@@ -112,9 +112,7 @@ class Journal {
                         const gateway::AuthenticatedUser& user,
                         const crypto::Certificate& user_certificate,
                         const util::Bytes& idempotency_key,
-                        const std::vector<std::pair<std::string,
-                                                    uspace::FileBlob>>&
-                            staged_files,
+                        const uspace::StagedFiles& staged_files,
                         sim::Time consigned_at);
   void record_batch_submitted(ajo::JobToken token,
                               const std::string& action_path,
@@ -131,7 +129,7 @@ class Journal {
     gateway::AuthenticatedUser user;
     crypto::Certificate user_certificate;
     util::Bytes idempotency_key;  // empty for direct user consigns
-    std::vector<std::pair<std::string, uspace::FileBlob>> staged_files;
+    uspace::StagedFiles staged_files;
     sim::Time consigned_at = 0;
     // action path -> batch id for every submission that reached a queue
     std::map<std::string, batch::BatchJobId> batch_ids;

@@ -239,7 +239,7 @@ sim::Time Njs::staging_delay(const GroupRun& group,
 Result<JobToken> Njs::consign(
     const ajo::AbstractJobObject& job, const gateway::AuthenticatedUser& user,
     const crypto::Certificate& user_certificate, FinalHandler on_final,
-    std::vector<std::pair<std::string, uspace::FileBlob>> staged_files,
+    uspace::StagedFiles staged_files,
     util::Bytes idempotency_key) {
   if (auto status = job.validate(); !status.ok()) return status.error();
   if (!job.usite.empty() && job.usite != usite_)
@@ -288,7 +288,7 @@ Result<JobToken> Njs::admit(
     JobToken token, const ajo::AbstractJobObject& job,
     const gateway::AuthenticatedUser& user,
     const crypto::Certificate& user_certificate, FinalHandler on_final,
-    std::vector<std::pair<std::string, uspace::FileBlob>> staged_files,
+    uspace::StagedFiles staged_files,
     util::Bytes idempotency_key, bool journal_it) {
   auto run = std::make_unique<JobRun>();
   run->token = token;
@@ -807,7 +807,7 @@ void Njs::dispatch_subjob(JobRun& job, GroupRun& group, ActionRun& run) {
   if (remote) job.trace.annotate(run.span, "usite", sub.usite);
 
   // Collect the dependency files that must accompany the sub-job.
-  std::vector<std::pair<std::string, uspace::FileBlob>> staged;
+  uspace::StagedFiles staged;
   for (const ajo::Dependency& dep : group.group->dependencies()) {
     if (dep.successor != run.action->id()) continue;
     for (const std::string& file : dep.files) {
@@ -1381,6 +1381,22 @@ Result<crypto::DistinguishedName> Njs::owner(JobToken token) const {
   return it->second->user.dn;
 }
 
+void JobSummary::encode(util::ByteWriter& w) const {
+  w.u64(token);
+  w.str(name);
+  w.u8(static_cast<std::uint8_t>(status));
+  w.i64(consigned_at);
+}
+
+JobSummary JobSummary::decode(util::ByteReader& r) {
+  JobSummary summary;
+  summary.token = r.u64();
+  summary.name = r.str();
+  summary.status = static_cast<ajo::ActionStatus>(r.u8());
+  summary.consigned_at = r.i64();
+  return summary;
+}
+
 std::vector<JobSummary> Njs::list(
     const crypto::DistinguishedName& user) const {
   std::vector<JobSummary> out;
@@ -1551,6 +1567,30 @@ void Njs::visit_workspaces(
         prefix + "g" + std::to_string(run.subgroup->group->id()) + "/",
         visit);
   }
+}
+
+void StorageInfo::encode(util::ByteWriter& w) const {
+  w.u64(token);
+  w.str(name);
+  w.u64(used_bytes);
+  w.u64(quota_bytes);
+  w.varint(files);
+  w.boolean(terminal);
+  w.boolean(reaped);
+  w.i64(consigned_at);
+}
+
+StorageInfo StorageInfo::decode(util::ByteReader& r) {
+  StorageInfo info;
+  info.token = r.u64();
+  info.name = r.str();
+  info.used_bytes = r.u64();
+  info.quota_bytes = r.u64();
+  info.files = r.varint();
+  info.terminal = r.boolean();
+  info.reaped = r.boolean();
+  info.consigned_at = r.i64();
+  return info;
 }
 
 StorageInfo Njs::make_storage_info(const JobRun& job) const {

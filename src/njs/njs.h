@@ -73,17 +73,21 @@ class CrashParticipant {
   virtual void on_njs_adopt(const Journal& journal) { (void)journal; }
 };
 
-/// One-line job record for the ListService.
+/// One-line job record for the ListService, and one row of its reply.
 struct JobSummary {
   ajo::JobToken token = 0;
   std::string name;
   ajo::ActionStatus status = ajo::ActionStatus::kPending;
   sim::Time consigned_at = 0;
+
+  void encode(util::ByteWriter& w) const;
+  static JobSummary decode(util::ByteReader& r);
 };
 
 /// One job's managed working storage (docs/PORTAL.md): the Uspace tree
 /// the NJS created for the job, kept around after completion so outputs
-/// can be revisited until the storage is reaped.
+/// can be revisited until the storage is reaped. One row of the
+/// kStorageList reply.
 struct StorageInfo {
   ajo::JobToken token = 0;
   std::string name;  // "job<token>"
@@ -93,6 +97,9 @@ struct StorageInfo {
   bool terminal = false;  // job finished — the storage is reapable
   bool reaped = false;
   sim::Time consigned_at = 0;
+
+  void encode(util::ByteWriter& w) const;
+  static StorageInfo decode(util::ByteReader& r);
 };
 
 /// Quota-driven cleanup of finished jobs' storages (the portal's
@@ -170,7 +177,7 @@ class Njs {
       const ajo::AbstractJobObject& job, const gateway::AuthenticatedUser& user,
       const crypto::Certificate& user_certificate,
       FinalHandler on_final = nullptr,
-      std::vector<std::pair<std::string, uspace::FileBlob>> staged_files = {},
+      uspace::StagedFiles staged_files = {},
       util::Bytes idempotency_key = {});
 
   /// Attaches the site's content-addressed chunk store. Delivered files
@@ -355,7 +362,7 @@ class Njs {
       ajo::JobToken token, const ajo::AbstractJobObject& job,
       const gateway::AuthenticatedUser& user,
       const crypto::Certificate& user_certificate, FinalHandler on_final,
-      std::vector<std::pair<std::string, uspace::FileBlob>> staged_files,
+      uspace::StagedFiles staged_files,
       util::Bytes idempotency_key, bool journal_it);
 
   // Group/graph engine.

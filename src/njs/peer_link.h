@@ -31,7 +31,7 @@ struct ForwardedConsignment {
   /// Dependency files travelling with the job group, staged into its
   /// Uspace on arrival (the analogue of workstation files travelling
   /// inside the AJO, §5.6).
-  std::vector<std::pair<std::string, uspace::FileBlob>> staged_files;
+  uspace::StagedFiles staged_files;
 
   /// Canonical signing input (covers job and user certificate).
   static util::Bytes signing_input(const ajo::AbstractJobObject& job,

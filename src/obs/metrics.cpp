@@ -51,7 +51,7 @@ void encode_labels(util::ByteWriter& writer, const Labels& labels) {
 
 Labels decode_labels(util::ByteReader& reader) {
   Labels labels;
-  std::uint64_t n = reader.varint();
+  std::uint64_t n = reader.count();
   labels.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string key = reader.str();
@@ -134,7 +134,7 @@ void MetricsSnapshot::encode(util::ByteWriter& writer) const {
 util::Result<MetricsSnapshot> MetricsSnapshot::decode(
     util::ByteReader& reader) {
   MetricsSnapshot snapshot;
-  std::uint64_t n = reader.varint();
+  std::uint64_t n = reader.count();
   snapshot.points.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     MetricPoint point;
@@ -148,7 +148,7 @@ util::Result<MetricsSnapshot> MetricsSnapshot::decode(
     point.labels = decode_labels(reader);
     point.value = reader.f64();
     if (point.kind == MetricKind::kHistogram) {
-      std::uint64_t n_bounds = reader.varint();
+      std::uint64_t n_bounds = reader.count();
       point.bounds.reserve(n_bounds);
       for (std::uint64_t b = 0; b < n_bounds; ++b)
         point.bounds.push_back(reader.f64());

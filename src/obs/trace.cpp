@@ -92,7 +92,7 @@ void TraceTimeline::encode(util::ByteWriter& writer) const {
 
 util::Result<TraceTimeline> TraceTimeline::decode(util::ByteReader& reader) {
   TraceTimeline timeline;
-  std::uint64_t n = reader.varint();
+  std::uint64_t n = reader.count();
   timeline.spans_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Span span;
@@ -104,7 +104,7 @@ util::Result<TraceTimeline> TraceTimeline::decode(util::ByteReader& reader) {
     if (span.id != i + 1)
       return util::make_error(util::ErrorCode::kInvalidArgument,
                               "trace timeline: non-contiguous span ids");
-    std::uint64_t n_attrs = reader.varint();
+    std::uint64_t n_attrs = reader.count();
     span.attributes.reserve(n_attrs);
     for (std::uint64_t a = 0; a < n_attrs; ++a) {
       std::string key = reader.str();

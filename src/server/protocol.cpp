@@ -88,42 +88,13 @@ Bytes make_notification(std::uint64_t job_token, const ajo::Outcome& outcome) {
   return w.take();
 }
 
-void encode_user(ByteWriter& w, const gateway::AuthenticatedUser& user) {
-  w.str(user.dn.country);
-  w.str(user.dn.organization);
-  w.str(user.dn.organizational_unit);
-  w.str(user.dn.common_name);
-  w.str(user.dn.email);
-  w.str(user.login);
-  w.varint(user.account_groups.size());
-  for (const auto& group : user.account_groups) w.str(group);
-}
-
-gateway::AuthenticatedUser decode_user(ByteReader& r) {
-  gateway::AuthenticatedUser user;
-  user.dn.country = r.str();
-  user.dn.organization = r.str();
-  user.dn.organizational_unit = r.str();
-  user.dn.common_name = r.str();
-  user.dn.email = r.str();
-  user.login = r.str();
-  std::uint64_t n = r.varint();
-  user.account_groups.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) user.account_groups.push_back(r.str());
-  return user;
-}
-
 Bytes encode_forwarded(const njs::ForwardedConsignment& consignment) {
   ByteWriter w;
   w.blob(ajo::encode_action(consignment.job));
   w.blob(consignment.user_certificate.der());
   w.blob(consignment.consignor_certificate.der());
   w.u64(consignment.signature.value);
-  w.varint(consignment.staged_files.size());
-  for (const auto& [name, blob] : consignment.staged_files) {
-    w.str(name);
-    blob.encode(w);
-  }
+  uspace::encode_staged(w, consignment.staged_files);
   return w.take();
 }
 
@@ -145,13 +116,7 @@ Result<njs::ForwardedConsignment> decode_forwarded(ByteReader& r) {
   if (!consignor_cert) return consignor_cert.error();
   out.consignor_certificate = std::move(consignor_cert.value());
   out.signature.value = r.u64();
-  std::uint64_t n = r.varint();
-  out.staged_files.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.str();
-    out.staged_files.emplace_back(std::move(name),
-                                  uspace::FileBlob::decode(r));
-  }
+  out.staged_files = uspace::decode_staged(r);
   return out;
 }
 

@@ -100,9 +100,12 @@ util::Bytes make_notification(std::uint64_t job_token,
                               const ajo::Outcome& outcome);
 
 // --- payload codecs --------------------------------------------------------
-
-void encode_user(util::ByteWriter& w, const gateway::AuthenticatedUser& user);
-gateway::AuthenticatedUser decode_user(util::ByteReader& r);
+//
+// Payloads that name a shared type use that type's own codec: the user
+// a request is executed for is gateway::AuthenticatedUser, a session
+// grant is gateway::SessionGrant, and the kList and kStorageList rows
+// are njs::JobSummary and njs::StorageInfo (docs/PROTOCOL.md, "Decoding
+// rules"). Only the envelopes and the payloads below live here.
 
 util::Bytes encode_forwarded(const njs::ForwardedConsignment& consignment);
 util::Result<njs::ForwardedConsignment> decode_forwarded(

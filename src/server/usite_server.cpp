@@ -322,7 +322,7 @@ Bytes pack_njs_request(RequestKind kind, std::uint64_t request_id,
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(request_id);
-  encode_user(w, user);
+  user.encode(w);
   w.raw(payload);
   return w.take();
 }
@@ -388,9 +388,7 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
                                        now_epoch, requested_ttl);
       if (!grant) return reply_error(request_id, grant.error());
       ByteWriter out;
-      out.blob(grant.value().token);
-      out.i64(grant.value().expires_at);
-      out.str(grant.value().login);
+      grant.value().encode(out);
       return session->channel->send(make_ok_reply(request_id, out.bytes()));
     }
     case RequestKind::kSessionRefresh: {
@@ -402,9 +400,7 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
       auto grant = session_broker_.refresh(*token, now_epoch);
       if (!grant) return reply_error(request_id, grant.error());
       ByteWriter out;
-      out.blob(grant.value().token);
-      out.i64(grant.value().expires_at);
-      out.str(grant.value().login);
+      grant.value().encode(out);
       return session->channel->send(make_ok_reply(request_id, out.bytes()));
     }
     case RequestKind::kSessionClose: {
@@ -554,7 +550,7 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
                                sim::Time* ready_at) {
   auto kind = static_cast<RequestKind>(packed.u8());
   std::uint64_t request_id = packed.u64();
-  gateway::AuthenticatedUser user = decode_user(packed);
+  auto user = gateway::AuthenticatedUser::decode(packed);
 
   // Charges one admission to the token's owning replica (a serial
   // server, like the gateway's service queue) and reports when that
@@ -649,15 +645,8 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         return make_ok_reply(request_id, out.bytes());
       }
       case RequestKind::kList: {
-        auto summaries = njs_cluster_.list(user.dn);
         ByteWriter out;
-        out.varint(summaries.size());
-        for (const auto& summary : summaries) {
-          out.u64(summary.token);
-          out.str(summary.name);
-          out.u8(static_cast<std::uint8_t>(summary.status));
-          out.i64(summary.consigned_at);
-        }
+        out.list(njs_cluster_.list(user.dn));
         return make_ok_reply(request_id, out.bytes());
       }
       case RequestKind::kControl: {
@@ -818,19 +807,8 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         return make_ok_reply(request_id, reply.value());
       }
       case RequestKind::kStorageList: {
-        auto storages = njs_cluster_.storages(user.dn);
         ByteWriter out;
-        out.varint(storages.size());
-        for (const auto& storage : storages) {
-          out.u64(storage.token);
-          out.str(storage.name);
-          out.u64(storage.used_bytes);
-          out.u64(storage.quota_bytes);
-          out.varint(storage.files);
-          out.u8(storage.terminal ? 1 : 0);
-          out.u8(storage.reaped ? 1 : 0);
-          out.i64(storage.consigned_at);
-        }
+        out.list(njs_cluster_.storages(user.dn));
         return make_ok_reply(request_id, out.bytes());
       }
       case RequestKind::kStorageFiles: {
@@ -840,8 +818,7 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
         auto files = njs_for(token)->storage_files(token);
         if (!files) return make_error_reply(request_id, files.error());
         ByteWriter out;
-        out.varint(files.value().size());
-        for (const auto& name : files.value()) out.str(name);
+        out.strings(files.value());
         return make_ok_reply(request_id, out.bytes());
       }
       case RequestKind::kStorageReap: {

@@ -146,9 +146,7 @@ void FileBlob::encode(util::ByteWriter& w) const {
 FileBlob FileBlob::decode(util::ByteReader& r) {
   bool synthetic = r.boolean();
   std::uint64_t size = r.u64();
-  util::Bytes raw = r.raw(32);
-  crypto::Digest checksum;
-  std::copy(raw.begin(), raw.end(), checksum.begin());
+  crypto::Digest checksum = r.fixed<32>();
   if (synthetic) {
     r.skip(static_cast<std::size_t>(size));
     return from_identity(size, checksum);
@@ -159,6 +157,25 @@ FileBlob FileBlob::decode(util::ByteReader& r) {
   if (blob.size_ != size || blob.checksum_ != checksum)
     throw std::out_of_range("FileBlob: content does not match its identity");
   return blob;
+}
+
+void encode_staged(util::ByteWriter& w, const StagedFiles& files) {
+  w.varint(files.size());
+  for (const auto& [name, blob] : files) {
+    w.str(name);
+    blob.encode(w);
+  }
+}
+
+StagedFiles decode_staged(util::ByteReader& r) {
+  std::uint64_t n = r.count();
+  StagedFiles files;
+  files.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string name = r.str();
+    files.emplace_back(std::move(name), FileBlob::decode(r));
+  }
+  return files;
 }
 
 std::shared_ptr<const FileBlob> intern_blob(

@@ -26,6 +26,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -128,6 +129,12 @@ class FileBlob {
   std::shared_ptr<const std::vector<crypto::Digest>> digests_;
   std::shared_ptr<const store::PinnedBlob> stored_;
 };
+
+/// Files that travel with a job, in a forwarded consignment and in its
+/// journal record: a count, then each name and blob.
+using StagedFiles = std::vector<std::pair<std::string, FileBlob>>;
+void encode_staged(util::ByteWriter& w, const StagedFiles& files);
+StagedFiles decode_staged(util::ByteReader& r);
 
 /// Interns `blob` into `chunk_store` and returns a store-backed
 /// equivalent (same size, same checksum): inline content is chunked and

@@ -85,6 +85,21 @@ std::string ByteReader::str() {
   return std::string(b.begin(), b.end());
 }
 
+std::uint64_t ByteReader::count() {
+  std::uint64_t n = varint();
+  if (n > remaining())
+    throw std::out_of_range("ByteReader: count exceeds input");
+  return n;
+}
+
+std::vector<std::string> ByteReader::strings() {
+  std::uint64_t n = count();
+  std::vector<std::string> out;
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(str());
+  return out;
+}
+
 std::string hex_encode(ByteView b) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;

@@ -5,6 +5,8 @@
 // byte-order independent and hash-stable across platforms.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -90,6 +92,19 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  /// Count-prefixed (varint) list of strings.
+  void strings(const std::vector<std::string>& list) {
+    varint(list.size());
+    for (const std::string& s : list) str(s);
+  }
+
+  /// Count-prefixed (varint) list of values written by T::encode.
+  template <typename T>
+  void list(const std::vector<T>& items) {
+    varint(items.size());
+    for (const T& item : items) item.encode(*this);
+  }
+
   void boolean(bool b) { u8(b ? 1 : 0); }
 
   const Bytes& bytes() const { return buf_; }
@@ -99,6 +114,12 @@ class ByteWriter {
  private:
   Bytes buf_;
 };
+
+/// Deepest nesting a recursive decoder accepts, counting the outermost
+/// value as 0 (AJO job groups, Outcome trees, DER constructed values).
+/// Deeper input is malformed, so a crafted message cannot exhaust the
+/// stack.
+constexpr std::size_t kMaxNesting = 64;
 
 /// Sequential reader over a borrowed buffer. All accessors throw
 /// std::out_of_range on truncated input so that corrupt network data is
@@ -127,6 +148,31 @@ class ByteReader {
   Bytes blob();
   /// Reads a varint-length-prefixed UTF-8 string.
   std::string str();
+  /// Reads the varint element count of a list. Every element takes at
+  /// least one byte, so a count beyond the remaining input is malformed
+  /// and refused before it can size an allocation.
+  std::uint64_t count();
+  /// Reads a count-prefixed list of strings.
+  std::vector<std::string> strings();
+  /// Reads a count-prefixed list of values with T::decode.
+  template <typename T>
+  std::vector<T> list() {
+    std::uint64_t n = count();
+    std::vector<T> out;
+    out.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) out.push_back(T::decode(*this));
+    return out;
+  }
+  /// Reads exactly N raw bytes (digests, MAC tags).
+  template <std::size_t N>
+  std::array<std::uint8_t, N> fixed() {
+    need(N);
+    std::array<std::uint8_t, N> out{};
+    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), N,
+                out.begin());
+    pos_ += N;
+    return out;
+  }
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

@@ -1,41 +1,11 @@
 #include "xfer/manifest.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
 namespace unicore::xfer {
-
-namespace {
-
-void encode_dn(util::ByteWriter& w, const crypto::DistinguishedName& dn) {
-  w.str(dn.country);
-  w.str(dn.organization);
-  w.str(dn.organizational_unit);
-  w.str(dn.common_name);
-  w.str(dn.email);
-}
-
-crypto::DistinguishedName decode_dn(util::ByteReader& r) {
-  crypto::DistinguishedName dn;
-  dn.country = r.str();
-  dn.organization = r.str();
-  dn.organizational_unit = r.str();
-  dn.common_name = r.str();
-  dn.email = r.str();
-  return dn;
-}
-
-crypto::Digest read_digest(util::ByteReader& r) {
-  util::Bytes raw = r.raw(32);
-  crypto::Digest digest;
-  std::copy(raw.begin(), raw.end(), digest.begin());
-  return digest;
-}
-
-}  // namespace
 
 void BundleFileMeta::encode(util::ByteWriter& w) const {
   w.str(name);
@@ -48,7 +18,7 @@ BundleFileMeta BundleFileMeta::decode(util::ByteReader& r) {
   BundleFileMeta meta;
   meta.name = r.str();
   meta.size = r.u64();
-  meta.checksum = read_digest(r);
+  meta.checksum = r.fixed<32>();
   meta.synthetic = r.boolean();
   return meta;
 }
@@ -57,9 +27,8 @@ void BundleManifest::encode(util::ByteWriter& w) const {
   w.blob(key);
   w.u64(token);
   w.u32(chunk_bytes);
-  encode_dn(w, principal);
-  w.varint(files.size());
-  for (const BundleFileMeta& file : files) file.encode(w);
+  principal.encode(w);
+  w.list(files);
 }
 
 BundleManifest BundleManifest::decode(util::ByteReader& r) {
@@ -67,13 +36,8 @@ BundleManifest BundleManifest::decode(util::ByteReader& r) {
   manifest.key = r.blob();
   manifest.token = r.u64();
   manifest.chunk_bytes = r.u32();
-  manifest.principal = decode_dn(r);
-  std::uint64_t n = r.varint();
-  if (n > r.remaining())  // every entry takes bytes: a torn count
-    throw std::out_of_range("bundle manifest: file count exceeds record");
-  manifest.files.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    manifest.files.push_back(BundleFileMeta::decode(r));
+  manifest.principal = crypto::DistinguishedName::decode(r);
+  manifest.files = r.list<BundleFileMeta>();
   return manifest;
 }
 

@@ -1,8 +1,5 @@
 #include "xfer/wire.h"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "crypto/chunk_digest.h"
 
 namespace unicore::xfer {
@@ -13,33 +10,16 @@ using util::ByteWriter;
 
 namespace {
 
-crypto::Digest read_digest(ByteReader& r) {
-  Bytes raw = r.raw(32);
-  crypto::Digest digest;
-  std::copy(raw.begin(), raw.end(), digest.begin());
-  return digest;
-}
-
-/// Reads an element count. Every element takes at least one byte, so a
-/// count beyond the remaining input is malformed — rejected before it
-/// can size an allocation.
-std::uint64_t read_count(ByteReader& r) {
-  std::uint64_t n = r.varint();
-  if (n > r.remaining())
-    throw std::out_of_range("xfer: element count exceeds input");
-  return n;
-}
-
 void write_digests(ByteWriter& w, const std::vector<crypto::Digest>& digests) {
   w.varint(digests.size());
   for (const crypto::Digest& digest : digests) w.raw(digest);
 }
 
 std::vector<crypto::Digest> read_digests(ByteReader& r) {
-  std::uint64_t n = read_count(r);
+  std::uint64_t n = r.count();
   std::vector<crypto::Digest> digests;
   digests.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) digests.push_back(read_digest(r));
+  for (std::uint64_t i = 0; i < n; ++i) digests.push_back(r.fixed<32>());
   return digests;
 }
 
@@ -65,7 +45,7 @@ Chunk Chunk::decode(ByteReader& r) {
   chunk.index = r.u64();
   chunk.length = r.u32();
   chunk.synthetic = r.boolean();
-  chunk.digest = read_digest(r);
+  chunk.digest = r.fixed<32>();
   if (chunk.synthetic)
     r.skip(chunk.length);
   else
@@ -113,7 +93,7 @@ void encode_ranges(ByteWriter& w, const std::vector<ChunkRange>& ranges) {
 }
 
 std::vector<ChunkRange> decode_ranges(ByteReader& r) {
-  std::uint64_t n = read_count(r);
+  std::uint64_t n = r.count();
   std::vector<ChunkRange> ranges;
   ranges.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -139,7 +119,7 @@ BundleFileEntry BundleFileEntry::decode(ByteReader& r) {
   BundleFileEntry entry;
   entry.name = r.str();
   entry.size = r.u64();
-  entry.checksum = read_digest(r);
+  entry.checksum = r.fixed<32>();
   entry.synthetic = r.boolean();
   entry.digests = read_digests(r);
   return entry;
@@ -151,8 +131,7 @@ Bytes BundleOpenRequest::encode() const {
   w.blob(key);
   w.u64(token);
   w.u32(proposed_chunk_bytes);
-  w.varint(files.size());
-  for (const BundleFileEntry& file : files) file.encode(w);
+  w.list(files);
   return w.take();
 }
 
@@ -161,10 +140,7 @@ BundleOpenRequest BundleOpenRequest::decode(ByteReader& r) {
   request.key = r.blob();
   request.token = r.u64();
   request.proposed_chunk_bytes = r.u32();
-  std::uint64_t n = read_count(r);
-  request.files.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    request.files.push_back(BundleFileEntry::decode(r));
+  request.files = r.list<BundleFileEntry>();
   return request;
 }
 
@@ -185,8 +161,7 @@ Bytes BundleOpenReply::encode() const {
   w.u64(transfer_id);
   w.u32(chunk_bytes);
   w.u32(credit);
-  w.varint(files.size());
-  for (const BundleFileState& file : files) file.encode(w);
+  w.list(files);
   return w.take();
 }
 
@@ -195,10 +170,7 @@ BundleOpenReply BundleOpenReply::decode(ByteReader& r) {
   reply.transfer_id = r.u64();
   reply.chunk_bytes = r.u32();
   reply.credit = r.u32();
-  std::uint64_t n = read_count(r);
-  reply.files.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    reply.files.push_back(BundleFileState::decode(r));
+  reply.files = r.list<BundleFileState>();
   return reply;
 }
 
@@ -264,8 +236,7 @@ Bytes BundlePullOpenRequest::encode() const {
   w.u64(token);
   w.u32(proposed_chunk_bytes);
   w.u32(inline_limit);
-  w.varint(names.size());
-  for (const std::string& name : names) w.str(name);
+  w.strings(names);
   return w.take();
 }
 
@@ -275,9 +246,7 @@ BundlePullOpenRequest BundlePullOpenRequest::decode(Role role, ByteReader& r) {
   request.token = r.u64();
   request.proposed_chunk_bytes = r.u32();
   request.inline_limit = r.u32();
-  std::uint64_t n = read_count(r);
-  request.names.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) request.names.push_back(r.str());
+  request.names = r.strings();
   return request;
 }
 
@@ -291,7 +260,7 @@ void BundlePullFileInfo::encode(ByteWriter& w) const {
 BundlePullFileInfo BundlePullFileInfo::decode(ByteReader& r) {
   BundlePullFileInfo info;
   info.size = r.u64();
-  info.checksum = read_digest(r);
+  info.checksum = r.fixed<32>();
   info.synthetic = r.boolean();
   info.digests = read_digests(r);
   return info;
@@ -306,8 +275,7 @@ Bytes BundlePullOpenReply::encode() const {
   }
   w.u64(transfer_id);
   w.u32(chunk_bytes);
-  w.varint(files.size());
-  for (const BundlePullFileInfo& file : files) file.encode(w);
+  w.list(files);
   return w.take();
 }
 
@@ -319,10 +287,7 @@ BundlePullOpenReply BundlePullOpenReply::decode(ByteReader& r) {
   }
   reply.transfer_id = r.u64();
   reply.chunk_bytes = r.u32();
-  std::uint64_t n = read_count(r);
-  reply.files.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    reply.files.push_back(BundlePullFileInfo::decode(r));
+  reply.files = r.list<BundlePullFileInfo>();
   return reply;
 }
 

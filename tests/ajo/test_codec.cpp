@@ -215,6 +215,38 @@ TEST(Codec, RejectsTruncation) {
   }
 }
 
+// `depth` job groups, each the only child of the one around it: the
+// encoder's bytes for an empty group, spliced so that the 100,000-deep
+// case needs no deep object to build or encode.
+util::Bytes nested_groups(std::size_t depth) {
+  const util::Bytes leaf = encode_action(AbstractJobObject{});
+  // An empty group ends with its child count and dependency count, 0 each.
+  util::Bytes open(leaf.begin(), leaf.end() - 2);
+  open.push_back(1);
+  util::Bytes wire;
+  for (std::size_t i = 1; i < depth; ++i) util::append(wire, open);
+  util::append(wire, leaf);
+  wire.insert(wire.end(), depth - 1, std::uint8_t{0});  // n_deps of each
+  return wire;
+}
+
+TEST(Codec, RefusesNestingBeyondTheBound) {
+  // The root is depth 0; the innermost group here sits at the bound.
+  auto at_bound = decode_action(nested_groups(util::kMaxNesting + 1));
+  ASSERT_TRUE(at_bound.ok()) << at_bound.error().to_string();
+  EXPECT_EQ(encode_action(*at_bound.value()),
+            nested_groups(util::kMaxNesting + 1));
+  EXPECT_FALSE(decode_action(nested_groups(util::kMaxNesting + 2)).ok());
+  // Deep enough to overflow the stack of an unbounded recursive decoder.
+  util::Bytes deep = nested_groups(100'000);
+  EXPECT_GT(deep.size(), 1'000'000u);
+  auto decoded = decode_action(deep);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find("nested too deeply"),
+            std::string::npos)
+      << decoded.error().message;
+}
+
 // Property: random job graphs survive encode -> decode -> encode
 // byte-identically, stay valid, and preserve structural measures.
 class RandomGraphRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};

@@ -106,6 +106,39 @@ TEST(Outcome, DecodeRejectsTruncation) {
   }
 }
 
+// `depth` outcomes, each the only child of the one around it, spliced
+// from the encoder's bytes for a childless outcome.
+util::Bytes nested_outcomes(std::size_t depth) {
+  util::ByteWriter w;
+  Outcome{}.encode(w);
+  const util::Bytes leaf = w.take();  // ends with its child count, 0
+  util::Bytes open(leaf.begin(), leaf.end() - 1);
+  open.push_back(1);
+  util::Bytes wire;
+  for (std::size_t i = 1; i < depth; ++i) util::append(wire, open);
+  util::append(wire, leaf);
+  return wire;
+}
+
+TEST(Outcome, DecodeRefusesNestingBeyondTheBound) {
+  // The root is depth 0; the innermost outcome here sits at the bound.
+  util::Bytes at_bound = nested_outcomes(util::kMaxNesting + 1);
+  util::ByteReader fits(at_bound);
+  EXPECT_TRUE(Outcome::decode(fits).ok());
+  EXPECT_TRUE(fits.done());
+  util::Bytes over = nested_outcomes(util::kMaxNesting + 2);
+  util::ByteReader too_deep(over);
+  EXPECT_FALSE(Outcome::decode(too_deep).ok());
+  // Deep enough to overflow the stack of an unbounded recursive decoder.
+  util::Bytes deep = nested_outcomes(100'000);
+  util::ByteReader r(deep);
+  auto decoded = Outcome::decode(r);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find("nested too deeply"),
+            std::string::npos)
+      << decoded.error().message;
+}
+
 TEST(Outcome, TreeStringShowsStatusPerLine) {
   Outcome tree = sample_tree();
   std::string rendered = tree.to_tree_string();

@@ -70,6 +70,27 @@ TEST(Der, RejectsNonMinimalLength) {
   // Length 3 encoded in long form (0x81 0x03) is BER, not DER.
   Bytes ber{0x04, 0x81, 0x03, 1, 2, 3};
   EXPECT_FALSE(decode(ber).ok());
+  // So is length 130 in two length bytes with a leading zero.
+  Bytes padded{0x04, 0x82, 0x00, 0x82};
+  padded.resize(padded.size() + 130, 0xaa);
+  EXPECT_FALSE(decode(padded).ok());
+  Bytes minimal{0x04, 0x81, 0x82};
+  minimal.resize(minimal.size() + 130, 0xaa);
+  EXPECT_TRUE(decode(minimal).ok());
+}
+
+TEST(Der, RejectsNonMinimalInteger) {
+  // A leading byte that only repeats the sign of the next one is BER.
+  EXPECT_FALSE(decode(Bytes{0x02, 0x02, 0x00, 0x05}).ok());
+  EXPECT_FALSE(decode(Bytes{0x02, 0x02, 0xff, 0x80}).ok());
+  EXPECT_FALSE(decode(Bytes{0x17, 0x02, 0x00, 0x05}).ok());  // UTCTime too
+  // The sign byte stays where the next byte would flip the sign.
+  EXPECT_EQ(decode(Bytes{0x02, 0x02, 0x00, 0x80}).value().as_integer(), 128);
+  EXPECT_EQ(decode(Bytes{0x02, 0x02, 0xff, 0x7f}).value().as_integer(), -129);
+  const Bytes padded{0x02, 0x02, 0x00, 0x05};
+  Reader in(padded);
+  EXPECT_EQ(in.integer(), 0);
+  EXPECT_FALSE(in.ok());
 }
 
 TEST(Der, NullRoundTrip) {
@@ -202,6 +223,45 @@ TEST(Der, WriterBackPatchesEveryLengthForm) {
     EXPECT_EQ(decoded.value().as_sequence()[0].as_set()[0].as_octet_string(),
               payload);
   }
+}
+
+// `depth` SEQUENCEs, each the only content of the one around it, built
+// from the inside out so the 100,000-deep case stays linear.
+Bytes nested_sequences(std::size_t depth) {
+  std::vector<Bytes> headers;  // innermost first
+  std::size_t inner = 0;       // size of the value the next header wraps
+  for (std::size_t i = 0; i < depth; ++i) {
+    Bytes header{0x30};
+    if (inner < 0x80) {
+      header.push_back(static_cast<std::uint8_t>(inner));
+    } else {
+      Bytes digits;
+      for (std::size_t n = inner; n > 0; n >>= 8)
+        digits.insert(digits.begin(), static_cast<std::uint8_t>(n & 0xff));
+      header.push_back(static_cast<std::uint8_t>(0x80 | digits.size()));
+      util::append(header, digits);
+    }
+    inner += header.size();
+    headers.push_back(std::move(header));
+  }
+  Bytes der;
+  for (auto it = headers.rbegin(); it != headers.rend(); ++it)
+    util::append(der, *it);
+  return der;
+}
+
+TEST(Der, RefusesNestingBeyondTheBound) {
+  // The outermost value is depth 0; the innermost here sits at the bound.
+  EXPECT_TRUE(decode(nested_sequences(util::kMaxNesting + 1)).ok());
+  EXPECT_FALSE(decode(nested_sequences(util::kMaxNesting + 2)).ok());
+  // Deep enough to overflow the stack of an unbounded recursive decoder.
+  Bytes deep = nested_sequences(100'000);
+  EXPECT_GT(deep.size(), 480'000u);
+  auto decoded = decode(deep);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.error().message.find("nested too deeply"),
+            std::string::npos)
+      << decoded.error().message;
 }
 
 TEST(Der, ReaderKeepsTheFirstFailure) {

@@ -227,8 +227,8 @@ TEST(Security, OtherUsersJobsInvisibleAndUncontrollable) {
   site.grid.engine().run();
 
   // John's list is empty.
-  std::vector<client::JobEntry> entries{{1, "sentinel", {}, 0}};
-  john.list([&](util::Result<std::vector<client::JobEntry>> result) {
+  std::vector<njs::JobSummary> entries{{1, "sentinel", {}, 0}};
+  john.list([&](util::Result<std::vector<njs::JobSummary>> result) {
     ASSERT_TRUE(result.ok());
     entries = std::move(result.value());
   });

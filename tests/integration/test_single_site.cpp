@@ -133,8 +133,8 @@ TEST(SingleSite, JmcListsControlsAndFetchesOutput) {
   });
   site.grid.engine().run();
 
-  std::vector<client::JobEntry> entries;
-  client->list([&](util::Result<std::vector<client::JobEntry>> result) {
+  std::vector<njs::JobSummary> entries;
+  client->list([&](util::Result<std::vector<njs::JobSummary>> result) {
     ASSERT_TRUE(result.ok());
     entries = std::move(result.value());
   });

@@ -5,6 +5,7 @@
 // Session tickets get the same mutations at SessionTicketManager::redeem.
 #include <gtest/gtest.h>
 
+#include "common/wire_fuzz.h"
 #include "net/secure_channel.h"
 #include "net/session.h"
 #include "util/rng.h"
@@ -26,14 +27,9 @@ crypto::DistinguishedName dn(const std::string& cn) {
 /// to a shorter length, or 1-16 appended random bytes.
 void mutate(util::Rng& rng, util::Bytes& wire) {
   switch (rng.below(3)) {
-    case 0: {
-      if (wire.empty()) break;
-      int flips = 1 + static_cast<int>(rng.below(3));
-      for (int f = 0; f < flips; ++f)
-        wire[rng.below(wire.size())] ^=
-            static_cast<std::uint8_t>(1 + rng.below(255));
+    case 0:
+      if (!wire.empty()) wire = testing::flip_bytes(wire, rng);
       break;
-    }
     case 1:
       if (!wire.empty()) wire.resize(rng.below(wire.size()));
       break;

@@ -352,7 +352,7 @@ TEST_F(MonitorTestbed, EveryRegisteredSeriesIsInTheCatalogue) {
   grid.engine().run();
   ASSERT_TRUE(done);
   bool session = false;
-  client->open_session(0, [&](util::Result<client::SessionGrant> grant) {
+  client->open_session(0, [&](util::Result<gateway::SessionGrant> grant) {
     session = grant.ok();
   });
   grid.engine().run();

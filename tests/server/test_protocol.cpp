@@ -65,9 +65,9 @@ TEST(Protocol, UserCodecRoundTrip) {
   user.login = "ucjane";
   user.account_groups = {"a", "b", "c"};
   util::ByteWriter w;
-  encode_user(w, user);
+  user.encode(w);
   util::ByteReader r(w.bytes());
-  gateway::AuthenticatedUser back = decode_user(r);
+  gateway::AuthenticatedUser back = gateway::AuthenticatedUser::decode(r);
   EXPECT_EQ(back.dn, user.dn);
   EXPECT_EQ(back.login, "ucjane");
   EXPECT_EQ(back.account_groups, user.account_groups);

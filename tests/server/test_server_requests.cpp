@@ -3,9 +3,12 @@
 // including malformed and unauthorized traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
+#include "ajo/codec.h"
 #include "common/test_env.h"
+#include "common/wire_fuzz.h"
 
 namespace unicore::server {
 namespace {
@@ -196,6 +199,158 @@ TEST(ServerRequests, TruncatedPayloadGetsErrorNotCrash) {
   EXPECT_EQ(static_cast<MessageType>(r.u8()), MessageType::kReply);
 }
 
+// The gateway decodes a consigned AJO before it can check the signature,
+// so a forged element count reaches the decoder from any authenticated
+// user. It must cost that user an error reply, not the Usite its loop.
+TEST(ServerRequests, ConsignWithAForgedCountGetsAnErrorReply) {
+  SingleSite site(88);
+  RawClient raw(site, site.user);
+  ajo::AbstractJobObject job;
+  job.set_name("forged");
+  job.vsite = SingleSite::kVsite;
+  job.user = site.user.certificate.subject;
+  auto task = std::make_unique<ajo::UserTask>();
+  task->executable = "a.out";
+  task->arguments = {"forged-count-marker"};
+  job.add(std::move(task));
+  util::Bytes job_wire = ajo::encode_action(job);
+
+  // The argument list is `count 1 | length | marker`: write 2^62 over
+  // the count.
+  const std::string marker = "forged-count-marker";
+  auto at = std::search(job_wire.begin(), job_wire.end(), marker.begin(),
+                        marker.end());
+  ASSERT_NE(at, job_wire.end());
+  auto count_at = at - 2;
+  ASSERT_EQ(*count_at, 1);
+  util::ByteWriter forged_count;
+  forged_count.varint(std::uint64_t{1} << 62);
+  count_at = job_wire.erase(count_at);
+  job_wire.insert(count_at, forged_count.bytes().begin(),
+                  forged_count.bytes().end());
+
+  util::ByteWriter signed_ajo;
+  signed_ajo.blob(job_wire);
+  signed_ajo.blob(site.user.certificate.der());
+  signed_ajo.u64(crypto::sign_message(site.user.key, job_wire).value);
+  raw.send(make_request(RequestKind::kConsign, 8, signed_ajo.bytes()));
+  ASSERT_EQ(raw.replies.size(), 1u);
+  auto [ok, error] = raw.last_reply_status();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(error.code, util::ErrorCode::kInvalidArgument);
+
+  // The server keeps serving the same channel.
+  raw.send(make_request(RequestKind::kResourcePages, 9, {}));
+  ASSERT_EQ(raw.replies.size(), 2u);
+  EXPECT_TRUE(raw.last_reply_status().first);
+}
+
+// Every request a user's channel may carry, in both envelopes, mutated
+// on the wire: truncated at every byte, a forged count over every
+// varint, random flips. Each message is answered or dropped, and the
+// server keeps serving.
+TEST(ServerRequests, MutatedRequestsNeverStopTheServer) {
+  testing::QuietLog quiet;
+  SingleSite site(89);
+  RawClient raw(site, site.user);
+  auto reply_body = [&raw] {
+    util::ByteReader r(raw.replies.back());
+    r.skip(10);  // type, request id, ok
+    return r;
+  };
+
+  // A job and a session for the requests to name.
+  ajo::AbstractJobObject job;
+  job.set_name("target");
+  job.vsite = SingleSite::kVsite;
+  job.user = site.user.certificate.subject;
+  auto task = std::make_unique<ajo::ExecuteScriptTask>();
+  task->set_name("step");
+  task->script = "true\n";
+  task->arguments = {"-v"};
+  task->set_resource_request({1, 600, 64, 0, 8});
+  job.add(std::move(task));
+  const util::Bytes signed_job = ajo::sign_ajo(job, site.user).encode();
+  raw.send(make_request(RequestKind::kConsign, 1, signed_job));
+  ASSERT_TRUE(raw.last_reply_status().first);
+  const ajo::JobToken token = reply_body().u64();
+  util::ByteWriter ttl;
+  ttl.i64(0);
+  raw.send(make_request(RequestKind::kSessionOpen, 2, ttl.bytes()));
+  ASSERT_TRUE(raw.last_reply_status().first);
+  util::ByteReader grant_reader = reply_body();
+  const util::Bytes bearer = gateway::SessionGrant::decode(grant_reader).token;
+
+  util::ByteWriter by_token;
+  by_token.u64(token);
+  util::ByteWriter query = by_token;
+  query.u8(0);
+  util::ByteWriter output = by_token;
+  output.str("stdout");
+  util::ByteWriter hold = by_token;
+  hold.u8(static_cast<std::uint8_t>(ajo::ControlService::Command::kHold));
+  util::ByteWriter bundle;
+  bundle.str("JPA");
+  xfer::BundlePullOpenRequest pull;
+  pull.role = xfer::Role::kClientPull;
+  pull.token = token;
+  pull.names = {"stdout", "stderr"};
+  xfer::BundlePullChunkRequest pull_chunk;
+  pull_chunk.role = xfer::Role::kClientPull;
+  pull_chunk.transfer_id = 1;
+  xfer::BundleCloseRequest close;
+  close.role = xfer::Role::kClientPull;
+  close.transfer_id = 1;
+  njs::ForwardedConsignment forwarded;
+  forwarded.job = job;
+  forwarded.user_certificate = site.user.certificate;
+  forwarded.consignor_certificate = site.user.certificate;
+
+  const std::vector<std::pair<RequestKind, util::Bytes>> payloads{
+      {RequestKind::kConsign, signed_job},
+      {RequestKind::kQuery, query.bytes()},
+      {RequestKind::kList, {}},
+      {RequestKind::kControl, hold.bytes()},
+      {RequestKind::kFetchOutput, output.bytes()},
+      {RequestKind::kResourcePages, {}},
+      {RequestKind::kGetBundle, bundle.bytes()},
+      {RequestKind::kForwardConsign, encode_forwarded(forwarded)},
+      {RequestKind::kMonitorTrace, by_token.bytes()},
+      {RequestKind::kJournalInspect, {}},
+      {RequestKind::kSessionOpen, ttl.bytes()},
+      {RequestKind::kStorageList, {}},
+      {RequestKind::kStorageFiles, by_token.bytes()},
+      {RequestKind::kXferBundleOpen, pull.encode()},
+      {RequestKind::kXferChunk, pull_chunk.encode()},
+      {RequestKind::kXferBundleClose, close.encode()},
+  };
+  std::vector<util::Bytes> requests;
+  std::uint64_t id = 10;
+  for (const auto& [kind, payload] : payloads) {
+    requests.push_back(make_request(kind, ++id, payload));
+    requests.push_back(make_token_request(kind, ++id, bearer, payload));
+  }
+  requests.push_back(
+      make_token_request(RequestKind::kConsign, ++id, bearer,
+                         ajo::encode_action(job)));
+  requests.push_back(
+      make_token_request(RequestKind::kSessionRefresh, ++id, bearer, {}));
+
+  util::Rng rng(89);
+  for (const util::Bytes& request : requests) {
+    testing::for_each_cut_and_count(
+        request, [&raw](const util::Bytes& m) { raw.send(m); });
+    for (int i = 0; i < 20; ++i) raw.send(testing::flip_bytes(request, rng));
+  }
+
+  raw.send(make_request(RequestKind::kResourcePages, 9, {}));
+  ASSERT_FALSE(raw.replies.empty());
+  util::ByteReader last(raw.replies.back());
+  EXPECT_EQ(static_cast<MessageType>(last.u8()), MessageType::kReply);
+  EXPECT_EQ(last.u64(), 9u);
+  EXPECT_EQ(last.u8(), 1);
+}
+
 // ---- malformed replies from a raw server -----------------------------------
 
 /// A secure-channel server that answers every request with a truncated
@@ -270,7 +425,7 @@ TEST(ServerRequests, MalformedErrorReplyEndsTheClientRequestByItsTimeout) {
   std::optional<util::ErrorCode> code;
   sim::Time fired_at = 0;
   const sim::Time sent_at = site.grid.engine().now();
-  client.list([&](util::Result<std::vector<client::JobEntry>> reply) {
+  client.list([&](util::Result<std::vector<njs::JobSummary>> reply) {
     ++calls;
     if (!reply.ok()) code = reply.error().code;
     fired_at = site.grid.engine().now();

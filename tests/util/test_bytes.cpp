@@ -97,6 +97,54 @@ TEST(ByteRoundTrip, StringsAndBlobs) {
   EXPECT_EQ(r.blob(), (Bytes{1, 2, 3}));
 }
 
+TEST(ByteReader, CountRefusesMoreElementsThanBytesLeft) {
+  ByteWriter w;
+  w.varint(3);
+  w.raw(Bytes{1, 2, 3});
+  ByteReader fits(w.bytes());
+  EXPECT_EQ(fits.count(), 3u);
+
+  for (std::uint64_t forged : {std::uint64_t{4}, std::uint64_t{1} << 40,
+                               std::uint64_t{1} << 62}) {
+    ByteWriter bad;
+    bad.varint(forged);
+    bad.raw(Bytes{1, 2, 3});
+    ByteReader r(bad.bytes());
+    EXPECT_THROW(r.count(), std::out_of_range) << forged;
+  }
+}
+
+TEST(ByteRoundTrip, StringList) {
+  const std::vector<std::string> list{"", "-O2", "input.dat"};
+  ByteWriter w;
+  w.strings(list);
+  w.strings({});
+  // The same bytes as a count followed by that many strings.
+  ByteWriter by_hand;
+  by_hand.varint(3);
+  for (const std::string& s : list) by_hand.str(s);
+  by_hand.varint(0);
+  EXPECT_EQ(w.bytes(), by_hand.bytes());
+
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.strings(), list);
+  EXPECT_TRUE(r.strings().empty());
+  EXPECT_TRUE(r.done());
+
+  Bytes forged{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40};  // 2^62
+  ByteReader f(forged);
+  EXPECT_THROW(f.strings(), std::out_of_range);
+}
+
+TEST(ByteReader, FixedReadsExactlyNBytes) {
+  Bytes data{1, 2, 3, 4, 5};
+  ByteReader r(data);
+  EXPECT_EQ(r.fixed<3>(), (std::array<std::uint8_t, 3>{1, 2, 3}));
+  EXPECT_EQ(r.remaining(), 2u);
+  EXPECT_THROW(r.fixed<3>(), std::out_of_range);
+  EXPECT_EQ(r.position(), 3u);  // a refused read consumes nothing
+}
+
 TEST(Hex, EncodeDecodeRoundTrip) {
   Bytes data{0x00, 0x01, 0xab, 0xff};
   EXPECT_EQ(hex_encode(data), "0001abff");
