@@ -99,7 +99,7 @@ TEST_P(DecoderFuzz, TruncatedValidWireAlwaysRejected) {
 
 // ---- every decoder a message, journal record or reply reaches ---------------
 
-using Decode = std::function<void(const util::Bytes&)>;
+using testing::Decode;
 
 /// One decoder under fuzz: a valid encoding, and a call that decodes any
 /// bytes the way its production caller does.

@@ -15,6 +15,9 @@
 
 namespace unicore::testing {
 
+/// A decoder under fuzz, called on one input.
+using Decode = std::function<void(const util::Bytes&)>;
+
 /// Element counts written over the varints of a valid encoding: far
 /// past any input, and (2^62) past anything reserve() can allocate.
 inline constexpr std::uint64_t kForgedCounts[] = {std::uint64_t{1} << 40,
@@ -38,8 +41,7 @@ inline util::Bytes splice_count(const util::Bytes& valid, std::size_t at,
 /// forged count at every offset. Encodings too large for that mutate
 /// only the first and last `window` bytes.
 inline void for_each_cut_and_count(
-    const util::Bytes& valid,
-    const std::function<void(const util::Bytes&)>& visit,
+    const util::Bytes& valid, const Decode& visit,
     std::size_t window = std::numeric_limits<std::size_t>::max()) {
   for (std::size_t at = 0; at < valid.size(); ++at) {
     if (at >= window && valid.size() - at > window) continue;
@@ -62,8 +64,7 @@ inline util::Bytes flip_bytes(const util::Bytes& valid, util::Rng& rng) {
 
 /// Runs `decode` on `input`, letting std::out_of_range (and only that)
 /// end the call; any other exception escapes and fails the test.
-inline void feed(const std::function<void(const util::Bytes&)>& decode,
-                 const util::Bytes& input) {
+inline void feed(const Decode& decode, const util::Bytes& input) {
   try {
     decode(input);
   } catch (const std::out_of_range&) {
