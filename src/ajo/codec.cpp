@@ -1,7 +1,5 @@
 #include "ajo/codec.h"
 
-#include <stdexcept>
-
 #include "ajo/job.h"
 #include "ajo/services.h"
 #include "ajo/tasks.h"
@@ -223,11 +221,14 @@ Bytes encode_action(const AbstractAction& action) {
 
 namespace {
 
-Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r,
-                                                           std::size_t depth) {
-  if (depth > util::kMaxNesting)
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "ajo: job groups nested too deeply");
+// Null once `r` has failed; the caller checks `r` before using it.
+std::unique_ptr<AbstractAction> decode_action_impl(ByteReader& r,
+                                                   std::size_t depth) {
+  if (depth > util::kMaxNesting) {
+    r.fail(util::make_error(ErrorCode::kInvalidArgument,
+                            "ajo: job groups nested too deeply"));
+    return nullptr;
+  }
   auto type = static_cast<ActionType>(r.u8());
   ActionId id = r.varint();
   std::string name = r.str();
@@ -325,10 +326,10 @@ Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r,
       std::uint64_t n_children = r.count();
       for (std::uint64_t i = 0; i < n_children; ++i) {
         auto child = decode_action_impl(r, depth + 1);
-        if (!child) return child.error();
+        if (!r.ok()) return nullptr;
         // Bypass add(): ids come from the wire, not the counter.
-        ActionId child_id = child.value()->id();
-        job->add(std::move(child.value()));
+        ActionId child_id = child->id();
+        job->add(std::move(child));
         job->children().back()->set_id(child_id);
       }
       std::uint64_t n_deps = r.count();
@@ -341,9 +342,10 @@ Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r,
       break;
     }
     default:
-      return util::make_error(ErrorCode::kInvalidArgument,
+      r.fail(util::make_error(ErrorCode::kInvalidArgument,
                               "ajo: unknown action type tag " +
-                                  std::to_string(static_cast<int>(type)));
+                                  std::to_string(static_cast<int>(type))));
+      return nullptr;
   }
   action->set_id(id);
   action->set_name(std::move(name));
@@ -352,23 +354,10 @@ Result<std::unique_ptr<AbstractAction>> decode_action_impl(ByteReader& r,
 
 }  // namespace
 
-Result<std::unique_ptr<AbstractAction>> decode_action(ByteReader& r) {
-  try {
-    return decode_action_impl(r, 0);
-  } catch (const std::out_of_range& e) {
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            std::string("ajo: truncated encoding: ") +
-                                e.what());
-  }
-}
-
 Result<std::unique_ptr<AbstractAction>> decode_action(ByteView wire) {
   ByteReader r(wire);
-  auto action = decode_action(r);
-  if (!action) return action;
-  if (!r.done())
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "ajo: trailing bytes after action");
+  auto action = decode_action_impl(r, 0);
+  if (util::Status done = r.finish(); !done.ok()) return done.error();
   return action;
 }
 

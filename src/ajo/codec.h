@@ -20,8 +20,7 @@ void encode_action(util::ByteWriter& w, const AbstractAction& action);
 util::Bytes encode_action(const AbstractAction& action);
 
 /// Inverse of encode_action; reconstructs the dynamic type from the tag.
-util::Result<std::unique_ptr<AbstractAction>> decode_action(
-    util::ByteReader& r);
+/// The action must occupy all of `wire`.
 util::Result<std::unique_ptr<AbstractAction>> decode_action(
     util::ByteView wire);
 

@@ -218,29 +218,22 @@ util::Bytes SignedAjo::encode() const {
 }
 
 Result<SignedAjo> SignedAjo::decode(util::ByteView wire) {
-  try {
-    util::ByteReader r(wire);
-    util::Bytes job_wire = r.blob();
-    auto action = decode_action(job_wire);
-    if (!action) return action.error();
-    if (!action.value()->is_job())
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "signed AJO root is not a job object");
-    SignedAjo out;
-    out.job = std::move(static_cast<AbstractJobObject&>(*action.value()));
-    util::Bytes cert_der = r.blob();
-    auto cert = crypto::Certificate::from_der(cert_der);
-    if (!cert) return cert.error();
-    out.user_certificate = std::move(cert.value());
-    out.signature.value = r.u64();
-    if (!r.done())
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "signed AJO has trailing bytes");
-    return out;
-  } catch (const std::out_of_range&) {
+  util::ByteReader r(wire);
+  util::Bytes job_wire = r.blob();
+  util::Bytes cert_der = r.blob();
+  SignedAjo out;
+  out.signature.value = r.u64();
+  if (util::Status done = r.finish(); !done.ok()) return done.error();
+  auto action = decode_action(job_wire);
+  if (!action) return action.error();
+  if (!action.value()->is_job())
     return util::make_error(ErrorCode::kInvalidArgument,
-                            "signed AJO truncated");
-  }
+                            "signed AJO root is not a job object");
+  out.job = std::move(static_cast<AbstractJobObject&>(*action.value()));
+  auto cert = crypto::Certificate::from_der(cert_der);
+  if (!cert) return cert.error();
+  out.user_certificate = std::move(cert.value());
+  return out;
 }
 
 SignedAjo sign_ajo(const AbstractJobObject& job,

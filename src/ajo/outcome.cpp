@@ -1,12 +1,9 @@
 #include "ajo/outcome.h"
 
-#include <stdexcept>
-
 namespace unicore::ajo {
 
 using util::ByteReader;
 using util::ByteWriter;
-using util::Result;
 
 const char* action_status_name(ActionStatus s) {
   switch (s) {
@@ -94,13 +91,13 @@ void Outcome::encode(ByteWriter& w) const {
 
 namespace {
 
-// Throws std::out_of_range on truncated input; Outcome::decode turns
-// that into an error.
-Result<Outcome> decode_tree(ByteReader& r, std::size_t depth) {
-  if (depth > util::kMaxNesting)
-    return util::make_error(util::ErrorCode::kInvalidArgument,
-                            "outcome: nested too deeply");
+Outcome decode_tree(ByteReader& r, std::size_t depth) {
   Outcome out;
+  if (depth > util::kMaxNesting) {
+    r.fail(util::make_error(util::ErrorCode::kInvalidArgument,
+                            "outcome: nested too deeply"));
+    return out;
+  }
   out.action = r.varint();
   out.type = static_cast<ActionType>(r.u8());
   out.name = r.str();
@@ -135,30 +132,21 @@ Result<Outcome> decode_tree(ByteReader& r, std::size_t depth) {
       break;
     }
     default:
-      return util::make_error(util::ErrorCode::kInvalidArgument,
-                              "outcome: unknown detail tag");
+      r.fail(util::make_error(util::ErrorCode::kInvalidArgument,
+                              "outcome: unknown detail tag"));
+      return out;
   }
 
   std::uint64_t n_children = r.count();
   out.children.reserve(n_children);
-  for (std::uint64_t i = 0; i < n_children; ++i) {
-    auto child = decode_tree(r, depth + 1);
-    if (!child) return child.error();
-    out.children.push_back(std::move(child.value()));
-  }
+  for (std::uint64_t i = 0; i < n_children && r.ok(); ++i)
+    out.children.push_back(decode_tree(r, depth + 1));
   return out;
 }
 
 }  // namespace
 
-Result<Outcome> Outcome::decode(ByteReader& r) {
-  try {
-    return decode_tree(r, 0);
-  } catch (const std::out_of_range&) {
-    return util::make_error(util::ErrorCode::kInvalidArgument,
-                            "outcome: truncated encoding");
-  }
-}
+Outcome Outcome::decode(ByteReader& r) { return decode_tree(r, 0); }
 
 std::string Outcome::to_tree_string(int indent) const {
   std::string out(static_cast<std::size_t>(indent) * 2, ' ');

@@ -89,7 +89,7 @@ struct Outcome {
   bool all_terminal() const;
 
   void encode(util::ByteWriter& w) const;
-  static util::Result<Outcome> decode(util::ByteReader& r);
+  static Outcome decode(util::ByteReader& r);
 
   /// Renders an indented status tree (the textual analogue of the JMC's
   /// coloured icon display).

@@ -80,8 +80,8 @@ class Value {
   bool is_sequence() const;
   bool is_set() const;
 
-  // Checked accessors; throw std::runtime_error on type mismatch so that
-  // malformed certificates / resource pages fail loudly.
+  // Checked accessors; throw std::runtime_error on type mismatch. A
+  // decoder checks a value's type (is_*) before it reads the value.
   bool as_boolean() const;
   std::int64_t as_integer() const;
   const util::Bytes& as_octet_string() const;

@@ -456,7 +456,7 @@ void UnicoreClient::fetch_trace(
 }
 
 void UnicoreClient::inspect_journal(
-    std::function<void(Result<JournalInfo>)> done) {
+    std::function<void(Result<njs::JournalInfo>)> done) {
   call<wire::JournalInspectCodec>({}, std::move(done));
 }
 

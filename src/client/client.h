@@ -26,6 +26,7 @@
 #include "gateway/session_broker.h"
 #include "net/network.h"
 #include "net/secure_channel.h"
+#include "njs/cluster.h"
 #include "njs/njs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,15 +41,6 @@
 
 namespace unicore::client {
 
-/// Reply of kJournalInspect: recovery diagnostics of the Usite's NJS.
-struct JournalInfo {
-  bool has_journal = false;
-  std::uint64_t records = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t consigns_deduped = 0;
-  std::uint64_t batch_retries = 0;
-};
-
 /// Reply type of request kinds whose success carries no payload.
 struct Ack {};
 
@@ -58,8 +50,10 @@ struct Ack {};
 /// else (the reply table's ids, timeout and error replies, plus
 /// malformed-payload handling), so adding a request kind is one codec +
 /// one thin wrapper. Replies reuse the server's types and their codecs:
-/// njs::JobSummary and njs::StorageInfo rows, gateway::SessionGrant,
-/// ajo::Outcome, uspace::FileBlob and the obs snapshots.
+/// njs::JobSummary and njs::StorageInfo rows, njs::JournalInfo,
+/// gateway::SessionGrant, ajo::Outcome, uspace::FileBlob and the obs
+/// snapshots. A decoder returns its value; malformed bytes fail the
+/// reader, which call<Codec>() checks.
 namespace wire {
 
 struct ConsignCodec {
@@ -73,9 +67,7 @@ struct QueryCodec {
   using Reply = ajo::Outcome;
   static constexpr server::RequestKind kKind = server::RequestKind::kQuery;
   static constexpr const char* kName = "query";
-  static util::Result<Reply> decode(util::ByteReader& r) {
-    return ajo::Outcome::decode(r);
-  }
+  static Reply decode(util::ByteReader& r) { return Reply::decode(r); }
 };
 
 struct ListCodec {
@@ -109,15 +101,16 @@ struct ResourcePagesCodec {
   static constexpr server::RequestKind kKind =
       server::RequestKind::kResourcePages;
   static constexpr const char* kName = "resource page";
-  static util::Result<Reply> decode(util::ByteReader& r) {
+  static Reply decode(util::ByteReader& r) {
     std::uint64_t count = r.count();
     Reply pages;
     pages.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      util::Bytes der = r.blob();
-      auto page = resources::ResourcePage::decode(der);
-      if (!page) return page.error();
-      pages.push_back(std::move(page.value()));
+    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+      auto page = resources::ResourcePage::decode(r.blob());
+      if (page)
+        pages.push_back(std::move(page.value()));
+      else
+        r.fail(page.error());
     }
     return pages;
   }
@@ -127,8 +120,13 @@ struct BundleCodec {
   using Reply = crypto::SoftwareBundle;
   static constexpr server::RequestKind kKind = server::RequestKind::kGetBundle;
   static constexpr const char* kName = "bundle";
-  static util::Result<Reply> decode(util::ByteReader& r) {
-    return crypto::SoftwareBundle::decode(r.raw(r.remaining()));
+  static Reply decode(util::ByteReader& r) {
+    auto bundle = crypto::SoftwareBundle::decode(r.raw(r.remaining()));
+    if (!bundle) {
+      r.fail(bundle.error());
+      return {};
+    }
+    return std::move(bundle.value());
   }
 };
 
@@ -137,9 +135,7 @@ struct MetricsCodec {
   static constexpr server::RequestKind kKind =
       server::RequestKind::kMonitorMetrics;
   static constexpr const char* kName = "metrics";
-  static util::Result<Reply> decode(util::ByteReader& r) {
-    return obs::MetricsSnapshot::decode(r);
-  }
+  static Reply decode(util::ByteReader& r) { return Reply::decode(r); }
 };
 
 struct TraceCodec {
@@ -147,25 +143,15 @@ struct TraceCodec {
   static constexpr server::RequestKind kKind =
       server::RequestKind::kMonitorTrace;
   static constexpr const char* kName = "trace";
-  static util::Result<Reply> decode(util::ByteReader& r) {
-    return obs::TraceTimeline::decode(r);
-  }
+  static Reply decode(util::ByteReader& r) { return Reply::decode(r); }
 };
 
 struct JournalInspectCodec {
-  using Reply = JournalInfo;
+  using Reply = njs::JournalInfo;
   static constexpr server::RequestKind kKind =
       server::RequestKind::kJournalInspect;
   static constexpr const char* kName = "journal";
-  static Reply decode(util::ByteReader& r) {
-    JournalInfo info;
-    info.has_journal = r.u8() != 0;
-    info.records = r.varint();
-    info.recoveries = r.u64();
-    info.consigns_deduped = r.u64();
-    info.batch_retries = r.u64();
-    return info;
-  }
+  static Reply decode(util::ByteReader& r) { return Reply::decode(r); }
 };
 
 struct SessionOpenCodec {
@@ -357,7 +343,8 @@ class UnicoreClient {
   void fetch_trace(ajo::JobToken token,
                    std::function<void(util::Result<obs::TraceTimeline>)> done);
   /// Fetches the NJS journal / recovery diagnostics.
-  void inspect_journal(std::function<void(util::Result<JournalInfo>)> done);
+  void inspect_journal(
+      std::function<void(util::Result<njs::JournalInfo>)> done);
 
   /// Sends one chunked-transfer operation over the *main* channel
   /// (stream 0 of the hybrid transport; extra streams ride XferRails).
@@ -386,26 +373,23 @@ class UnicoreClient {
   /// Sends one request of `Codec`'s kind and decodes the reply with its
   /// codec. All named operations above are thin wrappers around this;
   /// callers outside the client use those, not this free-form payload
-  /// overload. The reply table calls `done` outside any try block, so
-  /// a malformed payload is caught here.
+  /// overload. A reply payload the codec cannot read whole fails the
+  /// call with kInvalidArgument.
   template <typename Codec>
   void call(util::Bytes payload,
             std::function<void(util::Result<typename Codec::Reply>)> done) {
     send_request(
         Codec::kKind, std::move(payload),
         [done = std::move(done)](util::Result<util::Bytes> reply) {
-          if (!reply) {
-            done(reply.error());
-            return;
-          }
-          try {
-            util::ByteReader reader{reply.value()};
-            done(Codec::decode(reader));
-          } catch (const std::out_of_range&) {
-            done(util::make_error(
+          if (!reply) return done(reply.error());
+          util::ByteReader reader{reply.value()};
+          typename Codec::Reply value = Codec::decode(reader);
+          if (util::Status status = reader.finish(); !status.ok())
+            return done(util::make_error(
                 util::ErrorCode::kInvalidArgument,
-                std::string("malformed ") + Codec::kName + " reply"));
-          }
+                std::string("malformed ") + Codec::kName +
+                    " reply: " + status.error().message));
+          done(std::move(value));
         });
   }
 

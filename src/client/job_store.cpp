@@ -26,27 +26,26 @@ Bytes serialize_job(const ajo::AbstractJobObject& job) {
 }
 
 Result<ajo::AbstractJobObject> deserialize_job(ByteView image) {
-  try {
-    util::ByteReader r(image);
-    if (r.str() != kMagic)
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "not a UNICORE job file");
-    std::uint32_t version = r.u32();
-    if (version != kVersion)
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "unsupported job file version " +
-                                  std::to_string(version));
-    Bytes wire = r.blob();
-    auto action = ajo::decode_action(wire);
-    if (!action) return action.error();
-    if (!action.value()->is_job())
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "job file root is not a job object");
-    return std::move(static_cast<ajo::AbstractJobObject&>(*action.value()));
-  } catch (const std::out_of_range&) {
+  util::ByteReader r(image);
+  std::string magic = r.str();
+  std::uint32_t version = r.u32();
+  Bytes wire = r.blob();
+  if (magic != kMagic)
+    return util::make_error(ErrorCode::kInvalidArgument,
+                            "not a UNICORE job file");
+  if (!r.ok())
     return util::make_error(ErrorCode::kInvalidArgument,
                             "truncated job file");
-  }
+  if (version != kVersion)
+    return util::make_error(ErrorCode::kInvalidArgument,
+                            "unsupported job file version " +
+                                std::to_string(version));
+  auto action = ajo::decode_action(wire);
+  if (!action) return action.error();
+  if (!action.value()->is_job())
+    return util::make_error(ErrorCode::kInvalidArgument,
+                            "job file root is not a job object");
+  return std::move(static_cast<ajo::AbstractJobObject&>(*action.value()));
 }
 
 Status save_job(const std::string& path, const ajo::AbstractJobObject& job) {

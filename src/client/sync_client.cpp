@@ -95,8 +95,8 @@ Result<obs::TraceTimeline> SyncClient::fetch_trace(ajo::JobToken token) {
       [&](auto done) { client_.fetch_trace(token, std::move(done)); });
 }
 
-Result<JournalInfo> SyncClient::inspect_journal() {
-  return await<JournalInfo>(
+Result<njs::JournalInfo> SyncClient::inspect_journal() {
+  return await<njs::JournalInfo>(
       [&](auto done) { client_.inspect_journal(std::move(done)); });
 }
 

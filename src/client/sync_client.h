@@ -72,7 +72,7 @@ class SyncClient {
                                                  sim::Time interval);
   util::Result<obs::MetricsSnapshot> fetch_metrics();
   util::Result<obs::TraceTimeline> fetch_trace(ajo::JobToken token);
-  util::Result<JournalInfo> inspect_journal();
+  util::Result<njs::JournalInfo> inspect_journal();
 
   // --- portal sessions & managed storages (docs/PORTAL.md) -------------
   util::Result<gateway::SessionGrant> open_session(

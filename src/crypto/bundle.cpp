@@ -27,25 +27,18 @@ Bytes SoftwareBundle::encode() const {
 }
 
 Result<SoftwareBundle> SoftwareBundle::decode(ByteView wire) {
-  try {
-    util::ByteReader r(wire);
-    SoftwareBundle bundle;
-    bundle.name = r.str();
-    bundle.version = r.u32();
-    bundle.payload = r.blob();
-    Bytes cert_der = r.blob();
-    auto cert = Certificate::from_der(cert_der);
-    if (!cert) return cert.error();
-    bundle.signer = std::move(cert.value());
-    bundle.signature.value = r.u64();
-    if (!r.done())
-      return util::make_error(ErrorCode::kInvalidArgument,
-                              "bundle: trailing bytes");
-    return bundle;
-  } catch (const std::out_of_range&) {
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "bundle: truncated encoding");
-  }
+  util::ByteReader r(wire);
+  SoftwareBundle bundle;
+  bundle.name = r.str();
+  bundle.version = r.u32();
+  bundle.payload = r.blob();
+  Bytes cert_der = r.blob();
+  bundle.signature.value = r.u64();
+  if (Status done = r.finish(); !done.ok()) return done.error();
+  auto cert = Certificate::from_der(cert_der);
+  if (!cert) return cert.error();
+  bundle.signer = std::move(cert.value());
+  return bundle;
 }
 
 SoftwareBundle make_bundle(std::string name, std::uint32_t version,

@@ -82,8 +82,6 @@ Bytes resumption_binder_key(const Bytes& master_secret) {
 
 /// Reads the version byte and feature word that follow every hello and
 /// reply, and reports whether they name the one protocol spoken here.
-/// A message that ends before them throws std::out_of_range like any
-/// other truncated message.
 bool read_protocol(ByteReader& reader) {
   std::uint8_t version = reader.u8();
   std::uint64_t features = reader.u64();
@@ -106,6 +104,24 @@ void write_chain(ByteWriter& w, const Certificate& leaf) {
   // count for forward compatibility with intermediates.
   w.varint(1);
   w.blob(leaf.der());
+}
+
+/// Reads the chain write_chain wrote, leaf first. A count outside one
+/// to eight, or a certificate that does not parse, fails the reader.
+std::vector<Certificate> read_chain(ByteReader& reader) {
+  std::uint64_t n_certs = reader.count();
+  if (n_certs == 0 || n_certs > 8)
+    reader.fail(util::make_error(ErrorCode::kInvalidArgument,
+                                 "bad certificate chain length"));
+  std::vector<Certificate> chain;
+  for (std::uint64_t i = 0; i < n_certs && reader.ok(); ++i) {
+    auto cert = Certificate::from_der(reader.blob());
+    if (cert)
+      chain.push_back(std::move(cert.value()));
+    else
+      reader.fail(cert.error());
+  }
+  return chain;
 }
 
 }  // namespace
@@ -242,99 +258,98 @@ void SecureChannel::send_resumed_client_hello(
 
 void SecureChannel::handle_wire_message(Bytes&& wire) {
   if (state_ == State::kFailed) return;
-  try {
-    ByteReader reader{wire};
-    auto type = static_cast<MessageType>(reader.u8());
-    switch (type) {
-      case kClientHello:
-        if (state_ != State::kServerAwaitClientHello)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "unexpected ClientHello"),
-                      true);
-        // Transcript covers the full message including the type byte.
-        util::append(transcript_, wire);
-        return handle_client_hello(reader);
-      case kServerHello:
-        if (state_ != State::kClientAwaitServerHello)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "unexpected ServerHello"),
-                      true);
-        return handle_server_hello(reader);
-      case kClientCert:
-        if (state_ != State::kServerAwaitClientCert)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "unexpected ClientCert"),
-                      true);
-        return handle_client_cert(reader);
-      case kServerFinished:
-        if (state_ != State::kClientAwaitServerFinished)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "unexpected ServerFinished"),
-                      true);
-        return handle_server_finished(reader);
-      case kClientHelloResumed:
-        if (state_ != State::kServerAwaitClientHello)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "unexpected ClientHelloResumed"),
-                      true);
-        // Transcript handling is inside the handler: a declined
-        // resumption must leave the transcript empty for the full
-        // handshake that follows.
-        return handle_client_hello_resumed(reader, wire);
-      case kServerHelloResumed:
-        if (state_ != State::kClientAwaitResumedReply)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "unexpected ServerHelloResumed"),
-                      true);
-        return handle_server_hello_resumed(reader);
-      case kHelloRetry:
-        if (state_ != State::kClientAwaitResumedReply)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "unexpected HelloRetry"),
-                      true);
-        return handle_hello_retry();
-      case kRecordBatch:
-        if (state_ != State::kEstablished)
-          return fail(util::make_error(ErrorCode::kFailedPrecondition,
-                                       "record before establishment"),
-                      true);
-        return handle_record_batch(reader, wire);
-      case kAlert:
-        // An alert in answer to ClientHelloResumed (the server could not
-        // verify the binder, or refused the hello) drops the cached
-        // session, so the owner's reconnect retry performs a full
-        // handshake.
-        if (state_ == State::kClientAwaitResumedReply &&
-            config_.session_cache != nullptr)
-          config_.session_cache->remove(session_cache_key());
-        return fail(util::make_error(ErrorCode::kAuthenticationFailed,
-                                     "peer alert: " + reader.str()),
-                    false);
+  ByteReader reader{wire};
+  auto type = static_cast<MessageType>(reader.u8());
+  switch (type) {
+    case kClientHello:
+      if (state_ != State::kServerAwaitClientHello)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "unexpected ClientHello"),
+                    true);
+      // Transcript covers the full message including the type byte.
+      util::append(transcript_, wire);
+      return handle_client_hello(reader);
+    case kServerHello:
+      if (state_ != State::kClientAwaitServerHello)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "unexpected ServerHello"),
+                    true);
+      return handle_server_hello(reader);
+    case kClientCert:
+      if (state_ != State::kServerAwaitClientCert)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "unexpected ClientCert"),
+                    true);
+      return handle_client_cert(reader);
+    case kServerFinished:
+      if (state_ != State::kClientAwaitServerFinished)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "unexpected ServerFinished"),
+                    true);
+      return handle_server_finished(reader);
+    case kClientHelloResumed:
+      if (state_ != State::kServerAwaitClientHello)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "unexpected ClientHelloResumed"),
+                    true);
+      // Transcript handling is inside the handler: a declined
+      // resumption must leave the transcript empty for the full
+      // handshake that follows.
+      return handle_client_hello_resumed(reader, wire);
+    case kServerHelloResumed:
+      if (state_ != State::kClientAwaitResumedReply)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "unexpected ServerHelloResumed"),
+                    true);
+      return handle_server_hello_resumed(reader);
+    case kHelloRetry:
+      if (state_ != State::kClientAwaitResumedReply)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "unexpected HelloRetry"),
+                    true);
+      return handle_hello_retry();
+    case kRecordBatch:
+      if (state_ != State::kEstablished)
+        return fail(util::make_error(ErrorCode::kFailedPrecondition,
+                                     "record before establishment"),
+                    true);
+      return handle_record_batch(reader, wire);
+    case kAlert: {
+      // An alert in answer to ClientHelloResumed (the server could not
+      // verify the binder, or refused the hello) drops the cached
+      // session, so the owner's reconnect retry performs a full
+      // handshake.
+      if (state_ == State::kClientAwaitResumedReply &&
+          config_.session_cache != nullptr)
+        config_.session_cache->remove(session_cache_key());
+      std::string text = reader.str();
+      if (!reader.ok()) return fail(reader.finish().error(), true);
+      return fail(util::make_error(ErrorCode::kAuthenticationFailed,
+                                   "peer alert: " + text),
+                  false);
     }
-    fail(util::make_error(ErrorCode::kInvalidArgument,
-                          "unknown message type"),
-         true);
-  } catch (const std::out_of_range&) {
-    fail(util::make_error(ErrorCode::kInvalidArgument,
-                          "truncated channel message"),
-         true);
   }
+  fail(util::make_error(ErrorCode::kInvalidArgument, "unknown message type"),
+       true);
 }
 
 util::Status SecureChannel::validate_peer(
-    const Certificate& leaf, const std::vector<Certificate>& chain) {
+    const std::vector<Certificate>& chain) {
   if (config_.trust == nullptr)
     return util::make_error(ErrorCode::kInternal, "no trust store configured");
   crypto::ValidationOptions options;
   options.now = epoch_seconds(engine_.now());
   options.required_usage = config_.required_peer_usage;
-  return config_.trust->validate(leaf, chain, options);
+  return config_.trust->validate(chain.front(), {chain.begin() + 1, chain.end()},
+                                 options);
 }
 
 void SecureChannel::handle_client_hello(ByteReader& reader) {
   client_random_ = reader.blob();
   peer_dh_public_ = reader.u64();
-  if (!read_protocol(reader)) return fail(unsupported_protocol(), true);
+  bool supported = read_protocol(reader);
+  if (!reader.ok()) return fail(reader.finish().error(), true);
+  if (!supported) return fail(unsupported_protocol(), true);
   dh_ = crypto::dh_generate(rng_);
   server_random_ = rng_.bytes(32);
 
@@ -362,27 +377,14 @@ void SecureChannel::handle_client_hello(ByteReader& reader) {
 void SecureChannel::handle_server_hello(ByteReader& reader) {
   server_random_ = reader.blob();
   peer_dh_public_ = reader.u64();
-  std::uint64_t n_certs = reader.count();
-  if (n_certs == 0 || n_certs > 8)
-    return fail(util::make_error(ErrorCode::kInvalidArgument,
-                                 "bad certificate chain length"),
-                true);
-  std::vector<Certificate> chain;
-  Certificate leaf;
-  for (std::uint64_t i = 0; i < n_certs; ++i) {
-    Bytes der = reader.blob();
-    auto cert = Certificate::from_der(der);
-    if (!cert) return fail(cert.error(), true);
-    if (i == 0)
-      leaf = std::move(cert.value());
-    else
-      chain.push_back(std::move(cert.value()));
-  }
-  if (auto status = validate_peer(leaf, chain); !status.ok())
+  std::vector<Certificate> chain = read_chain(reader);
+  bool supported = read_protocol(reader);
+  crypto::Signature sig{reader.u64()};
+  if (!reader.ok()) return fail(reader.finish().error(), true);
+  if (auto status = validate_peer(chain); !status.ok())
     return fail(status.error(), true);
 
-  if (!read_protocol(reader)) return fail(unsupported_protocol(), true);
-  crypto::Signature sig{reader.u64()};
+  if (!supported) return fail(unsupported_protocol(), true);
   // Reconstruct the signed ServerHello core by re-serialising the parsed
   // fields — the encoding is canonical, so this reproduces the exact
   // bytes the server signed over the running transcript.
@@ -390,17 +392,16 @@ void SecureChannel::handle_server_hello(ByteReader& reader) {
   core.u8(kServerHello);
   core.blob(server_random_);
   core.u64(peer_dh_public_);
-  core.varint(n_certs);
-  core.blob(leaf.der());
+  core.varint(chain.size());
   for (const Certificate& c : chain) core.blob(c.der());
   write_protocol(core);
 
   util::append(transcript_, core.bytes());
-  if (!crypto::verify_message(leaf.subject_key, transcript_, sig))
+  if (!crypto::verify_message(chain.front().subject_key, transcript_, sig))
     return fail(util::make_error(ErrorCode::kAuthenticationFailed,
                                  "server transcript signature invalid"),
                 true);
-  peer_certificate_ = std::move(leaf);
+  peer_certificate_ = std::move(chain.front());
 
   // ClientCert core.
   ByteWriter cc;
@@ -424,6 +425,12 @@ void SecureChannel::handle_server_hello(ByteReader& reader) {
 
 void SecureChannel::handle_server_finished(ByteReader& reader) {
   crypto::Digest verify = reader.fixed<32>();
+  // Ticket tail (absent when the server mints no tickets).
+  const bool ticketed =
+      config_.session_cache != nullptr && reader.remaining() > 0;
+  Bytes ticket = ticketed ? reader.blob() : Bytes{};
+  std::uint64_t lifetime = ticketed ? reader.u64() : 0;
+  if (!reader.ok()) return fail(reader.finish().error(), true);
   // The server MACs the full handshake transcript with its write key —
   // which is our receive key.
   crypto::Digest expected =
@@ -432,52 +439,35 @@ void SecureChannel::handle_server_finished(ByteReader& reader) {
     return fail(util::make_error(ErrorCode::kAuthenticationFailed,
                                  "ServerFinished verification failed"),
                 true);
-  // Ticket tail (absent when the server mints no tickets).
-  if (config_.session_cache != nullptr && reader.remaining() > 0) {
+  if (ticketed) {
     SessionCache::Entry entry;
-    entry.ticket = reader.blob();
+    entry.ticket = std::move(ticket);
     entry.master_secret = master_secret_;
     entry.server_certificate = peer_certificate_;
     entry.expires_at = epoch_seconds(engine_.now()) +
-                       static_cast<std::int64_t>(reader.u64());
+                       static_cast<std::int64_t>(lifetime);
     config_.session_cache->put(session_cache_key(), std::move(entry));
   }
   succeed();
 }
 
 void SecureChannel::handle_client_cert(ByteReader& reader) {
-  std::uint64_t n_certs = reader.count();
-  if (n_certs == 0 || n_certs > 8)
-    return fail(util::make_error(ErrorCode::kInvalidArgument,
-                                 "bad certificate chain length"),
-                true);
-  std::vector<Certificate> chain;
-  Certificate leaf;
-  for (std::uint64_t i = 0; i < n_certs; ++i) {
-    Bytes der = reader.blob();
-    auto cert = Certificate::from_der(der);
-    if (!cert) return fail(cert.error(), true);
-    if (i == 0)
-      leaf = std::move(cert.value());
-    else
-      chain.push_back(std::move(cert.value()));
-  }
-
-  if (auto status = validate_peer(leaf, chain); !status.ok())
+  std::vector<Certificate> chain = read_chain(reader);
+  crypto::Signature sig{reader.u64()};
+  if (!reader.ok()) return fail(reader.finish().error(), true);
+  if (auto status = validate_peer(chain); !status.ok())
     return fail(status.error(), true);
 
-  crypto::Signature sig{reader.u64()};
   ByteWriter cc;
   cc.u8(kClientCert);
-  cc.varint(n_certs);
-  cc.blob(leaf.der());
+  cc.varint(chain.size());
   for (const Certificate& c : chain) cc.blob(c.der());
   util::append(transcript_, cc.bytes());
-  if (!crypto::verify_message(leaf.subject_key, transcript_, sig))
+  if (!crypto::verify_message(chain.front().subject_key, transcript_, sig))
     return fail(util::make_error(ErrorCode::kAuthenticationFailed,
                                  "client transcript signature invalid"),
                 true);
-  peer_certificate_ = std::move(leaf);
+  peer_certificate_ = std::move(chain.front());
 
   derive_keys();
   ByteWriter finished;
@@ -503,6 +493,7 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
   Bytes ticket = reader.blob();
   bool supported = read_protocol(reader);
   crypto::Digest binder = reader.fixed<32>();
+  if (!reader.ok()) return fail(reader.finish().error(), true);
   if (!supported) return fail(unsupported_protocol(), true);
 
   auto decline = [this] {
@@ -577,6 +568,7 @@ void SecureChannel::handle_server_hello_resumed(ByteReader& reader) {
   Bytes new_ticket = reader.blob();
   std::uint64_t lifetime = reader.u64();
   crypto::Digest verify = reader.fixed<32>();
+  if (!reader.ok()) return fail(reader.finish().error(), true);
   if (!supported) return fail(unsupported_protocol(), true);
 
   // Re-serialise the core (canonical encoding) into the transcript and
@@ -858,13 +850,8 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
   std::uint64_t first_seq = reader.u64();
   std::uint64_t count = reader.count();
   if (count == 0 || count > kMaxRecordsPerFrame)
-    return fail(util::make_error(ErrorCode::kInvalidArgument,
-                                 "bad batch record count"),
-                true);
-  if (first_seq != recv_seq_)
-    return fail(util::make_error(ErrorCode::kAuthenticationFailed,
-                                 "record out of sequence"),
-                true);
+    reader.fail(util::make_error(ErrorCode::kInvalidArgument,
+                                 "bad batch record count"));
 
   // Stage 1 — parse: locate each record's ciphertext slice inside the
   // wire buffer without copying it out.
@@ -876,8 +863,8 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
     crypto::Digest tag{};
   };
   std::vector<WireRecord> records;
-  records.reserve(count);
-  for (std::uint64_t k = 0; k < count; ++k) {
+  records.reserve(reader.ok() ? count : 0);
+  for (std::uint64_t k = 0; k < count && reader.ok(); ++k) {
     WireRecord r;
     r.size = reader.varint();
     r.flags = reader.u8();
@@ -887,6 +874,11 @@ void SecureChannel::handle_record_batch(ByteReader& reader, Bytes& wire) {
     r.tag = reader.fixed<32>();
     records.push_back(r);
   }
+  if (!reader.ok()) return fail(reader.finish().error(), true);
+  if (first_seq != recv_seq_)
+    return fail(util::make_error(ErrorCode::kAuthenticationFailed,
+                                 "record out of sequence"),
+                true);
 
   // Stage 2 — verify + decrypt every record in place; any single failure
   // kills the channel.

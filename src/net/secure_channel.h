@@ -164,8 +164,8 @@ class SecureChannel : public std::enable_shared_from_this<SecureChannel> {
   void derive_keys();
   void derive_resumed_keys();
   std::string session_cache_key() const;
-  util::Status validate_peer(const crypto::Certificate& leaf,
-                             const std::vector<crypto::Certificate>& chain);
+  /// Validates a peer chain, leaf first.
+  util::Status validate_peer(const std::vector<crypto::Certificate>& chain);
 
   sim::Engine& engine_;
   util::Rng rng_;

@@ -43,46 +43,43 @@ Result<ResumptionState> SessionTicketManager::redeem(util::ByteView ticket,
     return util::make_error(code, std::string("session ticket refused: ") +
                                       why);
   };
-  try {
-    ByteReader reader{ticket};
-    std::uint64_t ticket_id = reader.u64();
-    Bytes sealed = reader.blob();
-    crypto::Digest tag = reader.fixed<32>();
-    if (reader.remaining() != 0)
-      return refuse(ErrorCode::kInvalidArgument, "malformed");
-    if (auto status = crypto::open_inplace(stek_enc_, stek_mac_, ticket_id,
-                                           sealed, tag, {});
-        !status.ok())
-      return refuse(ErrorCode::kAuthenticationFailed, "bad MAC");
-
-    ByteReader plain{sealed};
-    ResumptionState state;
-    state.master_secret = plain.blob();
-    Bytes cert_der = plain.blob();
-    plain.u64();  // the fixed feature word
-    std::int64_t issued_at = plain.i64();
-    std::uint64_t epoch = plain.u64();
-    std::uint64_t trust_generation = plain.u64();
-
-    if (epoch != epoch_)
-      return refuse(ErrorCode::kPermissionDenied, "invalidated");
-    if (now >= issued_at + ttl_seconds_)
-      return refuse(ErrorCode::kPermissionDenied, "expired");
-    if (trust_ != nullptr && trust_generation != trust_->generation())
-      return refuse(ErrorCode::kPermissionDenied,
-                    "trust store changed since issuance");
-
-    auto cert = crypto::Certificate::from_der(cert_der);
-    if (!cert) return refuse(ErrorCode::kAuthenticationFailed, "bad cert");
-    if (!cert.value().valid_at(now))
-      return refuse(ErrorCode::kPermissionDenied,
-                    "certificate outside validity window");
-    state.peer_certificate = std::move(cert.value());
-    ++redeemed_;
-    return state;
-  } catch (const std::out_of_range&) {
+  ByteReader reader{ticket};
+  std::uint64_t ticket_id = reader.u64();
+  Bytes sealed = reader.blob();
+  crypto::Digest tag = reader.fixed<32>();
+  if (!reader.finish().ok())
     return refuse(ErrorCode::kInvalidArgument, "malformed");
-  }
+  if (auto status = crypto::open_inplace(stek_enc_, stek_mac_, ticket_id,
+                                         sealed, tag, {});
+      !status.ok())
+    return refuse(ErrorCode::kAuthenticationFailed, "bad MAC");
+
+  ByteReader plain{sealed};
+  ResumptionState state;
+  state.master_secret = plain.blob();
+  Bytes cert_der = plain.blob();
+  plain.u64();  // the fixed feature word
+  std::int64_t issued_at = plain.i64();
+  std::uint64_t epoch = plain.u64();
+  std::uint64_t trust_generation = plain.u64();
+  if (!plain.ok()) return refuse(ErrorCode::kInvalidArgument, "malformed");
+
+  if (epoch != epoch_)
+    return refuse(ErrorCode::kPermissionDenied, "invalidated");
+  if (now >= issued_at + ttl_seconds_)
+    return refuse(ErrorCode::kPermissionDenied, "expired");
+  if (trust_ != nullptr && trust_generation != trust_->generation())
+    return refuse(ErrorCode::kPermissionDenied,
+                  "trust store changed since issuance");
+
+  auto cert = crypto::Certificate::from_der(cert_der);
+  if (!cert) return refuse(ErrorCode::kAuthenticationFailed, "bad cert");
+  if (!cert.value().valid_at(now))
+    return refuse(ErrorCode::kPermissionDenied,
+                  "certificate outside validity window");
+  state.peer_certificate = std::move(cert.value());
+  ++redeemed_;
+  return state;
 }
 
 }  // namespace unicore::net

@@ -142,6 +142,37 @@ std::vector<StorageInfo> NjsCluster::storages(
   return merged;
 }
 
+void JournalInfo::encode(util::ByteWriter& w) const {
+  w.boolean(has_journal);
+  w.varint(records);
+  w.u64(recoveries);
+  w.u64(consigns_deduped);
+  w.u64(batch_retries);
+}
+
+JournalInfo JournalInfo::decode(util::ByteReader& r) {
+  JournalInfo info;
+  info.has_journal = r.boolean();
+  info.records = r.varint();
+  info.recoveries = r.u64();
+  info.consigns_deduped = r.u64();
+  info.batch_retries = r.u64();
+  return info;
+}
+
+JournalInfo NjsCluster::journal_info() const {
+  JournalInfo info;
+  info.has_journal = replica(0).journal() != nullptr;
+  for (const Replica& replica : replicas_) {
+    if (replica.njs->journal() != nullptr)
+      info.records += replica.njs->journal()->records();
+    info.recoveries += replica.njs->recoveries();
+    info.consigns_deduped += replica.njs->consigns_deduped();
+    info.batch_retries += replica.njs->batch_retries();
+  }
+  return info;
+}
+
 void NjsCluster::kill(std::size_t index) {
   Replica& replica = replicas_[index];
   if (!replica.alive) return;

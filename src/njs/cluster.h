@@ -35,6 +35,18 @@
 
 namespace unicore::njs {
 
+/// Recovery diagnostics of a replica set: the kJournalInspect reply.
+struct JournalInfo {
+  bool has_journal = false;   // the primary keeps a journal
+  std::uint64_t records = 0;  // this and the rest: summed over replicas
+  std::uint64_t recoveries = 0;
+  std::uint64_t consigns_deduped = 0;
+  std::uint64_t batch_retries = 0;
+
+  void encode(util::ByteWriter& w) const;
+  static JournalInfo decode(util::ByteReader& r);
+};
+
 class NjsCluster {
  public:
   /// Builds `replica_count` NJS replicas named `usite`, each with its
@@ -98,6 +110,9 @@ class NjsCluster {
   /// ordered by token.
   std::vector<StorageInfo> storages(const crypto::DistinguishedName& user)
       const;
+
+  /// Journal depth and fault counters across every replica.
+  JournalInfo journal_info() const;
 
   // --- failure / handoff --------------------------------------------------
 

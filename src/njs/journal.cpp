@@ -90,55 +90,57 @@ void Journal::record_deleted(ajo::JobToken token) {
 std::vector<Journal::RecoveredJob> Journal::recover() const {
   std::map<ajo::JobToken, RecoveredJob> jobs;
   store_->replay([&](const JournalRecord& record) {
-    try {
-      util::ByteReader r{record.payload};
-      switch (record.type) {
-        case JournalRecordType::kConsigned: {
-          RecoveredJob recovered;
-          recovered.token = record.token;
-          util::Bytes job_wire = r.blob();
-          auto action = ajo::decode_action(job_wire);
-          if (!action || !action.value()->is_job()) return;
-          recovered.job =
-              std::move(static_cast<ajo::AbstractJobObject&>(*action.value()));
-          auto cert = crypto::Certificate::from_der(r.blob());
-          if (!cert) return;
-          recovered.user_certificate = std::move(cert.value());
-          recovered.user = gateway::AuthenticatedUser::decode(r);
-          recovered.idempotency_key = r.blob();
-          recovered.staged_files = uspace::decode_staged(r);
-          recovered.consigned_at = r.i64();
-          jobs[record.token] = std::move(recovered);
-          break;
-        }
-        case JournalRecordType::kBatchSubmitted: {
-          auto it = jobs.find(record.token);
-          if (it == jobs.end()) return;
-          std::string path = r.str();
-          it->second.batch_ids[path] = r.u64();
-          break;
-        }
-        case JournalRecordType::kActionState:
-          break;  // inspection only; replay reconstructs live state
-        case JournalRecordType::kFinalized: {
-          auto it = jobs.find(record.token);
-          if (it == jobs.end()) return;
-          auto outcome = ajo::Outcome::decode(r);
-          if (outcome) it->second.outcome = std::move(outcome.value());
-          break;
-        }
-        case JournalRecordType::kDeleted:
-          jobs.erase(record.token);
-          break;
-        case JournalRecordType::kXferBundleManifest:
-        case JournalRecordType::kXferBundleChunk:
-        case JournalRecordType::kXferBundleDone:
-          break;  // owned by the transfer engine (xfer::recover_bundles)
-        case JournalRecordType::kOwnerClaim:
-          break;  // handoff bookkeeping (try_claim), not job state
+    // A truncated record (crash mid-append) fails its reader and is
+    // skipped rather than abandoning recovery.
+    util::ByteReader r{record.payload};
+    switch (record.type) {
+      case JournalRecordType::kConsigned: {
+        RecoveredJob recovered;
+        recovered.token = record.token;
+        util::Bytes job_wire = r.blob();
+        auto action = ajo::decode_action(job_wire);
+        if (!action || !action.value()->is_job()) return;
+        recovered.job =
+            std::move(static_cast<ajo::AbstractJobObject&>(*action.value()));
+        auto cert = crypto::Certificate::from_der(r.blob());
+        if (!cert) return;
+        recovered.user_certificate = std::move(cert.value());
+        recovered.user = gateway::AuthenticatedUser::decode(r);
+        recovered.idempotency_key = r.blob();
+        recovered.staged_files = uspace::decode_staged(r);
+        recovered.consigned_at = r.i64();
+        if (!r.ok()) return;
+        jobs[record.token] = std::move(recovered);
+        break;
       }
-    } catch (const std::out_of_range&) {
-      // Truncated record: skip it rather than abandoning recovery.
+      case JournalRecordType::kBatchSubmitted: {
+        auto it = jobs.find(record.token);
+        if (it == jobs.end()) return;
+        std::string path = r.str();
+        batch::BatchJobId batch_id = r.u64();
+        if (!r.ok()) return;
+        it->second.batch_ids[path] = batch_id;
+        break;
+      }
+      case JournalRecordType::kActionState:
+        break;  // inspection only; replay reconstructs live state
+      case JournalRecordType::kFinalized: {
+        auto it = jobs.find(record.token);
+        if (it == jobs.end()) return;
+        ajo::Outcome outcome = ajo::Outcome::decode(r);
+        if (!r.ok()) return;
+        it->second.outcome = std::move(outcome);
+        break;
+      }
+      case JournalRecordType::kDeleted:
+        jobs.erase(record.token);
+        break;
+      case JournalRecordType::kXferBundleManifest:
+      case JournalRecordType::kXferBundleChunk:
+      case JournalRecordType::kXferBundleDone:
+        break;  // owned by the transfer engine (xfer::recover_bundles)
+      case JournalRecordType::kOwnerClaim:
+        break;  // handoff bookkeeping (try_claim), not job state
     }
   });
   std::vector<RecoveredJob> out;
@@ -163,11 +165,9 @@ std::string Journal::claimant() const {
   std::string current;
   store_->replay([&](const JournalRecord& record) {
     if (record.type != JournalRecordType::kOwnerClaim) return;
-    try {
-      util::ByteReader r{record.payload};
-      current = r.str();
-    } catch (const std::out_of_range&) {
-    }
+    util::ByteReader r{record.payload};
+    std::string name = r.str();
+    if (r.ok()) current = std::move(name);
   });
   return current;
 }

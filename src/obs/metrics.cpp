@@ -131,18 +131,19 @@ void MetricsSnapshot::encode(util::ByteWriter& writer) const {
   }
 }
 
-util::Result<MetricsSnapshot> MetricsSnapshot::decode(
-    util::ByteReader& reader) {
+MetricsSnapshot MetricsSnapshot::decode(util::ByteReader& reader) {
   MetricsSnapshot snapshot;
   std::uint64_t n = reader.count();
   snapshot.points.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::uint64_t i = 0; i < n && reader.ok(); ++i) {
     MetricPoint point;
     std::uint8_t kind = reader.u8();
-    if (kind < 1 || kind > 3)
-      return util::make_error(util::ErrorCode::kInvalidArgument,
-                              "metrics snapshot: bad metric kind " +
-                                  std::to_string(kind));
+    if (kind < 1 || kind > 3) {
+      reader.fail(util::make_error(util::ErrorCode::kInvalidArgument,
+                                   "metrics snapshot: bad metric kind " +
+                                       std::to_string(kind)));
+      break;
+    }
     point.kind = static_cast<MetricKind>(kind);
     point.name = reader.str();
     point.labels = decode_labels(reader);

@@ -120,7 +120,7 @@ struct MetricsSnapshot {
   double total(std::string_view name) const;
 
   void encode(util::ByteWriter& writer) const;
-  static util::Result<MetricsSnapshot> decode(util::ByteReader& reader);
+  static MetricsSnapshot decode(util::ByteReader& reader);
 
   /// Prometheus exposition-format text dump.
   std::string to_prometheus() const;

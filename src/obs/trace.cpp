@@ -90,20 +90,22 @@ void TraceTimeline::encode(util::ByteWriter& writer) const {
   }
 }
 
-util::Result<TraceTimeline> TraceTimeline::decode(util::ByteReader& reader) {
+TraceTimeline TraceTimeline::decode(util::ByteReader& reader) {
   TraceTimeline timeline;
   std::uint64_t n = reader.count();
   timeline.spans_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::uint64_t i = 0; i < n && reader.ok(); ++i) {
     Span span;
     span.id = static_cast<SpanId>(reader.varint());
     span.parent = static_cast<SpanId>(reader.varint());
     span.name = reader.str();
     span.start = reader.i64();
     span.end = reader.i64();
-    if (span.id != i + 1)
-      return util::make_error(util::ErrorCode::kInvalidArgument,
-                              "trace timeline: non-contiguous span ids");
+    if (span.id != i + 1) {
+      reader.fail(util::make_error(util::ErrorCode::kInvalidArgument,
+                                   "trace timeline: non-contiguous span ids"));
+      break;
+    }
     std::uint64_t n_attrs = reader.count();
     span.attributes.reserve(n_attrs);
     for (std::uint64_t a = 0; a < n_attrs; ++a) {

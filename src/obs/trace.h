@@ -58,7 +58,7 @@ class TraceTimeline {
   util::Status validate() const;
 
   void encode(util::ByteWriter& writer) const;
-  static util::Result<TraceTimeline> decode(util::ByteReader& reader);
+  static TraceTimeline decode(util::ByteReader& reader);
 
   /// Indented tree rendering for logs and debugging.
   std::string to_string() const;

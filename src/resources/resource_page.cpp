@@ -86,38 +86,41 @@ Value ResourcePage::to_asn1() const {
 }
 
 Result<ResourcePage> ResourcePage::from_asn1(const Value& v) {
+  const auto malformed = [](const char* what) {
+    return util::make_error(ErrorCode::kInvalidArgument,
+                            std::string("resources: malformed ") + what);
+  };
   if (!v.is_sequence() || v.as_sequence().size() != 9)
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "resources: malformed resource page");
+    return malformed("resource page");
   const auto& f = v.as_sequence();
+  if (!f[0].is_utf8() || !f[1].is_utf8() || !f[2].is_integer() ||
+      !f[3].is_utf8() || !f[4].is_integer() || !f[5].is_integer() ||
+      !f[8].is_sequence())
+    return malformed("resource page");
   ResourcePage page;
-  try {
-    page.usite = f[0].as_utf8();
-    page.vsite = f[1].as_utf8();
-    page.architecture = static_cast<Architecture>(f[2].as_integer());
-    page.operating_system = f[3].as_utf8();
-    page.peak_gflops = static_cast<double>(f[4].as_integer()) / 1000.0;
-    page.node_count = f[5].as_integer();
-    auto minimum = ResourceSet::from_asn1(f[6]);
-    if (!minimum) return minimum.error();
-    page.minimum = minimum.value();
-    auto maximum = ResourceSet::from_asn1(f[7]);
-    if (!maximum) return maximum.error();
-    page.maximum = maximum.value();
-    for (const Value& item : f[8].as_sequence()) {
-      const auto& s = item.as_sequence();
-      if (s.size() != 3)
-        return util::make_error(ErrorCode::kInvalidArgument,
-                                "resources: malformed software item");
-      SoftwareItem software_item;
-      software_item.kind = static_cast<SoftwareKind>(s[0].as_integer());
-      software_item.name = s[1].as_utf8();
-      software_item.version = s[2].as_utf8();
-      page.software.push_back(std::move(software_item));
-    }
-  } catch (const std::runtime_error& e) {
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            std::string("resources: ") + e.what());
+  page.usite = f[0].as_utf8();
+  page.vsite = f[1].as_utf8();
+  page.architecture = static_cast<Architecture>(f[2].as_integer());
+  page.operating_system = f[3].as_utf8();
+  page.peak_gflops = static_cast<double>(f[4].as_integer()) / 1000.0;
+  page.node_count = f[5].as_integer();
+  auto minimum = ResourceSet::from_asn1(f[6]);
+  if (!minimum) return minimum.error();
+  page.minimum = minimum.value();
+  auto maximum = ResourceSet::from_asn1(f[7]);
+  if (!maximum) return maximum.error();
+  page.maximum = maximum.value();
+  for (const Value& item : f[8].as_sequence()) {
+    if (!item.is_sequence() || item.as_sequence().size() != 3)
+      return malformed("software item");
+    const auto& s = item.as_sequence();
+    if (!s[0].is_integer() || !s[1].is_utf8() || !s[2].is_utf8())
+      return malformed("software item");
+    SoftwareItem software_item;
+    software_item.kind = static_cast<SoftwareKind>(s[0].as_integer());
+    software_item.name = s[1].as_utf8();
+    software_item.version = s[2].as_utf8();
+    page.software.push_back(std::move(software_item));
   }
   return page;
 }

@@ -10,7 +10,6 @@ using util::ByteView;
 using util::ByteWriter;
 using util::Error;
 using util::ErrorCode;
-using util::Result;
 
 const char* request_kind_name(RequestKind kind) {
   switch (kind) {
@@ -98,25 +97,26 @@ Bytes encode_forwarded(const njs::ForwardedConsignment& consignment) {
   return w.take();
 }
 
-Result<njs::ForwardedConsignment> decode_forwarded(ByteReader& r) {
+njs::ForwardedConsignment decode_forwarded(ByteReader& r) {
   njs::ForwardedConsignment out;
-  Bytes job_wire = r.blob();
-  auto action = ajo::decode_action(job_wire);
-  if (!action) return action.error();
-  if (!action.value()->is_job())
-    return util::make_error(ErrorCode::kInvalidArgument,
-                            "forwarded consignment root is not a job");
-  out.job = std::move(static_cast<ajo::AbstractJobObject&>(*action.value()));
-  Bytes user_der = r.blob();
-  auto user_cert = crypto::Certificate::from_der(user_der);
-  if (!user_cert) return user_cert.error();
-  out.user_certificate = std::move(user_cert.value());
-  Bytes consignor_der = r.blob();
-  auto consignor_cert = crypto::Certificate::from_der(consignor_der);
-  if (!consignor_cert) return consignor_cert.error();
-  out.consignor_certificate = std::move(consignor_cert.value());
+  auto action = ajo::decode_action(r.blob());
+  auto user_cert = crypto::Certificate::from_der(r.blob());
+  auto consignor_cert = crypto::Certificate::from_der(r.blob());
   out.signature.value = r.u64();
   out.staged_files = uspace::decode_staged(r);
+  if (!action)
+    r.fail(action.error());
+  else if (!action.value()->is_job())
+    r.fail(util::make_error(ErrorCode::kInvalidArgument,
+                            "forwarded consignment root is not a job"));
+  else
+    out.job = std::move(static_cast<ajo::AbstractJobObject&>(*action.value()));
+  if (!user_cert) r.fail(user_cert.error());
+  if (!consignor_cert) r.fail(consignor_cert.error());
+  if (r.ok()) {
+    out.user_certificate = std::move(user_cert.value());
+    out.consignor_certificate = std::move(consignor_cert.value());
+  }
   return out;
 }
 

@@ -108,8 +108,9 @@ util::Bytes make_notification(std::uint64_t job_token,
 // rules"). Only the envelopes and the payloads below live here.
 
 util::Bytes encode_forwarded(const njs::ForwardedConsignment& consignment);
-util::Result<njs::ForwardedConsignment> decode_forwarded(
-    util::ByteReader& r);
+/// A job that does not decode, a root that is not a job, or a
+/// certificate that does not parse fails the reader.
+njs::ForwardedConsignment decode_forwarded(util::ByteReader& r);
 
 void encode_error(util::ByteWriter& w, const util::Error& error);
 util::Error decode_error(util::ByteReader& r);

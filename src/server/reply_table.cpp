@@ -1,6 +1,5 @@
 #include "server/reply_table.h"
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -40,17 +39,12 @@ bool ReplyTable::resolve(util::ByteView wire) {
   if (wire.empty() ||
       wire[0] != static_cast<std::uint8_t>(MessageType::kReply))
     return false;
-  std::uint64_t id = 0;
-  Result<Bytes> outcome = Bytes{};
-  try {
-    util::ByteReader reader{wire.subspan(1)};
-    id = reader.u64();
-    bool ok = reader.u8() != 0;
-    if (ok)
-      outcome = reader.raw(reader.remaining());
-    else
-      outcome = decode_error(reader);
-  } catch (const std::out_of_range&) {
+  util::ByteReader reader{wire.subspan(1)};
+  std::uint64_t id = reader.u64();
+  Result<Bytes> outcome = reader.u8() != 0
+                              ? Result<Bytes>(reader.raw(reader.remaining()))
+                              : Result<Bytes>(decode_error(reader));
+  if (!reader.finish().ok()) {
     UNICORE_WARN("server/replies") << "malformed reply dropped";
     return true;
   }

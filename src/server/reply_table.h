@@ -8,7 +8,6 @@
 // request, and fails the requests of one pool slot (a single channel is
 // slot 0). Every request ends exactly once: by its reply, its deadline
 // or a failure.
-// Handlers run outside any try block, so none may throw.
 #pragma once
 
 #include <cstdint>

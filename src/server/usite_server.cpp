@@ -296,21 +296,25 @@ void UsiteServer::handle_session_message(
 
 void UsiteServer::process_session_message(
     const std::shared_ptr<ClientSession>& session, Bytes&& wire) {
-  try {
-    ByteReader reader{wire};
-    auto type = static_cast<MessageType>(reader.u8());
-    // Clients only send requests: plain, or the portal's token envelope.
-    if (type != MessageType::kRequest && type != MessageType::kTokenRequest)
-      return;
-    auto kind = static_cast<RequestKind>(reader.u8());
-    std::uint64_t request_id = reader.u64();
-    std::optional<Bytes> token;
-    if (type == MessageType::kTokenRequest) token = reader.blob();
-    ++requests_served_;
-    handle_request(session, kind, request_id, reader, token);
-  } catch (const std::out_of_range&) {
+  ByteReader reader{wire};
+  auto type = static_cast<MessageType>(reader.u8());
+  // Clients only send requests: plain, or the portal's token envelope.
+  if (type != MessageType::kRequest && type != MessageType::kTokenRequest)
+    return;
+  auto kind = static_cast<RequestKind>(reader.u8());
+  std::uint64_t request_id = reader.u64();
+  if (!reader.ok()) {
+    // Without its id a request cannot be answered.
     UNICORE_WARN("server/" + config_.name) << "malformed request dropped";
+    return;
   }
+  std::optional<Bytes> token;
+  if (type == MessageType::kTokenRequest) token = reader.blob();
+  if (!reader.ok())  // a token cut short
+    return session->channel->send(
+        make_error_reply(request_id, reader.finish().error()));
+  ++requests_served_;
+  handle_request(session, kind, request_id, reader, token);
 }
 
 namespace {
@@ -343,6 +347,11 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
   auto reply_error = [session](std::uint64_t request_id,
                                const util::Error& error) {
     session->channel->send(make_error_reply(request_id, error));
+  };
+  // Each case below reads its whole payload, then checks it here before
+  // acting on anything it read.
+  auto malformed = [&] {
+    reply_error(request_id, payload.finish().error());
   };
   // The reply callback runs on the gateway side in both deployments
   // (directly when combined; in handle_pipe_client_message when split),
@@ -384,6 +393,7 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
       // The one certificate-authenticated contact: the channel's peer
       // (full or resumed handshake) is who the session is minted for.
       std::int64_t requested_ttl = payload.i64();
+      if (!payload.ok()) return malformed();
       auto grant = session_broker_.open(session->channel->peer_certificate(),
                                        now_epoch, requested_ttl);
       if (!grant) return reply_error(request_id, grant.error());
@@ -416,6 +426,7 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
     case RequestKind::kGetBundle: {
       // Served by the Web-server half directly: the signed applet.
       std::string name = payload.str();
+      if (!payload.ok()) return malformed();
       auto it = bundles_.find(name);
       if (it == bundles_.end())
         return reply_error(request_id,
@@ -465,9 +476,8 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
           pack_njs_request(kind, request_id, user.value(), inner.bytes()));
     }
     case RequestKind::kForwardConsign: {
-      auto consignment = decode_forwarded(payload);
-      if (!consignment) return reply_error(request_id, consignment.error());
-      const auto& c = consignment.value();
+      const njs::ForwardedConsignment c = decode_forwarded(payload);
+      if (!payload.ok()) return malformed();
       auto user = gw.check_forwarded_consignment(
           c.job, c.user_certificate, c.consignor_certificate, c.signature,
           njs::ForwardedConsignment::signing_input(c.job, c.user_certificate),
@@ -519,6 +529,7 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
       // client pushes are JMC traffic (user certificate + ownership
       // check in the NJS).
       auto role = static_cast<xfer::Role>(payload.u8());
+      if (!payload.ok()) return malformed();
       bool server_peer = xfer::role_is_server_peer(role);
       gateway::AuthenticatedUser principal;
       if (server_peer) {
@@ -551,6 +562,12 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
   auto kind = static_cast<RequestKind>(packed.u8());
   std::uint64_t request_id = packed.u64();
   auto user = gateway::AuthenticatedUser::decode(packed);
+  // The header is checked here; each case below reads the rest of its
+  // request, then checks it before acting on anything it read.
+  auto malformed = [request_id](const ByteReader& reader) {
+    return make_error_reply(request_id, reader.finish().error());
+  };
+  if (!packed.ok()) return malformed(packed);
 
   // Charges one admission to the token's owning replica (a serial
   // server, like the gateway's service queue) and reports when that
@@ -593,254 +610,232 @@ Bytes UsiteServer::njs_execute(std::uint64_t session_id, ByteReader& packed,
     return Status::ok_status();
   };
 
-  try {
-    switch (kind) {
-      case RequestKind::kConsign: {
-        Bytes job_wire = packed.blob();
-        auto action = ajo::decode_action(job_wire);
-        if (!action) return make_error_reply(request_id, action.error());
-        Bytes cert_der = packed.blob();
-        auto cert = crypto::Certificate::from_der(cert_der);
-        if (!cert) return make_error_reply(request_id, cert.error());
-        auto token = njs_cluster_.consign(
-            static_cast<ajo::AbstractJobObject&>(*action.value()), user,
-            cert.value());
-        if (!token) return make_error_reply(request_id, token.error());
-        charge_admission(token.value());
-        ByteWriter out;
-        out.u64(token.value());
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kForwardConsign: {
-        auto consignment = decode_forwarded(packed);
-        if (!consignment)
-          return make_error_reply(request_id, consignment.error());
-        auto& c = consignment.value();
-        // The digest of the signed consignment keys deduplication: a
-        // retried kForwardConsign (sender timed out, we had accepted)
-        // maps onto the existing job and returns its original token.
-        Bytes key = c.idempotency_key();
-        auto token = njs_cluster_.consign(
-            c.job, user, c.user_certificate,
-            [this, session_id](JobToken token, const ajo::Outcome& outcome) {
-              notify_session_raw(session_id,
-                                 make_notification(token, outcome));
-            },
-            std::move(c.staged_files), std::move(key));
-        if (!token) return make_error_reply(request_id, token.error());
-        charge_admission(token.value());
-        ByteWriter out;
-        out.u64(token.value());
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kQuery: {
-        JobToken token = packed.u64();
-        auto detail = static_cast<ajo::QueryService::Detail>(packed.u8());
-        if (auto status = check_owner(token); !status.ok())
-          return make_error_reply(request_id, status.error());
-        auto outcome = njs_for(token)->query(token, detail);
-        if (!outcome) return make_error_reply(request_id, outcome.error());
-        ByteWriter out;
-        outcome.value().encode(out);
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kList: {
-        ByteWriter out;
-        out.list(njs_cluster_.list(user.dn));
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kControl: {
-        JobToken token = packed.u64();
-        auto command = static_cast<ajo::ControlService::Command>(packed.u8());
-        if (auto status = check_owner(token); !status.ok())
-          return make_error_reply(request_id, status.error());
-        if (auto status = njs_for(token)->control(token, command);
-            !status.ok())
-          return make_error_reply(request_id, status.error());
-        return make_ok_reply(request_id, {});
-      }
-      case RequestKind::kFetchOutput: {
-        JobToken token = packed.u64();
-        std::string name = packed.str();
-        if (auto status = check_owner(token); !status.ok())
-          return make_error_reply(request_id, status.error());
-        auto blob = njs_for(token)->read_output(token, name);
-        if (!blob) return make_error_reply(request_id, blob.error());
-        ByteWriter out;
-        blob.value().encode(out);
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kResourcePages: {
-        auto pages = njs_cluster_.primary().resource_pages();
-        ByteWriter out;
-        out.varint(pages.size());
-        for (const auto& page : pages) out.blob(page.encode());
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kDeliverFile: {
-        JobToken token = packed.u64();
-        std::string name = packed.str();
-        uspace::FileBlob blob = uspace::FileBlob::decode(packed);
-        njs::Njs* replica = njs_for(token);
-        if (replica == nullptr) return replica_down(token);
-        if (auto status = replica->deliver_file(token, name, std::move(blob));
-            !status.ok())
-          return make_error_reply(request_id, status.error());
-        return make_ok_reply(request_id, {});
-      }
-      case RequestKind::kFetchFile: {
-        JobToken token = packed.u64();
-        std::string name = packed.str();
-        njs::Njs* replica = njs_for(token);
-        if (replica == nullptr) return replica_down(token);
-        auto blob = replica->fetch_file(token, name);
-        if (!blob) return make_error_reply(request_id, blob.error());
-        ByteWriter out;
-        blob.value().encode(out);
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kPeerControl: {
-        JobToken token = packed.u64();
-        auto command = static_cast<ajo::ControlService::Command>(packed.u8());
-        // Authorised by the gateway's server authentication; the job was
-        // consigned here by the requesting NJS in the first place.
-        njs::Njs* replica = njs_for(token);
-        if (replica == nullptr) return replica_down(token);
-        if (auto status = replica->control(token, command); !status.ok())
-          return make_error_reply(request_id, status.error());
-        return make_ok_reply(request_id, {});
-      }
-      case RequestKind::kMonitorMetrics: {
-        // MonitorService: a point-in-time snapshot of every metric the
-        // Usite (and, with a shared registry, the whole grid) recorded.
-        for (std::size_t i = 0; i < njs_cluster_.replica_count(); ++i)
-          njs_cluster_.replica(i).refresh_gauges();
-        njs_cluster_.refresh_gauges();
-        obs::MetricsSnapshot snapshot = metrics_->snapshot();
-        ByteWriter out;
-        snapshot.encode(out);
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kMonitorTrace: {
-        JobToken token = packed.u64();
-        if (auto status = check_owner(token); !status.ok())
-          return make_error_reply(request_id, status.error());
-        auto timeline = njs_for(token)->trace(token);
-        if (!timeline) return make_error_reply(request_id, timeline.error());
-        ByteWriter out;
-        timeline.value()->encode(out);
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kJournalInspect: {
-        // Recovery diagnostics: journal depth plus the fault counters,
-        // summed across the replica set.
-        ByteWriter out;
-        auto journal = njs_cluster_.primary().journal();
-        std::size_t records = 0;
-        std::uint64_t recoveries = 0, deduped = 0, retries = 0;
-        for (std::size_t i = 0; i < njs_cluster_.replica_count(); ++i) {
-          const njs::Njs& replica = njs_cluster_.replica(i);
-          if (replica.journal() != nullptr)
-            records += replica.journal()->records();
-          recoveries += replica.recoveries();
-          deduped += replica.consigns_deduped();
-          retries += replica.batch_retries();
-        }
-        out.u8(journal != nullptr ? 1 : 0);
-        out.varint(records);
-        out.u64(recoveries);
-        out.u64(deduped);
-        out.u64(retries);
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kXferBundleOpen:
-      case RequestKind::kXferChunk:
-      case RequestKind::kXferBundleClose: {
-        bool server_peer = packed.u8() != 0;
-        auto role = static_cast<xfer::Role>(packed.u8());
-        // Route to the partition owner's transfer receiver. Opens carry
-        // the job token, so they follow the job — after a handoff that
-        // is the adopter. Chunks and closes carry the transfer id,
-        // which is strided by the service that minted it; an id from a
-        // crashed replica's table answers kNotFound and the sender
-        // re-opens by durable key (landing on the adopter).
-        std::size_t target = 0;
-        {
-          ByteReader peek = packed;  // routing must not consume the body
-          if (kind == RequestKind::kXferBundleOpen) {
-            JobToken token;
-            if (xfer::role_is_push(role)) {
-              peek.blob();  // bundle key
-              token = peek.u64();
-            } else {
-              token = peek.u64();
-            }
-            auto owner = njs_cluster_.owner_of(token);
-            if (!owner) return replica_down(token);
-            target = *owner;
-          } else {
-            std::uint64_t transfer_id = peek.u64();
-            std::uint64_t partition =
-                transfer_id >> njs::kTokenPartitionShift;
-            if (partition >= xfer_services_.size())
-              return make_error_reply(
-                  request_id,
-                  util::make_error(ErrorCode::kNotFound,
-                                   "no such transfer id"));
-            target = partition;
-          }
-        }
-        xfer::Service& service = *xfer_services_[target];
-        Result<Bytes> reply = util::make_error(ErrorCode::kInternal, "");
-        switch (kind) {
-          case RequestKind::kXferBundleOpen:
-            reply = service.open(user.dn, server_peer, role, packed);
-            break;
-          case RequestKind::kXferChunk:
-            reply = service.chunk(user.dn, server_peer, role, packed);
-            break;
-          default:
-            reply = service.close(user.dn, server_peer, role, packed);
-            break;
-        }
-        if (!reply) return make_error_reply(request_id, reply.error());
-        return make_ok_reply(request_id, reply.value());
-      }
-      case RequestKind::kStorageList: {
-        ByteWriter out;
-        out.list(njs_cluster_.storages(user.dn));
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kStorageFiles: {
-        JobToken token = packed.u64();
-        if (auto status = check_owner(token); !status.ok())
-          return make_error_reply(request_id, status.error());
-        auto files = njs_for(token)->storage_files(token);
-        if (!files) return make_error_reply(request_id, files.error());
-        ByteWriter out;
-        out.strings(files.value());
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kStorageReap: {
-        JobToken token = packed.u64();
-        if (auto status = check_owner(token); !status.ok())
-          return make_error_reply(request_id, status.error());
-        auto freed = njs_for(token)->reap_storage(token);
-        if (!freed) return make_error_reply(request_id, freed.error());
-        ByteWriter out;
-        out.u64(freed.value());
-        return make_ok_reply(request_id, out.bytes());
-      }
-      case RequestKind::kSessionOpen:
-      case RequestKind::kSessionRefresh:
-      case RequestKind::kSessionClose:
-      case RequestKind::kGetBundle:
-        break;  // handled at the gateway; never reaches the NJS
+  switch (kind) {
+    case RequestKind::kConsign: {
+      Bytes job_wire = packed.blob();
+      Bytes cert_der = packed.blob();
+      if (!packed.ok()) return malformed(packed);
+      auto action = ajo::decode_action(job_wire);
+      if (!action) return make_error_reply(request_id, action.error());
+      auto cert = crypto::Certificate::from_der(cert_der);
+      if (!cert) return make_error_reply(request_id, cert.error());
+      auto token = njs_cluster_.consign(
+          static_cast<ajo::AbstractJobObject&>(*action.value()), user,
+          cert.value());
+      if (!token) return make_error_reply(request_id, token.error());
+      charge_admission(token.value());
+      ByteWriter out;
+      out.u64(token.value());
+      return make_ok_reply(request_id, out.bytes());
     }
-  } catch (const std::out_of_range&) {
-    return make_error_reply(request_id,
-                            util::make_error(ErrorCode::kInvalidArgument,
-                                             "malformed NJS request"));
+    case RequestKind::kForwardConsign: {
+      njs::ForwardedConsignment c = decode_forwarded(packed);
+      if (!packed.ok()) return malformed(packed);
+      // The digest of the signed consignment keys deduplication: a
+      // retried kForwardConsign (sender timed out, we had accepted)
+      // maps onto the existing job and returns its original token.
+      Bytes key = c.idempotency_key();
+      auto token = njs_cluster_.consign(
+          c.job, user, c.user_certificate,
+          [this, session_id](JobToken token, const ajo::Outcome& outcome) {
+            notify_session_raw(session_id,
+                               make_notification(token, outcome));
+          },
+          std::move(c.staged_files), std::move(key));
+      if (!token) return make_error_reply(request_id, token.error());
+      charge_admission(token.value());
+      ByteWriter out;
+      out.u64(token.value());
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kQuery: {
+      JobToken token = packed.u64();
+      auto detail = static_cast<ajo::QueryService::Detail>(packed.u8());
+      if (!packed.ok()) return malformed(packed);
+      if (auto status = check_owner(token); !status.ok())
+        return make_error_reply(request_id, status.error());
+      auto outcome = njs_for(token)->query(token, detail);
+      if (!outcome) return make_error_reply(request_id, outcome.error());
+      ByteWriter out;
+      outcome.value().encode(out);
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kList: {
+      ByteWriter out;
+      out.list(njs_cluster_.list(user.dn));
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kControl: {
+      JobToken token = packed.u64();
+      auto command = static_cast<ajo::ControlService::Command>(packed.u8());
+      if (!packed.ok()) return malformed(packed);
+      if (auto status = check_owner(token); !status.ok())
+        return make_error_reply(request_id, status.error());
+      if (auto status = njs_for(token)->control(token, command);
+          !status.ok())
+        return make_error_reply(request_id, status.error());
+      return make_ok_reply(request_id, {});
+    }
+    case RequestKind::kFetchOutput: {
+      JobToken token = packed.u64();
+      std::string name = packed.str();
+      if (!packed.ok()) return malformed(packed);
+      if (auto status = check_owner(token); !status.ok())
+        return make_error_reply(request_id, status.error());
+      auto blob = njs_for(token)->read_output(token, name);
+      if (!blob) return make_error_reply(request_id, blob.error());
+      ByteWriter out;
+      blob.value().encode(out);
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kResourcePages: {
+      auto pages = njs_cluster_.primary().resource_pages();
+      ByteWriter out;
+      out.varint(pages.size());
+      for (const auto& page : pages) out.blob(page.encode());
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kDeliverFile: {
+      JobToken token = packed.u64();
+      std::string name = packed.str();
+      uspace::FileBlob blob = uspace::FileBlob::decode(packed);
+      if (!packed.ok()) return malformed(packed);
+      njs::Njs* replica = njs_for(token);
+      if (replica == nullptr) return replica_down(token);
+      if (auto status = replica->deliver_file(token, name, std::move(blob));
+          !status.ok())
+        return make_error_reply(request_id, status.error());
+      return make_ok_reply(request_id, {});
+    }
+    case RequestKind::kFetchFile: {
+      JobToken token = packed.u64();
+      std::string name = packed.str();
+      if (!packed.ok()) return malformed(packed);
+      njs::Njs* replica = njs_for(token);
+      if (replica == nullptr) return replica_down(token);
+      auto blob = replica->fetch_file(token, name);
+      if (!blob) return make_error_reply(request_id, blob.error());
+      ByteWriter out;
+      blob.value().encode(out);
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kPeerControl: {
+      JobToken token = packed.u64();
+      auto command = static_cast<ajo::ControlService::Command>(packed.u8());
+      if (!packed.ok()) return malformed(packed);
+      // Authorised by the gateway's server authentication; the job was
+      // consigned here by the requesting NJS in the first place.
+      njs::Njs* replica = njs_for(token);
+      if (replica == nullptr) return replica_down(token);
+      if (auto status = replica->control(token, command); !status.ok())
+        return make_error_reply(request_id, status.error());
+      return make_ok_reply(request_id, {});
+    }
+    case RequestKind::kMonitorMetrics: {
+      // MonitorService: a point-in-time snapshot of every metric the
+      // Usite (and, with a shared registry, the whole grid) recorded.
+      for (std::size_t i = 0; i < njs_cluster_.replica_count(); ++i)
+        njs_cluster_.replica(i).refresh_gauges();
+      njs_cluster_.refresh_gauges();
+      obs::MetricsSnapshot snapshot = metrics_->snapshot();
+      ByteWriter out;
+      snapshot.encode(out);
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kMonitorTrace: {
+      JobToken token = packed.u64();
+      if (!packed.ok()) return malformed(packed);
+      if (auto status = check_owner(token); !status.ok())
+        return make_error_reply(request_id, status.error());
+      auto timeline = njs_for(token)->trace(token);
+      if (!timeline) return make_error_reply(request_id, timeline.error());
+      ByteWriter out;
+      timeline.value()->encode(out);
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kJournalInspect: {
+      ByteWriter out;
+      njs_cluster_.journal_info().encode(out);
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kXferBundleOpen:
+    case RequestKind::kXferChunk:
+    case RequestKind::kXferBundleClose: {
+      bool server_peer = packed.u8() != 0;
+      auto role = static_cast<xfer::Role>(packed.u8());
+      // Route to the partition owner's transfer receiver. Opens carry
+      // the job token, so they follow the job — after a handoff that
+      // is the adopter. Chunks and closes carry the transfer id,
+      // which is strided by the service that minted it; an id from a
+      // crashed replica's table answers kNotFound and the sender
+      // re-opens by durable key (landing on the adopter). The service
+      // reads and checks the body itself.
+      ByteReader peek = packed;  // routing must not consume the body
+      const bool open = kind == RequestKind::kXferBundleOpen;
+      if (open && xfer::role_is_push(role)) peek.blob();  // bundle key
+      std::uint64_t route = peek.u64();  // job token or transfer id
+      if (!peek.ok()) return malformed(peek);
+      std::size_t target = 0;
+      if (open) {
+        auto owner = njs_cluster_.owner_of(route);
+        if (!owner) return replica_down(route);
+        target = *owner;
+      } else {
+        std::uint64_t partition = route >> njs::kTokenPartitionShift;
+        if (partition >= xfer_services_.size())
+          return make_error_reply(
+              request_id, util::make_error(ErrorCode::kNotFound,
+                                           "no such transfer id"));
+        target = partition;
+      }
+      xfer::Service& service = *xfer_services_[target];
+      Result<Bytes> reply = util::make_error(ErrorCode::kInternal, "");
+      switch (kind) {
+        case RequestKind::kXferBundleOpen:
+          reply = service.open(user.dn, server_peer, role, packed);
+          break;
+        case RequestKind::kXferChunk:
+          reply = service.chunk(user.dn, server_peer, role, packed);
+          break;
+        default:
+          reply = service.close(user.dn, server_peer, role, packed);
+          break;
+      }
+      if (!reply) return make_error_reply(request_id, reply.error());
+      return make_ok_reply(request_id, reply.value());
+    }
+    case RequestKind::kStorageList: {
+      ByteWriter out;
+      out.list(njs_cluster_.storages(user.dn));
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kStorageFiles: {
+      JobToken token = packed.u64();
+      if (!packed.ok()) return malformed(packed);
+      if (auto status = check_owner(token); !status.ok())
+        return make_error_reply(request_id, status.error());
+      auto files = njs_for(token)->storage_files(token);
+      if (!files) return make_error_reply(request_id, files.error());
+      ByteWriter out;
+      out.strings(files.value());
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kStorageReap: {
+      JobToken token = packed.u64();
+      if (!packed.ok()) return malformed(packed);
+      if (auto status = check_owner(token); !status.ok())
+        return make_error_reply(request_id, status.error());
+      auto freed = njs_for(token)->reap_storage(token);
+      if (!freed) return make_error_reply(request_id, freed.error());
+      ByteWriter out;
+      out.u64(freed.value());
+      return make_ok_reply(request_id, out.bytes());
+    }
+    case RequestKind::kSessionOpen:
+    case RequestKind::kSessionRefresh:
+    case RequestKind::kSessionClose:
+    case RequestKind::kGetBundle:
+      break;  // handled at the gateway; never reaches the NJS
   }
   return make_error_reply(request_id,
                           util::make_error(ErrorCode::kInvalidArgument,
@@ -878,49 +873,49 @@ void UsiteServer::execute_at_njs(std::uint64_t session_id, Bytes packed,
 
 void UsiteServer::handle_pipe_server_message(Bytes&& wire) {
   // Runs on the NJS host: execute and send the reply back across.
-  try {
-    ByteReader reader{wire};
-    auto type = static_cast<PipeMessage>(reader.u8());
-    if (type != kPipeRequest) return;
-    std::uint64_t pipe_id = reader.u64();
-    std::uint64_t session_id = reader.u64();
-    sim::Time ready_at = 0;
-    Bytes reply = njs_execute(session_id, reader, &ready_at);
-    ByteWriter w;
-    w.u8(kPipeReply);
-    w.u64(pipe_id);
-    w.raw(reply);
-    Bytes framed = w.take();
-    if (ready_at > engine_.now()) {
-      engine_.at(ready_at, [this, framed = std::move(framed)]() mutable {
-        if (pipe_server_) pipe_server_->send(std::move(framed));
-      });
-      return;
-    }
-    if (pipe_server_) pipe_server_->send(std::move(framed));
-  } catch (const std::out_of_range&) {
+  ByteReader reader{wire};
+  auto type = static_cast<PipeMessage>(reader.u8());
+  if (type != kPipeRequest) return;
+  std::uint64_t pipe_id = reader.u64();
+  std::uint64_t session_id = reader.u64();
+  if (!reader.ok()) {
     UNICORE_WARN("server/" + config_.name) << "malformed pipe request";
+    return;
   }
+  sim::Time ready_at = 0;
+  Bytes reply = njs_execute(session_id, reader, &ready_at);
+  ByteWriter w;
+  w.u8(kPipeReply);
+  w.u64(pipe_id);
+  w.raw(reply);
+  Bytes framed = w.take();
+  if (ready_at > engine_.now()) {
+    engine_.at(ready_at, [this, framed = std::move(framed)]() mutable {
+      if (pipe_server_) pipe_server_->send(std::move(framed));
+    });
+    return;
+  }
+  if (pipe_server_) pipe_server_->send(std::move(framed));
 }
 
 void UsiteServer::handle_pipe_client_message(Bytes&& wire) {
   // Runs on the gateway host: route replies and notifications out.
-  try {
-    ByteReader reader{wire};
-    auto type = static_cast<PipeMessage>(reader.u8());
-    if (type == kPipeReply) {
-      std::uint64_t pipe_id = reader.u64();
-      auto it = pipe_pending_.find(pipe_id);
-      if (it == pipe_pending_.end()) return;
-      auto handler = std::move(it->second);
-      pipe_pending_.erase(it);
-      handler(reader.raw(reader.remaining()));
-    } else if (type == kPipeNotify) {
-      std::uint64_t session_id = reader.u64();
-      deliver_to_session(session_id, reader.raw(reader.remaining()));
-    }
-  } catch (const std::out_of_range&) {
+  ByteReader reader{wire};
+  auto type = static_cast<PipeMessage>(reader.u8());
+  std::uint64_t id = reader.u64();  // pipe id of a reply, session of a note
+  Bytes body = reader.raw(reader.remaining());
+  if (!reader.ok()) {
     UNICORE_WARN("server/" + config_.name) << "malformed pipe reply";
+    return;
+  }
+  if (type == kPipeReply) {
+    auto it = pipe_pending_.find(id);
+    if (it == pipe_pending_.end()) return;
+    auto handler = std::move(it->second);
+    pipe_pending_.erase(it);
+    handler(std::move(body));
+  } else if (type == kPipeNotify) {
+    deliver_to_session(id, std::move(body));
   }
 }
 
@@ -1026,22 +1021,21 @@ void UsiteServer::handle_peer_message(const std::string& usite,
   PeerConnection& connection = *it->second;
   connection.last_reply_slot = slot;
   if (connection.replies.resolve(wire)) return;
-  try {
-    ByteReader reader{wire};
-    auto type = static_cast<MessageType>(reader.u8());
-    if (type != MessageType::kNotification) return;
-    std::uint64_t token = reader.u64();
-    auto outcome = ajo::Outcome::decode(reader);
-    if (!outcome) return;
-    auto final_it = connection.finals.find(token);
-    if (final_it == connection.finals.end()) return;
-    auto handler = std::move(final_it->second.handler);
-    connection.finals.erase(final_it);
-    handler(std::move(outcome.value()));
-  } catch (const std::out_of_range&) {
+  ByteReader reader{wire};
+  auto type = static_cast<MessageType>(reader.u8());
+  if (type != MessageType::kNotification) return;
+  std::uint64_t token = reader.u64();
+  ajo::Outcome outcome = ajo::Outcome::decode(reader);
+  if (!reader.ok()) {
     UNICORE_WARN("server/" + config_.name)
         << "malformed peer message from " << usite;
+    return;
   }
+  auto final_it = connection.finals.find(token);
+  if (final_it == connection.finals.end()) return;
+  auto handler = std::move(final_it->second.handler);
+  connection.finals.erase(final_it);
+  handler(std::move(outcome));
 }
 
 void UsiteServer::send_peer_request(
@@ -1127,18 +1121,16 @@ void UsiteServer::consign(
           on_accepted(reply.error());
           return;
         }
-        // The reply table calls this outside any try block: check the
-        // token's length instead of letting the reader throw.
         ByteReader reader{reply.value()};
-        if (reader.remaining() < sizeof(ajo::JobToken)) {
+        njs::RemoteJobHandle handle;
+        handle.usite = usite;
+        handle.token = reader.u64();
+        if (!reader.ok()) {
           on_accepted(util::make_error(ErrorCode::kInvalidArgument,
                                        "malformed consign reply from " +
                                            usite));
           return;
         }
-        njs::RemoteJobHandle handle;
-        handle.usite = usite;
-        handle.token = reader.u64();
         // Bind the outcome watcher to the slot whose session carried
         // the consignment — the peer notifies through that session.
         if (auto it = peer_connections_.find(usite);
@@ -1237,14 +1229,14 @@ void UsiteServer::fetch_whole_blobs(
                 done(reply.error());
                 return;
               }
-              try {
-                ByteReader reader{reply.value()};
-                blobs.push_back(uspace::FileBlob::decode(reader));
-              } catch (const std::out_of_range&) {
+              ByteReader reader{reply.value()};
+              uspace::FileBlob blob = uspace::FileBlob::decode(reader);
+              if (!reader.ok()) {
                 done(util::make_error(ErrorCode::kInvalidArgument,
                                       "malformed file reply"));
                 return;
               }
+              blobs.push_back(std::move(blob));
               fetch_whole_blobs(source, std::move(names), std::move(blobs),
                                 std::move(done));
             });

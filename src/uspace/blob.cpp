@@ -1,7 +1,5 @@
 #include "uspace/blob.h"
 
-#include <stdexcept>
-
 #include "crypto/chunk_digest.h"
 
 namespace unicore::uspace {
@@ -155,7 +153,8 @@ FileBlob FileBlob::decode(util::ByteReader& r) {
   // recomputed from the bytes, never copied from the wire.
   FileBlob blob = from_bytes(r.blob());
   if (blob.size_ != size || blob.checksum_ != checksum)
-    throw std::out_of_range("FileBlob: content does not match its identity");
+    r.fail(util::make_error(util::ErrorCode::kInvalidArgument,
+                            "FileBlob: content does not match its identity"));
   return blob;
 }
 
@@ -171,7 +170,7 @@ StagedFiles decode_staged(util::ByteReader& r) {
   std::uint64_t n = r.count();
   StagedFiles files;
   files.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
     std::string name = r.str();
     files.emplace_back(std::move(name), FileBlob::decode(r));
   }

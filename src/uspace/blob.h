@@ -108,8 +108,8 @@ class FileBlob {
   /// chunk that cannot be read encodes as zeros of its length, which
   /// the decoder refuses.
   void encode(util::ByteWriter& w) const;
-  /// Throws std::out_of_range on truncated input, and on real content
-  /// whose size or identity differs from the one declared with it.
+  /// Real content whose size or identity differs from the one declared
+  /// with it fails the reader.
   static FileBlob decode(util::ByteReader& r);
 
  private:

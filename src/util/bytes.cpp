@@ -13,38 +13,43 @@ void ByteWriter::f64(double v) {
   u64(bits);
 }
 
-void ByteReader::need(std::size_t n) const {
-  if (data_.size() - pos_ < n)
-    throw std::out_of_range("ByteReader: truncated input");
+namespace {
+
+Error malformed(const char* what) {
+  return make_error(ErrorCode::kInvalidArgument,
+                    std::string("ByteReader: ") + what);
 }
 
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
+}  // namespace
+
+bool ByteReader::need(std::size_t n) {
+  if (ok() && data_.size() - pos_ < n) fail(malformed("truncated input"));
+  return ok();
 }
 
-std::uint16_t ByteReader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_] << 8 | data_[pos_ + 1]);
-  pos_ += 2;
+void ByteReader::fail(Error error) {
+  if (status_.ok()) status_ = std::move(error);
+}
+
+Status ByteReader::finish() const {
+  if (ok() && !done()) return malformed("trailing bytes");
+  return status_;
+}
+
+template <typename T>
+T ByteReader::big_endian() {
+  if (!need(sizeof(T))) return 0;
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    v = static_cast<T>(v << 8 | data_[pos_ + i]);
+  pos_ += sizeof(T);
   return v;
 }
 
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = v << 8 | data_[pos_ + i];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = v << 8 | data_[pos_ + i];
-  pos_ += 8;
-  return v;
-}
+std::uint8_t ByteReader::u8() { return big_endian<std::uint8_t>(); }
+std::uint16_t ByteReader::u16() { return big_endian<std::uint16_t>(); }
+std::uint32_t ByteReader::u32() { return big_endian<std::uint32_t>(); }
+std::uint64_t ByteReader::u64() { return big_endian<std::uint64_t>(); }
 
 double ByteReader::f64() {
   std::uint64_t bits = u64();
@@ -55,30 +60,27 @@ double ByteReader::f64() {
 
 std::uint64_t ByteReader::varint() {
   std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    need(1);
+  for (int shift = 0; need(1); shift += 7) {
     std::uint8_t byte = data_[pos_++];
-    if (shift >= 64) throw std::out_of_range("ByteReader: varint overflow");
+    if (shift >= 64) {
+      fail(malformed("varint longer than 64 bits"));
+      break;
+    }
     v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
     if (!(byte & 0x80)) return v;
-    shift += 7;
   }
+  return 0;
 }
 
 Bytes ByteReader::raw(std::size_t n) {
-  need(n);
+  if (!need(n)) return {};
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
 }
 
-Bytes ByteReader::blob() {
-  std::uint64_t n = varint();
-  if (n > remaining()) throw std::out_of_range("ByteReader: blob length exceeds input");
-  return raw(static_cast<std::size_t>(n));
-}
+Bytes ByteReader::blob() { return raw(static_cast<std::size_t>(count())); }
 
 std::string ByteReader::str() {
   Bytes b = blob();
@@ -87,16 +89,16 @@ std::string ByteReader::str() {
 
 std::uint64_t ByteReader::count() {
   std::uint64_t n = varint();
-  if (n > remaining())
-    throw std::out_of_range("ByteReader: count exceeds input");
-  return n;
+  if (n <= remaining()) return n;
+  fail(malformed("length or count exceeds input"));
+  return 0;
 }
 
 std::vector<std::string> ByteReader::strings() {
   std::uint64_t n = count();
   std::vector<std::string> out;
   out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(str());
+  for (std::uint64_t i = 0; i < n && ok(); ++i) out.push_back(str());
   return out;
 }
 

@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/result.h"
+
 namespace unicore::util {
 
 using Bytes = std::vector<std::uint8_t>;
@@ -121,9 +123,11 @@ class ByteWriter {
 /// stack.
 constexpr std::size_t kMaxNesting = 64;
 
-/// Sequential reader over a borrowed buffer. All accessors throw
-/// std::out_of_range on truncated input so that corrupt network data is
-/// rejected rather than silently misparsed.
+/// Sequential reader over a borrowed buffer. The first failure sticks: a
+/// read past the end, a varint longer than 64 bits, a blob or count
+/// larger than the bytes left, or a decoder's own fail(). Later reads
+/// return zero values and consume nothing; a decoder returns its value
+/// and its caller checks the reader once before acting on what it read.
 class ByteReader {
  public:
   explicit ByteReader(ByteView data) : data_(data) {}
@@ -141,10 +145,9 @@ class ByteReader {
   Bytes raw(std::size_t n);
   /// Skips `n` bytes without copying.
   void skip(std::size_t n) {
-    need(n);
-    pos_ += n;
+    if (need(n)) pos_ += n;
   }
-  /// Reads a varint-length-prefixed byte string.
+  /// Reads a varint-length-prefixed byte string (the length as count()).
   Bytes blob();
   /// Reads a varint-length-prefixed UTF-8 string.
   std::string str();
@@ -160,29 +163,42 @@ class ByteReader {
     std::uint64_t n = count();
     std::vector<T> out;
     out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(T::decode(*this));
+    for (std::uint64_t i = 0; i < n && ok(); ++i)
+      out.push_back(T::decode(*this));
     return out;
   }
   /// Reads exactly N raw bytes (digests, MAC tags).
   template <std::size_t N>
   std::array<std::uint8_t, N> fixed() {
-    need(N);
     std::array<std::uint8_t, N> out{};
+    if (!need(N)) return out;
     std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), N,
                 out.begin());
     pos_ += N;
     return out;
   }
 
+  /// Records a failure; only the first one is kept.
+  void fail(Error error);
+
+  bool ok() const { return status_.ok(); }
+  /// The first failure, or an error when input remains unread.
+  Status finish() const;
+
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
   std::size_t position() const { return pos_; }
 
  private:
-  void need(std::size_t n) const;
+  /// True when `n` more bytes can be read; else fails the reader.
+  bool need(std::size_t n);
+  /// A big-endian unsigned integer of sizeof(T) bytes.
+  template <typename T>
+  T big_endian();
 
   ByteView data_;
   std::size_t pos_ = 0;
+  Status status_;
 };
 
 /// Lowercase hex encoding, e.g. for fingerprints and log output.

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
 namespace unicore::xfer {
@@ -77,39 +76,40 @@ std::vector<RecoveredBundle> recover_bundles(const njs::Journal& journal) {
   std::map<util::Bytes, std::set<std::pair<std::uint32_t, std::uint64_t>>>
       seen;
   journal.replay([&](const njs::JournalRecord& record) {
-    try {
-      util::ByteReader r{record.payload};
-      switch (record.type) {
-        case njs::JournalRecordType::kXferBundleManifest: {
-          BundleManifest manifest = BundleManifest::decode(r);
-          util::Bytes key = manifest.key;
-          RecoveredBundle& bundle = open[key];
-          bundle.manifest = std::move(manifest);
-          break;
-        }
-        case njs::JournalRecordType::kXferBundleChunk: {
-          util::Bytes key = r.blob();
-          auto it = open.find(key);
-          if (it == open.end()) return;  // done or never opened
-          std::uint32_t file_index = r.u32();
-          Chunk chunk = Chunk::decode(r);
-          if (!seen[key].insert({file_index, chunk.index}).second)
-            return;  // duplicate
-          it->second.chunks.emplace_back(file_index, std::move(chunk));
-          break;
-        }
-        case njs::JournalRecordType::kXferBundleDone: {
-          util::Bytes key = r.blob();
-          open.erase(key);
-          seen.erase(key);
-          break;
-        }
-        default:
-          break;  // job records, owned by Journal::recover()
+    // A truncated record (crash mid-append) fails its reader and is
+    // dropped; the sender re-delivers the chunk because it never saw
+    // the ack.
+    util::ByteReader r{record.payload};
+    switch (record.type) {
+      case njs::JournalRecordType::kXferBundleManifest: {
+        BundleManifest manifest = BundleManifest::decode(r);
+        if (!r.ok()) return;
+        util::Bytes key = manifest.key;
+        RecoveredBundle& bundle = open[key];
+        bundle.manifest = std::move(manifest);
+        break;
       }
-    } catch (const std::out_of_range&) {
-      // Truncated record (crash mid-append): drop it; the sender will
-      // re-deliver the chunk because it never saw the ack.
+      case njs::JournalRecordType::kXferBundleChunk: {
+        util::Bytes key = r.blob();
+        auto it = open.find(key);
+        if (it == open.end()) return;  // done or never opened
+        std::uint32_t file_index = r.u32();
+        Chunk chunk = Chunk::decode(r);
+        if (!r.ok()) return;
+        if (!seen[key].insert({file_index, chunk.index}).second)
+          return;  // duplicate
+        it->second.chunks.emplace_back(file_index, std::move(chunk));
+        break;
+      }
+      case njs::JournalRecordType::kXferBundleDone: {
+        util::Bytes key = r.blob();
+        if (!r.ok()) return;
+        open.erase(key);
+        seen.erase(key);
+        break;
+      }
+      default:
+        break;  // job records, owned by Journal::recover()
     }
   });
   std::vector<RecoveredBundle> out;
@@ -122,11 +122,9 @@ std::vector<util::Bytes> completed_bundle_keys(const njs::Journal& journal) {
   std::vector<util::Bytes> keys;
   journal.replay([&](const njs::JournalRecord& record) {
     if (record.type != njs::JournalRecordType::kXferBundleDone) return;
-    try {
-      util::ByteReader r{record.payload};
-      keys.push_back(r.blob());
-    } catch (const std::out_of_range&) {
-    }
+    util::ByteReader r{record.payload};
+    util::Bytes key = r.blob();
+    if (r.ok()) keys.push_back(std::move(key));
   });
   return keys;
 }

@@ -164,6 +164,7 @@ Result<Bytes> Service::open(const crypto::DistinguishedName& principal,
 Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
                                  Role role, util::ByteReader& r) {
   BundleOpenRequest request = BundleOpenRequest::decode(r);
+  if (!r.ok()) return r.finish().error();
   request.role = role;
   if (request.files.empty() || request.files.size() > kMaxBundleFiles)
     return make_error(ErrorCode::kInvalidArgument,
@@ -201,6 +202,7 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
     // Chunks the store gained since the interruption (or that recovery
     // could not re-satisfy) are acked here instead of retransmitted.
     satisfy_open(incoming, request);
+    touch(incoming.id, incoming.expiry);
     return resume_reply(incoming).encode();
   }
 
@@ -255,6 +257,7 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
   satisfy_open(*incoming, request);
 
   BundleOpenReply reply = resume_reply(*incoming);
+  touch(incoming->id, incoming->expiry);
   incoming_by_id_[incoming->id] = incoming.get();
   incoming_.emplace(request.key, std::move(incoming));
   update_gauges();
@@ -264,6 +267,7 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
 Result<Bytes> Service::open_pull(const crypto::DistinguishedName& principal,
                                  Role role, util::ByteReader& r) {
   BundlePullOpenRequest request = BundlePullOpenRequest::decode(role, r);
+  if (!r.ok()) return r.finish().error();
   if (request.names.empty() || request.names.size() > kMaxBundleFiles)
     return make_error(ErrorCode::kInvalidArgument,
                       "bundle file count out of range");
@@ -308,7 +312,7 @@ Result<Bytes> Service::open_pull(const crypto::DistinguishedName& principal,
     reply.files.push_back(std::move(info));
   }
   auto [it, inserted] = outgoing_.emplace(outgoing.id, std::move(outgoing));
-  touch_outgoing(it->second);
+  touch(it->second.id, it->second.expiry);
   update_gauges();
   return reply.encode();
 }
@@ -317,44 +321,44 @@ Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
                              bool server_peer, Role role, util::ByteReader& r) {
   if (auto allowed = check_role(role, server_peer); !allowed.ok())
     return allowed.error();
-  // Unknown ids (e.g. stale after a crash) bail before the body is
-  // decoded and answer kNotFound, which drives the sender's resume.
+  // Unknown ids (e.g. stale after a crash) answer kNotFound, which
+  // drives the sender's resume.
   std::uint64_t transfer_id = r.u64();
-  if (role_is_push(role)) {
-    auto it = incoming_by_id_.find(transfer_id);
-    if (it == incoming_by_id_.end())
+  if (!role_is_push(role)) {
+    // Pull side: serve a chunk of an open outbound read.
+    BundlePullChunkRequest request =
+        BundlePullChunkRequest::decode(role, transfer_id, r);
+    if (!r.ok()) return r.finish().error();
+    auto it = outgoing_.find(transfer_id);
+    if (it == outgoing_.end())
       return make_error(ErrorCode::kNotFound,
-                        "no such transfer (receiver restarted?)");
-    return push_chunk(principal, *it->second, r);
+                        "no such transfer (source restarted?)");
+    Outgoing& outgoing = it->second;
+    if (request.file_index >= outgoing.blobs.size())
+      return make_error(ErrorCode::kInvalidArgument,
+                        "bundle file index out of range");
+    const uspace::FileBlob& blob = *outgoing.blobs[request.file_index];
+    if (request.index >= chunk_count(blob.size(), outgoing.chunk_bytes))
+      return make_error(ErrorCode::kInvalidArgument,
+                        "chunk index out of range");
+    touch(outgoing.id, outgoing.expiry);
+    Chunk chunk = make_chunk(blob, request.index, outgoing.chunk_bytes);
+    util::ByteWriter w;
+    chunk.encode(w);
+    return w.take();
   }
 
-  // Pull side: serve a chunk of an open outbound read.
-  auto it = outgoing_.find(transfer_id);
-  if (it == outgoing_.end())
+  BundleChunkRequest request = BundleChunkRequest::decode(transfer_id, r);
+  if (!r.ok()) return r.finish().error();
+  auto it = incoming_by_id_.find(transfer_id);
+  if (it == incoming_by_id_.end())
     return make_error(ErrorCode::kNotFound,
-                      "no such transfer (source restarted?)");
-  BundlePullChunkRequest request =
-      BundlePullChunkRequest::decode(role, transfer_id, r);
-  Outgoing& outgoing = it->second;
-  if (request.file_index >= outgoing.blobs.size())
-    return make_error(ErrorCode::kInvalidArgument,
-                      "bundle file index out of range");
-  const uspace::FileBlob& blob = *outgoing.blobs[request.file_index];
-  if (request.index >= chunk_count(blob.size(), outgoing.chunk_bytes))
-    return make_error(ErrorCode::kInvalidArgument, "chunk index out of range");
-  touch_outgoing(outgoing);
-  Chunk chunk = make_chunk(blob, request.index, outgoing.chunk_bytes);
-  util::ByteWriter w;
-  chunk.encode(w);
-  return w.take();
-}
-
-Result<Bytes> Service::push_chunk(const crypto::DistinguishedName& principal,
-                                  Incoming& incoming, util::ByteReader& r) {
-  BundleChunkRequest request = BundleChunkRequest::decode(incoming.id, r);
+                      "no such transfer (receiver restarted?)");
+  Incoming& incoming = *it->second;
   if (incoming.manifest.principal != principal)
     return make_error(ErrorCode::kPermissionDenied,
                       "transfer belongs to another principal");
+  touch(incoming.id, incoming.expiry);
   if (request.file_index >= incoming.assemblies.size())
     return make_error(ErrorCode::kInvalidArgument,
                       "bundle file index out of range");
@@ -404,19 +408,13 @@ Result<Bytes> Service::close(const crypto::DistinguishedName& principal,
                              bool server_peer, Role role, util::ByteReader& r) {
   if (auto allowed = check_role(role, server_peer); !allowed.ok())
     return allowed.error();
-  if (role_is_push(role)) return close_push(principal, role, r);
   BundleCloseRequest request = BundleCloseRequest::decode(role, r);
-  if (auto it = outgoing_.find(request.transfer_id); it != outgoing_.end()) {
-    if (it->second.expiry != 0) engine_.cancel(it->second.expiry);
-    outgoing_.erase(it);
-    update_gauges();
+  if (!r.ok()) return r.finish().error();
+  if (!role_is_push(role)) {
+    // Idempotent: closing an unknown read is fine.
+    if (outgoing_.count(request.transfer_id) != 0) drop(request.transfer_id);
+    return Bytes{};
   }
-  return Bytes{};  // idempotent: closing an unknown read is fine
-}
-
-Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
-                                  Role role, util::ByteReader& r) {
-  BundleCloseRequest request = BundleCloseRequest::decode(role, r);
   if (completed_.count(request.key) != 0) return Bytes{};  // idempotent
 
   auto by_id = incoming_by_id_.find(request.transfer_id);
@@ -431,6 +429,7 @@ Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
   if (incoming->manifest.principal != principal)
     return make_error(ErrorCode::kPermissionDenied,
                       "transfer belongs to another principal");
+  touch(incoming->id, incoming->expiry);
 
   // Retry files whose delivery failed earlier (complete assemblies).
   std::size_t delivered_count = 0;
@@ -459,33 +458,40 @@ Result<Bytes> Service::close_push(const crypto::DistinguishedName& principal,
        {"bytes", std::to_string(bytes)},
        {"from", incoming->manifest.principal.common_name}});
   ++transfers_completed_;
-  util::Bytes key = incoming->manifest.key;  // copy: erase frees `incoming`
-  completed_.insert(key);
-  buffered_ -= buffered_in(*incoming);
-  incoming_by_id_.erase(incoming->id);
-  incoming_.erase(key);
-  update_gauges();
+  completed_.insert(incoming->manifest.key);
+  drop(incoming->id);
   return Bytes{};
 }
 
-void Service::touch_outgoing(Outgoing& outgoing) {
-  if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
-  std::uint64_t id = outgoing.id;
-  outgoing.expiry = engine_.after(limits_.read_idle_timeout, [this, id] {
-    outgoing_.erase(id);
-    update_gauges();
-  });
+void Service::touch(std::uint64_t id, sim::EventId& expiry) {
+  engine_.cancel(expiry);
+  expiry = engine_.after(limits_.idle_timeout, [this, id] { drop(id); });
+}
+
+void Service::drop(std::uint64_t id) {
+  if (auto out = outgoing_.find(id); out != outgoing_.end()) {
+    engine_.cancel(out->second.expiry);
+    outgoing_.erase(out);
+  } else if (auto in = incoming_by_id_.find(id); in != incoming_by_id_.end()) {
+    Incoming& incoming = *in->second;
+    engine_.cancel(incoming.expiry);
+    buffered_ -= buffered_in(incoming);
+    util::Bytes key = incoming.manifest.key;  // copy: erase frees `incoming`
+    incoming_by_id_.erase(in);
+    incoming_.erase(key);
+  }
+  update_gauges();
 }
 
 void Service::on_njs_crash() {
   // The process died: every in-memory table goes. The journal (a disk)
   // is what on_njs_recover rebuilds from.
+  for (auto& [id, incoming] : incoming_by_id_) engine_.cancel(incoming->expiry);
   incoming_.clear();
   incoming_by_id_.clear();
   buffered_ = 0;
   completed_.clear();
-  for (auto& [id, outgoing] : outgoing_)
-    if (outgoing.expiry != 0) engine_.cancel(outgoing.expiry);
+  for (auto& [id, outgoing] : outgoing_) engine_.cancel(outgoing.expiry);
   outgoing_.clear();
   update_gauges();
 }
@@ -529,6 +535,7 @@ void Service::fold_journal(const njs::Journal& journal) {
     // the (durable) workspace — idempotent, same file content.
     for (std::uint32_t i = 0; i < incoming->assemblies.size(); ++i)
       if (incoming->assemblies[i].complete()) (void)deliver_file(*incoming, i);
+    touch(incoming->id, incoming->expiry);
     incoming_by_id_[incoming->id] = incoming.get();
     incoming_.emplace(incoming->manifest.key, std::move(incoming));
     ++transfers_recovered_;

@@ -45,9 +45,10 @@ class Service : public njs::CrashParticipant {
     std::uint32_t max_credit = 64;
     /// Hard cap on what a one-file pull open may inline.
     std::uint32_t inline_limit = 256 * 1024;
-    /// Outbound reads with no chunk request for this long are dropped
-    /// (pullers that died without closing).
-    sim::Time read_idle_timeout = sim::sec(300);
+    /// A transfer that sees no open, chunk or close for this long is
+    /// dropped with everything it holds: inbound bundles whose sender
+    /// gave up, outbound reads whose puller died without closing.
+    sim::Time idle_timeout = sim::sec(300);
   };
 
   Service(sim::Engine& engine, njs::Njs& njs) : engine_(engine), njs_(njs) {}
@@ -122,6 +123,7 @@ class Service : public njs::CrashParticipant {
     std::vector<bool> delivered;
     std::uint64_t id = 0;
     sim::Time opened_at = 0;
+    sim::EventId expiry = 0;
   };
   struct Outgoing {
     std::uint64_t id = 0;
@@ -136,18 +138,16 @@ class Service : public njs::CrashParticipant {
   util::Result<util::Bytes> open_pull(
       const crypto::DistinguishedName& principal, Role role,
       util::ByteReader& r);
-  util::Result<util::Bytes> push_chunk(
-      const crypto::DistinguishedName& principal, Incoming& incoming,
-      util::ByteReader& r);
-  util::Result<util::Bytes> close_push(
-      const crypto::DistinguishedName& principal, Role role,
-      util::ByteReader& r);
 
   std::uint32_t clamp_chunk_bytes(std::uint32_t proposed) const;
   std::uint32_t credit_for_bytes(std::uint32_t chunk_bytes) const;
   static std::uint64_t buffered_in(const Incoming& incoming);
   BundleOpenReply resume_reply(const Incoming& incoming) const;
-  void touch_outgoing(Outgoing& outgoing);
+  /// Re-arms the idle timer `expiry` of transfer `id`.
+  void touch(std::uint64_t id, sim::EventId& expiry);
+  /// Drops transfer `id` from whichever table holds it, with its timer,
+  /// its buffered bytes and its assemblies' chunk-store references.
+  void drop(std::uint64_t id);
   void update_gauges();
   void fold_journal(const njs::Journal& journal);
   /// Assembly::accept, keeping the buffered total in step.

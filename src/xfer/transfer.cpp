@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 namespace unicore::xfer {
@@ -22,16 +21,13 @@ bool needs_resume(ErrorCode code) {
   return code == ErrorCode::kNotFound || code == ErrorCode::kFailedPrecondition;
 }
 
-/// Decodes a reply body; a truncated or garbled one yields nothing
-/// instead of throwing into the transport's callback.
+/// Decodes a reply body; a truncated or garbled one yields nothing.
 template <typename T>
 std::optional<T> decode_reply(const util::Bytes& body) {
-  try {
-    util::ByteReader r{body};
-    return T::decode(r);
-  } catch (const std::out_of_range&) {
-    return std::nullopt;
-  }
+  util::ByteReader r{body};
+  T reply = T::decode(r);
+  if (!r.ok()) return std::nullopt;
+  return reply;
 }
 
 /// One (file index, chunk index) unit of work.

@@ -18,8 +18,7 @@
 // which chunks the receiver already journaled, and send only the rest.
 // Acknowledgements from before a resume carry a stale generation and
 // are ignored. A reply body that does not decode counts as a failed
-// chunk (or, for an open, a failed open): it never throws into the
-// transport's callback.
+// chunk (or, for an open, a failed open).
 #pragma once
 
 #include <cstdint>

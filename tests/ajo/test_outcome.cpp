@@ -86,9 +86,9 @@ TEST(Outcome, EncodeDecodeRoundTrip) {
   util::ByteWriter w;
   tree.encode(w);
   util::ByteReader r(w.bytes());
-  auto back = Outcome::decode(r);
-  ASSERT_TRUE(back.ok()) << back.error().to_string();
-  EXPECT_EQ(back.value(), tree);
+  Outcome back = Outcome::decode(r);
+  ASSERT_TRUE(r.ok()) << r.finish().to_string();
+  EXPECT_EQ(back, tree);
   EXPECT_TRUE(r.done());
 }
 
@@ -102,7 +102,8 @@ TEST(Outcome, DecodeRejectsTruncation) {
     util::Bytes prefix(wire.begin(),
                        wire.begin() + static_cast<std::ptrdiff_t>(cut));
     util::ByteReader r(prefix);
-    EXPECT_FALSE(Outcome::decode(r).ok()) << cut;
+    (void)Outcome::decode(r);
+    EXPECT_FALSE(r.ok()) << cut;
   }
 }
 
@@ -124,15 +125,18 @@ TEST(Outcome, DecodeRefusesNestingBeyondTheBound) {
   // The root is depth 0; the innermost outcome here sits at the bound.
   util::Bytes at_bound = nested_outcomes(util::kMaxNesting + 1);
   util::ByteReader fits(at_bound);
-  EXPECT_TRUE(Outcome::decode(fits).ok());
+  (void)Outcome::decode(fits);
+  EXPECT_TRUE(fits.ok());
   EXPECT_TRUE(fits.done());
   util::Bytes over = nested_outcomes(util::kMaxNesting + 2);
   util::ByteReader too_deep(over);
-  EXPECT_FALSE(Outcome::decode(too_deep).ok());
+  (void)Outcome::decode(too_deep);
+  EXPECT_FALSE(too_deep.ok());
   // Deep enough to overflow the stack of an unbounded recursive decoder.
   util::Bytes deep = nested_outcomes(100'000);
   util::ByteReader r(deep);
-  auto decoded = Outcome::decode(r);
+  (void)Outcome::decode(r);
+  util::Status decoded = r.finish();
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.error().message.find("nested too deeply"),
             std::string::npos)

@@ -239,6 +239,39 @@ TEST_F(ClusterFixture, DeadPartitionIsUnroutableUntilAdopted) {
   EXPECT_EQ(cluster.owner_of(token), adopter);
 }
 
+TEST_F(ClusterFixture, JournalInfoSumsEveryReplica) {
+  for (int i = 0; i < 6; ++i) consign("j" + std::to_string(i));
+  JournalInfo info = cluster.journal_info();
+  EXPECT_TRUE(info.has_journal);
+  std::uint64_t records = 0;
+  for (std::size_t i = 0; i < cluster.replica_count(); ++i)
+    records += cluster.journal(i)->records();
+  EXPECT_GE(records, 6u);
+  EXPECT_EQ(info.records, records);
+  EXPECT_EQ(info.recoveries, 0u);
+}
+
+TEST(JournalInfo, WireBytesArePinned) {
+  // u8 has_journal | varint records | u64 recoveries | u64 deduped |
+  // u64 retries
+  const util::Bytes pinned{0x01, 0xac, 0x02,  // true, 300
+                           0, 0, 0, 0, 0, 0, 0, 1,
+                           0, 0, 0, 0, 0, 0, 0, 2,
+                           0, 0, 0, 0, 0, 0, 0, 3};
+  util::ByteWriter w;
+  JournalInfo{true, 300, 1, 2, 3}.encode(w);
+  EXPECT_EQ(w.bytes(), pinned);
+
+  util::ByteReader r(pinned);
+  JournalInfo back = JournalInfo::decode(r);
+  ASSERT_TRUE(r.finish().ok());
+  EXPECT_TRUE(back.has_journal);
+  EXPECT_EQ(back.records, 300u);
+  EXPECT_EQ(back.recoveries, 1u);
+  EXPECT_EQ(back.consigns_deduped, 2u);
+  EXPECT_EQ(back.batch_retries, 3u);
+}
+
 TEST_F(ClusterFixture, ReplicaGaugesTrackJobsAndHandoffs) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   cluster.set_metrics(registry);

@@ -118,22 +118,22 @@ TEST(SnapshotTest, WireRoundTrip) {
   util::Bytes wire = writer.take();
 
   util::ByteReader reader{wire};
-  auto decoded = MetricsSnapshot::decode(reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-  ASSERT_EQ(decoded.value().points.size(), original.points.size());
+  MetricsSnapshot decoded = MetricsSnapshot::decode(reader);
+  ASSERT_TRUE(reader.ok()) << reader.finish().to_string();
+  ASSERT_EQ(decoded.points.size(), original.points.size());
 
   const MetricPoint* counter =
-      decoded.value().find("unicore_a_total", {{"usite", "FZJ"}});
+      decoded.find("unicore_a_total", {{"usite", "FZJ"}});
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->kind, MetricKind::kCounter);
   EXPECT_DOUBLE_EQ(counter->value, 41.5);
 
-  const MetricPoint* gauge = decoded.value().find("unicore_b_depth", {});
+  const MetricPoint* gauge = decoded.find("unicore_b_depth", {});
   ASSERT_NE(gauge, nullptr);
   EXPECT_DOUBLE_EQ(gauge->value, -3.0);
 
   const MetricPoint* histogram =
-      decoded.value().find("unicore_c_seconds", {{"vsite", "T3E"}});
+      decoded.find("unicore_c_seconds", {{"vsite", "T3E"}});
   ASSERT_NE(histogram, nullptr);
   EXPECT_EQ(histogram->kind, MetricKind::kHistogram);
   EXPECT_EQ(histogram->bounds, std::vector<double>({0.1, 1.0}));
@@ -152,8 +152,8 @@ TEST(SnapshotTest, DecodeRejectsUnknownKind) {
   util::Bytes wire = writer.take();
 
   util::ByteReader reader{wire};
-  auto decoded = MetricsSnapshot::decode(reader);
-  EXPECT_FALSE(decoded.ok());
+  (void)MetricsSnapshot::decode(reader);
+  EXPECT_FALSE(reader.ok());
 }
 
 TEST(SnapshotTest, PrometheusRender) {

@@ -104,18 +104,18 @@ TEST(Trace, WireRoundTrip) {
   util::Bytes wire = writer.take();
 
   util::ByteReader reader{wire};
-  auto decoded = TraceTimeline::decode(reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-  ASSERT_EQ(decoded.value().spans().size(), 3u);
-  EXPECT_TRUE(decoded.value().validate().ok());
+  TraceTimeline decoded = TraceTimeline::decode(reader);
+  ASSERT_TRUE(reader.ok()) << reader.finish().to_string();
+  ASSERT_EQ(decoded.spans().size(), 3u);
+  EXPECT_TRUE(decoded.validate().ok());
 
-  const Span& decoded_root = decoded.value().spans()[0];
+  const Span& decoded_root = decoded.spans()[0];
   EXPECT_EQ(decoded_root.name, "consign");
   EXPECT_EQ(decoded_root.start, sim::msec(100));
   EXPECT_EQ(decoded_root.end, sim::sec(5));
   ASSERT_EQ(decoded_root.attributes.size(), 1u);
   EXPECT_EQ(decoded_root.attributes[0].second, "CN=Jane Doe");
-  EXPECT_EQ(decoded.value().spans()[2].parent, submit);
+  EXPECT_EQ(decoded.spans()[2].parent, submit);
 }
 
 TEST(Trace, ToStringRendersTree) {

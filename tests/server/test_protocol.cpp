@@ -52,9 +52,9 @@ TEST(Protocol, NotificationCarriesOutcome) {
   util::ByteReader r(wire);
   EXPECT_EQ(static_cast<MessageType>(r.u8()), MessageType::kNotification);
   EXPECT_EQ(r.u64(), 55u);
-  auto back = ajo::Outcome::decode(r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), outcome);
+  ajo::Outcome back = ajo::Outcome::decode(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(back, outcome);
 }
 
 TEST(Protocol, UserCodecRoundTrip) {
@@ -104,24 +104,24 @@ TEST(Protocol, ForwardedConsignmentRoundTrip) {
 
   util::Bytes wire = encode_forwarded(consignment);
   util::ByteReader r(wire);
-  auto back = decode_forwarded(r);
-  ASSERT_TRUE(back.ok()) << back.error().to_string();
-  EXPECT_EQ(ajo::encode_action(back.value().job),
+  njs::ForwardedConsignment back = decode_forwarded(r);
+  ASSERT_TRUE(r.ok()) << r.finish().to_string();
+  EXPECT_EQ(ajo::encode_action(back.job),
             ajo::encode_action(consignment.job));
-  EXPECT_EQ(back.value().user_certificate, user.certificate);
-  EXPECT_EQ(back.value().consignor_certificate, server.certificate);
-  EXPECT_EQ(back.value().signature, consignment.signature);
-  ASSERT_EQ(back.value().staged_files.size(), 2u);
-  EXPECT_EQ(back.value().staged_files[0].second,
+  EXPECT_EQ(back.user_certificate, user.certificate);
+  EXPECT_EQ(back.consignor_certificate, server.certificate);
+  EXPECT_EQ(back.signature, consignment.signature);
+  ASSERT_EQ(back.staged_files.size(), 2u);
+  EXPECT_EQ(back.staged_files[0].second,
             consignment.staged_files[0].second);
-  EXPECT_EQ(back.value().staged_files[1].second,
+  EXPECT_EQ(back.staged_files[1].second,
             consignment.staged_files[1].second);
   // The signature still verifies after the round trip.
   EXPECT_TRUE(crypto::verify_message(
       server.key.pub,
       njs::ForwardedConsignment::signing_input(
-          back.value().job, back.value().user_certificate),
-      back.value().signature));
+          back.job, back.user_certificate),
+      back.signature));
 }
 
 TEST(Protocol, RequestKindNamesDistinct) {

@@ -351,6 +351,135 @@ TEST(ServerRequests, MutatedRequestsNeverStopTheServer) {
   EXPECT_EQ(last.u8(), 1);
 }
 
+// Every truncation of a valid request that would act on a job, a
+// session or a transfer: a cut before the request id is dropped, and
+// every later cut gets one kInvalidArgument reply and changes nothing
+// the request names. A hold cut before its command byte is the case to
+// watch: the zero value of the missing byte is Command::kAbort.
+TEST(ServerRequests, MalformedRequestsLeaveNoTrace) {
+  testing::QuietLog quiet;
+  SingleSite site(90);
+  RawClient raw(site, site.user);
+  auto reply_body = [&raw] {
+    util::ByteReader r(raw.replies.back());
+    r.skip(10);  // type, request id, ok
+    return r;
+  };
+  // Runs each exchange for 100 ms of virtual time, not to quiescence:
+  // the job must keep running and the push stay inside its idle timeout.
+  sim::Engine& engine = site.grid.engine();
+  auto send = [&](util::Bytes wire) {
+    raw.channel->send(std::move(wire));
+    engine.run_until(engine.now() + sim::msec(100));
+  };
+
+  // A job that runs for a long time, to hold or abort.
+  ajo::AbstractJobObject job;
+  job.set_name("target");
+  job.vsite = SingleSite::kVsite;
+  job.user = site.user.certificate.subject;
+  auto task = std::make_unique<ajo::ExecuteScriptTask>();
+  task->set_name("step");
+  task->script = "sleep\n";
+  task->set_resource_request({1, 600, 64, 0, 8});
+  task->behavior.nominal_seconds = 1e6;
+  job.add(std::move(task));
+  send(make_request(RequestKind::kConsign, 1,
+                    ajo::sign_ajo(job, site.user).encode()));
+  ASSERT_TRUE(raw.last_reply_status().first);
+  const ajo::JobToken token = reply_body().u64();
+
+  // A client push into the job, left open: of its two small synthetic
+  // files the first is delivered, the second still missing.
+  const uspace::FileBlob first = uspace::FileBlob::synthetic(40, 1);
+  const uspace::FileBlob second = uspace::FileBlob::synthetic(40, 2);
+  xfer::BundleOpenRequest open;
+  open.role = xfer::Role::kClientPush;
+  open.token = token;
+  open.proposed_chunk_bytes = xfer::kMinChunkBytes;
+  open.files = {{"first.bin", first.size(), first.checksum(), true, {}},
+                {"second.bin", second.size(), second.checksum(), true, {}}};
+  open.key = xfer::make_bundle_key("ws.example.de", token, open.files);
+  send(make_request(RequestKind::kXferBundleOpen, 2, open.encode()));
+  ASSERT_TRUE(raw.last_reply_status().first);
+  util::ByteReader open_reply = reply_body();
+  const xfer::BundleOpenReply opened = xfer::BundleOpenReply::decode(open_reply);
+  ASSERT_TRUE(open_reply.finish().ok());
+  auto chunk_of = [&](std::uint32_t file, const uspace::FileBlob& blob) {
+    xfer::BundleChunkRequest request;
+    request.role = xfer::Role::kClientPush;
+    request.transfer_id = opened.transfer_id;
+    request.file_index = file;
+    request.chunk = xfer::make_chunk(blob, 0, opened.chunk_bytes);
+    return request.encode();
+  };
+  send(make_request(RequestKind::kXferChunk, 3, chunk_of(0, first)));
+  ASSERT_TRUE(raw.last_reply_status().first);
+
+  util::ByteWriter hold;
+  hold.u64(token);
+  hold.u8(static_cast<std::uint8_t>(ajo::ControlService::Command::kHold));
+  util::ByteWriter by_token;
+  by_token.u64(token);
+  util::ByteWriter ttl;
+  ttl.i64(0);
+  xfer::BundleCloseRequest close;
+  close.role = xfer::Role::kClientPush;
+  close.transfer_id = opened.transfer_id;
+  close.key = open.key;
+  const std::vector<std::pair<RequestKind, util::Bytes>> payloads{
+      {RequestKind::kControl, hold.bytes()},
+      {RequestKind::kStorageReap, by_token.bytes()},
+      {RequestKind::kSessionOpen, ttl.bytes()},
+      {RequestKind::kXferBundleOpen, open.encode()},
+      {RequestKind::kXferChunk, chunk_of(1, second)},
+      {RequestKind::kXferBundleClose, close.encode()},
+  };
+
+  njs::Njs& njs = site.server->njs();
+  xfer::Service& service = site.server->xfer_service();
+  auto state = [&] {
+    auto outcome = njs.query(token, ajo::QueryService::Detail::kTasks);
+    auto files = njs.storage_files(token);
+    EXPECT_TRUE(outcome.ok() && files.ok());
+    util::ByteWriter w;  // the job's whole outcome tree
+    if (outcome.ok()) outcome.value().encode(w);
+    return std::make_tuple(w.take(), files.value_or({}),
+                           site.server->session_broker().active(),
+                           site.server->chunk_store()->stats().total_refs,
+                           service.inbound_open(), service.chunks_applied(),
+                           service.files_delivered());
+  };
+  const auto before = state();
+  EXPECT_EQ(std::get<1>(before), std::vector<std::string>{"first.bin"});
+  EXPECT_EQ(std::get<4>(before), 1u);  // the push is open
+
+  std::uint64_t id = 10;
+  std::size_t answered = 0;
+  for (const auto& [kind, payload] : payloads) {
+    const util::Bytes request = make_request(kind, ++id, payload);
+    for (std::size_t cut = 0; cut < request.size(); ++cut) {
+      SCOPED_TRACE(std::string(request_kind_name(kind)) + " cut at " +
+                   std::to_string(cut));
+      const std::size_t replies = raw.replies.size();
+      send(util::Bytes(request.begin(),
+                       request.begin() + static_cast<std::ptrdiff_t>(cut)));
+      if (cut < 10) {  // type, kind and request id
+        EXPECT_EQ(raw.replies.size(), replies);
+        continue;
+      }
+      ASSERT_EQ(raw.replies.size(), replies + 1);
+      ++answered;
+      auto [ok, error] = raw.last_reply_status();
+      EXPECT_FALSE(ok);
+      EXPECT_EQ(error.code, util::ErrorCode::kInvalidArgument)
+          << error.message;
+    }
+    EXPECT_TRUE(state() == before);
+  }
+  EXPECT_GT(answered, 300u);
+}
+
 // ---- malformed replies from a raw server -----------------------------------
 
 /// A secure-channel server that answers every request with a truncated

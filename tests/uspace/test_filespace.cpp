@@ -117,17 +117,20 @@ TEST(FileBlob, DecodeRefusesContentThatIsNotItsIdentity) {
   util::Bytes flipped = wire;
   flipped.back() ^= 0x01;  // the last content byte
   util::ByteReader flipped_reader(flipped);
-  EXPECT_THROW((void)FileBlob::decode(flipped_reader), std::out_of_range);
+  (void)FileBlob::decode(flipped_reader);
+  EXPECT_FALSE(flipped_reader.ok());
 
   util::Bytes resized = wire;
   resized[1 + 7] += 1;  // the low byte of the declared size
   util::ByteReader resized_reader(resized);
-  EXPECT_THROW((void)FileBlob::decode(resized_reader), std::out_of_range);
+  (void)FileBlob::decode(resized_reader);
+  EXPECT_FALSE(resized_reader.ok());
 
   util::Bytes renamed = wire;
   renamed[1 + 8] ^= 0x80;  // the first byte of the declared identity
   util::ByteReader renamed_reader(renamed);
-  EXPECT_THROW((void)FileBlob::decode(renamed_reader), std::out_of_range);
+  (void)FileBlob::decode(renamed_reader);
+  EXPECT_FALSE(renamed_reader.ok());
 }
 
 TEST(Volume, WriteReadRemove) {

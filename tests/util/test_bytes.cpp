@@ -72,18 +72,73 @@ TEST(Varint, SmallValuesAreOneByte) {
   }
 }
 
-TEST(ByteReader, ThrowsOnTruncatedInput) {
+TEST(ByteReader, FailsOnTruncatedInput) {
   ByteWriter w;
   w.u32(5);
   ByteReader r(w.bytes());
-  EXPECT_THROW(r.u64(), std::out_of_range);
+  (void)r.u64();
+  EXPECT_FALSE(r.ok());
 }
 
-TEST(ByteReader, ThrowsOnOversizedBlobLength) {
+TEST(ByteReader, FailsOnOversizedBlobLength) {
   // A varint length far beyond the actual data must not allocate.
   Bytes evil{0xff, 0xff, 0xff, 0xff, 0x0f};  // varint ~2^32
   ByteReader r(evil);
-  EXPECT_THROW(r.blob(), std::out_of_range);
+  (void)r.blob();
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteReader, FailsOnVarintLongerThan64Bits) {
+  Bytes ten(10, 0x80);  // ten continuation bytes, then a final one
+  ten.push_back(0x01);
+  ByteReader r(ten);
+  EXPECT_EQ(r.varint(), 0u);
+  EXPECT_FALSE(r.ok());
+  // The longest varint the writer emits still reads.
+  ByteWriter w;
+  w.varint(std::numeric_limits<std::uint64_t>::max());
+  ByteReader max(w.bytes());
+  EXPECT_EQ(max.varint(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(max.finish().ok());
+}
+
+TEST(ByteReader, FirstFailureSticksAndLaterReadsAreZero) {
+  ByteWriter w;
+  w.u8(7);
+  w.str("tail");
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.u8(), 7);
+  (void)r.u64();  // 5 bytes left: fails
+  ASSERT_FALSE(r.ok());
+  const std::size_t at = r.position();
+  EXPECT_EQ(at, 1u);  // the failed read consumed nothing
+  // Reads that would fit now return zero values and consume nothing.
+  EXPECT_EQ(r.u8(), 0);
+  EXPECT_EQ(r.str(), "");
+  EXPECT_TRUE(r.strings().empty());
+  EXPECT_EQ(r.fixed<2>(), (std::array<std::uint8_t, 2>{}));
+  EXPECT_EQ(r.position(), at);
+  // Only the first failure is kept, and finish() reports it.
+  r.fail(util::make_error(util::ErrorCode::kNotFound, "later"));
+  util::Status status = r.finish();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, util::ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.error().message.find("truncated"), std::string::npos)
+      << status.error().message;
+}
+
+TEST(ByteReader, FinishRefusesBytesLeftOver) {
+  Bytes data{1, 2};
+  ByteReader r(data);
+  EXPECT_EQ(r.u8(), 1);
+  EXPECT_TRUE(r.ok());
+  EXPECT_FALSE(r.finish().ok());
+  EXPECT_EQ(r.u8(), 2);
+  EXPECT_TRUE(r.finish().ok());
+  // A decoder's own failure sticks like a short read.
+  r.fail(util::make_error(util::ErrorCode::kInvalidArgument, "bad tag"));
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.finish().error().message, "bad tag");
 }
 
 TEST(ByteRoundTrip, StringsAndBlobs) {
@@ -110,7 +165,8 @@ TEST(ByteReader, CountRefusesMoreElementsThanBytesLeft) {
     bad.varint(forged);
     bad.raw(Bytes{1, 2, 3});
     ByteReader r(bad.bytes());
-    EXPECT_THROW(r.count(), std::out_of_range) << forged;
+    (void)r.count();
+    EXPECT_FALSE(r.ok()) << forged;
   }
 }
 
@@ -133,7 +189,8 @@ TEST(ByteRoundTrip, StringList) {
 
   Bytes forged{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40};  // 2^62
   ByteReader f(forged);
-  EXPECT_THROW(f.strings(), std::out_of_range);
+  (void)f.strings();
+  EXPECT_FALSE(f.ok());
 }
 
 TEST(ByteReader, FixedReadsExactlyNBytes) {
@@ -141,7 +198,8 @@ TEST(ByteReader, FixedReadsExactlyNBytes) {
   ByteReader r(data);
   EXPECT_EQ(r.fixed<3>(), (std::array<std::uint8_t, 3>{1, 2, 3}));
   EXPECT_EQ(r.remaining(), 2u);
-  EXPECT_THROW(r.fixed<3>(), std::out_of_range);
+  (void)r.fixed<3>();
+  EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.position(), 3u);  // a refused read consumes nothing
 }
 

@@ -180,6 +180,41 @@ struct TransferFixture : public ::testing::Test {
     return out;
   }
 
+  /// Pushes `files` over a link that fails for good 3 ms in, so the
+  /// sender gives up and leaves a half-assembled inbound transfer. Runs
+  /// the engine until a second before the receiver's idle timeout, so
+  /// the abandoned transfer is still open on return; returns whether
+  /// the push succeeded.
+  bool abandon_push(std::vector<BundleFile> files) {
+    auto transport = std::make_shared<Loopback>(engine, service, 2);
+    TransferOptions options = small_chunks();
+    options.max_resume_attempts = 1;  // give up on the first outage
+    options.max_chunk_retries = 0;
+    engine.after(sim::msec(3), [transport] {
+      transport->fail_next_calls = 1'000'000;
+    });
+    auto pushed = std::make_shared<std::optional<bool>>();
+    manager.push(transport, PushSpec{"FZ-Juelich", token}, std::move(files),
+                 options, [pushed](util::Result<TransferStats> result) {
+                   *pushed = result.ok();
+                 });
+    engine.run_until(engine.now() + service.limits().idle_timeout -
+                     sim::sec(1));
+    EXPECT_TRUE(pushed->has_value()) << "the sender never gave up";
+    return pushed->value_or(true);
+  }
+
+  /// Hands one request body to the service as the peer NJS, the way
+  /// the server layer does.
+  util::Result<util::Bytes> serve(Op op, const util::Bytes& wire) {
+    util::ByteReader r{wire};
+    auto role = static_cast<Role>(r.u8());
+    const crypto::DistinguishedName peer = dn("peer-njs");
+    if (op == Op::kOpen) return service.open(peer, true, role, r);
+    if (op == Op::kChunk) return service.chunk(peer, true, role, r);
+    return service.close(peer, true, role, r);
+  }
+
   util::Result<TransferStats> push_blob(std::shared_ptr<Loopback> transport,
                                         const uspace::FileBlob& blob,
                                         const std::string& name,
@@ -589,28 +624,33 @@ TEST_F(StoreTransferFixture, CrashResumeLeavesNoOrphanedRefcounts) {
 }
 
 TEST_F(StoreTransferFixture, AbandonedTransferReleasesInFlightRefs) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(1 << 20, 5);
-  TransferOptions options = small_chunks();
-  options.max_resume_attempts = 1;  // give up on the first outage
-  options.max_chunk_retries = 0;
   // Let the open and the first chunks through, then cut the link for
   // good: the sender abandons a half-assembled inbound transfer whose
   // chunks hold store refs.
-  engine.after(sim::msec(3), [&transport] {
-    transport->fail_next_calls = 1'000'000;
-  });
-  auto stats = push_blob(transport, blob, "doomed.bin", options);
-  ASSERT_FALSE(stats.ok());
+  ASSERT_FALSE(abandon_push(make_files(1, 1 << 20, "doomed.bin", 5)));
   ASSERT_EQ(service.inbound_open(), 1u);
+  EXPECT_GT(chunk_store->stats().total_refs, 0u);
 
-  // The process dies with the half-open table: every in-flight
+  // Idle past the timeout, the transfer is dropped: every in-flight
   // assembly's refs must be released, leaving the store empty (the
   // receiver job's own files predate the store and pin nothing).
-  njs.crash();
+  engine.run();
   EXPECT_EQ(service.inbound_open(), 0u);
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
   EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
+}
+
+TEST_F(StoreTransferFixture, RecoveredTransferExpiresWhenItsSenderIsGone) {
+  ASSERT_FALSE(abandon_push(make_files(1, 1 << 20, "orphan.bin", 6)));
+  njs.crash();
+  ASSERT_TRUE(njs.recover().ok());
+  // Recovery rebuilt the transfer from the journal, and its chunks took
+  // their refs again; no sender comes back for it.
+  ASSERT_EQ(service.inbound_open(), 1u);
+  EXPECT_GT(chunk_store->stats().total_refs, 0u);
+  engine.run();
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
 }
 
 TEST_F(StoreTransferFixture, ReapReclaimsPhysicalBytesAndRecordsMetric) {
@@ -970,16 +1010,9 @@ TEST_F(TransferFixture, BufferedBytesGaugeTracksAssembliesDuringABundlePush) {
 TEST_F(TransferFixture, BufferedBytesGaugeReadsZeroAfterAbandonAndRecovery) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   njs.set_metrics(registry);
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
   std::vector<BundleFile> files = make_real_files(1, 1 << 20, "lost.bin");
-  TransferOptions options = small_chunks();
-  options.max_resume_attempts = 1;
-  options.max_chunk_retries = 0;
   // The sender gives up mid-transfer, leaving a half-assembled file.
-  engine.after(sim::msec(3), [&transport] {
-    transport->fail_next_calls = 1'000'000;
-  });
-  ASSERT_FALSE(push_files(transport, files, options).ok());
+  ASSERT_FALSE(abandon_push(files));
   ASSERT_EQ(service.inbound_open(), 1u);
   EXPECT_GT(service.buffered_in_assemblies(), 0u);
   EXPECT_EQ(buffered_gauge(*registry),
@@ -1005,6 +1038,57 @@ TEST_F(TransferFixture, BufferedBytesGaugeReadsZeroAfterAbandonAndRecovery) {
   EXPECT_EQ(service.inbound_open(), 0u);
   EXPECT_EQ(buffered_gauge(*registry), 0.0);
   EXPECT_EQ(service.buffered_in_assemblies(), 0u);
+}
+
+TEST_F(TransferFixture, AbandonedTransferExpiresAndZeroesTheGauges) {
+  auto registry = std::make_shared<obs::MetricsRegistry>();
+  njs.set_metrics(registry);
+  ASSERT_FALSE(abandon_push(make_real_files(2, 1 << 20, "idle/f")));
+  ASSERT_EQ(service.inbound_open(), 1u);
+  EXPECT_GT(buffered_gauge(*registry), 0.0);
+
+  engine.run();  // the idle timeout fires
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(service.buffered_in_assemblies(), 0u);
+  EXPECT_EQ(buffered_gauge(*registry), 0.0);
+  EXPECT_EQ(registry->snapshot().total("unicore_xfer_open_inbound"), 0.0);
+}
+
+TEST_F(TransferFixture, TransferThatKeepsSendingIsNeverExpired) {
+  Service::Limits limits;
+  limits.idle_timeout = sim::sec(30);
+  service.set_limits(limits);
+  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 * kMinChunkBytes, 8);
+  BundleOpenRequest open;
+  open.token = token;
+  open.proposed_chunk_bytes = kMinChunkBytes;
+  open.files.push_back({"slow.bin", blob.size(), blob.checksum(), true, {}});
+  open.key = make_bundle_key("FZ-Juelich", token, open.files);
+  auto opened = serve(Op::kOpen, open.encode());
+  ASSERT_TRUE(opened.ok()) << opened.error().to_string();
+  util::ByteReader reply_reader{opened.value()};
+  BundleOpenReply reply = BundleOpenReply::decode(reply_reader);
+  ASSERT_TRUE(reply_reader.ok());
+  ASSERT_EQ(reply.chunk_bytes, kMinChunkBytes);
+
+  // One chunk every 20 s, inside the 30 s timeout: the transfer lives
+  // 100 s, far past it, and is never dropped.
+  for (std::uint64_t index = 0; index < 4; ++index) {
+    engine.run_until(engine.now() + sim::sec(20));
+    ASSERT_EQ(service.inbound_open(), 1u) << index;
+    BundleChunkRequest request;
+    request.transfer_id = reply.transfer_id;
+    request.chunk = make_chunk(blob, index, reply.chunk_bytes);
+    ASSERT_TRUE(serve(Op::kChunk, request.encode()).ok()) << index;
+  }
+  engine.run_until(engine.now() + sim::sec(20));
+  BundleCloseRequest close;
+  close.transfer_id = reply.transfer_id;
+  close.key = open.key;
+  auto closed = serve(Op::kClose, close.encode());
+  ASSERT_TRUE(closed.ok()) << closed.error().to_string();
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(delivered_checksum("slow.bin"), blob.checksum());
 }
 
 TEST_F(TransferFixture, ReceiveWindowFullFiresAtTheBufferLimit) {
@@ -1071,21 +1155,13 @@ uspace::FileBlob forged_content(std::uint64_t seed) {
 util::Result<util::Bytes> TransferFixture::push_declaring(
     const uspace::FileBlob& blob, const crypto::Digest& identity,
     const std::string& name, std::uint32_t chunk_bytes) {
-  auto call = [this](Op op, const util::Bytes& wire) {
-    util::ByteReader r{wire};
-    auto role = static_cast<Role>(r.u8());
-    const crypto::DistinguishedName peer = dn("peer-njs");
-    if (op == Op::kOpen) return service.open(peer, true, role, r);
-    if (op == Op::kChunk) return service.chunk(peer, true, role, r);
-    return service.close(peer, true, role, r);
-  };
   BundleOpenRequest open;
   open.token = token;
   open.proposed_chunk_bytes = chunk_bytes;
   open.files.push_back({name, blob.size(), identity, false,
                         blob.chunk_digests(chunk_bytes)});
   open.key = make_bundle_key("FZ-Juelich", token, open.files);
-  auto opened = call(Op::kOpen, open.encode());
+  auto opened = serve(Op::kOpen, open.encode());
   if (!opened.ok()) return opened.error();
   util::ByteReader reply_reader{opened.value()};
   BundleOpenReply reply = BundleOpenReply::decode(reply_reader);
@@ -1098,12 +1174,12 @@ util::Result<util::Bytes> TransferFixture::push_declaring(
     BundleChunkRequest request;
     request.transfer_id = reply.transfer_id;
     request.chunk = make_chunk(blob, index, reply.chunk_bytes);
-    (void)call(Op::kChunk, request.encode());
+    (void)serve(Op::kChunk, request.encode());
   }
   BundleCloseRequest close;
   close.transfer_id = reply.transfer_id;
   close.key = open.key;
-  return call(Op::kClose, close.encode());
+  return serve(Op::kClose, close.encode());
 }
 
 /// The file named `name` is never delivered, and the push cannot commit.
@@ -1125,8 +1201,8 @@ TEST_F(TransferFixture, ForgedIdentityPushIsNeverDeliveredFromBuffers) {
 
 TEST_F(StoreTransferFixture, ForgedIdentityPushIsNeverDeliveredFromTheStore) {
   expect_forged_push_refused("forged.bin", kDefaultChunkBytes);
-  // The dead transfer's references go with it.
-  njs.crash();
+  // The dead transfer's references go with it once it idles out.
+  engine.run();
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
   EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
 }
@@ -1145,7 +1221,7 @@ TEST_F(StoreTransferFixture, ForgedIdentityOfStoredChunksIsNeverDelivered) {
   // check stands between them and a delivery.
   expect_forged_push_refused("forged.bin", kDefaultChunkBytes);
   EXPECT_EQ(service.chunks_deduped() - deduped, 3u);
-  njs.crash();
+  engine.run();  // the refused transfer idles out
   EXPECT_EQ(chunk_store->stats().total_refs, refs);  // genuine.bin's own
 }
 
@@ -1154,7 +1230,7 @@ TEST_F(StoreTransferFixture, ForgedIdentityPushIsRefusedAtAClampedChunkSize) {
   limits.max_chunk_bytes = kMinChunkBytes;
   service.set_limits(limits);
   expect_forged_push_refused("clamped.bin", kDefaultChunkBytes);
-  njs.crash();
+  engine.run();  // the refused transfer idles out
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
   EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
 }

@@ -450,7 +450,7 @@ TEST(BundleCodec, CloseRequestKeyTravelsOnPushRolesOnly) {
   EXPECT_TRUE(pdec.key.empty());
 }
 
-TEST(Codec, TruncatedBodyThrowsInsteadOfMisparsing) {
+TEST(Codec, TruncatedBodyFailsInsteadOfMisparsing) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("abcdef");
   BundleChunkRequest req;
   req.transfer_id = 1;
@@ -460,7 +460,8 @@ TEST(Codec, TruncatedBodyThrowsInsteadOfMisparsing) {
   util::ByteReader r{wire};
   r.u8();  // role
   std::uint64_t id = r.u64();
-  EXPECT_THROW(BundleChunkRequest::decode(id, r), std::out_of_range);
+  (void)BundleChunkRequest::decode(id, r);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Codec, CountBeyondTheBodyIsRejectedBeforeAllocating) {
@@ -472,7 +473,8 @@ TEST(Codec, CountBeyondTheBodyIsRejectedBeforeAllocating) {
   w.u32(0);       // credit
   w.varint(1ull << 40);  // files
   util::ByteReader r{w.bytes()};
-  EXPECT_THROW(BundleOpenReply::decode(r), std::out_of_range);
+  (void)BundleOpenReply::decode(r);
+  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace
