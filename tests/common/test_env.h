@@ -14,7 +14,8 @@
 namespace unicore::testing {
 
 /// A small single-Usite deployment: one generic 16-node system, one
-/// mapped user, a ready trust store.
+/// mapped user, a ready trust store; optionally split behind a firewall
+/// or with several NJS replicas.
 struct SingleSite {
   static constexpr const char* kUsite = "FZ-Juelich";
   static constexpr const char* kVsite = "T3E-small";
@@ -25,12 +26,14 @@ struct SingleSite {
   crypto::Credential user;
   server::UsiteServer* server = nullptr;
 
-  explicit SingleSite(std::uint64_t seed = 42, bool split = false)
+  explicit SingleSite(std::uint64_t seed = 42, bool split = false,
+                      std::size_t njs_replicas = 1)
       : grid(seed) {
     grid::Grid::SiteSpec spec;
     spec.config.name = kUsite;
     spec.config.gateway_host = "gw.fz-juelich.de";
     spec.config.port = 4433;
+    spec.config.njs_replicas = njs_replicas;
     if (split) {
       spec.config.njs_host = "njs.fz-juelich.de";
       spec.config.njs_port = 7700;

@@ -358,7 +358,12 @@ TEST(ServerRequests, MutatedRequestsNeverStopTheServer) {
 // watch: the zero value of the missing byte is Command::kAbort.
 TEST(ServerRequests, MalformedRequestsLeaveNoTrace) {
   testing::QuietLog quiet;
-  SingleSite site(90);
+  // NJS replica 0 is down and unadopted, so the job lives on replica 1
+  // and a routing field read as zero names a dead partition: a cut open
+  // must not be answered kUnavailable.
+  SingleSite site(90, /*split=*/false, /*njs_replicas=*/2);
+  site.server->njs_cluster().set_auto_handoff(false);
+  site.server->njs_cluster().kill(0);
   RawClient raw(site, site.user);
   auto reply_body = [&raw] {
     util::ByteReader r(raw.replies.back());
@@ -427,17 +432,41 @@ TEST(ServerRequests, MalformedRequestsLeaveNoTrace) {
   close.role = xfer::Role::kClientPush;
   close.transfer_id = opened.transfer_id;
   close.key = open.key;
-  const std::vector<std::pair<RequestKind, util::Bytes>> payloads{
-      {RequestKind::kControl, hold.bytes()},
-      {RequestKind::kStorageReap, by_token.bytes()},
-      {RequestKind::kSessionOpen, ttl.bytes()},
-      {RequestKind::kXferBundleOpen, open.encode()},
-      {RequestKind::kXferChunk, chunk_of(1, second)},
-      {RequestKind::kXferBundleClose, close.encode()},
+  // A bearer session, for a request in the portal's token envelope.
+  send(make_request(RequestKind::kSessionOpen, 4, ttl.bytes()));
+  ASSERT_TRUE(raw.last_reply_status().first);
+  util::ByteReader grant = reply_body();
+  const util::Bytes bearer = gateway::SessionGrant::decode(grant).token;
+  ASSERT_TRUE(grant.ok());
+  util::ByteWriter bearer_field;
+  bearer_field.blob(bearer);
+
+  // Each request, and how many bytes after its id the gateway reads
+  // itself: a cut there is answered at the gateway, a later one is
+  // forwarded to the NJS.
+  struct Case {
+    util::Bytes wire;
+    std::size_t gateway_reads;
+  };
+  const std::vector<Case> cases{
+      {make_request(RequestKind::kControl, 11, hold.bytes()), 0},
+      {make_request(RequestKind::kStorageReap, 12, by_token.bytes()), 0},
+      {make_token_request(RequestKind::kStorageReap, 13, bearer,
+                          by_token.bytes()),
+       bearer_field.size()},
+      {make_request(RequestKind::kSessionOpen, 14, ttl.bytes()), 8},
+      {make_request(RequestKind::kXferBundleOpen, 15, open.encode()), 1},
+      {make_request(RequestKind::kXferChunk, 16, chunk_of(1, second)), 1},
+      {make_request(RequestKind::kXferBundleClose, 17, close.encode()), 1},
   };
 
-  njs::Njs& njs = site.server->njs();
-  xfer::Service& service = site.server->xfer_service();
+  njs::Njs& njs = site.server->njs_cluster().replica(1);
+  xfer::Service& service = site.server->xfer_service_replica(1);
+  // Requests the gateway forwarded to the NJS and saw answered.
+  auto forwarded = [&site] {
+    return site.server->metrics()->snapshot().total(
+        "unicore_gateway_request_latency_seconds");
+  };
   auto state = [&] {
     auto outcome = njs.query(token, ajo::QueryService::Detail::kTasks);
     auto files = njs.storage_files(token);
@@ -454,16 +483,17 @@ TEST(ServerRequests, MalformedRequestsLeaveNoTrace) {
   EXPECT_EQ(std::get<1>(before), std::vector<std::string>{"first.bin"});
   EXPECT_EQ(std::get<4>(before), 1u);  // the push is open
 
-  std::uint64_t id = 10;
   std::size_t answered = 0;
-  for (const auto& [kind, payload] : payloads) {
-    const util::Bytes request = make_request(kind, ++id, payload);
+  for (const auto& [request, gateway_reads] : cases) {
+    const auto kind = static_cast<RequestKind>(request[1]);
     for (std::size_t cut = 0; cut < request.size(); ++cut) {
       SCOPED_TRACE(std::string(request_kind_name(kind)) + " cut at " +
                    std::to_string(cut));
       const std::size_t replies = raw.replies.size();
+      const double forwards = forwarded();
       send(util::Bytes(request.begin(),
                        request.begin() + static_cast<std::ptrdiff_t>(cut)));
+      EXPECT_EQ(forwarded(), forwards + (cut >= 10 + gateway_reads ? 1 : 0));
       if (cut < 10) {  // type, kind and request id
         EXPECT_EQ(raw.replies.size(), replies);
         continue;
