@@ -423,6 +423,7 @@ double BatchSubsystem::utilization() const {
 void BatchSubsystem::set_metrics(obs::MetricsRegistry* registry,
                                  const std::string& usite) {
   metrics_ = registry;
+  outcome_counters_ = {};
   if (!metrics_) {
     submitted_counter_ = nullptr;
     queue_wait_hist_ = nullptr;
@@ -458,9 +459,13 @@ void BatchSubsystem::update_gauges() {
 
 void BatchSubsystem::count_outcome(BatchJobState state) {
   if (!metrics_) return;
-  obs::Labels labels = metric_labels_;
-  labels.emplace_back("outcome", batch_job_state_name(state));
-  metrics_->counter("unicore_batch_jobs_total", std::move(labels)).increment();
+  obs::Counter*& counter = outcome_counters_[static_cast<std::size_t>(state)];
+  if (counter == nullptr) {
+    obs::Labels labels = metric_labels_;
+    labels.emplace_back("outcome", batch_job_state_name(state));
+    counter = &metrics_->counter("unicore_batch_jobs_total", std::move(labels));
+  }
+  counter->increment();
 }
 
 }  // namespace unicore::batch

@@ -10,6 +10,7 @@
 // treated", §5.5).
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <deque>
@@ -208,6 +209,11 @@ class BatchSubsystem {
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Labels metric_labels_;
+  /// unicore_batch_jobs_total per final BatchJobState, resolved on first
+  /// use and dropped by set_metrics.
+  std::array<obs::Counter*,
+             static_cast<std::size_t>(BatchJobState::kCancelled) + 1>
+      outcome_counters_{};
   obs::Counter* submitted_counter_ = nullptr;
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* run_time_hist_ = nullptr;

@@ -34,6 +34,10 @@ void ShardedAuthCache::set_metrics(obs::MetricsRegistry* registry,
                                    std::string usite) {
   metrics_ = registry;
   usite_ = std::move(usite);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    shard->series = {};
+  }
 }
 
 ShardedAuthCache::Shard& ShardedAuthCache::shard_for(
@@ -41,24 +45,30 @@ ShardedAuthCache::Shard& ShardedAuthCache::shard_for(
   return *shards_[dn_shard_of(subject, shards_.size())];
 }
 
-void ShardedAuthCache::count(const char* result) {
-  if (metrics_)
-    metrics_
-        ->counter("unicore_gateway_auth_cache_total",
-                  {{"usite", usite_}, {"result", result}})
-        .increment();
+void ShardedAuthCache::count(Shard& shard, bool hit) {
+  if (!metrics_) return;
+  obs::Counter*& counter = hit ? shard.series.hit : shard.series.miss;
+  if (counter == nullptr)
+    counter = &metrics_->counter("unicore_gateway_auth_cache_total",
+                                 {{"usite", usite_},
+                                  {"result", hit ? "hit" : "miss"}});
+  counter->increment();
 }
 
-void ShardedAuthCache::publish_shard_gauges(std::size_t index,
-                                            const Shard& shard) {
+void ShardedAuthCache::publish_shard_gauges(std::size_t index, Shard& shard) {
   if (!metrics_) return;
-  obs::Labels labels{{"usite", usite_}, {"shard", std::to_string(index)}};
-  metrics_->gauge("unicore_gateway_auth_shard_hits", labels)
-      .set(static_cast<std::int64_t>(shard.hits));
-  metrics_->gauge("unicore_gateway_auth_shard_misses", labels)
-      .set(static_cast<std::int64_t>(shard.misses));
-  metrics_->gauge("unicore_gateway_auth_shard_entries", labels)
-      .set(static_cast<std::int64_t>(shard.entries.size()));
+  Series& series = shard.series;
+  if (series.hits == nullptr) {
+    obs::Labels labels{{"usite", usite_}, {"shard", std::to_string(index)}};
+    series.hits = &metrics_->gauge("unicore_gateway_auth_shard_hits", labels);
+    series.misses =
+        &metrics_->gauge("unicore_gateway_auth_shard_misses", labels);
+    series.entries =
+        &metrics_->gauge("unicore_gateway_auth_shard_entries", labels);
+  }
+  series.hits->set(static_cast<std::int64_t>(shard.hits));
+  series.misses->set(static_cast<std::int64_t>(shard.misses));
+  series.entries->set(static_cast<std::int64_t>(shard.entries.size()));
 }
 
 std::optional<AuthenticatedUser> ShardedAuthCache::lookup(
@@ -77,14 +87,14 @@ std::optional<AuthenticatedUser> ShardedAuthCache::lookup(
         cached.uudb_generation == uudb_generation &&
         now < cached.cached_at + ttl_ && cached.certificate.valid_at(now)) {
       ++shard.hits;
-      count("hit");
+      count(shard, /*hit=*/true);
       publish_shard_gauges(index, shard);
       return cached.user;
     }
     shard.entries.erase(it);  // stale — fall through to the full path
   }
   ++shard.misses;
-  count("miss");
+  count(shard, /*hit=*/false);
   publish_shard_gauges(index, shard);
   return std::nullopt;
 }

@@ -89,16 +89,27 @@ class ShardedAuthCache {
     std::uint64_t trust_generation = 0;
     std::uint64_t uudb_generation = 0;
   };
+  /// One shard's series handles, resolved on first use and dropped by
+  /// set_metrics. Each shard keeps its own, under its own lock.
+  struct Series {
+    obs::Counter* hit = nullptr;  // unicore_gateway_auth_cache_total
+    obs::Counter* miss = nullptr;
+    obs::Gauge* hits = nullptr;  // unicore_gateway_auth_shard_*
+    obs::Gauge* misses = nullptr;
+    obs::Gauge* entries = nullptr;
+  };
   struct Shard {
     mutable std::mutex mutex;
     std::map<std::string, Entry> entries;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    Series series;
   };
 
   Shard& shard_for(const std::string& subject);
-  void count(const char* result);
-  void publish_shard_gauges(std::size_t index, const Shard& shard);
+  /// Both run under the shard's lock.
+  void count(Shard& shard, bool hit);
+  void publish_shard_gauges(std::size_t index, Shard& shard);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::int64_t ttl_ = 300;

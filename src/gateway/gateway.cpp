@@ -16,17 +16,29 @@ using util::ErrorCode;
 using util::Result;
 using util::Status;
 
+void Gateway::set_metrics(obs::MetricsRegistry* registry) {
+  metrics_ = registry;
+  audit_counters_ = {};
+  auth_cache_->set_metrics(registry, usite_);
+}
+
 void Gateway::audit(std::int64_t now, const std::string& subject,
-                    const std::string& action, bool accepted,
-                    std::string detail) {
-  if (metrics_)
-    metrics_
-        ->counter("unicore_gateway_auth_total",
-                  {{"usite", usite_},
-                   {"action", action},
-                   {"result", accepted ? "accept" : "reject"}})
-        .increment();
-  audit_.push_back({now, subject, action, accepted, std::move(detail)});
+                    AuditAction action, bool accepted, std::string detail) {
+  static constexpr const char* kActionNames[kAuditActionCount] = {
+      "authenticate", "server-auth", "consign", "consign-forwarded"};
+  auto index = static_cast<std::size_t>(action);
+  if (metrics_) {
+    obs::Counter*& counter = audit_counters_[index][accepted];
+    if (counter == nullptr)
+      counter = &metrics_->counter(
+          "unicore_gateway_auth_total",
+          {{"usite", usite_},
+           {"action", kActionNames[index]},
+           {"result", accepted ? "accept" : "reject"}});
+    counter->increment();
+  }
+  audit_.push_back(
+      {now, subject, kActionNames[index], accepted, std::move(detail)});
 }
 
 Result<AuthenticatedUser> Gateway::authenticate_user(
@@ -39,19 +51,20 @@ Result<AuthenticatedUser> Gateway::authenticate_user(
   options.now = now;
   options.required_usage = crypto::kUsageClientAuth;
   if (auto status = trust_->validate(cert, {}, options); !status.ok()) {
-    audit(now, cert.subject.to_string(), "authenticate", false,
+    audit(now, cert.subject.to_string(), AuditAction::kAuthenticate, false,
           status.error().message);
     return status.error();
   }
 
   auto entry = uudb_->lookup(cert.subject);
   if (!entry) {
-    audit(now, cert.subject.to_string(), "authenticate", false,
+    audit(now, cert.subject.to_string(), AuditAction::kAuthenticate, false,
           entry.error().message);
     return entry.error();
   }
   if (entry.value().suspended) {
-    audit(now, cert.subject.to_string(), "authenticate", false, "suspended");
+    audit(now, cert.subject.to_string(), AuditAction::kAuthenticate, false,
+          "suspended");
     return util::make_error(ErrorCode::kPermissionDenied,
                             "user suspended at " + usite_ + ": " +
                                 cert.subject.to_string());
@@ -61,7 +74,7 @@ Result<AuthenticatedUser> Gateway::authenticate_user(
   user.dn = cert.subject;
   user.login = entry.value().login;
   user.account_groups = entry.value().account_groups;
-  audit(now, cert.subject.to_string(), "authenticate", true,
+  audit(now, cert.subject.to_string(), AuditAction::kAuthenticate, true,
         "login=" + user.login);
   auth_cache_->store(cert, user, now, trust_->generation(),
                      uudb_->generation(cert.subject));
@@ -88,7 +101,7 @@ Status Gateway::authenticate_server(const crypto::Certificate& cert,
   options.now = now;
   options.required_usage = crypto::kUsageServerAuth;
   auto status = trust_->validate(cert, {}, options);
-  audit(now, cert.subject.to_string(), "server-auth", status.ok(),
+  audit(now, cert.subject.to_string(), AuditAction::kServerAuth, status.ok(),
         status.ok() ? "" : status.error().message);
   return status;
 }
@@ -99,12 +112,12 @@ Result<AuthenticatedUser> Gateway::check_consignment(
 
   auto user = authenticate_user(signed_ajo.user_certificate, now);
   if (!user) {
-    audit(now, subject, "consign", false, user.error().message);
+    audit(now, subject, AuditAction::kConsign, false, user.error().message);
     return user.error();
   }
 
   if (!ajo::verify_ajo_signature(signed_ajo)) {
-    audit(now, subject, "consign", false, "AJO signature invalid");
+    audit(now, subject, AuditAction::kConsign, false, "AJO signature invalid");
     return util::make_error(ErrorCode::kAuthenticationFailed,
                             "AJO signature does not verify against the "
                             "presented certificate");
@@ -125,7 +138,8 @@ Status Gateway::authorize_job(const ajo::AbstractJobObject& job,
 
   // The job must be consigned under the authenticated identity.
   if (job.user != cert.subject) {
-    audit(now, subject, "consign", false, "AJO user != certificate subject");
+    audit(now, subject, AuditAction::kConsign, false,
+          "AJO user != certificate subject");
     return util::make_error(ErrorCode::kPermissionDenied,
                             "AJO names a different user than the "
                             "authenticated identity");
@@ -140,26 +154,27 @@ Status Gateway::authorize_job(const ajo::AbstractJobObject& job,
     return false;
   };
   if (!group.empty() && !in_group(group)) {
-    audit(now, subject, "consign", false, "group " + group + " not allowed");
+    audit(now, subject, AuditAction::kConsign, false,
+          "group " + group + " not allowed");
     return util::make_error(ErrorCode::kPermissionDenied,
                             "account group not authorised: " + group);
   }
 
   if (auto status = job.validate(); !status.ok()) {
-    audit(now, subject, "consign", false, status.error().message);
+    audit(now, subject, AuditAction::kConsign, false, status.error().message);
     return status.error();
   }
 
   if (site_hook_) {
     auto status = site_hook_(cert, job.site_security_info);
     if (!status.ok()) {
-      audit(now, subject, "consign", false,
+      audit(now, subject, AuditAction::kConsign, false,
             "site auth: " + status.error().message);
       return status.error();
     }
   }
 
-  audit(now, subject, "consign", true, "login=" + user.login);
+  audit(now, subject, AuditAction::kConsign, true, "login=" + user.login);
   return Status();
 }
 
@@ -175,13 +190,14 @@ Result<AuthenticatedUser> Gateway::check_forwarded_consignment(
 
   if (auto status = authenticate_server(consignor_certificate, now);
       !status.ok()) {
-    audit(now, subject, "consign-forwarded", false, status.error().message);
+    audit(now, subject, AuditAction::kConsignForwarded, false,
+          status.error().message);
     return status.error();
   }
 
   if (!verify_endorsement(consignor_certificate.subject_key, signing_input,
                           signature)) {
-    audit(now, subject, "consign-forwarded", false,
+    audit(now, subject, AuditAction::kConsignForwarded, false,
           "endorsement signature invalid");
     return util::make_error(ErrorCode::kAuthenticationFailed,
                             "forwarded consignment endorsement does not "
@@ -190,12 +206,13 @@ Result<AuthenticatedUser> Gateway::check_forwarded_consignment(
 
   auto user = authenticate_user(user_certificate, now);
   if (!user) {
-    audit(now, subject, "consign-forwarded", false, user.error().message);
+    audit(now, subject, AuditAction::kConsignForwarded, false,
+          user.error().message);
     return user.error();
   }
 
   if (job.user != user_certificate.subject) {
-    audit(now, subject, "consign-forwarded", false,
+    audit(now, subject, AuditAction::kConsignForwarded, false,
           "job user != certificate subject");
     return util::make_error(ErrorCode::kPermissionDenied,
                             "forwarded job names a different user than the "
@@ -207,18 +224,19 @@ Result<AuthenticatedUser> Gateway::check_forwarded_consignment(
   for (const auto& candidate : user.value().account_groups)
     if (candidate == group) group_ok = true;
   if (!group_ok) {
-    audit(now, subject, "consign-forwarded", false,
+    audit(now, subject, AuditAction::kConsignForwarded, false,
           "group " + group + " not allowed");
     return util::make_error(ErrorCode::kPermissionDenied,
                             "account group not authorised: " + group);
   }
 
   if (auto status = job.validate(); !status.ok()) {
-    audit(now, subject, "consign-forwarded", false, status.error().message);
+    audit(now, subject, AuditAction::kConsignForwarded, false,
+          status.error().message);
     return status.error();
   }
 
-  audit(now, subject, "consign-forwarded", true,
+  audit(now, subject, AuditAction::kConsignForwarded, true,
         "login=" + user.value().login);
   return user;
 }

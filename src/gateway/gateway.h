@@ -12,6 +12,7 @@
 // stay per-instance.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -120,10 +121,7 @@ class Gateway {
   /// Counts every audited decision into `registry` as
   /// unicore_gateway_auth_total{usite, action, result}, and attaches the
   /// shared auth cache's counters/gauges. nullptr detaches.
-  void set_metrics(obs::MetricsRegistry* registry) {
-    metrics_ = registry;
-    auth_cache_->set_metrics(registry, usite_);
-  }
+  void set_metrics(obs::MetricsRegistry* registry);
 
   // --- authentication fast path ---------------------------------------
   // Delegates to the shared ShardedAuthCache (gateway/auth_cache.h):
@@ -148,8 +146,16 @@ class Gateway {
   using VerifyKey =
       std::tuple<std::string, std::uint64_t, std::uint64_t, std::uint64_t>;
 
-  void audit(std::int64_t now, const std::string& subject,
-             const std::string& action, bool accepted, std::string detail);
+  enum class AuditAction : std::uint8_t {
+    kAuthenticate,
+    kServerAuth,
+    kConsign,
+    kConsignForwarded,
+  };
+  static constexpr std::size_t kAuditActionCount = 4;
+
+  void audit(std::int64_t now, const std::string& subject, AuditAction action,
+             bool accepted, std::string detail);
   bool verify_endorsement(const crypto::PublicKey& key,
                           util::ByteView signing_input,
                           const crypto::Signature& signature);
@@ -161,6 +167,10 @@ class Gateway {
   SiteAuthHook site_hook_;
   std::vector<AuditRecord> audit_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// unicore_gateway_auth_total per [action][accepted], resolved on first
+  /// use and dropped by set_metrics.
+  std::array<std::array<obs::Counter*, 2>, kAuditActionCount>
+      audit_counters_{};
   std::map<VerifyKey, bool> verify_memo_;
 };
 

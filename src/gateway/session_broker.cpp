@@ -41,22 +41,32 @@ Bytes SessionBroker::mint_token() {
   return token;
 }
 
-void SessionBroker::count(const char* action, bool accepted) {
+void SessionBroker::set_metrics(obs::MetricsRegistry* registry) {
+  metrics_ = registry;
+  counters_ = {};
+  active_gauge_ = nullptr;
+}
+
+void SessionBroker::count(Action action, bool accepted) {
   if (!metrics_) return;
-  metrics_
-      ->counter("unicore_gateway_sessions_total",
-                {{"usite", gateway_.usite()},
-                 {"action", action},
-                 {"result", accepted ? "accept" : "reject"}})
-      .increment();
+  static constexpr const char* kActionNames[kActionCount] = {
+      "open", "refresh", "close", "authenticate", "expire"};
+  auto index = static_cast<std::size_t>(action);
+  obs::Counter*& counter = counters_[index][accepted];
+  if (counter == nullptr)
+    counter = &metrics_->counter("unicore_gateway_sessions_total",
+                                 {{"usite", gateway_.usite()},
+                                  {"action", kActionNames[index]},
+                                  {"result", accepted ? "accept" : "reject"}});
+  counter->increment();
 }
 
 void SessionBroker::update_gauge() {
   if (!metrics_) return;
-  metrics_
-      ->gauge("unicore_gateway_active_sessions",
-              {{"usite", gateway_.usite()}})
-      .set(static_cast<double>(sessions_.size()));
+  if (active_gauge_ == nullptr)
+    active_gauge_ = &metrics_->gauge("unicore_gateway_active_sessions",
+                                     {{"usite", gateway_.usite()}});
+  active_gauge_->set(static_cast<double>(sessions_.size()));
 }
 
 void SessionBroker::sweep(std::int64_t now) {
@@ -69,7 +79,7 @@ void SessionBroker::sweep(std::int64_t now) {
     // to a later deadline — the heap entry is stale; skip it.
     if (it == sessions_.end() || now < it->second.expires_at) continue;
     ++expired_;
-    count("expire", true);
+    count(Action::kExpire, true);
     sessions_.erase(it);
     erased = true;
   }
@@ -82,7 +92,7 @@ Result<SessionGrant> SessionBroker::open(const crypto::Certificate& cert,
   sweep(now);
   if (sessions_.size() >= max_sessions_) {
     ++rejected_;
-    count("open", false);
+    count(Action::kOpen, false);
     return util::make_error(ErrorCode::kResourceExhausted,
                             "session table full at " + gateway_.usite());
   }
@@ -90,7 +100,7 @@ Result<SessionGrant> SessionBroker::open(const crypto::Certificate& cert,
   auto user = gateway_.authenticate_user(cert, now);
   if (!user) {
     ++rejected_;
-    count("open", false);
+    count(Action::kOpen, false);
     return user.error();
   }
 
@@ -104,15 +114,18 @@ Result<SessionGrant> SessionBroker::open(const crypto::Certificate& cert,
   session.expires_at = now + ttl;
   session.trust_generation = gateway_.trust_store().generation();
   // Per-shard stamp: a UUDB edit elsewhere leaves this session's
-  // generation fast path intact.
-  session.uudb_generation = gateway_.uudb().generation(cert.subject);
+  // generation fast path intact. The shard is found once, here; every
+  // later validation reads its generation by index.
+  session.uudb_shard = gateway_.uudb().shard_of(cert.subject);
+  session.uudb_generation =
+      gateway_.uudb().shard_generation(session.uudb_shard);
 
   Bytes token = mint_token();
   SessionGrant grant{token, session.expires_at, session.user.login};
   expiry_heap_.emplace(session.expires_at, token);
   sessions_.emplace(std::move(token), std::move(session));
   ++opened_;
-  count("open", true);
+  count(Action::kOpen, true);
   update_gauge();
   return grant;
 }
@@ -128,7 +141,7 @@ Result<SessionBroker::Session*> SessionBroker::validate(ByteView token,
   Session& session = it->second;
   if (now >= session.expires_at) {
     ++expired_;
-    count("expire", true);
+    count(Action::kExpire, true);
     sessions_.erase(it);
     update_gauge();
     ++rejected_;
@@ -137,7 +150,7 @@ Result<SessionBroker::Session*> SessionBroker::validate(ByteView token,
   }
   if (session.trust_generation == gateway_.trust_store().generation() &&
       session.uudb_generation ==
-          gateway_.uudb().generation(session.certificate.subject)) {
+          gateway_.uudb().shard_generation(session.uudb_shard)) {
     ++fast_validations_;
     return &session;
   }
@@ -156,14 +169,14 @@ Result<SessionBroker::Session*> SessionBroker::validate(ByteView token,
   session.user = user.value();  // pick up login/group edits
   session.trust_generation = gateway_.trust_store().generation();
   session.uudb_generation =
-      gateway_.uudb().generation(session.certificate.subject);
+      gateway_.uudb().shard_generation(session.uudb_shard);
   return &session;
 }
 
 Result<SessionGrant> SessionBroker::refresh(ByteView token, std::int64_t now) {
   auto session = validate(token, now);
   if (!session) {
-    count("refresh", false);
+    count(Action::kRefresh, false);
     return session.error();
   }
   session.value()->expires_at = now + ttl_seconds_;
@@ -171,7 +184,7 @@ Result<SessionGrant> SessionBroker::refresh(ByteView token, std::int64_t now) {
   expiry_heap_.emplace(session.value()->expires_at,
                        Bytes(token.begin(), token.end()));
   ++refreshed_;
-  count("refresh", true);
+  count(Action::kRefresh, true);
   return SessionGrant{Bytes(token.begin(), token.end()),
                       session.value()->expires_at,
                       session.value()->user.login};
@@ -180,12 +193,12 @@ Result<SessionGrant> SessionBroker::refresh(ByteView token, std::int64_t now) {
 Status SessionBroker::close(ByteView token) {
   auto it = sessions_.find(Bytes(token.begin(), token.end()));
   if (it == sessions_.end()) {
-    count("close", false);
+    count(Action::kClose, false);
     return util::make_error(ErrorCode::kNotFound, "unknown session token");
   }
   sessions_.erase(it);
   ++closed_;
-  count("close", true);
+  count(Action::kClose, true);
   update_gauge();
   return util::Status();
 }
@@ -194,10 +207,10 @@ Result<SessionIdentity> SessionBroker::authenticate(ByteView token,
                                                     std::int64_t now) {
   auto session = validate(token, now);
   if (!session) {
-    count("authenticate", false);
+    count(Action::kAuthenticate, false);
     return session.error();
   }
-  count("authenticate", true);
+  count(Action::kAuthenticate, true);
   return SessionIdentity{session.value()->user,
                          session.value()->certificate};
 }

@@ -20,6 +20,7 @@
 //   - the mapped login/groups refresh automatically on UUDB edits.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <queue>
@@ -93,7 +94,7 @@ class SessionBroker {
   /// Counts session lifecycle events into `registry` as
   /// unicore_gateway_sessions_total{usite, action, result} and keeps the
   /// unicore_gateway_active_sessions{usite} gauge current.
-  void set_metrics(obs::MetricsRegistry* registry) { metrics_ = registry; }
+  void set_metrics(obs::MetricsRegistry* registry);
 
  private:
   struct Session {
@@ -102,9 +103,18 @@ class SessionBroker {
     std::int64_t issued_at = 0;
     std::int64_t expires_at = 0;
     std::uint64_t trust_generation = 0;
+    std::size_t uudb_shard = 0;  // the subject's UUDB shard
     std::uint64_t uudb_generation = 0;
     std::uint64_t refreshes = 0;
   };
+  enum class Action : std::uint8_t {
+    kOpen,
+    kRefresh,
+    kClose,
+    kAuthenticate,
+    kExpire,
+  };
+  static constexpr std::size_t kActionCount = 5;
 
   util::Bytes mint_token();
   /// Drops sessions past their expiry (called on open so the table
@@ -116,7 +126,7 @@ class SessionBroker {
   /// recognised (the session's actual expiry is re-checked at pop
   /// time) and skipped.
   void sweep(std::int64_t now);
-  void count(const char* action, bool accepted);
+  void count(Action action, bool accepted);
   void update_gauge();
   /// Shared validation core of refresh/authenticate: TTL, generation
   /// stamps, and the certificate re-validation fallback.
@@ -139,6 +149,11 @@ class SessionBroker {
   std::uint64_t rejected_ = 0;
   std::uint64_t fast_validations_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// Series handles, resolved on first use and dropped by set_metrics:
+  /// unicore_gateway_sessions_total per [action][accepted] and the
+  /// active-sessions gauge.
+  std::array<std::array<obs::Counter*, 2>, kActionCount> counters_{};
+  obs::Gauge* active_gauge_ = nullptr;
 };
 
 }  // namespace unicore::gateway

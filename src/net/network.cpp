@@ -15,8 +15,20 @@ struct Endpoint::ConnectionState {
   bool open_b = true;  // acceptor side
   std::weak_ptr<Endpoint> side_a;  // initiator
   std::weak_ptr<Endpoint> side_b;  // acceptor
+  /// One direction of the connection, resolved once at connect so a
+  /// message looks no host pair up: the shared link queue it serializes
+  /// through and the reactor of the host it delivers to.
+  struct Route {
+    Network::LinkQueue* queue = nullptr;
+    Reactor* reactor = nullptr;
+  };
+  Route to_a;  // acceptor -> initiator
+  Route to_b;  // initiator -> acceptor
 
   bool& side_open(bool initiator) { return initiator ? open_a : open_b; }
+  const Route& route_from(bool initiator) const {
+    return initiator ? to_b : to_a;
+  }
 };
 
 void Endpoint::send(util::Bytes message) {
@@ -62,8 +74,8 @@ bool Endpoint::is_open() const {
   return state_ && state_->side_open(is_initiator_);
 }
 
-obs::MetricsRegistry* Endpoint::metrics() const {
-  return state_ && state_->network ? state_->network->metrics() : nullptr;
+void Endpoint::count_channel_event(ChannelEvent event) const {
+  if (state_ && state_->network) state_->network->count_channel_event(event);
 }
 
 void Endpoint::deliver(util::Bytes&& message) {
@@ -110,6 +122,7 @@ void Network::heal(const std::string& a, const std::string& b) {
 }
 
 bool Network::partitioned(const std::string& a, const std::string& b) const {
+  if (partitions_.empty()) return false;
   auto it = partitions_.find(host_pair(a, b));
   return it != partitions_.end() && it->second;
 }
@@ -179,6 +192,8 @@ util::Result<std::shared_ptr<Endpoint>> Network::connect(
 
   state->side_a = client;
   state->side_b = server;
+  state->to_a = {&link_queues_[{to.host, from_host}], &reactor_for(from_host)};
+  state->to_b = {&link_queues_[{from_host, to.host}], &reactor_for(to.host)};
 
   listener->second(server);
   return client;
@@ -186,6 +201,7 @@ util::Result<std::shared_ptr<Endpoint>> Network::connect(
 
 void Network::set_metrics(std::shared_ptr<obs::MetricsRegistry> registry) {
   metrics_ = std::move(registry);
+  channel_counters_ = {};
   if (metrics_) {
     bytes_sent_counter_ = &metrics_->counter("unicore_net_bytes_sent_total");
     bytes_delivered_counter_ =
@@ -203,6 +219,30 @@ void Network::set_metrics(std::shared_ptr<obs::MetricsRegistry> registry) {
   }
 }
 
+void Network::count_channel_event(ChannelEvent event) {
+  if (!metrics_) return;
+  struct Series {
+    const char* name;
+    const char* result;  // nullptr: no labels
+  };
+  static constexpr Series kSeries[kChannelEventCount] = {
+      {"unicore_channel_handshakes_total", "ok"},
+      {"unicore_channel_handshakes_total", "fail"},
+      {"unicore_channel_handshake_timeouts_total", nullptr},
+      {"unicore_channel_resumptions_total", "ok"},
+      {"unicore_channel_resumptions_total", "refused"},
+  };
+  auto index = static_cast<std::size_t>(event);
+  obs::Counter*& counter = channel_counters_[index];
+  if (counter == nullptr) {
+    const Series& series = kSeries[index];
+    counter = &metrics_->counter(
+        series.name, series.result ? obs::Labels{{"result", series.result}}
+                                   : obs::Labels{});
+  }
+  counter->increment();
+}
+
 Reactor& Network::reactor_for(const std::string& host) {
   auto it = reactors_.find(host);
   if (it == reactors_.end())
@@ -212,6 +252,7 @@ Reactor& Network::reactor_for(const std::string& host) {
 }
 
 sim::Time Network::spike_extra(const std::string& a, const std::string& b) {
+  if (spikes_.empty()) return 0;
   auto spike = spikes_.find(host_pair(a, b));
   if (spike == spikes_.end()) return 0;
   if (engine_.now() < spike->second.until) return spike->second.extra;
@@ -219,22 +260,30 @@ sim::Time Network::spike_extra(const std::string& a, const std::string& b) {
   return 0;
 }
 
-sim::Time Network::link_arrival(const std::string& from, const std::string& to,
-                                std::size_t bytes, const LinkProfile& link) {
+bool Network::fault_drops(const std::string& from, const std::string& to) {
+  if (partitions_.empty() && drop_schedules_.empty()) return false;
+  if (partitioned(from, to)) return true;
+  auto sched = drop_schedules_.find({from, to});
+  if (sched == drop_schedules_.end()) return false;
+  if (--sched->second <= 0) drop_schedules_.erase(sched);
+  return true;
+}
+
+sim::Time Network::LinkQueue::admit(sim::Time now, std::size_t bytes,
+                                    const LinkProfile& link,
+                                    sim::Time extra) {
   sim::Time transmission =
       link.bandwidth_bytes_per_sec > 0
           ? sim::from_seconds(static_cast<double>(bytes) /
                               link.bandwidth_bytes_per_sec)
           : 0;
-  LinkQueue& queue = link_queues_[{from, to}];
-  sim::Time departure = std::max(engine_.now(), queue.busy_until);
-  queue.busy_until = departure + transmission;
-  sim::Time arrival =
-      departure + transmission + link.latency + spike_extra(from, to);
+  sim::Time departure = std::max(now, busy_until);
+  busy_until = departure + transmission;
+  sim::Time arrival = departure + transmission + link.latency + extra;
   // FIFO on the wire: even when the delay model shrinks (a latency spike
   // expires), nothing overtakes what is already in flight.
-  arrival = std::max(arrival, queue.last_arrival);
-  queue.last_arrival = arrival;
+  arrival = std::max(arrival, last_arrival);
+  last_arrival = arrival;
   return arrival;
 }
 
@@ -245,12 +294,13 @@ void Network::count_drop(std::size_t n) {
 }
 
 void Network::transmit(Endpoint& from, util::Bytes message) {
-  auto state = from.state_;
+  Endpoint::ConnectionState& state = *from.state_;
   ++messages_sent_;
   if (sent_counter_) sent_counter_->increment();
   if (bytes_sent_counter_)
     bytes_sent_counter_->add(static_cast<double>(message.size()));
-  auto target = from.is_initiator_ ? state->side_b.lock() : state->side_a.lock();
+  auto target =
+      from.is_initiator_ ? state.side_b.lock() : state.side_a.lock();
   if (!target) {
     // Peer endpoint already destroyed: the message is gone, and the books
     // must say so (sent = delivered + dropped).
@@ -261,31 +311,23 @@ void Network::transmit(Endpoint& from, util::Bytes message) {
   // Injected faults take precedence over probabilistic link loss: a
   // partitioned pair drops everything, a drop schedule eats the next N
   // messages in one direction.
-  bool fault_drop = false;
-  if (partitioned(from.local_host_, target->local_host_)) {
-    fault_drop = true;
-  } else if (auto sched =
-                 drop_schedules_.find({from.local_host_, target->local_host_});
-             sched != drop_schedules_.end()) {
-    fault_drop = true;
-    if (--sched->second <= 0) drop_schedules_.erase(sched);
-  }
-  if (fault_drop) {
+  if (fault_drops(from.local_host_, target->local_host_)) {
     count_drop();
     ++messages_dropped_by_faults_;
     return;
   }
 
-  if (rng_.chance(state->link.loss_probability)) {
+  if (rng_.chance(state.link.loss_probability)) {
     count_drop();
     return;
   }
 
-  sim::Time arrival = link_arrival(from.local_host_, target->local_host_,
-                                   message.size(), state->link);
-  reactor_for(target->local_host_)
-      .enqueue_message(arrival, target, from.weak_from_this(),
-                       std::move(message));
+  const auto& route = state.route_from(from.is_initiator_);
+  sim::Time arrival =
+      route.queue->admit(engine_.now(), message.size(), state.link,
+                         spike_extra(from.local_host_, target->local_host_));
+  route.reactor->enqueue_message(arrival, target, from.weak_from_this(),
+                                 std::move(message));
 }
 
 void Network::transmit_close(Endpoint& from,
@@ -294,9 +336,12 @@ void Network::transmit_close(Endpoint& from,
   // queue and reactor as data, so it cannot overtake in-flight messages.
   // It deliberately skips the fault knobs: teardown is observed even
   // across partitions (the local side is gone either way).
+  const Endpoint::ConnectionState& state = *from.state_;
+  const auto& route = state.route_from(from.is_initiator_);
   sim::Time arrival =
-      link_arrival(from.local_host_, peer->local_host_, 0, from.state_->link);
-  reactor_for(peer->local_host_).enqueue_close(arrival, peer);
+      route.queue->admit(engine_.now(), 0, state.link,
+                         spike_extra(from.local_host_, peer->local_host_));
+  route.reactor->enqueue_close(arrival, peer);
 }
 
 void Network::dispatch_batch(const std::shared_ptr<Endpoint>& target,

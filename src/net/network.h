@@ -9,6 +9,7 @@
 // deployment of §4.2/§5.2.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -85,6 +86,17 @@ class Firewall {
 
 class Network;
 
+/// Handshake outcomes of the secure channels riding the fabric, counted
+/// into its registry as unicore_channel_* (net/secure_channel.h).
+enum class ChannelEvent : std::uint8_t {
+  kHandshakeOk,
+  kHandshakeFail,
+  kHandshakeTimeout,
+  kResumed,
+  kResumeRefused,
+};
+inline constexpr std::size_t kChannelEventCount = 5;
+
 /// One side of an established connection. Message-oriented: each send()
 /// arrives as one receive callback (or is dropped by link loss).
 class Endpoint : public std::enable_shared_from_this<Endpoint> {
@@ -126,8 +138,8 @@ class Endpoint : public std::enable_shared_from_this<Endpoint> {
   /// Payload bytes actually handed to the peer's receiver/inbox.
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
 
-  /// The owning network's metrics registry; nullptr when none is wired.
-  obs::MetricsRegistry* metrics() const;
+  /// Counts `event` into the owning network's registry, if any.
+  void count_channel_event(ChannelEvent event) const;
 
  private:
   friend class Network;
@@ -192,8 +204,8 @@ class Network {
   Reactor& reactor_for(const std::string& host);
 
   // --- fault injection ---------------------------------------------------
-  // Knobs consulted per message in transmit(); see net/faults.h for the
-  // scheduling harness that drives them from tests.
+  // Knobs consulted per message in transmit() while any is installed; see
+  // net/faults.h for the scheduling harness that drives them from tests.
 
   /// Severs the path between two hosts (both directions): messages are
   /// dropped and new connects fail with kUnavailable.
@@ -220,6 +232,7 @@ class Network {
   /// (shared with the Usites so one snapshot covers the whole grid).
   void set_metrics(std::shared_ptr<obs::MetricsRegistry> registry);
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
+  void count_channel_event(ChannelEvent event);
 
  private:
   friend class Endpoint;
@@ -246,6 +259,13 @@ class Network {
   struct LinkQueue {
     sim::Time busy_until = 0;
     sim::Time last_arrival = 0;
+
+    /// The arrival time of `bytes` payload bytes sent at `now` over
+    /// `link`, delayed `extra` more by a latency spike; advances the
+    /// queue. Data and close notices alike pass here, so FIFO holds
+    /// across both.
+    sim::Time admit(sim::Time now, std::size_t bytes, const LinkProfile& link,
+                    sim::Time extra);
   };
   static std::pair<std::string, std::string> host_pair(const std::string& a,
                                                        const std::string& b) {
@@ -256,11 +276,10 @@ class Network {
   /// spikes are garbage-collected here.
   sim::Time spike_extra(const std::string& a, const std::string& b);
 
-  /// Computes the arrival time of `bytes` payload bytes sent now from
-  /// `from` to `to`, advancing the shared link queue. Used by data and
-  /// close notices alike so FIFO holds across both.
-  sim::Time link_arrival(const std::string& from, const std::string& to,
-                         std::size_t bytes, const LinkProfile& link);
+  /// Whether an injected fault eats a message from `from` to `to` (a
+  /// partition, or the next entry of a drop schedule, which it consumes).
+  /// Consults each fault map only when it holds something.
+  bool fault_drops(const std::string& from, const std::string& to);
 
   void count_drop(std::size_t n = 1);
 
@@ -273,6 +292,8 @@ class Network {
   std::map<std::pair<std::string, std::string>, bool> partitions_;
   std::map<std::pair<std::string, std::string>, int> drop_schedules_;
   std::map<std::pair<std::string, std::string>, LatencySpike> spikes_;
+  // Connections hold pointers into these two (map nodes do not move, and
+  // neither map ever erases).
   std::map<std::pair<std::string, std::string>, LinkQueue> link_queues_;
   std::map<std::string, std::unique_ptr<Reactor>> reactors_;
   std::uint64_t messages_sent_ = 0;
@@ -285,6 +306,9 @@ class Network {
   obs::Counter* sent_counter_ = nullptr;
   obs::Counter* delivered_counter_ = nullptr;
   obs::Counter* dropped_counter_ = nullptr;
+  /// One per ChannelEvent, resolved on first use and dropped by
+  /// set_metrics.
+  std::array<obs::Counter*, kChannelEventCount> channel_counters_{};
 };
 
 }  // namespace unicore::net

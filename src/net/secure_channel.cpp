@@ -195,9 +195,7 @@ void SecureChannel::start() {
     if (!self) return;
     self->timeout_event_.reset();
     if (self->state_ != State::kEstablished && self->state_ != State::kFailed) {
-      if (auto* metrics = self->endpoint_->metrics())
-        metrics->counter("unicore_channel_handshake_timeouts_total")
-            .increment();
+      self->endpoint_->count_channel_event(ChannelEvent::kHandshakeTimeout);
       self->fail(util::make_error(ErrorCode::kTimeout,
                                   "handshake timed out"),
                  /*send_alert=*/false);
@@ -499,11 +497,7 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
   auto decline = [this] {
     // Transcript stays empty and the state machine stays put: the
     // client restarts with a full ClientHello on this connection.
-    if (auto* metrics = endpoint_->metrics())
-      metrics
-          ->counter("unicore_channel_resumptions_total",
-                    {{"result", "refused"}})
-          .increment();
+    endpoint_->count_channel_event(ChannelEvent::kResumeRefused);
     ByteWriter retry;
     retry.u8(kHelloRetry);
     endpoint_->send(retry.take());
@@ -555,10 +549,7 @@ void SecureChannel::handle_client_hello_resumed(ByteReader& reader,
   message.raw(verify);
   endpoint_->send(message.take());
 
-  if (auto* metrics = endpoint_->metrics())
-    metrics
-        ->counter("unicore_channel_resumptions_total", {{"result", "ok"}})
-        .increment();
+  endpoint_->count_channel_event(ChannelEvent::kResumed);
   succeed();
 }
 
@@ -692,9 +683,7 @@ std::string SecureChannel::session_cache_key() const {
 
 void SecureChannel::succeed() {
   state_ = State::kEstablished;
-  if (auto* metrics = endpoint_->metrics())
-    metrics->counter("unicore_channel_handshakes_total", {{"result", "ok"}})
-        .increment();
+  endpoint_->count_channel_event(ChannelEvent::kHandshakeOk);
   if (timeout_event_) {
     engine_.cancel(*timeout_event_);
     timeout_event_.reset();
@@ -714,9 +703,7 @@ void SecureChannel::fail(Error error, bool send_alert) {
   flush_send_queue();
   state_ = State::kFailed;
   if (!was_established) {
-    if (auto* metrics = endpoint_->metrics())
-      metrics->counter("unicore_channel_handshakes_total", {{"result", "fail"}})
-          .increment();
+    endpoint_->count_channel_event(ChannelEvent::kHandshakeFail);
   }
   if (timeout_event_) {
     engine_.cancel(*timeout_event_);

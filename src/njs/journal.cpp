@@ -17,6 +17,7 @@ const char* journal_record_type_name(JournalRecordType type) {
     case JournalRecordType::kXferBundleManifest: return "xfer-bundle-manifest";
     case JournalRecordType::kXferBundleChunk: return "xfer-bundle-chunk";
     case JournalRecordType::kXferBundleDone: return "xfer-bundle-done";
+    case JournalRecordType::kXferBundleExpired: return "xfer-bundle-expired";
   }
   return "unknown";
 }
@@ -138,6 +139,7 @@ std::vector<Journal::RecoveredJob> Journal::recover() const {
       case JournalRecordType::kXferBundleManifest:
       case JournalRecordType::kXferBundleChunk:
       case JournalRecordType::kXferBundleDone:
+      case JournalRecordType::kXferBundleExpired:
         break;  // owned by the transfer engine (xfer::recover_bundles)
       case JournalRecordType::kOwnerClaim:
         break;  // handoff bookkeeping (try_claim), not job state

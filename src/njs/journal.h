@@ -51,11 +51,13 @@ enum class JournalRecordType : std::uint8_t {
   // Transfer records (owned by src/xfer/, opaque to job recovery;
   // docs/DATA.md §3): ONE manifest per bundle of up to kMaxBundleFiles
   // files — a single file is a bundle of one — then one record per
-  // applied chunk tagged with its in-bundle file index, and the
-  // committed-bundle tombstone. See xfer/manifest.h for the codecs.
+  // applied chunk tagged with its in-bundle file index, and either the
+  // committed-bundle tombstone or the idle-expiry one. See
+  // xfer/manifest.h for the codecs.
   kXferBundleManifest = 10,
   kXferBundleChunk = 11,
   kXferBundleDone = 12,
+  kXferBundleExpired = 13,
 };
 
 const char* journal_record_type_name(JournalRecordType type);

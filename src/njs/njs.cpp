@@ -123,6 +123,8 @@ void Njs::wire_metrics() {
       "unicore_njs_dispatch_latency_seconds", labels, obs::latency_buckets());
   job_duration_hist_ = &metrics_->histogram("unicore_njs_job_duration_seconds",
                                             labels, obs::duration_buckets());
+  reap_reclaimed_counter_ = nullptr;
+  accounting_counters_.clear();
   for (auto& [name, runtime] : vsites_)
     runtime->subsystem->set_metrics(metrics_.get(), usite_);
 }
@@ -500,10 +502,12 @@ batch::BatchSubsystem::CompletionHandler Njs::make_batch_handler(
           sim::to_seconds(result.finished_at - result.started_at) *
           static_cast<double>(task.resource_request().processors);
       accounting_[job_run.user.login] += cpu_seconds;
-      metrics_
-          ->counter("unicore_njs_accounting_cpu_seconds_total",
-                    {{"usite", usite_}, {"login", job_run.user.login}})
-          .add(cpu_seconds);
+      obs::Counter*& counter = accounting_counters_[job_run.user.login];
+      if (counter == nullptr)
+        counter = &metrics_->counter(
+            "unicore_njs_accounting_cpu_seconds_total",
+            {{"usite", usite_}, {"login", job_run.user.login}});
+      counter->add(cpu_seconds);
     }
     ajo::ExecuteOutcome detail;
     detail.exit_code = result.exit_code;
@@ -1673,10 +1677,10 @@ Result<std::uint64_t> Njs::reap_storage(JobToken token) {
     // references were freed. Physical reclaim can be less than `freed`
     // when surviving files still share chunks with the reaped ones.
     physical_freed = physical_before - chunk_store_->stats().physical_bytes;
-    metrics_
-        ->counter("unicore_store_reap_reclaimed_bytes_total",
-                  {{"usite", usite_}})
-        .add(static_cast<double>(physical_freed));
+    if (reap_reclaimed_counter_ == nullptr)
+      reap_reclaimed_counter_ = &metrics_->counter(
+          "unicore_store_reap_reclaimed_bytes_total", {{"usite", usite_}});
+    reap_reclaimed_counter_->add(static_cast<double>(physical_freed));
   }
   UNICORE_INFO("njs/" + usite_)
       << "reaped storage of job " << token << ": " << freed

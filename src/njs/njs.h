@@ -462,6 +462,9 @@ class Njs {
   obs::Counter* batch_retry_counter_ = nullptr;
   obs::Counter* reattach_counter_ = nullptr;
   obs::Counter* storage_reap_counter_ = nullptr;
+  // Resolved on first use and dropped by wire_metrics.
+  obs::Counter* reap_reclaimed_counter_ = nullptr;
+  std::map<std::string, obs::Counter*> accounting_counters_;  // by login
   obs::Histogram* dispatch_latency_hist_ = nullptr;
   obs::Histogram* job_duration_hist_ = nullptr;
 };

@@ -117,6 +117,7 @@ UsiteServer::UsiteServer(sim::Engine& engine, net::Network& network,
 void UsiteServer::set_metrics(std::shared_ptr<obs::MetricsRegistry> registry) {
   if (registry == nullptr || registry == metrics_) return;
   metrics_ = std::move(registry);
+  request_series_ = {};
   njs_cluster_.set_metrics(metrics_);
   chunk_store_->set_metrics(metrics_, config_.name);
   gateway_.set_metrics(metrics_.get());
@@ -357,20 +358,24 @@ void UsiteServer::handle_request(const std::shared_ptr<ClientSession>& session,
   // (directly when combined; in handle_pipe_client_message when split),
   // so it hands the reply straight to the session.
   sim::Time received_at = engine_.now();
-  metrics_
-      ->counter("unicore_server_requests_total",
-                {{"kind", request_kind_name(kind)}, {"usite", config_.name}})
-      .increment();
+  RequestSeries& series = request_series_[static_cast<std::uint8_t>(kind)];
+  if (series.requests == nullptr)
+    series.requests = &metrics_->counter(
+        "unicore_server_requests_total",
+        {{"kind", request_kind_name(kind)}, {"usite", config_.name}});
+  series.requests->increment();
   auto forward = [this, session, session_id, kind, received_at](Bytes packed) {
     execute_at_njs(
         session_id, std::move(packed),
         [this, session_id, kind, received_at](Bytes reply) {
-          metrics_
-              ->histogram("unicore_gateway_request_latency_seconds",
-                          {{"kind", request_kind_name(kind)},
-                           {"usite", config_.name}},
-                          obs::latency_buckets())
-              .observe(sim::to_seconds(engine_.now() - received_at));
+          RequestSeries& series =
+              request_series_[static_cast<std::uint8_t>(kind)];
+          if (series.latency == nullptr)
+            series.latency = &metrics_->histogram(
+                "unicore_gateway_request_latency_seconds",
+                {{"kind", request_kind_name(kind)}, {"usite", config_.name}},
+                obs::latency_buckets());
+          series.latency->observe(sim::to_seconds(engine_.now() - received_at));
           deliver_to_session(session_id, std::move(reply));
         });
   };

@@ -13,6 +13,7 @@
 // channels to the *peer's* gateway (§4.3, §5.6).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -329,6 +330,14 @@ class UsiteServer : public njs::PeerLink {
   njs::NjsCluster njs_cluster_;
   gateway::SessionBroker session_broker_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
+  /// The request series of one RequestKind, resolved on that kind's
+  /// first request and dropped by set_metrics.
+  struct RequestSeries {
+    obs::Counter* requests = nullptr;   // unicore_server_requests_total
+    obs::Histogram* latency = nullptr;  // ..._request_latency_seconds
+  };
+  /// Indexed by the kind's wire byte.
+  std::array<RequestSeries, 256> request_series_{};
   xfer::TransferManager xfer_manager_;
   /// One transfer receiver per NJS replica, ids strided to its
   /// partition so chunks and closes route back to their minter.

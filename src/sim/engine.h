@@ -6,12 +6,18 @@
 // (time, insertion-sequence) order, so a given seed always produces the
 // same trace. Virtual time is kept in microseconds as a signed 64-bit
 // count, which spans ±292k years — enough for any batch queue.
+//
+// Scheduling an event allocates nothing once the engine is warm: each
+// handler lives in a slot of one vector, reused through a free list, and
+// the heap holds plain (time, sequence, slot, generation) entries. A
+// slot's generation moves on every time its event fires or is cancelled,
+// so a heap entry or an EventId from an earlier occupant no longer
+// matches and names nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace unicore::sim {
@@ -32,7 +38,8 @@ constexpr Time from_seconds(double s) {
 }
 constexpr double to_seconds(Time t) { return static_cast<double>(t) / 1e6; }
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event: (generation << 32 | slot),
+/// generation ≥ 1, so 0 never names an event.
 using EventId = std::uint64_t;
 
 class Engine {
@@ -53,7 +60,8 @@ class Engine {
 
   /// Cancels a pending event; returns false if it already fired, is
   /// firing now (a cancel from inside its own handler), or was already
-  /// cancelled.
+  /// cancelled — also when its slot has since been reused by another
+  /// event, which the cancel leaves alone.
   bool cancel(EventId id);
 
   /// Fires the next pending event; returns false when the queue is empty.
@@ -66,28 +74,42 @@ class Engine {
   /// (if the simulation had not already passed it). Returns events fired.
   std::size_t run_until(Time deadline);
 
-  std::size_t pending() const { return handlers_.size(); }
+  std::size_t pending() const { return slots_.size() - free_.size(); }
   std::uint64_t events_fired() const { return fired_; }
 
  private:
   struct Entry {
     Time time;
-    EventId id;
+    std::uint64_t seq;  // FIFO among equal times
+    std::uint32_t slot;
+    std::uint32_t generation;
     bool operator>(const Entry& other) const {
-      // Earlier time first; FIFO among equal times via ascending id.
       if (time != other.time) return time > other.time;
-      return id > other.id;
+      return seq > other.seq;
     }
   };
+  struct Slot {
+    std::function<void()> fn;
+    /// The occupant's generation while the slot holds an event; while it
+    /// is free, the next occupant's, which no EventId carries yet.
+    std::uint32_t generation = 1;
+  };
+
+  /// A heap entry whose slot has moved on to a later generation is a
+  /// cancelled event, or one whose slot was reused; it is skipped.
+  bool live(const Entry& entry) const {
+    return slots_[entry.slot].generation == entry.generation;
+  }
+  /// Empties `slot`, advances its generation and returns it to the free
+  /// list.
+  void release(std::uint32_t slot);
 
   Time now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  /// Handlers of the events still to fire. cancel() erases the handler
-  /// and leaves the heap entry behind; an entry without a handler is a
-  /// cancelled event, skipped when it reaches the head.
-  std::unordered_map<EventId, std::function<void()>> handlers_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace unicore::sim

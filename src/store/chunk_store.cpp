@@ -34,7 +34,18 @@ void ChunkStore::set_metrics(std::shared_ptr<obs::MetricsRegistry> registry,
                              std::string site) {
   metrics_ = std::move(registry);
   site_ = std::move(site);
+  series_ = {};
   refresh_gauges();
+}
+
+obs::Counter& ChunkStore::series(obs::Counter*& handle, std::string_view name) {
+  if (handle == nullptr) handle = &metrics_->counter(name, {{"site", site_}});
+  return *handle;
+}
+
+obs::Gauge& ChunkStore::series(obs::Gauge*& handle, std::string_view name) {
+  if (handle == nullptr) handle = &metrics_->gauge(name, {{"site", site_}});
+  return *handle;
 }
 
 std::uint64_t ChunkStore::refcount(const crypto::Digest& digest) const {
@@ -46,9 +57,8 @@ void ChunkStore::count_dedup(const ChunkRec& rec) {
   ++stats_.dedup_hits;
   stats_.dedup_bytes_saved += rec.length;
   if (metrics_ != nullptr) {
-    obs::Labels labels{{"site", site_}};
-    metrics_->counter("unicore_store_dedup_hits_total", labels).increment();
-    metrics_->counter("unicore_store_dedup_bytes_saved_total", labels)
+    series(series_.dedup_hits, "unicore_store_dedup_hits_total").increment();
+    series(series_.dedup_bytes_saved, "unicore_store_dedup_bytes_saved_total")
         .add(static_cast<double>(rec.length));
   }
 }
@@ -169,8 +179,7 @@ void ChunkStore::release(const crypto::Digest& digest) {
   --stats_.chunks;
   chunks_.erase(it);
   if (metrics_ != nullptr)
-    metrics_
-        ->counter("unicore_store_reclaimed_chunks_total", {{"site", site_}})
+    series(series_.reclaimed_chunks, "unicore_store_reclaimed_chunks_total")
         .increment();
   refresh_gauges();
 }
@@ -206,8 +215,7 @@ Result<util::Bytes> ChunkStore::read(const crypto::Digest& digest) {
     stats_.resident_bytes += rec.length;
     ++stats_.faults;
     if (metrics_ != nullptr)
-      metrics_->counter("unicore_store_faults_total", {{"site", site_}})
-          .increment();
+      series(series_.faults, "unicore_store_faults_total").increment();
     // The eviction below may spill this very chunk again (a budget
     // smaller than one chunk), so the caller gets the verified copy.
     maybe_evict();
@@ -255,25 +263,23 @@ void ChunkStore::maybe_evict() {
     stats_.spilled_bytes += rec.length;
     ++stats_.spills;
     if (metrics_ != nullptr)
-      metrics_->counter("unicore_store_spills_total", {{"site", site_}})
-          .increment();
+      series(series_.spills, "unicore_store_spills_total").increment();
   }
 }
 
 void ChunkStore::refresh_gauges() {
   if (metrics_ == nullptr) return;
-  obs::Labels labels{{"site", site_}};
-  metrics_->gauge("unicore_store_chunks", labels)
+  series(series_.chunks, "unicore_store_chunks")
       .set(static_cast<double>(stats_.chunks));
-  metrics_->gauge("unicore_store_physical_bytes", labels)
+  series(series_.physical_bytes, "unicore_store_physical_bytes")
       .set(static_cast<double>(stats_.physical_bytes));
-  metrics_->gauge("unicore_store_resident_bytes", labels)
+  series(series_.resident_bytes, "unicore_store_resident_bytes")
       .set(static_cast<double>(stats_.resident_bytes));
-  metrics_->gauge("unicore_store_spilled_bytes", labels)
+  series(series_.spilled_bytes, "unicore_store_spilled_bytes")
       .set(static_cast<double>(stats_.spilled_bytes));
-  metrics_->gauge("unicore_store_logical_bytes", labels)
+  series(series_.logical_bytes, "unicore_store_logical_bytes")
       .set(static_cast<double>(stats_.logical_bytes));
-  metrics_->gauge("unicore_store_total_refs", labels)
+  series(series_.total_refs, "unicore_store_total_refs")
       .set(static_cast<double>(stats_.total_refs));
 }
 

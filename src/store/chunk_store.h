@@ -29,6 +29,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/chunk_digest.h"
@@ -194,6 +195,10 @@ class ChunkStore {
   void maybe_evict();
   void count_dedup(const ChunkRec& rec);
   void refresh_gauges();
+  /// `handle`, resolved as series `name`{site} on first use. Requires a
+  /// registry.
+  obs::Counter& series(obs::Counter*& handle, std::string_view name);
+  obs::Gauge& series(obs::Gauge*& handle, std::string_view name);
 
   Config config_;
   std::shared_ptr<SpillBackend> spill_;
@@ -204,6 +209,20 @@ class ChunkStore {
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   std::string site_;
+  /// Series handles, dropped by set_metrics.
+  struct Series {
+    obs::Counter* dedup_hits = nullptr;
+    obs::Counter* dedup_bytes_saved = nullptr;
+    obs::Counter* reclaimed_chunks = nullptr;
+    obs::Counter* faults = nullptr;
+    obs::Counter* spills = nullptr;
+    obs::Gauge* chunks = nullptr;
+    obs::Gauge* physical_bytes = nullptr;
+    obs::Gauge* resident_bytes = nullptr;
+    obs::Gauge* spilled_bytes = nullptr;
+    obs::Gauge* logical_bytes = nullptr;
+    obs::Gauge* total_refs = nullptr;
+  } series_;
 };
 
 /// RAII pin over one manifest's chunks: holds one reference per entry

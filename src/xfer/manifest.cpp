@@ -70,6 +70,14 @@ void journal_bundle_done(njs::Journal& journal,
       {njs::JournalRecordType::kXferBundleDone, manifest.token, w.take()});
 }
 
+void journal_bundle_expired(njs::Journal& journal,
+                            const BundleManifest& manifest) {
+  util::ByteWriter w;
+  w.blob(manifest.key);
+  journal.append(
+      {njs::JournalRecordType::kXferBundleExpired, manifest.token, w.take()});
+}
+
 std::vector<RecoveredBundle> recover_bundles(const njs::Journal& journal) {
   std::map<util::Bytes, RecoveredBundle> open;
   // Duplicate suppression per (file index, chunk index).
@@ -101,7 +109,8 @@ std::vector<RecoveredBundle> recover_bundles(const njs::Journal& journal) {
         it->second.chunks.emplace_back(file_index, std::move(chunk));
         break;
       }
-      case njs::JournalRecordType::kXferBundleDone: {
+      case njs::JournalRecordType::kXferBundleDone:
+      case njs::JournalRecordType::kXferBundleExpired: {
         util::Bytes key = r.blob();
         if (!r.ok()) return;
         open.erase(key);

@@ -59,6 +59,10 @@ void journal_bundle_chunk(njs::Journal& journal,
                           std::uint32_t file_index, const Chunk& chunk);
 void journal_bundle_done(njs::Journal& journal,
                          const BundleManifest& manifest);
+/// The receiver dropped the bundle after its idle timeout: recovery must
+/// not rebuild it.
+void journal_bundle_expired(njs::Journal& journal,
+                            const BundleManifest& manifest);
 
 /// One half-finished bundle folded out of the journal.
 struct RecoveredBundle {
@@ -68,13 +72,14 @@ struct RecoveredBundle {
 };
 
 /// Replays the journal's bundle records into the bundles that were
-/// open at crash time (kXferBundleDone erases). Records that fail to
-/// decode are skipped, mirroring Journal::recover().
+/// open at crash time (kXferBundleDone and kXferBundleExpired erase).
+/// Records that fail to decode are skipped, mirroring Journal::recover().
 std::vector<RecoveredBundle> recover_bundles(const njs::Journal& journal);
 
 /// Keys of bundles that committed (kXferBundleDone). After a receiver
 /// crash these make a re-opened committed bundle answer "every file
-/// complete" instead of accepting the bytes a second time.
+/// complete" instead of accepting the bytes a second time. An expired
+/// bundle is not among them: its sender starts over.
 std::vector<util::Bytes> completed_bundle_keys(const njs::Journal& journal);
 
 }  // namespace unicore::xfer

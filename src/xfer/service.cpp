@@ -67,19 +67,31 @@ std::uint32_t Service::credit_for_bytes(std::uint32_t chunk_bytes) const {
       chunks, 1, limits_.max_credit));  // never stall a sender completely
 }
 
+Service::Series& Service::series() {
+  if (series_.registry != njs_.metrics()) series_ = Series{njs_.metrics()};
+  return series_;
+}
+
+obs::Counter& Service::counter(obs::Counter*& handle, std::string_view name) {
+  if (handle == nullptr)
+    handle = &njs_.metrics()->counter(name, {{"usite", njs_.usite()}});
+  return *handle;
+}
+
+obs::Gauge& Service::gauge(obs::Gauge*& handle, std::string_view name) {
+  if (handle == nullptr)
+    handle = &njs_.metrics()->gauge(name, {{"usite", njs_.usite()}});
+  return *handle;
+}
+
 void Service::update_gauges() {
-  obs::MetricsRegistry& m = *njs_.metrics();
-  if (gauges_.registry != &m) {
-    // The NJS may have moved to another registry since the last update.
-    obs::Labels labels{{"usite", njs_.usite()}};
-    gauges_.registry = &m;
-    gauges_.open_inbound = &m.gauge("unicore_xfer_open_inbound", labels);
-    gauges_.open_outbound = &m.gauge("unicore_xfer_open_outbound", labels);
-    gauges_.buffered_bytes = &m.gauge("unicore_xfer_buffered_bytes", labels);
-  }
-  gauges_.open_inbound->set(static_cast<double>(incoming_.size()));
-  gauges_.open_outbound->set(static_cast<double>(outgoing_.size()));
-  gauges_.buffered_bytes->set(static_cast<double>(buffered_));
+  Series& s = series();
+  gauge(s.open_inbound, "unicore_xfer_open_inbound")
+      .set(static_cast<double>(incoming_.size()));
+  gauge(s.open_outbound, "unicore_xfer_open_outbound")
+      .set(static_cast<double>(outgoing_.size()));
+  gauge(s.buffered_bytes, "unicore_xfer_buffered_bytes")
+      .set(static_cast<double>(buffered_));
 }
 
 util::Status Service::accept_chunk(Assembly& assembly, const Chunk& chunk) {
@@ -127,9 +139,7 @@ std::uint64_t Service::satisfy_open(Incoming& incoming,
   }
   if (satisfied > 0) {
     chunks_deduped_ += satisfied;
-    njs_.metrics()
-        ->counter("unicore_xfer_dedup_chunks_total",
-                  {{"usite", njs_.usite()}})
+    counter(series().dedup_chunks, "unicore_xfer_dedup_chunks_total")
         .add(static_cast<double>(satisfied));
   }
   return satisfied;
@@ -152,9 +162,7 @@ BundleOpenReply Service::resume_reply(const Incoming& incoming) const {
 
 Result<Bytes> Service::open(const crypto::DistinguishedName& principal,
                             bool server_peer, Role role, util::ByteReader& r) {
-  njs_.metrics()
-      ->counter("unicore_xfer_opens_total", {{"usite", njs_.usite()}})
-      .increment();
+  counter(series().opens, "unicore_xfer_opens_total").increment();
   if (auto allowed = check_role(role, server_peer); !allowed.ok())
     return allowed.error();
   return role_is_push(role) ? open_push(principal, role, r)
@@ -242,13 +250,12 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
   if (njs::Journal* journal = njs_.journal_for(incoming->manifest.token))
     journal_bundle_manifest(*journal, incoming->manifest);
   {
-    auto& m = *njs_.metrics();
-    obs::Labels labels{{"usite", njs_.usite()}};
-    m.counter("unicore_xfer_bundle_files_total", labels)
+    Series& s = series();
+    counter(s.bundle_files, "unicore_xfer_bundle_files_total")
         .add(static_cast<double>(request.files.size()));
     // Against one open + one close RTT per file, a bundle spends two
     // RTTs total: 2n - 2 saved.
-    m.counter("unicore_xfer_rtts_saved_total", labels)
+    counter(s.rtts_saved, "unicore_xfer_rtts_saved_total")
         .add(static_cast<double>(2 * request.files.size() - 2));
   }
   // Dedup at open: chunks the store already holds are reported in the
@@ -370,9 +377,7 @@ Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
     // Idempotent re-delivery: journaled (and possibly acked) before a
     // crash or a lost ack. Never applied twice.
     ++duplicates_suppressed_;
-    njs_.metrics()
-        ->counter("unicore_xfer_duplicate_chunks_total",
-                  {{"usite", njs_.usite()}})
+    counter(series().duplicate_chunks, "unicore_xfer_duplicate_chunks_total")
         .increment();
     reply.applied = false;
     reply.credit = credit_for_bytes(incoming.manifest.chunk_bytes);
@@ -465,7 +470,19 @@ Result<Bytes> Service::close(const crypto::DistinguishedName& principal,
 
 void Service::touch(std::uint64_t id, sim::EventId& expiry) {
   engine_.cancel(expiry);
-  expiry = engine_.after(limits_.idle_timeout, [this, id] { drop(id); });
+  expiry = engine_.after(limits_.idle_timeout, [this, id] { expire(id); });
+}
+
+void Service::expire(std::uint64_t id) {
+  // An inbound bundle whose sender went quiet is gone for good; without
+  // the record, every later recovery would rebuild it from its manifest
+  // and chunks and take their store references again.
+  if (auto in = incoming_by_id_.find(id); in != incoming_by_id_.end()) {
+    const BundleManifest& manifest = in->second->manifest;
+    if (njs::Journal* journal = njs_.journal_for(manifest.token))
+      journal_bundle_expired(*journal, manifest);
+  }
+  drop(id);
 }
 
 void Service::drop(std::uint64_t id) {
@@ -539,9 +556,8 @@ void Service::fold_journal(const njs::Journal& journal) {
     incoming_by_id_[incoming->id] = incoming.get();
     incoming_.emplace(incoming->manifest.key, std::move(incoming));
     ++transfers_recovered_;
-    njs_.metrics()
-        ->counter("unicore_xfer_recovered_transfers_total",
-                  {{"usite", njs_.usite()}})
+    counter(series().recovered_transfers,
+            "unicore_xfer_recovered_transfers_total")
         .increment();
   }
   update_gauges();

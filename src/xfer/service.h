@@ -145,6 +145,9 @@ class Service : public njs::CrashParticipant {
   BundleOpenReply resume_reply(const Incoming& incoming) const;
   /// Re-arms the idle timer `expiry` of transfer `id`.
   void touch(std::uint64_t id, sim::EventId& expiry);
+  /// The idle timer fired: journals an inbound bundle's expiry, then
+  /// drops the transfer.
+  void expire(std::uint64_t id);
   /// Drops transfer `id` from whichever table holds it, with its timer,
   /// its buffered bytes and its assemblies' chunk-store references.
   void drop(std::uint64_t id);
@@ -176,13 +179,27 @@ class Service : public njs::CrashParticipant {
   /// so a chunk never walks the open transfers to find it.
   std::uint64_t buffered_ = 0;
 
-  /// The unicore_xfer_* table gauges, looked up once per registry.
-  struct Gauges {
-    const obs::MetricsRegistry* registry = nullptr;
+  /// The unicore_xfer_*{usite} series, each looked up on its first use
+  /// in a registry.
+  struct Series {
+    /// Held, so that no later registry can take its address while the
+    /// handles below point into it.
+    std::shared_ptr<obs::MetricsRegistry> registry;
     obs::Gauge* open_inbound = nullptr;
     obs::Gauge* open_outbound = nullptr;
     obs::Gauge* buffered_bytes = nullptr;
-  } gauges_;
+    obs::Counter* opens = nullptr;
+    obs::Counter* bundle_files = nullptr;
+    obs::Counter* rtts_saved = nullptr;
+    obs::Counter* dedup_chunks = nullptr;
+    obs::Counter* duplicate_chunks = nullptr;
+    obs::Counter* recovered_transfers = nullptr;
+  } series_;
+  /// `series_`, emptied first when the NJS has moved to another registry
+  /// since the last record.
+  Series& series();
+  obs::Counter& counter(obs::Counter*& handle, std::string_view name);
+  obs::Gauge& gauge(obs::Gauge*& handle, std::string_view name);
 
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t chunks_applied_ = 0;

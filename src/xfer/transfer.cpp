@@ -65,8 +65,8 @@ class Run : public std::enable_shared_from_this<Run> {
     stats_.streams = transport_->streams();
     stats_.bundles = 1;
     stats_.files = push_ ? files_.size() : names_.size();
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_active_transfers", labels()).add(1);
+    if (mgr_.metrics())
+      gauge(series().active_transfers, "unicore_xfer_active_transfers").add(1);
     if (push_) {
       // The entries (including every per-chunk digest, which a blob
       // holds at the identity granularity) are built once and reused
@@ -101,6 +101,23 @@ class Run : public std::enable_shared_from_this<Run> {
 
   obs::Labels labels() const {
     return {{"usite", mgr_.site()}, {"direction", push_ ? "push" : "pull"}};
+  }
+
+  // This direction's series, each looked up on first use (and again
+  // after TransferManager::set_metrics). Callers check metrics() first.
+  TransferManager::Series& series() { return mgr_.series(push_); }
+  obs::Counter& counter(obs::Counter*& handle, std::string_view name,
+                        const char* result = nullptr) {
+    if (handle == nullptr) {
+      obs::Labels labels = this->labels();
+      if (result != nullptr) labels.emplace_back("result", result);
+      handle = &mgr_.metrics()->counter(name, std::move(labels));
+    }
+    return *handle;
+  }
+  obs::Gauge& gauge(obs::Gauge*& handle, std::string_view name) {
+    if (handle == nullptr) handle = &mgr_.metrics()->gauge(name, labels());
+    return *handle;
   }
 
   /// Pushes honour the receiver's credit; a pull has none (the puller's
@@ -260,7 +277,7 @@ class Run : public std::enable_shared_from_this<Run> {
   void send_chunk(ChunkId id) {
     util::Bytes body;
     ++inflight_;
-    auto* m = mgr_.metrics();
+    const bool metered = mgr_.metrics() != nullptr;
     if (push_) {
       BundleChunkRequest request;
       request.role = role_;
@@ -269,9 +286,9 @@ class Run : public std::enable_shared_from_this<Run> {
       request.chunk =
           make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
       ++stats_.chunks;
-      if (m != nullptr) {
-        m->counter("unicore_xfer_chunks_total", labels()).increment();
-        m->counter("unicore_xfer_bytes_total", labels())
+      if (metered) {
+        counter(series().chunks, "unicore_xfer_chunks_total").increment();
+        counter(series().bytes, "unicore_xfer_bytes_total")
             .add(static_cast<double>(request.chunk.length));
       }
       body = request.encode();
@@ -283,7 +300,8 @@ class Run : public std::enable_shared_from_this<Run> {
       request.index = id.second;
       body = request.encode();
     }
-    if (m != nullptr) m->gauge("unicore_xfer_inflight_chunks", labels()).add(1);
+    if (metered)
+      gauge(series().inflight_chunks, "unicore_xfer_inflight_chunks").add(1);
     std::size_t stream = next_stream_++ % transport_->streams();
     call(stream, Op::kChunk, std::move(body),
          [id](Run& run, util::Result<util::Bytes> reply) {
@@ -293,8 +311,8 @@ class Run : public std::enable_shared_from_this<Run> {
 
   void on_chunk_reply(ChunkId id, util::Result<util::Bytes> reply) {
     --inflight_;
-    if (auto* m = mgr_.metrics())
-      m->gauge("unicore_xfer_inflight_chunks", labels()).add(-1);
+    if (mgr_.metrics())
+      gauge(series().inflight_chunks, "unicore_xfer_inflight_chunks").add(-1);
     if (!reply.ok()) {
       if (needs_resume(reply.error().code))
         resume("chunk rejected: " + reply.error().to_string());
@@ -323,9 +341,9 @@ class Run : public std::enable_shared_from_this<Run> {
         return;
       }
       ++stats_.chunks;
-      if (auto* m = mgr_.metrics()) {
-        m->counter("unicore_xfer_chunks_total", labels()).increment();
-        m->counter("unicore_xfer_bytes_total", labels())
+      if (mgr_.metrics()) {
+        counter(series().chunks, "unicore_xfer_chunks_total").increment();
+        counter(series().bytes, "unicore_xfer_bytes_total")
             .add(static_cast<double>(chunk->length));
       }
     }
@@ -345,8 +363,9 @@ class Run : public std::enable_shared_from_this<Run> {
       return;
     }
     ++stats_.retransmits;
-    if (auto* m = mgr_.metrics())
-      m->counter("unicore_xfer_retransmits_total", labels()).increment();
+    if (mgr_.metrics())
+      counter(series().retransmits, "unicore_xfer_retransmits_total")
+          .increment();
     auto self = shared_from_this();
     std::uint64_t gen = generation_;
     mgr_.engine().after(
@@ -367,11 +386,11 @@ class Run : public std::enable_shared_from_this<Run> {
       return;
     }
     ++stats_.resumes;
-    if (auto* m = mgr_.metrics()) {
-      m->counter("unicore_xfer_resumes_total", labels()).increment();
+    if (mgr_.metrics()) {
+      counter(series().resumes, "unicore_xfer_resumes_total").increment();
       // Abandoned in-flight chunks never decrement the gauge themselves
       // (their replies carry a stale generation), so settle it here.
-      m->gauge("unicore_xfer_inflight_chunks", labels())
+      gauge(series().inflight_chunks, "unicore_xfer_inflight_chunks")
           .add(-static_cast<double>(inflight_));
     }
     ++generation_;
@@ -437,28 +456,28 @@ class Run : public std::enable_shared_from_this<Run> {
     stats_.finished_at = mgr_.engine().now();
     finished_ = true;
     if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", labels()).add(-1);
-      count_result(*m, "ok");
-      m->histogram("unicore_xfer_transfer_seconds", labels(),
-                   obs::latency_buckets())
-          .observe(sim::to_seconds(stats_.finished_at - stats_.started_at));
+      TransferManager::Series& s = series();
+      gauge(s.active_transfers, "unicore_xfer_active_transfers").add(-1);
+      counter(s.transfers_ok, "unicore_xfer_transfers_total", "ok")
+          .increment();
+      if (s.transfer_seconds == nullptr)
+        s.transfer_seconds = &m->histogram("unicore_xfer_transfer_seconds",
+                                           labels(), obs::latency_buckets());
+      s.transfer_seconds->observe(
+          sim::to_seconds(stats_.finished_at - stats_.started_at));
     }
     done_cb_(PullResult{std::move(blobs), stats_});
   }
 
   void fail(util::Error error) {
     finished_ = true;
-    if (auto* m = mgr_.metrics()) {
-      m->gauge("unicore_xfer_active_transfers", labels()).add(-1);
-      count_result(*m, "error");
+    if (mgr_.metrics()) {
+      TransferManager::Series& s = series();
+      gauge(s.active_transfers, "unicore_xfer_active_transfers").add(-1);
+      counter(s.transfers_error, "unicore_xfer_transfers_total", "error")
+          .increment();
     }
     done_cb_(std::move(error));
-  }
-
-  void count_result(obs::MetricsRegistry& m, const char* result) const {
-    obs::Labels labels = this->labels();
-    labels.emplace_back("result", result);
-    m.counter("unicore_xfer_transfers_total", labels).increment();
   }
 
   TransferManager& mgr_;

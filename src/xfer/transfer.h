@@ -21,6 +21,7 @@
 // chunk (or, for an open, a failed open).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -116,14 +117,29 @@ class TransferManager {
   TransferManager(sim::Engine& engine, util::Rng& rng)
       : engine_(engine), rng_(rng) {}
 
-  /// Metrics are looked up by name on every update, so a registry swap
-  /// (Njs::set_metrics) takes effect immediately. `site` labels the
-  /// series.
+  /// `site` labels the series. Each series is looked up on its first
+  /// use and recorded through its handle after that; this drops every
+  /// handle, so a registry swap takes effect immediately.
   void set_metrics(obs::MetricsRegistry* metrics, std::string site) {
     metrics_ = metrics;
     site_ = std::move(site);
+    series_ = {};
   }
   obs::MetricsRegistry* metrics() const { return metrics_; }
+
+  /// The unicore_xfer_*{usite, direction} series of one direction.
+  struct Series {
+    obs::Gauge* active_transfers = nullptr;
+    obs::Gauge* inflight_chunks = nullptr;
+    obs::Counter* chunks = nullptr;
+    obs::Counter* bytes = nullptr;
+    obs::Counter* retransmits = nullptr;
+    obs::Counter* resumes = nullptr;
+    obs::Counter* transfers_ok = nullptr;  // unicore_xfer_transfers_total
+    obs::Counter* transfers_error = nullptr;
+    obs::Histogram* transfer_seconds = nullptr;
+  };
+  Series& series(bool push) { return series_[push ? 1 : 0]; }
   const std::string& site() const { return site_; }
   sim::Engine& engine() const { return engine_; }
   util::Rng& rng() const { return rng_; }
@@ -151,6 +167,7 @@ class TransferManager {
   util::Rng& rng_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string site_;
+  std::array<Series, 2> series_{};  // pull, push
 };
 
 }  // namespace unicore::xfer

@@ -327,6 +327,7 @@ std::vector<WireCase> wire_cases() {
   xfer::journal_bundle_manifest(journal, manifest);
   xfer::journal_bundle_chunk(journal, manifest, 0, chunk);
   xfer::journal_bundle_done(journal, manifest);
+  xfer::journal_bundle_expired(journal, manifest);
   std::vector<njs::JournalRecord> records;
   store->replay(
       [&records](const njs::JournalRecord& r) { records.push_back(r); });

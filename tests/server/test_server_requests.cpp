@@ -677,6 +677,94 @@ TEST(ServerRequests, MalformedErrorReplyEndsTheRailsCallByItsTimeout) {
   EXPECT_EQ(fired_at - sent_at, config.request_timeout);
 }
 
+// The server resolves each kind's series on that kind's first request
+// and records through the handle after that: different counts per kind
+// show that no handle points at another kind's series.
+TEST(ServerRequests, EachRequestKindRecordsIntoItsOwnSeries) {
+  SingleSite site(95);
+  RawClient raw(site, site.user);
+  const std::vector<std::pair<RequestKind, int>> kinds{
+      {RequestKind::kResourcePages, 2},
+      {RequestKind::kList, 3},
+      {RequestKind::kStorageList, 4}};
+  const std::string usite = site.server->config().name;
+  auto series = [&](RequestKind kind) -> obs::Labels {
+    return {{"kind", request_kind_name(kind)}, {"usite", usite}};
+  };
+  const obs::MetricsSnapshot before = site.server->metrics()->snapshot();
+  std::uint64_t request_id = 1;
+  for (const auto& [kind, n] : kinds)
+    for (int i = 0; i < n; ++i) {
+      raw.send(make_request(kind, request_id++, {}));
+      ASSERT_TRUE(raw.last_reply_status().first) << request_kind_name(kind);
+    }
+  const obs::MetricsSnapshot after = site.server->metrics()->snapshot();
+  for (const auto& [kind, n] : kinds) {
+    SCOPED_TRACE(request_kind_name(kind));
+    EXPECT_EQ(before.find("unicore_server_requests_total", series(kind)),
+              nullptr);
+    const obs::MetricPoint* requests =
+        after.find("unicore_server_requests_total", series(kind));
+    ASSERT_NE(requests, nullptr);
+    EXPECT_EQ(requests->value, n);
+    const obs::MetricPoint* latency =
+        after.find("unicore_gateway_request_latency_seconds", series(kind));
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->count, static_cast<std::uint64_t>(n));
+  }
+}
+
+// set_metrics drops every handle the server side resolved, so nothing it
+// records afterwards reaches the old registry. (The network keeps its
+// own registry: unicore_net_* and unicore_channel_* are not the
+// server's.)
+TEST(ServerRequests, SetMetricsSendsEveryLaterRecordToTheNewRegistry) {
+  SingleSite site(96);
+  RawClient raw(site, site.user);
+  util::ByteWriter ttl;
+  ttl.i64(0);
+  // Resolve the request, latency, auth-cache and session handles first.
+  raw.send(make_request(RequestKind::kResourcePages, 1, {}));
+  raw.send(make_request(RequestKind::kSessionOpen, 2, ttl.bytes()));
+  ASSERT_TRUE(raw.last_reply_status().first);
+
+  std::shared_ptr<obs::MetricsRegistry> old_registry = site.server->metrics();
+  auto server_side = [](const obs::MetricsSnapshot& snapshot) {
+    std::vector<std::tuple<std::string, obs::Labels, double, std::uint64_t>>
+        points;
+    for (const obs::MetricPoint& point : snapshot.points)
+      if (point.name.rfind("unicore_server_", 0) == 0 ||
+          point.name.rfind("unicore_gateway_", 0) == 0)
+        points.emplace_back(point.name, point.labels, point.value,
+                            point.count);
+    return points;
+  };
+  const auto old_before = server_side(old_registry->snapshot());
+  auto fresh = std::make_shared<obs::MetricsRegistry>();
+  site.server->set_metrics(fresh);
+
+  raw.send(make_request(RequestKind::kResourcePages, 3, {}));
+  raw.send(make_request(RequestKind::kSessionOpen, 4, ttl.bytes()));
+  ASSERT_TRUE(raw.last_reply_status().first);
+
+  EXPECT_EQ(server_side(old_registry->snapshot()), old_before);
+  const obs::MetricsSnapshot now = fresh->snapshot();
+  const obs::Labels pages{{"kind", "resource-pages"},
+                          {"usite", site.server->config().name}};
+  const obs::MetricPoint* requests =
+      now.find("unicore_server_requests_total", pages);
+  ASSERT_NE(requests, nullptr);
+  EXPECT_EQ(requests->value, 1.0);
+  const obs::MetricPoint* latency =
+      now.find("unicore_gateway_request_latency_seconds", pages);
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 1u);
+  // The session open authenticates the channel's certificate (resource
+  // pages are anonymous): one auth-cache lookup, one session counted.
+  EXPECT_EQ(now.total("unicore_gateway_auth_cache_total"), 1.0);
+  EXPECT_EQ(now.total("unicore_gateway_sessions_total"), 1.0);
+}
+
 TEST(ServerRequests, PeerTimeoutCounterCountsEveryAttemptThatHitItsDeadline) {
   SingleSite site(91);
   MalformedErrorServer silent(site, {"silent.example.de", 4433},

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -149,6 +150,75 @@ TEST(Engine, EventsScheduledDuringRunAreProcessed) {
   engine.run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(engine.now(), msec(99));
+}
+
+// An EventId is (generation << 32 | slot); these helpers read it back.
+std::uint32_t slot_of(EventId id) { return static_cast<std::uint32_t>(id); }
+
+TEST(Engine, FiredIdNeverCancelsTheEventThatReusesItsSlot) {
+  Engine engine;
+  EventId fired = engine.at(sec(1), [] {});
+  engine.run();
+  bool later_fired = false;
+  EventId reuser = engine.at(sec(2), [&] { later_fired = true; });
+  ASSERT_EQ(slot_of(reuser), slot_of(fired));
+  EXPECT_NE(reuser, fired);
+  EXPECT_FALSE(engine.cancel(fired));
+  EXPECT_EQ(engine.pending(), 1u);
+  engine.run();
+  EXPECT_TRUE(later_fired);
+}
+
+TEST(Engine, CancelledIdNeverCancelsTheEventThatReusesItsSlot) {
+  Engine engine;
+  EventId cancelled = engine.at(sec(1), [] {});
+  ASSERT_TRUE(engine.cancel(cancelled));
+  std::vector<Time> fired_at;
+  EventId reuser =
+      engine.at(sec(5), [&] { fired_at.push_back(engine.now()); });
+  ASSERT_EQ(slot_of(reuser), slot_of(cancelled));
+  EXPECT_FALSE(engine.cancel(cancelled));
+  EXPECT_EQ(engine.pending(), 1u);
+  // The cancelled event's heap entry (t = 1 s) still names the reused
+  // slot; it must not fire the new occupant early.
+  EXPECT_EQ(engine.run_until(sec(2)), 0u);
+  EXPECT_TRUE(fired_at.empty());
+  EXPECT_EQ(engine.run(), 1u);
+  EXPECT_EQ(fired_at, (std::vector<Time>{sec(5)}));
+  EXPECT_FALSE(engine.cancel(reuser));
+}
+
+TEST(Engine, CancelZeroIsFalse) {
+  Engine engine;
+  EXPECT_FALSE(engine.cancel(0));
+  EventId id = engine.at(sec(1), [] {});
+  EXPECT_NE(id, 0u);
+  EXPECT_FALSE(engine.cancel(0));
+  EXPECT_EQ(engine.pending(), 1u);
+  EXPECT_EQ(engine.run(), 1u);
+}
+
+TEST(Engine, PendingAndFifoHoldAcrossSlotReuse) {
+  Engine engine;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10; ++i)
+    ids.push_back(engine.at(sec(1), [&order, i] { order.push_back(i); }));
+  // Free every other slot; the free list hands them back in a different
+  // order from the one they were first taken in.
+  for (int i = 0; i < 10; i += 2)
+    EXPECT_TRUE(engine.cancel(ids[static_cast<std::size_t>(i)]));
+  EXPECT_EQ(engine.pending(), 5u);
+  for (int i = 10; i < 20; ++i) {
+    engine.at(sec(1), [&order, i] { order.push_back(i); });
+    EXPECT_EQ(engine.pending(), static_cast<std::size_t>(i - 4));
+  }
+  EXPECT_EQ(engine.pending(), 15u);
+  EXPECT_EQ(engine.run(), 15u);
+  EXPECT_EQ(engine.pending(), 0u);
+  std::vector<int> expected{1, 3, 5, 7, 9};
+  for (int i = 10; i < 20; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(DurationHelpers, Conversions) {

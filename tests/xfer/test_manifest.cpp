@@ -99,6 +99,26 @@ TEST_F(ManifestFixture, DoneTombstoneErasesTransferAndRecordsKey) {
   EXPECT_EQ(completed[0], manifest.key);
 }
 
+TEST_F(ManifestFixture, ExpiredTombstoneErasesTransferWithoutCompletingIt) {
+  BundleManifest manifest = make_manifest();
+  journal_bundle_manifest(journal, manifest);
+  journal_bundle_chunk(journal, manifest, 0,
+                       make_chunk(blob, 0, kMinChunkBytes));
+  journal_bundle_expired(journal, manifest);
+
+  EXPECT_TRUE(recover_bundles(journal).empty());
+  EXPECT_TRUE(completed_bundle_keys(journal).empty());
+  // Job recovery skips it like every other transfer record.
+  EXPECT_TRUE(journal.recover().empty());
+
+  // A sender that re-opens the key later journals a fresh manifest; that
+  // bundle is open again.
+  journal_bundle_manifest(journal, manifest);
+  auto recovered = recover_bundles(journal);
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_TRUE(recovered[0].chunks.empty());
+}
+
 TEST_F(ManifestFixture, IndependentTransfersRecoverSeparately) {
   BundleManifest a = make_manifest(1, "a.dat");
   BundleManifest b = make_manifest(2, "b.dat");

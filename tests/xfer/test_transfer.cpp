@@ -653,6 +653,33 @@ TEST_F(StoreTransferFixture, RecoveredTransferExpiresWhenItsSenderIsGone) {
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
 }
 
+TEST_F(StoreTransferFixture, ExpiredTransferStaysGoneAfterRecovery) {
+  std::vector<BundleFile> files = make_files(1, 1 << 20, "lapsed.bin", 7);
+  ASSERT_FALSE(abandon_push(files));
+  ASSERT_EQ(service.inbound_open(), 1u);
+  engine.run();  // idles out
+  ASSERT_EQ(service.inbound_open(), 0u);
+  ASSERT_EQ(chunk_store->stats().total_refs, 0u);
+
+  // The expiry is journaled, so recovery neither rebuilds the bundle nor
+  // takes its chunk references again.
+  njs.crash();
+  ASSERT_TRUE(njs.recover().ok());
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(service.transfers_recovered(), 0u);
+  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
+
+  // Expired is not committed: a sender that re-opens the bundle by its
+  // key starts over and completes.
+  auto transport = std::make_shared<Loopback>(engine, service, 2);
+  auto stats = push_files(transport, files, small_chunks());
+  ASSERT_TRUE(stats.ok()) << stats.error().to_string();
+  EXPECT_EQ(stats.value().chunks, 16u);
+  expect_delivered(files);
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage());
+}
+
 TEST_F(StoreTransferFixture, ReapReclaimsPhysicalBytesAndRecordsMetric) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   njs.set_metrics(registry);
