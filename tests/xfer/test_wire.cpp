@@ -9,6 +9,7 @@
 
 #include "store/chunk_store.h"
 #include "util/rng.h"
+#include "xfer/manifest.h"
 
 namespace unicore::xfer {
 namespace {
@@ -475,6 +476,130 @@ TEST(Codec, CountBeyondTheBodyIsRejectedBeforeAllocating) {
   util::ByteReader r{w.bytes()};
   (void)BundleOpenReply::decode(r);
   EXPECT_FALSE(r.ok());
+}
+
+// ---- pinned wire bytes -----------------------------------------------------
+//
+// The opens of both directions and the durable bundle manifest, encoded
+// from fixed inputs and compared byte for byte. Every u32 chunk-size
+// field carries 1 MiB (00 10 00 00).
+
+/// `pieces` laid end to end.
+util::Bytes cat(std::initializer_list<util::Bytes> pieces) {
+  util::Bytes out;
+  for (const util::Bytes& piece : pieces) util::append(out, piece);
+  return out;
+}
+
+util::Bytes u64_of(std::uint8_t low) { return {0, 0, 0, 0, 0, 0, 0, low}; }
+
+const util::Bytes kOneMiB{0x00, 0x10, 0x00, 0x00};
+const util::Bytes kKey{0xaa, 0xbb, 0xcc, 0xdd};
+
+TEST(XferWire, OpenAndManifestBytesArePinned) {
+  // Push open: role | blob key | u64 token | u32 chunk bytes | files.
+  // A file: str name | u64 size | checksum | bool synthetic | digests.
+  BundleOpenRequest push;
+  push.key = kKey;
+  push.token = 7;
+  push.files.push_back(
+      {"f", 5, crypto::Digest{}, false, {crypto::Digest{}}});
+  push.files[0].checksum.fill(0x11);
+  push.files[0].digests[0].fill(0x22);
+  const util::Bytes push_wire =
+      cat({{0x01, 0x04}, kKey, u64_of(7), kOneMiB, {0x01, 0x01, 'f'},
+           u64_of(5), util::Bytes(32, 0x11), {0x00, 0x01},
+           util::Bytes(32, 0x22)});
+  EXPECT_EQ(push.encode(), push_wire);
+
+  // Push open reply: u64 transfer id | u32 chunk bytes | u32 credit |
+  // files, each a bool complete and its have-ranges.
+  BundleOpenReply push_reply;
+  push_reply.transfer_id = 9;
+  push_reply.chunk_bytes = kDefaultChunkBytes;
+  push_reply.credit = 3;
+  push_reply.files.resize(2);
+  push_reply.files[0].complete = true;
+  push_reply.files[1].have = {{1, 2}};
+  const util::Bytes push_reply_wire =
+      cat({u64_of(9), kOneMiB, {0, 0, 0, 3}, {0x02, 0x01, 0x00, 0x00, 0x01},
+           u64_of(1), u64_of(2)});
+  EXPECT_EQ(push_reply.encode(), push_reply_wire);
+
+  // Pull open: role | u64 token | u32 chunk bytes | u32 inline limit |
+  // names.
+  BundlePullOpenRequest pull;
+  pull.token = 7;
+  pull.inline_limit = 0x100;
+  pull.names = {"a", "bc"};
+  const util::Bytes pull_wire =
+      cat({{0x02}, u64_of(7), kOneMiB, {0, 0, 0x01, 0x00},
+           {0x02, 0x01, 'a', 0x02, 'b', 'c'}});
+  EXPECT_EQ(pull.encode(), pull_wire);
+
+  // Chunked pull open reply: bool inline | u64 transfer id | u32 chunk
+  // bytes | files, each u64 size | checksum | bool synthetic | digests.
+  BundlePullOpenReply pull_reply;
+  pull_reply.transfer_id = 5;
+  pull_reply.chunk_bytes = kDefaultChunkBytes;
+  pull_reply.files.push_back({3, crypto::Digest{}, true, {crypto::Digest{}}});
+  pull_reply.files[0].checksum.fill(0x33);
+  pull_reply.files[0].digests[0].fill(0x44);
+  const util::Bytes pull_reply_wire =
+      cat({{0x00}, u64_of(5), kOneMiB, {0x01}, u64_of(3),
+           util::Bytes(32, 0x33), {0x01, 0x01}, util::Bytes(32, 0x44)});
+  EXPECT_EQ(pull_reply.encode(), pull_reply_wire);
+
+  // kXferBundleManifest payload: blob key | u64 token | u32 chunk bytes |
+  // principal (five strs) | files, each str name | u64 size | checksum |
+  // bool synthetic.
+  BundleManifest manifest;
+  manifest.key = kKey;
+  manifest.token = 7;
+  manifest.principal.country = "DE";
+  manifest.principal.common_name = "p";
+  manifest.files.push_back({"f", 5, crypto::Digest{}, true});
+  manifest.files[0].checksum.fill(0x55);
+  const util::Bytes manifest_record =
+      cat({{0x04}, kKey, u64_of(7), kOneMiB,
+           {0x02, 'D', 'E', 0x00, 0x00, 0x01, 'p', 0x00},
+           {0x01, 0x01, 'f'}, u64_of(5), util::Bytes(32, 0x55), {0x01}});
+  njs::Journal journal{std::make_shared<njs::MemoryJournalStore>()};
+  journal_bundle_manifest(journal, manifest);
+  std::size_t records = 0;
+  journal.replay([&](const njs::JournalRecord& record) {
+    ++records;
+    EXPECT_EQ(record.type, njs::JournalRecordType::kXferBundleManifest);
+    EXPECT_EQ(record.token, 7u);
+    EXPECT_EQ(record.payload, manifest_record);
+  });
+  EXPECT_EQ(records, 1u);
+
+  // Each pinned body decodes back to its inputs, with nothing left over.
+  util::ByteReader push_reader{push_wire};
+  push_reader.u8();  // the role byte
+  BundleOpenRequest push_back = BundleOpenRequest::decode(push_reader);
+  ASSERT_TRUE(push_reader.finish().ok());
+  EXPECT_EQ(push_back.files[0].digests, push.files[0].digests);
+  util::ByteReader push_reply_reader{push_reply_wire};
+  BundleOpenReply push_reply_back = BundleOpenReply::decode(push_reply_reader);
+  ASSERT_TRUE(push_reply_reader.finish().ok());
+  EXPECT_EQ(push_reply_back.files[1].have, push_reply.files[1].have);
+  util::ByteReader pull_reader{pull_wire};
+  pull_reader.u8();
+  BundlePullOpenRequest pull_back =
+      BundlePullOpenRequest::decode(Role::kPeerPull, pull_reader);
+  ASSERT_TRUE(pull_reader.finish().ok());
+  EXPECT_EQ(pull_back.names, pull.names);
+  util::ByteReader pull_reply_reader{pull_reply_wire};
+  BundlePullOpenReply pull_reply_back =
+      BundlePullOpenReply::decode(pull_reply_reader);
+  ASSERT_TRUE(pull_reply_reader.finish().ok());
+  EXPECT_EQ(pull_reply_back.files[0].digests, pull_reply.files[0].digests);
+  util::ByteReader manifest_reader{manifest_record};
+  BundleManifest manifest_back = BundleManifest::decode(manifest_reader);
+  ASSERT_TRUE(manifest_reader.finish().ok());
+  EXPECT_EQ(manifest_back.principal, manifest.principal);
 }
 
 }  // namespace
