@@ -10,8 +10,8 @@
 // so the receiver may acknowledge it without writing a byte.
 //
 // A real file's identity is a hash over its size and its chunk digests
-// at kFileChunkBytes, the granularity the wire and the store use by
-// default. So the digests a sender computes once serve as its manifest,
+// at kFileChunkBytes, the one chunk size of the wire and the store.
+// So the digests a sender computes once serve as its manifest,
 // its per-chunk digests and its identity, and a receiver that has
 // verified every chunk checks the identity over 32 bytes per chunk
 // instead of re-reading the file.
@@ -26,9 +26,9 @@
 
 namespace unicore::crypto {
 
-/// Granularity of a real file's identity; also the default chunk size
-/// of the transfer wire (xfer::kDefaultChunkBytes) and of the chunk
-/// store (store::kDefaultStoreChunkBytes).
+/// Granularity of a real file's identity; also the one chunk size of
+/// the transfer wire (xfer::kDefaultChunkBytes) and of the chunk store
+/// (store::kDefaultStoreChunkBytes).
 constexpr std::uint32_t kFileChunkBytes = 1024 * 1024;
 
 /// Digest of a real chunk: SHA-256 over its payload bytes.

@@ -201,7 +201,7 @@ class UsiteServer : public njs::PeerLink {
 
   // --- chunked transfer engine (src/xfer/) ----------------------------
 
-  /// Sender-side tuning (chunk size proposal, window, retry ladder).
+  /// Sender-side tuning (window, retry ladder).
   void set_transfer_options(const xfer::TransferOptions& options) {
     transfer_options_ = options;
   }

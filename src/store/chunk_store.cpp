@@ -304,8 +304,8 @@ Status PinnedBlob::read_range(std::uint64_t offset, std::uint64_t length,
                       "read beyond the end of the file");
   out.reserve(out.size() + length);
   while (length > 0) {
-    std::uint64_t index = offset / manifest_.chunk_bytes;
-    std::uint64_t within = offset % manifest_.chunk_bytes;
+    std::uint64_t index = offset / kDefaultStoreChunkBytes;
+    std::uint64_t within = offset % kDefaultStoreChunkBytes;
     auto data = chunk(index);
     if (!data.ok()) return data.error();
     std::uint64_t take = data.value().size() - within;
@@ -322,16 +322,26 @@ Status PinnedBlob::read_range(std::uint64_t offset, std::uint64_t length,
 
 // ---- interning -------------------------------------------------------------
 
+namespace {
+
+Status check_chunk_bytes(std::uint32_t chunk_bytes) {
+  if (chunk_bytes != kDefaultStoreChunkBytes)
+    return make_error(ErrorCode::kInvalidArgument,
+                      "the store's chunk size is 1 MiB");
+  return Status::ok_status();
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const PinnedBlob>> intern_bytes(
     std::shared_ptr<ChunkStore> chunk_store, util::ByteView content,
     const crypto::Digest& checksum, std::uint32_t chunk_bytes,
     std::span<const crypto::Digest> digests) {
-  if (chunk_bytes == 0)
-    return make_error(ErrorCode::kInvalidArgument, "chunk_bytes must be > 0");
+  if (Status size = check_chunk_bytes(chunk_bytes); !size.ok())
+    return size.error();
   BlobManifest manifest;
   manifest.size = content.size();
   manifest.checksum = checksum;
-  manifest.chunk_bytes = chunk_bytes;
   std::uint64_t count = crypto::chunk_count(manifest.size, chunk_bytes);
   bool held = digests.size() == count;
   manifest.chunks.reserve(count);
@@ -356,13 +366,12 @@ Result<std::shared_ptr<const PinnedBlob>> intern_bytes(
 Result<std::shared_ptr<const PinnedBlob>> intern_synthetic(
     std::shared_ptr<ChunkStore> chunk_store, std::uint64_t size,
     const crypto::Digest& checksum, std::uint32_t chunk_bytes) {
-  if (chunk_bytes == 0)
-    return make_error(ErrorCode::kInvalidArgument, "chunk_bytes must be > 0");
+  if (Status size = check_chunk_bytes(chunk_bytes); !size.ok())
+    return size.error();
   BlobManifest manifest;
   manifest.size = size;
   manifest.checksum = checksum;
   manifest.synthetic = true;
-  manifest.chunk_bytes = chunk_bytes;
   std::uint64_t count = crypto::chunk_count(size, chunk_bytes);
   manifest.chunks.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -40,10 +40,10 @@
 
 namespace unicore::store {
 
-/// Chunk granularity for locally interned files: the granularity of a
-/// file's identity, which is also the transfer wire's default chunk
-/// size, so files staged over the rails and files written locally dedup
-/// against each other and share their digests.
+/// The one chunk size of the store: the granularity of a file's
+/// identity, which is also the transfer wire's one chunk size, so files
+/// staged over the rails and files written locally dedup against each
+/// other and share their digests.
 constexpr std::uint32_t kDefaultStoreChunkBytes = crypto::kFileChunkBytes;
 
 /// The cold tier: where evicted chunk payloads go. Implementations
@@ -76,17 +76,17 @@ class MemorySpillBackend : public SpillBackend {
 };
 
 /// Manifest of one stored file: its identity plus the ordered chunk
-/// digests at a fixed chunk granularity. Equal manifests <=> equal
+/// digests at kDefaultStoreChunkBytes. Equal manifests <=> equal
 /// logical content.
 struct BlobManifest {
   std::uint64_t size = 0;
   crypto::Digest checksum{};  // whole-file identity
   bool synthetic = false;
-  std::uint32_t chunk_bytes = 0;
-  std::vector<crypto::Digest> chunks;  // chunk_count(size, chunk_bytes) entries
+  // chunk_count(size, kDefaultStoreChunkBytes) entries
+  std::vector<crypto::Digest> chunks;
 
   std::uint32_t length_of(std::uint64_t index) const {
-    return crypto::chunk_length(size, chunk_bytes, index);
+    return crypto::chunk_length(size, kDefaultStoreChunkBytes, index);
   }
 };
 
@@ -257,10 +257,11 @@ class PinnedBlob {
   BlobManifest manifest_;
 };
 
-/// Chunks `content` at `chunk_bytes`, interns every chunk (dedup-aware)
-/// and returns the pinned manifest. `checksum` is the whole-file
-/// identity recorded in the manifest. `digests`, when the caller holds
-/// them, are the chunk digests at `chunk_bytes` computed from these very
+/// Chunks `content` at `chunk_bytes`, which must be
+/// kDefaultStoreChunkBytes (kInvalidArgument otherwise), interns every
+/// chunk (dedup-aware) and returns the pinned manifest. `checksum` is
+/// the whole-file identity recorded in the manifest. `digests`, when the
+/// caller holds them, are the chunk digests computed from these very
 /// bytes (FileBlob::held_digests) and key the chunks without a second
 /// hash; otherwise each chunk is hashed here.
 util::Result<std::shared_ptr<const PinnedBlob>> intern_bytes(
@@ -270,6 +271,7 @@ util::Result<std::shared_ptr<const PinnedBlob>> intern_bytes(
 
 /// Interns a synthetic file of `size` identified bytes: every chunk is
 /// a zero-footprint synthetic record keyed by its synthetic digest.
+/// `chunk_bytes` must be kDefaultStoreChunkBytes, as for intern_bytes.
 util::Result<std::shared_ptr<const PinnedBlob>> intern_synthetic(
     std::shared_ptr<ChunkStore> chunk_store, std::uint64_t size,
     const crypto::Digest& checksum, std::uint32_t chunk_bytes);

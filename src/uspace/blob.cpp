@@ -74,42 +74,24 @@ util::Status FileBlob::read_range(std::uint64_t offset, std::uint64_t length,
   return util::Status::ok_status();
 }
 
-std::span<const crypto::Digest> FileBlob::held_digests(
-    std::uint32_t chunk_bytes) const {
-  if (stored_ != nullptr) {
-    const store::BlobManifest& manifest = stored_->manifest();
-    if (manifest.chunk_bytes == chunk_bytes) return manifest.chunks;
-    return {};
-  }
-  if (digests_ != nullptr && chunk_bytes == crypto::kFileChunkBytes)
-    return *digests_;
+std::span<const crypto::Digest> FileBlob::held_digests() const {
+  if (stored_ != nullptr) return stored_->manifest().chunks;
+  if (digests_ != nullptr) return *digests_;
   return {};
 }
 
-std::vector<crypto::Digest> FileBlob::chunk_digests(
-    std::uint32_t chunk_bytes) const {
-  std::vector<crypto::Digest> digests;
-  if (chunk_bytes == 0) return digests;
-  std::span<const crypto::Digest> held = held_digests(chunk_bytes);
+std::vector<crypto::Digest> FileBlob::chunk_digests() const {
+  std::span<const crypto::Digest> held = held_digests();
   if (!held.empty()) return {held.begin(), held.end()};
-  std::uint64_t count = crypto::chunk_count(size_, chunk_bytes);
+  // Only an inline synthetic blob holds none: its chunks are named by
+  // its identity.
+  std::uint64_t count = crypto::chunk_count(size_, crypto::kFileChunkBytes);
+  std::vector<crypto::Digest> digests;
   digests.reserve(count);
-  for (std::uint64_t index = 0; index < count; ++index) {
-    std::uint32_t length = crypto::chunk_length(size_, chunk_bytes, index);
-    if (is_synthetic()) {
-      digests.push_back(
-          crypto::synthetic_chunk_digest(checksum_, index, length));
-      continue;
-    }
-    util::Bytes piece;
-    // Re-chunking a stored real blob at a foreign granularity reads it
-    // chunk-wise; the common path (granularity match) never gets here.
-    if (!read_range(index * static_cast<std::uint64_t>(chunk_bytes), length,
-                    piece)
-             .ok())
-      return {};
-    digests.push_back(crypto::chunk_content_digest(piece));
-  }
+  for (std::uint64_t index = 0; index < count; ++index)
+    digests.push_back(crypto::synthetic_chunk_digest(
+        checksum_, index,
+        crypto::chunk_length(size_, crypto::kFileChunkBytes, index)));
   return digests;
 }
 
@@ -179,15 +161,16 @@ StagedFiles decode_staged(util::ByteReader& r) {
 
 std::shared_ptr<const FileBlob> intern_blob(
     const std::shared_ptr<store::ChunkStore>& chunk_store,
-    std::shared_ptr<const FileBlob> blob, std::uint32_t chunk_bytes) {
+    std::shared_ptr<const FileBlob> blob) {
   if (chunk_store == nullptr || blob == nullptr || blob->is_stored())
     return blob;
+  constexpr std::uint32_t kChunkBytes = store::kDefaultStoreChunkBytes;
   util::Result<std::shared_ptr<const store::PinnedBlob>> pinned =
       blob->bytes() != nullptr
           ? store::intern_bytes(chunk_store, *blob->bytes(), blob->checksum(),
-                                chunk_bytes, blob->held_digests(chunk_bytes))
+                                kChunkBytes, blob->held_digests())
           : store::intern_synthetic(chunk_store, blob->size(),
-                                    blob->checksum(), chunk_bytes);
+                                    blob->checksum(), kChunkBytes);
   if (!pinned.ok()) return blob;
   return std::make_shared<const FileBlob>(
       FileBlob::from_pinned(std::move(pinned).value()));

@@ -84,17 +84,15 @@ class FileBlob {
   util::Status read_range(std::uint64_t offset, std::uint64_t length,
                           util::Bytes& out) const;
 
-  /// The chunk digests this blob already holds at `chunk_bytes`: inline
-  /// real content at crypto::kFileChunkBytes, a stored blob at its
-  /// manifest's granularity. Empty at any other granularity, and for
-  /// inline synthetic blobs.
-  std::span<const crypto::Digest> held_digests(std::uint32_t chunk_bytes) const;
+  /// The chunk digests this blob already holds: inline real content's,
+  /// or a stored blob's manifest. Empty for inline synthetic blobs.
+  std::span<const crypto::Digest> held_digests() const;
 
-  /// Per-chunk digests of this blob at `chunk_bytes` granularity —
-  /// exactly what the transfer wire computes per chunk, so a receiver
-  /// can match incoming chunks against its store. Held digests are
-  /// copied, not recomputed.
-  std::vector<crypto::Digest> chunk_digests(std::uint32_t chunk_bytes) const;
+  /// Per-chunk digests of this blob — exactly what the transfer wire
+  /// computes per chunk, so a receiver can match incoming chunks against
+  /// its store. Held digests are copied; an inline synthetic blob's are
+  /// derived from its identity.
+  std::vector<crypto::Digest> chunk_digests() const;
 
   /// Content identity: equal checksums <=> equal logical content.
   const crypto::Digest& checksum() const { return checksum_; }
@@ -142,7 +140,6 @@ StagedFiles decode_staged(util::ByteReader& r);
 /// Already-stored blobs (and failures) pass through unchanged.
 std::shared_ptr<const FileBlob> intern_blob(
     const std::shared_ptr<store::ChunkStore>& chunk_store,
-    std::shared_ptr<const FileBlob> blob,
-    std::uint32_t chunk_bytes = store::kDefaultStoreChunkBytes);
+    std::shared_ptr<const FileBlob> blob);
 
 }  // namespace unicore::uspace

@@ -49,12 +49,11 @@ std::vector<std::uint64_t> ChunkBitmap::missing() const {
 }
 
 Assembly::Assembly(std::uint64_t size, const crypto::Digest& checksum,
-                   bool synthetic, std::uint32_t chunk_bytes)
+                   bool synthetic)
     : size_(size),
       checksum_(checksum),
       synthetic_(synthetic),
-      chunk_bytes_(chunk_bytes),
-      bitmap_(chunk_count(size, chunk_bytes)) {}
+      bitmap_(chunk_count(size)) {}
 
 Assembly::~Assembly() { release_refs(); }
 
@@ -62,7 +61,6 @@ Assembly::Assembly(Assembly&& other) noexcept
     : size_(other.size_),
       checksum_(other.checksum_),
       synthetic_(other.synthetic_),
-      chunk_bytes_(other.chunk_bytes_),
       bitmap_(std::move(other.bitmap_)),
       buffers_(std::move(other.buffers_)),
       buffered_bytes_(other.buffered_bytes_),
@@ -80,7 +78,6 @@ Assembly& Assembly::operator=(Assembly&& other) noexcept {
   size_ = other.size_;
   checksum_ = other.checksum_;
   synthetic_ = other.synthetic_;
-  chunk_bytes_ = other.chunk_bytes_;
   bitmap_ = std::move(other.bitmap_);
   buffers_ = std::move(other.buffers_);
   buffered_bytes_ = other.buffered_bytes_;
@@ -119,10 +116,7 @@ std::uint64_t Assembly::satisfy_from_store(
 }
 
 std::uint32_t Assembly::expected_length(std::uint64_t index) const {
-  std::uint64_t offset = index * static_cast<std::uint64_t>(chunk_bytes_);
-  std::uint64_t remaining = size_ > offset ? size_ - offset : 0;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(remaining, chunk_bytes_));
+  return crypto::chunk_length(size_, kDefaultChunkBytes, index);
 }
 
 util::Status Assembly::accept(const Chunk& chunk) {
@@ -169,35 +163,18 @@ util::Result<uspace::FileBlob> Assembly::finish() {
                       "transfer incomplete: " + std::to_string(bitmap_.count()) +
                           "/" + std::to_string(bitmap_.total()) + " chunks");
   if (finished_ != nullptr) return uspace::FileBlob::from_pinned(finished_);
-  const auto mismatch = [] {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "reassembled file does not match its declared identity");
-  };
   std::vector<crypto::Digest> digests;
   digests.reserve(digests_.size());
   for (const auto& [index, digest] : digests_) digests.push_back(digest);
-  // At the identity's granularity the verified digests are all it takes.
-  const bool native = chunk_bytes_ == crypto::kFileChunkBytes;
-  if (!synthetic_ && native &&
-      crypto::file_identity(size_, digests) != checksum_)
-    return mismatch();
+  // The verified digests are all the identity check takes.
+  if (!synthetic_ && crypto::file_identity(size_, digests) != checksum_)
+    return make_error(ErrorCode::kInvalidArgument,
+                      "reassembled file does not match its declared identity");
   if (store_ != nullptr) {
-    if (!synthetic_ && !native) {
-      // Stream the chunks through the identity's hasher one at a time:
-      // the file is never materialised, even at verification.
-      crypto::FileHasher hasher;
-      for (const crypto::Digest& digest : digests) {
-        auto data = store_->read(digest);
-        if (!data.ok()) return data.error();
-        hasher.update(data.value());
-      }
-      if (hasher.finish() != checksum_) return mismatch();
-    }
     store::BlobManifest manifest;
     manifest.size = size_;
     manifest.checksum = checksum_;
     manifest.synthetic = synthetic_;
-    manifest.chunk_bytes = chunk_bytes_;
     manifest.chunks = std::move(digests);
     // Hand the accumulated references to the pin, which this assembly
     // keeps until it is destroyed, so a retried delivery finds them.
@@ -211,12 +188,8 @@ util::Result<uspace::FileBlob> Assembly::finish() {
   content.reserve(size_);
   for (const auto& [index, data] : buffers_)
     content.insert(content.end(), data.begin(), data.end());
-  if (native)
-    return uspace::FileBlob::from_verified(std::move(content),
-                                           std::move(digests), checksum_);
-  uspace::FileBlob blob = uspace::FileBlob::from_bytes(std::move(content));
-  if (blob.checksum() != checksum_) return mismatch();
-  return blob;
+  return uspace::FileBlob::from_verified(std::move(content), std::move(digests),
+                                         checksum_);
 }
 
 }  // namespace unicore::xfer

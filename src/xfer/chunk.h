@@ -42,12 +42,10 @@ class ChunkBitmap {
 };
 
 /// Reassembles the chunks of one incoming transfer. Verifies each
-/// chunk digest on accept and the whole-file identity on finish;
+/// chunk digest on accept and the whole-file identity on finish, over
+/// the chunk digests already verified, without reading a byte again;
 /// synthetic transfers buffer no payload bytes (their chunk digests
-/// already bind every piece to the declared file checksum). At the
-/// identity granularity (crypto::kFileChunkBytes) the identity is
-/// checked over the chunk digests already verified, without reading a
-/// byte again.
+/// already bind every piece to the declared file checksum).
 ///
 /// With a chunk store attached, accepted chunks go straight into the
 /// store (one reference each) instead of per-transfer buffers, and the
@@ -58,8 +56,7 @@ class ChunkBitmap {
 class Assembly {
  public:
   Assembly() = default;
-  Assembly(std::uint64_t size, const crypto::Digest& checksum, bool synthetic,
-           std::uint32_t chunk_bytes);
+  Assembly(std::uint64_t size, const crypto::Digest& checksum, bool synthetic);
   ~Assembly();
 
   Assembly(const Assembly&) = delete;
@@ -70,7 +67,6 @@ class Assembly {
   std::uint64_t size() const { return size_; }
   const crypto::Digest& checksum() const { return checksum_; }
   bool synthetic() const { return synthetic_; }
-  std::uint32_t chunk_bytes() const { return chunk_bytes_; }
   ChunkBitmap& bitmap() { return bitmap_; }
   const ChunkBitmap& bitmap() const { return bitmap_; }
   bool complete() const { return bitmap_.complete(); }
@@ -89,9 +85,8 @@ class Assembly {
   /// Store mode only: marks every still-missing chunk whose digest the
   /// store already holds (at the right length) as present, taking one
   /// reference each — the wire-level dedup that lets a receiver ack
-  /// chunks at open time. `digests` is the sender's manifest at this
-  /// assembly's granularity; mismatched sizes are ignored. Returns the
-  /// number of chunks satisfied.
+  /// chunks at open time. `digests` is the sender's manifest; one of
+  /// another length is ignored. Returns the number of chunks satisfied.
   std::uint64_t satisfy_from_store(const std::vector<crypto::Digest>& digests);
 
   /// Verifies and stores one chunk. Duplicate chunks are rejected with
@@ -101,11 +96,9 @@ class Assembly {
 
   /// Folds the complete set back into a blob and verifies the identity
   /// declared at open. Every chunk digest here was checked against its
-  /// bytes on accept, or is the key of the store's own chunk, so at
-  /// crypto::kFileChunkBytes the identity is checked over those digests
-  /// alone. At any other chunk size the content streams through
-  /// crypto::FileHasher, one chunk resident at a time in store mode. In
-  /// store mode the chunk references move into one pin, which the
+  /// bytes on accept, or is the key of the store's own chunk, so the
+  /// identity is checked over those digests alone. In store mode the
+  /// chunk references move into one pin, which the
   /// assembly shares with every blob it returns: a finish after a failed
   /// delivery returns the same blob, and the references go back once,
   /// when the last holder drops the pin. A failed finish keeps them until
@@ -118,7 +111,6 @@ class Assembly {
   std::uint64_t size_ = 0;
   crypto::Digest checksum_{};
   bool synthetic_ = false;
-  std::uint32_t chunk_bytes_ = 0;
   ChunkBitmap bitmap_;
   std::map<std::uint64_t, util::Bytes> buffers_;  // real, without a store
   std::uint64_t buffered_bytes_ = 0;

@@ -25,7 +25,7 @@ BundleFileMeta BundleFileMeta::decode(util::ByteReader& r) {
 void BundleManifest::encode(util::ByteWriter& w) const {
   w.blob(key);
   w.u64(token);
-  w.u32(chunk_bytes);
+  write_chunk_bytes(w);
   principal.encode(w);
   w.list(files);
 }
@@ -34,7 +34,7 @@ BundleManifest BundleManifest::decode(util::ByteReader& r) {
   BundleManifest manifest;
   manifest.key = r.blob();
   manifest.token = r.u64();
-  manifest.chunk_bytes = r.u32();
+  read_chunk_bytes(r);
   manifest.principal = crypto::DistinguishedName::decode(r);
   manifest.files = r.list<BundleFileMeta>();
   return manifest;

@@ -40,7 +40,6 @@ struct BundleFileMeta {
 struct BundleManifest {
   util::Bytes key;  // 32-byte bundle key (see make_bundle_key)
   ajo::JobToken token = 0;
-  std::uint32_t chunk_bytes = kDefaultChunkBytes;
   crypto::DistinguishedName principal;  // who is allowed to resume it
   std::vector<BundleFileMeta> files;
 

@@ -39,11 +39,6 @@ util::Status check_role(Role role, bool server_peer) {
 
 }  // namespace
 
-std::uint32_t Service::clamp_chunk_bytes(std::uint32_t proposed) const {
-  return std::clamp(proposed, limits_.min_chunk_bytes,
-                    limits_.max_chunk_bytes);
-}
-
 std::uint64_t Service::buffered_in_assemblies() const {
   std::uint64_t total = 0;
   for (const auto& [key, incoming] : incoming_)
@@ -58,11 +53,11 @@ std::uint64_t Service::buffered_in(const Incoming& incoming) {
   return total;
 }
 
-std::uint32_t Service::credit_for_bytes(std::uint32_t chunk_bytes) const {
+std::uint32_t Service::credit() const {
   std::uint64_t room = buffered_ < limits_.buffer_limit_bytes
                            ? limits_.buffer_limit_bytes - buffered_
                            : 0;
-  std::uint64_t chunks = room / std::max<std::uint32_t>(chunk_bytes, 1);
+  std::uint64_t chunks = room / kDefaultChunkBytes;
   return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
       chunks, 1, limits_.max_credit));  // never stall a sender completely
 }
@@ -121,12 +116,7 @@ util::Status Service::deliver_file(Incoming& incoming, std::uint32_t index) {
 
 std::uint64_t Service::satisfy_open(Incoming& incoming,
                                     const BundleOpenRequest& request) {
-  // The sender's digest manifests are only meaningful at the
-  // granularity they were computed for; a clamped chunk size
-  // invalidates them.
-  if (store_ == nullptr ||
-      incoming.manifest.chunk_bytes != request.proposed_chunk_bytes)
-    return 0;
+  if (store_ == nullptr) return 0;
   std::uint64_t satisfied = 0;
   for (std::uint32_t i = 0; i < incoming.assemblies.size(); ++i) {
     if (incoming.delivered[i] || request.files[i].digests.empty()) continue;
@@ -148,8 +138,7 @@ std::uint64_t Service::satisfy_open(Incoming& incoming,
 BundleOpenReply Service::resume_reply(const Incoming& incoming) const {
   BundleOpenReply reply;
   reply.transfer_id = incoming.id;
-  reply.chunk_bytes = incoming.manifest.chunk_bytes;
-  reply.credit = credit_for_bytes(incoming.manifest.chunk_bytes);
+  reply.credit = credit();
   reply.files.resize(incoming.assemblies.size());
   for (std::size_t i = 0; i < incoming.assemblies.size(); ++i) {
     reply.files[i].complete =
@@ -183,7 +172,6 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
     // complete so the sender goes straight to close.
     BundleOpenReply reply;
     reply.transfer_id = 0;
-    reply.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
     reply.credit = 0;
     reply.files.resize(request.files.size());
     for (BundleFileState& file : reply.files) file.complete = true;
@@ -225,8 +213,6 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
   auto incoming = std::make_unique<Incoming>();
   incoming->manifest.key = request.key;
   incoming->manifest.token = request.token;
-  incoming->manifest.chunk_bytes =
-      clamp_chunk_bytes(request.proposed_chunk_bytes);
   incoming->manifest.principal = principal;
   incoming->manifest.files.reserve(request.files.size());
   incoming->assemblies.reserve(request.files.size());
@@ -237,8 +223,7 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
     meta.checksum = entry.checksum;
     meta.synthetic = entry.synthetic;
     incoming->manifest.files.push_back(std::move(meta));
-    Assembly assembly(entry.size, entry.checksum, entry.synthetic,
-                      incoming->manifest.chunk_bytes);
+    Assembly assembly(entry.size, entry.checksum, entry.synthetic);
     if (store_ != nullptr) assembly.attach_store(store_);
     incoming->assemblies.push_back(std::move(assembly));
   }
@@ -304,18 +289,16 @@ Result<Bytes> Service::open_pull(const crypto::DistinguishedName& principal,
   }
 
   outgoing.id = next_id_++;
-  outgoing.chunk_bytes = clamp_chunk_bytes(request.proposed_chunk_bytes);
   reply.transfer_id = outgoing.id;
-  reply.chunk_bytes = outgoing.chunk_bytes;
   reply.files.reserve(outgoing.blobs.size());
   for (const auto& blob : outgoing.blobs) {
     BundlePullFileInfo info;
     info.size = blob->size();
     info.checksum = blob->checksum();
     info.synthetic = blob->is_synthetic();
-    // The reply's digests ARE the pull-path manifest negotiation: the
-    // puller's store satisfies matching chunks without a request.
-    info.digests = blob->chunk_digests(outgoing.chunk_bytes);
+    // The reply's digests ARE the pull-path manifest: the puller's
+    // store satisfies matching chunks without a request.
+    info.digests = blob->chunk_digests();
     reply.files.push_back(std::move(info));
   }
   auto [it, inserted] = outgoing_.emplace(outgoing.id, std::move(outgoing));
@@ -345,11 +328,11 @@ Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
       return make_error(ErrorCode::kInvalidArgument,
                         "bundle file index out of range");
     const uspace::FileBlob& blob = *outgoing.blobs[request.file_index];
-    if (request.index >= chunk_count(blob.size(), outgoing.chunk_bytes))
+    if (request.index >= chunk_count(blob.size()))
       return make_error(ErrorCode::kInvalidArgument,
                         "chunk index out of range");
     touch(outgoing.id, outgoing.expiry);
-    Chunk chunk = make_chunk(blob, request.index, outgoing.chunk_bytes);
+    Chunk chunk = make_chunk(blob, request.index);
     util::ByteWriter w;
     chunk.encode(w);
     return w.take();
@@ -380,7 +363,7 @@ Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
     counter(series().duplicate_chunks, "unicore_xfer_duplicate_chunks_total")
         .increment();
     reply.applied = false;
-    reply.credit = credit_for_bytes(incoming.manifest.chunk_bytes);
+    reply.credit = credit();
     return reply.encode();
   }
   if (!assembly.synthetic() &&
@@ -405,7 +388,7 @@ Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
   }
   update_gauges();
   reply.applied = true;
-  reply.credit = credit_for_bytes(incoming.manifest.chunk_bytes);
+  reply.credit = credit();
   return reply.encode();
 }
 
@@ -532,8 +515,7 @@ void Service::fold_journal(const njs::Journal& journal) {
     auto incoming = std::make_unique<Incoming>();
     incoming->assemblies.reserve(recovered.manifest.files.size());
     for (const BundleFileMeta& meta : recovered.manifest.files) {
-      Assembly assembly(meta.size, meta.checksum, meta.synthetic,
-                        recovered.manifest.chunk_bytes);
+      Assembly assembly(meta.size, meta.checksum, meta.synthetic);
       if (store_ != nullptr) assembly.attach_store(store_);
       incoming->assemblies.push_back(std::move(assembly));
     }

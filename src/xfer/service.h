@@ -37,8 +37,6 @@ namespace unicore::xfer {
 class Service : public njs::CrashParticipant {
  public:
   struct Limits {
-    std::uint32_t min_chunk_bytes = kMinChunkBytes;
-    std::uint32_t max_chunk_bytes = kMaxChunkBytes;
     /// Cap on buffered-but-unfinished inbound payload; the advertised
     /// credit shrinks as this fills (backpressure).
     std::uint64_t buffer_limit_bytes = 64ull * 1024 * 1024;
@@ -127,7 +125,6 @@ class Service : public njs::CrashParticipant {
   };
   struct Outgoing {
     std::uint64_t id = 0;
-    std::uint32_t chunk_bytes = kDefaultChunkBytes;
     std::vector<std::shared_ptr<const uspace::FileBlob>> blobs;
     sim::EventId expiry = 0;
   };
@@ -139,8 +136,8 @@ class Service : public njs::CrashParticipant {
       const crypto::DistinguishedName& principal, Role role,
       util::ByteReader& r);
 
-  std::uint32_t clamp_chunk_bytes(std::uint32_t proposed) const;
-  std::uint32_t credit_for_bytes(std::uint32_t chunk_bytes) const;
+  /// Chunks the receive window has room for, within [1, max_credit].
+  std::uint32_t credit() const;
   static std::uint64_t buffered_in(const Incoming& incoming);
   BundleOpenReply resume_reply(const Incoming& incoming) const;
   /// Re-arms the idle timer `expiry` of transfer `id`.
@@ -157,7 +154,8 @@ class Service : public njs::CrashParticipant {
   util::Status accept_chunk(Assembly& assembly, const Chunk& chunk);
 
   /// Store-dedups every still-missing chunk of every undelivered file
-  /// and eagerly delivers files that complete; returns chunks satisfied.
+  /// from the sender's digest manifests and eagerly delivers files that
+  /// complete; returns chunks satisfied.
   std::uint64_t satisfy_open(Incoming& incoming,
                              const BundleOpenRequest& request);
   /// Finishes assembly `index` and hands the file to the NJS; resets

@@ -69,8 +69,8 @@ class Run : public std::enable_shared_from_this<Run> {
       gauge(series().active_transfers, "unicore_xfer_active_transfers").add(1);
     if (push_) {
       // The entries (including every per-chunk digest, which a blob
-      // holds at the identity granularity) are built once and reused
-      // across resumes — and they define the durable key.
+      // already holds) are built once and reused across resumes — and
+      // they define the durable key.
       entries_.reserve(files_.size());
       for (const BundleFile& file : files_) {
         stats_.bytes += file.blob->size();
@@ -79,7 +79,7 @@ class Run : public std::enable_shared_from_this<Run> {
         entry.size = file.blob->size();
         entry.checksum = file.blob->checksum();
         entry.synthetic = file.blob->is_synthetic();
-        entry.digests = file.blob->chunk_digests(options_.chunk_bytes);
+        entry.digests = file.blob->chunk_digests();
         entries_.push_back(std::move(entry));
       }
       key_ = make_bundle_key(source_, token_, entries_);
@@ -148,14 +148,12 @@ class Run : public std::enable_shared_from_this<Run> {
       request.role = role_;
       request.key = key_;
       request.token = token_;
-      request.proposed_chunk_bytes = options_.chunk_bytes;
       request.files = entries_;
       body = request.encode();
     } else {
       BundlePullOpenRequest request;
       request.role = role_;
       request.token = token_;
-      request.proposed_chunk_bytes = options_.chunk_bytes;
       request.inline_limit = options_.pull_inline_limit;
       request.names = names_;
       body = request.encode();
@@ -187,11 +185,10 @@ class Run : public std::enable_shared_from_this<Run> {
       return;
     }
     transfer_id_ = open->transfer_id;
-    chunk_bytes_ = open->chunk_bytes;
     credit_ = open->credit;
     queue_.clear();
     for (std::uint32_t i = 0; i < files_.size(); ++i) {
-      std::uint64_t total = chunk_count(files_[i].blob->size(), chunk_bytes_);
+      std::uint64_t total = chunk_count(files_[i].blob->size());
       ChunkBitmap acked(total);
       // The receiver's journal is the truth.
       if (open->files[i].complete)
@@ -226,8 +223,7 @@ class Run : public std::enable_shared_from_this<Run> {
     if (assemblies_.empty()) {
       assemblies_.reserve(open->files.size());
       for (const BundlePullFileInfo& info : open->files) {
-        Assembly assembly(info.size, info.checksum, info.synthetic,
-                          open->chunk_bytes);
+        Assembly assembly(info.size, info.checksum, info.synthetic);
         if (store_ != nullptr) assembly.attach_store(store_);
         assemblies_.push_back(std::move(assembly));
         stats_.bytes += info.size;
@@ -235,8 +231,7 @@ class Run : public std::enable_shared_from_this<Run> {
     } else {
       for (std::size_t i = 0; i < open->files.size(); ++i) {
         if (assemblies_[i].size() != open->files[i].size ||
-            assemblies_[i].checksum() != open->files[i].checksum ||
-            assemblies_[i].chunk_bytes() != open->chunk_bytes) {
+            assemblies_[i].checksum() != open->files[i].checksum) {
           fail(make_error(ErrorCode::kFailedPrecondition,
                           "file identity changed across a pull resume"));
           return;
@@ -283,8 +278,7 @@ class Run : public std::enable_shared_from_this<Run> {
       request.role = role_;
       request.transfer_id = transfer_id_;
       request.file_index = id.first;
-      request.chunk =
-          make_chunk(*files_[id.first].blob, id.second, chunk_bytes_);
+      request.chunk = make_chunk(*files_[id.first].blob, id.second);
       ++stats_.chunks;
       if (metered) {
         counter(series().chunks, "unicore_xfer_chunks_total").increment();
@@ -494,7 +488,6 @@ class Run : public std::enable_shared_from_this<Run> {
   std::vector<BundleFile> files_;
   std::vector<BundleFileEntry> entries_;
   util::Bytes key_;
-  std::uint32_t chunk_bytes_ = kDefaultChunkBytes;
   bool opened_ = false;
   // Pull: the names and their assemblies (which survive resumes).
   std::vector<std::string> names_;

@@ -53,7 +53,6 @@ class ChunkTransport {
 };
 
 struct TransferOptions {
-  std::uint32_t chunk_bytes = kDefaultChunkBytes;  // proposal; receiver clamps
   std::uint32_t window_per_stream = 4;  // unacked chunks per stream
   int max_resume_attempts = 5;          // open/resume ladder
   int max_chunk_retries = 3;            // per-chunk retransmits before resume

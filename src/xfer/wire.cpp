@@ -1,5 +1,7 @@
 #include "xfer/wire.h"
 
+#include <stdexcept>
+
 #include "crypto/chunk_digest.h"
 
 namespace unicore::xfer {
@@ -24,6 +26,14 @@ std::vector<crypto::Digest> read_digests(ByteReader& r) {
 }
 
 }  // namespace
+
+void write_chunk_bytes(ByteWriter& w) { w.u32(kDefaultChunkBytes); }
+
+void read_chunk_bytes(ByteReader& r) {
+  if (r.u32() != kDefaultChunkBytes)
+    r.fail(util::make_error(util::ErrorCode::kInvalidArgument,
+                            "xfer: chunk size is not 1 MiB"));
+}
 
 std::uint64_t chunk_count(std::uint64_t size, std::uint32_t chunk_bytes) {
   return crypto::chunk_count(size, chunk_bytes);
@@ -65,6 +75,8 @@ crypto::Digest synthetic_chunk_digest(const crypto::Digest& file_checksum,
 
 Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
                  std::uint32_t chunk_bytes) {
+  if (chunk_bytes != kDefaultChunkBytes)
+    throw std::invalid_argument("make_chunk: chunk size is not 1 MiB");
   Chunk chunk;
   chunk.index = index;
   chunk.length = crypto::chunk_length(blob.size(), chunk_bytes, index);
@@ -79,8 +91,8 @@ Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
   chunk.data.reserve(chunk.length);
   (void)blob.read_range(index * static_cast<std::uint64_t>(chunk_bytes),
                         chunk.length, chunk.data);
-  std::span<const crypto::Digest> held = blob.held_digests(chunk_bytes);
-  chunk.digest = index < held.size() ? held[index] : chunk_digest(chunk.data);
+  std::span<const crypto::Digest> held = blob.held_digests();
+  if (index < held.size()) chunk.digest = held[index];
   return chunk;
 }
 
@@ -130,7 +142,7 @@ Bytes BundleOpenRequest::encode() const {
   w.u8(static_cast<std::uint8_t>(role));
   w.blob(key);
   w.u64(token);
-  w.u32(proposed_chunk_bytes);
+  write_chunk_bytes(w);
   w.list(files);
   return w.take();
 }
@@ -139,7 +151,7 @@ BundleOpenRequest BundleOpenRequest::decode(ByteReader& r) {
   BundleOpenRequest request;
   request.key = r.blob();
   request.token = r.u64();
-  request.proposed_chunk_bytes = r.u32();
+  read_chunk_bytes(r);
   request.files = r.list<BundleFileEntry>();
   return request;
 }
@@ -159,7 +171,7 @@ BundleFileState BundleFileState::decode(ByteReader& r) {
 Bytes BundleOpenReply::encode() const {
   ByteWriter w;
   w.u64(transfer_id);
-  w.u32(chunk_bytes);
+  write_chunk_bytes(w);
   w.u32(credit);
   w.list(files);
   return w.take();
@@ -168,7 +180,7 @@ Bytes BundleOpenReply::encode() const {
 BundleOpenReply BundleOpenReply::decode(ByteReader& r) {
   BundleOpenReply reply;
   reply.transfer_id = r.u64();
-  reply.chunk_bytes = r.u32();
+  read_chunk_bytes(r);
   reply.credit = r.u32();
   reply.files = r.list<BundleFileState>();
   return reply;
@@ -234,7 +246,7 @@ Bytes BundlePullOpenRequest::encode() const {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(role));
   w.u64(token);
-  w.u32(proposed_chunk_bytes);
+  write_chunk_bytes(w);
   w.u32(inline_limit);
   w.strings(names);
   return w.take();
@@ -244,7 +256,7 @@ BundlePullOpenRequest BundlePullOpenRequest::decode(Role role, ByteReader& r) {
   BundlePullOpenRequest request;
   request.role = role;
   request.token = r.u64();
-  request.proposed_chunk_bytes = r.u32();
+  read_chunk_bytes(r);
   request.inline_limit = r.u32();
   request.names = r.strings();
   return request;
@@ -274,7 +286,7 @@ Bytes BundlePullOpenReply::encode() const {
     return w.take();
   }
   w.u64(transfer_id);
-  w.u32(chunk_bytes);
+  write_chunk_bytes(w);
   w.list(files);
   return w.take();
 }
@@ -286,7 +298,7 @@ BundlePullOpenReply BundlePullOpenReply::decode(ByteReader& r) {
     return reply;
   }
   reply.transfer_id = r.u64();
-  reply.chunk_bytes = r.u32();
+  read_chunk_bytes(r);
   reply.files = r.list<BundlePullFileInfo>();
   return reply;
 }

@@ -61,19 +61,25 @@ constexpr bool role_is_push(Role role) {
 /// bodies and per-bundle journal records bounded.
 constexpr std::uint32_t kMaxBundleFiles = 4096;
 
-/// Chunk-size negotiation bounds. The receiver clamps the sender's
-/// proposal into [kMinChunkBytes, kMaxChunkBytes].
-constexpr std::uint32_t kMinChunkBytes = 64 * 1024;
-constexpr std::uint32_t kMaxChunkBytes = 8 * 1024 * 1024;
-/// The default proposal is the granularity of a file's identity
-/// (crypto/chunk_digest.h), so a transfer at it sends the digests the
-/// file already holds and the receiver checks the identity over them.
+/// The one chunk size of the wire: the granularity of a file's identity
+/// (crypto/chunk_digest.h), so a transfer sends the digests the file
+/// already holds and the receiver checks the identity over them. The
+/// u32 chunk-size fields of the opens, their replies and the bundle
+/// manifest record always carry it; a decoder fails its reader on any
+/// other value.
 constexpr std::uint32_t kDefaultChunkBytes = crypto::kFileChunkBytes;
+
+/// Writes the u32 chunk-size field: always kDefaultChunkBytes.
+void write_chunk_bytes(util::ByteWriter& w);
+/// Reads the u32 chunk-size field and fails `r` unless it names
+/// kDefaultChunkBytes.
+void read_chunk_bytes(util::ByteReader& r);
 
 /// Number of chunks a file of `size` bytes splits into (one empty
 /// chunk for an empty file, so open/close still round-trip).
 /// Forwards to crypto::chunk_count — the store counts the same way.
-std::uint64_t chunk_count(std::uint64_t size, std::uint32_t chunk_bytes);
+std::uint64_t chunk_count(std::uint64_t size,
+                          std::uint32_t chunk_bytes = kDefaultChunkBytes);
 
 /// One chunk in flight. Synthetic chunks carry no payload bytes in
 /// memory (the wire still charges `length` bytes of padding, so the
@@ -100,13 +106,12 @@ crypto::Digest synthetic_chunk_digest(const crypto::Digest& file_checksum,
                                       std::uint64_t index,
                                       std::uint32_t length);
 
-/// Cuts chunk `index` out of `blob` (which declared `chunk_bytes` at
-/// open). The digest is filled in: taken from the blob when it holds
-/// its digests at `chunk_bytes` (FileBlob::held_digests), hashed from
-/// the payload otherwise. The receiver checks it against the bytes
-/// either way.
+/// Cuts chunk `index` out of `blob`. The digest is filled in: a real
+/// blob's is the one it holds (FileBlob::held_digests), which the
+/// receiver checks against the bytes. `chunk_bytes` must be
+/// kDefaultChunkBytes; any other value throws std::invalid_argument.
 Chunk make_chunk(const uspace::FileBlob& blob, std::uint64_t index,
-                 std::uint32_t chunk_bytes);
+                 std::uint32_t chunk_bytes = kDefaultChunkBytes);
 
 /// A run of already-applied chunks `[first, first + count)`, the
 /// resume state returned by a push open.
@@ -135,11 +140,10 @@ struct BundleFileEntry {
   std::uint64_t size = 0;
   crypto::Digest checksum{};
   bool synthetic = false;
-  /// Per-chunk digests at the bundle's proposed_chunk_bytes (may be
-  /// empty). A receiver with a chunk store matches them against chunks
-  /// it already holds and reports the hits in the open reply, so the
-  /// sender never transmits a byte the receiver can dedup. Only
-  /// meaningful when the receiver accepts the proposed chunk size.
+  /// Per-chunk digests (may be empty). A receiver with a chunk store
+  /// matches them against chunks it already holds and reports the hits
+  /// in the open reply, so the sender never transmits a byte the
+  /// receiver can dedup.
   std::vector<crypto::Digest> digests;
 
   void encode(util::ByteWriter& w) const;
@@ -150,7 +154,6 @@ struct BundleOpenRequest {
   Role role = Role::kPush;  // kPush or kClientPush
   util::Bytes key;          // 32-byte bundle key (make_bundle_key)
   ajo::JobToken token = 0;
-  std::uint32_t proposed_chunk_bytes = kDefaultChunkBytes;
   std::vector<BundleFileEntry> files;
 
   util::Bytes encode() const;  // includes the role byte
@@ -170,7 +173,6 @@ struct BundleOpenReply {
   /// 0 when the bundle was already committed (tombstone) — every file
   /// reads complete and there is nothing left to send.
   std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
   std::uint32_t credit = 0;  // one shared window across all files
   std::vector<BundleFileState> files;
 
@@ -224,7 +226,6 @@ struct BundlePullChunkRequest {
 struct BundlePullOpenRequest {
   Role role = Role::kPeerPull;  // kPeerPull or kClientPull
   ajo::JobToken token = 0;
-  std::uint32_t proposed_chunk_bytes = kDefaultChunkBytes;
   /// A lone file at or below this size comes back inline. Opens of
   /// several files never inline.
   std::uint32_t inline_limit = 0;
@@ -238,7 +239,7 @@ struct BundlePullFileInfo {
   std::uint64_t size = 0;
   crypto::Digest checksum{};
   bool synthetic = false;
-  /// Chunk digests at the reply's chunk_bytes — the pull-path manifest.
+  /// Chunk digests — the pull-path manifest.
   std::vector<crypto::Digest> digests;
 
   void encode(util::ByteWriter& w) const;
@@ -250,7 +251,6 @@ struct BundlePullOpenReply {
   /// fields below are then unset.
   std::optional<uspace::FileBlob> inline_blob;
   std::uint64_t transfer_id = 0;
-  std::uint32_t chunk_bytes = 0;
   std::vector<BundlePullFileInfo> files;  // aligned with request names
 
   util::Bytes encode() const;

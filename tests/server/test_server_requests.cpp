@@ -401,7 +401,6 @@ TEST(ServerRequests, MalformedRequestsLeaveNoTrace) {
   xfer::BundleOpenRequest open;
   open.role = xfer::Role::kClientPush;
   open.token = token;
-  open.proposed_chunk_bytes = xfer::kMinChunkBytes;
   open.files = {{"first.bin", first.size(), first.checksum(), true, {}},
                 {"second.bin", second.size(), second.checksum(), true, {}}};
   open.key = xfer::make_bundle_key("ws.example.de", token, open.files);
@@ -415,7 +414,7 @@ TEST(ServerRequests, MalformedRequestsLeaveNoTrace) {
     request.role = xfer::Role::kClientPush;
     request.transfer_id = opened.transfer_id;
     request.file_index = file;
-    request.chunk = xfer::make_chunk(blob, 0, opened.chunk_bytes);
+    request.chunk = xfer::make_chunk(blob, 0);
     return request.encode();
   };
   send(make_request(RequestKind::kXferChunk, 3, chunk_of(0, first)));

@@ -10,6 +10,9 @@
 namespace unicore::store {
 namespace {
 
+/// The store's one chunk size.
+constexpr std::size_t kChunk = kDefaultStoreChunkBytes;
+
 util::Bytes pattern_bytes(std::size_t n, std::uint8_t seed) {
   // Non-repeating over any chunk size: a tiny LCG, so equal-content
   // chunks only arise when the test makes them equal on purpose.
@@ -217,19 +220,21 @@ class DamagingSpillBackend : public MemorySpillBackend {
   }
 };
 
-/// 1600 bytes interned at 400-byte chunks against a 1000-byte budget:
-/// chunks 0 and 1 are spilled.
+/// Four chunks interned against a budget of two and a half: chunks 0
+/// and 1 are spilled.
 struct DamagedSpill {
+  static constexpr std::uint64_t kBudget = 5 * kChunk / 2;
   std::shared_ptr<ChunkStore> store = std::make_shared<ChunkStore>(
-      ChunkStore::Config{.resident_budget_bytes = 1000});
+      ChunkStore::Config{.resident_budget_bytes = kBudget});
   std::shared_ptr<DamagingSpillBackend> spill =
       std::make_shared<DamagingSpillBackend>();
-  util::Bytes content = pattern_bytes(1600, 6);
+  util::Bytes content = pattern_bytes(4 * kChunk, 6);
   std::shared_ptr<const PinnedBlob> pinned;
 
   DamagedSpill() {
     store->set_spill_backend(spill);
-    pinned = intern_bytes(store, content, crypto::sha256(content), 400).value();
+    pinned = intern_bytes(store, content, crypto::sha256(content), kChunk)
+                 .value();
   }
 };
 
@@ -256,7 +261,7 @@ TEST(ChunkStore, FaultBackRefusesBytesThatAreNotTheChunk) {
   // A clean tier faults the same chunks back intact.
   env.spill->damage = DamagingSpillBackend::Damage::kNone;
   util::Bytes out;
-  ASSERT_TRUE(env.pinned->read_range(0, 1600, out).ok());
+  ASSERT_TRUE(env.pinned->read_range(0, env.content.size(), out).ok());
   EXPECT_EQ(out, env.content);
   EXPECT_GT(env.store->stats().faults, before.faults);
   env.pinned.reset();
@@ -270,7 +275,7 @@ TEST(ChunkStore, ReAddingASpilledChunkRepairsADamagedCopy) {
   DamagedSpill env;
   env.spill->damage = DamagingSpillBackend::Damage::kFlip;
   const crypto::Digest spilled = env.pinned->manifest().chunks[0];
-  const util::Bytes good(env.content.begin(), env.content.begin() + 400);
+  const util::Bytes good(env.content.begin(), env.content.begin() + kChunk);
   ASSERT_FALSE(env.store->read(spilled).ok());
 
   const StoreStats before = env.store->stats();
@@ -297,19 +302,19 @@ TEST(ChunkStore, ReAddingASpilledChunkRepairsADamagedCopy) {
   ASSERT_TRUE(read.ok()) << read.error().to_string();
   EXPECT_EQ(read.value(), good);
   util::Bytes out;
-  ASSERT_TRUE(env.pinned->read_range(0, 400, out).ok());
+  ASSERT_TRUE(env.pinned->read_range(0, kChunk, out).ok());
   EXPECT_EQ(out, good);
   // A dedup hit, not a fault: the repaired chunk is resident, and the
   // budget spilled the coldest resident chunk in its place.
   const StoreStats after = env.store->stats();
   EXPECT_EQ(after.total_refs, before.total_refs + 1);
-  EXPECT_EQ(after.logical_bytes, before.logical_bytes + 400);
+  EXPECT_EQ(after.logical_bytes, before.logical_bytes + kChunk);
   EXPECT_EQ(after.physical_bytes, before.physical_bytes);
   EXPECT_EQ(after.dedup_hits, before.dedup_hits + 1);
   EXPECT_EQ(after.faults, before.faults);
   EXPECT_EQ(after.resident_bytes + after.spilled_bytes, after.physical_bytes);
-  EXPECT_LE(after.resident_bytes, 1000u);
-  EXPECT_EQ(env.spill->chunks(), after.spilled_bytes / 400);
+  EXPECT_LE(after.resident_bytes, DamagedSpill::kBudget);
+  EXPECT_EQ(env.spill->chunks(), after.spilled_bytes / kChunk);
 
   env.store->release(spilled);
   env.pinned.reset();
@@ -340,19 +345,21 @@ TEST(ChunkStore, UnreadableStoredChunkEncodesABlobTheDecoderRefuses) {
 
 TEST(ChunkStore, InternBytesChunksAndPinsContent) {
   auto store = std::make_shared<ChunkStore>();
-  util::Bytes content = pattern_bytes(1000, 7);
+  const std::size_t size = 3 * kChunk + 1000;
+  util::Bytes content = pattern_bytes(size, 7);
   crypto::Digest checksum = crypto::sha256(content);
-  auto pinned = intern_bytes(store, content, checksum, 256);
+  auto pinned = intern_bytes(store, content, checksum, kChunk);
   ASSERT_TRUE(pinned.ok());
   const BlobManifest& manifest = pinned.value()->manifest();
-  EXPECT_EQ(manifest.size, 1000u);
-  EXPECT_EQ(manifest.chunks.size(), 4u);  // ceil(1000/256)
-  EXPECT_EQ(store->stats().physical_bytes, 1000u);
+  EXPECT_EQ(manifest.size, size);
+  EXPECT_EQ(manifest.chunks.size(), 4u);  // three full chunks and a tail
+  EXPECT_EQ(store->stats().physical_bytes, size);
 
   // read_range crosses chunk boundaries correctly.
   util::Bytes out;
-  ASSERT_TRUE(pinned.value()->read_range(200, 400, out).ok());
-  EXPECT_EQ(out, util::Bytes(content.begin() + 200, content.begin() + 600));
+  ASSERT_TRUE(pinned.value()->read_range(kChunk / 2, 2 * kChunk, out).ok());
+  EXPECT_EQ(out, util::Bytes(content.begin() + kChunk / 2,
+                             content.begin() + 5 * kChunk / 2));
 
   // Dropping the pin releases every chunk: physical bytes return to 0.
   pinned = util::make_error(util::ErrorCode::kInternal, "drop");
@@ -360,24 +367,42 @@ TEST(ChunkStore, InternBytesChunksAndPinsContent) {
   EXPECT_EQ(store->stats().chunks, 0u);
 }
 
+// The store has one chunk size; interning at any other stores nothing.
+TEST(ChunkStore, InternRefusesEveryOtherChunkSize) {
+  auto store = std::make_shared<ChunkStore>();
+  util::Bytes content = pattern_bytes(3000, 2);
+  crypto::Digest checksum = crypto::sha256(content);
+  for (std::uint32_t chunk_bytes : {0u, 64u << 10, 0xffffffffu}) {
+    SCOPED_TRACE(chunk_bytes);
+    auto real = intern_bytes(store, content, checksum, chunk_bytes);
+    ASSERT_FALSE(real.ok());
+    EXPECT_EQ(real.error().code, util::ErrorCode::kInvalidArgument);
+    auto synthetic = intern_synthetic(store, 5 * kChunk, checksum, chunk_bytes);
+    ASSERT_FALSE(synthetic.ok());
+    EXPECT_EQ(synthetic.error().code, util::ErrorCode::kInvalidArgument);
+  }
+  EXPECT_EQ(store->stats().chunks, 0u);
+  EXPECT_EQ(store->stats().total_refs, 0u);
+}
+
 TEST(ChunkStore, InternSameContentTwiceSharesEveryChunk) {
   auto store = std::make_shared<ChunkStore>();
-  util::Bytes content = pattern_bytes(1024, 4);
+  util::Bytes content = pattern_bytes(4 * kChunk, 4);
   crypto::Digest checksum = crypto::sha256(content);
-  auto first = intern_bytes(store, content, checksum, 256);
-  auto second = intern_bytes(store, content, checksum, 256);
+  auto first = intern_bytes(store, content, checksum, kChunk);
+  auto second = intern_bytes(store, content, checksum, kChunk);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(store->stats().physical_bytes, 1024u);   // stored once
-  EXPECT_EQ(store->stats().logical_bytes, 2048u);    // charged twice
-  EXPECT_EQ(store->stats().dedup_hits, 4u);          // all 4 chunks shared
-  EXPECT_EQ(store->stats().dedup_bytes_saved, 1024u);
+  EXPECT_EQ(store->stats().physical_bytes, 4 * kChunk);  // stored once
+  EXPECT_EQ(store->stats().logical_bytes, 8 * kChunk);   // charged twice
+  EXPECT_EQ(store->stats().dedup_hits, 4u);  // all 4 chunks shared
+  EXPECT_EQ(store->stats().dedup_bytes_saved, 4 * kChunk);
 }
 
 TEST(ChunkStore, InternSyntheticIsZeroFootprint) {
   auto store = std::make_shared<ChunkStore>();
   crypto::Digest checksum = crypto::sha256(std::string_view("big"));
-  auto pinned = intern_synthetic(store, 10ull << 30, checksum, 1 << 20);
+  auto pinned = intern_synthetic(store, 10ull << 30, checksum, kChunk);
   ASSERT_TRUE(pinned.ok());
   EXPECT_EQ(pinned.value()->manifest().chunks.size(), 10u * 1024);
   EXPECT_EQ(store->stats().physical_bytes, 0u);
@@ -389,8 +414,8 @@ TEST(ChunkStore, InternSyntheticIsZeroFootprint) {
 TEST(ChunkStore, StoredBlobBehavesLikeItsSource) {
   auto store = std::make_shared<ChunkStore>();
   auto inline_blob = std::make_shared<const uspace::FileBlob>(
-      uspace::FileBlob::from_bytes(pattern_bytes(700, 8)));
-  auto stored = uspace::intern_blob(store, inline_blob, 256);
+      uspace::FileBlob::from_bytes(pattern_bytes(2 * kChunk + 188, 8)));
+  auto stored = uspace::intern_blob(store, inline_blob);
   ASSERT_NE(stored, nullptr);
   EXPECT_TRUE(stored->is_stored());
   EXPECT_FALSE(stored->is_synthetic());
@@ -402,8 +427,8 @@ TEST(ChunkStore, StoredBlobBehavesLikeItsSource) {
   ASSERT_TRUE(stored->read_range(0, stored->size(), round_trip).ok());
   EXPECT_EQ(round_trip, *inline_blob->bytes());
 
-  // Same per-chunk digests as the source at matching granularity.
-  EXPECT_EQ(stored->chunk_digests(256), inline_blob->chunk_digests(256));
+  // Same per-chunk digests as the source.
+  EXPECT_EQ(stored->chunk_digests(), inline_blob->chunk_digests());
   // Wire encoding carries the real bytes (decodes back to equal content).
   util::ByteWriter w;
   stored->encode(w);
@@ -415,36 +440,33 @@ TEST(ChunkStore, StoredBlobBehavesLikeItsSource) {
 TEST(ChunkStore, VolumeOverwriteAndDeleteRecreateKeepPhysicalExact) {
   auto store = std::make_shared<ChunkStore>();
   uspace::Volume volume("v", 0);
-  util::Bytes content = pattern_bytes(512, 6);
+  util::Bytes content = pattern_bytes(2 * kChunk, 6);
   auto blob = [&](const util::Bytes& bytes) {
-    return uspace::intern_blob(
-        store,
-        std::make_shared<const uspace::FileBlob>(
-            uspace::FileBlob::from_bytes(bytes)),
-        256);
+    return uspace::intern_blob(store, std::make_shared<const uspace::FileBlob>(
+                                          uspace::FileBlob::from_bytes(bytes)));
   };
 
   ASSERT_TRUE(volume.write_shared("x", blob(content)).ok());
-  EXPECT_EQ(store->stats().physical_bytes, 512u);
+  EXPECT_EQ(store->stats().physical_bytes, 2 * kChunk);
 
   // Overwrite with identical content: dedup keeps physical flat.
   ASSERT_TRUE(volume.write_shared("x", blob(content)).ok());
-  EXPECT_EQ(store->stats().physical_bytes, 512u);
+  EXPECT_EQ(store->stats().physical_bytes, 2 * kChunk);
 
   // Overwrite with a shrunk file sharing its first chunk: only the
   // shared chunk survives; the other old chunk is reclaimed.
-  util::Bytes shrunk(content.begin(), content.begin() + 256);
+  util::Bytes shrunk(content.begin(), content.begin() + kChunk);
   ASSERT_TRUE(volume.write_shared("x", blob(shrunk)).ok());
-  EXPECT_EQ(store->stats().physical_bytes, 256u);
-  EXPECT_EQ(volume.used_bytes(), 256u);  // quota charges logical bytes
+  EXPECT_EQ(store->stats().physical_bytes, kChunk);
+  EXPECT_EQ(volume.used_bytes(), kChunk);  // quota charges logical bytes
 
   // Delete then recreate: physical drops to zero and comes back exact.
   ASSERT_TRUE(volume.remove("x").ok());
   EXPECT_EQ(store->stats().physical_bytes, 0u);
   EXPECT_EQ(volume.used_bytes(), 0u);
   ASSERT_TRUE(volume.write_shared("x", blob(content)).ok());
-  EXPECT_EQ(store->stats().physical_bytes, 512u);
-  EXPECT_EQ(volume.used_bytes(), 512u);
+  EXPECT_EQ(store->stats().physical_bytes, 2 * kChunk);
+  EXPECT_EQ(volume.used_bytes(), 2 * kChunk);
 }
 
 TEST(ChunkStore, CrossFileDedupChargesQuotaPerFile) {
@@ -452,16 +474,12 @@ TEST(ChunkStore, CrossFileDedupChargesQuotaPerFile) {
   uspace::Volume volume("v", 2000);
   util::Bytes content = pattern_bytes(600, 3);
   auto shared = uspace::intern_blob(
-      store,
-      std::make_shared<const uspace::FileBlob>(
-          uspace::FileBlob::from_bytes(content)),
-      256);
+      store, std::make_shared<const uspace::FileBlob>(
+                 uspace::FileBlob::from_bytes(content)));
   ASSERT_TRUE(volume.write_shared("a", std::move(shared)).ok());
   auto again = uspace::intern_blob(
-      store,
-      std::make_shared<const uspace::FileBlob>(
-          uspace::FileBlob::from_bytes(content)),
-      256);
+      store, std::make_shared<const uspace::FileBlob>(
+                 uspace::FileBlob::from_bytes(content)));
   ASSERT_TRUE(volume.write_shared("b", std::move(again)).ok());
   // Two files, one physical copy; the quota sees both.
   EXPECT_EQ(store->stats().physical_bytes, 600u);

@@ -65,8 +65,7 @@ FileBlob patterned(std::size_t size) {
 
 TEST(FileBlob, HoldsItsDigestsAtTheIdentityGranularityOnly) {
   FileBlob blob = patterned(2 * crypto::kFileChunkBytes + 9);
-  std::span<const crypto::Digest> held =
-      blob.held_digests(crypto::kFileChunkBytes);
+  std::span<const crypto::Digest> held = blob.held_digests();
   ASSERT_EQ(held.size(), 3u);
   for (std::uint64_t i = 0; i < held.size(); ++i) {
     std::uint32_t length =
@@ -77,17 +76,10 @@ TEST(FileBlob, HoldsItsDigestsAtTheIdentityGranularityOnly) {
     EXPECT_EQ(held[i], crypto::sha256(piece)) << "chunk " << i;
   }
   EXPECT_EQ(blob.checksum(), crypto::file_identity(blob.size(), held));
-  // At any other granularity the blob holds nothing and hashes anew.
-  EXPECT_TRUE(blob.held_digests(64 << 10).empty());
-  std::vector<crypto::Digest> at_64k = blob.chunk_digests(64 << 10);
-  ASSERT_EQ(at_64k.size(), 33u);
-  util::Bytes first;
-  ASSERT_TRUE(blob.read_range(0, 64 << 10, first).ok());
-  EXPECT_EQ(at_64k[0], crypto::sha256(first));
   // Copies share the identity and the digests.
   FileBlob copy = blob;
-  EXPECT_EQ(copy.held_digests(crypto::kFileChunkBytes).data(), held.data());
-  EXPECT_TRUE(FileBlob::synthetic(5, 1).held_digests(1 << 20).empty());
+  EXPECT_EQ(copy.held_digests().data(), held.data());
+  EXPECT_TRUE(FileBlob::synthetic(5, 1).held_digests().empty());
 }
 
 TEST(FileBlob, DecodedChecksumEqualsFromBytes) {
@@ -99,9 +91,8 @@ TEST(FileBlob, DecodedChecksumEqualsFromBytes) {
     util::ByteReader r(w.bytes());
     FileBlob back = FileBlob::decode(r);
     EXPECT_EQ(back.checksum(), original.checksum()) << "size=" << size;
-    EXPECT_EQ(back.chunk_digests(crypto::kFileChunkBytes),
-              original.chunk_digests(crypto::kFileChunkBytes));
-    EXPECT_EQ(back.held_digests(crypto::kFileChunkBytes).size(),
+    EXPECT_EQ(back.chunk_digests(), original.chunk_digests());
+    EXPECT_EQ(back.held_digests().size(),
               crypto::chunk_count(size, crypto::kFileChunkBytes));
   }
 }

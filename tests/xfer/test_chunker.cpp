@@ -57,10 +57,10 @@ TEST(ChunkBitmap, CompleteWhenEveryChunkPresent) {
 }
 
 struct AssemblyTest : public ::testing::Test {
-  static constexpr std::uint32_t kChunk = kMinChunkBytes;
+  static constexpr std::uint32_t kChunk = kDefaultChunkBytes;
 
   uspace::FileBlob blob = make_blob();
-  Assembly assembly{blob.size(), blob.checksum(), false, kChunk};
+  Assembly assembly{blob.size(), blob.checksum(), false};
 
   static uspace::FileBlob make_blob() {
     // Two full chunks plus a short tail.
@@ -72,14 +72,14 @@ struct AssemblyTest : public ::testing::Test {
 };
 
 TEST_F(AssemblyTest, AcceptsVerifiesAndFinishes) {
-  std::uint64_t total = chunk_count(blob.size(), kChunk);
+  std::uint64_t total = chunk_count(blob.size());
   ASSERT_EQ(total, 3u);
   EXPECT_EQ(assembly.expected_length(0), kChunk);
   EXPECT_EQ(assembly.expected_length(2), 123u);
 
   // Out-of-order arrival is fine.
   for (std::uint64_t index : {2u, 0u, 1u}) {
-    auto status = assembly.accept(make_chunk(blob, index, kChunk));
+    auto status = assembly.accept(make_chunk(blob, index));
     EXPECT_TRUE(status.ok()) << status.error().to_string();
   }
   EXPECT_TRUE(assembly.complete());
@@ -90,15 +90,15 @@ TEST_F(AssemblyTest, AcceptsVerifiesAndFinishes) {
 }
 
 TEST_F(AssemblyTest, DuplicateChunkRejected) {
-  ASSERT_TRUE(assembly.accept(make_chunk(blob, 0, kChunk)).ok());
-  auto dup = assembly.accept(make_chunk(blob, 0, kChunk));
+  ASSERT_TRUE(assembly.accept(make_chunk(blob, 0)).ok());
+  auto dup = assembly.accept(make_chunk(blob, 0));
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.error().code, util::ErrorCode::kFailedPrecondition);
   EXPECT_EQ(assembly.bitmap().count(), 1u);
 }
 
 TEST_F(AssemblyTest, CorruptPayloadRejected) {
-  Chunk chunk = make_chunk(blob, 1, kChunk);
+  Chunk chunk = make_chunk(blob, 1);
   chunk.data[0] ^= 0xff;  // payload no longer matches the digest
   auto status = assembly.accept(chunk);
   ASSERT_FALSE(status.ok());
@@ -107,7 +107,7 @@ TEST_F(AssemblyTest, CorruptPayloadRejected) {
 }
 
 TEST_F(AssemblyTest, WrongLengthRejected) {
-  Chunk chunk = make_chunk(blob, 2, kChunk);
+  Chunk chunk = make_chunk(blob, 2);
   chunk.data.push_back(0);
   chunk.length += 1;
   chunk.digest = chunk_digest(chunk.data);  // digest is fine, length isn't
@@ -118,18 +118,18 @@ TEST_F(AssemblyTest, WrongLengthRejected) {
 
 TEST_F(AssemblyTest, BufferedBytesTrackPayload) {
   EXPECT_EQ(assembly.buffered_bytes(), 0u);
-  ASSERT_TRUE(assembly.accept(make_chunk(blob, 0, kChunk)).ok());
+  ASSERT_TRUE(assembly.accept(make_chunk(blob, 0)).ok());
   EXPECT_EQ(assembly.buffered_bytes(), kChunk);
-  ASSERT_TRUE(assembly.accept(make_chunk(blob, 2, kChunk)).ok());
+  ASSERT_TRUE(assembly.accept(make_chunk(blob, 2)).ok());
   EXPECT_EQ(assembly.buffered_bytes(), kChunk + 123u);
 }
 
 TEST(AssemblySynthetic, ReassemblesIdentityWithoutBuffering) {
   uspace::FileBlob blob = uspace::FileBlob::synthetic(5 << 20, 77);
-  Assembly assembly{blob.size(), blob.checksum(), true, 1 << 20};
-  std::uint64_t total = chunk_count(blob.size(), 1 << 20);
+  Assembly assembly{blob.size(), blob.checksum(), true};
+  std::uint64_t total = chunk_count(blob.size());
   for (std::uint64_t i = 0; i < total; ++i) {
-    auto status = assembly.accept(make_chunk(blob, i, 1 << 20));
+    auto status = assembly.accept(make_chunk(blob, i));
     ASSERT_TRUE(status.ok()) << status.error().to_string();
   }
   EXPECT_EQ(assembly.buffered_bytes(), 0u);  // no payload bytes in memory
@@ -145,8 +145,8 @@ TEST(AssemblySynthetic, ForgedSyntheticDigestRejected) {
   // identity must not be accepted.
   uspace::FileBlob blob = uspace::FileBlob::synthetic(2 << 20, 1);
   uspace::FileBlob other = uspace::FileBlob::synthetic(2 << 20, 2);
-  Assembly assembly{blob.size(), blob.checksum(), true, 1 << 20};
-  Chunk forged = make_chunk(other, 0, 1 << 20);  // digest binds to `other`
+  Assembly assembly{blob.size(), blob.checksum(), true};
+  Chunk forged = make_chunk(other, 0);  // digest binds to `other`
   auto status = assembly.accept(forged);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, util::ErrorCode::kInvalidArgument);
@@ -171,16 +171,16 @@ struct FinishIdentity : public ::testing::Test {
       std::make_shared<store::ChunkStore>();
 
   /// Feeds `assembly` every chunk of `blob` it still misses.
-  void fill(Assembly& assembly, std::uint32_t chunk_bytes) {
+  void fill(Assembly& assembly) {
     for (std::uint64_t index : assembly.bitmap().missing()) {
-      auto status = assembly.accept(make_chunk(blob, index, chunk_bytes));
+      auto status = assembly.accept(make_chunk(blob, index));
       ASSERT_TRUE(status.ok()) << status.error().to_string();
     }
     ASSERT_TRUE(assembly.complete());
   }
 
-  void expect_refused(Assembly& assembly, std::uint32_t chunk_bytes) {
-    fill(assembly, chunk_bytes);
+  void expect_refused(Assembly& assembly) {
+    fill(assembly);
     auto finished = assembly.finish();
     ASSERT_FALSE(finished.ok());
     EXPECT_EQ(finished.error().code, util::ErrorCode::kInvalidArgument);
@@ -189,17 +189,17 @@ struct FinishIdentity : public ::testing::Test {
 
 TEST_F(FinishIdentity, ForgedIdentityRefusedInStoreMode) {
   {
-    Assembly assembly{kSize, other.checksum(), false, kNative};
+    Assembly assembly{kSize, other.checksum(), false};
     assembly.attach_store(chunk_store);
-    expect_refused(assembly, kNative);
+    expect_refused(assembly);
   }
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
   EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
 }
 
 TEST_F(FinishIdentity, ForgedIdentityRefusedInBufferMode) {
-  Assembly assembly{kSize, other.checksum(), false, kNative};
-  expect_refused(assembly, kNative);
+  Assembly assembly{kSize, other.checksum(), false};
+  expect_refused(assembly);
 }
 
 TEST_F(FinishIdentity, ForgedIdentityRefusedWhenTheStoreHoldsEveryChunk) {
@@ -208,60 +208,42 @@ TEST_F(FinishIdentity, ForgedIdentityRefusedWhenTheStoreHoldsEveryChunk) {
   ASSERT_TRUE(resident.ok());
   const store::StoreStats before = chunk_store->stats();
   {
-    Assembly assembly{kSize, other.checksum(), false, kNative};
+    Assembly assembly{kSize, other.checksum(), false};
     assembly.attach_store(chunk_store);
-    EXPECT_EQ(assembly.satisfy_from_store(blob.chunk_digests(kNative)), 3u);
-    expect_refused(assembly, kNative);
+    EXPECT_EQ(assembly.satisfy_from_store(blob.chunk_digests()), 3u);
+    expect_refused(assembly);
   }
   EXPECT_EQ(chunk_store->stats().total_refs, before.total_refs);
   EXPECT_EQ(chunk_store->stats().physical_bytes, before.physical_bytes);
 }
 
-TEST_F(FinishIdentity, ForgedIdentityRefusedAtAClampedChunkSize) {
-  {
-    Assembly stored{kSize, other.checksum(), false, kMinChunkBytes};
-    stored.attach_store(chunk_store);
-    expect_refused(stored, kMinChunkBytes);
-    Assembly buffered{kSize, other.checksum(), false, kMinChunkBytes};
-    expect_refused(buffered, kMinChunkBytes);
-  }
-  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
-  EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
-}
-
-// With every chunk spilled as it lands, the check at the identity
-// granularity faults none back: it reads digests only. At a clamped
-// size the chunks stream through the identity's hasher, every one of
-// them faulted back.
+// With every chunk spilled as it lands, the identity check faults none
+// back: it reads digests only.
 TEST_F(FinishIdentity, StoreModeReadsNoChunkAtTheIdentityGranularity) {
   chunk_store->set_spill_backend(std::make_shared<store::MemorySpillBackend>());
   chunk_store->set_resident_budget(1);
-  for (std::uint32_t chunk_bytes : {kNative, kMinChunkBytes}) {
-    Assembly assembly{kSize, blob.checksum(), false, chunk_bytes};
-    assembly.attach_store(chunk_store);
-    fill(assembly, chunk_bytes);
-    EXPECT_EQ(chunk_store->stats().resident_bytes, 0u);
-    std::uint64_t faults = chunk_store->stats().faults;
-    auto finished = assembly.finish();
-    ASSERT_TRUE(finished.ok()) << finished.error().to_string();
-    EXPECT_EQ(finished.value().checksum(), blob.checksum());
-    EXPECT_EQ(chunk_store->stats().faults - faults,
-              chunk_bytes == kNative ? 0u : chunk_count(kSize, chunk_bytes));
-  }
+  Assembly assembly{kSize, blob.checksum(), false};
+  assembly.attach_store(chunk_store);
+  fill(assembly);
+  EXPECT_EQ(chunk_store->stats().resident_bytes, 0u);
+  std::uint64_t faults = chunk_store->stats().faults;
+  auto finished = assembly.finish();
+  ASSERT_TRUE(finished.ok()) << finished.error().to_string();
+  EXPECT_EQ(finished.value().checksum(), blob.checksum());
+  EXPECT_EQ(chunk_store->stats().faults - faults, 0u);
 }
 
 // Buffer mode hands the digests it verified on accept to the blob.
 TEST_F(FinishIdentity, BufferModeBlobKeepsTheVerifiedDigests) {
-  Assembly assembly{kSize, blob.checksum(), false, kNative};
-  fill(assembly, kNative);
+  Assembly assembly{kSize, blob.checksum(), false};
+  fill(assembly);
   auto finished = assembly.finish();
   ASSERT_TRUE(finished.ok()) << finished.error().to_string();
   EXPECT_EQ(finished.value().checksum(), blob.checksum());
   ASSERT_NE(finished.value().bytes(), nullptr);
   EXPECT_EQ(*finished.value().bytes(), *blob.bytes());
-  EXPECT_EQ(finished.value().chunk_digests(kNative),
-            blob.chunk_digests(kNative));
-  EXPECT_EQ(finished.value().held_digests(kNative).size(), 3u);
+  EXPECT_EQ(finished.value().chunk_digests(), blob.chunk_digests());
+  EXPECT_EQ(finished.value().held_digests().size(), 3u);
 }
 
 }  // namespace

@@ -22,14 +22,13 @@ struct ManifestFixture : public ::testing::Test {
   njs::Journal journal{store};
 
   uspace::FileBlob blob = uspace::FileBlob::from_string(
-      std::string(3 * kMinChunkBytes / 2, 'm'));
+      std::string(3 * kDefaultChunkBytes / 2, 'm'));
 
   /// The manifest of a one-file bundle carrying `blob` as `name`.
   BundleManifest make_manifest(ajo::JobToken token = 42,
                                const std::string& name = "in.dat") {
     BundleManifest manifest;
     manifest.token = token;
-    manifest.chunk_bytes = kMinChunkBytes;
     manifest.principal = dn("peer-njs");
     manifest.files.push_back({name, blob.size(), blob.checksum(), false});
     BundleFileEntry entry;
@@ -51,7 +50,6 @@ TEST_F(ManifestFixture, CodecRoundTrip) {
   EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.key, manifest.key);
   EXPECT_EQ(decoded.token, manifest.token);
-  EXPECT_EQ(decoded.chunk_bytes, manifest.chunk_bytes);
   EXPECT_EQ(decoded.principal.common_name, "peer-njs");
   ASSERT_EQ(decoded.files.size(), 2u);
   EXPECT_EQ(decoded.files[0].name, "in.dat");
@@ -65,8 +63,8 @@ TEST_F(ManifestFixture, CodecRoundTrip) {
 TEST_F(ManifestFixture, RecoverRebuildsOpenTransferWithoutDuplicates) {
   BundleManifest manifest = make_manifest();
   journal_bundle_manifest(journal, manifest);
-  Chunk first = make_chunk(blob, 0, kMinChunkBytes);
-  Chunk second = make_chunk(blob, 1, kMinChunkBytes);
+  Chunk first = make_chunk(blob, 0);
+  Chunk second = make_chunk(blob, 1);
   journal_bundle_chunk(journal, manifest, 0, first);
   journal_bundle_chunk(journal, manifest, 0, second);
   // A crash between append and ack makes the sender re-deliver; the
@@ -90,7 +88,7 @@ TEST_F(ManifestFixture, DoneTombstoneErasesTransferAndRecordsKey) {
   BundleManifest manifest = make_manifest();
   journal_bundle_manifest(journal, manifest);
   journal_bundle_chunk(journal, manifest, 0,
-                       make_chunk(blob, 0, kMinChunkBytes));
+                       make_chunk(blob, 0));
   journal_bundle_done(journal, manifest);
 
   EXPECT_TRUE(recover_bundles(journal).empty());
@@ -103,7 +101,7 @@ TEST_F(ManifestFixture, ExpiredTombstoneErasesTransferWithoutCompletingIt) {
   BundleManifest manifest = make_manifest();
   journal_bundle_manifest(journal, manifest);
   journal_bundle_chunk(journal, manifest, 0,
-                       make_chunk(blob, 0, kMinChunkBytes));
+                       make_chunk(blob, 0));
   journal_bundle_expired(journal, manifest);
 
   EXPECT_TRUE(recover_bundles(journal).empty());
@@ -124,7 +122,7 @@ TEST_F(ManifestFixture, IndependentTransfersRecoverSeparately) {
   BundleManifest b = make_manifest(2, "b.dat");
   journal_bundle_manifest(journal, a);
   journal_bundle_manifest(journal, b);
-  journal_bundle_chunk(journal, a, 0, make_chunk(blob, 0, kMinChunkBytes));
+  journal_bundle_chunk(journal, a, 0, make_chunk(blob, 0));
   journal_bundle_done(journal, b);
 
   auto recovered = recover_bundles(journal);
@@ -139,13 +137,12 @@ TEST_F(ManifestFixture, SyntheticChunksJournalGeometryOnly) {
   uspace::FileBlob synth = uspace::FileBlob::synthetic(4 << 20, 5);
   BundleManifest manifest;
   manifest.token = 7;
-  manifest.chunk_bytes = 1 << 20;
   manifest.principal = dn("peer-njs");
   manifest.files.push_back({"huge.bin", synth.size(), synth.checksum(), true});
   manifest.key = util::Bytes(32, 0x11);
 
   journal_bundle_manifest(journal, manifest);
-  Chunk chunk = make_chunk(synth, 2, 1 << 20);
+  Chunk chunk = make_chunk(synth, 2);
   journal_bundle_chunk(journal, manifest, 0, chunk);
 
   auto recovered = recover_bundles(journal);
@@ -161,7 +158,7 @@ TEST_F(ManifestFixture, CorruptRecordsAreSkippedNotFatal) {
   BundleManifest manifest = make_manifest();
   journal_bundle_manifest(journal, manifest);
   journal_bundle_chunk(journal, manifest, 0,
-                       make_chunk(blob, 0, kMinChunkBytes));
+                       make_chunk(blob, 0));
   // A truncated append (torn write) must not poison recovery.
   njs::JournalRecord torn;
   torn.type = njs::JournalRecordType::kXferBundleChunk;
@@ -176,7 +173,7 @@ TEST_F(ManifestFixture, CorruptRecordsAreSkippedNotFatal) {
   util::ByteWriter garbled;
   garbled.blob(util::Bytes(32, 0x22));  // key
   garbled.u64(manifest.token);
-  garbled.u32(kMinChunkBytes);
+  garbled.u32(kDefaultChunkBytes);
   for (int i = 0; i < 5; ++i) garbled.str("");  // principal
   garbled.varint(1ull << 40);                   // files
   njs::JournalRecord huge;
@@ -189,13 +186,29 @@ TEST_F(ManifestFixture, CorruptRecordsAreSkippedNotFatal) {
   EXPECT_EQ(recovered[0].chunks.size(), 1u);
 }
 
+// A manifest record whose chunk-size field names anything but 1 MiB
+// fails its reader, so recovery rebuilds no bundle from it.
+TEST_F(ManifestFixture, ManifestNamingAnotherChunkSizeIsSkipped) {
+  BundleManifest manifest = make_manifest();
+  util::ByteWriter w;
+  manifest.encode(w);
+  util::Bytes payload = w.take();
+  const std::size_t field = 1 + manifest.key.size() + 8;  // key, token
+  payload[field] = 0x00;
+  payload[field + 1] = 0x01;  // 64 KiB
+  journal.append(
+      {njs::JournalRecordType::kXferBundleManifest, manifest.token, payload});
+  journal_bundle_chunk(journal, manifest, 0, make_chunk(blob, 0));
+  EXPECT_TRUE(recover_bundles(journal).empty());
+}
+
 TEST_F(ManifestFixture, JobRecoveryIgnoresTransferRecords) {
   // The job-recovery fold must skip record types owned by the transfer
   // engine (and vice versa).
   BundleManifest manifest = make_manifest();
   journal_bundle_manifest(journal, manifest);
   journal_bundle_chunk(journal, manifest, 0,
-                       make_chunk(blob, 0, kMinChunkBytes));
+                       make_chunk(blob, 0));
   EXPECT_TRUE(journal.recover().empty());
 }
 

@@ -116,6 +116,26 @@ class Loopback : public ChunkTransport {
   std::size_t streams_;
 };
 
+/// Offsets of the u32 chunk-size field: in a push open with a 32-byte
+/// key (role, key, token), a pull open (role, token), a push open reply
+/// (transfer id) and a chunked pull open reply (inline flag, transfer
+/// id).
+constexpr std::size_t kPushOpenChunkField = 1 + 1 + 32 + 8;
+constexpr std::size_t kPullOpenChunkField = 1 + 8;
+constexpr std::size_t kPushReplyChunkField = 8;
+constexpr std::size_t kPullReplyChunkField = 1 + 8;
+
+/// `wire` with the chunk-size field at `offset` naming `chunk_bytes`.
+util::Bytes naming_chunk_size(util::Bytes wire, std::size_t offset,
+                              std::uint32_t chunk_bytes) {
+  for (int i = 0; i < 4; ++i)
+    wire[offset + i] = static_cast<std::uint8_t>(chunk_bytes >> (24 - 8 * i));
+  return wire;
+}
+
+/// The sizes other than 1 MiB that the tests name.
+constexpr std::uint32_t kOtherChunkSizes[] = {64 << 10, 0, 0xffffffff};
+
 struct TransferFixture : public ::testing::Test {
   sim::Engine engine;
   util::Rng rng{11};
@@ -160,16 +180,9 @@ struct TransferFixture : public ::testing::Test {
     engine.run();
   }
 
-  TransferOptions small_chunks() {
-    TransferOptions options;
-    options.chunk_bytes = kMinChunkBytes;
-    options.window_per_stream = 4;
-    return options;
-  }
-
   util::Result<TransferStats> push_files(std::shared_ptr<Loopback> transport,
                                          std::vector<BundleFile> files,
-                                         const TransferOptions& options) {
+                                         const TransferOptions& options = {}) {
     util::Result<TransferStats> out =
         util::make_error(util::ErrorCode::kInternal, "never finished");
     manager.push(transport, PushSpec{"FZ-Juelich", token}, std::move(files),
@@ -187,7 +200,7 @@ struct TransferFixture : public ::testing::Test {
   /// the push succeeded.
   bool abandon_push(std::vector<BundleFile> files) {
     auto transport = std::make_shared<Loopback>(engine, service, 2);
-    TransferOptions options = small_chunks();
+    TransferOptions options;
     options.max_resume_attempts = 1;  // give up on the first outage
     options.max_chunk_retries = 0;
     engine.after(sim::msec(3), [transport] {
@@ -218,7 +231,7 @@ struct TransferFixture : public ::testing::Test {
   util::Result<TransferStats> push_blob(std::shared_ptr<Loopback> transport,
                                         const uspace::FileBlob& blob,
                                         const std::string& name,
-                                        const TransferOptions& options) {
+                                        const TransferOptions& options = {}) {
     return push_files(
         std::move(transport),
         {{name, std::make_shared<const uspace::FileBlob>(blob)}}, options);
@@ -226,7 +239,7 @@ struct TransferFixture : public ::testing::Test {
 
   util::Result<PullResult> pull_names(std::shared_ptr<Loopback> transport,
                                       PullSpec spec,
-                                      const TransferOptions& options) {
+                                      const TransferOptions& options = {}) {
     util::Result<PullResult> out =
         util::make_error(util::ErrorCode::kInternal, "never finished");
     manager.pull(transport, spec, options,
@@ -297,19 +310,17 @@ struct TransferFixture : public ::testing::Test {
   void expect_client_cannot_open_peer_push(std::size_t file_count);
   util::Result<util::Bytes> push_declaring(const uspace::FileBlob& blob,
                                            const crypto::Digest& identity,
-                                           const std::string& name,
-                                           std::uint32_t chunk_bytes);
-  void expect_forged_push_refused(const std::string& name,
-                                  std::uint32_t chunk_bytes);
+                                           const std::string& name);
+  void expect_forged_push_refused(const std::string& name);
 };
 
 TEST_F(TransferFixture, PushStripesChunksOverParallelStreams) {
   auto transport = std::make_shared<Loopback>(engine, service, 4);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(2 << 20, 21);
-  auto stats = push_blob(transport, blob, "striped.bin", small_chunks());
+  uspace::FileBlob blob = uspace::FileBlob::synthetic(32 << 20, 21);
+  auto stats = push_blob(transport, blob, "striped.bin");
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_EQ(stats.value().bytes, 2ull << 20);
-  EXPECT_EQ(stats.value().chunks, 32u);  // 2 MiB / 64 KiB
+  EXPECT_EQ(stats.value().bytes, 32ull << 20);
+  EXPECT_EQ(stats.value().chunks, 32u);  // 32 MiB / 1 MiB
   EXPECT_EQ(stats.value().streams, 4u);
   EXPECT_EQ(stats.value().retransmits, 0u);
   EXPECT_EQ(stats.value().resumes, 0u);
@@ -322,7 +333,7 @@ TEST_F(TransferFixture, PushStripesChunksOverParallelStreams) {
 TEST_F(TransferFixture, PushPreservesRealContent) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
   uspace::FileBlob blob = uspace::FileBlob::from_string("real bytes\n");
-  auto stats = push_blob(transport, blob, "real.txt", small_chunks());
+  auto stats = push_blob(transport, blob, "real.txt");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().chunks, 1u);
   auto fetched = njs.fetch_file_shared(token, "real.txt");
@@ -331,12 +342,12 @@ TEST_F(TransferFixture, PushPreservesRealContent) {
   EXPECT_EQ(*fetched.value()->bytes(), *blob.bytes());
 }
 
-/// `files` hold 16 chunks at 64 KiB.
+/// `files` hold 16 chunks.
 void TransferFixture::expect_lost_acks_apply_once(
     const std::vector<BundleFile>& files) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
   transport->drop_next_acks = 3;  // applied, but the sender never hears
-  auto stats = push_files(transport, files, small_chunks());
+  auto stats = push_files(transport, files);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_GE(stats.value().retransmits, 3u);
   EXPECT_GE(stats.value().duplicates, 3u);  // receiver said applied=false
@@ -348,24 +359,24 @@ void TransferFixture::expect_lost_acks_apply_once(
 }
 
 TEST_F(TransferFixture, LostAckRedeliversWithoutApplyingTwice) {
-  expect_lost_acks_apply_once(make_files(1, 1 << 20, "lossy.bin", 8));
+  expect_lost_acks_apply_once(make_files(1, 16 << 20, "lossy.bin", 8));
 }
 
 TEST_F(TransferFixture, BundleLostAckRedeliversWithoutApplyingTwice) {
-  expect_lost_acks_apply_once(make_files(8, 128 << 10, "lossy/f"));
+  expect_lost_acks_apply_once(make_files(8, 2 << 20, "lossy/f"));
 }
 
 TEST_F(TransferFixture, TransientOpenFailureRetriesViaResumeLadder) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
   transport->fail_next_calls = 1;  // the open itself dies on the wire
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(256 << 10, 3);
-  auto stats = push_blob(transport, blob, "retry.bin", small_chunks());
+  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 << 20, 3);
+  auto stats = push_blob(transport, blob, "retry.bin");
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_GE(stats.value().resumes, 1u);
   EXPECT_EQ(delivered_checksum("retry.bin"), blob.checksum());
 }
 
-/// `files` hold 64 chunks at 64 KiB.
+/// `files` hold 64 chunks.
 void TransferFixture::expect_crash_resumes_from_journal(
     const std::vector<BundleFile>& files) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
@@ -377,7 +388,7 @@ void TransferFixture::expect_crash_resumes_from_journal(
     njs.crash();
     ASSERT_TRUE(njs.recover().ok());
   });
-  auto stats = push_files(transport, files, small_chunks());
+  auto stats = push_files(transport, files);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_GE(stats.value().resumes, 1u);
   EXPECT_EQ(service.transfers_recovered(), 1u);
@@ -392,25 +403,25 @@ void TransferFixture::expect_crash_resumes_from_journal(
 }
 
 TEST_F(TransferFixture, ReceiverCrashMidTransferResumesFromJournal) {
-  expect_crash_resumes_from_journal(make_files(1, 4 << 20, "crashy.bin", 13));
+  expect_crash_resumes_from_journal(make_files(1, 64 << 20, "crashy.bin", 13));
 }
 
 TEST_F(TransferFixture, ReceiverCrashMidBundleResumesFromJournal) {
-  // 8 files of 512 KiB whose chunks interleave.
-  expect_crash_resumes_from_journal(make_files(8, 512 << 10, "crashy/f"));
+  // 8 files of 8 MiB whose chunks interleave.
+  expect_crash_resumes_from_journal(make_files(8, 8 << 20, "crashy/f"));
 }
 
 void TransferFixture::expect_tombstone_makes_repush_cheap(
     const std::vector<BundleFile>& files, std::uint64_t chunks) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  auto first = push_files(transport, files, small_chunks());
+  auto first = push_files(transport, files);
   ASSERT_TRUE(first.ok()) << first.error().to_string();
   EXPECT_EQ(first.value().chunks, chunks);
 
   // Same files, same destination: the durable bundle key matches the
   // kXferBundleDone tombstone, so the re-push moves zero chunks in a
   // single open round trip.
-  auto second = push_files(transport, files, small_chunks());
+  auto second = push_files(transport, files);
   ASSERT_TRUE(second.ok()) << second.error().to_string();
   EXPECT_EQ(second.value().chunks, 0u);
   EXPECT_EQ(service.chunks_applied(), chunks);
@@ -418,20 +429,20 @@ void TransferFixture::expect_tombstone_makes_repush_cheap(
 }
 
 TEST_F(TransferFixture, CompletedTransferTombstoneMakesRepushCheap) {
-  expect_tombstone_makes_repush_cheap(make_files(1, 1 << 20, "twice.bin", 30),
+  expect_tombstone_makes_repush_cheap(make_files(1, 16 << 20, "twice.bin", 30),
                                       16);
 }
 
 TEST_F(TransferFixture, CompletedBundleTombstoneMakesRepushCheap) {
-  expect_tombstone_makes_repush_cheap(make_files(6, 128 << 10, "twice/f"), 12);
+  expect_tombstone_makes_repush_cheap(make_files(6, 2 << 20, "twice/f"), 12);
 }
 
 TEST_F(TransferFixture, MalformedOpenReplyFailsOnceAfterTheResumeLadder) {
   ASSERT_TRUE(njs.deliver_file(token, "out.bin",
                                std::make_shared<const uspace::FileBlob>(
-                                   uspace::FileBlob::synthetic(1 << 20, 4)))
+                                   uspace::FileBlob::synthetic(16 << 20, 4)))
                   .ok());
-  TransferOptions options = small_chunks();
+  TransferOptions options;
   options.max_resume_attempts = 2;
   for (bool push : {true, false}) {
     SCOPED_TRACE(push ? "push" : "pull");
@@ -445,12 +456,13 @@ TEST_F(TransferFixture, MalformedOpenReplyFailsOnceAfterTheResumeLadder) {
     };
     if (push)
       manager.push(transport, PushSpec{"FZ-Juelich", token},
-                   make_files(2, 128 << 10, "garbled/f"), options,
+                   make_files(2, 2 << 20, "garbled/f"), options,
                    [&](util::Result<TransferStats> r) {
                      record(r.ok() ? util::Status() : util::Status(r.error()));
                    });
     else
-      manager.pull(transport, PullSpec{Role::kPeerPull, token, {"out.bin"}},
+      manager.pull(transport,
+                   PullSpec{Role::kPeerPull, token, {"out.bin"}, nullptr},
                    options, [&](util::Result<PullResult> r) {
                      record(r.ok() ? util::Status() : util::Status(r.error()));
                    });
@@ -463,12 +475,101 @@ TEST_F(TransferFixture, MalformedOpenReplyFailsOnceAfterTheResumeLadder) {
   }
 }
 
+// An open naming any chunk size but 1 MiB fails its reader: the
+// service answers kInvalidArgument and opens nothing.
+TEST_F(TransferFixture, OpenNamingAnotherChunkSizeIsRefused) {
+  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 << 20, 5);
+  ASSERT_TRUE(njs.deliver_file(token, "out.bin",
+                               std::make_shared<const uspace::FileBlob>(blob))
+                  .ok());
+  BundleOpenRequest push;
+  push.token = token;
+  push.files.push_back(
+      {"in.bin", blob.size(), blob.checksum(), true, blob.chunk_digests()});
+  push.key = make_bundle_key("FZ-Juelich", token, push.files);
+  BundlePullOpenRequest pull;
+  pull.token = token;
+  pull.names = {"out.bin"};
+  for (std::uint32_t chunk_bytes : kOtherChunkSizes) {
+    SCOPED_TRACE(chunk_bytes);
+    for (auto opened :
+         {serve(Op::kOpen, naming_chunk_size(push.encode(),
+                                             kPushOpenChunkField, chunk_bytes)),
+          serve(Op::kOpen, naming_chunk_size(pull.encode(),
+                                             kPullOpenChunkField, chunk_bytes))}) {
+      ASSERT_FALSE(opened.ok());
+      EXPECT_EQ(opened.error().code, util::ErrorCode::kInvalidArgument);
+    }
+    EXPECT_EQ(service.inbound_open(), 0u);
+    EXPECT_EQ(service.outbound_open(), 0u);
+  }
+  // As written, at 1 MiB, both open.
+  ASSERT_TRUE(serve(Op::kOpen, push.encode()).ok());
+  ASSERT_TRUE(serve(Op::kOpen, pull.encode()).ok());
+  EXPECT_EQ(service.inbound_open(), 1u);
+  EXPECT_EQ(service.outbound_open(), 1u);
+}
+
+// A sender never adopts the chunk size an open reply names: a reply
+// naming any but 1 MiB is a malformed open reply, and the transfer ends
+// after the resume ladder with nothing delivered.
+TEST_F(TransferFixture, OpenReplyNamingAnotherChunkSizeIsMalformed) {
+  ASSERT_TRUE(njs.deliver_file(token, "out.bin",
+                               std::make_shared<const uspace::FileBlob>(
+                                   uspace::FileBlob::synthetic(4 << 20, 4)))
+                  .ok());
+  TransferOptions options;
+  options.max_resume_attempts = 2;
+  for (std::uint32_t chunk_bytes : kOtherChunkSizes) {
+    for (bool push : {true, false}) {
+      SCOPED_TRACE(std::string(push ? "push " : "pull ") +
+                   std::to_string(chunk_bytes));
+      auto transport = std::make_shared<Loopback>(engine, service, 2);
+      int rewritten = 0;
+      transport->rewrite = [&](Op op, util::Bytes& body) {
+        if (op != Op::kOpen) return;
+        body = naming_chunk_size(
+            body, push ? kPushReplyChunkField : kPullReplyChunkField,
+            chunk_bytes);
+        ++rewritten;
+      };
+      int callbacks = 0;
+      std::optional<util::Error> error;
+      auto record = [&](util::Status status) {
+        ++callbacks;
+        if (!status.ok()) error = status.error();
+      };
+      if (push)
+        manager.push(transport, PushSpec{"FZ-Juelich", token},
+                     make_files(1, 4 << 20, "resized.bin"), options,
+                     [&](util::Result<TransferStats> r) {
+                       record(r.ok() ? util::Status() : util::Status(r.error()));
+                     });
+      else
+        manager.pull(transport,
+                     PullSpec{Role::kPeerPull, token, {"out.bin"}, nullptr},
+                     options, [&](util::Result<PullResult> r) {
+                       record(r.ok() ? util::Status() : util::Status(r.error()));
+                     });
+      engine.run();
+      EXPECT_EQ(callbacks, 1);
+      EXPECT_EQ(rewritten, 3);  // the open and both re-opens
+      ASSERT_TRUE(error.has_value());
+      EXPECT_EQ(error->code, util::ErrorCode::kUnavailable);
+      EXPECT_NE(error->message.find("malformed open reply"), std::string::npos)
+          << error->message;
+    }
+  }
+  EXPECT_EQ(service.chunks_applied(), 0u);
+  EXPECT_EQ(service.files_delivered(), 0u);
+}
+
 TEST_F(TransferFixture, MalformedChunkReplyFailsOnceAfterTheResumeLadder) {
   ASSERT_TRUE(njs.deliver_file(token, "out.bin",
                                std::make_shared<const uspace::FileBlob>(
-                                   uspace::FileBlob::synthetic(1 << 20, 4)))
+                                   uspace::FileBlob::synthetic(16 << 20, 4)))
                   .ok());
-  TransferOptions options = small_chunks();
+  TransferOptions options;
   options.max_resume_attempts = 2;
   options.max_chunk_retries = 1;
   // The pushed chunks land even though their acks are garbled; 32 of
@@ -486,12 +587,13 @@ TEST_F(TransferFixture, MalformedChunkReplyFailsOnceAfterTheResumeLadder) {
     };
     if (push)
       manager.push(transport, PushSpec{"FZ-Juelich", token},
-                   make_files(2, 1 << 20, "garbled/f"), options,
+                   make_files(2, 16 << 20, "garbled/f"), options,
                    [&](util::Result<TransferStats> r) {
                      record(r.ok() ? util::Status() : util::Status(r.error()));
                    });
     else
-      manager.pull(transport, PullSpec{Role::kPeerPull, token, {"out.bin"}},
+      manager.pull(transport,
+                   PullSpec{Role::kPeerPull, token, {"out.bin"}, nullptr},
                    options, [&](util::Result<PullResult> r) {
                      record(r.ok() ? util::Status() : util::Status(r.error()));
                    });
@@ -510,7 +612,7 @@ TEST_F(TransferFixture, PullRejectsAChunkForAnotherIndex) {
   // its own digest and length, so only its index shows that the source
   // answered another request. Assembled as chunk 1 it would corrupt the
   // file; refetched, the pull completes intact.
-  util::Bytes content(5 * kMinChunkBytes);
+  util::Bytes content(5 * kDefaultChunkBytes);
   for (std::size_t i = 0; i < content.size(); ++i)
     content[i] = static_cast<std::uint8_t>(i % 251);
   uspace::FileBlob blob = uspace::FileBlob::from_bytes(content);
@@ -519,9 +621,8 @@ TEST_F(TransferFixture, PullRejectsAChunkForAnotherIndex) {
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 2);
   transport->misindex_pulled_chunks = 1;
-  auto out = pull_names(transport,
-                        PullSpec{Role::kPeerPull, token, {"varied.bin"}},
-                        small_chunks());
+  auto out = pull_names(
+      transport, PullSpec{Role::kPeerPull, token, {"varied.bin"}, nullptr});
   ASSERT_TRUE(out.ok()) << out.error().to_string();
   EXPECT_EQ(out.value().blobs[0].checksum(), blob.checksum());
   EXPECT_EQ(out.value().stats.retransmits, 1u);
@@ -557,14 +658,13 @@ struct StoreTransferFixture : public TransferFixture {
 
   void expect_repush_to_new_names_moves_nothing(
       const std::vector<BundleFile>& files);
-  void expect_clamp_ignores_manifests(const std::vector<BundleFile>& files);
 };
 
-/// `files` hold 16 chunks at 64 KiB.
+/// `files` hold 16 chunks.
 void StoreTransferFixture::expect_repush_to_new_names_moves_nothing(
     const std::vector<BundleFile>& files) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  auto first = push_files(transport, files, small_chunks());
+  auto first = push_files(transport, files);
   ASSERT_TRUE(first.ok()) << first.error().to_string();
   EXPECT_EQ(first.value().chunks, 16u);
   EXPECT_EQ(service.chunks_applied(), 16u);
@@ -576,7 +676,7 @@ void StoreTransferFixture::expect_repush_to_new_names_moves_nothing(
   std::vector<BundleFile> renamed;
   for (const BundleFile& file : files)
     renamed.push_back({"warm/" + file.name, file.blob});
-  auto second = push_files(transport, renamed, small_chunks());
+  auto second = push_files(transport, renamed);
   ASSERT_TRUE(second.ok()) << second.error().to_string();
   EXPECT_EQ(second.value().chunks, 0u);  // zero payload chunks moved
   EXPECT_EQ(second.value().deduped, 16u);
@@ -593,16 +693,16 @@ void StoreTransferFixture::expect_repush_to_new_names_moves_nothing(
 
 TEST_F(StoreTransferFixture, RepushToNewNameMovesZeroPayloadBytes) {
   expect_repush_to_new_names_moves_nothing(
-      make_files(1, 1 << 20, "cold.bin", 30));
+      make_files(1, 16 << 20, "cold.bin", 30));
 }
 
 TEST_F(StoreTransferFixture, BundleRepushToNewNamesDedupsWholeBatchInOneRtt) {
-  expect_repush_to_new_names_moves_nothing(make_files(8, 128 << 10, "cold/f"));
+  expect_repush_to_new_names_moves_nothing(make_files(8, 2 << 20, "cold/f"));
 }
 
 TEST_F(StoreTransferFixture, CrashResumeLeavesNoOrphanedRefcounts) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 << 20, 13);
+  uspace::FileBlob blob = uspace::FileBlob::synthetic(64 << 20, 13);
 
   // The crash destroys the in-flight assembly (its chunk refs must be
   // released), recovery folds the journaled chunks back in (their refs
@@ -612,7 +712,7 @@ TEST_F(StoreTransferFixture, CrashResumeLeavesNoOrphanedRefcounts) {
     ASSERT_TRUE(njs.recover().ok());
   });
 
-  auto stats = push_blob(transport, blob, "crashy.bin", small_chunks());
+  auto stats = push_blob(transport, blob, "crashy.bin");
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_GE(stats.value().resumes, 1u);
   EXPECT_EQ(service.chunks_applied(), 64u);  // exactly once per chunk
@@ -627,7 +727,7 @@ TEST_F(StoreTransferFixture, AbandonedTransferReleasesInFlightRefs) {
   // Let the open and the first chunks through, then cut the link for
   // good: the sender abandons a half-assembled inbound transfer whose
   // chunks hold store refs.
-  ASSERT_FALSE(abandon_push(make_files(1, 1 << 20, "doomed.bin", 5)));
+  ASSERT_FALSE(abandon_push(make_files(1, 16 << 20, "doomed.bin", 5)));
   ASSERT_EQ(service.inbound_open(), 1u);
   EXPECT_GT(chunk_store->stats().total_refs, 0u);
 
@@ -641,7 +741,7 @@ TEST_F(StoreTransferFixture, AbandonedTransferReleasesInFlightRefs) {
 }
 
 TEST_F(StoreTransferFixture, RecoveredTransferExpiresWhenItsSenderIsGone) {
-  ASSERT_FALSE(abandon_push(make_files(1, 1 << 20, "orphan.bin", 6)));
+  ASSERT_FALSE(abandon_push(make_files(1, 16 << 20, "orphan.bin", 6)));
   njs.crash();
   ASSERT_TRUE(njs.recover().ok());
   // Recovery rebuilt the transfer from the journal, and its chunks took
@@ -654,7 +754,7 @@ TEST_F(StoreTransferFixture, RecoveredTransferExpiresWhenItsSenderIsGone) {
 }
 
 TEST_F(StoreTransferFixture, ExpiredTransferStaysGoneAfterRecovery) {
-  std::vector<BundleFile> files = make_files(1, 1 << 20, "lapsed.bin", 7);
+  std::vector<BundleFile> files = make_files(1, 16 << 20, "lapsed.bin", 7);
   ASSERT_FALSE(abandon_push(files));
   ASSERT_EQ(service.inbound_open(), 1u);
   engine.run();  // idles out
@@ -672,7 +772,7 @@ TEST_F(StoreTransferFixture, ExpiredTransferStaysGoneAfterRecovery) {
   // Expired is not committed: a sender that re-opens the bundle by its
   // key starts over and completes.
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  auto stats = push_files(transport, files, small_chunks());
+  auto stats = push_files(transport, files);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().chunks, 16u);
   expect_delivered(files);
@@ -686,14 +786,14 @@ TEST_F(StoreTransferFixture, ReapReclaimsPhysicalBytesAndRecordsMetric) {
   chunk_store->set_metrics(registry, "LRZ");
   auto transport = std::make_shared<Loopback>(engine, service, 2);
   // Real payload so physical bytes are non-zero. The constant fill
-  // makes all four 64 KiB chunks identical: intra-file dedup stores
-  // exactly one physical chunk for a 256 KiB file.
+  // makes all four 1 MiB chunks identical: intra-file dedup stores
+  // exactly one physical chunk for a 4 MiB file.
   uspace::FileBlob blob =
-      uspace::FileBlob::from_bytes(util::Bytes(256 << 10, 0xab));
-  auto stats = push_blob(transport, blob, "data.bin", small_chunks());
+      uspace::FileBlob::from_bytes(util::Bytes(4 << 20, 0xab));
+  auto stats = push_blob(transport, blob, "data.bin");
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
-  EXPECT_EQ(chunk_store->stats().physical_bytes, 64u << 10);
-  EXPECT_EQ(chunk_store->stats().logical_bytes, 256u << 10);
+  EXPECT_EQ(chunk_store->stats().physical_bytes, 1u << 20);
+  EXPECT_EQ(chunk_store->stats().logical_bytes, 4u << 20);
 
   auto freed = njs.reap_storage(token);
   ASSERT_TRUE(freed.ok()) << freed.error().to_string();
@@ -704,18 +804,18 @@ TEST_F(StoreTransferFixture, ReapReclaimsPhysicalBytesAndRecordsMetric) {
   const obs::MetricPoint* reclaimed = snapshot.find(
       "unicore_store_reap_reclaimed_bytes_total", {{"usite", "LRZ"}});
   ASSERT_NE(reclaimed, nullptr);
-  EXPECT_EQ(reclaimed->value, double(64 << 10));
+  EXPECT_EQ(reclaimed->value, double(1 << 20));
 }
 
 TEST_F(TransferFixture, BackpressureShrinksCreditButCompletes) {
   Service::Limits limits;
-  limits.buffer_limit_bytes = 256 << 10;  // exactly the file size
+  limits.buffer_limit_bytes = 4 << 20;  // exactly the file size
   limits.max_credit = 2;
   service.set_limits(limits);
   auto transport = std::make_shared<Loopback>(engine, service, 4);
   uspace::FileBlob blob = uspace::FileBlob::from_string(
-      std::string(256 << 10, 'b'));
-  TransferOptions options = small_chunks();
+      std::string(4 << 20, 'b'));
+  TransferOptions options;
   options.window_per_stream = 8;  // ask for far more than the credit
   auto stats = push_blob(transport, blob, "tight.bin", options);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
@@ -725,13 +825,13 @@ TEST_F(TransferFixture, BackpressureShrinksCreditButCompletes) {
 
 void TransferFixture::expect_pull_matches_source(
     const std::vector<BundleFile>& files, std::uint64_t chunks) {
-  PullSpec spec{Role::kPeerPull, token, {}};
+  PullSpec spec{Role::kPeerPull, token, {}, nullptr};
   for (const BundleFile& file : files) {
     ASSERT_TRUE(njs.deliver_file(token, file.name, file.blob).ok());
     spec.names.push_back(file.name);
   }
   auto transport = std::make_shared<Loopback>(engine, service, 4);
-  auto out = pull_names(transport, spec, small_chunks());
+  auto out = pull_names(transport, spec);
   ASSERT_TRUE(out.ok()) << out.error().to_string();
   ASSERT_EQ(out.value().blobs.size(), files.size());
   for (std::size_t i = 0; i < files.size(); ++i)
@@ -744,11 +844,11 @@ void TransferFixture::expect_pull_matches_source(
 }
 
 TEST_F(TransferFixture, PullChunkedMatchesSourceChecksum) {
-  expect_pull_matches_source(make_files(1, 3 << 20, "out.bin", 17), 48);
+  expect_pull_matches_source(make_files(1, 48 << 20, "out.bin", 17), 48);
 }
 
 TEST_F(TransferFixture, PullBundleFetchesEveryFileInOneOpen) {
-  expect_pull_matches_source(make_files(10, 128 << 10, "out/f"), 20);
+  expect_pull_matches_source(make_files(10, 2 << 20, "out/f"), 20);
 }
 
 TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
@@ -757,9 +857,8 @@ TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
                                    uspace::FileBlob::from_string("n")))
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 2);
-  auto out = pull_names(transport, PullSpec{Role::kPeerPull, token,
-                                            {"note.txt"}},
-                        small_chunks());
+  auto out = pull_names(
+      transport, PullSpec{Role::kPeerPull, token, {"note.txt"}, nullptr});
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out.value().stats.inlined);
   EXPECT_EQ(out.value().stats.chunks, 0u);
@@ -772,9 +871,9 @@ TEST_F(TransferFixture, PullSmallFileInlinesInOpenReply) {
                                std::make_shared<const uspace::FileBlob>(
                                    uspace::FileBlob::from_string("m")))
                   .ok());
-  auto both = pull_names(transport, PullSpec{Role::kPeerPull, token,
-                                             {"note.txt", "note2.txt"}},
-                         small_chunks());
+  auto both = pull_names(
+      transport,
+      PullSpec{Role::kPeerPull, token, {"note.txt", "note2.txt"}, nullptr});
   ASSERT_TRUE(both.ok()) << both.error().to_string();
   EXPECT_FALSE(both.value().stats.inlined);
   EXPECT_EQ(both.value().stats.chunks, 2u);
@@ -795,7 +894,7 @@ TEST_F(TransferFixture, PullRefusesADamagedInlineReply) {
     body.back() ^= 0x01;  // the inline blob's last content byte
     ++damaged;
   };
-  TransferOptions options = small_chunks();
+  TransferOptions options;
   options.max_resume_attempts = 2;
   PullSpec spec;
   spec.token = token;
@@ -813,11 +912,11 @@ TEST_F(TransferFixture, ClientPullEnforcesJobOwnership) {
                   .ok());
   auto transport = std::make_shared<Loopback>(engine, service, 1);
   transport->client_dn = dn("Mallory");  // not the job owner
-  TransferOptions options = small_chunks();
+  TransferOptions options;
   options.max_resume_attempts = 1;  // permission errors must not retry long
-  auto out = pull_names(transport,
-                        PullSpec{Role::kClientPull, token, {"secret.txt"}},
-                        options);
+  auto out = pull_names(
+      transport, PullSpec{Role::kClientPull, token, {"secret.txt"}, nullptr},
+      options);
   ASSERT_FALSE(out.ok());
 }
 
@@ -827,12 +926,12 @@ TEST_F(TransferFixture, BundlePushDeliversEveryFileInOneOpen) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   njs.set_metrics(registry);
   auto transport = std::make_shared<Loopback>(engine, service, 4);
-  std::vector<BundleFile> files = make_files(12, 128 << 10);  // 2 chunks each
+  std::vector<BundleFile> files = make_files(12, 2 << 20);  // 2 chunks each
 
-  auto stats = push_files(transport, files, small_chunks());
+  auto stats = push_files(transport, files);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 12u);
-  EXPECT_EQ(stats.value().bytes, 12u * (128 << 10));
+  EXPECT_EQ(stats.value().bytes, 12u * (2 << 20));
   EXPECT_EQ(stats.value().chunks, 24u);
   EXPECT_EQ(stats.value().bundles, 1u);
   EXPECT_EQ(stats.value().resumes, 0u);
@@ -864,12 +963,12 @@ TEST_F(TransferFixture, BundleMixesFileSizesAcrossOneCreditWindow) {
   auto transport = std::make_shared<Loopback>(engine, service, 2);
   std::vector<BundleFile> files;
   files.push_back({"big.bin", std::make_shared<const uspace::FileBlob>(
-                                  uspace::FileBlob::synthetic(1 << 20, 7))});
+                                  uspace::FileBlob::synthetic(16 << 20, 7))});
   files.push_back({"note.txt", std::make_shared<const uspace::FileBlob>(
                                    uspace::FileBlob::from_string("hello"))});
   files.push_back({"mid.bin", std::make_shared<const uspace::FileBlob>(
-                                  uspace::FileBlob::synthetic(192 << 10, 9))});
-  auto stats = push_files(transport, files, small_chunks());
+                                  uspace::FileBlob::synthetic(3 << 20, 9))});
+  auto stats = push_files(transport, files);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, 3u);
   EXPECT_EQ(stats.value().chunks, 16u + 1u + 3u);
@@ -885,9 +984,7 @@ TEST_F(TransferFixture, BundleMixesFileSizesAcrossOneCreditWindow) {
 TEST_F(TransferFixture, PushTreeSlicesAboveTheBundleCapAndAggregates) {
   auto transport = std::make_shared<Loopback>(engine, service, 4);
   // One file past the cap: two sequential wire bundles, one result.
-  auto stats =
-      push_files(transport, make_files(kMaxBundleFiles + 1, 1, "t"),
-                 small_chunks());
+  auto stats = push_files(transport, make_files(kMaxBundleFiles + 1, 1, "t"));
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().files, kMaxBundleFiles + 1);
   EXPECT_EQ(stats.value().chunks, kMaxBundleFiles + 1);
@@ -928,7 +1025,7 @@ TEST_F(TransferFixture, BundlePushRequiresServerPeerCertificate) {
 }
 
 TEST_F(StoreTransferFixture, PullBundleSatisfiesWarmChunksFromLocalStore) {
-  std::vector<BundleFile> files = make_files(6, 128 << 10, "out");
+  std::vector<BundleFile> files = make_files(6, 2 << 20, "out");
   for (const auto& f : files)
     ASSERT_TRUE(njs.deliver_file(token, f.name, f.blob).ok());
   auto transport = std::make_shared<Loopback>(engine, service, 2);
@@ -938,66 +1035,19 @@ TEST_F(StoreTransferFixture, PullBundleSatisfiesWarmChunksFromLocalStore) {
   spec.store = std::make_shared<store::ChunkStore>();
   for (const auto& f : files) spec.names.push_back(f.name);
 
-  auto cold = pull_names(transport, spec, small_chunks());
+  auto cold = pull_names(transport, spec);
   ASSERT_TRUE(cold.ok()) << cold.error().to_string();
   EXPECT_EQ(cold.value().stats.chunks, 12u);
 
   // The cold pull interned every chunk into the local store (the
   // result blobs pin them). A second pull of the same files settles
   // entirely from the open reply's manifests: zero chunk requests.
-  auto warm = pull_names(transport, spec, small_chunks());
+  auto warm = pull_names(transport, spec);
   ASSERT_TRUE(warm.ok()) << warm.error().to_string();
   EXPECT_EQ(warm.value().stats.chunks, 0u);
   EXPECT_EQ(warm.value().stats.deduped, 12u);
   for (std::size_t i = 0; i < files.size(); ++i)
     EXPECT_EQ(warm.value().blobs[i].checksum(), files[i].blob->checksum());
-}
-
-// A clamped chunk size invalidates the sender's digest manifests (they
-// were computed at the proposed granularity), so the open must not
-// apply have-range dedup. `files` hold 8 chunks at 128 KiB, 16 once
-// clamped to 64 KiB.
-void StoreTransferFixture::expect_clamp_ignores_manifests(
-    const std::vector<BundleFile>& files) {
-  auto transport = std::make_shared<Loopback>(engine, service, 2);
-  TransferOptions wide = small_chunks();
-  wide.chunk_bytes = 2 * kMinChunkBytes;  // 128 KiB
-  auto first = push_files(transport, files, wide);
-  ASSERT_TRUE(first.ok()) << first.error().to_string();
-  EXPECT_EQ(first.value().chunks, 8u);
-
-  // Now the receiver clamps every proposal down to 64 KiB. The re-push
-  // proposes 128 KiB again — its digests are 128 KiB-granularity, and
-  // every one of them IS in the store. Applying them to 64 KiB
-  // assemblies would mark the wrong chunks present; the service must
-  // ignore the manifests and take the full transfer instead.
-  Service::Limits limits;
-  limits.max_chunk_bytes = kMinChunkBytes;
-  service.set_limits(limits);
-  std::vector<BundleFile> renamed;
-  for (const BundleFile& file : files)
-    renamed.push_back({"clamped/" + file.name, file.blob});
-  auto second = push_files(transport, renamed, wide);
-  ASSERT_TRUE(second.ok()) << second.error().to_string();
-  EXPECT_EQ(second.value().chunks, 16u);  // no dedup: every chunk moved
-  EXPECT_EQ(second.value().deduped, 0u);
-  EXPECT_EQ(service.chunks_deduped(), 0u);
-  expect_delivered(renamed);
-}
-
-TEST_F(StoreTransferFixture, SatisfyOpenIgnoresManifestAfterChunkSizeClamp) {
-  expect_clamp_ignores_manifests(make_files(1, 1 << 20, "cold.bin", 42));
-}
-
-TEST_F(StoreTransferFixture, SatisfyBundleOpenIgnoresManifestAfterClamp) {
-  expect_clamp_ignores_manifests(make_files(4, 256 << 10, "cold/f"));
-}
-
-// Real content: the sender's chunk digests come from the payload, and
-// the manifest's 128 KiB digests must not label the 64 KiB chunks a
-// clamped receiver asks for.
-TEST_F(StoreTransferFixture, SatisfyRealContentOpenIgnoresManifestAfterClamp) {
-  expect_clamp_ignores_manifests(make_real_files(4, 256 << 10, "real/f"));
 }
 
 // ---- the receive window's running total ------------------------------------
@@ -1020,15 +1070,15 @@ TEST_F(TransferFixture, BufferedBytesGaugeTracksAssembliesDuringABundlePush) {
     EXPECT_EQ(gauge, static_cast<double>(service.buffered_in_assemblies()));
     peak = std::max(peak, gauge);
   };
-  // Six real files of three 64 KiB chunks; each drains on delivery.
-  std::vector<BundleFile> files = make_real_files(6, 192 << 10, "buf/f");
-  auto stats = push_files(transport, files, small_chunks());
+  // Six real files of three chunks; each drains on delivery.
+  std::vector<BundleFile> files = make_real_files(6, 3 << 20, "buf/f");
+  auto stats = push_files(transport, files);
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(stats.value().chunks, 19u);  // one resent
   EXPECT_EQ(stats.value().retransmits, 1u);
   EXPECT_EQ(service.chunks_applied(), 18u);
   EXPECT_EQ(checks, 1u + 18u + 1u);  // open, chunks, close
-  EXPECT_GE(peak, double(4 * kMinChunkBytes));  // two files half-assembled
+  EXPECT_GE(peak, double(4 * kDefaultChunkBytes));  // two files half-assembled
   expect_delivered(files);
   EXPECT_EQ(buffered_gauge(*registry), 0.0);
   EXPECT_EQ(service.buffered_in_assemblies(), 0u);
@@ -1037,7 +1087,7 @@ TEST_F(TransferFixture, BufferedBytesGaugeTracksAssembliesDuringABundlePush) {
 TEST_F(TransferFixture, BufferedBytesGaugeReadsZeroAfterAbandonAndRecovery) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   njs.set_metrics(registry);
-  std::vector<BundleFile> files = make_real_files(1, 1 << 20, "lost.bin");
+  std::vector<BundleFile> files = make_real_files(1, 16 << 20, "lost.bin");
   // The sender gives up mid-transfer, leaving a half-assembled file.
   ASSERT_FALSE(abandon_push(files));
   ASSERT_EQ(service.inbound_open(), 1u);
@@ -1057,8 +1107,8 @@ TEST_F(TransferFixture, BufferedBytesGaugeReadsZeroAfterAbandonAndRecovery) {
   EXPECT_GT(service.buffered_in_assemblies(), 0u);
   EXPECT_EQ(buffered_gauge(*registry),
             static_cast<double>(service.buffered_in_assemblies()));
-  auto resumed = push_files(std::make_shared<Loopback>(engine, service, 2),
-                            files, small_chunks());
+  auto resumed =
+      push_files(std::make_shared<Loopback>(engine, service, 2), files);
   ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
   EXPECT_LT(resumed.value().chunks, 16u);  // the journaled ones stay put
   expect_delivered(files);
@@ -1070,7 +1120,7 @@ TEST_F(TransferFixture, BufferedBytesGaugeReadsZeroAfterAbandonAndRecovery) {
 TEST_F(TransferFixture, AbandonedTransferExpiresAndZeroesTheGauges) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   njs.set_metrics(registry);
-  ASSERT_FALSE(abandon_push(make_real_files(2, 1 << 20, "idle/f")));
+  ASSERT_FALSE(abandon_push(make_real_files(2, 16 << 20, "idle/f")));
   ASSERT_EQ(service.inbound_open(), 1u);
   EXPECT_GT(buffered_gauge(*registry), 0.0);
 
@@ -1085,10 +1135,9 @@ TEST_F(TransferFixture, TransferThatKeepsSendingIsNeverExpired) {
   Service::Limits limits;
   limits.idle_timeout = sim::sec(30);
   service.set_limits(limits);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 * kMinChunkBytes, 8);
+  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 * kDefaultChunkBytes, 8);
   BundleOpenRequest open;
   open.token = token;
-  open.proposed_chunk_bytes = kMinChunkBytes;
   open.files.push_back({"slow.bin", blob.size(), blob.checksum(), true, {}});
   open.key = make_bundle_key("FZ-Juelich", token, open.files);
   auto opened = serve(Op::kOpen, open.encode());
@@ -1096,7 +1145,6 @@ TEST_F(TransferFixture, TransferThatKeepsSendingIsNeverExpired) {
   util::ByteReader reply_reader{opened.value()};
   BundleOpenReply reply = BundleOpenReply::decode(reply_reader);
   ASSERT_TRUE(reply_reader.ok());
-  ASSERT_EQ(reply.chunk_bytes, kMinChunkBytes);
 
   // One chunk every 20 s, inside the 30 s timeout: the transfer lives
   // 100 s, far past it, and is never dropped.
@@ -1105,7 +1153,7 @@ TEST_F(TransferFixture, TransferThatKeepsSendingIsNeverExpired) {
     ASSERT_EQ(service.inbound_open(), 1u) << index;
     BundleChunkRequest request;
     request.transfer_id = reply.transfer_id;
-    request.chunk = make_chunk(blob, index, reply.chunk_bytes);
+    request.chunk = make_chunk(blob, index);
     ASSERT_TRUE(serve(Op::kChunk, request.encode()).ok()) << index;
   }
   engine.run_until(engine.now() + sim::sec(20));
@@ -1122,17 +1170,16 @@ TEST_F(TransferFixture, ReceiveWindowFullFiresAtTheBufferLimit) {
   auto registry = std::make_shared<obs::MetricsRegistry>();
   njs.set_metrics(registry);
   Service::Limits limits;
-  limits.buffer_limit_bytes = 2 * kMinChunkBytes;
+  limits.buffer_limit_bytes = 2 * kDefaultChunkBytes;
   service.set_limits(limits);
   uspace::FileBlob blob =
-      uspace::FileBlob::from_bytes(util::Rng(7).bytes(4 * kMinChunkBytes));
+      uspace::FileBlob::from_bytes(util::Rng(7).bytes(4 * kDefaultChunkBytes));
 
   BundleOpenRequest open;
   open.role = Role::kPush;
   open.token = token;
-  open.proposed_chunk_bytes = kMinChunkBytes;
   open.files.push_back({"window.bin", blob.size(), blob.checksum(), false,
-                        blob.chunk_digests(kMinChunkBytes)});
+                        blob.chunk_digests()});
   open.key = make_bundle_key("FZ-Juelich", token, open.files);
   util::Bytes open_wire = open.encode();
   util::ByteReader open_reader{open_wire};
@@ -1146,7 +1193,7 @@ TEST_F(TransferFixture, ReceiveWindowFullFiresAtTheBufferLimit) {
   auto send = [&](std::uint64_t index) {
     BundleChunkRequest request;
     request.transfer_id = transfer_id;
-    request.chunk = make_chunk(blob, index, kMinChunkBytes);
+    request.chunk = make_chunk(blob, index);
     util::Bytes wire = request.encode();
     util::ByteReader r{wire};
     r.u8();  // the role byte
@@ -1156,12 +1203,12 @@ TEST_F(TransferFixture, ReceiveWindowFullFiresAtTheBufferLimit) {
   // it is not, and the rejected chunk leaves the total untouched.
   ASSERT_TRUE(send(0).ok());
   ASSERT_TRUE(send(1).ok());
-  EXPECT_EQ(buffered_gauge(*registry), double(2 * kMinChunkBytes));
+  EXPECT_EQ(buffered_gauge(*registry), double(2 * kDefaultChunkBytes));
   auto full = send(2);
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.error().code, util::ErrorCode::kResourceExhausted);
-  EXPECT_EQ(buffered_gauge(*registry), double(2 * kMinChunkBytes));
-  EXPECT_EQ(service.buffered_in_assemblies(), 2u * kMinChunkBytes);
+  EXPECT_EQ(buffered_gauge(*registry), double(2 * kDefaultChunkBytes));
+  EXPECT_EQ(service.buffered_in_assemblies(), 2u * kDefaultChunkBytes);
 }
 
 // ---- a push that declares another file's identity --------------------------
@@ -1177,22 +1224,21 @@ uspace::FileBlob forged_content(std::uint64_t seed) {
   return uspace::FileBlob::from_bytes(util::Rng(seed).bytes(kForgedBytes));
 }
 
-/// Pushes `blob` by hand at the proposed `chunk_bytes`, declaring
-/// `identity` for it at open, and returns the close's result.
+/// Pushes `blob` by hand, declaring `identity` for it at open, and
+/// returns the close's result.
 util::Result<util::Bytes> TransferFixture::push_declaring(
     const uspace::FileBlob& blob, const crypto::Digest& identity,
-    const std::string& name, std::uint32_t chunk_bytes) {
+    const std::string& name) {
   BundleOpenRequest open;
   open.token = token;
-  open.proposed_chunk_bytes = chunk_bytes;
-  open.files.push_back({name, blob.size(), identity, false,
-                        blob.chunk_digests(chunk_bytes)});
+  open.files.push_back(
+      {name, blob.size(), identity, false, blob.chunk_digests()});
   open.key = make_bundle_key("FZ-Juelich", token, open.files);
   auto opened = serve(Op::kOpen, open.encode());
   if (!opened.ok()) return opened.error();
   util::ByteReader reply_reader{opened.value()};
   BundleOpenReply reply = BundleOpenReply::decode(reply_reader);
-  ChunkBitmap have(chunk_count(blob.size(), reply.chunk_bytes));
+  ChunkBitmap have(chunk_count(blob.size()));
   if (reply.files[0].complete)
     have.apply({ChunkRange{0, have.total()}});
   else
@@ -1200,7 +1246,7 @@ util::Result<util::Bytes> TransferFixture::push_declaring(
   for (std::uint64_t index : have.missing()) {
     BundleChunkRequest request;
     request.transfer_id = reply.transfer_id;
-    request.chunk = make_chunk(blob, index, reply.chunk_bytes);
+    request.chunk = make_chunk(blob, index);
     (void)serve(Op::kChunk, request.encode());
   }
   BundleCloseRequest close;
@@ -1210,11 +1256,10 @@ util::Result<util::Bytes> TransferFixture::push_declaring(
 }
 
 /// The file named `name` is never delivered, and the push cannot commit.
-void TransferFixture::expect_forged_push_refused(const std::string& name,
-                                                 std::uint32_t chunk_bytes) {
+void TransferFixture::expect_forged_push_refused(const std::string& name) {
   std::uint64_t delivered = service.files_delivered();
   const crypto::Digest another = forged_content(22).checksum();
-  auto closed = push_declaring(forged_content(21), another, name, chunk_bytes);
+  auto closed = push_declaring(forged_content(21), another, name);
   ASSERT_FALSE(closed.ok());
   EXPECT_EQ(closed.error().code, util::ErrorCode::kInternal);
   EXPECT_EQ(service.files_delivered(), delivered);
@@ -1222,12 +1267,26 @@ void TransferFixture::expect_forged_push_refused(const std::string& name,
 }
 
 TEST_F(TransferFixture, ForgedIdentityPushIsNeverDeliveredFromBuffers) {
-  expect_forged_push_refused("native.bin", kDefaultChunkBytes);
-  expect_forged_push_refused("small.bin", kMinChunkBytes);
+  expect_forged_push_refused("native.bin");
+  // Nor when its open names a 64 KiB chunk: the open itself is refused.
+  const uspace::FileBlob content = forged_content(21);
+  BundleOpenRequest open;
+  open.token = token;
+  open.files.push_back({"small.bin", content.size(),
+                        forged_content(22).checksum(), false,
+                        content.chunk_digests()});
+  open.key = make_bundle_key("FZ-Juelich", token, open.files);
+  const std::size_t inbound = service.inbound_open();
+  auto opened = serve(Op::kOpen, naming_chunk_size(open.encode(),
+                                                   kPushOpenChunkField, 64 << 10));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.error().code, util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(service.inbound_open(), inbound);
+  EXPECT_FALSE(njs.fetch_file_shared(token, "small.bin").ok());
 }
 
 TEST_F(StoreTransferFixture, ForgedIdentityPushIsNeverDeliveredFromTheStore) {
-  expect_forged_push_refused("forged.bin", kDefaultChunkBytes);
+  expect_forged_push_refused("forged.bin");
   // The dead transfer's references go with it once it idles out.
   engine.run();
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
@@ -1236,9 +1295,7 @@ TEST_F(StoreTransferFixture, ForgedIdentityPushIsNeverDeliveredFromTheStore) {
 
 TEST_F(StoreTransferFixture, ForgedIdentityOfStoredChunksIsNeverDelivered) {
   uspace::FileBlob blob = forged_content(21);
-  ASSERT_TRUE(
-      push_declaring(blob, blob.checksum(), "genuine.bin", kDefaultChunkBytes)
-          .ok());
+  ASSERT_TRUE(push_declaring(blob, blob.checksum(), "genuine.bin").ok());
   auto genuine = njs.fetch_file_shared(token, "genuine.bin");
   ASSERT_TRUE(genuine.ok());
   EXPECT_EQ(genuine.value()->checksum(), blob.checksum());
@@ -1246,20 +1303,10 @@ TEST_F(StoreTransferFixture, ForgedIdentityOfStoredChunksIsNeverDelivered) {
   const std::uint64_t deduped = service.chunks_deduped();
   // The open satisfies every chunk from the store; only the identity
   // check stands between them and a delivery.
-  expect_forged_push_refused("forged.bin", kDefaultChunkBytes);
+  expect_forged_push_refused("forged.bin");
   EXPECT_EQ(service.chunks_deduped() - deduped, 3u);
   engine.run();  // the refused transfer idles out
   EXPECT_EQ(chunk_store->stats().total_refs, refs);  // genuine.bin's own
-}
-
-TEST_F(StoreTransferFixture, ForgedIdentityPushIsRefusedAtAClampedChunkSize) {
-  Service::Limits limits;
-  limits.max_chunk_bytes = kMinChunkBytes;
-  service.set_limits(limits);
-  expect_forged_push_refused("clamped.bin", kDefaultChunkBytes);
-  engine.run();  // the refused transfer idles out
-  EXPECT_EQ(chunk_store->stats().total_refs, 0u);
-  EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
 }
 
 // A store-mode file whose delivery fails once, on a full Uspace, is
@@ -1293,8 +1340,7 @@ TEST_F(FullUspaceStoreTransferFixture, FailedDeliveryIsRetriedAtClose) {
     EXPECT_EQ(chunk_store->stats().total_refs, refs_pinned_by_storage() + 1);
     EXPECT_TRUE(njs.deliver_file(token, "filler", filler(1)).ok());
   };
-  TransferOptions options;  // one 1 MiB chunk, at the identity's size
-  auto stats = push_blob(transport, blob, "late.bin", options);
+  auto stats = push_blob(transport, blob, "late.bin");  // one chunk
   ASSERT_TRUE(stats.ok()) << stats.error().to_string();
   EXPECT_EQ(service.chunks_applied(), 1u);
   EXPECT_EQ(service.duplicates_suppressed(), 1u);  // the retried chunk

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 
 #include "store/chunk_store.h"
@@ -23,7 +24,7 @@ TEST(ChunkCount, ExactMultipleAndRemainder) {
   EXPECT_EQ(chunk_count(1024, 1024), 1u);
   EXPECT_EQ(chunk_count(2048, 1024), 2u);
   EXPECT_EQ(chunk_count(2049, 1024), 3u);
-  EXPECT_EQ(chunk_count(1, kMaxChunkBytes), 1u);
+  EXPECT_EQ(chunk_count(1, kDefaultChunkBytes), 1u);
   EXPECT_EQ(chunk_count(64ull << 20, 1 << 20), 64u);
 }
 
@@ -42,44 +43,46 @@ TEST(Digests, RealAndSyntheticDigestsAreDomainSeparated) {
 }
 
 TEST(MakeChunk, SlicesRealBlobWithShortTail) {
-  std::string content(2500, 'x');
+  const std::size_t size = 2 * kDefaultChunkBytes + 452;
+  std::string content(size, 'x');
   for (std::size_t i = 0; i < content.size(); ++i)
     content[i] = static_cast<char>('a' + i % 26);
   uspace::FileBlob blob = uspace::FileBlob::from_string(content);
 
-  Chunk first = make_chunk(blob, 0, 1024);
-  Chunk last = make_chunk(blob, 2, 1024);
-  EXPECT_EQ(first.length, 1024u);
+  Chunk first = make_chunk(blob, 0);
+  Chunk last = make_chunk(blob, 2);
+  EXPECT_EQ(first.length, kDefaultChunkBytes);
   EXPECT_FALSE(first.synthetic);
-  ASSERT_EQ(first.data.size(), 1024u);
+  ASSERT_EQ(first.data.size(), kDefaultChunkBytes);
   EXPECT_EQ(first.digest, chunk_digest(first.data));
-  EXPECT_EQ(last.length, 2500u - 2048u);
+  EXPECT_EQ(last.length, 452u);
   EXPECT_EQ(last.data.size(), last.length);
-  EXPECT_EQ(static_cast<char>(last.data[0]), content[2048]);
+  EXPECT_EQ(static_cast<char>(last.data[0]), content[2 * kDefaultChunkBytes]);
 }
 
-// make_chunk takes the digest a blob holds only at the granularity it
-// was computed at; every chunk's digest is its payload's, whatever the
-// chunk size and wherever the content lives.
+// make_chunk takes the digest the blob holds; every chunk's digest is
+// its payload's, wherever the content lives. The chunk size is the one
+// size: a caller naming another is refused.
 TEST(MakeChunk, DigestIsThePayloadsAtEveryGranularity) {
   auto inline_blob =
       std::make_shared<const uspace::FileBlob>(uspace::FileBlob::from_bytes(
           util::Rng(3).bytes(2 * kDefaultChunkBytes + 77)));
   auto chunk_store = std::make_shared<store::ChunkStore>();
-  auto stored = uspace::intern_blob(chunk_store, inline_blob, kMinChunkBytes);
+  auto stored = uspace::intern_blob(chunk_store, inline_blob);
   ASSERT_TRUE(stored->is_stored());
   for (const auto& blob : {inline_blob, stored}) {
-    for (std::uint32_t chunk_bytes :
-         {kMinChunkBytes, kDefaultChunkBytes, 2 * kDefaultChunkBytes}) {
-      std::uint64_t total = chunk_count(blob->size(), chunk_bytes);
-      for (std::uint64_t index = 0; index < total; ++index) {
-        Chunk chunk = make_chunk(*blob, index, chunk_bytes);
-        ASSERT_EQ(chunk.data.size(), chunk.length);
-        EXPECT_EQ(chunk.digest, chunk_digest(chunk.data))
-            << (blob->is_stored() ? "stored" : "inline") << " blob, chunk "
-            << index << " at " << chunk_bytes;
-      }
+    std::uint64_t total = chunk_count(blob->size());
+    ASSERT_EQ(total, 3u);
+    for (std::uint64_t index = 0; index < total; ++index) {
+      Chunk chunk = make_chunk(*blob, index);
+      ASSERT_EQ(chunk.data.size(), chunk.length);
+      EXPECT_EQ(chunk.digest, chunk_digest(chunk.data))
+          << (blob->is_stored() ? "stored" : "inline") << " blob, chunk "
+          << index;
     }
+    for (std::uint32_t chunk_bytes :
+         {0u, kDefaultChunkBytes / 16, 2 * kDefaultChunkBytes})
+      EXPECT_THROW(make_chunk(*blob, 0, chunk_bytes), std::invalid_argument);
   }
 }
 
@@ -134,7 +137,7 @@ TEST(Ranges, CodecRoundTrip) {
 
 TEST(ChunkCodec, RoundTripRealAndSynthetic) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("chunk payload");
-  Chunk real = make_chunk(blob, 0, kMinChunkBytes);
+  Chunk real = make_chunk(blob, 0);
   util::ByteWriter w;
   real.encode(w);
   util::ByteReader r{w.bytes()};
@@ -165,7 +168,6 @@ TEST(OpenCodec, PushRequestLeadsWithRoleByte) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("f");
   BundleOpenRequest req;
   req.token = 3;
-  req.proposed_chunk_bytes = 512 * 1024;
   BundleFileEntry entry;
   entry.name = "f.bin";
   entry.size = blob.size();
@@ -180,7 +182,6 @@ TEST(OpenCodec, PushRequestLeadsWithRoleByte) {
   EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.key, req.key);
   EXPECT_EQ(decoded.token, req.token);
-  EXPECT_EQ(decoded.proposed_chunk_bytes, req.proposed_chunk_bytes);
   ASSERT_EQ(decoded.files.size(), 1u);
   EXPECT_EQ(decoded.files[0].name, "f.bin");
   EXPECT_EQ(decoded.files[0].size, blob.size());
@@ -190,7 +191,6 @@ TEST(OpenCodec, PushRequestLeadsWithRoleByte) {
 TEST(OpenCodec, PushReplyRoundTripsResumeState) {
   // The commit-tombstone reply: no transfer id, every file complete.
   BundleOpenReply reply;
-  reply.chunk_bytes = kMinChunkBytes;
   reply.files.resize(1);
   reply.files[0].complete = true;
   util::Bytes wire = reply.encode();
@@ -198,7 +198,6 @@ TEST(OpenCodec, PushReplyRoundTripsResumeState) {
   BundleOpenReply decoded = BundleOpenReply::decode(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(decoded.transfer_id, 0u);
-  EXPECT_EQ(decoded.chunk_bytes, kMinChunkBytes);
   EXPECT_EQ(decoded.credit, 0u);
   ASSERT_EQ(decoded.files.size(), 1u);
   EXPECT_TRUE(decoded.files[0].complete);
@@ -210,7 +209,6 @@ TEST(OpenCodec, PullRequestAndInlineReply) {
   BundlePullOpenRequest req;
   req.role = Role::kClientPull;
   req.token = 9;
-  req.proposed_chunk_bytes = kDefaultChunkBytes;
   req.inline_limit = 4096;
   req.names = {"stdout"};
   util::Bytes wire = req.encode();
@@ -238,7 +236,7 @@ TEST(ChunkOpCodec, PushAndPullRoundTrip) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("abc");
   BundleChunkRequest req;
   req.transfer_id = 11;
-  req.chunk = make_chunk(blob, 0, kMinChunkBytes);
+  req.chunk = make_chunk(blob, 0);
   util::Bytes req_wire = req.encode();
   util::ByteReader r{req_wire};
   EXPECT_EQ(static_cast<Role>(r.u8()), Role::kPush);
@@ -300,18 +298,17 @@ TEST(CloseCodec, PushCarriesKeyPullDoesNot) {
 
 TEST(BundleCodec, OpenRequestRoundTripsManifests) {
   uspace::FileBlob a = uspace::FileBlob::from_string("alpha");
-  uspace::FileBlob b = uspace::FileBlob::synthetic(3 << 20, 5);
+  uspace::FileBlob b = uspace::FileBlob::synthetic(48 << 20, 5);
   BundleOpenRequest request;
   request.role = Role::kClientPush;
   request.token = 42;
-  request.proposed_chunk_bytes = kMinChunkBytes;
   for (const uspace::FileBlob* blob : {&a, &b}) {
     BundleFileEntry entry;
     entry.name = blob == &a ? "a.txt" : "b.bin";
     entry.size = blob->size();
     entry.checksum = blob->checksum();
     entry.synthetic = blob->is_synthetic();
-    entry.digests = blob->chunk_digests(kMinChunkBytes);
+    entry.digests = blob->chunk_digests();
     request.files.push_back(std::move(entry));
   }
   request.key = make_bundle_key("FZJ", request.token, request.files);
@@ -324,14 +321,13 @@ TEST(BundleCodec, OpenRequestRoundTripsManifests) {
   BundleOpenRequest decoded = BundleOpenRequest::decode(r);
   EXPECT_EQ(decoded.key, request.key);
   EXPECT_EQ(decoded.token, 42u);
-  EXPECT_EQ(decoded.proposed_chunk_bytes, kMinChunkBytes);
   ASSERT_EQ(decoded.files.size(), 2u);
   EXPECT_EQ(decoded.files[0].name, "a.txt");
   EXPECT_EQ(decoded.files[0].checksum, a.checksum());
-  EXPECT_EQ(decoded.files[0].digests, a.chunk_digests(kMinChunkBytes));
+  EXPECT_EQ(decoded.files[0].digests, a.chunk_digests());
   EXPECT_EQ(decoded.files[1].size, b.size());
   EXPECT_TRUE(decoded.files[1].synthetic);
-  EXPECT_EQ(decoded.files[1].digests.size(), 48u);  // 3 MiB / 64 KiB
+  EXPECT_EQ(decoded.files[1].digests.size(), 48u);  // 48 MiB / 1 MiB
 }
 
 TEST(BundleCodec, BundleKeyIsOrderAndContentSensitive) {
@@ -353,7 +349,6 @@ TEST(BundleCodec, BundleKeyIsOrderAndContentSensitive) {
 TEST(BundleCodec, OpenReplyRoundTripsPerFileState) {
   BundleOpenReply reply;
   reply.transfer_id = 99;
-  reply.chunk_bytes = kMinChunkBytes;
   reply.credit = 12;
   BundleFileState done;
   done.complete = true;
@@ -381,7 +376,7 @@ TEST(BundleCodec, ChunkRequestCarriesFileIndexAfterTransferId) {
   request.role = Role::kPush;
   request.transfer_id = 7;
   request.file_index = 3;
-  request.chunk = make_chunk(blob, 0, kMinChunkBytes);
+  request.chunk = make_chunk(blob, 0);
 
   util::Bytes wire = request.encode();
   util::ByteReader r{wire};
@@ -399,7 +394,6 @@ TEST(BundleCodec, PullOpenRoundTripsNamesAndManifests) {
   BundlePullOpenRequest request;
   request.role = Role::kClientPull;
   request.token = 11;
-  request.proposed_chunk_bytes = kMinChunkBytes;
   request.names = {"out0", "out1", "out2"};
   util::Bytes wire = request.encode();
   util::ByteReader r{wire};
@@ -409,15 +403,14 @@ TEST(BundleCodec, PullOpenRoundTripsNamesAndManifests) {
   EXPECT_EQ(decoded.token, 11u);
   EXPECT_EQ(decoded.names, request.names);
 
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(256 << 10, 9);
+  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 << 20, 9);
   BundlePullOpenReply reply;
   reply.transfer_id = 5;
-  reply.chunk_bytes = kMinChunkBytes;
   BundlePullFileInfo info;
   info.size = blob.size();
   info.checksum = blob.checksum();
   info.synthetic = true;
-  info.digests = blob.chunk_digests(kMinChunkBytes);
+  info.digests = blob.chunk_digests();
   reply.files.push_back(info);
   util::Bytes reply_wire = reply.encode();
   util::ByteReader rr{reply_wire};
@@ -455,7 +448,7 @@ TEST(Codec, TruncatedBodyFailsInsteadOfMisparsing) {
   uspace::FileBlob blob = uspace::FileBlob::from_string("abcdef");
   BundleChunkRequest req;
   req.transfer_id = 1;
-  req.chunk = make_chunk(blob, 0, kMinChunkBytes);
+  req.chunk = make_chunk(blob, 0);
   util::Bytes wire = req.encode();
   wire.resize(wire.size() / 2);
   util::ByteReader r{wire};
@@ -469,9 +462,9 @@ TEST(Codec, CountBeyondTheBodyIsRejectedBeforeAllocating) {
   // A garbled element count must not size an allocation: it fails as
   // truncation does.
   util::ByteWriter w;
-  w.u64(1);       // transfer id
-  w.u32(0);       // chunk bytes
-  w.u32(0);       // credit
+  w.u64(1);                   // transfer id
+  w.u32(kDefaultChunkBytes);  // chunk bytes
+  w.u32(0);                   // credit
   w.varint(1ull << 40);  // files
   util::ByteReader r{w.bytes()};
   (void)BundleOpenReply::decode(r);
@@ -516,7 +509,6 @@ TEST(XferWire, OpenAndManifestBytesArePinned) {
   // files, each a bool complete and its have-ranges.
   BundleOpenReply push_reply;
   push_reply.transfer_id = 9;
-  push_reply.chunk_bytes = kDefaultChunkBytes;
   push_reply.credit = 3;
   push_reply.files.resize(2);
   push_reply.files[0].complete = true;
@@ -541,7 +533,6 @@ TEST(XferWire, OpenAndManifestBytesArePinned) {
   // bytes | files, each u64 size | checksum | bool synthetic | digests.
   BundlePullOpenReply pull_reply;
   pull_reply.transfer_id = 5;
-  pull_reply.chunk_bytes = kDefaultChunkBytes;
   pull_reply.files.push_back({3, crypto::Digest{}, true, {crypto::Digest{}}});
   pull_reply.files[0].checksum.fill(0x33);
   pull_reply.files[0].digests[0].fill(0x44);
@@ -600,6 +591,78 @@ TEST(XferWire, OpenAndManifestBytesArePinned) {
   BundleManifest manifest_back = BundleManifest::decode(manifest_reader);
   ASSERT_TRUE(manifest_reader.finish().ok());
   EXPECT_EQ(manifest_back.principal, manifest.principal);
+}
+
+/// `wire` with the u32 at `offset` set to `value`.
+util::Bytes with_u32(util::Bytes wire, std::size_t offset,
+                     std::uint32_t value) {
+  for (int i = 0; i < 4; ++i)
+    wire[offset + i] = static_cast<std::uint8_t>(value >> (24 - 8 * i));
+  return wire;
+}
+
+// Each body that carries the chunk-size field decodes as written, and
+// fails its reader once the field names any size but 1 MiB.
+TEST(XferWire, DecodersRefuseEveryOtherChunkSize) {
+  BundleOpenRequest push;
+  push.key = kKey;
+  push.token = 7;
+  push.files.push_back({"f", 5, crypto::Digest{}, false, {}});
+  BundleOpenReply push_reply{9, 3, {{true, {}}}};
+  BundlePullOpenRequest pull;
+  pull.token = 7;
+  pull.names = {"a"};
+  BundlePullOpenReply pull_reply;
+  pull_reply.transfer_id = 5;
+  pull_reply.files.push_back({3, crypto::Digest{}, true, {}});
+  BundleManifest manifest;
+  manifest.key = kKey;
+  manifest.token = 7;
+  manifest.files.push_back({"f", 5, crypto::Digest{}, true});
+  util::ByteWriter manifest_record;
+  manifest.encode(manifest_record);
+
+  struct Case {
+    const char* name;
+    util::Bytes wire;
+    std::size_t offset;  // of the chunk-size field
+    std::function<void(util::ByteReader&)> decode;
+  };
+  const std::vector<Case> cases{
+      {"push open", push.encode(), 14,
+       [](util::ByteReader& r) {
+         r.u8();
+         (void)BundleOpenRequest::decode(r);
+       }},
+      {"push open reply", push_reply.encode(), 8,
+       [](util::ByteReader& r) { (void)BundleOpenReply::decode(r); }},
+      {"pull open", pull.encode(), 9,
+       [](util::ByteReader& r) {
+         r.u8();
+         (void)BundlePullOpenRequest::decode(Role::kPeerPull, r);
+       }},
+      {"pull open reply", pull_reply.encode(), 9,
+       [](util::ByteReader& r) { (void)BundlePullOpenReply::decode(r); }},
+      {"bundle manifest record", manifest_record.take(), 13,
+       [](util::ByteReader& r) { (void)BundleManifest::decode(r); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(util::Bytes(c.wire.begin() + c.offset,
+                          c.wire.begin() + c.offset + 4),
+              kOneMiB);
+    util::ByteReader as_written{c.wire};
+    c.decode(as_written);
+    EXPECT_TRUE(as_written.finish().ok());
+    for (std::uint32_t other : {64u << 10, 0u, 0xffffffffu}) {
+      SCOPED_TRACE(other);
+      const util::Bytes wire = with_u32(c.wire, c.offset, other);
+      util::ByteReader r{wire};
+      c.decode(r);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.finish().error().code, util::ErrorCode::kInvalidArgument);
+    }
+  }
 }
 
 }  // namespace
