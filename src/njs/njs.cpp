@@ -384,6 +384,18 @@ Status Njs::start_group(JobRun& job, GroupRun& group) {
   return Status::ok_status();
 }
 
+Njs::LiveAction Njs::live_action(std::uint64_t epoch, JobToken token,
+                                 GroupRun* group_ptr, ActionId id) {
+  if (epoch != epoch_) return {};  // NJS restarted meanwhile
+  auto it = jobs_.find(token);
+  if (it == jobs_.end()) return {};  // job deleted meanwhile
+  auto action_it = group_ptr->actions.find(id);
+  if (action_it == group_ptr->actions.end()) return {};
+  ActionRun& run = action_it->second;
+  if (ajo::is_terminal(run.status)) return {};
+  return {it->second.get(), &run};
+}
+
 void Njs::dispatch_ready(JobRun& job, GroupRun& group, ActionRun& run) {
   if (ajo::is_terminal(run.status)) return;
   if (group.held) {
@@ -399,19 +411,15 @@ void Njs::dispatch_ready(JobRun& job, GroupRun& group, ActionRun& run) {
   ActionId id = run.action->id();
   engine_.after(dispatch_latency_, [this, token, group_ptr, id,
                                     epoch = epoch_] {
-    if (epoch != epoch_) return;    // NJS restarted meanwhile
-    auto it = jobs_.find(token);
-    if (it == jobs_.end()) return;  // job deleted meanwhile
-    auto action_it = group_ptr->actions.find(id);
-    if (action_it == group_ptr->actions.end()) return;
-    ActionRun& run = action_it->second;
-    if (ajo::is_terminal(run.status) || run.dispatched) return;
+    LiveAction live = live_action(epoch, token, group_ptr, id);
+    if (live.run == nullptr || live.run->dispatched) return;
+    ActionRun& run = *live.run;
     if (group_ptr->held) {
       run.status = ActionStatus::kHeld;
       run.outcome.status = ActionStatus::kHeld;
       return;
     }
-    dispatch_action(*it->second, *group_ptr, run);
+    dispatch_action(*live.job, *group_ptr, run);
   });
 }
 
@@ -473,15 +481,10 @@ batch::BatchSubsystem::CompletionHandler Njs::make_batch_handler(
     JobToken token, GroupRun* group_ptr, ActionId id, bool recovered) {
   return [this, token, group_ptr, id, recovered,
           epoch = epoch_](batch::BatchJobId, const batch::BatchResult& result) {
-    if (epoch != epoch_) return;
-    auto it = jobs_.find(token);
-    if (it == jobs_.end()) return;
-    auto action_it = group_ptr->actions.find(id);
-    if (action_it == group_ptr->actions.end()) return;
-    ActionRun& run = action_it->second;
-    if (ajo::is_terminal(run.status)) return;
-
-    JobRun& job_run = *it->second;
+    LiveAction live = live_action(epoch, token, group_ptr, id);
+    if (live.run == nullptr) return;
+    ActionRun& run = *live.run;
+    JobRun& job_run = *live.job;
     run.outcome.started_at = result.started_at;
     if (run.span != 0 && result.started_at >= result.submitted_at &&
         result.started_at >= 0) {
@@ -541,7 +544,7 @@ batch::BatchSubsystem::CompletionHandler Njs::make_batch_handler(
         message = "unexpected batch state";
         break;
     }
-    complete_action(*it->second, *group_ptr, run, status, std::move(message));
+    complete_action(job_run, *group_ptr, run, status, std::move(message));
   };
 }
 
@@ -619,14 +622,9 @@ void Njs::dispatch_execute_attempt(JobRun& job, GroupRun& group,
       sim::Time delay = backoff_delay_us(batch_backoff_, attempt, rng_);
       engine_.after(delay, [this, token, group_ptr, id, attempt,
                             epoch = epoch_] {
-        if (epoch != epoch_) return;
-        auto it = jobs_.find(token);
-        if (it == jobs_.end()) return;
-        auto action_it = group_ptr->actions.find(id);
-        if (action_it == group_ptr->actions.end()) return;
-        ActionRun& run = action_it->second;
-        if (ajo::is_terminal(run.status)) return;
-        dispatch_execute_attempt(*it->second, *group_ptr, run, attempt + 1);
+        LiveAction live = live_action(epoch, token, group_ptr, id);
+        if (live.run == nullptr) return;
+        dispatch_execute_attempt(*live.job, *group_ptr, *live.run, attempt + 1);
       });
       return;
     }
@@ -655,15 +653,11 @@ void Njs::dispatch_file_task(JobRun& job, GroupRun& group, ActionRun& run) {
   auto finish = [this, token, group_ptr, id,
                  epoch = epoch_](ActionStatus status, std::string message,
                                  ajo::FileOutcome detail) {
-    if (epoch != epoch_) return;
-    auto it = jobs_.find(token);
-    if (it == jobs_.end()) return;
-    auto action_it = group_ptr->actions.find(id);
-    if (action_it == group_ptr->actions.end()) return;
-    ActionRun& run = action_it->second;
-    if (ajo::is_terminal(run.status)) return;
-    run.outcome.detail = std::move(detail);
-    complete_action(*it->second, *group_ptr, run, status, std::move(message));
+    LiveAction live = live_action(epoch, token, group_ptr, id);
+    if (live.run == nullptr) return;
+    live.run->outcome.detail = std::move(detail);
+    complete_action(*live.job, *group_ptr, *live.run, status,
+                    std::move(message));
   };
 
   switch (run.action->type()) {
@@ -876,15 +870,11 @@ void Njs::dispatch_subjob(JobRun& job, GroupRun& group, ActionRun& run) {
       sub.usite, consignment,
       [this, token, group_ptr, id, epoch = epoch_](
           Result<RemoteJobHandle> handle) {
-        if (epoch != epoch_) return;
-        auto it = jobs_.find(token);
-        if (it == jobs_.end()) return;
-        auto action_it = group_ptr->actions.find(id);
-        if (action_it == group_ptr->actions.end()) return;
-        ActionRun& run = action_it->second;
-        if (ajo::is_terminal(run.status)) return;
+        LiveAction live = live_action(epoch, token, group_ptr, id);
+        if (live.run == nullptr) return;
+        ActionRun& run = *live.run;
         if (!handle) {
-          complete_action(*it->second, *group_ptr, run,
+          complete_action(*live.job, *group_ptr, run,
                           ActionStatus::kNotSuccessful,
                           "remote consignment rejected: " +
                               handle.error().message);
@@ -892,19 +882,14 @@ void Njs::dispatch_subjob(JobRun& job, GroupRun& group, ActionRun& run) {
         }
         run.remote = handle.value();
         run.outcome.started_at = engine_.now();
-        it->second->trace.record("remote-accept", engine_.now(), engine_.now(),
-                                 run.span);
+        live.job->trace.record("remote-accept", engine_.now(), engine_.now(),
+                               run.span);
       },
       [this, token, group_ptr, id, epoch = epoch_](ajo::Outcome outcome) {
-        if (epoch != epoch_) return;
-        auto it = jobs_.find(token);
-        if (it == jobs_.end()) return;
-        auto action_it = group_ptr->actions.find(id);
-        if (action_it == group_ptr->actions.end()) return;
-        ActionRun& run = action_it->second;
-        if (ajo::is_terminal(run.status)) return;
-        run.outcome.children = std::move(outcome.children);
-        complete_action(*it->second, *group_ptr, run, outcome.status,
+        LiveAction live = live_action(epoch, token, group_ptr, id);
+        if (live.run == nullptr) return;
+        live.run->outcome.children = std::move(outcome.children);
+        complete_action(*live.job, *group_ptr, *live.run, outcome.status,
                         std::move(outcome.message));
       });
 }
@@ -968,22 +953,18 @@ void Njs::process_edges(JobRun& job, GroupRun& group, ActionRun& completed) {
 
     auto on_staged = [this, token, group_ptr, successor_id,
                       epoch = epoch_](Status status) {
-      if (epoch != epoch_) return;
-      auto job_it = jobs_.find(token);
-      if (job_it == jobs_.end()) return;
-      auto action_it = group_ptr->actions.find(successor_id);
-      if (action_it == group_ptr->actions.end()) return;
-      ActionRun& successor = action_it->second;
-      if (ajo::is_terminal(successor.status)) return;
+      LiveAction live = live_action(epoch, token, group_ptr, successor_id);
+      if (live.run == nullptr) return;
+      ActionRun& successor = *live.run;
       if (!status.ok()) {
-        complete_action(*job_it->second, *group_ptr, successor,
+        complete_action(*live.job, *group_ptr, successor,
                         ActionStatus::kNotSuccessful,
                         "dependency data unavailable: " +
                             status.error().message);
         return;
       }
       if (--successor.pending_predecessors == 0)
-        dispatch_ready(*job_it->second, *group_ptr, successor);
+        dispatch_ready(*live.job, *group_ptr, successor);
     };
 
     stage_edge_files_async(job, group, completed, dep->files, on_staged);

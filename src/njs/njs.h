@@ -381,6 +381,19 @@ class Njs {
                        ajo::ActionStatus status, std::string message);
   void propagate_failure(JobRun& job, GroupRun& group, ActionRun& failed);
   void process_edges(JobRun& job, GroupRun& group, ActionRun& completed);
+
+  /// What an asynchronous callback acts on; `run` is null when it must
+  /// drop itself.
+  struct LiveAction {
+    JobRun* job = nullptr;
+    ActionRun* run = nullptr;
+  };
+  /// The job `token` and its action `id` in `group_ptr`, for a callback
+  /// created under `epoch`: null when the NJS restarted since, the job
+  /// is gone (the group died with it, so it is found first) or the
+  /// action is gone or terminal.
+  LiveAction live_action(std::uint64_t epoch, ajo::JobToken token,
+                         GroupRun* group_ptr, ajo::ActionId id);
   void stage_edge_files_async(JobRun& job, GroupRun& group,
                               ActionRun& predecessor,
                               const std::vector<std::string>& files,
