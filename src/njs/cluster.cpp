@@ -27,7 +27,7 @@ NjsCluster::NjsCluster(sim::Engine& engine, util::Rng& rng, std::string usite,
     Replica replica;
     replica.njs = std::make_unique<Njs>(engine, rng.fork(), usite_, credential);
     replica.journal =
-        std::make_shared<Journal>(std::make_shared<MemoryJournalStore>());
+        std::make_shared<Journal>(std::make_shared<JournalStore>());
     replica.njs->set_token_partition(i);
     // Journals are the handoff substrate, so a multi-replica cluster
     // always attaches them. A single-replica cluster leaves journaling

@@ -50,7 +50,7 @@ struct JournalInfo {
 class NjsCluster {
  public:
   /// Builds `replica_count` NJS replicas named `usite`, each with its
-  /// own MemoryJournalStore + Journal attached and its token partition
+  /// own JournalStore + Journal attached and its token partition
   /// set to its index. Replica 0 is the primary; add Vsites through the
   /// cluster so they are shared to every replica.
   NjsCluster(sim::Engine& engine, util::Rng& rng, std::string usite,

@@ -22,18 +22,18 @@ const char* journal_record_type_name(JournalRecordType type) {
   return "unknown";
 }
 
-void MemoryJournalStore::append(JournalRecord record) {
+void JournalStore::append(JournalRecord record) {
   records_.push_back(std::move(record));
 }
 
-void MemoryJournalStore::replay(
+void JournalStore::replay(
     const std::function<void(const JournalRecord&)>& visit) const {
   for (const JournalRecord& record : records_) visit(record);
 }
 
-std::size_t MemoryJournalStore::size() const { return records_.size(); }
+std::size_t JournalStore::size() const { return records_.size(); }
 
-std::shared_ptr<uspace::Uspace> MemoryJournalStore::workspace(
+std::shared_ptr<uspace::Uspace> JournalStore::workspace(
     const std::string& directory, std::uint64_t quota_bytes) {
   auto it = workspaces_.find(directory);
   if (it != workspaces_.end()) return it->second;

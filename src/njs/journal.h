@@ -70,33 +70,20 @@ struct JournalRecord {
   util::Bytes payload;
 };
 
-/// The durable medium. `append`/`replay` persist journal records;
-/// `workspace` returns the per-job Uspace directory for `directory`,
-/// creating it on first use and returning the *same* object (with its
-/// files intact) after a crash — job directories live on disk, not in
-/// NJS memory (§5.5).
+/// The durable medium, modelling the NJS host's disks: everything in
+/// memory, but *outside* the Njs object, so it survives `Njs::crash()`
+/// exactly like a disk would survive a process restart.
+/// `append`/`replay` persist journal records; `workspace` returns the
+/// per-job Uspace directory for `directory`, creating it on first use
+/// and returning the *same* object (with its files intact) after a
+/// crash — job directories live on disk, not in NJS memory (§5.5).
 class JournalStore {
  public:
-  virtual ~JournalStore() = default;
-  virtual void append(JournalRecord record) = 0;
-  virtual void replay(
-      const std::function<void(const JournalRecord&)>& visit) const = 0;
-  virtual std::size_t size() const = 0;
-  virtual std::shared_ptr<uspace::Uspace> workspace(
-      const std::string& directory, std::uint64_t quota_bytes) = 0;
-};
-
-/// The default store: everything in memory, but *outside* the Njs
-/// object, so it survives `Njs::crash()` exactly like a disk would
-/// survive a process restart.
-class MemoryJournalStore : public JournalStore {
- public:
-  void append(JournalRecord record) override;
-  void replay(
-      const std::function<void(const JournalRecord&)>& visit) const override;
-  std::size_t size() const override;
-  std::shared_ptr<uspace::Uspace> workspace(
-      const std::string& directory, std::uint64_t quota_bytes) override;
+  void append(JournalRecord record);
+  void replay(const std::function<void(const JournalRecord&)>& visit) const;
+  std::size_t size() const;
+  std::shared_ptr<uspace::Uspace> workspace(const std::string& directory,
+                                            std::uint64_t quota_bytes);
 
  private:
   std::vector<JournalRecord> records_;

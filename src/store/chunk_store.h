@@ -60,7 +60,7 @@ class SpillBackend {
 };
 
 /// Spill tier in process memory, outside the store's resident budget —
-/// the moral equivalent of MemoryJournalStore: it models a disk that
+/// the moral equivalent of JournalStore: it models a disk that
 /// survives an NJS restart.
 class MemorySpillBackend : public SpillBackend {
  public:

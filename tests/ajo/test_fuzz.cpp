@@ -309,7 +309,7 @@ std::vector<WireCase> wire_cases() {
       }));
 
   // Journal records, each replayed by every fold that reads the journal.
-  auto store = std::make_shared<njs::MemoryJournalStore>();
+  auto store = std::make_shared<njs::JournalStore>();
   njs::Journal journal(store);
   journal.record_consigned(7, job, owner, user.certificate,
                            util::Bytes(32, 4), {{"in.dat", blob}},
@@ -334,7 +334,7 @@ std::vector<WireCase> wire_cases() {
   for (std::size_t i = 0; i < records.size(); ++i)
     add(std::string("journal ") + njs::journal_record_type_name(records[i].type),
         records[i].payload, [records, i](const util::Bytes& payload) {
-          auto replayed = std::make_shared<njs::MemoryJournalStore>();
+          auto replayed = std::make_shared<njs::JournalStore>();
           for (std::size_t j = 0; j < records.size(); ++j)
             replayed->append(j != i ? records[j]
                                     : njs::JournalRecord{records[j].type,

@@ -16,8 +16,8 @@ using testing::SingleSite;
 
 struct RecoveryFixture : public ::testing::Test {
   SingleSite site{51};
-  std::shared_ptr<njs::MemoryJournalStore> store =
-      std::make_shared<njs::MemoryJournalStore>();
+  std::shared_ptr<njs::JournalStore> store =
+      std::make_shared<njs::JournalStore>();
   std::unique_ptr<client::UnicoreClient> async_client;
   std::unique_ptr<client::SyncClient> client;
 
@@ -272,7 +272,7 @@ TEST(PeerFaults, ConsignRetriesThroughPartition) {
 
 TEST(PeerFaults, SenderCrashMidPeerConsignDedupesOnReplay) {
   TwoSites sites;
-  auto journal_store = std::make_shared<njs::MemoryJournalStore>();
+  auto journal_store = std::make_shared<njs::JournalStore>();
   sites.fz->njs().set_journal(std::make_shared<njs::Journal>(journal_store));
 
   auto async_client = sites.make_client();

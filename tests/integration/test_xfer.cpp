@@ -23,8 +23,8 @@ struct XferSites {
   crypto::TrustStore trust;
   server::UsiteServer* fz = nullptr;
   server::UsiteServer* ruka = nullptr;
-  std::shared_ptr<njs::MemoryJournalStore> journal_store =
-      std::make_shared<njs::MemoryJournalStore>();
+  std::shared_ptr<njs::JournalStore> journal_store =
+      std::make_shared<njs::JournalStore>();
   ajo::JobToken receiver = 0;  // finished job at RUKA; its Uspace is the
                                // target of every delivery below
 

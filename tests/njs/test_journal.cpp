@@ -26,8 +26,8 @@ struct JournalFixture : public ::testing::Test {
   crypto::Credential user_cred = ca.issue_credential(
       dn("Jane"), rng, kEpoch, 365 * 86'400,
       crypto::kUsageClientAuth | crypto::kUsageDigitalSignature);
-  std::shared_ptr<MemoryJournalStore> store =
-      std::make_shared<MemoryJournalStore>();
+  std::shared_ptr<JournalStore> store =
+      std::make_shared<JournalStore>();
   Journal journal{store};
   gateway::AuthenticatedUser user{dn("Jane"), "ucjane", {"project-a"}};
 

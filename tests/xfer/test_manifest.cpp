@@ -17,8 +17,8 @@ crypto::DistinguishedName dn(const std::string& cn) {
 }
 
 struct ManifestFixture : public ::testing::Test {
-  std::shared_ptr<njs::MemoryJournalStore> store =
-      std::make_shared<njs::MemoryJournalStore>();
+  std::shared_ptr<njs::JournalStore> store =
+      std::make_shared<njs::JournalStore>();
   njs::Journal journal{store};
 
   uspace::FileBlob blob = uspace::FileBlob::from_string(

@@ -148,8 +148,8 @@ struct TransferFixture : public ::testing::Test {
       crypto::kUsageClientAuth | crypto::kUsageDigitalSignature);
   njs::Njs njs{engine, util::Rng(12), "LRZ", server_cred};
   gateway::AuthenticatedUser user{dn("Jane"), "ucjane", {"project-a"}};
-  std::shared_ptr<njs::MemoryJournalStore> store =
-      std::make_shared<njs::MemoryJournalStore>();
+  std::shared_ptr<njs::JournalStore> store =
+      std::make_shared<njs::JournalStore>();
   Service service{engine, njs};
   TransferManager manager{engine, rng};
   ajo::JobToken token = 0;

@@ -555,7 +555,7 @@ TEST(XferWire, OpenAndManifestBytesArePinned) {
       cat({{0x04}, kKey, u64_of(7), kOneMiB,
            {0x02, 'D', 'E', 0x00, 0x00, 0x01, 'p', 0x00},
            {0x01, 0x01, 'f'}, u64_of(5), util::Bytes(32, 0x55), {0x01}});
-  njs::Journal journal{std::make_shared<njs::MemoryJournalStore>()};
+  njs::Journal journal{std::make_shared<njs::JournalStore>()};
   journal_bundle_manifest(journal, manifest);
   std::size_t records = 0;
   journal.replay([&](const njs::JournalRecord& record) {
