@@ -18,10 +18,9 @@ AuthenticatedUser AuthenticatedUser::decode(util::ByteReader& r) {
   return user;
 }
 
-ShardedAuthCache::ShardedAuthCache(std::size_t shard_count) {
-  if (shard_count == 0) shard_count = 1;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i)
+ShardedAuthCache::ShardedAuthCache() {
+  shards_.reserve(kShards);
+  for (std::size_t i = 0; i < kShards; ++i)
     shards_.push_back(std::make_unique<Shard>());
 }
 

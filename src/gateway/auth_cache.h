@@ -40,7 +40,9 @@ struct AuthenticatedUser {
 
 class ShardedAuthCache {
  public:
-  explicit ShardedAuthCache(std::size_t shard_count = 16);
+  static constexpr std::size_t kShards = 16;
+
+  ShardedAuthCache();
 
   std::size_t shard_count() const { return shards_.size(); }
 

@@ -90,7 +90,7 @@ Result<SessionGrant> SessionBroker::open(const crypto::Certificate& cert,
                                          std::int64_t now,
                                          std::int64_t requested_ttl) {
   sweep(now);
-  if (sessions_.size() >= max_sessions_) {
+  if (sessions_.size() >= kMaxSessions) {
     ++rejected_;
     count(Action::kOpen, false);
     return util::make_error(ErrorCode::kResourceExhausted,

@@ -60,9 +60,9 @@ class SessionBroker {
   /// request less, never more).
   void set_ttl(std::int64_t seconds) { ttl_seconds_ = seconds; }
   std::int64_t ttl() const { return ttl_seconds_; }
-  /// Upper bound on concurrently open sessions (default 1 << 20);
-  /// further opens are refused kResourceExhausted.
-  void set_max_sessions(std::size_t limit) { max_sessions_ = limit; }
+  /// Upper bound on concurrently open sessions: outside callers grow
+  /// the table, so further opens are refused kResourceExhausted.
+  static constexpr std::size_t kMaxSessions = 1 << 20;
 
   /// Authenticates `cert` through the gateway (full path or auth-cache
   /// hit) and mints a new session.
@@ -141,7 +141,6 @@ class SessionBroker {
                       std::greater<ExpiryEntry>>
       expiry_heap_;
   std::int64_t ttl_seconds_ = 1800;
-  std::size_t max_sessions_ = 1ull << 20;
   std::uint64_t opened_ = 0;
   std::uint64_t refreshed_ = 0;
   std::uint64_t closed_ = 0;

@@ -46,11 +46,7 @@ std::size_t dn_shard_of(const std::string& dn, std::size_t shard_count);
 
 class UserDatabase {
  public:
-  static constexpr std::size_t kDefaultShards = 16;
-
-  UserDatabase() : UserDatabase(kDefaultShards) {}
-  explicit UserDatabase(std::size_t shard_count)
-      : shards_(shard_count == 0 ? 1 : shard_count) {}
+  static constexpr std::size_t kShards = 16;
 
   /// Adds or replaces the mapping for `dn`.
   void add_mapping(const crypto::DistinguishedName& dn, UserEntry entry);
@@ -99,7 +95,7 @@ class UserDatabase {
     return shards_[dn_shard_of(key, shards_.size())];
   }
 
-  std::vector<Shard> shards_;
+  std::vector<Shard> shards_ = std::vector<Shard>(kShards);
 };
 
 }  // namespace unicore::gateway
