@@ -177,16 +177,18 @@ void BM_SecureChannelMessageThroughput(benchmark::State& state) {
       86'400 * 365, crypto::kUsageServerAuth);
 
   std::shared_ptr<net::SecureChannel> server;
-  net::SecureChannel::Config server_config{server_cred, &trust, 0,
-                                           sim::sec(30)};
+  net::SecureChannel::Config server_config;
+  server_config.credential = server_cred;
+  server_config.trust = &trust;
   (void)network.listen({"h2", 1}, [&](std::shared_ptr<net::Endpoint> e) {
     server = net::SecureChannel::as_server(engine, site.grid.rng(),
                                            std::move(e), server_config,
                                            [](util::Status) {});
   });
-  net::SecureChannel::Config client_config{site.user, &trust,
-                                           crypto::kUsageServerAuth,
-                                           sim::sec(30)};
+  net::SecureChannel::Config client_config;
+  client_config.credential = site.user;
+  client_config.trust = &trust;
+  client_config.required_peer_usage = crypto::kUsageServerAuth;
   auto endpoint = network.connect("h1", {"h2", 1}).value();
   auto client = net::SecureChannel::as_client(
       engine, site.grid.rng(), std::move(endpoint), client_config,
