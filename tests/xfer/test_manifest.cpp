@@ -180,26 +180,20 @@ TEST_F(ManifestFixture, CorruptRecordsAreSkippedNotFatal) {
   huge.type = njs::JournalRecordType::kXferBundleManifest;
   huge.payload = garbled.take();
   journal.append(std::move(huge));
+  // Nor may a manifest naming a chunk size other than 1 MiB open a
+  // bundle, even with a chunk journaled after it.
+  BundleManifest resized = make_manifest(43, "resized.dat");
+  util::ByteWriter resized_record;
+  resized.encode(resized_record);
+  util::Bytes payload = resized_record.take();
+  payload[1 + resized.key.size() + 8 + 1] = 0x01;  // 00 01 00 00: 64 KiB
+  journal.append(
+      {njs::JournalRecordType::kXferBundleManifest, resized.token, payload});
+  journal_bundle_chunk(journal, resized, 0, make_chunk(blob, 0));
 
   auto recovered = recover_bundles(journal);
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered[0].chunks.size(), 1u);
-}
-
-// A manifest record whose chunk-size field names anything but 1 MiB
-// fails its reader, so recovery rebuilds no bundle from it.
-TEST_F(ManifestFixture, ManifestNamingAnotherChunkSizeIsSkipped) {
-  BundleManifest manifest = make_manifest();
-  util::ByteWriter w;
-  manifest.encode(w);
-  util::Bytes payload = w.take();
-  const std::size_t field = 1 + manifest.key.size() + 8;  // key, token
-  payload[field] = 0x00;
-  payload[field + 1] = 0x01;  // 64 KiB
-  journal.append(
-      {njs::JournalRecordType::kXferBundleManifest, manifest.token, payload});
-  journal_bundle_chunk(journal, manifest, 0, make_chunk(blob, 0));
-  EXPECT_TRUE(recover_bundles(journal).empty());
 }
 
 TEST_F(ManifestFixture, JobRecoveryIgnoresTransferRecords) {
