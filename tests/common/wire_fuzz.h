@@ -36,6 +36,14 @@ inline util::Bytes splice_count(const util::Bytes& valid, std::size_t at,
   return w.take();
 }
 
+/// `valid` with the big-endian u32 at `at` replaced by `value`.
+inline util::Bytes splice_u32(util::Bytes valid, std::size_t at,
+                              std::uint32_t value) {
+  for (int i = 0; i < 4; ++i)
+    valid[at + i] = static_cast<std::uint8_t>(value >> (24 - 8 * i));
+  return valid;
+}
+
 /// The deterministic mutations of `valid`: every truncation, and each
 /// forged count at every offset. Encodings too large for that mutate
 /// only the first and last `window` bytes.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/wire_fuzz.h"
+
 namespace unicore::xfer {
 namespace {
 
@@ -185,10 +187,9 @@ TEST_F(ManifestFixture, CorruptRecordsAreSkippedNotFatal) {
   BundleManifest resized = make_manifest(43, "resized.dat");
   util::ByteWriter resized_record;
   resized.encode(resized_record);
-  util::Bytes payload = resized_record.take();
-  payload[1 + resized.key.size() + 8 + 1] = 0x01;  // 00 01 00 00: 64 KiB
-  journal.append(
-      {njs::JournalRecordType::kXferBundleManifest, resized.token, payload});
+  const std::size_t field = 1 + resized.key.size() + 8;  // key, token
+  journal.append({njs::JournalRecordType::kXferBundleManifest, resized.token,
+                  testing::splice_u32(resized_record.take(), field, 64 << 10)});
   journal_bundle_chunk(journal, resized, 0, make_chunk(blob, 0));
 
   auto recovered = recover_bundles(journal);

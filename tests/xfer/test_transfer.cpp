@@ -15,6 +15,7 @@
 
 #include "ajo/tasks.h"
 #include "batch/target_system.h"
+#include "common/wire_fuzz.h"
 #include "obs/metrics.h"
 #include "store/chunk_store.h"
 #include "xfer/service.h"
@@ -124,14 +125,6 @@ constexpr std::size_t kPushOpenChunkField = 1 + 1 + 32 + 8;
 constexpr std::size_t kPullOpenChunkField = 1 + 8;
 constexpr std::size_t kPushReplyChunkField = 8;
 constexpr std::size_t kPullReplyChunkField = 1 + 8;
-
-/// `wire` with the chunk-size field at `offset` naming `chunk_bytes`.
-util::Bytes naming_chunk_size(util::Bytes wire, std::size_t offset,
-                              std::uint32_t chunk_bytes) {
-  for (int i = 0; i < 4; ++i)
-    wire[offset + i] = static_cast<std::uint8_t>(chunk_bytes >> (24 - 8 * i));
-  return wire;
-}
 
 /// The sizes other than 1 MiB that the tests name.
 constexpr std::uint32_t kOtherChunkSizes[] = {64 << 10, 0, 0xffffffff};
@@ -459,7 +452,7 @@ TEST_F(TransferFixture, MalformedOpenReplyFailsOnceAfterTheResumeLadder) {
       if (chunk_bytes)
         transport->rewrite = [push, chunk_bytes](Op op, util::Bytes& body) {
           if (op == Op::kOpen)
-            body = naming_chunk_size(
+            body = testing::splice_u32(
                 body, push ? kPushReplyChunkField : kPullReplyChunkField,
                 *chunk_bytes);
         };
@@ -475,13 +468,15 @@ TEST_F(TransferFixture, MalformedOpenReplyFailsOnceAfterTheResumeLadder) {
         manager.push(transport, PushSpec{"FZ-Juelich", token},
                      make_files(2, 2 << 20, "garbled/f"), options,
                      [&](util::Result<TransferStats> r) {
-                       record(r.ok() ? util::Status() : util::Status(r.error()));
+                       record(r.ok() ? util::Status()
+                                     : util::Status(r.error()));
                      });
       else
         manager.pull(transport,
                      PullSpec{Role::kPeerPull, token, {"out.bin"}, nullptr},
                      options, [&](util::Result<PullResult> r) {
-                       record(r.ok() ? util::Status() : util::Status(r.error()));
+                       record(r.ok() ? util::Status()
+                                     : util::Status(r.error()));
                      });
       engine.run();  // must not throw out of the transport callback
       EXPECT_EQ(callbacks, 1);
@@ -511,11 +506,12 @@ TEST_F(TransferFixture, OpenNamingAnotherChunkSizeIsRefused) {
   pull.names = {"out.bin"};
   for (std::uint32_t chunk_bytes : kOtherChunkSizes) {
     SCOPED_TRACE(chunk_bytes);
-    for (auto opened :
-         {serve(Op::kOpen, naming_chunk_size(push.encode(),
-                                             kPushOpenChunkField, chunk_bytes)),
-          serve(Op::kOpen, naming_chunk_size(pull.encode(),
-                                             kPullOpenChunkField, chunk_bytes))}) {
+    const util::Bytes push_wire =
+        testing::splice_u32(push.encode(), kPushOpenChunkField, chunk_bytes);
+    const util::Bytes pull_wire =
+        testing::splice_u32(pull.encode(), kPullOpenChunkField, chunk_bytes);
+    for (const auto& opened :
+         {serve(Op::kOpen, push_wire), serve(Op::kOpen, pull_wire)}) {
       ASSERT_FALSE(opened.ok());
       EXPECT_EQ(opened.error().code, util::ErrorCode::kInvalidArgument);
     }
@@ -1100,7 +1096,8 @@ TEST_F(TransferFixture, TransferThatKeepsSendingIsNeverExpired) {
   Service::Limits limits;
   limits.idle_timeout = sim::sec(30);
   service.set_limits(limits);
-  uspace::FileBlob blob = uspace::FileBlob::synthetic(4 * kDefaultChunkBytes, 8);
+  uspace::FileBlob blob =
+      uspace::FileBlob::synthetic(4 * kDefaultChunkBytes, 8);
   BundleOpenRequest open;
   open.token = token;
   open.files.push_back({"slow.bin", blob.size(), blob.checksum(), true, {}});
@@ -1242,8 +1239,9 @@ TEST_F(TransferFixture, ForgedIdentityPushIsNeverDeliveredFromBuffers) {
                         content.chunk_digests()});
   open.key = make_bundle_key("FZ-Juelich", token, open.files);
   const std::size_t inbound = service.inbound_open();
-  auto opened = serve(Op::kOpen, naming_chunk_size(open.encode(),
-                                                   kPushOpenChunkField, 64 << 10));
+  auto opened = serve(Op::kOpen, testing::splice_u32(open.encode(),
+                                                     kPushOpenChunkField,
+                                                     64 << 10));
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.error().code, util::ErrorCode::kInvalidArgument);
   EXPECT_EQ(service.inbound_open(), inbound);

@@ -8,6 +8,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "common/wire_fuzz.h"
 #include "store/chunk_store.h"
 #include "util/rng.h"
 #include "xfer/manifest.h"
@@ -593,14 +594,6 @@ TEST(XferWire, OpenAndManifestBytesArePinned) {
   EXPECT_EQ(manifest_back.principal, manifest.principal);
 }
 
-/// `wire` with the u32 at `offset` set to `value`.
-util::Bytes with_u32(util::Bytes wire, std::size_t offset,
-                     std::uint32_t value) {
-  for (int i = 0; i < 4; ++i)
-    wire[offset + i] = static_cast<std::uint8_t>(value >> (24 - 8 * i));
-  return wire;
-}
-
 // Each body that carries the chunk-size field decodes as written, and
 // fails its reader once the field names any size but 1 MiB.
 TEST(XferWire, DecodersRefuseEveryOtherChunkSize) {
@@ -656,7 +649,7 @@ TEST(XferWire, DecodersRefuseEveryOtherChunkSize) {
     EXPECT_TRUE(as_written.finish().ok());
     for (std::uint32_t other : {64u << 10, 0u, 0xffffffffu}) {
       SCOPED_TRACE(other);
-      const util::Bytes wire = with_u32(c.wire, c.offset, other);
+      const util::Bytes wire = testing::splice_u32(c.wire, c.offset, other);
       util::ByteReader r{wire};
       c.decode(r);
       ASSERT_FALSE(r.ok());
