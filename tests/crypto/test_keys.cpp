@@ -15,23 +15,74 @@ TEST(Rsa, KeypairStructure) {
 }
 
 TEST(Rsa, KeypairsAtFixedSeedsMatchRecorded) {
-  // The primes a seed yields must not depend on how primality is tested.
+  // The primes a seed yields must not depend on how primality is tested,
+  // and the generator must leave the stream where it found the last
+  // prime: the second pair and the next draw pin both.
   struct Recorded {
     std::uint64_t seed;
     std::uint64_t n;
     std::uint64_t d;
+    std::uint64_t second_n;
+    std::uint64_t second_d;
+    std::uint64_t next_draw;
   };
   constexpr Recorded kRecorded[] = {
-      {1, 10'991'657'933'896'763'759ULL, 4'589'403'352'607'696'225ULL},
-      {7, 14'965'786'145'270'482'981ULL, 3'399'768'436'384'215'809ULL},
-      {42, 8'193'070'091'120'381'869ULL, 6'810'410'593'089'868'589ULL},
-      {1999, 11'955'829'247'889'360'887ULL, 331'472'934'839'708'849ULL},
+      {1, 10'991'657'933'896'763'759ULL, 4'589'403'352'607'696'225ULL,
+       16'813'909'187'361'133'963ULL, 6'177'354'856'275'676'913ULL,
+       7'285'265'299'121'834'259ULL},
+      {7, 14'965'786'145'270'482'981ULL, 3'399'768'436'384'215'809ULL,
+       7'916'306'449'309'971'649ULL, 209'935'465'448'660'137ULL,
+       15'500'728'646'886'288'874ULL},
+      {42, 8'193'070'091'120'381'869ULL, 6'810'410'593'089'868'589ULL,
+       14'616'584'460'803'837'801ULL, 3'866'412'989'291'548'673ULL,
+       7'360'099'428'760'650'964ULL},
+      {1999, 11'955'829'247'889'360'887ULL, 331'472'934'839'708'849ULL,
+       5'708'420'305'400'351'639ULL, 5'124'486'802'034'615'489ULL,
+       7'795'808'674'470'869'350ULL},
   };
   for (const Recorded& recorded : kRecorded) {
     util::Rng rng(recorded.seed);
     PrivateKey key = generate_keypair(rng);
     EXPECT_EQ(key.pub.n, recorded.n) << "seed " << recorded.seed;
     EXPECT_EQ(key.d, recorded.d) << "seed " << recorded.seed;
+    PrivateKey second = generate_keypair(rng);
+    EXPECT_EQ(second.pub.n, recorded.second_n) << "seed " << recorded.seed;
+    EXPECT_EQ(second.d, recorded.second_d) << "seed " << recorded.seed;
+    EXPECT_EQ(rng.next(), recorded.next_draw) << "seed " << recorded.seed;
+  }
+}
+
+// Key generation as successive random_prime(rng, 32) calls define it:
+// a pair whose totient shares a factor with e is dropped whole, and the
+// next pair starts from the following draw.
+PrivateKey reference_keypair(util::Rng& rng) {
+  constexpr std::uint64_t kPublicExponent = 65537;
+  for (;;) {
+    std::uint64_t p = random_prime(rng, 32);
+    std::uint64_t q = random_prime(rng, 32);
+    if (p == q) continue;
+    std::uint64_t phi = (p - 1) * (q - 1);
+    if (gcd(kPublicExponent, phi) != 1) continue;
+    PrivateKey key;
+    key.pub.n = p * q;
+    key.pub.e = kPublicExponent;
+    key.d = modinv(kPublicExponent, phi);
+    return key;
+  }
+}
+
+TEST(Rsa, KeypairsMatchSuccessiveRandomPrimes) {
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    util::Rng rng(seed);
+    util::Rng reference(seed);
+    for (int k = 0; k < 5; ++k) {
+      PrivateKey key = generate_keypair(rng);
+      PrivateKey expected = reference_keypair(reference);
+      ASSERT_EQ(key.pub.n, expected.pub.n) << "seed " << seed << " key " << k;
+      ASSERT_EQ(key.d, expected.d) << "seed " << seed << " key " << k;
+      ASSERT_EQ(key.pub.e, expected.pub.e);
+    }
+    ASSERT_EQ(rng.next(), reference.next()) << "seed " << seed;
   }
 }
 

@@ -94,6 +94,36 @@ TEST(Rng, BytesLengthAndDeterminism) {
   EXPECT_EQ(x, y);
 }
 
+TEST(Rng, BytesAtFixedLengthsMatchRecorded) {
+  // Each draw fills eight bytes, low byte first; a tail shorter than
+  // eight bytes still takes a whole draw.
+  struct Recorded {
+    std::size_t n;
+    std::uint64_t fnv1a;  // of the bytes
+    std::uint64_t next_draw;
+  };
+  constexpr Recorded kRecorded[] = {
+      {0, 0xcbf29ce484222325ULL, 0x49d55178ca54cf69ULL},
+      {1, 0xaf63e44c8601fa24ULL, 0x9a22115a4d2624dcULL},
+      {7, 0x8072a7e51f477e5bULL, 0x9a22115a4d2624dcULL},
+      {8, 0x8a515c54267b3896ULL, 0x9a22115a4d2624dcULL},
+      {9, 0x83782cfd6360a5beULL, 0xa648b1ccf0bbbbaeULL},
+      {63, 0xc37eda878fcc39bdULL, 0x5ccf3d5b1ce60ff9ULL},
+      {70'001, 0x4877a78847270af2ULL, 0xa838bff13fef5f0eULL},
+  };
+  for (const Recorded& recorded : kRecorded) {
+    Rng rng(5);
+    Bytes bytes = rng.bytes(recorded.n);
+    ASSERT_EQ(bytes.size(), recorded.n);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::uint8_t byte : bytes) hash = (hash ^ byte) * 0x100000001b3ULL;
+    EXPECT_EQ(hash, recorded.fnv1a) << "n = " << recorded.n;
+    EXPECT_EQ(rng.next(), recorded.next_draw) << "n = " << recorded.n;
+  }
+  EXPECT_EQ(Rng(5).bytes(9),
+            (Bytes{0x69, 0xcf, 0x54, 0xca, 0x78, 0x51, 0xd5, 0x49, 0xdc}));
+}
+
 TEST(Rng, ForkedStreamsAreIndependent) {
   Rng parent(29);
   Rng child = parent.fork();
