@@ -8,19 +8,24 @@ std::string PublicKey::to_string() const {
 
 PrivateKey generate_keypair(util::Rng& rng) {
   constexpr std::uint64_t kPublicExponent = 65537;
+  // The primes that successive random_prime(rng, 32) calls yield, taken
+  // two at a time; a pair that makes no key is dropped whole, as those
+  // calls would drop it.
+  KeyPrimeSearch primes(rng);
   for (;;) {
-    std::uint64_t p = random_prime(rng, 32);
-    std::uint64_t q = random_prime(rng, 32);
-    if (p == q) continue;
-    std::uint64_t n = p * q;  // < 2^64, no overflow
-    std::uint64_t phi = (p - 1) * (q - 1);
-    if (gcd(kPublicExponent, phi) != 1) continue;
-    std::uint64_t d = modinv(kPublicExponent, phi);
-    if (d == 0) continue;
+    const std::uint64_t p = primes.next();
+    const std::uint64_t q = primes.next();
+    // e is prime, so it shares a factor with (p - 1)(q - 1) exactly
+    // when it divides p - 1 or q - 1.
+    if (p == q || (p - 1) % kPublicExponent == 0 ||
+        (q - 1) % kPublicExponent == 0)
+      continue;
+    primes.commit();
+    const std::uint64_t phi = (p - 1) * (q - 1);
     PrivateKey key;
-    key.pub.n = n;
+    key.pub.n = p * q;  // < 2^64, no overflow
     key.pub.e = kPublicExponent;
-    key.d = d;
+    key.d = modinv(kPublicExponent, phi);
     return key;
   }
 }

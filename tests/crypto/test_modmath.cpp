@@ -186,5 +186,137 @@ TEST(ModMath, RandomPrimeRejectsBadBitCounts) {
   EXPECT_THROW(random_prime(rng, 64), std::invalid_argument);
 }
 
+// ---- the key-prime search ---------------------------------------------------
+
+// The strong probable-prime test to base a by definition, over powmod.
+bool reference_strong(std::uint64_t n, std::uint64_t a) {
+  std::uint64_t d = n - 1;
+  int s = 0;
+  for (; (d & 1) == 0; d >>= 1) ++s;
+  std::uint64_t x = powmod(a, d, n);
+  if (x == 1 || x == n - 1) return true;
+  for (int j = 1; j < s; ++j) {
+    x = mulmod(x, x, n);
+    if (x == n - 1) return true;
+  }
+  return false;
+}
+
+/// Odd candidates in (2^31, 2^32), small factors included.
+std::vector<std::uint32_t> odd_candidates(util::Rng& rng, std::size_t count) {
+  std::vector<std::uint32_t> out(count);
+  for (std::uint32_t& n : out)
+    n = static_cast<std::uint32_t>(rng.next() >> 32) | 0x8000'0001u;
+  return out;
+}
+
+TEST(KeyPrimeSearch, Base2PassMatchesTheDefinitionForEveryBatchSize) {
+  util::Rng rng(41);
+  for (int round = 0; round < 40; ++round) {
+    for (std::size_t size = 1; size <= kKeyPrimeLanes; ++size) {
+      const std::vector<std::uint32_t> batch = odd_candidates(rng, size);
+      std::uint32_t expected = 0;
+      for (std::size_t i = 0; i < size; ++i)
+        expected |= std::uint32_t{reference_strong(batch[i], 2)} << i;
+      EXPECT_EQ(strong_base2(batch), expected) << "size " << size;
+      EXPECT_EQ(strong_base2_scalar(batch), expected) << "size " << size;
+    }
+  }
+}
+
+TEST(KeyPrimeSearch, Base2PassCountsOneOperationPerCandidate) {
+  util::Rng rng(43);
+  const std::vector<std::uint32_t> batch = odd_candidates(rng, 5);
+  reset_powmod_ops();
+  (void)strong_base2(batch);
+  EXPECT_EQ(powmod_ops(), 5u);
+  (void)strong_bases_7_61(batch[0], batch[1]);
+  EXPECT_EQ(powmod_ops(), 9u);
+}
+
+TEST(KeyPrimeSearch, RejectsOutOfRangeCandidates) {
+  const std::vector<std::uint32_t> too_many(kKeyPrimeLanes + 1, 0x8000'0001u);
+  EXPECT_THROW(strong_base2(too_many), std::invalid_argument);
+  const std::uint32_t even[] = {0x8000'0002u};
+  EXPECT_THROW(strong_base2_scalar(even), std::invalid_argument);
+  EXPECT_THROW(strong_bases_7_61(0x7fff'ffffu, 0x8000'0001u),
+               std::invalid_argument);
+  EXPECT_EQ(strong_base2({}), 0u);
+}
+
+TEST(KeyPrimeSearch, AStrongPseudoprimeToBase2PassesTheBatchAndNothingElse) {
+  // 3,215,031,751 = 151 * 751 * 28,351: a strong pseudoprime to 2, 3, 5
+  // and 7, without a factor up to 37, among ordinary candidates.
+  constexpr std::uint32_t kPseudoprime = 3'215'031'751u;
+  ASSERT_EQ(151ULL * 751ULL * 28'351ULL, kPseudoprime);
+  ASSERT_GT(kPseudoprime, 1ULL << 31);
+  for (std::uint32_t p : {3u, 5u, 7u, 11u, 13u, 17u, 19u, 23u, 29u, 31u, 37u})
+    ASSERT_NE(kPseudoprime % p, 0u) << p;
+  for (std::uint64_t a : {2u, 3u, 5u, 7u})
+    ASSERT_TRUE(reference_strong(kPseudoprime, a)) << a;
+  ASSERT_FALSE(reference_strong(kPseudoprime, 61));
+
+  util::Rng rng(47);
+  std::vector<std::uint32_t> batch = odd_candidates(rng, kKeyPrimeLanes);
+  batch[5] = kPseudoprime;
+  batch[6] = 4'294'967'291u;  // the largest 32-bit prime
+  EXPECT_TRUE(strong_base2(batch) >> 5 & 1);
+  EXPECT_TRUE(strong_base2_scalar(batch) >> 5 & 1);
+  EXPECT_TRUE(strong_base2(batch) >> 6 & 1);
+  // Base 61 stops it, in either chain pair, as is_prime stops it.
+  EXPECT_EQ(strong_bases_7_61(kPseudoprime, 4'294'967'291u), 0b10u);
+  EXPECT_EQ(strong_bases_7_61(4'294'967'291u, kPseudoprime), 0b01u);
+  EXPECT_FALSE(is_prime(kPseudoprime));
+}
+
+TEST(KeyPrimeSearch, FinishingAgreesWithIsPrimeOnBase2Passers) {
+  // Strong pseudoprimes to base 2 just above 2^31: composites the batch
+  // lets through, which bases 7 and 61 must stop.
+  const std::uint32_t kPseudoprimes[] = {2'152'627'801u, 2'155'046'141u,
+                                         2'155'416'251u, 2'172'155'819u,
+                                         2'173'540'951u, 2'173'579'801u};
+  for (std::uint32_t n : kPseudoprimes) {
+    ASSERT_TRUE(reference_strong(n, 2)) << n;
+    const std::uint32_t one[] = {n};
+    EXPECT_EQ(strong_base2(one), 1u) << n;
+    EXPECT_EQ(strong_bases_7_61(n, n), 0u) << n;
+    EXPECT_FALSE(is_prime(n)) << n;
+  }
+  // And every base-2 passer of random batches, finished two at a time.
+  util::Rng rng(53);
+  std::vector<std::uint32_t> passers(std::begin(kPseudoprimes),
+                                     std::end(kPseudoprimes));
+  for (int round = 0; round < 100; ++round) {
+    const std::vector<std::uint32_t> batch =
+        odd_candidates(rng, kKeyPrimeLanes);
+    const std::uint32_t passed = strong_base2(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      if (passed >> i & 1) passers.push_back(batch[i]);
+  }
+  ASSERT_GT(passers.size(), 100u);
+  for (std::size_t i = 0; i + 1 < passers.size(); i += 2) {
+    const std::uint32_t prime = strong_bases_7_61(passers[i], passers[i + 1]);
+    EXPECT_EQ(prime & 1, std::uint32_t{is_prime(passers[i])}) << passers[i];
+    EXPECT_EQ(prime >> 1, std::uint32_t{is_prime(passers[i + 1])})
+        << passers[i + 1];
+  }
+}
+
+TEST(KeyPrimeSearch, YieldsSuccessiveRandomPrimesAndCommitsTheStream) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 500u}) {
+    util::Rng rng(seed);
+    util::Rng reference(seed);
+    KeyPrimeSearch search(rng);
+    for (int i = 0; i < 60; ++i)
+      ASSERT_EQ(search.next(), random_prime(reference, 32))
+          << "seed " << seed << " prime " << i;
+    util::Rng untouched(seed);
+    EXPECT_EQ(rng.next(), untouched.next());  // nothing moves before commit
+    rng = util::Rng(seed);
+    search.commit();
+    EXPECT_EQ(rng.next(), reference.next()) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace unicore::crypto
