@@ -345,7 +345,7 @@ void Network::transmit_close(Endpoint& from,
 }
 
 void Network::dispatch_batch(const std::shared_ptr<Endpoint>& target,
-                             std::vector<Reactor::Item>&& batch) {
+                             std::span<Reactor::Item> batch) {
   if (!target) {
     // Every weak reference expired while the batch was in flight.
     count_drop(batch.size());

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -242,10 +243,10 @@ class Network {
   void transmit_close(Endpoint& from, const std::shared_ptr<Endpoint>& peer);
 
   /// Reactor callbacks: a batch of ready messages for one endpoint
-  /// (`target` may be null when every weak reference expired) and a close
-  /// notice reaching the peer.
+  /// (`target` may be null when every weak reference expired), whose
+  /// payloads it moves out, and a close notice reaching the peer.
   void dispatch_batch(const std::shared_ptr<Endpoint>& target,
-                      std::vector<Reactor::Item>&& batch);
+                      std::span<Reactor::Item> batch);
   void dispatch_close(const std::shared_ptr<Endpoint>& target);
 
   struct LatencySpike {

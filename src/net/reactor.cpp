@@ -1,6 +1,7 @@
 #include "net/reactor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/network.h"
 
@@ -50,8 +51,13 @@ void Reactor::schedule_tick(sim::Time at) {
 }
 
 void Reactor::tick() {
+  // The scratch vectors are taken for the tick and handed back after it,
+  // cleared but with their capacity: a handler that runs a nested tick
+  // takes empty ones instead of the ones this tick is walking.
+  std::vector<Item> ready = std::exchange(ready_, {});
+  std::vector<Item> batch = std::exchange(batch_, {});
+
   // Drain everything that has arrived by now, in (arrival, seq) order.
-  std::vector<Item> ready;
   while (!heap_.empty() && heap_.front().arrival <= engine_.now()) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     ready.push_back(std::move(heap_.back()));
@@ -63,12 +69,11 @@ void Reactor::tick() {
     // Group maximal runs of consecutive messages for the same endpoint
     // into one batch; closes flush the current run and dispatch singly.
     std::shared_ptr<Endpoint> current;
-    std::vector<Item> batch;
     auto flush = [&] {
       if (batch.empty()) return;
       ++batches_dispatched_;
       messages_dispatched_ += batch.size();
-      network_.dispatch_batch(current, std::move(batch));
+      network_.dispatch_batch(current, batch);
       batch.clear();
       current = nullptr;
     };
@@ -86,6 +91,9 @@ void Reactor::tick() {
     flush();
   }
 
+  ready.clear();
+  ready_ = std::move(ready);
+  batch_ = std::move(batch);
   if (!heap_.empty()) schedule_tick(heap_.front().arrival);
 }
 

@@ -77,6 +77,9 @@ class Reactor {
   sim::Engine& engine_;
   Network& network_;
   std::vector<Item> heap_;
+  // Scratch for tick(): the items it drains and the run it dispatches.
+  std::vector<Item> ready_;
+  std::vector<Item> batch_;
   std::uint64_t next_seq_ = 0;
   // Time of the currently scheduled tick, or -1 when none is pending.
   sim::Time scheduled_at_ = -1;
