@@ -1,6 +1,8 @@
 #include "util/rng.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 namespace unicore::util {
 
@@ -74,13 +76,20 @@ double Rng::exponential(double mean) {
 }
 
 Bytes Rng::bytes(std::size_t n) {
+  // Each draw fills eight bytes, low byte first: one store per draw,
+  // byte-swapped first on a big-endian host. A shorter tail takes a
+  // whole draw too.
   Bytes out(n);
   std::size_t i = 0;
-  while (i < n) {
+  for (; n - i >= 8; i += 8) {
     std::uint64_t v = next();
-    for (int b = 0; b < 8 && i < n; ++b, ++i)
-      out[i] = static_cast<std::uint8_t>(v >> (8 * b));
+    if constexpr (std::endian::native == std::endian::big)
+      v = __builtin_bswap64(v);
+    std::memcpy(out.data() + i, &v, sizeof v);
   }
+  if (i < n)
+    for (std::uint64_t v = next(); i < n; ++i, v >>= 8)
+      out[i] = static_cast<std::uint8_t>(v);
   return out;
 }
 
