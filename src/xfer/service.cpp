@@ -98,10 +98,12 @@ util::Status Service::accept_chunk(Assembly& assembly, const Chunk& chunk) {
 
 util::Status Service::deliver_file(Incoming& incoming, std::uint32_t index) {
   auto blob = incoming.assemblies[index].finish();
-  if (!blob.ok())
-    return make_error(ErrorCode::kInternal,
-                      "whole-file verification failed: " +
-                          blob.error().message);
+  if (!blob.ok()) {
+    incoming.refusal = make_error(
+        ErrorCode::kInternal,
+        "whole-file verification failed: " + blob.error().message);
+    return *incoming.refusal;
+  }
   auto status = njs_.deliver_file(
       incoming.manifest.token, incoming.manifest.files[index].name,
       std::make_shared<const uspace::FileBlob>(std::move(blob).value()));
@@ -198,6 +200,7 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
     // Chunks the store gained since the interruption (or that recovery
     // could not re-satisfy) are acked here instead of retransmitted.
     satisfy_open(incoming, request);
+    if (incoming.refusal) return end_refused(incoming);
     touch(incoming.id, incoming.expiry);
     return resume_reply(incoming).encode();
   }
@@ -243,15 +246,17 @@ Result<Bytes> Service::open_push(const crypto::DistinguishedName& principal,
     counter(s.rtts_saved, "unicore_xfer_rtts_saved_total")
         .add(static_cast<double>(2 * request.files.size() - 2));
   }
+  Incoming& added = *incoming;
+  incoming_by_id_[added.id] = &added;
+  incoming_.emplace(request.key, std::move(incoming));
   // Dedup at open: chunks the store already holds are reported in the
   // reply — for an unchanged dataset the sender goes straight to close
   // without pushing a byte of payload.
-  satisfy_open(*incoming, request);
+  satisfy_open(added, request);
+  if (added.refusal) return end_refused(added);
 
-  BundleOpenReply reply = resume_reply(*incoming);
-  touch(incoming->id, incoming->expiry);
-  incoming_by_id_[incoming->id] = incoming.get();
-  incoming_.emplace(request.key, std::move(incoming));
+  BundleOpenReply reply = resume_reply(added);
+  touch(added.id, added.expiry);
   update_gauges();
   return reply.encode();
 }
@@ -384,6 +389,7 @@ Result<Bytes> Service::chunk(const crypto::DistinguishedName& principal,
   // commits the bundle, it does not gate any file's visibility.
   if (assembly.complete()) {
     util::Status delivered = deliver_file(incoming, request.file_index);
+    if (incoming.refusal) return end_refused(incoming);
     if (!delivered.ok()) return delivered.error();
   }
   update_gauges();
@@ -424,6 +430,7 @@ Result<Bytes> Service::close(const crypto::DistinguishedName& principal,
   for (std::uint32_t i = 0; i < incoming->assemblies.size(); ++i) {
     if (!incoming->delivered[i] && incoming->assemblies[i].complete()) {
       util::Status status = deliver_file(*incoming, i);
+      if (incoming->refusal) return end_refused(*incoming);
       if (!status.ok()) return status.error();
     }
     if (incoming->delivered[i]) ++delivered_count;
@@ -466,6 +473,12 @@ void Service::expire(std::uint64_t id) {
       journal_bundle_expired(*journal, manifest);
   }
   drop(id);
+}
+
+util::Error Service::end_refused(Incoming& incoming) {
+  util::Error refusal = *incoming.refusal;
+  expire(incoming.id);
+  return refusal;
 }
 
 void Service::drop(std::uint64_t id) {
@@ -534,9 +547,14 @@ void Service::fold_journal(const njs::Journal& journal) {
     // the (durable) workspace — idempotent, same file content.
     for (std::uint32_t i = 0; i < incoming->assemblies.size(); ++i)
       if (incoming->assemblies[i].complete()) (void)deliver_file(*incoming, i);
-    touch(incoming->id, incoming->expiry);
-    incoming_by_id_[incoming->id] = incoming.get();
-    incoming_.emplace(incoming->manifest.key, std::move(incoming));
+    Incoming& added = *incoming;
+    incoming_by_id_[added.id] = &added;
+    incoming_.emplace(added.manifest.key, std::move(incoming));
+    if (added.refusal) {
+      (void)end_refused(added);
+      continue;
+    }
+    touch(added.id, added.expiry);
     ++transfers_recovered_;
     counter(series().recovered_transfers,
             "unicore_xfer_recovered_transfers_total")

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -122,6 +123,9 @@ class Service : public njs::CrashParticipant {
     std::uint64_t id = 0;
     sim::Time opened_at = 0;
     sim::EventId expiry = 0;
+    /// Set when a file failed its identity check: the transfer ends with
+    /// this error once the handler that found it is done with it.
+    std::optional<util::Error> refusal;
   };
   struct Outgoing {
     std::uint64_t id = 0;
@@ -148,6 +152,9 @@ class Service : public njs::CrashParticipant {
   /// Drops transfer `id` from whichever table holds it, with its timer,
   /// its buffered bytes and its assemblies' chunk-store references.
   void drop(std::uint64_t id);
+  /// Ends a transfer whose `refusal` is set as the idle timer would, and
+  /// returns the refusal to answer with. `incoming` is gone afterwards.
+  util::Error end_refused(Incoming& incoming);
   void update_gauges();
   void fold_journal(const njs::Journal& journal);
   /// Assembly::accept, keeping the buffered total in step.
@@ -159,7 +166,9 @@ class Service : public njs::CrashParticipant {
   std::uint64_t satisfy_open(Incoming& incoming,
                              const BundleOpenRequest& request);
   /// Finishes assembly `index` and hands the file to the NJS; resets
-  /// the assembly slot on success.
+  /// the assembly slot on success. A file that fails its identity check
+  /// sets the transfer's `refusal`; one the NJS refuses stays complete
+  /// for the close to retry.
   util::Status deliver_file(Incoming& incoming, std::uint32_t index);
 
   sim::Engine& engine_;

@@ -1187,7 +1187,7 @@ uspace::FileBlob forged_content(std::uint64_t seed) {
 }
 
 /// Pushes `blob` by hand, declaring `identity` for it at open, and
-/// returns the close's result.
+/// returns the first refusal, or else the close's result.
 util::Result<util::Bytes> TransferFixture::push_declaring(
     const uspace::FileBlob& blob, const crypto::Digest& identity,
     const std::string& name) {
@@ -1209,7 +1209,8 @@ util::Result<util::Bytes> TransferFixture::push_declaring(
     BundleChunkRequest request;
     request.transfer_id = reply.transfer_id;
     request.chunk = make_chunk(blob, index);
-    (void)serve(Op::kChunk, request.encode());
+    auto sent = serve(Op::kChunk, request.encode());
+    if (!sent.ok()) return sent.error();
   }
   BundleCloseRequest close;
   close.transfer_id = reply.transfer_id;
@@ -1217,15 +1218,24 @@ util::Result<util::Bytes> TransferFixture::push_declaring(
   return serve(Op::kClose, close.encode());
 }
 
-/// The file named `name` is never delivered, and the push cannot commit.
+/// The file named `name` is never delivered, the push cannot commit,
+/// and the refusal ends the transfer at once: nothing of it stays open,
+/// and a crash and recovery do not rebuild it.
 void TransferFixture::expect_forged_push_refused(const std::string& name) {
   std::uint64_t delivered = service.files_delivered();
+  const std::size_t inbound = service.inbound_open();
   const crypto::Digest another = forged_content(22).checksum();
-  auto closed = push_declaring(forged_content(21), another, name);
-  ASSERT_FALSE(closed.ok());
-  EXPECT_EQ(closed.error().code, util::ErrorCode::kInternal);
+  auto refused = push_declaring(forged_content(21), another, name);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, util::ErrorCode::kInternal);
   EXPECT_EQ(service.files_delivered(), delivered);
   EXPECT_FALSE(njs.fetch_file_shared(token, name).ok());
+  EXPECT_EQ(service.inbound_open(), inbound);
+  EXPECT_EQ(service.buffered_in_assemblies(), 0u);
+  njs.crash();
+  njs.recover();
+  EXPECT_EQ(service.inbound_open(), 0u);
+  EXPECT_EQ(service.transfers_recovered(), 0u);
 }
 
 TEST_F(TransferFixture, ForgedIdentityPushIsNeverDeliveredFromBuffers) {
@@ -1250,8 +1260,7 @@ TEST_F(TransferFixture, ForgedIdentityPushIsNeverDeliveredFromBuffers) {
 
 TEST_F(StoreTransferFixture, ForgedIdentityPushIsNeverDeliveredFromTheStore) {
   expect_forged_push_refused("forged.bin");
-  // The dead transfer's references go with it once it idles out.
-  engine.run();
+  // The refused transfer's references went with it.
   EXPECT_EQ(chunk_store->stats().total_refs, 0u);
   EXPECT_EQ(chunk_store->stats().physical_bytes, 0u);
 }
@@ -1268,7 +1277,6 @@ TEST_F(StoreTransferFixture, ForgedIdentityOfStoredChunksIsNeverDelivered) {
   // check stands between them and a delivery.
   expect_forged_push_refused("forged.bin");
   EXPECT_EQ(service.chunks_deduped() - deduped, 3u);
-  engine.run();  // the refused transfer idles out
   EXPECT_EQ(chunk_store->stats().total_refs, refs);  // genuine.bin's own
 }
 
