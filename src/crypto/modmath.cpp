@@ -109,15 +109,6 @@ std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) {
   return result;
 }
 
-std::uint64_t gcd(std::uint64_t a, std::uint64_t b) {
-  while (b != 0) {
-    std::uint64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
 std::uint64_t modinv(std::uint64_t a, std::uint64_t m) {
   // Extended Euclid over the magnitudes of a's coefficients: they
   // alternate in sign, so each new magnitude is |t[k-1]| + q * |t[k]|,

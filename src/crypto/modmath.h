@@ -26,9 +26,6 @@ std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m);
 std::uint64_t powmod_ops();
 void reset_powmod_ops();
 
-/// Greatest common divisor.
-std::uint64_t gcd(std::uint64_t a, std::uint64_t b);
-
 /// Modular inverse of a mod m; returns 0 when gcd(a, m) != 1.
 std::uint64_t modinv(std::uint64_t a, std::uint64_t m);
 

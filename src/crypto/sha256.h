@@ -57,8 +57,7 @@ bool sha256_hardware_accelerated();
 
 /// Forces the portable backend (false) or re-runs hardware detection
 /// (true); the keystream follows the same choice. Exists so tests can
-/// cross-check both backends on the same machine; not thread-safe
-/// against concurrent hashing.
+/// cross-check both backends on the same machine.
 void set_sha256_acceleration(bool enabled);
 
 /// Digest as a Bytes value (for wire formats).

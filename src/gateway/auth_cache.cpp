@@ -18,12 +18,6 @@ AuthenticatedUser AuthenticatedUser::decode(util::ByteReader& r) {
   return user;
 }
 
-ShardedAuthCache::ShardedAuthCache() {
-  shards_.reserve(kShards);
-  for (std::size_t i = 0; i < kShards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
-
 void ShardedAuthCache::set_ttl(std::int64_t seconds) {
   ttl_ = seconds;
   if (seconds == 0) invalidate_all();
@@ -33,15 +27,7 @@ void ShardedAuthCache::set_metrics(obs::MetricsRegistry* registry,
                                    std::string usite) {
   metrics_ = registry;
   usite_ = std::move(usite);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->series = {};
-  }
-}
-
-ShardedAuthCache::Shard& ShardedAuthCache::shard_for(
-    const std::string& subject) {
-  return *shards_[dn_shard_of(subject, shards_.size())];
+  for (Shard& shard : shards_) shard.series = {};
 }
 
 void ShardedAuthCache::count(Shard& shard, bool hit) {
@@ -76,8 +62,7 @@ std::optional<AuthenticatedUser> ShardedAuthCache::lookup(
   if (ttl_ == 0) return std::nullopt;
   const std::string subject = cert.subject.to_string();
   const std::size_t index = dn_shard_of(subject, shards_.size());
-  Shard& shard = *shards_[index];
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  Shard& shard = shards_[index];
   auto it = shard.entries.find(subject);
   if (it != shard.entries.end()) {
     const Entry& cached = it->second;
@@ -105,8 +90,7 @@ void ShardedAuthCache::store(const crypto::Certificate& cert,
   if (ttl_ == 0) return;
   const std::string subject = cert.subject.to_string();
   const std::size_t index = dn_shard_of(subject, shards_.size());
-  Shard& shard = *shards_[index];
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  Shard& shard = shards_[index];
   shard.entries[subject] = {cert, user, now, trust_generation,
                             uudb_generation};
   publish_shard_gauges(index, shard);
@@ -114,8 +98,7 @@ void ShardedAuthCache::store(const crypto::Certificate& cert,
 
 void ShardedAuthCache::invalidate_all() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    Shard& shard = shards_[i];
     shard.entries.clear();
     publish_shard_gauges(i, shard);
   }
@@ -123,47 +106,32 @@ void ShardedAuthCache::invalidate_all() {
 
 std::uint64_t ShardedAuthCache::hits() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->hits;
-  }
+  for (const Shard& shard : shards_) total += shard.hits;
   return total;
 }
 
 std::uint64_t ShardedAuthCache::misses() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->misses;
-  }
+  for (const Shard& shard : shards_) total += shard.misses;
   return total;
 }
 
 std::size_t ShardedAuthCache::size() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->entries.size();
-  }
+  for (const Shard& shard : shards_) total += shard.entries.size();
   return total;
 }
 
 std::uint64_t ShardedAuthCache::shard_hits(std::size_t shard) const {
-  const Shard& s = *shards_[shard % shards_.size()];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.hits;
+  return shards_[shard % shards_.size()].hits;
 }
 
 std::uint64_t ShardedAuthCache::shard_misses(std::size_t shard) const {
-  const Shard& s = *shards_[shard % shards_.size()];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.misses;
+  return shards_[shard % shards_.size()].misses;
 }
 
 std::size_t ShardedAuthCache::shard_size(std::size_t shard) const {
-  const Shard& s = *shards_[shard % shards_.size()];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  return s.entries.size();
+  return shards_[shard % shards_.size()].entries.size();
 }
 
 }  // namespace unicore::gateway

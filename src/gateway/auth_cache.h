@@ -2,21 +2,21 @@
 // authenticate_user results memoized per subject DN, sharded by the
 // same DN hash as the UUDB.
 //
-// Each shard carries its own lock, hit/miss counters, and map, so N
-// gateway replicas fronting one Usite can share a single cache (one
-// fill warms every replica) while concurrent lookups contend only per
-// shard. Entries stamp the trust-store generation and the generation
-// of the *subject's UUDB shard*; a CRL change still flushes everything
-// (trust is global), but a UUDB edit only invalidates the one shard it
-// touched — every other subject's cached decision stays hot.
+// Each shard carries its own hit/miss counters and map. N gateway
+// replicas fronting one Usite share a single cache, so one fill warms
+// every replica; like the rest of the Usite, they run on the simulation
+// thread, and the cache takes no lock. Entries stamp the trust-store
+// generation and the generation of the *subject's UUDB shard*; a CRL
+// change still flushes everything (trust is global), but a UUDB edit
+// only invalidates the one shard it touched — every other subject's
+// cached decision stays hot.
 //
 // Only positives are cached; rejections always re-run the full path.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,8 +41,6 @@ struct AuthenticatedUser {
 class ShardedAuthCache {
  public:
   static constexpr std::size_t kShards = 16;
-
-  ShardedAuthCache();
 
   std::size_t shard_count() const { return shards_.size(); }
 
@@ -92,7 +90,7 @@ class ShardedAuthCache {
     std::uint64_t uudb_generation = 0;
   };
   /// One shard's series handles, resolved on first use and dropped by
-  /// set_metrics. Each shard keeps its own, under its own lock.
+  /// set_metrics.
   struct Series {
     obs::Counter* hit = nullptr;  // unicore_gateway_auth_cache_total
     obs::Counter* miss = nullptr;
@@ -101,19 +99,16 @@ class ShardedAuthCache {
     obs::Gauge* entries = nullptr;
   };
   struct Shard {
-    mutable std::mutex mutex;
     std::map<std::string, Entry> entries;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     Series series;
   };
 
-  Shard& shard_for(const std::string& subject);
-  /// Both run under the shard's lock.
   void count(Shard& shard, bool hit);
   void publish_shard_gauges(std::size_t index, Shard& shard);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
   std::int64_t ttl_ = 300;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string usite_;

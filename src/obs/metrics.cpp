@@ -71,20 +71,9 @@ Histogram::Histogram(std::vector<double> bounds)
 void Histogram::observe(double value) {
   std::size_t bucket =
       std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin();
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double current = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(current, current + value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> counts;
-  counts.reserve(buckets_.size());
-  for (const auto& bucket : buckets_)
-    counts.push_back(bucket.load(std::memory_order_relaxed));
-  return counts;
+  ++buckets_[bucket];
+  ++count_;
+  sum_ += value;
 }
 
 std::vector<double> latency_buckets() {
@@ -197,30 +186,22 @@ std::string MetricsSnapshot::to_prometheus() const {
 }
 
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
-  std::lock_guard lock(mutex_);
-  auto& slot = counters_[{std::string(name), sorted(std::move(labels))}];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return counters_[{std::string(name), sorted(std::move(labels))}];
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
-  std::lock_guard lock(mutex_);
-  auto& slot = gauges_[{std::string(name), sorted(std::move(labels))}];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return gauges_[{std::string(name), sorted(std::move(labels))}];
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, Labels labels,
                                       std::vector<double> bounds) {
-  std::lock_guard lock(mutex_);
-  auto& slot = histograms_[{std::string(name), sorted(std::move(labels))}];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
-  return *slot;
+  SeriesKey key{std::string(name), sorted(std::move(labels))};
+  return histograms_.try_emplace(std::move(key), std::move(bounds))
+      .first->second;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snapshot;
-  std::lock_guard lock(mutex_);
   snapshot.points.reserve(counters_.size() + gauges_.size() +
                           histograms_.size());
   for (const auto& [key, counter] : counters_) {
@@ -228,7 +209,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     point.kind = MetricKind::kCounter;
     point.name = key.first;
     point.labels = key.second;
-    point.value = counter->value();
+    point.value = counter.value();
     snapshot.points.push_back(std::move(point));
   }
   for (const auto& [key, gauge] : gauges_) {
@@ -236,7 +217,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     point.kind = MetricKind::kGauge;
     point.name = key.first;
     point.labels = key.second;
-    point.value = gauge->value();
+    point.value = gauge.value();
     snapshot.points.push_back(std::move(point));
   }
   for (const auto& [key, histogram] : histograms_) {
@@ -244,10 +225,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     point.kind = MetricKind::kHistogram;
     point.name = key.first;
     point.labels = key.second;
-    point.value = histogram->sum();
-    point.bounds = histogram->bounds();
-    point.buckets = histogram->bucket_counts();
-    point.count = histogram->count();
+    point.value = histogram.sum();
+    point.bounds = histogram.bounds();
+    point.buckets = histogram.bucket_counts();
+    point.count = histogram.count();
     snapshot.points.push_back(std::move(point));
   }
   std::sort(snapshot.points.begin(), snapshot.points.end(),

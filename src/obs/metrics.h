@@ -4,20 +4,17 @@
 // (Streit et al., 2005) grew site-wide operational monitoring on top.
 // This registry is the in-process half of that story: components
 // register labeled counters, gauges, and fixed-bucket histograms once
-// (under a mutex) and then record through stable pointers whose hot
-// paths are single atomic operations — safe to call from ThreadPool
-// workers and cheap enough for per-message network instrumentation.
+// and then record through stable references whose hot paths are plain
+// adds, cheap enough for per-message network instrumentation. Like the
+// rest of the Usite, the registry lives on the simulation thread.
 //
 // Snapshots are plain data with a wire codec (consumed by the
 // MonitorService protocol request) and a Prometheus-style text render
 // (consumed by the benches).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,41 +29,31 @@ namespace unicore::obs {
 /// so {a=1,b=2} and {b=2,a=1} name the same series.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonically increasing value. add() is one atomic CAS loop.
+/// Monotonically increasing value.
 class Counter {
  public:
-  void add(double delta) {
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
+  void add(double delta) { value_ += delta; }
   void increment() { add(1.0); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Value that can move in both directions (queue depths, free nodes).
 class Gauge {
  public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void add(double delta) {
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  void set(double value) { value_ = value; }
+  void add(double delta) { value_ += delta; }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Fixed-bucket histogram. Bounds are upper-inclusive (`observation <=
 /// bound`); one implicit overflow bucket catches the rest. observe() is
-/// a bucket search plus three relaxed atomic adds.
+/// a bucket search plus three adds.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -75,15 +62,15 @@ class Histogram {
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket counts; size bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> bucket_counts() const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  const std::vector<std::uint64_t>& bucket_counts() const { return buckets_; }
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
 
  private:
   std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 /// Latency-shaped bucket bounds in seconds (1 ms .. 60 s).
@@ -126,9 +113,9 @@ struct MetricsSnapshot {
   std::string to_prometheus() const;
 };
 
-/// Owner of all series. Registration takes a mutex and returns a
-/// reference that stays valid for the registry's lifetime; recording
-/// through it never locks.
+/// Owner of all series. Registration returns a reference that stays
+/// valid for the registry's lifetime: std::map never moves a node, so
+/// registering more series leaves earlier references in place.
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name, Labels labels = {});
@@ -144,10 +131,9 @@ class MetricsRegistry {
  private:
   using SeriesKey = std::pair<std::string, Labels>;
 
-  mutable std::mutex mutex_;
-  std::map<SeriesKey, std::unique_ptr<Counter>> counters_;
-  std::map<SeriesKey, std::unique_ptr<Gauge>> gauges_;
-  std::map<SeriesKey, std::unique_ptr<Histogram>> histograms_;
+  std::map<SeriesKey, Counter> counters_;
+  std::map<SeriesKey, Gauge> gauges_;
+  std::map<SeriesKey, Histogram> histograms_;
 };
 
 }  // namespace unicore::obs

@@ -62,8 +62,14 @@ std::uint64_t ByteReader::varint() {
   std::uint64_t v = 0;
   for (int shift = 0; need(1); shift += 7) {
     std::uint8_t byte = data_[pos_++];
-    if (shift >= 64) {
+    // The tenth byte holds bit 63 only, so it is 0 or 1 and ends the varint.
+    if (shift == 63 && byte > 1) {
       fail(malformed("varint longer than 64 bits"));
+      break;
+    }
+    // The writer ends a multi-byte varint on a nonzero byte.
+    if (shift > 0 && byte == 0) {
+      fail(malformed("non-minimal varint"));
       break;
     }
     v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;

@@ -124,8 +124,9 @@ class ByteWriter {
 constexpr std::size_t kMaxNesting = 64;
 
 /// Sequential reader over a borrowed buffer. The first failure sticks: a
-/// read past the end, a varint longer than 64 bits, a blob or count
-/// larger than the bytes left, or a decoder's own fail(). Later reads
+/// read past the end, a varint longer than 64 bits or not in its one
+/// shortest form, a blob or count larger than the bytes left, or a
+/// decoder's own fail(). Later reads
 /// return zero values and consume nothing; a decoder returns its value
 /// and its caller checks the reader once before acting on what it read.
 class ByteReader {

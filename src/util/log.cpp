@@ -1,15 +1,12 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <iostream>
-#include <mutex>
 
 namespace unicore::util {
 
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-std::mutex g_sink_mutex;
+LogLevel g_level = LogLevel::kWarn;
 Log::Sink g_sink;  // empty => default stderr sink
 
 const char* level_name(LogLevel level) {
@@ -26,21 +23,15 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-LogLevel Log::level() { return g_level.load(std::memory_order_relaxed); }
+LogLevel Log::level() { return g_level; }
 
-void Log::set_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
+void Log::set_level(LogLevel level) { g_level = level; }
 
-void Log::set_sink(Sink sink) {
-  std::lock_guard lock(g_sink_mutex);
-  g_sink = std::move(sink);
-}
+void Log::set_sink(Sink sink) { g_sink = std::move(sink); }
 
 void Log::write(LogLevel level, std::string_view source,
                 std::string_view message) {
   if (level < Log::level()) return;
-  std::lock_guard lock(g_sink_mutex);
   if (g_sink) {
     g_sink(level, source, message);
     return;

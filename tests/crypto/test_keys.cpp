@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 namespace unicore::crypto {
 namespace {
 
@@ -62,7 +64,7 @@ PrivateKey reference_keypair(util::Rng& rng) {
     std::uint64_t q = random_prime(rng, 32);
     if (p == q) continue;
     std::uint64_t phi = (p - 1) * (q - 1);
-    if (gcd(kPublicExponent, phi) != 1) continue;
+    if (std::gcd(kPublicExponent, phi) != 1) continue;
     PrivateKey key;
     key.pub.n = p * q;
     key.pub.e = kPublicExponent;

@@ -88,14 +88,6 @@ TEST(ModMath, PowmodCountsOneOperationPerExponentiation) {
   EXPECT_EQ(powmod_ops(), 3u);
 }
 
-TEST(ModMath, Gcd) {
-  EXPECT_EQ(gcd(12, 18), 6u);
-  EXPECT_EQ(gcd(17, 5), 1u);
-  EXPECT_EQ(gcd(0, 5), 5u);
-  EXPECT_EQ(gcd(5, 0), 5u);
-  EXPECT_EQ(gcd(0, 0), 0u);
-}
-
 TEST(ModMath, ModinvInvertsWhenCoprime) {
   EXPECT_EQ(modinv(3, 7), 5u);  // 3*5 = 15 = 1 mod 7
   EXPECT_EQ(mulmod(modinv(65537, 4'294'836'224ULL), 65537,

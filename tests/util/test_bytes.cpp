@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 namespace unicore::util {
 namespace {
@@ -94,12 +95,45 @@ TEST(ByteReader, FailsOnVarintLongerThan64Bits) {
   ByteReader r(ten);
   EXPECT_EQ(r.varint(), 0u);
   EXPECT_FALSE(r.ok());
+  // A tenth byte carries bit 63 only: anything above 1 would be dropped.
+  for (Bytes tenth : {Bytes(9, 0x80), Bytes(9, 0xff)}) {
+    for (std::uint8_t last : {0x02, 0x7f}) {
+      tenth.push_back(last);
+      ByteReader over(tenth);
+      EXPECT_EQ(over.varint(), 0u);
+      EXPECT_FALSE(over.finish().ok()) << int(last);
+      tenth.pop_back();
+    }
+  }
   // The longest varint the writer emits still reads.
   ByteWriter w;
   w.varint(std::numeric_limits<std::uint64_t>::max());
   ByteReader max(w.bytes());
   EXPECT_EQ(max.varint(), std::numeric_limits<std::uint64_t>::max());
   EXPECT_TRUE(max.finish().ok());
+}
+
+TEST(ByteReader, FailsOnNonMinimalVarint) {
+  // A multi-byte varint that ends on a zero byte has a shorter form.
+  for (const Bytes& padded : {Bytes{0x80, 0x00}, Bytes{0xff, 0x80, 0x00}}) {
+    ByteReader r(padded);
+    EXPECT_EQ(r.varint(), 0u);
+    EXPECT_FALSE(r.finish().ok());
+  }
+  // Minimal forms still read, the 64-bit one with a final byte of 1.
+  Bytes top(9, 0xff);
+  top.push_back(0x01);
+  const std::pair<Bytes, std::uint64_t> minimal[] = {
+      {{0x00}, 0},
+      {{0x7f}, 0x7f},
+      {{0x80, 0x01}, 0x80},
+      {top, std::numeric_limits<std::uint64_t>::max()},
+  };
+  for (const auto& [bytes, value] : minimal) {
+    ByteReader r(bytes);
+    EXPECT_EQ(r.varint(), value);
+    EXPECT_TRUE(r.finish().ok());
+  }
 }
 
 TEST(ByteReader, FirstFailureSticksAndLaterReadsAreZero) {
