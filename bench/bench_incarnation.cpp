@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -79,21 +80,29 @@ void BM_IncarnateBulkParallel(benchmark::State& state) {
       njs::default_translation_table(Architecture::kCrayT3E);
   std::vector<ajo::UserTask> tasks;
   for (int i = 0; i < state.range(0); ++i) tasks.push_back(make_task(i));
-  // One contiguous slice of the tasks per hardware thread. incarnate()
-  // touches no shared state, and each slice writes only its own slot.
+  // One thread per hardware thread. incarnate() touches no shared state;
+  // the threads share only the next unclaimed task index, and each
+  // writes only its own slot of `ok`. They claim kChunk tasks at a time
+  // rather than a fixed quarter each, so a thread the host preempts
+  // does not hold up the whole batch.
+  constexpr std::size_t kChunk = 16;
   const std::size_t threads =
       std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t slice = (tasks.size() + threads - 1) / threads;
   std::vector<std::size_t> ok(threads);
+  std::atomic<std::size_t> next{0};
   for (auto _ : state) {
+    next = 0;
     {
       std::vector<std::jthread> workers;  // joined as the block ends
       for (std::size_t t = 0; t < threads; ++t)
         workers.emplace_back([&, t] {
-          const std::size_t end = std::min(tasks.size(), (t + 1) * slice);
           std::size_t done = 0;
-          for (std::size_t i = t * slice; i < end; ++i)
-            if (njs::incarnate(tasks[i], config, table, "proj").ok()) ++done;
+          for (std::size_t begin = next.fetch_add(kChunk);
+               begin < tasks.size(); begin = next.fetch_add(kChunk)) {
+            const std::size_t end = std::min(tasks.size(), begin + kChunk);
+            for (std::size_t i = begin; i < end; ++i)
+              if (njs::incarnate(tasks[i], config, table, "proj").ok()) ++done;
+          }
           ok[t] = done;
         });
     }
